@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check alloc-check soak determinism fuzz-short golden-check bench perf perf-check fmt fmt-check lint lint-json lint-baseline experiments
+.PHONY: all build test vet race check alloc-check soak fuzz-short golden-check bench perf perf-check fmt fmt-check lint lint-json lint-baseline experiments
 
 all: build
 
@@ -14,16 +14,17 @@ vet:
 	$(GO) vet ./...
 
 # The simulator is single-threaded by design (one virtual clock, one event
-# heap), but the race detector still guards the few places where goroutines
-# could creep in — and keeps the whole suite honest about shared state.
+# heap; virtclock bans the go statement outside package main), so the race
+# run guards the linter's worker pools — the only goroutines left — and
+# anything a test itself spawns.
 race:
-	$(GO) test -race -timeout 30m -skip 'OffloadEquivalenceSoak|ShardedDeterminism' ./...
+	$(GO) test -race -timeout 30m -skip 'OffloadEquivalenceSoak' ./...
 
-check: vet lint fmt-check race soak determinism alloc-check fuzz-short golden-check perf-check
+check: vet lint fmt-check race soak alloc-check fuzz-short golden-check perf-check
 
 # The invariant linter: the analyzers in internal/analysis (virtclock,
-# nilhook, statsreg, wiremut, seriesname, framepool, shardsafe, hotalloc)
-# enforce the DESIGN.md contracts mechanically. The committed
+# nilhook, statsreg, wiremut, seriesname, framepool, hotalloc) enforce the
+# DESIGN.md contracts mechanically. The committed
 # lint.baseline freezes accepted pre-existing findings, so `make check`
 # fails on any unsuppressed NEW diagnostic while a new analyzer can land
 # strict on new code. See DESIGN.md "Invariants as analyzers".
@@ -47,13 +48,6 @@ lint-baseline:
 soak:
 	$(GO) test -race -count=1 -timeout 30m -run 'OffloadEquivalence' ./internal/experiments/
 
-# The sharded-determinism harness: the same seeded run at GOMAXPROCS
-# 1/2/8 and three worker-shuffle seeds must render byte-identical
-# metrics snapshots and Chrome traces. Split out of `race` (which skips
-# it) so the GOMAXPROCS sweep runs exactly once per check.
-determinism:
-	$(GO) test -race -count=1 -run 'ShardedDeterminism' ./internal/experiments/
-
 # A few seconds of coverage-guided fuzzing per target: TCP reassembly, the
 # SACK option codec and scoreboard, and the RxEngine header parser/search
 # path. `go test -fuzz` takes one target per invocation, hence the separate
@@ -72,8 +66,9 @@ golden-check:
 
 # The race detector instruments allocations, so the zero-alloc guarantees
 # (disabled telemetry and lifecycle spans must not allocate on the
-# per-packet path, nor Stats()/Sample() at steady state) are asserted in
-# a separate non-race run.
+# per-packet path, nor Stats()/Sample() at steady state, nor a poll or
+# doorbell beyond the parsed packets) are asserted in a separate non-race
+# run.
 alloc-check:
 	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/
 

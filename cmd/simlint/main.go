@@ -1,12 +1,11 @@
 // Command simlint is the repository's invariant linter: a multichecker
 // driver for the analyzers in internal/analysis. It mechanically enforces
 // the contracts DESIGN.md's "Invariants as analyzers" section maps out —
-// virtual-clock purity and seeded randomness (virtclock), nil-safe
-// telemetry hooks (nilhook), registry-mergeable and actually-registered
-// Stats structs (statsreg), checksum-safe frame mutation (wiremut),
-// canonical series names (seriesname), serial-phase-only frame pooling
-// (framepool), lane-local ShardRun jobs (shardsafe), and allocation-free
-// hot paths (hotalloc).
+// virtual-clock purity, seeded randomness and no go statements
+// (virtclock), nil-safe telemetry hooks (nilhook), registry-mergeable and
+// actually-registered Stats structs (statsreg), checksum-safe frame
+// mutation (wiremut), canonical series names (seriesname), pool-only frame
+// allocation (framepool), and allocation-free hot paths (hotalloc).
 //
 // Usage:
 //
@@ -32,9 +31,9 @@
 // (part of `make check`) runs it over the whole module with the
 // committed baseline.
 //
-// Run it over ./... rather than package subsets: statsreg and shardsafe
-// are whole-program checks, so a subset that defines a Stats struct but
-// omits the package that registers it reports a false "never registered".
+// Run it over ./... rather than package subsets: statsreg is a
+// whole-program check, so a subset that defines a Stats struct but omits
+// the package that registers it reports a false "never registered".
 package main
 
 import (

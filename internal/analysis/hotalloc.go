@@ -68,7 +68,7 @@ func checkHotBody(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.CallExpr:
-			id, ok := unparenExpr(e.Fun).(*ast.Ident)
+			id, ok := ast.Unparen(e.Fun).(*ast.Ident)
 			if !ok {
 				return true
 			}

@@ -123,6 +123,7 @@ func Load(patterns ...string) (*Program, error) {
 	var wg sync.WaitGroup
 	for i, t := range targets {
 		wg.Add(1)
+		//lint:ignore virtclock host tooling, not simulated-world code: the linter's own bounded worker pool, joined by wg.Wait before any result is read
 		go func(i int, t *listedPkg) {
 			defer wg.Done()
 			sem <- struct{}{}

@@ -26,6 +26,10 @@ func globalRand() int {
 	return rand.Intn(10)               // want `rand.Intn draws from the global source`
 }
 
+func threads() {
+	go timers() // want `go statement starts a real thread`
+}
+
 func seededRand() int {
 	r := rand.New(rand.NewSource(42)) // constructors are the approved path
 	return r.Intn(10)                 // methods on a seeded *rand.Rand are fine

@@ -6,18 +6,19 @@ import (
 	"sort"
 )
 
-// VirtClock enforces the simulator's determinism substrate: all time must
-// come from the netsim virtual clock and all randomness from an
-// explicitly seeded generator. In non-main packages it bans the wall
-// clock and timers (time.Now, Since, Until, Sleep, After, AfterFunc,
-// Tick, NewTimer, NewTicker) and the global math/rand source (every
-// package-level function except the New/NewSource/NewZipf constructors).
-// Package main is exempt: entry points legitimately measure real elapsed
-// time for operator-facing output, and nothing inside a simulated world
-// lives there.
+// VirtClock enforces the simulator's determinism substrate — no real
+// time, no real threads: all time must come from the netsim virtual
+// clock, all randomness from an explicitly seeded generator, and all
+// execution from the one event-loop goroutine. In non-main packages it
+// bans the wall clock and timers (time.Now, Since, Until, Sleep, After,
+// AfterFunc, Tick, NewTimer, NewTicker), the global math/rand source
+// (every package-level function except the New/NewSource/NewZipf
+// constructors), and the go statement. Package main is exempt: entry
+// points legitimately measure real elapsed time for operator-facing
+// output, and nothing inside a simulated world lives there.
 var VirtClock = &Analyzer{
 	Name: "virtclock",
-	Doc:  "ban wall-clock time and seedless global math/rand in simulator packages",
+	Doc:  "ban wall-clock time, seedless global math/rand, and go statements in simulator packages",
 	Run:  runVirtClock,
 }
 
@@ -64,6 +65,15 @@ func runVirtClock(pass *Pass) error {
 					"rand.%s draws from the global source; use an explicitly seeded rand.New(rand.NewSource(seed)) so runs stay reproducible", fn.Name())
 			}
 		}
+	}
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				pass.Reportf(g.Pos(),
+					"go statement starts a real thread; a simulated world runs on the event loop's one goroutine, which is what makes runs byte-identical at any GOMAXPROCS")
+			}
+			return true
+		})
 	}
 	return nil
 }

@@ -1,13 +1,12 @@
 package experiments
 
-// The determinism harness behind DESIGN.md invariant 13: the sharded
-// per-queue poll loop runs real goroutines, but every shared effect is
-// serialized in a fixed merge order, so one seeded world must render
-// byte-identical telemetry — the full registry snapshot and the Chrome
-// trace JSON — no matter how many OS threads the runtime schedules
-// (GOMAXPROCS) and no matter the order the shard workers are spawned in
-// (SetShardShuffle). Any scheduling-dependent leak into counters, RNG
-// draw order, or trace emission shows up here as a byte diff.
+// The determinism ground rule (DESIGN.md invariant 13): a simulated world
+// runs on one goroutine with one virtual clock and seeded randomness, so
+// one seeded world must render byte-identical telemetry — the full
+// registry snapshot and the Chrome trace JSON — run after run, no matter
+// how many OS threads the runtime schedules (GOMAXPROCS). Any leak of
+// host state into counters, RNG draw order, or trace emission shows up
+// here as a byte diff.
 
 import (
 	"bytes"
@@ -22,9 +21,9 @@ import (
 )
 
 // determinismRun executes one fixed-seed chaos world — four RSS queues,
-// four shard workers, loss and reordering on the wire, offloaded ktls
-// streams — and returns the rendered metrics snapshot and trace bytes.
-func determinismRun(shuffle int64) (metrics, trace []byte) {
+// loss and reordering on the wire, offloaded ktls streams — and returns
+// the rendered metrics snapshot and trace bytes.
+func determinismRun() (metrics, trace []byte) {
 	sys := telemetry.NewSystem(1 << 16)
 	UseTelemetry(sys)
 	defer UseTelemetry(nil)
@@ -33,8 +32,6 @@ func determinismRun(shuffle int64) (metrics, trace []byte) {
 		Latency: 2 * time.Microsecond,
 		AtoB:    netsim.FaultConfig{LossProb: 0.02, ReorderProb: 0.01},
 	}, nic.Config{Queues: 4, CtxCacheFlows: 64})
-	w.Sim.SetShardWorkers(4)
-	w.Sim.SetShardShuffle(shuffle)
 	RunIperf(w, IperfTLSOffload, 4, 32<<10, 4<<10, 800*time.Microsecond)
 	w.FlushTelemetry()
 	var mbuf, tbuf bytes.Buffer
@@ -45,11 +42,11 @@ func determinismRun(shuffle int64) (metrics, trace []byte) {
 	return mbuf.Bytes(), tbuf.Bytes()
 }
 
-// TestShardedDeterminism re-runs the seeded sharded world across
-// GOMAXPROCS 1, 2, and 8 and across shuffled worker spawn orders, and
-// requires byte-identical output every time.
+// TestShardedDeterminism runs the seeded multi-queue world twice at the
+// ambient GOMAXPROCS and once each at GOMAXPROCS 1 and 8, and requires
+// byte-identical output every time.
 func TestShardedDeterminism(t *testing.T) {
-	baseMetrics, baseTrace := determinismRun(0)
+	baseMetrics, baseTrace := determinismRun()
 	if len(baseTrace) == 0 || len(baseMetrics) == 0 {
 		t.Fatal("baseline run rendered no telemetry")
 	}
@@ -61,17 +58,16 @@ func TestShardedDeterminism(t *testing.T) {
 			t.Fatalf("baseline snapshot missing %q — scenario is not driving the batched hot path", want)
 		}
 	}
-	for _, gmp := range []int{1, 2, 8} {
-		for _, shuffle := range []int64{0, 7, 42} {
-			prev := runtime.GOMAXPROCS(gmp)
-			m, tr := determinismRun(shuffle)
-			runtime.GOMAXPROCS(prev)
-			if !bytes.Equal(m, baseMetrics) {
-				t.Errorf("GOMAXPROCS=%d shuffle=%d: metrics snapshot diverged from baseline", gmp, shuffle)
-			}
-			if !bytes.Equal(tr, baseTrace) {
-				t.Errorf("GOMAXPROCS=%d shuffle=%d: chrome trace diverged from baseline", gmp, shuffle)
-			}
+	ambient := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(ambient)
+	for _, gmp := range []int{ambient, 1, 8} {
+		runtime.GOMAXPROCS(gmp)
+		m, tr := determinismRun()
+		if !bytes.Equal(m, baseMetrics) {
+			t.Errorf("GOMAXPROCS=%d: metrics snapshot diverged from baseline", gmp)
+		}
+		if !bytes.Equal(tr, baseTrace) {
+			t.Errorf("GOMAXPROCS=%d: chrome trace diverged from baseline", gmp)
 		}
 	}
 }

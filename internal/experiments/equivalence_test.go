@@ -58,11 +58,11 @@ func equivSchedule(seed int64) ChaosFaults {
 }
 
 // equivTLSRun drives one seeded ktls flow and returns the exact plaintext
-// each receiving connection delivered, in accept order. queues and workers
-// shape the sharded arm (≤1 keeps the defaults). After the fault window the
+// each receiving connection delivered, in accept order. queues shapes the
+// multi-queue arm (≤1 keeps the default). After the fault window the
 // writers stop and the world drains to quiescence, so poolInUse is the
 // number of leaked frames — zero unless a hot-path owner lost one.
-func equivTLSRun(f ChaosFaults, mode IperfMode, streams int, dur time.Duration, queues, workers int) (plain [][]byte, st nic.Stats, poolInUse uint64, err error) {
+func equivTLSRun(f ChaosFaults, mode IperfMode, streams int, dur time.Duration, queues int) (plain [][]byte, st nic.Stats, poolInUse uint64, err error) {
 	// 100 Gbps like the chaos harness: a slower link builds a serializer
 	// backlog during establishment, and frames delivered inside the window
 	// would all predate the fault arming.
@@ -74,9 +74,6 @@ func equivTLSRun(f ChaosFaults, mode IperfMode, streams int, dur time.Duration, 
 		Gbps:    100,
 		Latency: 2 * time.Microsecond,
 	}, cfg)
-	if workers > 1 {
-		w.Sim.SetShardWorkers(workers)
-	}
 	w.Model.MinRTOMicros = 2000
 	w.Model.MaxRTOMicros = 500000
 	if f.ECN {
@@ -174,8 +171,8 @@ func TestOffloadEquivalenceSoak(t *testing.T) {
 	var resumes, searches, bytesCompared uint64
 	for seed := int64(1); seed <= equivSeeds; seed++ {
 		f := equivSchedule(seed)
-		off, offNIC, offLeak, offErr := equivTLSRun(f, IperfTLSOffload, streams, window, 1, 0)
-		sw, _, swLeak, swErr := equivTLSRun(f, IperfTLS, streams, window, 1, 0)
+		off, offNIC, offLeak, offErr := equivTLSRun(f, IperfTLSOffload, streams, window, 1)
+		sw, _, swLeak, swErr := equivTLSRun(f, IperfTLS, streams, window, 1)
 		if offErr != nil {
 			t.Fatalf("seed %d: offloaded run failed: %v", seed, offErr)
 		}
@@ -221,13 +218,12 @@ func TestOffloadEquivalenceSoak(t *testing.T) {
 }
 
 // TestOffloadEquivalenceSoakSharded is the multi-queue arm of the soak: the
-// same equivalence contract, but alternating RSS queue counts (1/2/4) with
-// the sharded poll loop running real worker goroutines under the race
-// detector (`make soak` runs this file with -race). Two extra guarantees
-// ride along: traffic must be independent of the queue count — the software
-// ablation runs at the same queue count, so any order-dependence in the
-// batched path shows up as a plaintext divergence — and the frame pool must
-// be empty once each world drains (gets == puts at teardown).
+// same equivalence contract, but alternating RSS queue counts (1/2/4). Two
+// extra guarantees ride along: traffic must be independent of the queue
+// count — the software ablation runs at the same queue count, so any
+// order-dependence in the batched path shows up as a plaintext divergence —
+// and the frame pool must be empty once each world drains (gets == puts at
+// teardown).
 func TestOffloadEquivalenceSoakSharded(t *testing.T) {
 	const streams = 2
 	const window = 1500 * time.Microsecond
@@ -235,10 +231,9 @@ func TestOffloadEquivalenceSoakSharded(t *testing.T) {
 	var bytesCompared, resumes, searches uint64
 	for seed := int64(1); seed <= 6; seed++ {
 		queues := queueArms[int(seed)%len(queueArms)]
-		workers := 2 + int(seed)%3
 		f := equivSchedule(seed)
-		off, offNIC, offLeak, offErr := equivTLSRun(f, IperfTLSOffload, streams, window, queues, workers)
-		sw, _, swLeak, swErr := equivTLSRun(f, IperfTLS, streams, window, queues, workers)
+		off, offNIC, offLeak, offErr := equivTLSRun(f, IperfTLSOffload, streams, window, queues)
+		sw, _, swLeak, swErr := equivTLSRun(f, IperfTLS, streams, window, queues)
 		if offErr != nil {
 			t.Fatalf("seed %d queues %d: offloaded run failed: %v", seed, queues, offErr)
 		}

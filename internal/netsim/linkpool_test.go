@@ -7,42 +7,6 @@ import (
 	"repro/internal/wire"
 )
 
-// TestShardRunBarrier: every job completes before ShardRun returns, for
-// inline and concurrent configurations, identity and shuffled order.
-func TestShardRunBarrier(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 8} {
-		for _, shuffleSeed := range []int64{0, 1, 99} {
-			s := New()
-			s.SetShardWorkers(workers)
-			s.SetShardShuffle(shuffleSeed)
-			if s.ShardWorkers() != workers {
-				t.Fatalf("ShardWorkers = %d, want %d", s.ShardWorkers(), workers)
-			}
-			const n = 16
-			results := make([]int, n) // lane-disjoint: one slot per job
-			for round := 0; round < 10; round++ {
-				s.ShardRun(n, func(i int) { results[i] = i*i + round })
-				for i := 0; i < n; i++ {
-					if results[i] != i*i+round {
-						t.Fatalf("workers=%d shuffle=%d round=%d: job %d not complete at barrier",
-							workers, shuffleSeed, round, i)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestShardRunSingleJobInline(t *testing.T) {
-	s := New()
-	s.SetShardWorkers(8)
-	ran := false
-	s.ShardRun(1, func(i int) { ran = i == 0 })
-	if !ran {
-		t.Fatal("single job did not run")
-	}
-}
-
 // poolEndpoint returns every delivered frame to the pool, the way the NIC
 // does after processing a receive batch.
 type poolEndpoint struct {

@@ -1,84 +1,17 @@
 package netsim
 
-import (
-	"math/rand"
-	"runtime"
-	"sync"
-)
-
-// Sharded execution: the virtual-clock barrier that lets the NIC's batched
-// hot path fan per-queue work out over real cores without giving up the
-// repo's determinism contract (DESIGN.md invariant 13).
+// Compile-compat for the frozen benchmark/ package (the only caller), which
+// still times the deleted goroutine fan-out; jobs run inline.
 //
-// The model is bulk-synchronous: inside one event, a caller hands ShardRun
-// n independent jobs (one per queue). The jobs run concurrently — or
-// inline when the simulator has one worker — and ShardRun returns only
-// when all of them finished, so the event's serial remainder (the "merge
-// phase") observes every job complete. Jobs must touch only disjoint,
-// lane-local state: no telemetry, no ledger, no shared maps. All shared
-// effects happen after the barrier, in fixed queue-index order, which is
-// what makes traces and metrics byte-identical at any GOMAXPROCS and any
-// worker count.
-
-// shardState holds the simulator's worker configuration.
-type shardState struct {
-	workers int
-	shuffle *rand.Rand // optional spawn-order shuffler (test hook)
-}
-
-// SetShardWorkers sets how many jobs one ShardRun may run concurrently.
-// Values ≤ 1 run every job inline on the event goroutine. The default is
-// GOMAXPROCS at simulator creation: inline on a single-core host (where
-// goroutine fan-out is pure overhead), concurrent where cores exist.
-func (s *Simulator) SetShardWorkers(n int) { s.shard.workers = n }
-
-// ShardWorkers returns the configured worker count.
-func (s *Simulator) ShardWorkers() int { return s.shard.workers }
-
-// SetShardShuffle seeds a deterministic shuffler of goroutine spawn order,
-// so the determinism harness can prove results do not depend on which
-// worker starts first. Seed 0 disables shuffling.
-func (s *Simulator) SetShardShuffle(seed int64) {
-	if seed == 0 {
-		s.shard.shuffle = nil
-		return
-	}
-	s.shard.shuffle = rand.New(rand.NewSource(seed))
-}
-
-// ShardRun runs job(0) … job(n-1) to completion before returning — the
-// barrier. With more than one worker configured the jobs run as goroutines
-// (spawned per call: worlds are created by the thousand in tests, so the
-// simulator keeps no persistent worker state to leak); otherwise they run
-// inline in index order. Jobs must confine themselves to lane-local state;
-// see the file comment.
+// Deprecated: remove with the benchmark's shard rows (ROADMAP.md).
 func (s *Simulator) ShardRun(n int, job func(shard int)) {
-	if n <= 1 || s.shard.workers <= 1 {
-		for i := 0; i < n; i++ {
-			job(i)
-		}
-		return
+	for i := 0; i < n; i++ {
+		job(i)
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if s.shard.shuffle != nil {
-		s.shard.shuffle.Shuffle(n, func(i, j int) {
-			order[i], order[j] = order[j], order[i]
-		})
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for _, i := range order {
-		i := i
-		go func() {
-			defer wg.Done()
-			job(i)
-		}()
-	}
-	wg.Wait()
 }
 
-// defaultShardWorkers is the worker count a fresh simulator starts with.
-func defaultShardWorkers() int { return runtime.GOMAXPROCS(0) }
+// Deprecated: remove with the benchmark's shard rows. Always 1.
+func (s *Simulator) ShardWorkers() int { return 1 }
+
+// Deprecated: remove with the benchmark's shard rows. No-op.
+func (s *Simulator) SetShardWorkers(int) {}

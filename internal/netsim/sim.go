@@ -6,10 +6,9 @@
 // Determinism matters here: the paper's §6.4 experiments sweep loss and
 // reordering probabilities, and the offload statistics (fully / partially /
 // not offloaded records) must be reproducible run to run. The event loop is
-// serial; randomness comes only from explicitly seeded generators. The one
-// sanctioned form of concurrency is the ShardRun barrier (shard.go): pure,
-// lane-disjoint jobs fanned out inside a single event and joined before any
-// shared state is touched, so results are byte-identical at any GOMAXPROCS.
+// serial and a simulated world runs on one goroutine — virtclock bans the
+// go statement outside package main — so results are byte-identical at any
+// GOMAXPROCS; randomness comes only from explicitly seeded generators.
 package netsim
 
 import (
@@ -29,13 +28,10 @@ type Simulator struct {
 	steps    uint64
 	queue    eventQueue
 	periodic []*periodicHook
-	shard    shardState
 }
 
 // New returns an empty simulator at virtual time zero.
-func New() *Simulator {
-	return &Simulator{shard: shardState{workers: defaultShardWorkers()}}
-}
+func New() *Simulator { return &Simulator{} }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }

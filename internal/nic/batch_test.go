@@ -1,0 +1,166 @@
+package nic
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/cycles"
+	"repro/internal/netsim"
+	"repro/internal/tcpip"
+	"repro/internal/wire"
+)
+
+// devFunc adapts a function to tcpip.NetDevice, so a test can sit between
+// the stack and the NIC.
+type devFunc func(*wire.Packet)
+
+func (f devFunc) Transmit(pkt *wire.Packet) { f(pkt) }
+
+// bareNIC builds one NIC over a stack with no link: frames go in through
+// DeliverFrame and come out through send.
+func bareNIC(send func(wire.Frame), cfg Config) (*netsim.Simulator, *tcpip.Stack, *NIC) {
+	sim := netsim.New()
+	model := cycles.DefaultModel()
+	lg := &cycles.Ledger{}
+	stack := tcpip.NewStack(sim, [4]byte{10, 0, 0, 2}, &model, lg)
+	cfg.Model, cfg.Ledger = &model, lg
+	return sim, stack, New(stack, send, cfg)
+}
+
+// TestMidDrainPostsLandInNextBatch drives the double-buffer swap of rxPoll
+// and txDoorbell: a DeliverFrame issued from inside stack.Input and a
+// Transmit issued from inside the doorbell's send must each be completed
+// exactly once, after everything posted before them, with no frame leaked.
+// The stack answers every delivered SYN with a SYN-ACK through its device,
+// so a wrapping device runs inside stack.Input.
+func TestMidDrainPostsLandInNextBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		queues, budget int
+	}{
+		// One queue, so completion order is arrival order even though the
+		// tiny budget defers most of the burst: leftovers must stay ahead
+		// of the frames delivered mid-drain.
+		{"one-queue-over-budget", 1, 2},
+		{"four-queues", 4, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const burst, midRx, midTx = 5, 3, 3
+			pool := wire.NewFramePool()
+			var n *NIC
+			// Flows are identified by the remote port, on both paths.
+			var arrived, delivered, posted, sent []uint16
+			transmit := func(pkt *wire.Packet) {
+				posted = append(posted, pkt.Flow.Dst.Port)
+				n.Transmit(pkt)
+			}
+			deliverSYN := func(i int) {
+				pkt := &wire.Packet{Flow: flowTo(i), Seq: 1000, Flags: wire.FlagSYN}
+				frame := pool.Get(pkt.WireLen())
+				pkt.MarshalHeaders(frame)
+				arrived = append(arrived, pkt.Flow.Src.Port)
+				n.DeliverFrame(frame)
+			}
+			txLeft := midTx
+			send := func(frame wire.Frame) {
+				pkt, err := wire.Parse(frame)
+				if err != nil {
+					t.Fatalf("NIC emitted an unparseable frame: %v", err)
+				}
+				sent = append(sent, pkt.Flow.Dst.Port)
+				pool.Put(frame)
+				if txLeft > 0 {
+					txLeft--
+					transmit(&wire.Packet{Flow: flowTo(100 + txLeft).Reverse(), Flags: wire.FlagACK})
+				}
+			}
+			sim, stack, nic := bareNIC(send, Config{Queues: tc.queues, RxPollBudget: tc.budget, Pool: pool})
+			n = nic
+			stack.Listen(80, func(*tcpip.Socket) {})
+			nextRx := burst
+			stack.SetDevice(devFunc(func(pkt *wire.Packet) {
+				delivered = append(delivered, pkt.Flow.Dst.Port)
+				if nextRx < burst+midRx {
+					deliverSYN(nextRx)
+					nextRx++
+				}
+				transmit(pkt)
+			}))
+
+			for i := 0; i < burst; i++ {
+				deliverSYN(i)
+			}
+			// Drain the same-timestamp poll/doorbell cascade only: the
+			// half-open sockets' SYN-ACK retransmit timers stay pending.
+			flush(sim)
+
+			if len(arrived) != burst+midRx || !slices.Equal(delivered, arrived) {
+				t.Errorf("delivered %v, want arrival order %v", delivered, arrived)
+			}
+			if len(posted) != burst+midRx+midTx || !slices.Equal(sent, posted) {
+				t.Errorf("sent %v, want post order %v", sent, posted)
+			}
+			if st := n.Stats(); st.RxPackets != burst+midRx || st.TxPackets != burst+midRx+midTx {
+				t.Errorf("RxPackets = %d, TxPackets = %d", st.RxPackets, st.TxPackets)
+			}
+			if pool.InUse() != 0 {
+				t.Errorf("frame pool leak: %d frames out after the cascade drained", pool.InUse())
+			}
+		})
+	}
+}
+
+// nopEvent is a handler that does nothing, for pricing what the simulator
+// itself allocates to schedule and run one method-value event.
+type nopEvent struct{ fired int }
+
+func (e *nopEvent) fire() { e.fired++ }
+
+// TestPollDoorbellNoAllocBeyondParse pins the steady-state cost of one
+// receive poll plus one transmit doorbell at Queues: 4: scheduling the two
+// events, and wire.Parse's one packet per received frame. Anything the
+// handlers add per event — a closure, a scratch slice, a fan-out — shows
+// up as extra allocations whatever the batch size.
+func TestPollDoorbellNoAllocBeyondParse(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counting unreliable under -race")
+	}
+	pool := wire.NewFramePool()
+	sim, _, n := bareNIC(pool.Put, Config{Queues: 4, Pool: pool})
+	const flows = 16
+	var rx [flows]wire.Frame
+	var tx [flows]*wire.Packet
+	for i := range rx {
+		rx[i] = frameFor(flowTo(i), 1000, 8)
+		tx[i] = &wire.Packet{Flow: flowTo(i).Reverse(), Seq: 1, Flags: wire.FlagACK, Payload: make([]byte, 64)}
+	}
+	batch := func(frames int) func() {
+		return func() {
+			for i := 0; i < frames; i++ {
+				n.DeliverFrame(pool.Clone(rx[i%flows]))
+				n.Transmit(tx[i%flows])
+			}
+			flush(sim)
+		}
+	}
+	parse := testing.AllocsPerRun(100, func() { wire.Parse(rx[0]) })
+	nop := &nopEvent{}
+	events := testing.AllocsPerRun(100, func() {
+		sim.At(sim.Now(), nop.fire)
+		sim.At(sim.Now(), nop.fire)
+		flush(sim)
+	})
+	for _, frames := range []int{8, 48} {
+		got := testing.AllocsPerRun(100, batch(frames))
+		if want := events + float64(frames)*parse; got != want {
+			t.Errorf("%d frames: %v allocs per poll+doorbell, want %v (%v for the two events + %v per parsed frame)",
+				frames, got, want, events, parse)
+		}
+	}
+	if st := n.Stats(); st.RxPackets == 0 || st.TxPackets == 0 || st.RxPackets != st.RxPolledFrames {
+		t.Errorf("batches did not run the hot path: %+v", st)
+	}
+	if pool.InUse() != 0 {
+		t.Errorf("frame pool leak: %d frames out", pool.InUse())
+	}
+}

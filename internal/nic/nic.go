@@ -115,15 +115,11 @@ type Stats struct {
 	TxDoorbellPackets uint64 // packets those doorbells flushed
 }
 
-// rxSlot parks one arrived frame on the receive backlog until the next
-// poll event completes it. The slot is tagged with its steered queue;
-// pkt/err are filled by the poll's parallel parse phase (shard-local: the
-// worker for queue i writes only queue-i slots).
+// rxSlot parks one arrived frame on the receive backlog, tagged with its
+// steered queue, until the next poll event completes it.
 type rxSlot struct {
 	q     *Queue
 	frame wire.Frame
-	pkt   *wire.Packet
-	err   error
 }
 
 // txSlot is one posted packet awaiting the coalesced doorbell. The frame
@@ -211,12 +207,14 @@ type NIC struct {
 	// DeliverFrame/Transmit only enqueue; the poll and doorbell events
 	// drain. Completion runs in this global order — not queue order — so
 	// the traffic a run produces is independent of the queue count (the
-	// churn invariant) as well as of GOMAXPROCS. rxDefer is the poll's
-	// double buffer for over-budget leftovers; pollCounts is reusable
-	// per-queue scratch.
+	// churn invariant). rxDefer and txSpare are the drained sides of the
+	// double buffers: each event swaps them in before its drain loop, so
+	// over-budget leftovers and anything posted mid-drain land in the next
+	// batch. pollCounts is reusable per-queue scratch.
 	rxBacklog  []rxSlot
 	rxDefer    []rxSlot
 	txBacklog  []txSlot
+	txSpare    []txSlot
 	pollCounts []int
 
 	// One pending poll/doorbell event device-wide: enqueues coalesce onto
@@ -407,7 +405,7 @@ func (n *NIC) Transmit(pkt *wire.Packet) {
 	q := n.QueueFor(pkt.Flow)
 	frame := n.pool.Get(pkt.WireLen())
 	copy(frame[pkt.PayloadOffset():], pkt.Payload)
-	//lint:ignore hotalloc txBacklog is retained across doorbells, so its backing array regrows to the high-water batch size once and is reused thereafter
+	//lint:ignore hotalloc txBacklog and txSpare are retained across doorbells, so each backing array regrows to the high-water batch size once and is reused thereafter
 	n.txBacklog = append(n.txBacklog, txSlot{q: q, pkt: pkt, frame: frame})
 	if !n.txDoorbellPending {
 		n.txDoorbellPending = true
@@ -416,14 +414,12 @@ func (n *NIC) Transmit(pkt *wire.Packet) {
 }
 
 // txDoorbell flushes every posted packet in one coalesced doorbell at the
-// posting timestamp. Three phases keep it deterministic (DESIGN.md
-// invariant 13): a serial engine phase in post order (engines mutate the
-// ledger, the shared context cache, and telemetry), a parallel
-// serialization phase under the ShardRun barrier (header writeback +
-// checksums touch only each slot's own frame; the worker for queue i
-// handles queue-i slots), and a serial completion phase back in post
-// order (charges, traces, wire) — so the frames a run emits are
-// independent of both the queue count and GOMAXPROCS.
+// posting timestamp, in two passes over the batch, both in post order: the
+// engine pass (engines mutate the ledger, the shared context cache, and
+// telemetry), then the completion pass (header writeback + checksums,
+// charges, traces, wire) — so the frames a run emits are independent of
+// the queue count (DESIGN.md invariant 13). A Transmit from inside send
+// posts to the swapped-in spare and rings its own doorbell.
 //
 //simlint:hotpath
 func (n *NIC) txDoorbell() {
@@ -432,6 +428,7 @@ func (n *NIC) txDoorbell() {
 	lg := n.cfg.Ledger
 	lcOn := n.lc.enabled
 	batch := n.txBacklog
+	n.txBacklog, n.txSpare = n.txSpare[:0], batch[:0]
 	counts := n.pollCounts
 	for i := range counts {
 		counts[i] = 0
@@ -485,18 +482,10 @@ func (n *NIC) txDoorbell() {
 			n.lc.queues[qi].txBatch.Record(int64(c))
 		}
 	}
-	//lint:ignore hotalloc one closure per coalesced doorbell (not per packet), amortized over the whole batch
-	n.sim.ShardRun(len(n.queues), func(qi int) {
-		for i := range batch {
-			s := &batch[i]
-			if s.q.id == qi {
-				s.pkt.MarshalHeaders(s.frame)
-			}
-		}
-	})
 	for i := range batch {
 		s := batch[i]
 		batch[i] = txSlot{}
+		s.pkt.MarshalHeaders(s.frame)
 		q := s.q
 		q.Stats.TxBytes += uint64(len(s.frame))
 		// Packet payload and descriptor cross PCIe by DMA.
@@ -510,11 +499,6 @@ func (n *NIC) txDoorbell() {
 		}
 		n.send(s.frame)
 	}
-	// A reentrant Transmit during the flush (none today, but cheap to stay
-	// correct about) appended past the batch and scheduled its own
-	// doorbell; keep only that tail.
-	rem := copy(n.txBacklog, n.txBacklog[len(batch):])
-	n.txBacklog = n.txBacklog[:rem]
 }
 
 // DeliverFrame implements netsim.Endpoint: hardware steers the frame to a
@@ -551,54 +535,45 @@ func (n *NIC) DeliverFrame(frame wire.Frame) {
 }
 
 // rxPoll is the NAPI-style completion handler: one event drains up to
-// RxPollBudget frames per queue from the arrival-order backlog. Parse +
-// checksum verification — the expensive pure work — runs per queue under
-// the ShardRun barrier; every shared effect (stats, ledger, cache,
-// engines, tracer, stack delivery, frame recycling) then runs serially in
-// arrival order, which keeps traces and metrics byte-identical at any
-// GOMAXPROCS and queue count (DESIGN.md invariant 13). Over-budget
-// leftovers re-schedule the poll at the same timestamp.
+// RxPollBudget frames per queue from the arrival-order backlog, and every
+// effect (parse + checksum verification, stats, ledger, cache, engines,
+// tracer, stack delivery, frame recycling) runs in arrival order, which
+// keeps traces and metrics independent of the queue count (DESIGN.md
+// invariant 13). Over-budget leftovers re-schedule the poll at the same
+// timestamp.
 //
 //simlint:hotpath
 func (n *NIC) rxPoll() {
 	n.rxPollPending = false
 	budget := n.cfg.RxPollBudget
-	// Take an arrival-order slice of the backlog, capped per queue by the
-	// budget: a queue that exhausts its budget parks its later frames for
-	// the next poll without holding up other queues' arrivals.
-	backlog := n.rxBacklog
-	deferred := n.rxDefer[:0]
+	// Swap the double buffers first, so the next poll's backlog collects,
+	// in order, this poll's over-budget leftovers and then whatever a
+	// DeliverFrame from inside stack delivery posts mid-drain.
+	batch := n.rxBacklog
+	n.rxBacklog, n.rxDefer = n.rxDefer[:0], batch[:0]
+	// Compact the batch in arrival order, capped per queue by the budget:
+	// a queue that exhausts its budget parks its later frames for the next
+	// poll without holding up other queues' arrivals.
 	counts := n.pollCounts
 	for i := range counts {
 		counts[i] = 0
 	}
 	w := 0
-	for i := range backlog {
-		s := backlog[i]
+	for i := range batch {
+		s := batch[i]
 		if counts[s.q.id] < budget {
 			counts[s.q.id]++
-			backlog[w] = s
+			batch[w] = s
 			w++
 		} else {
-			//lint:ignore hotalloc deferred reuses rxDefer's retained backing array; regrowth amortizes to the worst over-budget burst
-			deferred = append(deferred, s)
+			//lint:ignore hotalloc the leftovers reuse rxDefer's retained backing array; regrowth amortizes to the worst over-budget burst
+			n.rxBacklog = append(n.rxBacklog, s)
 		}
 	}
-	batch := backlog[:w]
-	for i := w; i < len(backlog); i++ {
-		backlog[i] = rxSlot{}
+	for i := w; i < len(batch); i++ {
+		batch[i] = rxSlot{}
 	}
-	// Parallel parse phase: the worker for queue i verifies queue-i frames
-	// (lane-disjoint pure work).
-	//lint:ignore hotalloc one closure per poll event (not per frame), amortized over the drained batch
-	n.sim.ShardRun(len(n.queues), func(qi int) {
-		for i := range batch {
-			s := &batch[i]
-			if s.q.id == qi {
-				s.pkt, s.err = wire.Parse(s.frame)
-			}
-		}
-	})
+	batch = batch[:w]
 	for qi, c := range counts {
 		if c == 0 {
 			continue
@@ -610,11 +585,10 @@ func (n *NIC) rxPoll() {
 			n.lc.queues[qi].rxBatch.Record(int64(c))
 		}
 	}
-	// Serial merge phase, arrival order.
 	for i := range batch {
 		s := batch[i]
 		batch[i] = rxSlot{}
-		n.rxComplete(s.q, s)
+		n.rxComplete(s.q, s.frame)
 		// The stack copied what it keeps (its "DMA" into socket buffer
 		// memory), so the frame recycles immediately.
 		n.pool.Put(s.frame)
@@ -627,30 +601,22 @@ func (n *NIC) rxPoll() {
 		}
 		q.touched = q.touched[:0]
 	}
-	// Swap double buffers: deferred frames become the next poll's backlog.
-	// A reentrant DeliverFrame during the merge (none today) appended past
-	// the batch; keep that tail too.
-	tail := n.rxBacklog[len(backlog):]
-	//lint:ignore hotalloc the reentrant-delivery tail is empty today; the append is a no-op unless a future stack calls DeliverFrame mid-merge
-	deferred = append(deferred, tail...)
-	n.rxBacklog = deferred
-	n.rxDefer = backlog[:0]
-	if len(deferred) > 0 && !n.rxPollPending {
+	if len(n.rxBacklog) > 0 && !n.rxPollPending {
 		n.rxPollPending = true
 		n.sim.At(n.sim.Now(), n.rxPoll)
 	}
 }
 
-// rxComplete finishes one parsed frame: checksum verdict, DMA/driver
-// charges, receive offload engines, and stack delivery. Serial-phase only.
+// rxComplete finishes one frame: parse and checksum verdict, DMA/driver
+// charges, receive offload engines, and stack delivery.
 //
 //simlint:hotpath
-func (n *NIC) rxComplete(q *Queue, s rxSlot) {
+func (n *NIC) rxComplete(q *Queue, frame wire.Frame) {
 	m := n.cfg.Model
 	lg := n.cfg.Ledger
-	pkt, frame := s.pkt, s.frame
 	lcOn := n.lc.enabled
-	if s.err != nil {
+	pkt, err := wire.Parse(frame)
+	if err != nil {
 		q.Stats.RxBadFrames++
 		if pkt == nil || n.cfg.DropRxChecksumErrors {
 			// Unparseable, or the device is configured to discard checksum

@@ -7,9 +7,9 @@ package wire
 // it back. Frames are binned by capacity class so a put frame is reusable
 // for any request that rounds up to the same class.
 //
-// The pool is deliberately unsynchronized: every Get/Put happens in the
-// simulator's serial phases (event callbacks and the post-barrier merge),
-// never inside the parallel parse phase, so the virtual clock is the lock.
+// The pool is deliberately unsynchronized: every Get/Put happens inside an
+// event callback on the simulator's one goroutine, so the virtual clock is
+// the lock.
 // The determinism contract is carried by MarshalHeaders writing every
 // header byte and the NIC copying the payload region in full, so a
 // recycled buffer produces bytes identical to a fresh one.
