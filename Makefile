@@ -49,10 +49,11 @@ soak:
 	$(GO) test -race -count=1 -timeout 30m -run 'OffloadEquivalence' ./internal/experiments/
 
 # A few seconds of coverage-guided fuzzing per target: TCP reassembly, the
-# SACK option codec and scoreboard, and the RxEngine header parser/search
-# path. `go test -fuzz` takes one target per invocation, hence the separate
-# lines.
+# SACK option codec and scoreboard, the RxEngine header parser/search path,
+# and the event queue against its reference model. `go test -fuzz` takes
+# one target per invocation, hence the separate lines.
 fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 5s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 5s ./internal/tcpip/
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreboard$$' -fuzztime 5s ./internal/tcpip/
 	$(GO) test -run '^$$' -fuzz '^FuzzSackOption$$' -fuzztime 5s ./internal/wire/
@@ -67,31 +68,29 @@ golden-check:
 # The race detector instruments allocations, so the zero-alloc guarantees
 # (disabled telemetry and lifecycle spans must not allocate on the
 # per-packet path, nor Stats()/Sample() at steady state, nor a poll or
-# doorbell beyond the parsed packets) are asserted in a separate non-race
-# run.
+# doorbell beyond the parsed packets, nor re-arming and running a timer, nor
+# a frame crossing a link) are asserted in a separate non-race run.
 alloc-check:
-	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/
+	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/
 
 # The perf data point behind the regression gate: the deterministic
-# workload of internal/perf, timed by cmd/perf, written as PERF_9.json.
-# The sim.* metrics are virtual-clock-derived and byte-stable; the wall.*
-# metrics are this host's simulator throughput (informational).
-perf:
-	$(GO) run ./cmd/perf -out PERF_9.json
+# workload of internal/perf, timed by cmd/perf. PERF_OUT names the file a
+# PR that intends a change commits; PERF_BASE is the committed baseline the
+# gate diffs against. The sim.* metrics are virtual-clock-derived and
+# byte-stable; the wall.* metrics are this host's simulator throughput
+# (informational).
+PERF_OUT ?= PERF_13.json
+PERF_BASE ?= PERF_9.json
 
-# The perf-regression gate, two comparisons against one fresh measurement:
-#  1. the tight diff against the committed PERF_9.json baseline —
-#     deterministic sim.* metrics gate at 0.1%; regenerate the baseline
-#     (`make perf`, commit the diff) only for intended changes;
-#  2. the batching improvement floor: this PR's hot-path batching must
-#     keep the simulator >= 1.5x the PERF_8.json packets-per-second.
-#     -floors-only because PERF_8's gated sim.* metrics predate the
-#     batched poll loop (intentionally changed); only the floor spans
-#     that gap.
+perf:
+	$(GO) run ./cmd/perf -out $(PERF_OUT)
+
+# The perf-regression gate: a fresh measurement diffed against PERF_BASE.
+# Deterministic sim.* metrics gate at 0.1%; regenerate (`make perf`, commit
+# the file, point PERF_BASE at it) only for intended changes.
 perf-check:
 	$(GO) run ./cmd/perf -out .perf_check.json
-	$(GO) run ./cmd/benchdiff PERF_9.json .perf_check.json
-	$(GO) run ./cmd/benchdiff -floors-only -min wall.packets_per_sec=1.5 PERF_8.json .perf_check.json
+	$(GO) run ./cmd/benchdiff $(PERF_BASE) .perf_check.json
 
 # One data point on the perf trajectory: every paper benchmark once, in
 # test2json form for machine diffing across PRs.

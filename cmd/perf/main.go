@@ -1,7 +1,7 @@
 // Command perf takes the repo's perf-trajectory data point: it runs the
-// deterministic workload in internal/perf and writes PERF_9.json — the
-// file `make perf-check` diffs against the committed baseline with
-// cmd/benchdiff.
+// deterministic workload in internal/perf and writes a PERF_*.json report
+// (`make perf` names it) — the file `make perf-check` diffs against the
+// committed baseline with cmd/benchdiff.
 //
 // Two metric families come out. The sim.* family is derived purely from
 // the virtual clock and the cycle model (modeled Gbps-per-core, packet
@@ -10,8 +10,8 @@
 // family measures how fast this host's simulator chews through those
 // same events (packets/sec, events/sec of wall time); it varies with
 // hardware and load, so it is measured as the fastest of -repeat trials
-// and ships with loose tolerances and gate=false — trend data and the
-// `make perf-check` improvement floor, not a tight CI tripwire.
+// and ships with loose tolerances and gate=false — trend data, not a tight
+// CI tripwire.
 package main
 
 import (
@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/perf"
@@ -37,7 +39,7 @@ type Metric struct {
 	Gate      bool    `json:"gate"`
 }
 
-// File is the PERF_9.json document.
+// File is the PERF_*.json document.
 type File struct {
 	Schema  string   `json:"schema"`
 	Metrics []Metric `json:"metrics"`
@@ -51,10 +53,35 @@ const Schema = "repro-perf/v1"
 const simTol = 0.001
 
 func main() {
-	out := flag.String("out", "PERF_9.json", "write the perf report here (- for stdout)")
+	out := flag.String("out", "-", "write the perf report here (- for stdout)")
 	quick := flag.Bool("quick", false, "quarter-length measurement window")
 	repeat := flag.Int("repeat", 3, "measurement trials; the fastest wall time is kept")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of all trials here (go tool pprof -top)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of all trials here (go tool pprof -sample_index=alloc_objects -top)")
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fatal(err)
+			}
+		}()
+	}
+	if *memProfile != "" {
+		// Every allocation, not a sample: the workload is short. That
+		// slows the run several times over, so take the CPU profile and
+		// the wall.* numbers from a run without this flag.
+		runtime.MemProfileRate = 1
+		defer writeMemProfile(*memProfile)
+	}
 
 	wl := perf.DefaultWorkload()
 	if *quick {
@@ -112,19 +139,36 @@ func main() {
 	f := File{Schema: Schema, Metrics: metrics}
 	data, err := json.MarshalIndent(&f, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "perf: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	data = append(data, '\n')
 	if *out == "-" {
 		os.Stdout.Write(data)
 	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "perf: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	for _, m := range metrics {
 		fmt.Fprintf(os.Stderr, "%-28s %14.3f %s\n", m.Name, m.Value, m.Unit)
 	}
 	fmt.Fprintf(os.Stderr, "[perf: %d packets, %d events in %.2fs wall -> %s]\n",
 		rep.TotalPackets(), rep.TotalSteps(), wall, *out)
+}
+
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "perf: %v\n", err)
+	os.Exit(1)
+}
+
+func writeMemProfile(path string) {
+	f, err := os.Create(path)
+	if err == nil {
+		runtime.GC() // flush the last cycle's allocations into the profile
+		err = pprof.Lookup("allocs").WriteTo(f, 0)
+	}
+	if err == nil {
+		err = f.Close()
+	}
+	if err != nil {
+		fatal(err)
+	}
 }

@@ -12,7 +12,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -87,42 +86,51 @@ func (s *Simulator) firePeriodic(upto time.Duration) {
 	}
 }
 
-// Timer is a scheduled callback that can be stopped before it fires.
+// Timer is a callback on the virtual clock and, while pending, its own node
+// in the simulator's event heap: stopping it removes the node at once and
+// re-arming it moves the node in place, so the heap only ever holds live
+// timers (DESIGN.md "Event core").
 type Timer struct {
-	ev *event
+	sim   *Simulator
+	at    time.Duration
+	seq   uint64 // tie-break: FIFO among same-time events
+	fn    func()
+	index int // position in sim.queue; -1 while not pending
 }
+
+// NewTimer returns an unarmed timer that runs fn each time it expires; arm
+// (and re-arm) it with Reset. It takes no place in the event order until
+// then.
+func (s *Simulator) NewTimer(fn func()) *Timer {
+	return &Timer{sim: s, fn: fn, index: -1}
+}
+
+// Reset arms the timer to fire d after the current virtual time, whether
+// or not it was pending: the same as Stop followed by After, without the
+// allocation. It takes its place in the same-time FIFO order now.
+//
+//simlint:hotpath
+func (t *Timer) Reset(d time.Duration) { t.sim.schedule(t, t.sim.now+d) }
 
 // Stop cancels the timer. Stopping an already-fired or already-stopped
 // timer is a no-op. It reports whether the timer was still pending.
 func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.cancelled {
+	if !t.Pending() {
 		return false
 	}
-	t.ev.cancelled = true
+	t.sim.queue.remove(t.index)
 	return true
 }
 
-// Pending reports whether the timer has neither fired nor been stopped.
-func (t *Timer) Pending() bool { return t != nil && t.ev != nil && !t.ev.cancelled && !t.ev.fired }
-
-type event struct {
-	at        time.Duration
-	seq       uint64 // tie-break: FIFO among same-time events
-	fn        func()
-	cancelled bool
-	fired     bool
-	index     int
-}
+// Pending reports whether the timer is armed: false once it has been
+// stopped or has expired, including inside its own callback.
+func (t *Timer) Pending() bool { return t != nil && t.index >= 0 }
 
 // At schedules fn at absolute virtual time t (clamped to now).
 func (s *Simulator) At(t time.Duration, fn func()) *Timer {
-	if t < s.now {
-		t = s.now
-	}
-	ev := &event{at: t, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.queue, ev)
-	return &Timer{ev: ev}
+	tm := s.NewTimer(fn)
+	s.schedule(tm, t)
+	return tm
 }
 
 // After schedules fn d after the current virtual time.
@@ -130,22 +138,36 @@ func (s *Simulator) After(d time.Duration, fn func()) *Timer {
 	return s.At(s.now+d, fn)
 }
 
+// schedule queues t (or moves it, if already queued) to fire at absolute
+// time at, clamped to now, behind every event already scheduled for then.
+func (s *Simulator) schedule(t *Timer, at time.Duration) {
+	if at < s.now {
+		at = s.now
+	}
+	t.at, t.seq = at, s.seq
+	s.seq++
+	if t.index < 0 {
+		t.index = len(s.queue)
+		s.queue = append(s.queue, t)
+	}
+	s.queue.fix(t.index)
+}
+
 // Step runs the earliest pending event, advancing the clock to it.
 // It reports whether an event ran.
+//
+//simlint:hotpath
 func (s *Simulator) Step() bool {
-	for s.queue.Len() > 0 {
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.cancelled {
-			continue
-		}
-		s.firePeriodic(ev.at)
-		s.now = ev.at
-		ev.fired = true
-		s.steps++
-		ev.fn()
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	t := s.queue[0]
+	s.queue.remove(0)
+	s.firePeriodic(t.at)
+	s.now = t.at
+	s.steps++
+	t.fn()
+	return true
 }
 
 // Run processes events until the queue is empty or maxEvents have run.
@@ -164,15 +186,7 @@ func (s *Simulator) Run(maxEvents int) int {
 
 // RunUntil processes events with time ≤ t, then sets the clock to t.
 func (s *Simulator) RunUntil(t time.Duration) {
-	for s.queue.Len() > 0 {
-		next := s.queue.peek()
-		if next.cancelled {
-			heap.Pop(&s.queue)
-			continue
-		}
-		if next.at > t {
-			break
-		}
+	for len(s.queue) > 0 && s.queue[0].at <= t {
 		s.Step()
 	}
 	s.firePeriodic(t)
@@ -184,45 +198,82 @@ func (s *Simulator) RunUntil(t time.Duration) {
 // RunFor advances the clock by d, processing all events in the window.
 func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 
+// QueueLen returns the number of pending events. Stopped timers leave the
+// queue immediately, so this is the live count.
+func (s *Simulator) QueueLen() int { return len(s.queue) }
+
 // Quiesced reports whether no events remain.
-func (s *Simulator) Quiesced() bool {
-	for s.queue.Len() > 0 {
-		if !s.queue.peek().cancelled {
-			return false
+func (s *Simulator) Quiesced() bool { return len(s.queue) == 0 }
+
+// eventQueue is a 4-ary min-heap of pending timers ordered by (at, seq),
+// each knowing its own position so it can be removed or moved in O(log n).
+// Four children per node halve the depth of a binary heap; the extra
+// comparisons per level touch adjacent slots.
+type eventQueue []*Timer
+
+func (t *Timer) before(u *Timer) bool {
+	return t.at < u.at || (t.at == u.at && t.seq < u.seq)
+}
+
+// remove takes the timer at position i out of the heap.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	h[i].index = -1
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	*q = h[:n]
+	if i < n {
+		h[i] = last
+		q.fix(i)
+	}
+}
+
+// fix restores heap order after the key of the timer at position i changed.
+func (q eventQueue) fix(i int) {
+	t := q[i]
+	if !q.down(t, i) {
+		q.up(t, i)
+	}
+}
+
+// up sifts t, whose slot i is treated as a hole, toward the root.
+func (q eventQueue) up(t *Timer, i int) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !t.before(q[p]) {
+			break
 		}
-		heap.Pop(&s.queue)
+		q[i] = q[p]
+		q[i].index = i
+		i = p
 	}
-	return true
+	q[i] = t
+	t.index = i
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// down sifts t, whose slot i is treated as a hole, toward the leaves and
+// reports whether it moved.
+func (q eventQueue) down(t *Timer, i int) bool {
+	start, n := i, len(q)
+	for c := 4*i + 1; c < n; c = 4*i + 1 {
+		min, first := c, q[c]
+		for k := c + 1; k < c+4 && k < n; k++ {
+			if q[k].before(first) {
+				min, first = k, q[k]
+			}
+		}
+		if !first.before(t) {
+			break
+		}
+		q[i] = first
+		first.index = i
+		i = min
 	}
-	return q[i].seq < q[j].seq
+	q[i] = t
+	t.index = i
+	return i != start
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
-}
-func (q eventQueue) peek() *event { return q[0] }
 
 // FaultConfig describes impairments applied to one link direction,
 // mirroring the netem knobs the paper uses in §6.4 plus the harsher
@@ -351,6 +402,7 @@ type Link struct {
 	// one link latency after an MTU drop of that direction's frame.
 	tooBig [2]func(mtu int)
 	pool   *wire.FramePool
+	free   *delivery // fired delivery nodes awaiting reuse
 }
 
 // SetPool makes the link a frame-pool citizen: frames it drops (loss,
@@ -452,6 +504,7 @@ func (l *Link) EnableTrace(tr *telemetry.Tracer, name string) {
 	l.tids[1] = name + ".b>a"
 }
 
+//simlint:hotpath
 func (l *Link) send(dir int, frame wire.Frame) {
 	d := &l.dirs[dir]
 	fc := l.cfg.AtoB
@@ -476,10 +529,7 @@ func (l *Link) send(dir int, frame wire.Frame) {
 		d.stats.MTUDrops++
 		d.stats.Dropped++
 		l.tracer.Instant1("net", "pkt.drop.mtu", l.tids[dir], "bytes", int64(len(frame)))
-		if cb := l.tooBig[dir]; cb != nil {
-			mtu := l.cfg.MTU
-			l.sim.After(l.cfg.Latency, func() { cb(mtu) })
-		}
+		l.notifyTooBig(dir)
 		l.pool.Put(frame)
 		return
 	}
@@ -580,25 +630,77 @@ func (l *Link) send(dir int, frame wire.Frame) {
 			l.pool.Put(marked)
 		}
 	}
-	deliver := func() {
-		d.stats.Delivered++
-		d.stats.Bytes += uint64(len(frame))
-		l.tracer.Instant1("net", "pkt.rx", l.tids[dir], "bytes", int64(len(frame)))
-		if sink, ok := dst.(WireLatencySink); ok {
-			sink.NoteWireLatency(arrive - now)
-		}
-		dst.DeliverFrame(frame)
-	}
-	l.sim.At(arrive, deliver)
+	l.deliverAt(arrive, now, dir, dst, frame, false)
 	if fc.DupProb > 0 && d.rng.Float64() < fc.DupProb {
 		d.stats.Duplicated++
-		dup := l.pool.Clone(frame)
-		l.sim.At(arrive+maxDuration(serialize, time.Microsecond), func() {
-			d.stats.Delivered++
-			d.stats.Bytes += uint64(len(dup))
-			dst.DeliverFrame(dup)
-		})
+		l.deliverAt(arrive+maxDuration(serialize, time.Microsecond), now, dir, dst, l.pool.Clone(frame), true)
 	}
+}
+
+// notifyTooBig sends the ICMP-style too-big signal for a frame the dir
+// side just lost to the MTU, if that side registered for it.
+func (l *Link) notifyTooBig(dir int) {
+	if cb := l.tooBig[dir]; cb != nil {
+		mtu := l.cfg.MTU
+		l.sim.After(l.cfg.Latency, func() { cb(mtu) })
+	}
+}
+
+// delivery is one frame in flight: its event-heap node together with what
+// the handler needs, so sending a frame builds no closure. The embedded
+// timer's handle never leaves the link, which is what makes it safe to
+// recycle the node through Link.free once it has fired.
+type delivery struct {
+	timer Timer
+	link  *Link
+	next  *delivery // free list
+	dst   Endpoint  // resolved at send time
+	frame wire.Frame
+	sent  time.Duration
+	dir   int
+	dup   bool // second copy of a duplicated frame: not traced, not measured
+}
+
+// deliverAt queues frame, handed to the link at virtual time sent, for
+// delivery to dst at time at.
+//
+//simlint:hotpath
+func (l *Link) deliverAt(at, sent time.Duration, dir int, dst Endpoint, frame wire.Frame, dup bool) {
+	v := l.free
+	if v == nil {
+		v = l.newDelivery()
+	} else {
+		l.free = v.next
+	}
+	v.dst, v.frame, v.sent, v.dir, v.dup = dst, frame, sent, dir, dup
+	l.sim.schedule(&v.timer, at)
+}
+
+func (l *Link) newDelivery() *delivery {
+	v := &delivery{link: l}
+	v.timer = Timer{sim: l.sim, fn: v.fire, index: -1}
+	return v
+}
+
+// fire is the delivery event. The node goes back on the free list, holding
+// neither frame nor endpoint, before the endpoint runs, so a send from
+// inside DeliverFrame can already reuse it.
+//
+//simlint:hotpath
+func (v *delivery) fire() {
+	l, dst, frame := v.link, v.dst, v.frame
+	d := &l.dirs[v.dir]
+	d.stats.Delivered++
+	d.stats.Bytes += uint64(len(frame))
+	if !v.dup {
+		l.tracer.Instant1("net", "pkt.rx", l.tids[v.dir], "bytes", int64(len(frame)))
+		if sink, ok := dst.(WireLatencySink); ok {
+			sink.NoteWireLatency(v.timer.at - v.sent)
+		}
+	}
+	v.dst, v.frame = nil, nil
+	v.next, l.free = l.free, v
+	dst.DeliverFrame(frame)
 }
 
 func maxDuration(a, b time.Duration) time.Duration {

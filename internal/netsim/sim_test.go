@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -53,6 +54,46 @@ func TestTimerStop(t *testing.T) {
 	sim.Run(0)
 	if fired {
 		t.Error("stopped timer fired")
+	}
+	tm = sim.After(time.Millisecond, func() { fired = true })
+	sim.Run(0)
+	if !fired || tm.Pending() {
+		t.Errorf("fired = %v, Pending = %v after the timer ran", fired, tm.Pending())
+	}
+	if tm.Stop() {
+		t.Error("Stop on a fired timer should report false")
+	}
+	if tm.Stop() {
+		t.Error("second Stop on a fired timer should report false")
+	}
+}
+
+func TestResetFromOwnCallback(t *testing.T) {
+	sim := New()
+	var tm *Timer
+	var at []time.Duration
+	tm = sim.NewTimer(func() {
+		if tm.Pending() {
+			t.Error("Pending inside the timer's own callback")
+		}
+		at = append(at, sim.Now())
+		if len(at) < 3 {
+			tm.Reset(time.Duration(len(at)) * time.Microsecond)
+			if !tm.Pending() {
+				t.Error("not Pending after re-arming from the callback")
+			}
+		}
+	})
+	if tm.Pending() || !sim.Quiesced() {
+		t.Error("a new timer must not be armed")
+	}
+	tm.Reset(time.Microsecond)
+	sim.Run(0)
+	if want := []time.Duration{1 * time.Microsecond, 2 * time.Microsecond, 4 * time.Microsecond}; !slices.Equal(at, want) {
+		t.Errorf("fired at %v, want %v", at, want)
+	}
+	if tm.Pending() || sim.Steps() != 3 || sim.QueueLen() != 0 {
+		t.Errorf("Pending = %v, Steps = %d, QueueLen = %d at the end", tm.Pending(), sim.Steps(), sim.QueueLen())
 	}
 }
 

@@ -217,11 +217,11 @@ type NIC struct {
 	txSpare    []txSlot
 	pollCounts []int
 
-	// One pending poll/doorbell event device-wide: enqueues coalesce onto
-	// it, the way interrupt mitigation coalesces completions in a real
-	// driver.
-	rxPollPending     bool
-	txDoorbellPending bool
+	// One poll and one doorbell event device-wide: enqueues coalesce onto
+	// a pending one, the way interrupt mitigation coalesces completions in
+	// a real driver.
+	rxPollTimer     *netsim.Timer
+	txDoorbellTimer *netsim.Timer
 
 	// Context cache (LRU by flow+direction key), shared by all queues.
 	cacheList *list.List
@@ -271,6 +271,8 @@ func New(stack *tcpip.Stack, send func(frame wire.Frame), cfg Config) *NIC {
 		chaos:     newChaosState(cfg.Chaos),
 	}
 	n.pollCounts = make([]int, cfg.Queues)
+	n.rxPollTimer = n.sim.NewTimer(n.rxPoll)
+	n.txDoorbellTimer = n.sim.NewTimer(n.txDoorbell)
 	for i := 0; i < cfg.Queues; i++ {
 		n.queues = append(n.queues, &Queue{
 			id:     i,
@@ -407,9 +409,8 @@ func (n *NIC) Transmit(pkt *wire.Packet) {
 	copy(frame[pkt.PayloadOffset():], pkt.Payload)
 	//lint:ignore hotalloc txBacklog and txSpare are retained across doorbells, so each backing array regrows to the high-water batch size once and is reused thereafter
 	n.txBacklog = append(n.txBacklog, txSlot{q: q, pkt: pkt, frame: frame})
-	if !n.txDoorbellPending {
-		n.txDoorbellPending = true
-		n.sim.At(n.sim.Now(), n.txDoorbell)
+	if !n.txDoorbellTimer.Pending() {
+		n.txDoorbellTimer.Reset(0)
 	}
 }
 
@@ -423,7 +424,6 @@ func (n *NIC) Transmit(pkt *wire.Packet) {
 //
 //simlint:hotpath
 func (n *NIC) txDoorbell() {
-	n.txDoorbellPending = false
 	m := n.cfg.Model
 	lg := n.cfg.Ledger
 	lcOn := n.lc.enabled
@@ -528,9 +528,8 @@ func (n *NIC) DeliverFrame(frame wire.Frame) {
 	}
 	//lint:ignore hotalloc rxBacklog is retained across polls (double-buffered with rxDefer), so regrowth amortizes to the high-water arrival burst
 	n.rxBacklog = append(n.rxBacklog, rxSlot{q: q, frame: frame})
-	if !n.rxPollPending {
-		n.rxPollPending = true
-		n.sim.At(n.sim.Now()+n.cfg.RxPollDelay, n.rxPoll)
+	if !n.rxPollTimer.Pending() {
+		n.rxPollTimer.Reset(n.cfg.RxPollDelay)
 	}
 }
 
@@ -544,7 +543,6 @@ func (n *NIC) DeliverFrame(frame wire.Frame) {
 //
 //simlint:hotpath
 func (n *NIC) rxPoll() {
-	n.rxPollPending = false
 	budget := n.cfg.RxPollBudget
 	// Swap the double buffers first, so the next poll's backlog collects,
 	// in order, this poll's over-budget leftovers and then whatever a
@@ -601,9 +599,8 @@ func (n *NIC) rxPoll() {
 		}
 		q.touched = q.touched[:0]
 	}
-	if len(n.rxBacklog) > 0 && !n.rxPollPending {
-		n.rxPollPending = true
-		n.sim.At(n.sim.Now(), n.rxPoll)
+	if len(n.rxBacklog) > 0 && !n.rxPollTimer.Pending() {
+		n.rxPollTimer.Reset(0)
 	}
 }
 

@@ -325,6 +325,8 @@ func (st *Stack) newSocket(flow wire.FlowID) *Socket {
 		rto:        initialRTO,
 		peerWindow: st.MSS(), // until first segment arrives
 	}
+	s.rtoTimer = st.sim.NewTimer(s.onRTO)
+	s.delackTimer = st.sim.NewTimer(s.onDelack)
 	s.cc.Init(st.MSS())
 	st.issSeed += 64013
 	s.sndUna = s.iss
@@ -833,18 +835,18 @@ func (s *Socket) scheduleAck() {
 		return
 	}
 	s.delackPending = true
-	s.delackTimer = s.stack.sim.After(delackTimeout, func() {
-		if s.delackPending && s.state != stateClosed {
-			s.sendAck()
-		}
-	})
+	s.delackTimer.Reset(delackTimeout)
+}
+
+func (s *Socket) onDelack() {
+	if s.delackPending && s.state != stateClosed {
+		s.sendAck()
+	}
 }
 
 func (s *Socket) clearDelack() {
 	s.delackPending = false
-	if s.delackTimer != nil {
-		s.delackTimer.Stop()
-	}
+	s.delackTimer.Stop()
 }
 
 // trySend transmits as much buffered data as the windows allow.
@@ -887,7 +889,7 @@ func (s *Socket) trySend() {
 		s.finQueued = false
 		s.armRTO()
 	}
-	if s.Unacked() > 0 && (s.rtoTimer == nil || !s.rtoTimer.Pending()) {
+	if s.Unacked() > 0 && !s.rtoTimer.Pending() {
 		s.armRTO()
 	}
 	if s.drainNote && s.sndBufCap-len(s.sndBuf) >= s.drainLowWater() && s.OnDrain != nil {
@@ -948,12 +950,7 @@ func (s *Socket) transmitRange(seq uint32, n int, isRetransmit bool) {
 	s.output(pkt)
 }
 
-func (s *Socket) armRTO() {
-	if s.rtoTimer != nil {
-		s.rtoTimer.Stop()
-	}
-	s.rtoTimer = s.stack.sim.After(s.rto, s.onRTO)
-}
+func (s *Socket) armRTO() { s.rtoTimer.Reset(s.rto) }
 
 func (s *Socket) onRTO() {
 	if s.state == stateClosed {
@@ -1108,11 +1105,7 @@ func (s *Socket) input(pkt *wire.Packet, flags meta.RxFlags) {
 	}
 }
 
-func (s *Socket) stopRTO() {
-	if s.rtoTimer != nil {
-		s.rtoTimer.Stop()
-	}
-}
+func (s *Socket) stopRTO() { s.rtoTimer.Stop() }
 
 func (s *Socket) processAck(pkt *wire.Packet) {
 	ack := pkt.Ack
