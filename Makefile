@@ -69,9 +69,10 @@ golden-check:
 # (disabled telemetry and lifecycle spans must not allocate on the
 # per-packet path, nor Stats()/Sample() at steady state, nor a poll or
 # doorbell beyond the parsed packets, nor re-arming and running a timer, nor
-# a frame crossing a link) are asserted in a separate non-race run.
+# a frame crossing a link, nor an offload engine's Process in sequence or
+# searching) are asserted in a separate non-race run.
 alloc-check:
-	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/
+	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/offload/
 
 # The perf data point behind the regression gate: the deterministic
 # workload of internal/perf, timed by cmd/perf. PERF_OUT names the file a

@@ -697,17 +697,3 @@ func flattenInto(buf *[]byte, chunks []tcpip.Chunk, total int) []byte {
 	*buf = out
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -590,7 +590,7 @@ func (l *Link) send(dir int, frame wire.Frame) {
 		d.stats.Reordered++
 		extra := fc.ReorderDelay
 		if extra == 0 {
-			extra = 4 * maxDuration(serialize, time.Microsecond)
+			extra = 4 * max(serialize, time.Microsecond)
 		}
 		arrive += extra
 	}
@@ -633,7 +633,7 @@ func (l *Link) send(dir int, frame wire.Frame) {
 	l.deliverAt(arrive, now, dir, dst, frame, false)
 	if fc.DupProb > 0 && d.rng.Float64() < fc.DupProb {
 		d.stats.Duplicated++
-		l.deliverAt(arrive+maxDuration(serialize, time.Microsecond), now, dir, dst, l.pool.Clone(frame), true)
+		l.deliverAt(arrive+max(serialize, time.Microsecond), now, dir, dst, l.pool.Clone(frame), true)
 	}
 }
 
@@ -701,11 +701,4 @@ func (v *delivery) fire() {
 	v.dst, v.frame = nil, nil
 	v.next, l.free = l.free, v
 	dst.DeliverFrame(frame)
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

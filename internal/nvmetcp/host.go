@@ -592,17 +592,3 @@ func flattenRange(chunks []tcpip.Chunk, lo, hi int) []byte {
 	}
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

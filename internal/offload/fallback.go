@@ -56,16 +56,8 @@ func (e *RxEngine) enterFallback() {
 	if e.state == rxFallback {
 		return
 	}
-	e.ops.NoteDiscontinuity()
-	if e.inMsg {
-		e.ops.AbortMessage()
-		e.inMsg = false
-	}
-	e.hdrBuf = e.hdrBuf[:0]
-	e.trackHdr = e.trackHdr[:0]
-	e.tailValid = false
-	e.awaitingResp = false
-	e.confirmed = false
+	e.breakOps()
+	e.forget()
 	e.pendingFallback = false
 	e.setState(rxFallback) // bumps Stats.Fallbacks
 }

@@ -59,6 +59,7 @@ func TestRxEngineFSM(t *testing.T) {
 		policy   FallbackPolicy
 		chaos    RxChaos
 		corrupt  bool // damage the final message's trailer
+		stacked  bool // a §5.3 engine: contiguity from the feeder, not from seq
 		want     string
 		check    func(t *testing.T, e *RxEngine, ops *tpOps)
 	}{
@@ -282,6 +283,37 @@ func TestRxEngineFSM(t *testing.T) {
 			},
 		},
 		{
+			// The one thing the two kinds of engine do differently. Message 2
+			// is long enough that packet 4 lies wholly inside its body while
+			// the engine tracks it. A TCP-level engine knows the hole is 100
+			// bytes, so the next header is still where the length says...
+			name:    "gap inside a tracked body is harmless when its size is known",
+			bodies:  []int{150, 90, 450, 150, 150, 150, 150},
+			lose:    map[int]bool{1: true, 4: true},
+			respond: "none",
+			want:    "tracking",
+			check: func(t *testing.T, e *RxEngine, ops *tpOps) {
+				if e.Stats.TrackingAborts != 0 || e.Stats.ResyncRequests != 1 {
+					t.Errorf("the tracked chain did not survive the hole: %+v", e.Stats)
+				}
+			},
+		},
+		{
+			// ...a stacked engine is only told "not contiguous": the chain
+			// is void and the search starts over.
+			name:    "gap inside a tracked body aborts tracking when its size is unknown",
+			stacked: true,
+			bodies:  []int{150, 90, 450, 150, 150, 150, 150},
+			lose:    map[int]bool{1: true, 4: true},
+			respond: "none",
+			want:    "tracking",
+			check: func(t *testing.T, e *RxEngine, ops *tpOps) {
+				if e.Stats.TrackingAborts != 1 || e.Stats.ResyncRequests < 2 {
+					t.Errorf("tracking survived a hole of unknown size: %+v", e.Stats)
+				}
+			},
+		},
+		{
 			name:    "chaos drops the resync request",
 			lose:    map[int]bool{1: true},
 			respond: "confirm",
@@ -325,6 +357,9 @@ func TestRxEngineFSM(t *testing.T) {
 			}
 			h := &fsmResponder{st: st, mode: tc.respond}
 			e := NewRxEngine(ops, 1000, h.request)
+			if tc.stacked {
+				e = NewSparseRxEngine(ops, h.request)
+			}
 			h.e = e
 			e.SetFallbackPolicy(tc.policy)
 			e.SetChaos(tc.chaos)
@@ -342,7 +377,7 @@ func TestRxEngineFSM(t *testing.T) {
 				if tc.lose[i] {
 					continue
 				}
-				flags := e.Process(p.seq, p.data, false)
+				flags := e.Process(p.seq, p.data, tc.stacked && !tc.lose[i-1])
 				h.tick()
 				if flags.Has(meta.TLSOffloaded) {
 					sawOffloaded = true

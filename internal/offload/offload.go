@@ -154,38 +154,39 @@ type RxEngine struct {
 	// sparse marks a stacked engine (§5.3) whose input coordinates have
 	// holes where the enclosing protocol's framing was skipped: length
 	// arithmetic over sequence numbers is invalid, so contiguity comes
-	// only from the feeder's flag and tracking counts bytes relatively.
+	// only from the feeder's flag. Only gapBefore reads it.
 	sparse bool
 	virgin bool // no input consumed yet (sparse engines self-anchor)
 
-	state    rxState
-	expected uint32 // next in-sequence byte (valid while offloading)
+	state rxState
+	// expected is the sequence cursor: the byte after the last packet the
+	// context consumed, in every state. cur is the message cursor at that
+	// byte — the Ops' position while offloading, the speculated chain's
+	// while tracking (msgIndex then counts from the candidate).
+	expected uint32
+	cur      msgCursor
 
-	// In-flight message (while offloading).
-	hdrBuf   []byte
-	inMsg    bool
-	layout   MsgLayout
-	msgOff   int // bytes of the current message consumed
-	msgIndex uint64
-
-	// Searching: tail keeps the last HeaderLen-1 bytes so patterns split
+	// Searching: tail keeps the last HeaderLen-1 bytes (in a buffer with
+	// room for as many again, the seam search scans) so patterns split
 	// across in-sequence packets are still found (§4.3).
-	tailSeq   uint32
-	tail      []byte
-	tailValid bool
+	tail    []byte
+	tailSeq uint32
 
 	// Tracking.
-	candidateSeq  uint32
-	awaitingResp  bool
-	confirmed     bool
-	confirmedIdx  uint64 // msgIndex at candidateSeq, from the confirmation
-	trackCount    uint64 // complete headers parsed after the candidate
-	nextHdrSeq    uint32
-	trackExpected uint32 // contiguity cursor for header collection
-	trackHdr      []byte
-	lastHdr       []byte    // most recently tracked header bytes
-	lastLayout    MsgLayout // its layout (for blind resumption)
-	sparseToNext  int       // sparse tracking: bytes until the next header
+	candidateSeq uint32
+	awaitingResp bool
+	confirmed    bool
+	confirmedIdx uint64 // msgIndex at candidateSeq, from the confirmation
+
+	// consuming is set while Process runs; an answer that arrives then —
+	// from inside the resyncReq upcall — waits in latched until it ends.
+	consuming bool
+	latched   struct {
+		pending  bool
+		seq      uint32
+		ok       bool
+		msgIndex uint64
+	}
 
 	// Degradation policy (fallback.go).
 	policy          FallbackPolicy
@@ -204,7 +205,7 @@ type RxEngine struct {
 // speculative resync requests to L5P software; it may be nil, in which case
 // the engine can only recover deterministically.
 func NewRxEngine(ops RxOps, startSeq uint32, resyncReq func(seq uint32)) *RxEngine {
-	return &RxEngine{ops: ops, resyncReq: resyncReq, state: rxOffloading, expected: startSeq}
+	return &RxEngine{ops: ops, resyncReq: resyncReq, expected: startSeq, cur: newCursor(ops)}
 }
 
 // NewSparseRxEngine creates a receive engine for a stacked L5P (§5.3): its
@@ -214,8 +215,34 @@ func NewRxEngine(ops RxOps, startSeq uint32, resyncReq func(seq uint32)) *RxEngi
 // positions across input gaps, and always recovers through the speculative
 // search + software confirmation path.
 func NewSparseRxEngine(ops RxOps, resyncReq func(seq uint32)) *RxEngine {
-	return &RxEngine{ops: ops, resyncReq: resyncReq, state: rxOffloading,
-		sparse: true, virgin: true}
+	return &RxEngine{ops: ops, resyncReq: resyncReq, cur: newCursor(ops), sparse: true, virgin: true}
+}
+
+// gapUnknown is the gap before an emission a stacked engine's feeder did
+// not vouch for: larger than any message, so no length arithmetic spans it.
+const gapUnknown = int(^uint(0) >> 1)
+
+// gapBefore is the front end, and all the two kinds of engine differ by: it
+// turns a packet's coordinates into the number of stream bytes missing
+// between the sequence cursor and the packet. A TCP-level engine knows it
+// from sequence arithmetic (negative: the packet starts in bytes already
+// consumed). A stacked engine's wire coordinates are valid only within one
+// emission — the enclosing framing leaves holes between them — so it takes
+// the feeder's word for "none" and otherwise cannot know. A gap of known
+// size is what permits the deterministic re-lock of Fig. 8b and lets
+// tracking survive a loss inside a message body; an unknown one always
+// goes through speculative search and confirmation.
+func (e *RxEngine) gapBefore(seq uint32, contiguous bool) int {
+	if !e.sparse {
+		return seqSub(seq, e.expected)
+	}
+	first := e.virgin
+	e.virgin = false
+	e.expected = seq
+	if contiguous || first {
+		return 0
+	}
+	return gapUnknown
 }
 
 // DisableRecovery turns off both deterministic re-locking and speculative
@@ -226,11 +253,10 @@ func (e *RxEngine) DisableRecovery() { e.noRecovery = true }
 // State returns the current FSM state name (for tests and debugging).
 func (e *RxEngine) State() string { return e.state.String() }
 
-// Expected returns the next sequence number the engine can offload.
+// Expected returns the next sequence number the engine can offload: the
+// byte after the last packet it consumed.
 func (e *RxEngine) Expected() uint32 { return e.expected }
 
-func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
-func seqLE(a, b uint32) bool { return int32(a-b) <= 0 }
 func seqSub(a, b uint32) int { return int(int32(a - b)) }
 
 // Process runs the engine over one packet's payload, transforming it in
@@ -247,88 +273,82 @@ func (e *RxEngine) Process(seq uint32, data []byte, contiguous bool) meta.RxFlag
 		e.Stats.PktsUnoffloaded++
 		return e.ops.PacketVerdict(false, true)
 	}
-	if e.sparse {
-		return e.processSparse(seq, data, contiguous)
-	}
-	switch e.state {
-	case rxOffloading:
-		if seq == e.expected {
-			return e.processInSeq(data)
+	gap := e.gapBefore(seq, contiguous)
+	if gap < 0 {
+		// Retransmitted bytes (TCP-level only). What they are worth depends
+		// on the state, and each line is pinned by the committed goldens:
+		switch {
+		case e.state == rxSearching:
+			// A candidate header is as good in old bytes as in new ones:
+			// scan the whole packet, as after any discontinuity.
+			gap = gapUnknown
+		case e.state == rxOffloading:
+			// Fig. 8a, and the straddling case with it: hardware resumes
+			// only on packet boundaries, so even the new part is bypassed.
+			e.Stats.PktsBypassed++
+			return e.ops.PacketVerdict(false, true)
+		case -gap >= len(data):
+			// Tracking follows lengths, not content: nothing new here.
+			e.Stats.PktsUnoffloaded++
+			e.oosPkts++
+			return e.ops.PacketVerdict(false, true)
+		default:
+			seq, data, gap = e.expected, data[-gap:], 0
 		}
-		return e.processOoS(seq, data)
-	case rxSearching:
-		e.Stats.PktsUnoffloaded++
-		e.oosPkts++
-		if !e.noRecovery {
-			e.search(seq, data)
-		}
-		return e.ops.PacketVerdict(false, true)
-	case rxTracking:
-		e.Stats.PktsUnoffloaded++
-		e.oosPkts++
-		e.track(seq, data)
-		return e.ops.PacketVerdict(false, true)
 	}
-	panic("offload: bad rx state")
+	inSeq := e.state == rxOffloading && gap == 0
+	var flags meta.RxFlags
+	e.consuming = true
+	if inSeq {
+		flags = e.processInSeq(data)
+	} else {
+		e.processOoS(seq, data, gap)
+	}
+	e.consuming = false
+	if a := &e.latched; a.pending {
+		a.pending = false
+		e.ResyncResponse(a.seq, a.ok, a.msgIndex)
+	} else {
+		e.tryResume()
+	}
+	if !inSeq {
+		// The packet is flagged last, after whatever a resume told the Ops.
+		flags = e.ops.PacketVerdict(false, true)
+	}
+	return flags
 }
 
 // processInSeq walks message regions across the packet payload.
 func (e *RxEngine) processInSeq(data []byte) meta.RxFlags {
 	e.Stats.PktsOffloaded++
 	checksOK := true
-	hdrLen := e.ops.HeaderLen()
-	pos := 0
-	for pos < len(data) {
-		if !e.inMsg {
-			// Collect header bytes.
-			need := hdrLen - len(e.hdrBuf)
-			n := need
-			if rem := len(data) - pos; rem < n {
-				n = rem
+	c := &e.cur
+	seq := e.expected
+	e.expected += uint32(len(data))
+	for len(data) > 0 {
+		r, n, off, end := c.step(data)
+		switch r {
+		case regHeader:
+			if c.inMsg {
+				e.ops.BeginMessage(c.layout, c.hdr, c.msgIndex)
 			}
-			e.hdrBuf = append(e.hdrBuf, data[pos:pos+n]...)
-			pos += n
-			if len(e.hdrBuf) < hdrLen {
-				break
+		case regBody:
+			e.ops.Body(seq, data[:n], off)
+		case regTrailer:
+			e.ops.Trailer(seq, data[:n], off)
+		case regBadHeader:
+			// The stream under us is not what we thought: lose sync and
+			// fall into speculative search over what follows the header.
+			verdict := e.ops.PacketVerdict(true, checksOK)
+			if e.pendingFallback {
+				e.enterFallback()
+			} else {
+				e.enterSearching()
+				e.recoverOver(seq+uint32(n), data[n:], false)
 			}
-			layout, ok := e.ops.ParseHeader(e.hdrBuf)
-			if !ok || !layout.valid(hdrLen) {
-				// The stream under us is not what we thought: lose sync
-				// and fall into speculative search.
-				e.expected += uint32(len(data))
-				verdict := e.ops.PacketVerdict(true, checksOK)
-				if e.pendingFallback {
-					e.enterFallback()
-				} else {
-					e.enterSearching(e.expected-uint32(len(data)-pos), data[pos:])
-				}
-				return verdict
-			}
-			e.layout = layout
-			e.inMsg = true
-			e.msgOff = hdrLen
-			e.ops.BeginMessage(layout, e.hdrBuf, e.msgIndex)
-			e.hdrBuf = e.hdrBuf[:0]
-			continue
+			return verdict
 		}
-		bodyEnd := e.layout.Total - e.layout.Trailer
-		var n int
-		if e.msgOff < bodyEnd {
-			n = bodyEnd - e.msgOff
-			if rem := len(data) - pos; rem < n {
-				n = rem
-			}
-			e.ops.Body(e.expected+uint32(pos), data[pos:pos+n], e.msgOff-e.layout.Header)
-		} else {
-			n = e.layout.Total - e.msgOff
-			if rem := len(data) - pos; rem < n {
-				n = rem
-			}
-			e.ops.Trailer(e.expected+uint32(pos), data[pos:pos+n], e.msgOff-bodyEnd)
-		}
-		e.msgOff += n
-		pos += n
-		if e.msgOff == e.layout.Total {
+		if end {
 			if e.ops.EndMessage() {
 				e.Stats.MsgsCompleted++
 			} else {
@@ -342,12 +362,10 @@ func (e *RxEngine) processInSeq(data []byte) meta.RxFlags {
 					e.pendingFallback = true
 				}
 			}
-			e.inMsg = false
-			e.msgOff = 0
-			e.msgIndex++
 		}
+		seq += uint32(n)
+		data = data[n:]
 	}
-	e.expected += uint32(len(data))
 	verdict := e.ops.PacketVerdict(true, checksOK)
 	if e.pendingFallback {
 		e.enterFallback()
@@ -355,310 +373,222 @@ func (e *RxEngine) processInSeq(data []byte) meta.RxFlags {
 	return verdict
 }
 
-// processOoS handles a packet that does not match the expected sequence
-// while offloading (§4.3 and Fig. 8).
-func (e *RxEngine) processOoS(seq uint32, data []byte) meta.RxFlags {
-	end := seq + uint32(len(data))
-	if seqLE(end, e.expected) {
-		// Entirely in the past: a retransmitted duplicate. Bypass (Fig 8a).
-		e.Stats.PktsBypassed++
-		return e.ops.PacketVerdict(false, true)
-	}
-	if seqLT(seq, e.expected) {
-		// Straddles the expected point (partial retransmission overlap).
-		// Hardware resumes only on packet boundaries: bypass and keep
-		// waiting for a packet that starts at or after expected.
-		e.Stats.PktsBypassed++
-		return e.ops.PacketVerdict(false, true)
-	}
-
-	// Future gap. Compute the sequence number M of the next message
-	// header using the current message's length (§4.3).
+// processOoS handles every packet that is not offloaded: one that does not
+// continue the context while offloading (§4.3 and Fig. 8), and any packet
+// while searching or tracking (Fig. 7). gap is never negative here.
+func (e *RxEngine) processOoS(seq uint32, data []byte, gap int) {
 	e.Stats.PktsUnoffloaded++
 	e.oosPkts++
-	if e.noRecovery {
-		e.enterSearching(seq, nil) // dead state: nothing is ever scanned
-		return e.ops.PacketVerdict(false, true)
-	}
-	var m uint32
-	switch {
-	case e.inMsg:
-		m = e.expected + uint32(e.layout.Total-e.msgOff)
-	case len(e.hdrBuf) > 0:
-		// A header was mid-collection; it started before the gap and can
-		// never be completed. Its message boundary is unknowable — the
-		// partial header bytes are lost with the gap.
-		e.hdrBuf = e.hdrBuf[:0]
-		e.enterSearching(seq, data)
-		return e.ops.PacketVerdict(false, true)
-	default:
-		m = e.expected
-	}
-
-	if seqLT(end, m) || end == m {
-		// P lies entirely inside the current message's remainder: ignore
-		// it; the context still expects the retransmission (Fig 8, case of
-		// packets before M).
-		return e.ops.PacketVerdict(false, true)
-	}
-	if seqLE(seq, m) {
+	c := &e.cur
+	// The current message's length says where the next header is (§4.3). A
+	// hole of known size that stays inside the message leaves that true;
+	// any other hole — past the message's end, in the middle of a header,
+	// of unknown size — may have swallowed a header.
+	harmless := gap == 0 || (c.inMsg && gap <= c.left())
+	switch e.state {
+	case rxOffloading:
+		if !harmless || e.noRecovery {
+			e.enterSearching() // with noRecovery a dead state: nothing is ever scanned
+			break
+		}
+		if gap+len(data) <= c.left() {
+			// The packet lies entirely inside the current message: ignore
+			// it; the context still expects the retransmission.
+			return
+		}
 		// The next message boundary is inside (or at the start of) this
-		// packet: deterministic re-lock (Fig 8b). The packet itself is not
-		// offloaded, but the context is updated from it.
+		// packet: deterministic re-lock (Fig. 8b). The packet itself is not
+		// offloaded, but the context is updated from it — the abandoned
+		// message still counts, and whatever message the packet ends in is
+		// resumed without its prefix.
 		e.Stats.Relocks++
-		e.relockAt(m, seq, data)
-		return e.ops.PacketVerdict(false, true)
-	}
-	// The boundary fell inside the gap: we cannot know what came after it.
-	// Hardware-driven recovery (Fig 7 / Fig 8c).
-	e.enterSearching(seq, data)
-	return e.ops.PacketVerdict(false, true)
-}
-
-// relockAt re-anchors the context at message boundary m, which lies within
-// the unoffloaded packet [seq, seq+len(data)).
-func (e *RxEngine) relockAt(m, seq uint32, data []byte) {
-	e.ops.NoteDiscontinuity()
-	if e.inMsg {
-		e.ops.AbortMessage()
-		e.inMsg = false
-	}
-	e.msgIndex++ // the abandoned message still counts
-	e.hdrBuf = e.hdrBuf[:0]
-	hdrLen := e.ops.HeaderLen()
-
-	avail := data[seqSub(m, seq):]
-	if len(avail) < hdrLen {
-		// Header split across the packet boundary: keep collecting; the
-		// rest must arrive in sequence.
-		e.hdrBuf = append(e.hdrBuf, avail...)
-		e.expected = seq + uint32(len(data))
-		return
-	}
-	layout, ok := e.ops.ParseHeader(avail[:hdrLen])
-	if !ok || !layout.valid(hdrLen) {
-		e.enterSearching(seq, data)
-		return
-	}
-	consumed := len(avail) // header + blind prefix of the new message
-	if consumed >= layout.Total {
-		// The whole message (and possibly more) sits inside this
-		// unoffloaded packet: walk boundaries forward without processing.
-		rest := avail
-		for len(rest) >= hdrLen {
-			l, ok2 := e.ops.ParseHeader(rest[:hdrLen])
-			if !ok2 || !l.valid(hdrLen) {
-				e.enterSearching(seq, data)
-				return
-			}
-			if len(rest) < l.Total {
-				e.startBlind(l, rest[:hdrLen], len(rest)-hdrLen)
-				e.expected = seq + uint32(len(data))
-				return
-			}
-			rest = rest[l.Total:]
-			e.msgIndex++
+		e.breakOps()
+		c.msgOff += gap
+		if _, ok := c.skim(data); ok {
+			e.expected = seq + uint32(len(data))
+			e.rejoin()
+			return
 		}
-		if len(rest) > 0 {
-			e.hdrBuf = append(e.hdrBuf, rest...)
+		e.enterSearching() // not a header where one had to be: scan the packet
+	case rxTracking:
+		if harmless {
+			c.msgOff += gap
+		} else if !e.abortTracking() {
+			return
 		}
-		e.expected = seq + uint32(len(data))
-		return
 	}
-	e.startBlind(layout, avail[:hdrLen], consumed-hdrLen)
+	e.recoverOver(seq, data, gap == 0)
 	e.expected = seq + uint32(len(data))
 }
 
-// startBlind resumes a message whose first `skip` post-header bytes were
-// inside an unoffloaded packet. Integrity checking for it is skipped.
-func (e *RxEngine) startBlind(layout MsgLayout, hdr []byte, skip int) {
-	e.layout = layout
-	e.inMsg = true
-	e.msgOff = layout.Header + skip
-	e.Stats.MsgsBlind++
-	bodyLen := layout.Total - layout.Header - layout.Trailer
-	opsSkip := skip
-	if opsSkip > bodyLen {
-		opsSkip = bodyLen // the rest of the skip fell in the trailer
+// recoverOver runs the recovery states of Fig. 7 over an unoffloaded
+// packet's bytes: searching scans for a candidate header, tracking follows
+// the message chain from it, and a tracked header that fails the check
+// sends what is left of the packet back to searching (d1).
+func (e *RxEngine) recoverOver(seq uint32, data []byte, contig bool) {
+	for {
+		if e.state == rxTracking {
+			rest, ok := e.cur.skim(data)
+			if ok || !e.abortTracking() {
+				return
+			}
+			seq, data, contig = seq+uint32(len(data)-len(rest)), rest, false
+		}
+		if e.noRecovery {
+			return
+		}
+		used := e.search(seq, data, contig)
+		if used < 0 {
+			return
+		}
+		seq, data = seq+uint32(used), data[used:]
 	}
-	e.ops.ResumeMessage(layout, hdr, e.msgIndex, opsSkip)
-}
-
-// enterSearching abandons the context and scans from this packet onward.
-func (e *RxEngine) enterSearching(seq uint32, data []byte) {
-	e.ops.NoteDiscontinuity()
-	if e.inMsg {
-		e.ops.AbortMessage()
-		e.inMsg = false
-	}
-	e.hdrBuf = e.hdrBuf[:0]
-	e.setState(rxSearching)
-	e.tailValid = false
-	e.awaitingResp = false
-	e.confirmed = false
-	e.search(seq, data)
 }
 
 // search scans packet payload for the L5P magic pattern (Fig. 7 searching
-// state), handling patterns split across consecutive packets.
-func (e *RxEngine) search(seq uint32, data []byte) {
-	hdrLen := e.ops.HeaderLen()
-	var buf []byte
-	var baseSeq uint32
-	if e.tailValid && seq == e.tailSeq+uint32(len(e.tail)) {
-		buf = append(append([]byte(nil), e.tail...), data...)
-		baseSeq = e.tailSeq
-	} else {
-		buf = data
-		baseSeq = seq
+// state). contig says the packet continues the previous one, so a pattern
+// split across the two is found in the kept tail plus this packet. On a hit
+// the header becomes the candidate (lock) and search returns how many bytes
+// of data it reached through; -1 otherwise.
+func (e *RxEngine) search(seq uint32, data []byte, contig bool) int {
+	c := &e.cur
+	if e.tail == nil {
+		e.tail = make([]byte, 0, 2*(c.hdrLen-1))
 	}
-	for i := 0; i+hdrLen <= len(buf); i++ {
-		layout, ok := e.ops.ParseHeader(buf[i : i+hdrLen])
-		if !ok || !layout.valid(hdrLen) {
-			continue
+	if !contig {
+		e.tail = e.tail[:0]
+	}
+	// Headers that begin in the tail are parsed from the seam: the tail
+	// followed by the first HeaderLen-1 bytes of data. A stacked engine's
+	// tail comes from an earlier emission, whose wire coordinates need not
+	// abut this one's, hence tailSeq; a header's first byte is a real wire
+	// position either way, which is what software's answer is matched on.
+	t, h := len(e.tail), c.hdrLen
+	seam := append(e.tail, data[:min(h-1, len(data))]...)
+	if i, layout := c.find(seam); i >= 0 && i < t {
+		e.lock(e.tailSeq+uint32(i), seam[i:i+h], layout)
+		return i + h - t
+	}
+	if i, layout := c.find(data); i >= 0 {
+		e.lock(seq+uint32(i), data[i:i+h], layout)
+		return i + h
+	}
+	if keep := h - 1; len(data) >= keep {
+		e.tailSeq = seq + uint32(len(data)-keep)
+		e.tail = append(e.tail[:0], data[len(data)-keep:]...)
+	} else {
+		// The seam holds all of data: keep its end.
+		if t == 0 {
+			e.tailSeq = seq
 		}
-		// Candidate found: ask software to confirm (l5o_resync_rx_req) and
-		// start tracking from here.
-		cand := baseSeq + uint32(i)
-		e.setState(rxTracking)
-		e.candidateSeq = cand
-		e.awaitingResp = true
-		e.confirmed = false
-		e.trackCount = 0
-		e.nextHdrSeq = cand + uint32(layout.Total)
-		e.trackExpected = baseSeq + uint32(len(buf))
-		e.trackHdr = e.trackHdr[:0]
-		e.lastHdr = append(e.lastHdr[:0], buf[i:i+hdrLen]...)
-		e.lastLayout = layout
-		e.sendResyncReq(cand)
-		// The rest of this packet may already contain the next header(s).
-		e.trackFrom(cand+uint32(hdrLen), buf[i+hdrLen:], baseSeq+uint32(len(buf)))
+		drop := max(0, len(seam)-keep)
+		e.tailSeq += uint32(drop)
+		e.tail = append(e.tail[:0], seam[drop:]...)
+	}
+	return -1
+}
+
+// lock takes the header found at sequence number cand as the candidate: the
+// cursor is put behind it, software is asked to confirm it
+// (l5o_resync_rx_req), and the engine starts tracking.
+func (e *RxEngine) lock(cand uint32, hdr []byte, layout MsgLayout) {
+	c := &e.cur
+	e.setState(rxTracking)
+	e.candidateSeq, e.awaitingResp = cand, true
+	c.reset(0)
+	c.hdr = append(c.hdr, hdr...)
+	c.layout, c.inMsg, c.msgOff = layout, true, c.hdrLen
+	e.sendResyncReq(cand)
+}
+
+// breakOps tells the Ops their byte stream breaks here and drops the
+// message they were in the middle of.
+func (e *RxEngine) breakOps() {
+	e.ops.NoteDiscontinuity()
+	if e.state == rxOffloading && e.cur.inMsg {
+		e.ops.AbortMessage()
+	}
+}
+
+// enterSearching abandons the offloading context (Fig. 7 a).
+func (e *RxEngine) enterSearching() {
+	e.breakOps()
+	e.restartSearch()
+}
+
+// restartSearch is the one way back to the searching state, from anywhere:
+// nothing the cursor followed, no kept tail, no candidate, no answer owed.
+func (e *RxEngine) restartSearch() {
+	e.forget()
+	e.setState(rxSearching)
+}
+
+// forget clears the recovery context.
+func (e *RxEngine) forget() {
+	e.cur.reset(0)
+	e.tail = e.tail[:0]
+	e.awaitingResp = false
+	e.confirmed = false
+}
+
+// abortTracking gives up a tracked chain that can no longer be verified
+// (Fig. 7 d1) and reports whether recovery goes on: false means the
+// degradation policy tripped and the engine fell back for good.
+func (e *RxEngine) abortTracking() bool {
+	e.Stats.TrackingAborts++
+	if e.noteRecoveryFailure() {
+		return false
+	}
+	e.restartSearch()
+	return true
+}
+
+// rejoin makes the cursor's position the Ops' position after bytes were
+// walked without them. Between messages or mid-header there is nothing to
+// tell; mid-message, the Ops resume the message without the prefix the
+// cursor skipped, and without its integrity check.
+func (e *RxEngine) rejoin() {
+	c := &e.cur
+	c.settle()
+	if !c.inMsg {
 		return
 	}
-	// Keep a tail for split patterns.
-	keep := hdrLen - 1
-	if keep > len(buf) {
-		keep = len(buf)
-	}
-	e.tail = append(e.tail[:0], buf[len(buf)-keep:]...)
-	e.tailSeq = baseSeq + uint32(len(buf)-keep)
-	e.tailValid = true
+	e.Stats.MsgsBlind++
+	// A skip that reaches into the trailer skipped the whole body.
+	skip := min(c.msgOff, c.layout.Total-c.layout.Trailer) - c.layout.Header
+	e.ops.ResumeMessage(c.layout, c.hdr, c.msgIndex, skip)
 }
 
-// track verifies tracked headers as packets arrive (Fig. 7 tracking state).
-func (e *RxEngine) track(seq uint32, data []byte) {
-	end := seq + uint32(len(data))
-	if seqLE(end, e.trackExpected) {
-		return // past data while tracking: irrelevant
-	}
-	if seqLT(e.trackExpected, seq) {
-		// A gap while tracking.
-		if seqLT(e.nextHdrSeq, seq) || len(e.trackHdr) > 0 {
-			// We can no longer verify the tracked chain: start over.
-			e.Stats.TrackingAborts++
-			if e.noteRecoveryFailure() {
-				return
-			}
-			e.setState(rxSearching)
-			e.tailValid = false
-			e.awaitingResp = false
-			e.search(seq, data)
-			return
-		}
-		// Gap entirely within a tracked message's body: harmless.
-		e.trackExpected = seq
-	} else if seqLT(seq, e.trackExpected) {
-		data = data[seqSub(e.trackExpected, seq):]
-		seq = e.trackExpected
-	}
-	e.trackFrom(seq, data, end)
-}
-
-// trackFrom consumes tracked bytes beginning at seq, collecting and
-// verifying message headers at each expected boundary.
-func (e *RxEngine) trackFrom(seq uint32, data []byte, newExpected uint32) {
-	hdrLen := e.ops.HeaderLen()
-	for {
-		if seqLT(seq+uint32(len(data)), e.nextHdrSeq) || seq+uint32(len(data)) == e.nextHdrSeq {
-			break // boundary not reached yet
-		}
-		if seqLT(seq, e.nextHdrSeq) {
-			data = data[seqSub(e.nextHdrSeq, seq):]
-			seq = e.nextHdrSeq
-		}
-		// Collect header bytes at the boundary (may span packets).
-		need := hdrLen - len(e.trackHdr)
-		n := need
-		if len(data) < n {
-			n = len(data)
-		}
-		e.trackHdr = append(e.trackHdr, data[:n]...)
-		data = data[n:]
-		seq += uint32(n)
-		if len(e.trackHdr) < hdrLen {
-			break
-		}
-		layout, ok := e.ops.ParseHeader(e.trackHdr)
-		if ok {
-			e.lastHdr = append(e.lastHdr[:0], e.trackHdr...)
-			e.lastLayout = layout
-		}
-		e.trackHdr = e.trackHdr[:0]
-		if !ok || !layout.valid(hdrLen) {
-			// Misidentified: back to searching over what remains (d1).
-			e.Stats.TrackingAborts++
-			if e.noteRecoveryFailure() {
-				return
-			}
-			e.setState(rxSearching)
-			e.tailValid = false
-			e.awaitingResp = false
-			if len(data) > 0 {
-				e.search(seq, data)
-			}
-			return
-		}
-		e.trackCount++
-		e.nextHdrSeq += uint32(layout.Total)
-	}
-	e.trackExpected = newExpected
-	e.tryResumeAfterConfirm()
-}
-
-// tryResumeAfterConfirm transitions tracking → offloading once software has
-// confirmed the candidate (Fig. 7 d2). Offloading resumes at the next
-// packet boundary: if that boundary is mid-message, the enclosing message
-// (whose header was parsed while tracking) is blind-resumed so that the
-// *following* message is fully offloaded.
-func (e *RxEngine) tryResumeAfterConfirm() {
-	if e.state != rxTracking || !e.confirmed || len(e.trackHdr) != 0 {
+// tryResume is the one transition back to offloading (Fig. 7 d2), taken
+// between packets only: at the end of Process, and from a ResyncResponse
+// that arrives when no packet is being consumed. It needs a confirmed
+// candidate and a cursor that is not in the middle of a header. Offloading
+// resumes with the next packet; if that starts mid-message, the enclosing
+// message (whose header was parsed while tracking) is blind-resumed so that
+// the *following* message is fully offloaded.
+func (e *RxEngine) tryResume() {
+	if e.state != rxTracking || !e.confirmed || e.cur.midHeader() {
 		return
 	}
 	e.ops.NoteDiscontinuity()
 	e.setState(rxOffloading)
-	e.expected = e.trackExpected
-	e.inMsg = false
-	e.msgOff = 0
-	e.hdrBuf = e.hdrBuf[:0]
 	e.confirmed = false
 	e.recoveryFails = 0 // successful resume: the flow is healthy again
-	if e.trackExpected == e.nextHdrSeq {
-		// The next packet begins exactly at a message boundary.
-		e.msgIndex = e.confirmedIdx + e.trackCount + 1
-		return
-	}
-	// Mid-message: resume the enclosing message without its prefix.
-	e.msgIndex = e.confirmedIdx + e.trackCount
-	msgStart := e.nextHdrSeq - uint32(e.lastLayout.Total)
-	skip := seqSub(e.trackExpected, msgStart) - e.ops.HeaderLen()
-	e.startBlind(e.lastLayout, e.lastHdr, skip)
+	e.cur.msgIndex += e.confirmedIdx
+	e.rejoin()
 }
 
 // ResyncResponse delivers L5P software's answer to a speculative header
 // identification (l5o_resync_rx_resp, §4.1). msgIndex is the number of
 // messages preceding the confirmed header — the information that lets the
-// NIC rebuild dynamic state at a message boundary (§3.3).
+// NIC rebuild dynamic state at a message boundary (§3.3). An answer given
+// from inside the request upcall takes effect when the packet that raised
+// the request has been consumed, exactly as if it had arrived just after.
 func (e *RxEngine) ResyncResponse(seq uint32, ok bool, msgIndex uint64) {
+	if e.consuming {
+		e.latched.pending, e.latched.seq, e.latched.ok, e.latched.msgIndex = true, seq, ok, msgIndex
+		return
+	}
 	if e.state != rxTracking || !e.awaitingResp || seq != e.candidateSeq {
 		return // stale response for an abandoned candidate
 	}
@@ -670,20 +600,14 @@ func (e *RxEngine) ResyncResponse(seq uint32, ok bool, msgIndex uint64) {
 	if !ok {
 		e.Stats.ResyncRejects++
 		e.noteResyncAnswer(seq, false)
-		if e.noteRecoveryFailure() {
-			return
+		if !e.noteRecoveryFailure() {
+			e.restartSearch()
 		}
-		e.setState(rxSearching)
-		e.tailValid = false
 		return
 	}
 	e.Stats.ResyncConfirms++
 	e.noteResyncAnswer(seq, true)
 	e.confirmed = true
 	e.confirmedIdx = msgIndex
-	if e.sparse {
-		e.tryResumeSparse()
-	} else {
-		e.tryResumeAfterConfirm()
-	}
+	e.tryResume()
 }

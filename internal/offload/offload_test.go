@@ -540,7 +540,7 @@ func (h *txHarness) MsgStateAt(seq uint32) (uint32, uint64, bool) {
 	var bestIdx uint64
 	found := false
 	for s, idx := range h.st.boundaries {
-		if seqLE(s, seq) && (!found || seqLT(bestSeq, s)) {
+		if seqSub(s, seq) <= 0 && (!found || seqSub(bestSeq, s) < 0) {
 			bestSeq, bestIdx, found = s, idx, true
 		}
 	}

@@ -58,11 +58,7 @@ type TxEngine struct {
 	src TxSource
 
 	expected uint32
-	hdrBuf   []byte
-	inMsg    bool
-	layout   MsgLayout
-	msgOff   int
-	msgIndex uint64
+	cur      msgCursor
 
 	txTelemetryState
 
@@ -73,7 +69,7 @@ type TxEngine struct {
 // NewTxEngine creates a transmit engine starting at startSeq, which must
 // be an L5P message boundary.
 func NewTxEngine(ops TxOps, src TxSource, startSeq uint32) *TxEngine {
-	return &TxEngine{ops: ops, src: src, expected: startSeq}
+	return &TxEngine{ops: ops, src: src, expected: startSeq, cur: newCursor(ops)}
 }
 
 // Expected returns the next sequence number the context can process.
@@ -93,7 +89,8 @@ func (e *TxEngine) Process(seq uint32, data []byte) bool {
 			return false
 		}
 	}
-	e.processInSeq(data)
+	e.Stats.PktsProcessed++
+	e.walk(data, false)
 	return true
 }
 
@@ -124,7 +121,7 @@ func (e *TxEngine) recover(seq uint32) bool {
 				e.recoveryHist.Record(int64(len(gap)))
 				e.tr.Instant2("dma", "tx.recover.fwd", e.traceTid,
 					"seq", int64(seq), "dma_bytes", int64(len(gap)))
-				e.replay(gap)
+				e.walk(gap, true)
 				return true
 			}
 		}
@@ -133,12 +130,10 @@ func (e *TxEngine) recover(seq uint32) bool {
 		return false
 	}
 	e.Stats.Recoveries++
-	if e.inMsg {
+	if e.cur.inMsg {
 		e.ops.AbortMessage()
-		e.inMsg = false
 	}
-	e.hdrBuf = e.hdrBuf[:0]
-	e.msgIndex = msgIndex
+	e.cur.reset(msgIndex)
 	e.expected = msgStart
 	if msgStart == seq {
 		e.recoveryHist.Record(0)
@@ -153,110 +148,41 @@ func (e *TxEngine) recover(seq uint32) bool {
 	e.recoveryHist.Record(int64(len(prefix)))
 	e.tr.Instant2("dma", "tx.recover.msg", e.traceTid,
 		"seq", int64(seq), "dma_bytes", int64(len(prefix)))
-	e.replay(prefix)
+	e.walk(prefix, true)
 	return true
 }
 
-// replay advances the context over prefix bytes without producing output.
-func (e *TxEngine) replay(data []byte) {
-	hdrLen := e.ops.HeaderLen()
-	pos := 0
-	for pos < len(data) {
-		if !e.inMsg {
-			need := hdrLen - len(e.hdrBuf)
-			n := min(need, len(data)-pos)
-			e.hdrBuf = append(e.hdrBuf, data[pos:pos+n]...)
-			pos += n
-			if len(e.hdrBuf) < hdrLen {
-				break
-			}
-			layout, ok := e.ops.ParseHeader(e.hdrBuf)
-			if !ok || !layout.valid(hdrLen) {
-				// The retained stream is authoritative; this indicates an
-				// L5P bug. Drop message state and continue byte-counting.
-				e.hdrBuf = e.hdrBuf[:0]
-				break
-			}
-			e.layout = layout
-			e.inMsg = true
-			e.msgOff = hdrLen
-			e.ops.BeginMessage(layout, e.hdrBuf, e.msgIndex)
-			e.hdrBuf = e.hdrBuf[:0]
-			continue
-		}
-		bodyEnd := e.layout.Total - e.layout.Trailer
-		if e.msgOff < bodyEnd {
-			n := min(bodyEnd-e.msgOff, len(data)-pos)
-			e.ops.ReplayBody(data[pos:pos+n], e.msgOff-e.layout.Header)
-			e.msgOff += n
-			pos += n
-		} else {
-			n := min(e.layout.Total-e.msgOff, len(data)-pos)
-			e.msgOff += n
-			pos += n
-		}
-		if e.msgOff == e.layout.Total {
-			e.ops.AbortMessage()
-			e.inMsg = false
-			e.msgOff = 0
-			e.msgIndex++
-		}
-	}
+// walk advances the context over data. In sequence (replay false) the Ops
+// transform the bytes in place; during recovery (replay true) data is the
+// DMA-read prefix, which only rebuilds Ops state and produces no output.
+func (e *TxEngine) walk(data []byte, replay bool) {
+	c := &e.cur
+	seq := e.expected
 	e.expected += uint32(len(data))
-}
-
-func (e *TxEngine) processInSeq(data []byte) {
-	e.Stats.PktsProcessed++
-	hdrLen := e.ops.HeaderLen()
-	pos := 0
-	for pos < len(data) {
-		if !e.inMsg {
-			need := hdrLen - len(e.hdrBuf)
-			n := min(need, len(data)-pos)
-			e.hdrBuf = append(e.hdrBuf, data[pos:pos+n]...)
-			pos += n
-			if len(e.hdrBuf) < hdrLen {
-				break
-			}
-			layout, ok := e.ops.ParseHeader(e.hdrBuf)
-			if !ok || !layout.valid(hdrLen) {
-				// L5P software handed us a malformed stream; pass bytes
-				// through untouched from here on in this packet.
-				e.hdrBuf = e.hdrBuf[:0]
-				break
-			}
-			e.layout = layout
-			e.inMsg = true
-			e.msgOff = hdrLen
-			e.ops.BeginMessage(layout, e.hdrBuf, e.msgIndex)
-			e.hdrBuf = e.hdrBuf[:0]
-			continue
+	for len(data) > 0 {
+		r, n, off, end := c.step(data)
+		switch {
+		case r == regHeader && c.inMsg:
+			e.ops.BeginMessage(c.layout, c.hdr, c.msgIndex)
+		case r == regBody && replay:
+			e.ops.ReplayBody(data[:n], off)
+		case r == regBody:
+			e.ops.Body(seq, data[:n], off)
+		case r == regTrailer && !replay:
+			e.ops.Trailer(seq, data[:n], off)
+		case r == regBadHeader:
+			// L5P software handed us a malformed stream (the retained copy
+			// is authoritative, so on replay too this is an L5P bug): pass
+			// the rest of these bytes through untouched, counting them.
+			return
 		}
-		bodyEnd := e.layout.Total - e.layout.Trailer
-		var n int
-		if e.msgOff < bodyEnd {
-			n = min(bodyEnd-e.msgOff, len(data)-pos)
-			e.ops.Body(e.expected+uint32(pos), data[pos:pos+n], e.msgOff-e.layout.Header)
-		} else {
-			n = min(e.layout.Total-e.msgOff, len(data)-pos)
-			e.ops.Trailer(e.expected+uint32(pos), data[pos:pos+n], e.msgOff-bodyEnd)
-		}
-		e.msgOff += n
-		pos += n
-		if e.msgOff == e.layout.Total {
+		if end && replay {
+			e.ops.AbortMessage()
+		} else if end {
 			e.ops.EndMessage()
 			e.Stats.MsgsCompleted++
-			e.inMsg = false
-			e.msgOff = 0
-			e.msgIndex++
 		}
+		seq += uint32(n)
+		data = data[n:]
 	}
-	e.expected += uint32(len(data))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

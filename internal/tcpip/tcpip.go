@@ -1604,27 +1604,6 @@ func (s *Socket) drainOOO() {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // DebugString renders the socket's transmission state for diagnostics.
 func (s *Socket) DebugString() string {
 	return fmt.Sprintf("state=%s sndUna=%d sndNxt=%d buf=%d cwnd=%d ssthresh=%d peerWnd=%d rto=%v rtoArmed=%v inRec=%v dupAcks=%d sacked=%d rcvNxt=%d ooo=%d rcvUsed=%d",
