@@ -50,8 +50,9 @@ soak:
 
 # A few seconds of coverage-guided fuzzing per target: TCP reassembly, the
 # SACK option codec and scoreboard, the RxEngine header parser/search path,
-# and the event queue against its reference model. `go test -fuzz` takes
-# one target per invocation, hence the separate lines.
+# the event queue against its reference model, and gcm.Stream against
+# crypto/cipher's GCM. `go test -fuzz` takes one target per invocation,
+# hence the separate lines.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 5s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 5s ./internal/tcpip/
@@ -59,6 +60,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSackOption$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzRxEngine$$' -fuzztime 5s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz '^FuzzRxSearchGarbage$$' -fuzztime 5s ./internal/offload/
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamVsAEAD$$' -fuzztime 5s ./internal/gcm/
 
 # Deterministic-seed rerun of the golden Chrome-trace: the full event
 # sequence of a seeded run must stay byte-identical.
@@ -70,9 +72,11 @@ golden-check:
 # per-packet path, nor Stats()/Sample() at steady state, nor a poll or
 # doorbell beyond the parsed packets, nor re-arming and running a timer, nor
 # a frame crossing a link, nor an offload engine's Process in sequence or
-# searching) are asserted in a separate non-race run.
+# searching, nor gcm.Stream.Update, nor ktls cutting records out of its chunk
+# queue; starting a GCM record allocates only the stdlib's CTR) are asserted
+# in a separate non-race run.
 alloc-check:
-	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/offload/
+	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/offload/ ./internal/gcm/ ./internal/ktls/
 
 # The perf data point behind the regression gate: the deterministic
 # workload of internal/perf, timed by cmd/perf. PERF_OUT names the file a
@@ -80,7 +84,7 @@ alloc-check:
 # gate diffs against. The sim.* metrics are virtual-clock-derived and
 # byte-stable; the wall.* metrics are this host's simulator throughput
 # (informational).
-PERF_OUT ?= PERF_13.json
+PERF_OUT ?= PERF_16.json
 PERF_BASE ?= PERF_9.json
 
 perf:

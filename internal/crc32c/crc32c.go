@@ -1,49 +1,26 @@
-// Package crc32c implements the CRC32C (Castagnoli) checksum from scratch.
+// Package crc32c computes the CRC32C (Castagnoli) checksum incrementally.
 //
 // NVMe-TCP protects capsule headers and data with CRC32C digests
-// (RFC 3385); the NIC offload computes and verifies them incrementally as
-// packets stream through the device (§5.1 of the paper). The implementation
-// here provides three evaluation strategies — a bitwise reference, a single
-// 256-entry table, and slicing-by-8 — all byte-incremental, because
-// autonomous offloads require the computation to be resumable at any byte
-// boundary given only constant-size state (§3.2).
-//
-// Results are verified against the Go standard library's Castagnoli tables
-// in the package tests.
+// (RFC 3385); the NIC offload computes and verifies them as packets stream
+// through the device (§5.1 of the paper). What is modeled is the engine's
+// constant-size state — the running CRC is all of it, which is why Update
+// takes and returns a plain uint32 and can resume at any byte boundary
+// (§3.2) — and the cost, which callers charge to the cycles ledger. What
+// merely executes is the arithmetic: Update delegates to hash/crc32's
+// Castagnoli table, which the standard library runs on the SSE4.2 / ARMv8
+// CRC instructions. UpdateBitwise is the from-scratch definition the tests
+// hold it to.
 package crc32c
 
+import "hash/crc32"
+
 // Poly is the Castagnoli polynomial in reversed (LSB-first) bit order.
-const Poly = 0x82F63B78
+const Poly = crc32.Castagnoli
 
 // Size is the size of a CRC32C checksum in bytes.
 const Size = 4
 
-var (
-	table    [256]uint32
-	sliceTab [8][256]uint32
-)
-
-func init() {
-	for i := range table {
-		crc := uint32(i)
-		for j := 0; j < 8; j++ {
-			if crc&1 != 0 {
-				crc = (crc >> 1) ^ Poly
-			} else {
-				crc >>= 1
-			}
-		}
-		table[i] = crc
-	}
-	sliceTab[0] = table
-	for i := 0; i < 256; i++ {
-		crc := table[i]
-		for j := 1; j < 8; j++ {
-			crc = table[crc&0xff] ^ (crc >> 8)
-			sliceTab[j][i] = crc
-		}
-	}
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns the CRC32C of data.
 func Checksum(data []byte) uint32 { return Update(0, data) }
@@ -51,35 +28,7 @@ func Checksum(data []byte) uint32 { return Update(0, data) }
 // Update returns the CRC32C of the bytes already summarized by crc followed
 // by data. Update(Update(0, a), b) == Checksum(append(a, b...)).
 func Update(crc uint32, data []byte) uint32 {
-	crc = ^crc
-	// Slicing-by-8 main loop.
-	for len(data) >= 8 {
-		crc ^= uint32(data[0]) | uint32(data[1])<<8 |
-			uint32(data[2])<<16 | uint32(data[3])<<24
-		crc = sliceTab[7][crc&0xff] ^
-			sliceTab[6][(crc>>8)&0xff] ^
-			sliceTab[5][(crc>>16)&0xff] ^
-			sliceTab[4][crc>>24] ^
-			sliceTab[3][data[4]] ^
-			sliceTab[2][data[5]] ^
-			sliceTab[1][data[6]] ^
-			sliceTab[0][data[7]]
-		data = data[8:]
-	}
-	for _, b := range data {
-		crc = table[byte(crc)^b] ^ (crc >> 8)
-	}
-	return ^crc
-}
-
-// UpdateSimple is the single-table variant of Update, used to cross-check
-// the slicing-by-8 loop in tests and benchmarks.
-func UpdateSimple(crc uint32, data []byte) uint32 {
-	crc = ^crc
-	for _, b := range data {
-		crc = table[byte(crc)^b] ^ (crc >> 8)
-	}
-	return ^crc
+	return crc32.Update(crc, castagnoli, data)
 }
 
 // UpdateBitwise is the bit-at-a-time reference implementation.
@@ -97,29 +46,3 @@ func UpdateBitwise(crc uint32, data []byte) uint32 {
 	}
 	return ^crc
 }
-
-// Digest computes CRC32C incrementally. The zero value is ready to use.
-// It mirrors the constant-size dynamic state an offload context keeps for
-// the in-flight message (§3.2): the running CRC is the entire state.
-type Digest struct {
-	crc uint32
-}
-
-// New returns a new running CRC32C digest.
-func New() *Digest { return &Digest{} }
-
-// Write absorbs p into the digest. It never fails.
-func (d *Digest) Write(p []byte) (int, error) {
-	d.crc = Update(d.crc, p)
-	return len(p), nil
-}
-
-// Sum32 returns the checksum of all bytes written so far.
-func (d *Digest) Sum32() uint32 { return d.crc }
-
-// Reset restores the digest to its initial state.
-func (d *Digest) Reset() { d.crc = 0 }
-
-// Clone returns a copy of the digest state. Offload contexts clone the
-// dynamic state when a message may need software fallback later.
-func (d *Digest) Clone() *Digest { c := *d; return &c }

@@ -6,10 +6,18 @@
 // once, but a NIC processes a TLS record packet by packet: the offload
 // context stores the CTR position and the running GHASH between packets
 // (the paper's "incrementally computable over any byte range … given only
-// some constant-size state", §3.2). This package provides exactly that
-// state machine, built on the standard library's AES block cipher with
-// GHASH implemented from scratch (byte-position table multiplication in
-// GF(2^128)). The package tests verify byte-for-byte equality with
+// some constant-size state", §3.2). A Stream is that state machine.
+//
+// What is modeled and what merely executes are different things here. The
+// modeled cost of crypto is charged to the cycles ledger by the callers;
+// the modeled engine state is what a Stream carries between packets — the
+// counter position (nonce + byte offset) and the GHASH accumulator with
+// its partial block. Producing the bytes is host overhead, so the CTR half
+// runs on the standard library's AES-CTR (multi-block AES-NI / ARMv8
+// assembly since Go 1.24) seeked to an explicit counter; only GHASH is
+// computed here, by byte-position table multiplication in GF(2^128),
+// because the standard library exposes no incremental GHASH. The package
+// tests and FuzzStreamVsAEAD verify byte-for-byte equality with
 // crypto/cipher's GCM.
 package gcm
 
@@ -50,11 +58,11 @@ var aeadCache = make(map[string]cipher.AEAD)
 
 // AEADCached returns the standard library's AES-GCM AEAD for the key.
 // It produces byte-identical output to a Stream driven over the whole
-// message (the package tests assert equality), but crypto/cipher reaches
-// the hardware AES and carryless-multiply instructions the byte-table
-// Stream cannot. Host software uses it for whole-record seal/open — the
-// host CPU has AES-NI — while the incremental Stream remains the model of
-// the NIC's packet-by-packet engines and the partial-record fallback.
+// message (the package tests assert equality), but crypto/cipher also
+// reaches the carryless-multiply instructions the Stream's byte-table
+// GHASH cannot. Host software uses it for whole-record seal/open, while the
+// incremental Stream remains the model of the NIC's packet-by-packet
+// engines and the partial-record fallback.
 func AEADCached(key []byte) (cipher.AEAD, error) {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
@@ -80,6 +88,12 @@ const (
 	// TagSize is the authentication tag length in bytes.
 	TagSize   = 16
 	blockSize = 16
+
+	// maxDataLen is GCM's own limit of 2³²−2 blocks per message (NIST SP
+	// 800-38D §5.2.1.1): past it the 32-bit block counter would wrap onto
+	// J0. The stdlib CTR would instead carry into the nonce, so transform
+	// refuses to go there.
+	maxDataLen = (1<<32 - 2) * blockSize
 )
 
 // fieldElement is an element of GF(2^128) in GCM's reflected bit order:
@@ -160,32 +174,40 @@ func trailingZeros8(b int) int {
 	return n
 }
 
-// mul sets y = y·H. Fully unrolled: each table index is a constant-shift
-// byte extraction, so the compiler drops every bounds check and the 16
-// loads pipeline instead of serializing behind loop-carried shifts.
-func (c *Cipher) mul(y *fieldElement) {
+// ghashBlocks folds a run of whole blocks into the accumulator:
+// y = (y ⊕ block)·H for each. The accumulator stays in locals across the
+// run, and each multiply is fully unrolled: every table index is a
+// constant-shift byte extraction, so the compiler drops the bounds checks
+// and the 16 loads pipeline instead of serializing behind loop-carried
+// shifts. len(blocks) must be a multiple of 16.
+func (c *Cipher) ghashBlocks(y fieldElement, blocks []byte) fieldElement {
 	t := &c.byteTable
 	lo, hi := y.low, y.high
-	e0 := t[0][lo>>56]
-	e1 := t[1][lo>>48&0xff]
-	e2 := t[2][lo>>40&0xff]
-	e3 := t[3][lo>>32&0xff]
-	e4 := t[4][lo>>24&0xff]
-	e5 := t[5][lo>>16&0xff]
-	e6 := t[6][lo>>8&0xff]
-	e7 := t[7][lo&0xff]
-	e8 := t[8][hi>>56]
-	e9 := t[9][hi>>48&0xff]
-	e10 := t[10][hi>>40&0xff]
-	e11 := t[11][hi>>32&0xff]
-	e12 := t[12][hi>>24&0xff]
-	e13 := t[13][hi>>16&0xff]
-	e14 := t[14][hi>>8&0xff]
-	e15 := t[15][hi&0xff]
-	y.low = e0.low ^ e1.low ^ e2.low ^ e3.low ^ e4.low ^ e5.low ^ e6.low ^ e7.low ^
-		e8.low ^ e9.low ^ e10.low ^ e11.low ^ e12.low ^ e13.low ^ e14.low ^ e15.low
-	y.high = e0.high ^ e1.high ^ e2.high ^ e3.high ^ e4.high ^ e5.high ^ e6.high ^ e7.high ^
-		e8.high ^ e9.high ^ e10.high ^ e11.high ^ e12.high ^ e13.high ^ e14.high ^ e15.high
+	for ; len(blocks) >= blockSize; blocks = blocks[blockSize:] {
+		lo ^= binary.BigEndian.Uint64(blocks[:8])
+		hi ^= binary.BigEndian.Uint64(blocks[8:16])
+		e0 := t[0][lo>>56]
+		e1 := t[1][lo>>48&0xff]
+		e2 := t[2][lo>>40&0xff]
+		e3 := t[3][lo>>32&0xff]
+		e4 := t[4][lo>>24&0xff]
+		e5 := t[5][lo>>16&0xff]
+		e6 := t[6][lo>>8&0xff]
+		e7 := t[7][lo&0xff]
+		e8 := t[8][hi>>56]
+		e9 := t[9][hi>>48&0xff]
+		e10 := t[10][hi>>40&0xff]
+		e11 := t[11][hi>>32&0xff]
+		e12 := t[12][hi>>24&0xff]
+		e13 := t[13][hi>>16&0xff]
+		e14 := t[14][hi>>8&0xff]
+		e15 := t[15][hi&0xff]
+		lo = e0.low ^ e1.low ^ e2.low ^ e3.low ^ e4.low ^ e5.low ^ e6.low ^ e7.low ^
+			e8.low ^ e9.low ^ e10.low ^ e11.low ^ e12.low ^ e13.low ^ e14.low ^ e15.low
+		hi = e0.high ^ e1.high ^ e2.high ^ e3.high ^ e4.high ^ e5.high ^ e6.high ^ e7.high ^
+			e8.high ^ e9.high ^ e10.high ^ e11.high ^ e12.high ^ e13.high ^ e14.high ^ e15.high
+	}
+	return fieldElement{lo, hi}
 }
 
 // Direction selects whether a Stream produces ciphertext or plaintext.
@@ -199,16 +221,20 @@ const (
 )
 
 // Stream is the in-flight state of one AES-GCM message (one TLS record).
-// It is deliberately small and copyable: an offload flow context holds one
-// Stream as its dynamic state and advances it packet by packet.
+// It is deliberately small: an offload flow context holds one Stream by
+// value as its dynamic state, initialises it in place with InitStream at
+// each record, and advances it packet by packet. A Stream must not be
+// copied once initialised — the copy would share the keystream position.
 type Stream struct {
 	c   *Cipher
 	dir Direction
 
-	// CTR state.
-	ctr [blockSize]byte // next counter block to encrypt
-	ks  [blockSize]byte // current keystream block
-	pos int             // bytes of ks consumed (0..16; 16 = need new block)
+	// CTR state: the stdlib AES-CTR, positioned at byte dataLen of the
+	// message. ctr is the counter block it was last seeked to (J0 with
+	// the block offset added); it lives here so that the slice handed to
+	// cipher.NewCTR does not escape as an allocation of its own.
+	ks  cipher.Stream
+	ctr [blockSize]byte
 
 	// GHASH state.
 	y       fieldElement
@@ -224,23 +250,37 @@ type Stream struct {
 // NewStream begins a message with the given 12-byte nonce and optional
 // additional authenticated data.
 func (c *Cipher) NewStream(dir Direction, nonce, aad []byte) *Stream {
-	if len(nonce) != NonceSize {
-		panic(fmt.Sprintf("gcm: nonce length %d, want %d", len(nonce), NonceSize))
-	}
-	s := &Stream{c: c, dir: dir, pos: blockSize}
-	copy(s.ctr[:], nonce)
-	s.ctr[blockSize-1] = 1 // J0
-	c.block.Encrypt(s.tagMask[:], s.ctr[:])
-	s.incrCtr() // first data counter is J0+1
-	s.aadLen = uint64(len(aad))
-	s.ghashUpdate(aad)
-	s.ghashFlushPad()
+	s := new(Stream)
+	c.InitStream(s, dir, nonce, aad)
 	return s
 }
 
-func (s *Stream) incrCtr() {
-	n := binary.BigEndian.Uint32(s.ctr[12:])
-	binary.BigEndian.PutUint32(s.ctr[12:], n+1)
+// InitStream is NewStream into caller-owned memory: it overwrites *s with
+// the start-of-message state. The one allocation left is the stdlib's CTR
+// object.
+func (c *Cipher) InitStream(s *Stream, dir Direction, nonce, aad []byte) {
+	if len(nonce) != NonceSize {
+		panic(fmt.Sprintf("gcm: nonce length %d, want %d", len(nonce), NonceSize))
+	}
+	*s = Stream{c: c, dir: dir, aadLen: uint64(len(aad))}
+	copy(s.ctr[:], nonce)
+	s.ctr[blockSize-1] = 1 // J0
+	c.block.Encrypt(s.tagMask[:], s.ctr[:])
+	s.seek()
+	s.ghashUpdate(aad)
+	s.ghashFlushPad()
+}
+
+// seek positions the keystream at byte dataLen of the message: a CTR over
+// counter block J0+1+⌊dataLen/16⌋ with dataLen%16 bytes discarded.
+func (s *Stream) seek() {
+	binary.BigEndian.PutUint32(s.ctr[12:], uint32(2+s.dataLen/blockSize))
+	s.ks = cipher.NewCTR(s.c.block, s.ctr[:])
+	if rem := s.dataLen % blockSize; rem > 0 {
+		// Only Skip lands mid-block, and Skip abandons authentication, so
+		// the GHASH partial-block buffer is free to take the discard.
+		s.ks.XORKeyStream(s.buf[:rem], s.buf[:rem])
+	}
 }
 
 func (s *Stream) ghashUpdate(data []byte) {
@@ -251,22 +291,11 @@ func (s *Stream) ghashUpdate(data []byte) {
 		if s.bufLen < blockSize {
 			return
 		}
-		s.ghashBlock(s.buf[:])
-		s.bufLen = 0
+		s.y = s.c.ghashBlocks(s.y, s.buf[:])
 	}
-	for len(data) >= blockSize {
-		s.ghashBlock(data[:blockSize])
-		data = data[blockSize:]
-	}
-	if len(data) > 0 {
-		s.bufLen = copy(s.buf[:], data)
-	}
-}
-
-func (s *Stream) ghashBlock(b []byte) {
-	s.y.low ^= binary.BigEndian.Uint64(b[:8])
-	s.y.high ^= binary.BigEndian.Uint64(b[8:])
-	s.c.mul(&s.y)
+	whole := len(data) &^ (blockSize - 1)
+	s.y = s.c.ghashBlocks(s.y, data[:whole])
+	s.bufLen = copy(s.buf[:], data[whole:])
 }
 
 // ghashFlushPad zero-pads and absorbs any partial GHASH block (used at the
@@ -275,10 +304,8 @@ func (s *Stream) ghashFlushPad() {
 	if s.bufLen == 0 {
 		return
 	}
-	for i := s.bufLen; i < blockSize; i++ {
-		s.buf[i] = 0
-	}
-	s.ghashBlock(s.buf[:])
+	clear(s.buf[s.bufLen:])
+	s.y = s.c.ghashBlocks(s.y, s.buf[:])
 	s.bufLen = 0
 }
 
@@ -307,64 +334,33 @@ func (s *Stream) Transform(dst, src []byte, srcIsCiphertext bool) {
 // unoffloaded packets (Fig. 8b); the stream's tag is meaningless afterwards
 // and must not be checked.
 func (s *Stream) Skip(n int) {
+	if n == 0 {
+		return
+	}
+	s.advance(n)
+	s.seek()
+}
+
+// advance moves dataLen forward by n bytes, refusing to pass GCM's limit.
+func (s *Stream) advance(n int) {
+	if uint64(n) > maxDataLen-s.dataLen {
+		panic("gcm: message exceeds 2^32-2 blocks")
+	}
 	s.dataLen += uint64(n)
-	if s.pos < blockSize {
-		rem := blockSize - s.pos
-		if n < rem {
-			s.pos += n
-			return
-		}
-		n -= rem
-		s.pos = blockSize
-	}
-	blocks := uint32(n / blockSize)
-	c := binary.BigEndian.Uint32(s.ctr[12:])
-	binary.BigEndian.PutUint32(s.ctr[12:], c+blocks)
-	if rem := n % blockSize; rem > 0 {
-		s.c.block.Encrypt(s.ks[:], s.ctr[:])
-		s.incrCtr()
-		s.pos = rem
-	}
 }
 
 func (s *Stream) transform(dst, src []byte, srcIsCiphertext bool) {
 	if len(dst) < len(src) {
 		panic("gcm: dst shorter than src")
 	}
-	s.dataLen += uint64(len(src))
+	s.advance(len(src))
 	if srcIsCiphertext {
 		// Authenticate ciphertext before transforming (src may alias dst).
 		s.ghashUpdate(src)
-	}
-	sealed := !srcIsCiphertext
-	for i := 0; i < len(src); {
-		if s.pos == blockSize {
-			s.c.block.Encrypt(s.ks[:], s.ctr[:])
-			s.incrCtr()
-			s.pos = 0
-		}
-		n := blockSize - s.pos
-		if rem := len(src) - i; rem < n {
-			n = rem
-		}
-		out := dst[i : i+n]
-		in := src[i : i+n]
-		if n == blockSize && s.pos == 0 {
-			// Whole-block fast path: XOR as two 64-bit words.
-			k0 := binary.LittleEndian.Uint64(s.ks[0:8])
-			k1 := binary.LittleEndian.Uint64(s.ks[8:16])
-			binary.LittleEndian.PutUint64(out[0:8], binary.LittleEndian.Uint64(in[0:8])^k0)
-			binary.LittleEndian.PutUint64(out[8:16], binary.LittleEndian.Uint64(in[8:16])^k1)
-		} else {
-			for j := 0; j < n; j++ {
-				out[j] = in[j] ^ s.ks[s.pos+j]
-			}
-		}
-		if sealed {
-			s.ghashUpdate(out)
-		}
-		s.pos += n
-		i += n
+		s.ks.XORKeyStream(dst, src)
+	} else {
+		s.ks.XORKeyStream(dst, src)
+		s.ghashUpdate(dst[:len(src)])
 	}
 }
 
@@ -375,7 +371,7 @@ func (s *Stream) Tag() [TagSize]byte {
 	var lenBlock [blockSize]byte
 	binary.BigEndian.PutUint64(lenBlock[:8], s.aadLen*8)
 	binary.BigEndian.PutUint64(lenBlock[8:], s.dataLen*8)
-	s.ghashBlock(lenBlock[:])
+	s.y = s.c.ghashBlocks(s.y, lenBlock[:])
 	var tag [TagSize]byte
 	binary.BigEndian.PutUint64(tag[:8], s.y.low)
 	binary.BigEndian.PutUint64(tag[8:], s.y.high)
@@ -390,13 +386,6 @@ func (s *Stream) Tag() [TagSize]byte {
 func (s *Stream) Verify(want []byte) bool {
 	tag := s.Tag()
 	return len(want) == TagSize && subtle.ConstantTimeCompare(tag[:], want) == 1
-}
-
-// Clone snapshots the stream state. The offload context clones mid-message
-// state when software may need to resume the computation later.
-func (s *Stream) Clone() *Stream {
-	dup := *s
-	return &dup
 }
 
 // Processed returns how many payload bytes the stream has consumed.

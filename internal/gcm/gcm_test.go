@@ -219,28 +219,6 @@ func TestInPlaceUpdate(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	key := key16(10)
-	nonce := make([]byte, NonceSize)
-	pt := make([]byte, 200)
-	rand.New(rand.NewSource(11)).Read(pt)
-	c, _ := New(key)
-
-	s := c.NewStream(Seal, nonce, nil)
-	ct := make([]byte, len(pt))
-	s.Update(ct[:77], pt[:77])
-	snap := s.Clone()
-	s.Update(ct[77:], pt[77:])
-	tag1 := s.Tag()
-
-	ct2 := make([]byte, len(pt)-77)
-	snap.Update(ct2, pt[77:])
-	tag2 := snap.Tag()
-	if !bytes.Equal(ct[77:], ct2) || tag1 != tag2 {
-		t.Error("clone diverged from original")
-	}
-}
-
 func TestProcessed(t *testing.T) {
 	c, _ := New(key16(12))
 	s := c.NewStream(Seal, make([]byte, NonceSize), nil)
@@ -248,6 +226,62 @@ func TestProcessed(t *testing.T) {
 	s.Update(make([]byte, 7), make([]byte, 7))
 	if s.Processed() != 17 {
 		t.Errorf("Processed() = %d, want 17", s.Processed())
+	}
+}
+
+func TestStreamNoAlloc(t *testing.T) {
+	// The per-packet entry point allocates nothing; starting a record
+	// allocates only the stdlib's CTR object. The flow contexts rely on
+	// this: they hold the Stream by value and re-initialise it in place.
+	c, _ := New(key16(14))
+	nonce := make([]byte, NonceSize)
+	aad := []byte("hdr..")
+	buf := make([]byte, 1448)
+	var s Stream
+	c.InitStream(&s, Seal, nonce, aad)
+	if n := testing.AllocsPerRun(100, func() { s.Update(buf, buf) }); n != 0 {
+		t.Errorf("Update allocates %v per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.InitStream(&s, Seal, nonce, aad) }); n > 1 {
+		t.Errorf("InitStream allocates %v per call, want at most 1", n)
+	}
+}
+
+func TestBlockLimit(t *testing.T) {
+	// GCM allows 2³²−2 blocks per message; the last one is encrypted under
+	// counter 0xffffffff, and one byte more must be refused rather than
+	// carried into the nonce.
+	key := key16(15)
+	nonce := make([]byte, NonceSize)
+	nonce[3] = 0xff
+	c, _ := New(key)
+	s := c.NewStream(Open, nonce, nil)
+	var limit uint64 = maxDataLen
+	s.Skip(int(limit - 40))
+	s.Skip(24)
+	got := make([]byte, blockSize)
+	s.Update(got, got)
+
+	block, _ := aes.NewCipher(key)
+	want := make([]byte, blockSize)
+	copy(want, nonce)
+	copy(want[NonceSize:], []byte{0xff, 0xff, 0xff, 0xff})
+	block.Encrypt(want, want)
+	if !bytes.Equal(got, want) {
+		t.Error("last block's keystream is not E(K, nonce‖0xffffffff)")
+	}
+	for name, f := range map[string]func(){
+		"Update": func() { s.Update(got[:1], got[:1]) },
+		"Skip":   func() { s.Skip(1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s past 2^32-2 blocks did not panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 

@@ -90,8 +90,9 @@ type Conn struct {
 	txAEAD   cipher.AEAD
 	rxAEAD   cipher.AEAD
 	rxCipher *gcm.Cipher
-	txSeq    uint64 // next record index to transmit
-	rxSeq    uint64 // next record index expected from the wire
+	rxStream gcm.Stream // the mixed pass's stream, initialised in place per record
+	txSeq    uint64     // next record index to transmit
+	rxSeq    uint64     // next record index expected from the wire
 
 	// Per-record scratch buffers, reused across records: both are
 	// consumed within the record's processing (WriteZC copies the
@@ -119,9 +120,12 @@ type Conn struct {
 	pendingResync    uint32
 	hasPendingResync bool
 
-	// Record assembly.
+	// Record assembly: inbuf[inHead:] are the buffered chunks, inbufLen
+	// their bytes. rec is take's scratch result, reused for every record.
 	inbuf    []tcpip.Chunk
+	inHead   int
 	inbufLen int
+	rec      []tcpip.Chunk
 
 	// dead marks a connection killed by a fatal record-layer error: TLS
 	// cannot resynchronize past a bad record, so nothing after it may be
@@ -453,6 +457,7 @@ func (c *Conn) onReadable(s *tcpip.Socket) {
 	if c.dead {
 		return
 	}
+	c.compactInbuf()
 	for {
 		ch, ok := s.ReadChunk()
 		if !ok {
@@ -493,10 +498,18 @@ func (c *Conn) processRecords() {
 	}
 }
 
+// compactInbuf slides what the last pass left (at most a partial record)
+// back to the front of the backing array, so the queue never marches off
+// its end and reallocates.
+func (c *Conn) compactInbuf() {
+	c.inbuf = c.inbuf[:copy(c.inbuf, c.inbuf[c.inHead:])]
+	c.inHead = 0
+}
+
 // peek copies the next len(dst) buffered bytes without consuming them.
 func (c *Conn) peek(dst []byte) {
 	n := 0
-	for _, ch := range c.inbuf {
+	for _, ch := range c.inbuf[c.inHead:] {
 		n += copy(dst[n:], ch.Data)
 		if n == len(dst) {
 			return
@@ -505,23 +518,26 @@ func (c *Conn) peek(dst []byte) {
 }
 
 // take consumes exactly n buffered bytes, preserving chunk boundaries and
-// flags (splitting the final chunk if needed).
+// flags (splitting the final chunk if needed). The result lives in a
+// per-Conn scratch and is valid until the next take; handleRecord does not
+// retain it.
 func (c *Conn) take(n int) []tcpip.Chunk {
-	var out []tcpip.Chunk
+	out := c.rec[:0]
 	for n > 0 {
-		ch := c.inbuf[0]
+		ch := c.inbuf[c.inHead]
 		if len(ch.Data) <= n {
 			out = append(out, ch)
 			n -= len(ch.Data)
 			c.inbufLen -= len(ch.Data)
-			c.inbuf = c.inbuf[1:]
+			c.inHead++
 			continue
 		}
 		out = append(out, tcpip.Chunk{Seq: ch.Seq, Data: ch.Data[:n], Flags: ch.Flags})
-		c.inbuf[0] = tcpip.Chunk{Seq: ch.Seq + uint32(n), Data: ch.Data[n:], Flags: ch.Flags}
+		c.inbuf[c.inHead] = tcpip.Chunk{Seq: ch.Seq + uint32(n), Data: ch.Data[n:], Flags: ch.Flags}
 		c.inbufLen -= n
 		n = 0
 	}
+	c.rec = out
 	return out
 }
 
@@ -647,7 +663,8 @@ func (c *Conn) authFailed(err error) {
 func (c *Conn) partialFallback(chunks []tcpip.Chunk, layout offload.MsgLayout, bodyLen int, recStart uint32) {
 	rec := flattenInto(&c.rxRec, chunks, layout.Total)
 	nonce := RecordNonce(c.cfg.RxIV, c.rxSeq)
-	s := c.rxCipher.NewStream(gcm.Open, nonce[:], rec[:HeaderLen])
+	s := &c.rxStream
+	c.rxCipher.InitStream(s, gcm.Open, nonce[:], rec[:HeaderLen])
 	plain := make([]byte, bodyLen)
 	scratch := make([]byte, bodyLen)
 

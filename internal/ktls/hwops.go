@@ -28,12 +28,24 @@ func NewHW(key []byte, iv [gcm.NonceSize]byte, model *cycles.Model, ledger *cycl
 	return &HW{cipher: c, iv: iv, model: model, ledger: ledger}, nil
 }
 
+// mustBeLive is the programmer-error assert behind Body, Trailer and
+// ReplayBody: the engine calls them only between BeginMessage (or
+// ResumeMessage) and EndMessage/AbortMessage.
+func mustBeLive(live bool, call string) {
+	if !live {
+		panic("ktls: " + call + " outside a message")
+	}
+}
+
 // TxOps is the NIC-side transmit crypto: it encrypts record bodies in place
 // and fills the dummy ICV the software left behind (§5.2). It implements
 // offload.TxOps.
 type TxOps struct {
-	hw       *HW
-	stream   *gcm.Stream
+	hw *HW
+	// stream is the record in flight, held by value and re-initialised in
+	// place at each BeginMessage; live says whether there is one.
+	stream   gcm.Stream
+	live     bool
 	tag      [TagLen]byte
 	tagReady bool
 	scratch  []byte
@@ -53,18 +65,21 @@ func (o *TxOps) ParseHeader(hdr []byte) (offload.MsgLayout, bool) { return Parse
 // BeginMessage implements offload.TxOps.
 func (o *TxOps) BeginMessage(_ offload.MsgLayout, hdr []byte, msgIndex uint64) {
 	nonce := RecordNonce(o.hw.iv, msgIndex)
-	o.stream = o.hw.cipher.NewStream(gcm.Seal, nonce[:], hdr)
+	o.hw.cipher.InitStream(&o.stream, gcm.Seal, nonce[:], hdr)
+	o.live = true
 	o.tagReady = false
 }
 
 // Body implements offload.TxOps: encrypt in place.
 func (o *TxOps) Body(_ uint32, data []byte, _ int) {
+	mustBeLive(o.live, "TxOps.Body")
 	o.hw.ledger.Charge(cycles.NIC, cycles.Encrypt, o.hw.model.GCMCycles(len(data)), len(data))
 	o.stream.Update(data, data)
 }
 
 // Trailer implements offload.TxOps: overwrite the dummy ICV with the tag.
 func (o *TxOps) Trailer(_ uint32, data []byte, off int) {
+	mustBeLive(o.live, "TxOps.Trailer")
 	if !o.tagReady {
 		o.tag = o.stream.Tag()
 		o.tagReady = true
@@ -74,17 +89,18 @@ func (o *TxOps) Trailer(_ uint32, data []byte, off int) {
 
 // EndMessage implements offload.TxOps.
 func (o *TxOps) EndMessage() bool {
-	o.stream = nil
+	o.live = false
 	return true
 }
 
 // AbortMessage implements offload.TxOps.
-func (o *TxOps) AbortMessage() { o.stream = nil }
+func (o *TxOps) AbortMessage() { o.live = false }
 
 // ReplayBody implements offload.TxOps: during context recovery the engine
 // re-encrypts the record prefix (read back from host memory) into a scratch
 // buffer purely to rebuild the CTR/GHASH state.
 func (o *TxOps) ReplayBody(data []byte, _ int) {
+	mustBeLive(o.live, "TxOps.ReplayBody")
 	if cap(o.scratch) < len(data) {
 		o.scratch = make([]byte, len(data))
 	}
@@ -102,7 +118,8 @@ func (o *TxOps) ReplayBody(data []byte, _ int) {
 // are announced so the inner engine falls into its own recovery.
 type RxOps struct {
 	hw     *HW
-	stream *gcm.Stream
+	stream gcm.Stream // by value, as in TxOps
+	live   bool
 	blind  bool // prefix skipped: ICV cannot be checked
 
 	wireTag  [TagLen]byte
@@ -156,7 +173,8 @@ func (o *RxOps) BeginMessage(_ offload.MsgLayout, hdr []byte, msgIndex uint64) {
 		return
 	}
 	nonce := RecordNonce(o.hw.iv, msgIndex)
-	o.stream = o.hw.cipher.NewStream(gcm.Open, nonce[:], hdr)
+	o.hw.cipher.InitStream(&o.stream, gcm.Open, nonce[:], hdr)
+	o.live = true
 	o.blind = false
 	o.skipMsg = false
 	o.wireTagN = 0
@@ -173,7 +191,8 @@ func (o *RxOps) ResumeMessage(_ offload.MsgLayout, hdr []byte, msgIndex uint64, 
 		return
 	}
 	nonce := RecordNonce(o.hw.iv, msgIndex)
-	o.stream = o.hw.cipher.NewStream(gcm.Open, nonce[:], hdr)
+	o.hw.cipher.InitStream(&o.stream, gcm.Open, nonce[:], hdr)
+	o.live = true
 	o.stream.Skip(skip)
 	o.blind = true
 	o.wireTagN = 0
@@ -187,6 +206,7 @@ func (o *RxOps) Body(seq uint32, data []byte, _ int) {
 		o.skippedInPkt = true
 		return
 	}
+	mustBeLive(o.live, "RxOps.Body")
 	o.hw.ledger.Charge(cycles.NIC, cycles.Decrypt, o.hw.model.GCMCycles(len(data)), len(data))
 	o.stream.Update(data, data)
 	if o.emit != nil {
@@ -213,8 +233,7 @@ func (o *RxOps) Trailer(_ uint32, data []byte, off int) {
 
 // EndMessage implements offload.RxOps.
 func (o *RxOps) EndMessage() bool {
-	s := o.stream
-	o.stream = nil
+	o.live = false
 	o.skipMsg = false
 	if o.blind {
 		return true // check skipped; software decides via decrypted bits
@@ -222,12 +241,12 @@ func (o *RxOps) EndMessage() bool {
 	if o.wireTagN != TagLen {
 		return false
 	}
-	return s.Verify(o.wireTag[:])
+	return o.stream.Verify(o.wireTag[:])
 }
 
 // AbortMessage implements offload.RxOps.
 func (o *RxOps) AbortMessage() {
-	o.stream = nil
+	o.live = false
 	o.emitDiscont = true
 }
 

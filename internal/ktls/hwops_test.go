@@ -10,6 +10,7 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/gcm"
 	"repro/internal/offload"
+	"repro/internal/tcpip"
 )
 
 // buildRecordStream produces the wire bytes software would hand the NIC
@@ -180,5 +181,86 @@ func TestStreamVsOneShotEquivalence(t *testing.T) {
 	want := sealReference(t, key, iv, 3, body)
 	if !bytes.Equal(append(append(append([]byte(nil), hdr...), ct...), tag[:]...), want) {
 		t.Fatal("record construction diverges from stdlib")
+	}
+}
+
+// TestOpsOutsideMessagePanic pins the programmer-error assert: the ops hold
+// their gcm.Stream by value, so "no message in flight" is an explicit flag,
+// and touching the stream without one panics with a message instead of
+// running a stale record's keystream.
+func TestOpsOutsideMessagePanic(t *testing.T) {
+	hw := hwFor(t, make([]byte, 16), [12]byte{})
+	hdr := make([]byte, HeaderLen)
+	PutHeader(hdr, 64)
+	layout, _ := ParseHeader(hdr)
+	body := make([]byte, 64)
+
+	tx, rx := NewTxOps(hw), NewRxOps(hw, nil)
+	calls := map[string]func(){
+		"TxOps.Body":       func() { tx.Body(0, body, 0) },
+		"TxOps.Trailer":    func() { tx.Trailer(0, body[:TagLen], 0) },
+		"TxOps.ReplayBody": func() { tx.ReplayBody(body, 0) },
+		"RxOps.Body":       func() { rx.Body(0, body, 0) },
+	}
+	expectPanics := func(when string) {
+		t.Helper()
+		for name, call := range calls {
+			func() {
+				defer func() {
+					if got, want := recover(), "ktls: "+name+" outside a message"; got != want {
+						t.Errorf("%s %s: recovered %v, want %q", name, when, got, want)
+					}
+				}()
+				call()
+			}()
+		}
+	}
+	expectPanics("before BeginMessage")
+
+	begin := func() {
+		tx.BeginMessage(layout, hdr, 0)
+		rx.BeginMessage(layout, hdr, 0)
+	}
+	begin()
+	for _, call := range calls {
+		call() // live: no panic
+	}
+	tx.EndMessage()
+	rx.EndMessage()
+	expectPanics("after EndMessage")
+
+	begin()
+	tx.AbortMessage()
+	rx.AbortMessage()
+	expectPanics("after AbortMessage")
+}
+
+// TestTakeNoAlloc: at steady state, cutting records out of the chunk queue
+// allocates nothing — take reuses its result slice and the queue stays at
+// the front of its backing array.
+func TestTakeNoAlloc(t *testing.T) {
+	const record = HeaderLen + 16384 + TagLen
+	c := &Conn{}
+	seg := make([]byte, 1448)
+	var seq, taken uint32
+	step := func() { // one onReadable's worth of queue work
+		c.compactInbuf()
+		for i := 0; i < 12; i++ {
+			c.inbuf = append(c.inbuf, tcpip.Chunk{Seq: seq, Data: seg})
+			c.inbufLen += len(seg)
+			seq += uint32(len(seg))
+		}
+		for c.inbufLen >= record {
+			if got := c.take(record); got[0].Seq != taken {
+				t.Fatalf("record starts at seq %d, want %d", got[0].Seq, taken)
+			}
+			taken += record
+		}
+	}
+	for i := 0; i < 32; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Errorf("take allocates %v per poll at steady state, want 0", n)
 	}
 }

@@ -55,6 +55,12 @@ type Stack struct {
 	nextPort  uint16
 	issSeed   uint32
 
+	// sndFree holds the send stores of torn-down sockets for the next
+	// connections to start on: a short connection otherwise re-grows its
+	// store 8 K → 24 K → 56 K and leaves all three to the collector.
+	// Bounded in entries and in bytes per entry (see putSndStore).
+	sndFree [][]byte
+
 	tracer   *telemetry.Tracer
 	traceTid string
 
@@ -134,6 +140,38 @@ func NewStack(sim *netsim.Simulator, ip [4]byte, model *cycles.Model, ledger *cy
 		nextPort:  33000,
 		issSeed:   uint32(ip[3])*1000 + 1,
 	}
+}
+
+// The send-store free list keeps at most sndFreeMax stores of at most
+// sndFreeMaxCap bytes each. Bulk senders grow past the size bound, but they
+// live long enough to amortize their own growth.
+const (
+	sndFreeMax    = 16
+	sndFreeMaxCap = 256 << 10
+)
+
+// getSndStore returns an empty store of capacity at least n, recycled if
+// the free list has one that large.
+func (st *Stack) getSndStore(n int) []byte {
+	last := len(st.sndFree) - 1
+	for i := last; i >= 0; i-- {
+		if b := st.sndFree[i]; cap(b) >= n {
+			st.sndFree[i] = st.sndFree[last]
+			st.sndFree[last] = nil
+			st.sndFree = st.sndFree[:last]
+			return b
+		}
+	}
+	return make([]byte, 0, n)
+}
+
+// putSndStore offers a store no socket references any more to the free
+// list; it is dropped when the list is full or the store too large.
+func (st *Stack) putSndStore(b []byte) {
+	if cap(b) == 0 || cap(b) > sndFreeMaxCap || len(st.sndFree) == sndFreeMax {
+		return
+	}
+	st.sndFree = append(st.sndFree, b[:0])
 }
 
 // SetDevice attaches the output device.
@@ -597,6 +635,10 @@ func (s *Socket) ReadSeq() uint32 {
 // the host-memory region the NIC driver DMA-reads during transmit context
 // recovery (Fig. 6); callers must treat it as read-only.
 func (s *Socket) StreamBytes(from, to uint32) ([]byte, error) {
+	if s.state == stateClosed {
+		// teardown released the send store; nothing is retained.
+		return nil, fmt.Errorf("tcpip: stream range [%d,%d) of a closed socket", from, to)
+	}
 	start := int32(from - s.sndUna)
 	end := int32(to - s.sndUna)
 	if start < 0 || end < start || int(end) > len(s.sndBuf) {
@@ -648,13 +690,20 @@ func (s *Socket) WriteZC(p []byte) int {
 // whole outstanding window, over and over, for the connection's lifetime.
 // The store keeps 2x headroom over the fill level; anything less drains
 // only the slack between compactions and turns the shuffle quadratic.
+// Stores come from and (in teardown, or here when outgrown) go back to the
+// stack's free list.
 func (s *Socket) sndAppend(p []byte) {
 	if cap(s.sndBuf)-len(s.sndBuf) < len(p) {
 		need := len(s.sndBuf) + len(p)
 		if cap(s.sndStore) < 2*need {
-			s.sndStore = make([]byte, 0, 2*need)
+			grown := s.stack.getSndStore(2 * need)
+			s.sndBuf = append(grown, s.sndBuf...)
+			// Only now: sndBuf lived in the old store until that copy.
+			s.stack.putSndStore(s.sndStore)
+			s.sndStore = grown
+		} else {
+			s.sndBuf = append(s.sndStore[:0], s.sndBuf...)
 		}
-		s.sndBuf = append(s.sndStore[:0], s.sndBuf...)
 	}
 	s.sndBuf = append(s.sndBuf, p...)
 }
@@ -1537,6 +1586,11 @@ func (s *Socket) teardown() {
 	s.stopRTO()
 	s.clearDelack()
 	delete(s.stack.socks, s.flow)
+	// Nothing reads the send buffer of a closed socket (StreamBytes
+	// refuses), so its store can serve the next connection — the one
+	// OnClose may be about to open.
+	s.stack.putSndStore(s.sndStore)
+	s.sndBuf, s.sndStore = nil, nil
 	if s.OnClose != nil {
 		s.OnClose(s)
 	}
