@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check alloc-check soak fuzz-short golden-check bench perf perf-check fmt fmt-check lint lint-json lint-baseline experiments
+.PHONY: all build test vet race check alloc-check soak fuzz-short golden-check bench perf perf-check fmt fmt-check lint lint-json lint-baseline experiments loc
 
 all: build
 
@@ -50,8 +50,9 @@ soak:
 
 # A few seconds of coverage-guided fuzzing per target: TCP reassembly, the
 # SACK option codec and scoreboard, the RxEngine header parser/search path,
-# the event queue against its reference model, and gcm.Stream against
-# crypto/cipher's GCM. `go test -fuzz` takes one target per invocation,
+# the event queue against its reference model, gcm.Stream against
+# crypto/cipher's GCM, and the L5P message assembler under the ktls, nvmetcp
+# and dpi header parsers. `go test -fuzz` takes one target per invocation,
 # hence the separate lines.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 5s ./internal/netsim/
@@ -61,6 +62,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzRxEngine$$' -fuzztime 5s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz '^FuzzRxSearchGarbage$$' -fuzztime 5s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamVsAEAD$$' -fuzztime 5s ./internal/gcm/
+	$(GO) test -run '^$$' -fuzz '^FuzzAssembler$$' -fuzztime 5s ./internal/l5p/
 
 # Deterministic-seed rerun of the golden Chrome-trace: the full event
 # sequence of a seeded run must stay byte-identical.
@@ -72,11 +74,11 @@ golden-check:
 # per-packet path, nor Stats()/Sample() at steady state, nor a poll or
 # doorbell beyond the parsed packets, nor re-arming and running a timer, nor
 # a frame crossing a link, nor an offload engine's Process in sequence or
-# searching, nor gcm.Stream.Update, nor ktls cutting records out of its chunk
-# queue; starting a GCM record allocates only the stdlib's CTR) are asserted
-# in a separate non-race run.
+# searching, nor gcm.Stream.Update, nor an L5P cutting messages out of its
+# chunk queue or walking a message's byte ranges; starting a GCM record
+# allocates only the stdlib's CTR) are asserted in a separate non-race run.
 alloc-check:
-	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/offload/ ./internal/gcm/ ./internal/ktls/
+	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/offload/ ./internal/gcm/ ./internal/l5p/
 
 # The perf data point behind the regression gate: the deterministic
 # workload of internal/perf, timed by cmd/perf. PERF_OUT names the file a
@@ -112,3 +114,10 @@ fmt-check:
 
 experiments:
 	$(GO) run ./cmd/experiments
+
+# Non-test Go lines per package directory and in total (testdata fixtures
+# excluded): the number ROADMAP's size acceptance lines quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' \
+		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2

@@ -2,8 +2,10 @@ package dpi
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"repro/internal/cycles"
+	"repro/internal/l5p"
 	"repro/internal/meta"
 	"repro/internal/offload"
 	"repro/internal/tcpip"
@@ -173,18 +175,23 @@ type Scanner struct {
 	auto   *Automaton
 	sink   *Sink
 
-	inbuf    []tcpip.Chunk
-	inbufLen int
-	msgIdx   uint64
-	nicCur   int // cursor into sink.Matches
+	asm    l5p.Assembler
+	msgIdx uint64
+	nicCur int // cursor into sink.Matches
 
 	// Resync plumbing (l5o_resync_rx_req/resp, §4.3).
-	engine           *offload.RxEngine
-	pendingResync    uint32
-	hasPendingResync bool
+	engine *offload.RxEngine
+	resync l5p.ResyncMailbox
+
+	// dead marks a scanner whose message stream became unparseable; no
+	// further chunks are processed.
+	dead bool
 
 	// OnMessage receives each message's body and its match set.
 	OnMessage func(body []byte, matches []Match)
+	// OnError receives the fatal framing error (corruption that slipped
+	// past L4).
+	OnError func(error)
 
 	// Stats counts how messages were handled.
 	Stats ScannerStats
@@ -196,12 +203,16 @@ type ScannerStats struct {
 	NICAccepted uint64 // match sets taken from the NIC
 	SwScanned   uint64 // software rescans (unscanned or blind messages)
 	SwBytes     uint64
+
+	FramingErrors uint64 // unparseable message stream: scanner dead
 }
 
 // NewScanner builds the software side sharing the automaton and sink with
 // the NIC ops. sink may be nil when no offload is attached.
 func NewScanner(model *cycles.Model, ledger *cycles.Ledger, auto *Automaton, sink *Sink) *Scanner {
-	return &Scanner{model: model, ledger: ledger, auto: auto, sink: sink}
+	return &Scanner{model: model, ledger: ledger, auto: auto, sink: sink,
+		asm:    l5p.Assembler{HeaderLen: HeaderLen, Parse: ParseHeader},
+		resync: l5p.ResyncMailbox{Model: model, Ledger: ledger}}
 }
 
 // RegisterTelemetry exports the scanner's counters under prefix (nil-safe
@@ -218,63 +229,32 @@ func (s *Scanner) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 func (s *Scanner) AttachEngine(e *offload.RxEngine) { s.engine = e }
 
 // RequestResync is the driver upcall target for the engine's resyncReq.
-func (s *Scanner) RequestResync(seq uint32) {
-	s.pendingResync = seq
-	s.hasPendingResync = true
-	s.ledger.Charge(cycles.HostDriver, cycles.Driver, s.model.ResyncUpcallCost, 0)
-}
+func (s *Scanner) RequestResync(seq uint32) { s.resync.Request(seq) }
 
 // Push feeds an annotated chunk from the transport.
 func (s *Scanner) Push(ch tcpip.Chunk) {
-	if len(ch.Data) == 0 {
+	if s.dead {
 		return
 	}
-	s.inbuf = append(s.inbuf, ch)
-	s.inbufLen += len(ch.Data)
-	s.drain()
-}
-
-func (s *Scanner) drain() {
-	for s.inbufLen >= HeaderLen {
-		hdr := make([]byte, HeaderLen)
-		n := 0
-		for _, ch := range s.inbuf {
-			n += copy(hdr[n:], ch.Data)
-			if n == HeaderLen {
-				break
+	s.asm.Push(ch)
+	for {
+		chunks, total, err := s.asm.Next()
+		if err != nil {
+			s.dead = true
+			s.Stats.FramingErrors++
+			if s.OnError != nil {
+				s.OnError(fmt.Errorf("dpi: %w", err))
 			}
-		}
-		layout, ok := ParseHeader(hdr)
-		if !ok {
-			panic("dpi: malformed framing")
-		}
-		if s.inbufLen < layout.Total {
 			return
 		}
-		s.handle(s.take(layout.Total))
-	}
-}
-
-func (s *Scanner) take(n int) []tcpip.Chunk {
-	var out []tcpip.Chunk
-	for n > 0 {
-		ch := s.inbuf[0]
-		if len(ch.Data) <= n {
-			out = append(out, ch)
-			n -= len(ch.Data)
-			s.inbufLen -= len(ch.Data)
-			s.inbuf = s.inbuf[1:]
-			continue
+		if chunks == nil {
+			return
 		}
-		out = append(out, tcpip.Chunk{Seq: ch.Seq, Data: ch.Data[:n], Flags: ch.Flags})
-		s.inbuf[0] = tcpip.Chunk{Seq: ch.Seq + uint32(n), Data: ch.Data[n:], Flags: ch.Flags}
-		s.inbufLen -= n
-		n = 0
+		s.handle(chunks, total)
 	}
-	return out
 }
 
-func (s *Scanner) handle(chunks []tcpip.Chunk) {
+func (s *Scanner) handle(chunks []tcpip.Chunk, total int) {
 	idx := s.msgIdx
 	s.msgIdx++
 	s.Stats.Messages++
@@ -282,38 +262,10 @@ func (s *Scanner) handle(chunks []tcpip.Chunk) {
 
 	// Answer an outstanding speculative-header confirmation once the
 	// stream position reaches it.
-	total := 0
-	for _, ch := range chunks {
-		total += len(ch.Data)
-	}
-	msgStart := chunks[0].Seq
-	if s.hasPendingResync && s.engine != nil &&
-		int32(s.pendingResync-(msgStart+uint32(total))) < 0 {
-		ok := s.pendingResync == msgStart
-		s.hasPendingResync = false
-		s.ledger.Charge(cycles.HostL5P, cycles.Driver, s.model.ResyncUpcallCost, 0)
-		s.engine.ResyncResponse(s.pendingResync, ok, idx)
-	}
+	s.resync.Answer(s.engine, chunks[0].Seq, total, idx)
 
-	var body []byte
-	off := 0
-	scanned := true
-	for _, ch := range chunks {
-		start, end := off, off+len(ch.Data)
-		off = end
-		if !ch.Flags.Has(meta.DPIScanned) {
-			scanned = false
-		}
-		lo := start
-		if lo < HeaderLen {
-			lo = HeaderLen
-		}
-		if lo < end {
-			body = append(body, ch.Data[lo-start:]...)
-		}
-	}
-
-	if scanned && s.sink != nil {
+	body := l5p.AppendRange(nil, chunks, HeaderLen, total)
+	if all, _ := l5p.Verdict(chunks); all.Has(meta.DPIScanned) && s.sink != nil {
 		// Harvest the NIC's match reports for this message index.
 		var matches []Match
 		for s.nicCur < len(s.sink.Matches) &&

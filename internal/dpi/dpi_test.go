@@ -300,3 +300,28 @@ func BenchmarkAutomatonScan(b *testing.B) {
 		a.Step(0, text, 0, &out)
 	}
 }
+
+// TestScannerMalformedFraming: bytes that do not frame (corruption that
+// slipped past L4) kill the scanner through OnError instead of panicking;
+// the messages before them are delivered, nothing after them is.
+func TestScannerMalformedFraming(t *testing.T) {
+	model := cycles.DefaultModel()
+	s := NewScanner(&model, &cycles.Ledger{}, NewAutomaton([][]byte{[]byte("needle")}), nil)
+	var bodies [][]byte
+	s.OnMessage = func(body []byte, _ []Match) { bodies = append(bodies, body) }
+	var errs []error
+	s.OnError = func(err error) { errs = append(errs, err) }
+
+	good := Frame([]byte("a needle in a haystack"))
+	stream := append(append([]byte(nil), good...), bytes.Repeat([]byte{0xEE}, HeaderLen)...)
+	stream = append(stream, good...)
+	for off := 0; off < len(stream); off += 5 {
+		s.Push(tcpip.Chunk{Seq: uint32(off), Data: stream[off:min(off+5, len(stream))]})
+	}
+	if len(bodies) != 1 || !bytes.Equal(bodies[0], good[HeaderLen:]) {
+		t.Errorf("delivered %d messages, want only the one before the garbage", len(bodies))
+	}
+	if len(errs) != 1 || s.Stats.FramingErrors != 1 || s.Stats.Messages != 1 {
+		t.Errorf("errors %v, stats %+v; want one framing error after one message", errs, s.Stats)
+	}
+}

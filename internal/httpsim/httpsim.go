@@ -20,6 +20,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/cycles"
 	"repro/internal/ktls"
+	"repro/internal/l5p"
 	"repro/internal/nvmetcp"
 	"repro/internal/stream"
 	"repro/internal/tcpip"
@@ -127,7 +128,7 @@ type ServerConfig struct {
 	TLSCfg ktls.Config
 	Store  FileStore
 	// Dev is the NIC for installing offload contexts (offload modes).
-	Dev ktls.Device
+	Dev l5p.Device
 	// Port defaults to 443 for TLS modes and 80 otherwise.
 	Port uint16
 }

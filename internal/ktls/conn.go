@@ -3,26 +3,15 @@ package ktls
 import (
 	"crypto/cipher"
 	"fmt"
-	"sort"
 
 	"repro/internal/cycles"
 	"repro/internal/gcm"
+	"repro/internal/l5p"
 	"repro/internal/meta"
 	"repro/internal/offload"
 	"repro/internal/tcpip"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
-
-// Device is the slice of the NIC driver interface kTLS needs to install
-// offload contexts (Listing 1's l5o_create/l5o_destroy, narrowed to what
-// this L5P uses). *nic.NIC implements it.
-type Device interface {
-	AttachTx(flow wire.FlowID, e *offload.TxEngine)
-	AttachRx(flow wire.FlowID, e *offload.RxEngine)
-	DetachTx(flow wire.FlowID)
-	DetachRx(flow wire.FlowID)
-}
 
 // Config carries the session secrets and framing parameters. In the real
 // system these come out of the TLS handshake (which the paper leaves in
@@ -87,8 +76,7 @@ type Conn struct {
 	// CPUs have AES-NI and carryless multiply); the incremental rxCipher
 	// Stream serves only the partial-record mixed pass of §5.2, which must
 	// advance over arbitrary byte ranges. Both produce identical bytes.
-	txAEAD   cipher.AEAD
-	rxAEAD   cipher.AEAD
+	aead     cipher.AEAD
 	rxCipher *gcm.Cipher
 	rxStream gcm.Stream // the mixed pass's stream, initialised in place per record
 	txSeq    uint64     // next record index to transmit
@@ -104,28 +92,19 @@ type Conn struct {
 	txScratch []byte // software-encrypt record assembly
 	rxRec     []byte // flattened wire record
 
-	// Transmit offload state.
-	txOffload bool
-	zeroCopy  bool
-	dev       Device
-	txEngine  *offload.TxEngine
-	txRecords []txRecord
+	// Transmit offload state. Offloaded records are retained until TCP
+	// acknowledges all of them, for the driver's recovery replay (§4.2).
+	zeroCopy bool
+	dev      l5p.Device
+	txEngine *offload.TxEngine // nil: records are encrypted in software
+	retain   l5p.TxRetainer
 
 	// Receive offload state.
-	rxOffload bool
-	rxEngine  *offload.RxEngine
-	rxOps     *RxOps
-	innerRx   *offload.RxEngine // stacked engine (NVMe over TLS)
+	rxEngine *offload.RxEngine
+	innerRx  *offload.RxEngine // stacked engine (NVMe over TLS)
+	resync   l5p.ResyncMailbox
 
-	pendingResync    uint32
-	hasPendingResync bool
-
-	// Record assembly: inbuf[inHead:] are the buffered chunks, inbufLen
-	// their bytes. rec is take's scratch result, reused for every record.
-	inbuf    []tcpip.Chunk
-	inHead   int
-	inbufLen int
-	rec      []tcpip.Chunk
+	asm l5p.Assembler // record assembly; handleRecord does not retain its result
 
 	// dead marks a connection killed by a fatal record-layer error: TLS
 	// cannot resynchronize past a bad record, so nothing after it may be
@@ -148,17 +127,6 @@ type Conn struct {
 	Stats Stats
 }
 
-// txRecord retains one transmitted record until TCP acknowledges all of it:
-// the L5P must keep the message bytes reachable so the driver can DMA-read
-// them during context recovery even after cumulative ACKs release a prefix
-// of the record from the TCP retransmission buffer (§4.2).
-type txRecord struct {
-	wireStart uint32
-	total     int
-	index     uint64
-	data      []byte // full wire record: header, plaintext body, dummy ICV
-}
-
 // NewConn wraps an established socket with the TLS record layer. It takes
 // over the socket's OnReadable and OnDrain callbacks.
 func NewConn(sock *tcpip.Socket, cfg Config) (*Conn, error) {
@@ -173,17 +141,19 @@ func NewConn(sock *tcpip.Socket, cfg Config) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ktls: %w", err)
 	}
-	st := sock // keep the original socket handle
+	model, ledger := sock.StackModel(), sock.StackLedger()
 	c := &Conn{
-		sock:     st,
+		sock:     sock,
 		cfg:      cfg,
-		model:    stackModel(sock),
-		ledger:   stackLedger(sock),
-		txAEAD:   aead,
-		rxAEAD:   aead,
+		model:    model,
+		ledger:   ledger,
+		aead:     aead,
 		rxCipher: rxC,
 		tr:       sock.StackTracer(),
 		traceTid: sock.StackTraceTid() + ".tls",
+		retain:   l5p.TxRetainer{Model: model, Ledger: ledger},
+		resync:   l5p.ResyncMailbox{Model: model, Ledger: ledger},
+		asm:      l5p.Assembler{HeaderLen: HeaderLen, Parse: ParseHeader},
 	}
 	sock.OnReadable = c.onReadable
 	sock.OnDrain = func(*tcpip.Socket) {
@@ -194,9 +164,6 @@ func NewConn(sock *tcpip.Socket, cfg Config) (*Conn, error) {
 	return c, nil
 }
 
-func stackModel(s *tcpip.Socket) *cycles.Model   { return s.StackModel() }
-func stackLedger(s *tcpip.Socket) *cycles.Ledger { return s.StackLedger() }
-
 // Socket returns the underlying TCP socket.
 func (c *Conn) Socket() *tcpip.Socket { return c.sock }
 
@@ -204,8 +171,8 @@ func (c *Conn) Socket() *tcpip.Socket { return c.sock }
 // the current write position (l5o_create, §4.1). With zeroCopy, sendfile
 // buffers are handed to the NIC without the private-copy the non-offloaded
 // path needs (§5.2).
-func (c *Conn) EnableTxOffload(dev Device, zeroCopy bool) error {
-	if c.txOffload {
+func (c *Conn) EnableTxOffload(dev l5p.Device, zeroCopy bool) error {
+	if c.txEngine != nil {
 		return fmt.Errorf("ktls: tx offload already enabled")
 	}
 	hw, err := NewHW(c.cfg.Key, c.cfg.TxIV, c.model, c.ledger)
@@ -213,34 +180,31 @@ func (c *Conn) EnableTxOffload(dev Device, zeroCopy bool) error {
 		return err
 	}
 	c.dev = dev
-	c.txOffload = true
 	c.zeroCopy = zeroCopy
-	c.txEngine = offload.NewTxEngine(NewTxOps(hw), (*txSource)(c), c.sock.WriteSeq())
+	c.txEngine = offload.NewTxEngine(NewTxOps(hw), &c.retain, c.sock.WriteSeq())
 	dev.AttachTx(c.sock.Flow(), c.txEngine)
 	return nil
 }
 
 // EnableRxOffload installs a receive crypto context on the NIC starting at
 // the current read position.
-func (c *Conn) EnableRxOffload(dev Device) error {
-	if c.rxOffload {
+func (c *Conn) EnableRxOffload(dev l5p.Device) error {
+	if c.rxEngine != nil {
 		return fmt.Errorf("ktls: rx offload already enabled")
 	}
 	hw, err := NewHW(c.cfg.Key, c.cfg.RxIV, c.model, c.ledger)
 	if err != nil {
 		return err
 	}
-	c.InstallRxEngine(dev, NewRxOps(hw, c.emitToInner), c.resyncRequested)
+	c.InstallRxEngine(dev, NewRxOps(hw, c.emitToInner), c.resync.Request)
 	return nil
 }
 
 // InstallRxEngine attaches a receive engine built from custom ops and an
 // optional resync-request path. Experiments use it to ablate pieces of the
 // recovery machinery; EnableRxOffload is the normal entry point.
-func (c *Conn) InstallRxEngine(dev Device, ops *RxOps, resync func(uint32)) *offload.RxEngine {
+func (c *Conn) InstallRxEngine(dev l5p.Device, ops *RxOps, resync func(uint32)) *offload.RxEngine {
 	c.dev = dev
-	c.rxOffload = true
-	c.rxOps = ops
 	c.rxEngine = offload.NewRxEngine(ops, c.sock.ReadSeq(), resync)
 	if c.cfg.RxFallback != nil {
 		c.rxEngine.SetFallbackPolicy(*c.cfg.RxFallback)
@@ -257,11 +221,10 @@ func (c *Conn) InstallRxEngine(dev Device, ops *RxOps, resync func(uint32)) *off
 // leak plaintext. Callers detach after the socket drains — connection
 // teardown under churn is the expected site.
 func (c *Conn) DisableTxOffload() {
-	if !c.txOffload {
+	if c.txEngine == nil {
 		return
 	}
 	c.dev.DetachTx(c.sock.Flow())
-	c.txOffload = false
 	c.txEngine = nil
 }
 
@@ -270,18 +233,17 @@ func (c *Conn) DisableTxOffload() {
 // software path, so it is safe at any point — teardown under churn is the
 // expected site.
 func (c *Conn) DisableRxOffload() {
-	if !c.rxOffload {
+	if c.rxEngine == nil {
 		return
 	}
 	c.dev.DetachRx(c.sock.Flow().Reverse())
-	c.rxOffload = false
 	c.rxEngine = nil
-	c.rxOps = nil
+	c.resync.Reset()
 }
 
 // ResyncRequestFunc exposes the connection's l5o_resync_rx_req upcall
 // target for custom engine installation.
-func (c *Conn) ResyncRequestFunc() func(uint32) { return c.resyncRequested }
+func (c *Conn) ResyncRequestFunc() func(uint32) { return c.resync.Request }
 
 // SetInnerRxEngine stacks an inner offload engine (e.g. NVMe-TCP) that
 // consumes the NIC-decrypted plaintext stream (§5.3).
@@ -298,16 +260,6 @@ func (c *Conn) emitToInner(seq uint32, plain []byte, contiguous bool) meta.RxFla
 		return 0
 	}
 	return c.innerRx.Process(seq, plain, contiguous)
-}
-
-// resyncRequested is the driver upcall path for l5o_resync_rx_req (§4.3):
-// the NIC speculatively identified a record header and asks software to
-// confirm. Only the latest request is kept; the engine discards stale
-// responses itself.
-func (c *Conn) resyncRequested(seq uint32) {
-	c.pendingResync = seq
-	c.hasPendingResync = true
-	c.ledger.Charge(cycles.HostDriver, cycles.Driver, c.model.ResyncUpcallCost, 0)
 }
 
 // Close closes the underlying socket after all queued records drain.
@@ -341,8 +293,8 @@ func (c *Conn) Write(p []byte) int {
 			break
 		}
 		var rec []byte
-		if c.txOffload {
-			rec = make([]byte, total) // retained in txRecords below
+		if c.txEngine != nil {
+			rec = make([]byte, total) // retained below
 		} else {
 			if cap(c.txScratch) < total {
 				c.txScratch = make([]byte, total)
@@ -351,7 +303,7 @@ func (c *Conn) Write(p []byte) int {
 		}
 		PutHeader(rec, n)
 		c.ledger.Charge(cycles.HostL5P, cycles.L5PFraming, c.model.L5PPerMessage, 0)
-		if c.txOffload {
+		if c.txEngine != nil {
 			// Skip the crypto: plaintext body, dummy ICV (§3.1). The copy
 			// into the record buffer is the cost zero-copy sendfile avoids.
 			copy(rec[HeaderLen:], p[:n])
@@ -359,16 +311,10 @@ func (c *Conn) Write(p []byte) int {
 				c.ledger.Charge(cycles.HostL5P, cycles.Copy,
 					c.model.CopyCycles(n, 0), n)
 			}
-			c.pruneTxRecords()
-			c.txRecords = append(c.txRecords, txRecord{
-				wireStart: c.sock.WriteSeq(),
-				total:     total,
-				index:     c.txSeq,
-				data:      rec,
-			})
+			c.retain.Add(c.sock.WriteSeq(), c.txSeq, rec, c.sock.AckedSeq())
 		} else {
 			nonce := RecordNonce(c.cfg.TxIV, c.txSeq)
-			c.txAEAD.Seal(rec[HeaderLen:HeaderLen], nonce[:], p[:n], rec[:HeaderLen])
+			c.aead.Seal(rec[HeaderLen:HeaderLen], nonce[:], p[:n], rec[:HeaderLen])
 			c.ledger.Charge(cycles.HostL5P, cycles.Encrypt, c.model.GCMCycles(n), n)
 			if !c.cfg.Sendfile {
 				// copy_from_user into the skb (the offload path pays the
@@ -378,7 +324,10 @@ func (c *Conn) Write(p []byte) int {
 			c.Stats.SwEncryptBytes += uint64(n)
 		}
 		if w := c.sock.WriteZC(rec); w != total {
-			panic("ktls: short socket write despite space check")
+			// Part of a record is on the wire and the rest is not: the
+			// peer can no longer frame the stream.
+			c.fail(fmt.Errorf("ktls: short socket write (%d of %d bytes) despite space check", w, total))
+			return consumed
 		}
 		c.txSeq++
 		c.Stats.RecordsTx++
@@ -388,86 +337,30 @@ func (c *Conn) Write(p []byte) int {
 	return consumed
 }
 
-// pruneTxRecords drops acknowledged records from the seq→record map the
-// driver queries during transmit recovery (§4.2).
-func (c *Conn) pruneTxRecords() {
-	acked := c.sock.AckedSeq()
-	i := 0
-	for i < len(c.txRecords) {
-		r := c.txRecords[i]
-		if int32(r.wireStart+uint32(r.total)-acked) > 0 {
-			break
-		}
-		i++
-	}
-	c.txRecords = c.txRecords[i:]
-}
-
-// txSource implements offload.TxSource over the Conn's record map and the
-// socket's retained stream (the l5o_get_tx_msgstate upcall plus host-memory
-// DMA of §4.2).
-type txSource Conn
-
-// MsgStateAt implements offload.TxSource.
-func (t *txSource) MsgStateAt(seq uint32) (uint32, uint64, bool) {
-	c := (*Conn)(t)
-	c.ledger.Charge(cycles.HostL5P, cycles.Driver, c.model.ResyncUpcallCost, 0)
-	recs := c.txRecords
-	i := sort.Search(len(recs), func(i int) bool {
-		return int32(recs[i].wireStart+uint32(recs[i].total)-seq) > 0
-	})
-	if i == len(recs) || int32(seq-recs[i].wireStart) < 0 {
-		return 0, 0, false
-	}
-	return recs[i].wireStart, recs[i].index, true
-}
-
-// StreamBytes implements offload.TxSource: the DMA source is the records
-// retained by the L5P, which outlive the TCP window's view of the bytes
-// (cumulative ACKs can release a record prefix mid-record). Ranges may
-// span consecutive records; the retained copies are stitched.
-func (t *txSource) StreamBytes(from, to uint32) ([]byte, error) {
-	c := (*Conn)(t)
-	if from == to {
-		return nil, nil
-	}
-	var out []byte
-	cur := from
-	for i := range c.txRecords {
-		r := &c.txRecords[i]
-		lo := int32(cur - r.wireStart)
-		if lo < 0 || int(lo) >= r.total {
-			continue
-		}
-		hi := int32(to - r.wireStart)
-		if int(hi) > r.total {
-			hi = int32(r.total)
-		}
-		out = append(out, r.data[lo:hi]...)
-		cur = r.wireStart + uint32(hi)
-		if cur == to {
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("ktls: stream range [%d,%d) not retained", from, to)
-}
-
 // onReadable drains the socket and processes complete records.
 func (c *Conn) onReadable(s *tcpip.Socket) {
 	if c.dead {
 		return
 	}
-	c.compactInbuf()
 	for {
 		ch, ok := s.ReadChunk()
 		if !ok {
 			break
 		}
-		c.inbuf = append(c.inbuf, ch)
-		c.inbufLen += len(ch.Data)
+		c.asm.Push(ch)
 	}
-	c.processRecords()
-	if s.EOF() && c.OnClose != nil && c.inbufLen == 0 {
+	for !c.dead {
+		rec, total, err := c.asm.Next()
+		if err != nil {
+			c.fail(fmt.Errorf("ktls: %w", err))
+			break
+		}
+		if rec == nil {
+			break
+		}
+		c.handleRecord(rec, total)
+	}
+	if s.EOF() && c.OnClose != nil && c.asm.Buffered() == 0 {
 		c.OnClose(c)
 	}
 }
@@ -481,66 +374,6 @@ func (c *Conn) fail(err error) {
 	}
 }
 
-func (c *Conn) processRecords() {
-	for !c.dead && c.inbufLen >= HeaderLen {
-		var hdr [HeaderLen]byte
-		c.peek(hdr[:])
-		layout, ok := ParseHeader(hdr[:])
-		if !ok {
-			c.fail(fmt.Errorf("ktls: malformed record header % x", hdr))
-			return
-		}
-		if c.inbufLen < layout.Total {
-			return
-		}
-		rec := c.take(layout.Total)
-		c.handleRecord(rec, layout)
-	}
-}
-
-// compactInbuf slides what the last pass left (at most a partial record)
-// back to the front of the backing array, so the queue never marches off
-// its end and reallocates.
-func (c *Conn) compactInbuf() {
-	c.inbuf = c.inbuf[:copy(c.inbuf, c.inbuf[c.inHead:])]
-	c.inHead = 0
-}
-
-// peek copies the next len(dst) buffered bytes without consuming them.
-func (c *Conn) peek(dst []byte) {
-	n := 0
-	for _, ch := range c.inbuf[c.inHead:] {
-		n += copy(dst[n:], ch.Data)
-		if n == len(dst) {
-			return
-		}
-	}
-}
-
-// take consumes exactly n buffered bytes, preserving chunk boundaries and
-// flags (splitting the final chunk if needed). The result lives in a
-// per-Conn scratch and is valid until the next take; handleRecord does not
-// retain it.
-func (c *Conn) take(n int) []tcpip.Chunk {
-	out := c.rec[:0]
-	for n > 0 {
-		ch := c.inbuf[c.inHead]
-		if len(ch.Data) <= n {
-			out = append(out, ch)
-			n -= len(ch.Data)
-			c.inbufLen -= len(ch.Data)
-			c.inHead++
-			continue
-		}
-		out = append(out, tcpip.Chunk{Seq: ch.Seq, Data: ch.Data[:n], Flags: ch.Flags})
-		c.inbuf[c.inHead] = tcpip.Chunk{Seq: ch.Seq + uint32(n), Data: ch.Data[n:], Flags: ch.Flags}
-		c.inbufLen -= n
-		n = 0
-	}
-	c.rec = out
-	return out
-}
-
 const fullRxFlags = meta.TLSOffloaded | meta.TLSDecrypted | meta.TLSAuthOK
 
 // testRecordTap, when non-nil, observes every record's raw chunks before
@@ -550,9 +383,9 @@ var testRecordTap func(chunks []tcpip.Chunk, recStart uint32, rxSeq int)
 // handleRecord classifies one complete record by its chunks' offload
 // verdicts and takes the corresponding path: skip crypto, full software
 // fallback, or the partial-record mixed pass of §5.2.
-func (c *Conn) handleRecord(chunks []tcpip.Chunk, layout offload.MsgLayout) {
+func (c *Conn) handleRecord(chunks []tcpip.Chunk, total int) {
 	recStart := chunks[0].Seq
-	bodyLen := layout.Total - HeaderLen - TagLen
+	bodyLen := total - HeaderLen - TagLen
 	// One read syscall drains roughly one record's worth of stream.
 	c.ledger.Charge(cycles.HostL5P, cycles.Syscall, c.model.SyscallCost, 0)
 	if testRecordTap != nil {
@@ -562,43 +395,29 @@ func (c *Conn) handleRecord(chunks []tcpip.Chunk, layout offload.MsgLayout) {
 
 	// Answer an outstanding NIC resync request once the stream position
 	// reaches it (l5o_resync_rx_resp, §4.3).
-	if c.hasPendingResync && int32(c.pendingResync-(recStart+uint32(layout.Total))) < 0 {
-		ok := c.pendingResync == recStart
-		c.hasPendingResync = false
+	if c.resync.Answer(c.rxEngine, recStart, total, c.rxSeq) {
 		c.Stats.ResyncResponses++
-		c.ledger.Charge(cycles.HostL5P, cycles.Driver, c.model.ResyncUpcallCost, 0)
-		if c.rxEngine != nil {
-			c.rxEngine.ResyncResponse(c.pendingResync, ok, c.rxSeq)
-		}
 	}
 
-	allFlags := ^meta.RxFlags(0)
-	anyDecrypted := false
-	for _, ch := range chunks {
-		allFlags &= ch.Flags
-		if ch.Flags.Has(meta.TLSDecrypted) {
-			anyDecrypted = true
-		}
-	}
-
+	all, some := l5p.Verdict(chunks)
 	switch {
-	case allFlags.Has(fullRxFlags):
+	case all.Has(fullRxFlags):
 		// Fully offloaded: body is already plaintext and authenticated.
 		c.Stats.RxFullyOffloaded++
 		c.tr.Instant1("l5p", "tls.rec.offloaded", c.traceTid, "rec", int64(c.rxSeq))
 		c.emitBody(chunks, bodyLen, nil)
-	case !anyDecrypted:
+	case !some.Has(meta.TLSDecrypted):
 		// Fully un-offloaded: classic software decrypt.
 		c.Stats.RxUnoffloaded++
 		c.tr.Instant1("l5p", "tls.rec.unoffloaded", c.traceTid, "rec", int64(c.rxSeq))
-		c.softwareDecrypt(chunks, layout, bodyLen, recStart)
+		c.softwareDecrypt(chunks, total, bodyLen)
 	default:
 		// Partially offloaded: authenticate by re-encrypting the ranges
 		// the NIC decrypted while decrypting the rest — costlier than full
 		// decryption (§5.2).
 		c.Stats.RxPartial++
 		c.tr.Instant1("l5p", "tls.rec.partial", c.traceTid, "rec", int64(c.rxSeq))
-		c.partialFallback(chunks, layout, bodyLen, recStart)
+		c.partialFallback(chunks, total, bodyLen)
 	}
 	c.rxSeq++
 	c.Stats.RecordsRx++
@@ -611,36 +430,22 @@ func (c *Conn) emitBody(chunks []tcpip.Chunk, bodyLen int, plain []byte) {
 	if c.OnPlain == nil {
 		return
 	}
-	off := 0 // offset within the record
-	for _, ch := range chunks {
-		start := off
-		end := off + len(ch.Data)
-		off = end
-		lo := max(start, HeaderLen)
-		hi := min(end, HeaderLen+bodyLen)
-		if lo >= hi {
-			continue
-		}
-		var data []byte
+	for off, part := range l5p.Clip(chunks, HeaderLen, HeaderLen+bodyLen) {
+		data := part.Data
 		if plain != nil {
-			data = plain[lo-HeaderLen : hi-HeaderLen]
-		} else {
-			data = ch.Data[lo-start : hi-start]
+			data = plain[off-HeaderLen:][:len(data)]
 		}
-		c.OnPlain(PlainChunk{
-			Data:    data,
-			WireSeq: ch.Seq + uint32(lo-start),
-			Flags:   ch.Flags,
-		})
+		c.OnPlain(PlainChunk{Data: data, WireSeq: part.Seq, Flags: part.Flags})
 	}
 }
 
-func (c *Conn) softwareDecrypt(chunks []tcpip.Chunk, layout offload.MsgLayout, bodyLen int, recStart uint32) {
-	rec := flattenInto(&c.rxRec, chunks, layout.Total)
+func (c *Conn) softwareDecrypt(chunks []tcpip.Chunk, total, bodyLen int) {
+	c.rxRec = l5p.AppendRange(c.rxRec[:0], chunks, 0, total)
+	rec := c.rxRec
 	nonce := RecordNonce(c.cfg.RxIV, c.rxSeq)
 	c.ledger.Charge(cycles.HostL5P, cycles.Decrypt, c.model.GCMCycles(bodyLen), bodyLen)
 	c.Stats.SwDecryptBytes += uint64(bodyLen)
-	plain, err := c.rxAEAD.Open(make([]byte, 0, bodyLen), nonce[:], rec[HeaderLen:], rec[:HeaderLen])
+	plain, err := c.aead.Open(make([]byte, 0, bodyLen), nonce[:], rec[HeaderLen:], rec[:HeaderLen])
 	if err != nil {
 		c.authFailed(fmt.Errorf("ktls: record %d authentication failed", c.rxSeq))
 		return
@@ -660,31 +465,23 @@ func (c *Conn) authFailed(err error) {
 	c.fail(err)
 }
 
-func (c *Conn) partialFallback(chunks []tcpip.Chunk, layout offload.MsgLayout, bodyLen int, recStart uint32) {
-	rec := flattenInto(&c.rxRec, chunks, layout.Total)
+func (c *Conn) partialFallback(chunks []tcpip.Chunk, total, bodyLen int) {
+	c.rxRec = l5p.AppendRange(c.rxRec[:0], chunks, 0, total)
+	rec := c.rxRec
 	nonce := RecordNonce(c.cfg.RxIV, c.rxSeq)
 	s := &c.rxStream
 	c.rxCipher.InitStream(s, gcm.Open, nonce[:], rec[:HeaderLen])
 	plain := make([]byte, bodyLen)
-	scratch := make([]byte, bodyLen)
 
-	off := 0
 	reenc := 0
-	for _, ch := range chunks {
-		start := off
-		end := off + len(ch.Data)
-		off = end
-		lo := max(start, HeaderLen)
-		hi := min(end, HeaderLen+bodyLen)
-		if lo >= hi {
-			continue
-		}
-		seg := rec[lo:hi]
-		p := plain[lo-HeaderLen : hi-HeaderLen]
-		if ch.Flags.Has(meta.TLSDecrypted) {
-			// Already plaintext: re-encrypt into scratch to feed the GHASH.
-			s.Transform(scratch[lo-HeaderLen:hi-HeaderLen], seg, false)
+	for off, part := range l5p.Clip(chunks, HeaderLen, HeaderLen+bodyLen) {
+		seg := rec[off:][:len(part.Data)]
+		p := plain[off-HeaderLen:][:len(seg)]
+		if part.Flags.Has(meta.TLSDecrypted) {
+			// Already plaintext: keep it, then re-encrypt the flattened
+			// copy in place to feed the GHASH.
 			copy(p, seg)
+			s.Transform(seg, seg, false)
 			reenc += len(seg)
 		} else {
 			s.Transform(p, seg, true)
@@ -699,18 +496,4 @@ func (c *Conn) partialFallback(chunks []tcpip.Chunk, layout offload.MsgLayout, b
 		return
 	}
 	c.emitBody(chunks, bodyLen, plain)
-}
-
-// flattenInto assembles the chunks into *buf, growing it as needed; the
-// result is valid until the next call with the same buf.
-func flattenInto(buf *[]byte, chunks []tcpip.Chunk, total int) []byte {
-	if cap(*buf) < total {
-		*buf = make([]byte, 0, total)
-	}
-	out := (*buf)[:0]
-	for _, ch := range chunks {
-		out = append(out, ch.Data...)
-	}
-	*buf = out
-	return out
 }

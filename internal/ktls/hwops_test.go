@@ -10,7 +10,6 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/gcm"
 	"repro/internal/offload"
-	"repro/internal/tcpip"
 )
 
 // buildRecordStream produces the wire bytes software would hand the NIC
@@ -233,34 +232,4 @@ func TestOpsOutsideMessagePanic(t *testing.T) {
 	tx.AbortMessage()
 	rx.AbortMessage()
 	expectPanics("after AbortMessage")
-}
-
-// TestTakeNoAlloc: at steady state, cutting records out of the chunk queue
-// allocates nothing — take reuses its result slice and the queue stays at
-// the front of its backing array.
-func TestTakeNoAlloc(t *testing.T) {
-	const record = HeaderLen + 16384 + TagLen
-	c := &Conn{}
-	seg := make([]byte, 1448)
-	var seq, taken uint32
-	step := func() { // one onReadable's worth of queue work
-		c.compactInbuf()
-		for i := 0; i < 12; i++ {
-			c.inbuf = append(c.inbuf, tcpip.Chunk{Seq: seq, Data: seg})
-			c.inbufLen += len(seg)
-			seq += uint32(len(seg))
-		}
-		for c.inbufLen >= record {
-			if got := c.take(record); got[0].Seq != taken {
-				t.Fatalf("record starts at seq %d, want %d", got[0].Seq, taken)
-			}
-			taken += record
-		}
-	}
-	for i := 0; i < 32; i++ {
-		step()
-	}
-	if n := testing.AllocsPerRun(100, step); n != 0 {
-		t.Errorf("take allocates %v per poll at steady state, want 0", n)
-	}
 }

@@ -338,3 +338,49 @@ func TestRecordsSurviveHugeWrites(t *testing.T) {
 		t.Fatal("no records received")
 	}
 }
+
+// TestDisableRxOffloadDropsPendingResync: a resync request the NIC made
+// before its engine was detached is gone with the engine: the records that
+// follow are neither charged for an answer nor counted as one.
+func TestDisableRxOffloadDropsPendingResync(t *testing.T) {
+	w := newWorld(cleanLink())
+	cliCfg, srvCfg := testCfgPair()
+	var srv, cli *Conn
+	received := 0
+	w.srvStack.Listen(443, func(s *tcpip.Socket) {
+		srv, _ = NewConn(s, srvCfg)
+		if err := srv.EnableRxOffload(w.srvNIC); err != nil {
+			t.Fatal(err)
+		}
+		srv.OnPlain = func(pc PlainChunk) { received += len(pc.Data) }
+		srv.OnError = func(err error) { t.Fatalf("server record error: %v", err) }
+	})
+	w.cliStack.Connect(wire.Addr{IP: w.srvStack.IP(), Port: 443}, func(s *tcpip.Socket) {
+		cli, _ = NewConn(s, cliCfg)
+	})
+	w.sim.RunUntil(time.Millisecond)
+	data := payload(3*MaxPlaintext, 5)
+	if n := cli.Write(data); n != len(data) {
+		t.Fatalf("wrote %d of %d bytes", n, len(data))
+	}
+	w.sim.RunUntil(10 * time.Millisecond)
+	if received != len(data) {
+		t.Fatalf("phase 1: received %d of %d bytes", received, len(data))
+	}
+
+	// The old engine's last act: a guess at exactly the next record's start.
+	srv.ResyncRequestFunc()(srv.Socket().ReadSeq())
+	srv.DisableRxOffload()
+	before := w.srvLedger.Get(cycles.HostL5P, cycles.Driver)
+	cli.Write(data)
+	w.sim.RunUntil(20 * time.Millisecond)
+	if received != 2*len(data) {
+		t.Fatalf("phase 2: received %d of %d bytes", received, 2*len(data))
+	}
+	if srv.Stats.ResyncResponses != 0 {
+		t.Errorf("%d resync responses to a request from a detached engine", srv.Stats.ResyncResponses)
+	}
+	if after := w.srvLedger.Get(cycles.HostL5P, cycles.Driver); after != before {
+		t.Errorf("response upcall charged: %+v -> %+v", before, after)
+	}
+}

@@ -7,8 +7,8 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/crc32c"
 	"repro/internal/cycles"
+	"repro/internal/l5p"
 	"repro/internal/meta"
-	"repro/internal/offload"
 	"repro/internal/stream"
 	"repro/internal/tcpip"
 	"repro/internal/telemetry"
@@ -41,7 +41,6 @@ type CtrlStats struct {
 // simulated SSD and streams response capsules back, optionally with the
 // transmit data-digest offload on its own NIC.
 type Controller struct {
-	tr     stream.Stream
 	dev    *blockdev.Device
 	model  *cycles.Model
 	ledger *cycles.Ledger
@@ -49,11 +48,8 @@ type Controller struct {
 	// MaxRespData splits large reads into multiple response capsules.
 	MaxRespData int
 
-	txOffloaded bool
-	retain      *txRetainer
-
-	asm  pduAssembler
-	outq [][]byte
+	asm  l5p.Assembler
+	out  sendQueue
 	dead bool
 
 	// OnError receives fatal association errors (malformed framing from
@@ -67,14 +63,14 @@ type Controller struct {
 // NewController creates a target bound to a device over a transport.
 func NewController(tr stream.Stream, dev *blockdev.Device) *Controller {
 	c := &Controller{
-		tr:          tr,
 		dev:         dev,
 		model:       tr.Model(),
 		ledger:      tr.Ledger(),
 		MaxRespData: 256 << 10,
+		asm:         l5p.Assembler{HeaderLen: HeaderLen, Parse: ParseHeader},
 	}
 	tr.SetOnData(c.onData)
-	tr.SetOnDrain(func() { c.pump() })
+	c.out.init(tr, c.fail)
 	return c
 }
 
@@ -89,42 +85,42 @@ func (c *Controller) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 
 // EnableTxOffload installs the transmit data-digest offload for response
 // capsules on the target's NIC.
-func (c *Controller) EnableTxOffload(dev Device) {
-	c.txOffloaded = true
-	c.retain = &txRetainer{model: c.model, ledger: c.ledger, acked: c.tr.AckedSeq}
-	e := offload.NewTxEngine(NewTxOps(c.model, c.ledger), c.retain, c.tr.WriteSeq())
-	dev.AttachTx(c.tr.Flow(), e)
-}
+func (c *Controller) EnableTxOffload(dev l5p.Device) { c.out.enableTxOffload(dev) }
 
 func (c *Controller) onData(ch tcpip.Chunk) {
 	if c.dead {
 		return
 	}
-	c.asm.push(ch)
-	for {
-		chunks, layout, ok, err := c.asm.next()
+	c.asm.Push(ch)
+	for !c.dead {
+		chunks, _, err := c.asm.Next()
 		if err != nil {
 			// The command stream is unparseable: stop serving rather than
 			// act on misframed commands. The host's requests time out or
 			// fail on its own side of the association.
-			c.dead = true
 			c.Stats.FramingErrors++
-			if c.OnError != nil {
-				c.OnError(err)
-			}
+			c.fail(fmt.Errorf("nvmetcp: %w", err))
 			return
 		}
-		if !ok {
+		if chunks == nil {
 			return
 		}
-		c.handleCmd(chunks, layout)
+		c.handleCmd(chunks)
 	}
 }
 
-func (c *Controller) handleCmd(chunks []tcpip.Chunk, layout offload.MsgLayout) {
+// fail stops serving the association and surfaces the error.
+func (c *Controller) fail(err error) {
+	c.dead = true
+	if c.OnError != nil {
+		c.OnError(err)
+	}
+}
+
+func (c *Controller) handleCmd(chunks []tcpip.Chunk) {
 	c.ledger.Charge(cycles.HostL5P, cycles.L5PFraming, c.model.L5PPerMessage, 0)
-	hdrBytes := flattenPrefix(chunks, HeaderLen)
-	hdr := Decode(hdrBytes)
+	var hdrBytes [HeaderLen]byte
+	hdr := Decode(l5p.AppendRange(hdrBytes[:0], chunks, 0, HeaderLen))
 	if hdr.Type != TypeCmd {
 		return
 	}
@@ -143,29 +139,23 @@ func (c *Controller) handleCmd(chunks []tcpip.Chunk, layout offload.MsgLayout) {
 }
 
 func (c *Controller) handleWrite(chunks []tcpip.Chunk, hdr Header) {
-	data := flattenRange(chunks, HeaderLen, HeaderLen+hdr.DataLen)
+	dataEnd := HeaderLen + hdr.DataLen
+	data := l5p.AppendRange(nil, chunks, HeaderLen, dataEnd)
 
 	// Verify the data digest unless the NIC already did.
-	verified := true
-	for _, ch := range chunks {
-		if !ch.Flags.Has(meta.NVMeOffloaded | meta.NVMeCRCOK) {
-			verified = false
-			break
-		}
-	}
-	if !verified {
+	if all, _ := l5p.Verdict(chunks); !all.Has(meta.NVMeOffloaded | meta.NVMeCRCOK) {
 		c.ledger.Charge(cycles.HostL5P, cycles.CRC, c.model.CRCCycles(hdr.DataLen), hdr.DataLen)
-		wire := flattenRange(chunks, HeaderLen+hdr.DataLen, HeaderLen+hdr.DataLen+DigestLen)
-		if binary.BigEndian.Uint32(wire) != crc32c.Checksum(data) {
+		var wireDg [DigestLen]byte
+		if binary.BigEndian.Uint32(l5p.AppendRange(wireDg[:0], chunks, dataEnd, dataEnd+DigestLen)) != crc32c.Checksum(data) {
 			c.Stats.DigestErrors++
-			c.respond(&Header{Type: TypeResp, CID: hdr.CID, Op: 0x01 /* data error */}, nil)
+			c.out.send(&Header{Type: TypeResp, CID: hdr.CID, Op: 0x01 /* data error */}, nil)
 			return
 		}
 	}
 	lba, _ := DecodeReadCmd(hdr.Offset)
 	cid := hdr.CID
 	c.dev.Write(lba, data, func() {
-		c.respond(&Header{Type: TypeResp, CID: cid, Op: StatusOK}, nil)
+		c.out.send(&Header{Type: TypeResp, CID: cid, Op: StatusOK}, nil)
 	})
 }
 
@@ -178,7 +168,7 @@ func (c *Controller) sendReadData(cid uint16, data []byte) {
 		if n > c.MaxRespData {
 			n = c.MaxRespData
 		}
-		c.respond(&Header{
+		c.out.send(&Header{
 			Type:    TypeResp,
 			CID:     cid,
 			Op:      StatusOK,
@@ -186,32 +176,5 @@ func (c *Controller) sendReadData(cid uint16, data []byte) {
 			DataLen: n,
 		}, data[off:off+n])
 		off += n
-	}
-}
-
-func (c *Controller) respond(hdr *Header, data []byte) {
-	pdu := Build(hdr, data, c.txOffloaded)
-	if !c.txOffloaded && hdr.DataLen > 0 {
-		c.ledger.Charge(cycles.HostL5P, cycles.CRC, c.model.CRCCycles(hdr.DataLen), hdr.DataLen)
-	}
-	c.ledger.Charge(cycles.HostL5P, cycles.L5PFraming, c.model.L5PPerMessage, 0)
-	c.ledger.Charge(cycles.HostL5P, cycles.CRC, c.model.CRCCycles(BaseHeaderLen), BaseHeaderLen)
-	c.outq = append(c.outq, pdu)
-	c.pump()
-}
-
-func (c *Controller) pump() {
-	for len(c.outq) > 0 {
-		pdu := c.outq[0]
-		if c.tr.WriteSpace() < len(pdu) {
-			return
-		}
-		if c.retain != nil {
-			c.retain.addRecord(c.tr.WriteSeq(), pdu)
-		}
-		if n := c.tr.WriteZC(pdu); n != len(pdu) {
-			panic(fmt.Sprintf("nvmetcp: short controller write (%d != %d)", n, len(pdu)))
-		}
-		c.outq = c.outq[1:]
 	}
 }

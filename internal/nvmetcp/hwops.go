@@ -51,7 +51,7 @@ type RxOps struct {
 	hdr     Header
 	crcAcc  uint32
 	blind   bool
-	dest    []byte
+	dest    []byte // where this message's data is placed, nil when it is not
 	wireDg  [DigestLen]byte
 	wireDgN int
 
@@ -101,7 +101,8 @@ func (o *RxOps) begin(hdr []byte, blind bool) {
 	o.wireDgN = 0
 	o.dest = nil
 	if o.rr != nil && o.hdr.Type == TypeResp {
-		o.dest = o.rr.get(o.hdr.CID)
+		// A response that does not fit its registered buffer is not placed.
+		o.dest, _ = o.hdr.window(o.rr.get(o.hdr.CID))
 	}
 }
 
@@ -115,13 +116,10 @@ func (o *RxOps) Body(_ uint32, data []byte, off int) {
 			o.crcAcc = crc32c.Update(o.crcAcc, data)
 		}
 	}
-	if o.dest != nil {
-		pos := int(o.hdr.Offset) + off
-		if pos+len(data) <= len(o.dest) {
-			o.ledger.Charge(cycles.NIC, cycles.Copy, 0, len(data))
-			copy(o.dest[pos:], data)
-			o.placedBytes += len(data)
-		}
+	if o.dest != nil && off+len(data) <= len(o.dest) {
+		o.ledger.Charge(cycles.NIC, cycles.Copy, 0, len(data))
+		copy(o.dest[off:], data)
+		o.placedBytes += len(data)
 	}
 }
 

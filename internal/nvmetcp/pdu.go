@@ -74,6 +74,17 @@ func (h *Header) TotalLen() int {
 	return n
 }
 
+// window returns the part of a request buffer a response capsule's data
+// belongs in, buf[Offset:Offset+DataLen]. Offset comes off the wire, so the
+// range is checked unsigned, once, for the NIC's placement and the host's
+// copy alike; ok is false when it does not lie inside buf.
+func (h *Header) window(buf []byte) (dest []byte, ok bool) {
+	if h.Offset > uint64(len(buf)) || uint64(h.DataLen) > uint64(len(buf))-h.Offset {
+		return nil, false
+	}
+	return buf[h.Offset:][:h.DataLen], true
+}
+
 // Build serializes a PDU. If dummyDigest is true the data digest is left
 // zero for the NIC transmit offload to fill (§5.1); otherwise it is
 // computed in software. The header digest is always computed (it is part

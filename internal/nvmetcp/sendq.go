@@ -1,0 +1,81 @@
+package nvmetcp
+
+import (
+	"fmt"
+
+	"repro/internal/cycles"
+	"repro/internal/l5p"
+	"repro/internal/offload"
+	"repro/internal/stream"
+)
+
+// sendQueue is the capsule transmit path Host and Controller share.
+// Capsules are built and charged here, wait for transport space and enter
+// the stream whole; with the transmit data-digest offload installed they
+// also stay retained until TCP acknowledges them, for the driver's recovery
+// replay (§4.2).
+type sendQueue struct {
+	tr     stream.Stream
+	model  *cycles.Model
+	ledger *cycles.Ledger
+	fail   func(error) // the owner's teardown
+	q      [][]byte
+
+	offloaded bool // the NIC fills data digests: capsules carry a dummy
+	retain    l5p.TxRetainer
+	retained  uint64 // capsules sent since the offload was installed
+
+	// broken: part of a capsule entered the stream and the rest did not,
+	// so nothing written after it could be framed by the peer.
+	broken bool
+}
+
+func (s *sendQueue) init(tr stream.Stream, fail func(error)) {
+	*s = sendQueue{tr: tr, model: tr.Model(), ledger: tr.Ledger(), fail: fail,
+		retain: l5p.TxRetainer{Model: tr.Model(), Ledger: tr.Ledger()}}
+	tr.SetOnDrain(s.pump)
+}
+
+// enableTxOffload installs the transmit data-digest offload (§5.1) on the
+// owner's NIC. Only meaningful over a plain TCP transport.
+func (s *sendQueue) enableTxOffload(dev l5p.Device) {
+	s.offloaded = true
+	e := offload.NewTxEngine(NewTxOps(s.model, s.ledger), &s.retain, s.tr.WriteSeq())
+	dev.AttachTx(s.tr.Flow(), e)
+}
+
+// send builds a capsule, charges what software does for it — the data
+// digest unless the NIC fills it (§5.1), framing, the header digest — and
+// queues it.
+func (s *sendQueue) send(hdr *Header, data []byte) {
+	if s.broken {
+		return
+	}
+	pdu := Build(hdr, data, s.offloaded)
+	if !s.offloaded && hdr.DataLen > 0 {
+		s.ledger.Charge(cycles.HostL5P, cycles.CRC, s.model.CRCCycles(hdr.DataLen), hdr.DataLen)
+	}
+	s.ledger.Charge(cycles.HostL5P, cycles.L5PFraming, s.model.L5PPerMessage, 0)
+	s.ledger.Charge(cycles.HostL5P, cycles.CRC, s.model.CRCCycles(BaseHeaderLen), BaseHeaderLen)
+	s.q = append(s.q, pdu)
+	s.pump()
+}
+
+func (s *sendQueue) pump() {
+	for len(s.q) > 0 {
+		pdu := s.q[0]
+		if s.tr.WriteSpace() < len(pdu) {
+			return
+		}
+		if s.offloaded {
+			s.retain.Add(s.tr.WriteSeq(), s.retained, pdu, s.tr.AckedSeq())
+			s.retained++
+		}
+		if n := s.tr.WriteZC(pdu); n != len(pdu) {
+			s.broken, s.q = true, nil
+			s.fail(fmt.Errorf("nvmetcp: short write (%d of %d bytes) despite space check", n, len(pdu)))
+			return
+		}
+		s.q = s.q[1:]
+	}
+}
