@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check alloc-check soak fuzz-short golden-check bench perf perf-check fmt fmt-check lint lint-json lint-baseline experiments loc
+.PHONY: all build test vet race check alloc-check soak fuzz-short golden-check perf-check fmt fmt-check lint lint-json lint-baseline experiments loc
 
 all: build
 
@@ -51,8 +51,9 @@ soak:
 # A few seconds of coverage-guided fuzzing per target: TCP reassembly, the
 # SACK option codec and scoreboard, the RxEngine header parser/search path,
 # the event queue against its reference model, gcm.Stream against
-# crypto/cipher's GCM, and the L5P message assembler under the ktls, nvmetcp
-# and dpi header parsers. `go test -fuzz` takes one target per invocation,
+# crypto/cipher's GCM, the L5P message assembler under the ktls, nvmetcp
+# and dpi header parsers, and the NVMe-TCP target against a model of the
+# commands it may serve. `go test -fuzz` takes one target per invocation,
 # hence the separate lines.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 5s ./internal/netsim/
@@ -63,11 +64,13 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzRxSearchGarbage$$' -fuzztime 5s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamVsAEAD$$' -fuzztime 5s ./internal/gcm/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssembler$$' -fuzztime 5s ./internal/l5p/
+	$(GO) test -run '^$$' -fuzz '^FuzzController$$' -fuzztime 5s ./internal/nvmetcp/
 
-# Deterministic-seed rerun of the golden Chrome-trace: the full event
-# sequence of a seeded run must stay byte-identical.
+# Deterministic-seed rerun of the goldens: the full event sequence of a
+# seeded run (the Chrome trace) and what cmd/experiments prints for sec61,
+# sec62, fig11 and abl-recovery must stay byte-identical.
 golden-check:
-	$(GO) test -count=1 -run 'GoldenChromeTrace' ./internal/experiments/
+	$(GO) test -count=1 -run 'GoldenChromeTrace|TablesGolden' ./internal/experiments/
 
 # The race detector instruments allocations, so the zero-alloc guarantees
 # (disabled telemetry and lifecycle spans must not allocate on the
@@ -80,36 +83,29 @@ golden-check:
 alloc-check:
 	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/offload/ ./internal/gcm/ ./internal/l5p/
 
-# The perf data point behind the regression gate: the deterministic
-# workload of internal/perf, timed by cmd/perf. PERF_OUT names the file a
-# PR that intends a change commits; PERF_BASE is the committed baseline the
-# gate diffs against. The sim.* metrics are virtual-clock-derived and
-# byte-stable; the wall.* metrics are this host's simulator throughput
-# (informational).
-PERF_OUT ?= PERF_16.json
-PERF_BASE ?= PERF_9.json
-
-perf:
-	$(GO) run ./cmd/perf -out $(PERF_OUT)
-
-# The perf-regression gate: a fresh measurement diffed against PERF_BASE.
-# Deterministic sim.* metrics gate at 0.1%; regenerate (`make perf`, commit
-# the file, point PERF_BASE at it) only for intended changes.
+# The gate on everything modeled: each BENCHMARK.json workload on seeds 1
+# and 2, one repetition (--seconds 0), checked bit for bit against
+# benchmark/expected.json. Any drift exits non-zero and prints the rows that
+# moved; re-pin expected.json (benchmark/README.md) only for an intended
+# change to the model. The wall-clock lines each run prints are this host's,
+# for one repetition, and gate nothing (the dropped stdout repeats them as
+# JSON). Whether the simulator itself got faster is a separate question,
+# answered by paired `benchmark -out` / `-compare` runs.
 perf-check:
-	$(GO) run ./cmd/perf -out .perf_check.json
-	$(GO) run ./cmd/benchdiff $(PERF_BASE) .perf_check.json
-
-# One data point on the perf trajectory: every paper benchmark once, in
-# test2json form for machine diffing across PRs.
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 60m -json . > BENCH_7.json
+	@fail=0; for w in iperf_tls_offload iperf_tcp_unbatched fio_nvme_read churn_tls_lossy; do \
+		for s in 1 2; do \
+			bash benchmark/run.sh --workload $$w --seed $$s --seconds 0 > /dev/null || fail=1; \
+		done; \
+	done; \
+	if [ $$fail = 0 ]; then echo "perf-check: all workloads reproduce benchmark/expected.json on seeds 1 and 2"; \
+	else echo "perf-check: FAILED, see the rows above"; exit 1; fi
 
 fmt:
-	gofmt -l internal cmd
+	gofmt -l .
 
 # fmt that fails: `gofmt -l` always exits 0, so check runs use this form.
 fmt-check:
-	@out=$$(gofmt -l internal cmd); if [ -n "$$out" ]; then \
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 experiments:

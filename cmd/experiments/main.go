@@ -9,12 +9,19 @@
 // -sample-every/-series-out sample every counter on a virtual-clock
 // cadence into rate/delta time series (CSV by default; .json or .prom
 // extensions select the JSON or Prometheus text exposition writers).
+// -cpuprofile and -memprofile profile the simulator itself over the
+// experiments run (read them with `go tool pprof -top`); the wall time of
+// each experiment is the `[id done in ...]` line on stderr.
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -30,6 +37,8 @@ func main() {
 	traceCap := flag.Int("trace-cap", telemetry.DefaultTraceCap, "trace ring capacity in events (oldest dropped beyond this)")
 	sampleEvery := flag.Duration("sample-every", 0, "virtual-clock counter sampling cadence (0 disables; e.g. 100us)")
 	seriesPath := flag.String("series-out", "", "write sampled time series to this file (- for stdout; .json/.prom select format, default CSV)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiments here (go tool pprof -top)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the experiments here (go tool pprof -sample_index=alloc_objects -top)")
 	flag.Parse()
 
 	if *list {
@@ -68,6 +77,26 @@ func main() {
 			todo = append(todo, e)
 		}
 	}
+
+	var cpuFile *os.File
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fatal("cpuprofile", err)
+		}
+		cpuFile = f
+	}
+	if *memProfile != "" {
+		// Every allocation, not a sample, so the profile counts
+		// allocations per packet exactly. That slows the run several
+		// times over: name one experiment, and take the CPU profile and
+		// the wall times from a run without this flag.
+		runtime.MemProfileRate = 1
+	}
+
 	for _, e := range todo {
 		start := time.Now()
 		for _, t := range e.Run() {
@@ -76,63 +105,78 @@ func main() {
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := cpuFile.Close(); err != nil {
+			fatal("cpuprofile", err)
+		}
+	}
+	if *memProfile != "" {
+		if err := writeOut(*memProfile, func(w io.Writer) error {
+			runtime.GC() // flush the last cycle's allocations into the profile
+			return pprof.Lookup("allocs").WriteTo(w, 0)
+		}); err != nil {
+			fatal("memprofile", err)
+		}
+	}
+
 	if sys == nil {
 		return
 	}
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+		if err := writeOut(*tracePath, sys.Trace.WriteChrome); err != nil {
+			fatal("trace", err)
 		}
-		if err := sys.Trace.WriteChrome(f); err == nil {
-			err = f.Close()
-			if err == nil && sys.Trace.DroppedEvents() > 0 {
-				fmt.Fprintf(os.Stderr, "trace: ring overflowed; %d oldest events dropped (raise -trace-cap)\n", sys.Trace.DroppedEvents())
-			}
-		} else {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+		if n := sys.Trace.DroppedEvents(); n > 0 {
+			fmt.Fprintf(os.Stderr, "trace: ring overflowed; %d oldest events dropped (raise -trace-cap)\n", n)
 		}
 		fmt.Fprintf(os.Stderr, "[trace: %d events -> %s]\n", sys.Trace.Len(), *tracePath)
 	}
 	if *metricsPath != "" {
-		out := os.Stdout
-		if *metricsPath != "-" {
-			f, err := os.Create(*metricsPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
+		if err := writeOut(*metricsPath, func(w io.Writer) error {
+			sys.Reg.Snapshot().Fprint(w)
+			return nil
+		}); err != nil {
+			fatal("metrics", err)
 		}
-		sys.Reg.Snapshot().Fprint(out)
 	}
 	if smp != nil {
-		out := os.Stdout
-		if *seriesPath != "-" {
-			f, err := os.Create(*seriesPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "series: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		var err error
+		write := smp.WriteCSV
 		switch {
 		case strings.HasSuffix(*seriesPath, ".json"):
-			err = smp.WriteJSON(out)
+			write = smp.WriteJSON
 		case strings.HasSuffix(*seriesPath, ".prom"):
-			err = smp.WriteProm(out)
-		default:
-			err = smp.WriteCSV(out)
+			write = smp.WriteProm
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "series: %v\n", err)
-			os.Exit(1)
+		if err := writeOut(*seriesPath, write); err != nil {
+			fatal("series", err)
 		}
 	}
+}
+
+// writeOut runs write against the file at path ("-" is stdout) and returns
+// the first error of creating, writing, flushing or closing it: a full disk
+// must not leave a truncated file behind an exit status of 0.
+func writeOut(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func fatal(what string, err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
+	os.Exit(1)
 }

@@ -5,8 +5,8 @@
 //
 // See README.md for the architecture overview, DESIGN.md for the system
 // inventory and per-experiment index, and EXPERIMENTS.md for the
-// paper-versus-measured record. The benchmark harness in bench_test.go
-// regenerates every table and figure of the paper's evaluation:
+// paper-versus-measured record. cmd/experiments regenerates every table
+// and figure of the paper's evaluation:
 //
-//	go test -bench=. -benchtime=1x .
+//	go run ./cmd/experiments
 package repro

@@ -9,8 +9,8 @@ import (
 
 // HotAlloc polices allocation on functions marked with a
 // `//simlint:hotpath` directive in their doc comment — the hand-tuned
-// per-packet paths (the NIC's poll/doorbell batch loop) whose wall-clock
-// gains the perf gate (`make perf-check`) defends. Inside a marked
+// per-packet paths (the NIC's poll/doorbell batch loop) whose allocation
+// counts the benchmark's `allocs_per_pkt` bound defends. Inside a marked
 // function it flags everything that can allocate per call:
 //
 //   - `append`, which regrows the backing array whenever capacity runs
@@ -27,7 +27,7 @@ import (
 // every finding is either hoisted out of the hot path or annotated with
 // a reasoned `//lint:ignore hotalloc <why this allocation is amortized>`,
 // which keeps the amortization argument attached to the code it defends.
-// The real gate stays `make alloc-check` and the perf floor; hotalloc
+// The real gate stays `make alloc-check` and that bound; hotalloc
 // fails the build at the source line instead of a benchmark later.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",

@@ -70,9 +70,16 @@ func TestGoldenChromeTrace(t *testing.T) {
 		}
 	}
 
-	golden := filepath.Join("testdata", "trace_golden.json")
+	compareGolden(t, "trace_golden.json", first.Bytes())
+}
+
+// compareGolden holds got to testdata/name byte for byte; -update rewrites
+// the file first.
+func compareGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
-		if err := os.WriteFile(golden, first.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,7 +87,27 @@ func TestGoldenChromeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	if !bytes.Equal(first.Bytes(), want) {
-		t.Errorf("trace differs from %s (run with -update after intended changes)", golden)
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s (run with -update after intended changes)", golden)
 	}
+}
+
+// TestTablesGolden pins what cmd/experiments prints for four quick
+// experiments, byte for byte. Between them they cover what
+// benchmark/expected.json does not: the software-TLS arm and the
+// offload-over-software speedup of §6.1 (sec61's rows), the per-record cycle
+// split behind it (fig11), the §6.2 emulation arms, and the receive-recovery
+// ablation's counters.
+func TestTablesGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, id := range []string{"sec61", "sec62", "fig11", "abl-recovery"} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("unknown experiment %q", id)
+		}
+		for _, tab := range e.Run() {
+			tab.Fprint(&got)
+		}
+	}
+	compareGolden(t, "tables_golden.txt", got.Bytes())
 }

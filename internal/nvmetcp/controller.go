@@ -28,6 +28,17 @@ func DecodeReadCmd(off uint64) (lba uint64, count int) {
 	return off & (1<<lbaBits - 1), int(off >> lbaBits)
 }
 
+// MaxTransferBlocks bounds the data one command may move: what a single
+// write capsule can carry (MaxDataLen), four times the largest read any
+// workload in this repo issues. The count field of a read command holds 24
+// bits, and the target allocates what it is asked for, so the bound is
+// checked before the device is.
+const MaxTransferBlocks = MaxDataLen / blockdev.BlockSize
+
+// StatusInvalidField is the response status for a command whose transfer
+// size the target refuses.
+const StatusInvalidField = 0x02
+
 // CtrlStats counts target-side events.
 type CtrlStats struct {
 	CmdsRead      uint64
@@ -117,6 +128,16 @@ func (c *Controller) fail(err error) {
 	}
 }
 
+// reject answers a command whose transfer size the target refuses and
+// stops serving: the host side of this package never issues one, so the
+// command stream is corrupt or hostile.
+func (c *Controller) reject(cid uint16, err error) {
+	c.out.send(&Header{Type: TypeResp, CID: cid, Op: StatusInvalidField}, nil)
+	if !c.dead { // a short write of the response has already failed the association
+		c.fail(err)
+	}
+}
+
 func (c *Controller) handleCmd(chunks []tcpip.Chunk) {
 	c.ledger.Charge(cycles.HostL5P, cycles.L5PFraming, c.model.L5PPerMessage, 0)
 	var hdrBytes [HeaderLen]byte
@@ -128,6 +149,10 @@ func (c *Controller) handleCmd(chunks []tcpip.Chunk) {
 	case OpRead:
 		c.Stats.CmdsRead++
 		lba, count := DecodeReadCmd(hdr.Offset)
+		if count < 1 || count > MaxTransferBlocks {
+			c.reject(hdr.CID, fmt.Errorf("nvmetcp: read of %d blocks (1..%d allowed)", count, MaxTransferBlocks))
+			return
+		}
 		cid := hdr.CID
 		c.dev.Read(lba, count, func(data []byte) {
 			c.sendReadData(cid, data)
@@ -139,6 +164,12 @@ func (c *Controller) handleCmd(chunks []tcpip.Chunk) {
 }
 
 func (c *Controller) handleWrite(chunks []tcpip.Chunk, hdr Header) {
+	// ParseHeader capped DataLen at MaxDataLen; the device takes whole
+	// blocks, and a capsule without data has no digest to verify.
+	if hdr.DataLen == 0 || hdr.DataLen%blockdev.BlockSize != 0 {
+		c.reject(hdr.CID, fmt.Errorf("nvmetcp: write of %d bytes is not whole %d-byte blocks", hdr.DataLen, blockdev.BlockSize))
+		return
+	}
 	dataEnd := HeaderLen + hdr.DataLen
 	data := l5p.AppendRange(nil, chunks, HeaderLen, dataEnd)
 

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/cycles"
 	"repro/internal/meta"
+	"repro/internal/netsim"
 	"repro/internal/offload"
 	"repro/internal/tcpip"
 	"repro/internal/wire"
@@ -126,7 +129,7 @@ func TestShortWriteKillsAssociation(t *testing.T) {
 		c.OnError = func(err error) { assocErr = err }
 		fs.shortBy = 3
 		// A write whose data digest is wrong is answered at once, no SSD involved.
-		cmd := Build(&Header{Type: TypeCmd, CID: 9, Op: OpWrite, DataLen: 16}, make([]byte, 16), true)
+		cmd := Build(&Header{Type: TypeCmd, CID: 9, Op: OpWrite, DataLen: 4096}, make([]byte, 4096), true)
 		fs.onData(tcpip.Chunk{Seq: 1, Data: cmd})
 		if assocErr == nil || !strings.Contains(assocErr.Error(), "short write") {
 			t.Fatalf("OnError got %v", assocErr)
@@ -134,6 +137,207 @@ func TestShortWriteKillsAssociation(t *testing.T) {
 		fs.onData(tcpip.Chunk{Seq: 1 + uint32(len(cmd)), Data: cmd})
 		if len(fs.written) != 1 || c.Stats.CmdsWrite != 1 {
 			t.Errorf("dead controller kept serving: %d writes, %d commands", len(fs.written), c.Stats.CmdsWrite)
+		}
+	})
+}
+
+// ctrlHarness is a Controller on a fakeStream with a real (latency-free)
+// device behind it, for feeding command bytes without a network.
+type ctrlHarness struct {
+	sim  *netsim.Simulator
+	fs   *fakeStream
+	dev  *blockdev.Device
+	c    *Controller
+	errs []error
+	next uint32 // sequence number of the next injected byte
+}
+
+func newCtrlHarness() *ctrlHarness {
+	h := &ctrlHarness{sim: netsim.New(), fs: newFakeStream(), next: 1}
+	h.dev = blockdev.New(h.sim, blockdev.Config{})
+	h.c = NewController(h.fs, h.dev)
+	h.c.OnError = func(err error) { h.errs = append(h.errs, err) }
+	return h
+}
+
+// inject delivers p as in-order stream bytes and lets the device finish.
+func (h *ctrlHarness) inject(p []byte) {
+	h.fs.onData(tcpip.Chunk{Seq: h.next, Data: p})
+	h.next += uint32(len(p))
+	h.sim.RunFor(time.Second)
+}
+
+// responses decodes what the controller wrote (one capsule per write).
+func (h *ctrlHarness) responses() []Header {
+	var out []Header
+	for _, pdu := range h.fs.written {
+		out = append(out, Decode(pdu))
+	}
+	return out
+}
+
+// TestControllerRefusesTransferSizes: a command whose size the device
+// cannot take — a write that is not whole blocks (which used to panic the
+// target in blockdev.Write), a read of more than MaxTransferBlocks (which
+// used to allocate whatever the 24-bit count said), or either with nothing
+// to move — gets an error response, kills the association through OnError
+// and never reaches the device.
+func TestControllerRefusesTransferSizes(t *testing.T) {
+	write := func(n int) []byte {
+		return Build(&Header{Type: TypeCmd, CID: 9, Op: OpWrite, Offset: 500, DataLen: n}, make([]byte, n), false)
+	}
+	read := func(count int) []byte {
+		return Build(&Header{Type: TypeCmd, CID: 9, Op: OpRead, Offset: EncodeReadCmd(500, count)}, nil, false)
+	}
+	for _, tc := range []struct {
+		name string
+		cmd  []byte
+	}{
+		{"unaligned write", write(blockdev.BlockSize + 100)},
+		{"empty write", write(0)},
+		{"oversized read", read(MaxTransferBlocks + 1)},
+		{"empty read", read(0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newCtrlHarness()
+			h.inject(tc.cmd)
+			if len(h.errs) != 1 {
+				t.Fatalf("OnError fired %d times (%v), want once", len(h.errs), h.errs)
+			}
+			resp := h.responses()
+			if len(resp) != 1 || resp[0].Type != TypeResp || resp[0].CID != 9 || resp[0].Op != StatusInvalidField || resp[0].DataLen != 0 {
+				t.Fatalf("responses %+v, want one StatusInvalidField for CID 9", resp)
+			}
+			if h.dev.Stats != (blockdev.Stats{}) {
+				t.Errorf("device was called: %+v", h.dev.Stats)
+			}
+			h.inject(read(1))
+			if len(h.fs.written) != 1 || h.c.Stats.CmdsRead+h.c.Stats.CmdsWrite != 1 {
+				t.Errorf("dead controller kept serving: %d capsules out, stats %+v", len(h.fs.written), h.c.Stats)
+			}
+		})
+	}
+	// The bound itself is served.
+	h := newCtrlHarness()
+	h.inject(read(MaxTransferBlocks))
+	h.inject(write(MaxDataLen))
+	if len(h.errs) != 0 || h.dev.Stats.BytesRead != MaxDataLen || h.dev.Stats.BytesWrite != MaxDataLen {
+		t.Errorf("transfer of exactly the bound: errors %v, device %+v", h.errs, h.dev.Stats)
+	}
+}
+
+// FuzzController feeds a Controller a command stream decoded from the fuzz
+// input — well-framed capsules with arbitrary type, opcode, CID, LBA, count
+// and length, good or bad data digests, and runs of bytes that do not
+// frame — cut into arbitrary segments, and checks it against a model of
+// which commands a target serves: it never panics, the device moves exactly
+// the bytes of the commands the model accepts (so never more than
+// MaxTransferBlocks for one), every command is answered, and the first
+// refused command or unframeable byte fires OnError once and ends service.
+// A tail of raw bytes follows, held only to "no panic, no command past the
+// bound".
+func FuzzController(f *testing.F) {
+	// op byte: bits 0-1 select read / write / garbage / another opcode,
+	// bit 2 a response-typed capsule, bit 3 a bad data digest; then CID,
+	// 3 bytes of count or length, 1 byte of LBA.
+	// Short seeds: the fuzzer minimizes every coverage find byte by byte.
+	valid := Build(&Header{Type: TypeCmd, CID: 3, Op: OpRead, Offset: EncodeReadCmd(9, 2)}, nil, false)
+	f.Add([]byte{0, 1, 0, 0, 8, 5, 1, 2, 0, 16, 0, 7}, []byte{}, valid)                        // read 8 blocks, write 4096 bytes
+	f.Add([]byte{1, 3, 0, 0, 100, 0}, []byte{0, 40}, valid[:HeaderLen-1])                      // unaligned write
+	f.Add([]byte{0, 4, 255, 255, 255, 0}, []byte{27}, []byte{})                                // read of 2^24-1 blocks
+	f.Add([]byte{9, 5, 0, 16, 0, 0, 2, 0, 1, 1, 0, 0, 4, 1, 0, 0, 1, 0}, []byte{3}, []byte{1}) // bad digest, garbage, dead
+	f.Fuzz(func(t *testing.T, prog, cuts, tail []byte) {
+		h := newCtrlHarness()
+		var stream []byte
+		var wantRead, wantWrite, okWrites, badDigests, rejects int
+		alive := true
+		for n := 0; len(prog) >= 6 && n < 8; n, prog = n+1, prog[6:] {
+			op, cid := prog[0], uint16(prog[1])
+			size := int(prog[2])<<16 | int(prog[3])<<8 | int(prog[4])
+			lba := uint64(prog[5])
+			typ := byte(TypeCmd)
+			if op&4 != 0 {
+				typ = TypeResp
+			}
+			switch op & 3 {
+			case 0:
+				stream = append(stream, Build(&Header{Type: typ, CID: cid, Op: OpRead, Offset: EncodeReadCmd(lba, size)}, nil, false)...)
+				if alive && typ == TypeCmd {
+					if size >= 1 && size <= MaxTransferBlocks {
+						wantRead += size * blockdev.BlockSize
+					} else {
+						alive, rejects = false, rejects+1
+					}
+				}
+			case 1:
+				size %= 3*blockdev.BlockSize + 1 // keeps an execution cheap; the cap is ParseHeader's
+				if size%128 < 64 {
+					size -= size % blockdev.BlockSize // make aligned lengths common
+				}
+				badDigest := op&8 != 0 && size > 0
+				stream = append(stream, Build(&Header{Type: typ, CID: cid, Op: OpWrite, Offset: lba, DataLen: size}, make([]byte, size), badDigest)...)
+				if badDigest {
+					stream[len(stream)-1] ^= 1 // Build left it zero; make sure it is wrong
+				}
+				if alive && typ == TypeCmd {
+					switch {
+					case size == 0 || size%blockdev.BlockSize != 0:
+						alive, rejects = false, rejects+1
+					case badDigest:
+						badDigests++
+					default:
+						wantWrite, okWrites = wantWrite+size, okWrites+1
+					}
+				}
+			case 2:
+				stream = append(stream, 0xEE) // no capsule type: the stream stops framing here
+				stream = append(stream, make([]byte, HeaderLen)...)
+				alive = false
+			case 3:
+				stream = append(stream, Build(&Header{Type: typ, CID: cid, Op: 0x7F, Offset: lba}, nil, false)...)
+			}
+		}
+		for i := 0; len(stream) > 0; i++ {
+			n := len(stream)
+			if len(cuts) > 0 {
+				n = min(n, 1+int(cuts[i%len(cuts)])*8)
+			}
+			h.inject(stream[:n])
+			stream = stream[n:]
+		}
+
+		if (len(h.errs) == 1) != !alive || len(h.errs) > 1 {
+			t.Fatalf("OnError fired %d times (%v); model says alive=%v", len(h.errs), h.errs, alive)
+		}
+		if got := h.dev.Stats; got.BytesRead != uint64(wantRead) || got.BytesWrite != uint64(wantWrite) {
+			t.Fatalf("device moved %d read / %d written bytes, model %d / %d", got.BytesRead, got.BytesWrite, wantRead, wantWrite)
+		}
+		var gotRead, gotOK, gotBad, gotRejects int
+		for _, r := range h.responses() {
+			switch {
+			case r.Op == StatusInvalidField:
+				gotRejects++
+			case r.Op == StatusOK && r.DataLen == 0:
+				gotOK++
+			case r.Op == StatusOK:
+				gotRead += r.DataLen
+			default:
+				gotBad++
+			}
+		}
+		if gotRead != wantRead || gotOK != okWrites || gotBad != badDigests || gotRejects != rejects {
+			t.Fatalf("responses: %d read bytes, %d write OKs, %d data errors, %d refusals; model %d, %d, %d, %d",
+				gotRead, gotOK, gotBad, gotRejects, wantRead, okWrites, badDigests, rejects)
+		}
+
+		// Bytes the model cannot predict (the fuzzer mutates tail freely):
+		// still no panic, still no command past the bound.
+		before := h.dev.Stats
+		h.inject(tail)
+		after := h.dev.Stats
+		if after.BytesRead-before.BytesRead > (after.Reads-before.Reads)*MaxDataLen ||
+			after.BytesWrite-before.BytesWrite > (after.Writes-before.Writes)*MaxDataLen || len(h.errs) > 1 {
+			t.Fatalf("after the tail: device %+v -> %+v, errors %v", before, after, h.errs)
 		}
 	})
 }
