@@ -52,19 +52,23 @@ soak:
 # SACK option codec and scoreboard, the RxEngine header parser/search path,
 # the event queue against its reference model, gcm.Stream against
 # crypto/cipher's GCM, the L5P message assembler under the ktls, nvmetcp
-# and dpi header parsers, and the NVMe-TCP target against a model of the
-# commands it may serve. `go test -fuzz` takes one target per invocation,
+# and dpi header parsers, the NVMe-TCP target against a model of the
+# commands it may serve, and the two word-at-a-time byte loops — the SSD
+# model's block pattern and the internet checksum — against their
+# byte-wise references. `go test -fuzz` takes one target per invocation,
 # hence the separate lines.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 5s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 5s ./internal/tcpip/
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreboard$$' -fuzztime 5s ./internal/tcpip/
 	$(GO) test -run '^$$' -fuzz '^FuzzSackOption$$' -fuzztime 5s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzRxEngine$$' -fuzztime 5s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz '^FuzzRxSearchGarbage$$' -fuzztime 5s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamVsAEAD$$' -fuzztime 5s ./internal/gcm/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssembler$$' -fuzztime 5s ./internal/l5p/
 	$(GO) test -run '^$$' -fuzz '^FuzzController$$' -fuzztime 5s ./internal/nvmetcp/
+	$(GO) test -run '^$$' -fuzz '^FuzzPattern$$' -fuzztime 5s ./internal/blockdev/
 
 # Deterministic-seed rerun of the goldens: the full event sequence of a
 # seeded run (the Chrome trace) and what cmd/experiments prints for sec61,
@@ -78,10 +82,13 @@ golden-check:
 # doorbell beyond the parsed packets, nor re-arming and running a timer, nor
 # a frame crossing a link, nor an offload engine's Process in sequence or
 # searching, nor gcm.Stream.Update, nor an L5P cutting messages out of its
-# chunk queue or walking a message's byte ranges; starting a GCM record
-# allocates only the stdlib's CTR) are asserted in a separate non-race run.
+# chunk queue or walking a message's byte ranges, or retaining a sent
+# message and dropping an acknowledged one, nor the NVMe-TCP target serving
+# a read — command, device request, response capsule, digest offloaded or
+# not; starting a GCM record allocates only the stdlib's CTR) are asserted
+# in a separate non-race run.
 alloc-check:
-	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/offload/ ./internal/gcm/ ./internal/l5p/
+	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/offload/ ./internal/gcm/ ./internal/l5p/ ./internal/blockdev/ ./internal/nvmetcp/
 
 # The gate on everything modeled: each BENCHMARK.json workload on seeds 1
 # and 2, one repetition (--seconds 0), checked bit for bit against

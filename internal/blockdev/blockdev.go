@@ -44,10 +44,23 @@ type Device struct {
 	written  map[uint64][]byte // sparse overlay of written blocks
 	nextFree time.Duration     // bandwidth serialization point
 	inFlight int
-	waiting  []func()
+	waiting  []*request
+	free     []*request // completed requests, for the next commands
 
 	// Stats is exported for experiments; treat as read-only.
 	Stats Stats
+}
+
+// request is one command inside the device. Requests and their timers are
+// recycled, so a device at steady state allocates nothing per command.
+type request struct {
+	dev   *Device
+	timer *netsim.Timer // fires complete
+	lba   uint64
+	bytes int
+	write bool
+	data  []byte // what a write stores
+	done  func()
 }
 
 // New creates a device.
@@ -65,40 +78,50 @@ func (d *Device) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 }
 
 // Pattern fills dst with the deterministic content of the block at lba
-// starting at byte offset off within the block.
+// starting at byte offset off within the block. Word w of the block is
+// lba*0x9E37… ^ w*0xBF58…, little-endian: one 8-byte store each, and a byte
+// loop only for what an unaligned off or length leaves of a word at either
+// end.
 func Pattern(lba uint64, off int, dst []byte) {
-	var seed [8]byte
+	const perWord = 0xBF58476D1CE4E5B9
+	base, w := lba*0x9E3779B97F4A7C15, uint64(off/8)
+	if r := off % 8; r != 0 {
+		v := (base ^ w*perWord) >> (8 * r)
+		n := min(8-r, len(dst))
+		for i := range dst[:n] {
+			dst[i], v = byte(v), v>>8
+		}
+		dst, w = dst[n:], w+1
+	}
+	for ; len(dst) >= 8; dst, w = dst[8:], w+1 {
+		binary.LittleEndian.PutUint64(dst, base^w*perWord)
+	}
+	v := base ^ w*perWord
 	for i := range dst {
-		pos := off + i
-		if pos%8 == 0 || i == 0 {
-			binary.LittleEndian.PutUint64(seed[:], (lba*0x9E3779B97F4A7C15)^uint64(pos/8)*0xBF58476D1CE4E5B9)
-		}
-		dst[i] = seed[(pos)%8]
+		dst[i], v = byte(v), v>>8
 	}
 }
 
-// BlockContent returns the current content of a block.
-func (d *Device) BlockContent(lba uint64) []byte {
-	if b, ok := d.written[lba]; ok {
-		return b
+// Fill copies the current content of the blocks starting at lba into dst,
+// a whole number of blocks long: what was last written to a block, or its
+// pattern.
+func (d *Device) Fill(lba uint64, dst []byte) {
+	for ; len(dst) > 0; dst = dst[BlockSize:] {
+		if b, ok := d.written[lba]; ok {
+			copy(dst[:BlockSize], b)
+		} else {
+			Pattern(lba, 0, dst[:BlockSize])
+		}
+		lba++
 	}
-	b := make([]byte, BlockSize)
-	Pattern(lba, 0, b)
-	return b
 }
 
-// Read fetches blocks [lba, lba+count) and calls done with the data when
-// the simulated device completes the request.
-func (d *Device) Read(lba uint64, count int, done func(data []byte)) {
-	d.submit(count*BlockSize, func() {
-		d.Stats.Reads++
-		d.Stats.BytesRead += uint64(count * BlockSize)
-		out := make([]byte, 0, count*BlockSize)
-		for i := 0; i < count; i++ {
-			out = append(out, d.BlockContent(lba+uint64(i))...)
-		}
-		done(out)
-	})
+// Read services a read of blocks [lba, lba+count) and calls done when the
+// simulated device completes it. The data is what Fill returns at that
+// moment: done has it written, whole or in pieces, straight into buffers of
+// its own, and the device stages nothing.
+func (d *Device) Read(lba uint64, count int, done func()) {
+	d.submit(lba, count*BlockSize, false, nil, done)
 }
 
 // Write stores data (a multiple of BlockSize) at lba and calls done when
@@ -107,48 +130,65 @@ func (d *Device) Write(lba uint64, data []byte, done func()) {
 	if len(data)%BlockSize != 0 {
 		panic("blockdev: unaligned write")
 	}
-	d.submit(len(data), func() {
-		d.Stats.Writes++
-		d.Stats.BytesWrite += uint64(len(data))
-		for i := 0; i*BlockSize < len(data); i++ {
-			blk := make([]byte, BlockSize)
-			copy(blk, data[i*BlockSize:])
-			d.written[lba+uint64(i)] = blk
-		}
-		if done != nil {
-			done()
-		}
-	})
+	d.submit(lba, len(data), true, data, done)
 }
 
-// submit schedules completion after the latency plus the bandwidth-limited
-// transfer time, honoring the queue-depth bound.
-func (d *Device) submit(bytes int, complete func()) {
-	start := func() {
-		d.inFlight++
-		now := d.sim.Now()
-		svcStart := now
-		if d.nextFree > svcStart {
-			svcStart = d.nextFree
-		}
-		var xfer time.Duration
-		if d.cfg.GBps > 0 {
-			xfer = time.Duration(float64(bytes) / (d.cfg.GBps * 1e9) * float64(time.Second))
-		}
-		d.nextFree = svcStart + xfer
-		d.sim.At(svcStart+xfer+d.cfg.Latency, func() {
-			d.inFlight--
-			complete()
-			if len(d.waiting) > 0 && (d.cfg.QueueDepth <= 0 || d.inFlight < d.cfg.QueueDepth) {
-				next := d.waiting[0]
-				d.waiting = d.waiting[1:]
-				next()
-			}
-		})
+// submit starts a command, or queues it behind the queue-depth bound.
+func (d *Device) submit(lba uint64, bytes int, write bool, data []byte, done func()) {
+	var r *request
+	if n := len(d.free); n > 0 {
+		r, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		r = &request{dev: d}
+		r.timer = d.sim.NewTimer(r.complete)
 	}
+	r.lba, r.bytes, r.write, r.data, r.done = lba, bytes, write, data, done
 	if d.cfg.QueueDepth > 0 && d.inFlight >= d.cfg.QueueDepth {
-		d.waiting = append(d.waiting, start)
+		d.waiting = append(d.waiting, r)
 		return
 	}
-	start()
+	d.start(r)
+}
+
+// start schedules r's completion after the bandwidth-limited transfer time
+// plus the latency.
+func (d *Device) start(r *request) {
+	d.inFlight++
+	now := d.sim.Now()
+	svcStart := max(now, d.nextFree)
+	var xfer time.Duration
+	if d.cfg.GBps > 0 {
+		xfer = time.Duration(float64(r.bytes) / (d.cfg.GBps * 1e9) * float64(time.Second))
+	}
+	d.nextFree = svcStart + xfer
+	r.timer.Reset(svcStart + xfer + d.cfg.Latency - now)
+}
+
+// complete is the device finishing r.
+func (r *request) complete() {
+	d := r.dev
+	d.inFlight--
+	if !r.write {
+		d.Stats.Reads++
+		d.Stats.BytesRead += uint64(r.bytes)
+	} else {
+		d.Stats.Writes++
+		d.Stats.BytesWrite += uint64(r.bytes)
+		for i := 0; i*BlockSize < r.bytes; i++ {
+			blk := make([]byte, BlockSize)
+			copy(blk, r.data[i*BlockSize:])
+			d.written[r.lba+uint64(i)] = blk
+		}
+	}
+	done := r.done
+	r.data, r.done = nil, nil
+	d.free = append(d.free, r) // done may submit again and take it
+	if done != nil {
+		done()
+	}
+	if len(d.waiting) > 0 && (d.cfg.QueueDepth <= 0 || d.inFlight < d.cfg.QueueDepth) {
+		next := d.waiting[0]
+		d.waiting = d.waiting[1:]
+		d.start(next)
+	}
 }

@@ -82,15 +82,15 @@ type Conn struct {
 	txSeq    uint64     // next record index to transmit
 	rxSeq    uint64     // next record index expected from the wire
 
-	// Per-record scratch buffers, reused across records: both are
-	// consumed within the record's processing (WriteZC copies the
-	// assembled record into the socket; rxRec is only the AEAD's
-	// ciphertext input). Decrypted plaintext is NOT scratch — OnPlain
-	// consumers retain it (the NVMe PDU assembler buffers chunks across
-	// callbacks) — and neither are offload TX records, which are kept
-	// for recovery replay.
-	txScratch []byte // software-encrypt record assembly
-	rxRec     []byte // flattened wire record
+	// Per-record buffers, reused across records. A transmitted record's
+	// buffer goes back on txFree when nothing reads it any more: at once for
+	// a software-encrypted record (WriteZC has copied it into the socket),
+	// and for an offload record — kept for recovery replay — when the
+	// retainer releases it as acknowledged. rxRec is only the AEAD's
+	// ciphertext input. Decrypted plaintext is NOT reused: OnPlain consumers
+	// retain it (the NVMe PDU assembler buffers chunks across callbacks).
+	txFree l5p.FreeList
+	rxRec  []byte // flattened wire record
 
 	// Transmit offload state. Offloaded records are retained until TCP
 	// acknowledges all of them, for the driver's recovery replay (§4.2).
@@ -181,6 +181,7 @@ func (c *Conn) EnableTxOffload(dev l5p.Device, zeroCopy bool) error {
 	}
 	c.dev = dev
 	c.zeroCopy = zeroCopy
+	c.retain.Release = c.txFree.Put
 	c.txEngine = offload.NewTxEngine(NewTxOps(hw), &c.retain, c.sock.WriteSeq())
 	dev.AttachTx(c.sock.Flow(), c.txEngine)
 	return nil
@@ -292,21 +293,14 @@ func (c *Conn) Write(p []byte) int {
 		if c.sock.WriteSpace() < total {
 			break
 		}
-		var rec []byte
-		if c.txEngine != nil {
-			rec = make([]byte, total) // retained below
-		} else {
-			if cap(c.txScratch) < total {
-				c.txScratch = make([]byte, total)
-			}
-			rec = c.txScratch[:total]
-		}
+		rec := c.txFree.Get(total)
 		PutHeader(rec, n)
 		c.ledger.Charge(cycles.HostL5P, cycles.L5PFraming, c.model.L5PPerMessage, 0)
 		if c.txEngine != nil {
 			// Skip the crypto: plaintext body, dummy ICV (§3.1). The copy
 			// into the record buffer is the cost zero-copy sendfile avoids.
 			copy(rec[HeaderLen:], p[:n])
+			clear(rec[HeaderLen+n:]) // the buffer is recycled: zero the dummy ICV
 			if !c.zeroCopy {
 				c.ledger.Charge(cycles.HostL5P, cycles.Copy,
 					c.model.CopyCycles(n, 0), n)
@@ -328,6 +322,9 @@ func (c *Conn) Write(p []byte) int {
 			// peer can no longer frame the stream.
 			c.fail(fmt.Errorf("ktls: short socket write (%d of %d bytes) despite space check", w, total))
 			return consumed
+		}
+		if c.txEngine == nil {
+			c.txFree.Put(rec) // the socket has its copy
 		}
 		c.txSeq++
 		c.Stats.RecordsTx++

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/cycles"
 	"repro/internal/netsim"
@@ -95,6 +96,7 @@ type tlsRun struct {
 	cliConn  *Conn
 	received bytes.Buffer
 	done     bool
+	released map[*byte]bool // distinct record buffers the client's retainer handed back
 }
 
 // runTransfer sends data client→server with the given offload settings and
@@ -104,7 +106,7 @@ func runTransfer(t *testing.T, cfg netsim.LinkConfig, data []byte,
 	t.Helper()
 	w := newWorld(cfg)
 	cliCfg, srvCfg := testCfgPair()
-	r := &tlsRun{w: w}
+	r := &tlsRun{w: w, released: map[*byte]bool{}}
 
 	w.srvStack.Listen(443, func(s *tcpip.Socket) {
 		conn, err := NewConn(s, srvCfg)
@@ -131,6 +133,18 @@ func runTransfer(t *testing.T, cfg netsim.LinkConfig, data []byte,
 		if txOff {
 			if err := conn.EnableTxOffload(w.cliNIC, zc); err != nil {
 				t.Fatal(err)
+			}
+			// Record buffers are recycled. Every transfer holds the retainer
+			// to its release contract: a record handed back is overwritten on
+			// the spot, so one released while a recovery replay could still
+			// read it corrupts the stream the server checks.
+			release := conn.retain.Release
+			conn.retain.Release = func(rec []byte) {
+				r.released[&rec[0]] = true
+				for i := range rec {
+					rec[i] = 0xDB
+				}
+				release(rec)
 			}
 		}
 		remaining := data
@@ -382,5 +396,23 @@ func TestDisableRxOffloadDropsPendingResync(t *testing.T) {
 	}
 	if after := w.srvLedger.Get(cycles.HostL5P, cycles.Driver); after != before {
 		t.Errorf("response upcall charged: %+v -> %+v", before, after)
+	}
+}
+
+// TestRecordBuffersRecycled: a long offloaded transfer is framed in about a
+// send window's worth of record buffers (256 full records fit the socket's
+// 4 MiB), not one per record.
+func TestRecordBuffersRecycled(t *testing.T) {
+	r := runTransfer(t, cleanLink(), payload(16<<20, 14), true, true, false, 30*time.Second)
+	if bufs, recs := len(r.released), int(r.cliConn.Stats.RecordsTx); bufs == 0 || bufs > recs/3 {
+		t.Errorf("%d records were framed in %d distinct buffers", recs, bufs)
+	}
+}
+
+// TestConnSizeClass: a Conn is one allocation per connection, and the churn
+// workload's bytes per packet see its size class.
+func TestConnSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Conn{}); n > 704 {
+		t.Errorf("Conn is %d bytes: past the 704-byte size class, every connection costs 64 bytes more", n)
 	}
 }

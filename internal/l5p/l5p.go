@@ -11,7 +11,8 @@
 //     AppendRange and Verdict read a message's byte ranges and flags.
 //   - ResyncMailbox: l5o_resync_rx_req in, l5o_resync_rx_resp out (§4.3).
 //   - TxRetainer: l5o_get_tx_msgstate and the host memory the driver
-//     DMA-reads during transmit context recovery (§4.2).
+//     DMA-reads during transmit context recovery (§4.2); FreeList recycles
+//     the message buffers it releases.
 package l5p
 
 import (

@@ -521,3 +521,99 @@ func TestTxRetainerPruning(t *testing.T) {
 		}
 	}
 }
+
+// TestTxRetainerRelease drives two retainers with the same messages and
+// acknowledgments, one with a release hook: both drop the same messages,
+// and the hook sees each dropped message once, whole, and only when it ends
+// at or below the acknowledgment.
+func TestTxRetainerRelease(t *testing.T) {
+	for _, base := range []uint32{1000, 0xFFFFF000} {
+		model := cycles.DefaultModel()
+		plain := l5p.TxRetainer{Model: &model, Ledger: &cycles.Ledger{}}
+		hooked := l5p.TxRetainer{Model: &model, Ledger: &cycles.Ledger{}}
+		rng := rand.New(rand.NewSource(int64(base)))
+		next, acked := base, base
+		var starts []uint32
+		var lens []int
+		released := map[int]int{} // by message index, which also fills the message
+		hooked.Release = func(data []byte) {
+			idx := int(data[0])
+			released[idx]++
+			if end := starts[idx] + uint32(lens[idx]); int32(end-acked) > 0 || len(data) != lens[idx] {
+				t.Errorf("message %d [%d,%d) released at ack %d with %d bytes", idx, starts[idx], end, acked, len(data))
+			}
+		}
+		for i := 0; i < 200; i++ {
+			n := 1 + rng.Intn(300)
+			starts, lens = append(starts, next), append(lens, n)
+			// The transport acknowledges anywhere up to what has been sent.
+			acked += uint32(rng.Intn(int(next-acked) + 1))
+			msg := bytes.Repeat([]byte{byte(i)}, n)
+			plain.Add(next, uint64(i), msg, acked)
+			hooked.Add(next, uint64(i), msg, acked)
+			next += uint32(n)
+			for j := 0; j <= i; j++ {
+				_, _, a := plain.MsgStateAt(starts[j])
+				_, _, b := hooked.MsgStateAt(starts[j])
+				if a != b || b != (released[j] == 0) {
+					t.Fatalf("after Add %d: message %d retained plain=%v hooked=%v, released %d times", i, j, a, b, released[j])
+				}
+			}
+		}
+		for idx, n := range released {
+			if n != 1 {
+				t.Errorf("message %d released %d times", idx, n)
+			}
+		}
+		if len(released) == 0 {
+			t.Error("nothing was ever released")
+		}
+	}
+}
+
+// TestRetainerAddNoAlloc: retaining a message and dropping an acknowledged
+// one is free once the store has grown to the window's size.
+func TestRetainerAddNoAlloc(t *testing.T) {
+	model := cycles.DefaultModel()
+	r := l5p.TxRetainer{Model: &model, Ledger: &cycles.Ledger{}, Release: func([]byte) {}}
+	msg := make([]byte, 100)
+	seq := uint32(0)
+	add := func() {
+		r.Add(seq, uint64(seq/100), msg, seq-800) // eight messages outstanding
+		seq += 100
+	}
+	for i := 0; i < 32; i++ {
+		add()
+	}
+	if n := testing.AllocsPerRun(200, add); n != 0 {
+		t.Errorf("Add allocates %v times per message", n)
+	}
+}
+
+// TestFreeList: the buffer put back last is reused when it is large enough
+// and dropped when it is not; the list never holds more than its bound.
+func TestFreeList(t *testing.T) {
+	var f l5p.FreeList
+	big := make([]byte, 100)
+	f.Put(big)
+	if b := f.Get(60); len(b) != 60 || &b[0] != &big[0] {
+		t.Error("Get did not reuse the buffer put back last")
+	}
+	f.Put(big[:60]) // comes back shorter than it is
+	if b := f.Get(100); len(b) != 100 || &b[0] != &big[0] {
+		t.Error("a buffer's capacity, not its length, decides reuse")
+	}
+	f.Put(make([]byte, 10))
+	if b := f.Get(50); len(b) != 50 || cap(b) < 50 {
+		t.Errorf("Get(50) returned %d bytes of capacity %d", len(b), cap(b))
+	}
+	for i := 0; i < 100; i++ {
+		f.Put(make([]byte, 8))
+	}
+	held := 0
+	for ; cap(f.Get(1)) == 8; held++ {
+	}
+	if held == 0 || held > 64 {
+		t.Errorf("the list held %d of 100 buffers; it should be bounded", held)
+	}
+}

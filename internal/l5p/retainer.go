@@ -2,6 +2,7 @@ package l5p
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cycles"
@@ -17,6 +18,12 @@ type TxRetainer struct {
 	// Model and Ledger, set once by the owner, price and book the upcall.
 	Model  *cycles.Model
 	Ledger *cycles.Ledger
+
+	// Release, if set, is handed the buffer of every message Add drops: once
+	// per message, only from Add, and only when the whole message is below
+	// the acknowledgment Add was given, so nothing will ask for those bytes
+	// again and the owner may overwrite them at once.
+	Release func(data []byte)
 
 	msgs []txMsg // in stream order
 }
@@ -35,9 +42,14 @@ var _ offload.TxSource = (*TxRetainer)(nil)
 func (r *TxRetainer) Add(wireStart uint32, index uint64, data []byte, acked uint32) {
 	i := 0
 	for i < len(r.msgs) && int32(r.msgs[i].start+uint32(len(r.msgs[i].data))-acked) <= 0 {
+		if r.Release != nil {
+			r.Release(r.msgs[i].data)
+		}
 		i++
 	}
-	r.msgs = append(r.msgs[i:], txMsg{start: wireStart, index: index, data: data})
+	// Slide down instead of re-slicing, so the store stays on its array (a
+	// few dozen entries) and keeps no reference to what it dropped.
+	r.msgs = append(slices.Delete(r.msgs, 0, i), txMsg{start: wireStart, index: index, data: data})
 }
 
 // find returns the retained message holding stream byte seq, or nil.

@@ -35,6 +35,10 @@ func DecodeReadCmd(off uint64) (lba uint64, count int) {
 // checked before the device is.
 const MaxTransferBlocks = MaxDataLen / blockdev.BlockSize
 
+// MaxRespData is the most read data one response capsule carries; a larger
+// read is answered with several, each at its offset in the request buffer.
+const MaxRespData = 256 << 10
+
 // StatusInvalidField is the response status for a command whose transfer
 // size the target refuses.
 const StatusInvalidField = 0x02
@@ -56,12 +60,10 @@ type Controller struct {
 	model  *cycles.Model
 	ledger *cycles.Ledger
 
-	// MaxRespData splits large reads into multiple response capsules.
-	MaxRespData int
-
-	asm  l5p.Assembler
-	out  sendQueue
-	dead bool
+	asm      l5p.Assembler
+	out      sendQueue
+	readFree []*readOp // finished reads, for the next commands
+	dead     bool
 
 	// OnError receives fatal association errors (malformed framing from
 	// corruption); the target stops serving the connection.
@@ -74,11 +76,10 @@ type Controller struct {
 // NewController creates a target bound to a device over a transport.
 func NewController(tr stream.Stream, dev *blockdev.Device) *Controller {
 	c := &Controller{
-		dev:         dev,
-		model:       tr.Model(),
-		ledger:      tr.Ledger(),
-		MaxRespData: 256 << 10,
-		asm:         l5p.Assembler{HeaderLen: HeaderLen, Parse: ParseHeader},
+		dev:    dev,
+		model:  tr.Model(),
+		ledger: tr.Ledger(),
+		asm:    l5p.Assembler{HeaderLen: HeaderLen, Parse: ParseHeader},
 	}
 	tr.SetOnData(c.onData)
 	c.out.init(tr, c.fail)
@@ -153,10 +154,7 @@ func (c *Controller) handleCmd(chunks []tcpip.Chunk) {
 			c.reject(hdr.CID, fmt.Errorf("nvmetcp: read of %d blocks (1..%d allowed)", count, MaxTransferBlocks))
 			return
 		}
-		cid := hdr.CID
-		c.dev.Read(lba, count, func(data []byte) {
-			c.sendReadData(cid, data)
-		})
+		c.read(hdr.CID, lba, count)
 	case OpWrite:
 		c.Stats.CmdsWrite++
 		c.handleWrite(chunks, hdr)
@@ -190,22 +188,44 @@ func (c *Controller) handleWrite(chunks []tcpip.Chunk, hdr Header) {
 	})
 }
 
-// sendReadData streams read payload back as one or more response capsules.
-func (c *Controller) sendReadData(cid uint16, data []byte) {
-	c.Stats.BytesServed += uint64(len(data))
-	off := 0
-	for off < len(data) {
-		n := len(data) - off
-		if n > c.MaxRespData {
-			n = c.MaxRespData
-		}
-		c.out.send(&Header{
+// readOp is one read command while the device has it. Ops are recycled and
+// carry their completion callback from birth: a read allocates nothing here.
+type readOp struct {
+	c     *Controller
+	cid   uint16
+	lba   uint64
+	count int
+	done  func() // op.complete
+}
+
+func (c *Controller) read(cid uint16, lba uint64, count int) {
+	var op *readOp
+	if n := len(c.readFree); n > 0 {
+		op, c.readFree = c.readFree[n-1], c.readFree[:n-1]
+	} else {
+		op = &readOp{c: c}
+		op.done = op.complete
+	}
+	op.cid, op.lba, op.count = cid, lba, count
+	c.dev.Read(lba, count, op.done)
+}
+
+// complete streams the read's data back as one or more response capsules,
+// each generated by the device straight into its capsule.
+func (op *readOp) complete() {
+	c, total := op.c, op.count*blockdev.BlockSize
+	c.Stats.BytesServed += uint64(total)
+	for off := 0; off < total; off += MaxRespData {
+		hdr := Header{
 			Type:    TypeResp,
-			CID:     cid,
+			CID:     op.cid,
 			Op:      StatusOK,
 			Offset:  uint64(off),
-			DataLen: n,
-		}, data[off:off+n])
-		off += n
+			DataLen: min(total-off, MaxRespData),
+		}
+		pdu := c.out.free.Get(hdr.TotalLen())
+		c.dev.Fill(op.lba+uint64(off/blockdev.BlockSize), pdu[HeaderLen:HeaderLen+hdr.DataLen])
+		c.out.post(&hdr, pdu)
 	}
+	c.readFree = append(c.readFree, op)
 }

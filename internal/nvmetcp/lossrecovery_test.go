@@ -45,6 +45,12 @@ func TestConcurrentTLSReadsUnderLoss(t *testing.T) {
 // capsules the NIC must re-digest from retained host memory (Fig. 6). The
 // target verifies every digest in software — any recovery bug shows up as
 // a digest error.
+//
+// Capsule buffers are recycled, so the test also holds the retainer to its
+// release contract: every buffer it hands back is overwritten with 0xDB on
+// the spot (one released while a replay could still need it poisons that
+// replay's digest), is counted, and must lie wholly below AckedSeq. The
+// second round of writes is built in the poisoned buffers of the first.
 func TestWriteTxOffloadUnderLoss(t *testing.T) {
 	w := newStorageWorld(t, storageOpts{
 		link: netsim.LinkConfig{
@@ -54,36 +60,61 @@ func TestWriteTxOffloadUnderLoss(t *testing.T) {
 		},
 		txOffload: true,
 	})
+	out := &w.host.out
+	releasedEnd := out.tr.WriteSeq() // capsules tile the stream from here, and leave in order
+	released := 0
+	out.retain.Release = func(pdu []byte) {
+		releasedEnd += uint32(len(pdu))
+		if int32(releasedEnd-out.tr.AckedSeq()) > 0 {
+			t.Errorf("capsule ending at %d released with only %d acknowledged", releasedEnd, out.tr.AckedSeq())
+		}
+		released++
+		for i := range pdu {
+			pdu[i] = 0xDB
+		}
+		out.free.Put(pdu)
+	}
 	const writes = 12
-	remaining := writes
-	for i := 0; i < writes; i++ {
-		data := make([]byte, 16*blockdev.BlockSize)
-		for j := range data {
-			data[j] = byte(i*31 + j)
-		}
-		w.host.WriteBlocks(uint64(9000+16*i), data, func(err error) {
-			if err != nil {
-				t.Fatalf("write: %v", err)
+	content := func(round, i, j int) byte { return byte(round*97 + i*31 + j) }
+	for round := 0; round < 2; round++ {
+		remaining := writes
+		for i := 0; i < writes; i++ {
+			data := make([]byte, 16*blockdev.BlockSize)
+			for j := range data {
+				data[j] = content(round, i, j)
 			}
-			remaining--
-		})
-	}
-	w.sim.RunFor(3 * time.Second)
-	if remaining != 0 {
-		t.Fatalf("%d writes incomplete", remaining)
-	}
-	if w.ctrl.Stats.DigestErrors != 0 {
-		t.Fatalf("controller saw %d digest errors — TX recovery corrupted digests",
-			w.ctrl.Stats.DigestErrors)
-	}
-	// Verify the data actually landed intact.
-	for i := 0; i < writes; i++ {
-		got := readBlocks(t, w, uint64(9000+16*i), 16)
-		for j := range got {
-			if got[j] != byte(i*31+j) {
-				t.Fatalf("write %d byte %d corrupted", i, j)
+			w.host.WriteBlocks(uint64(9000+16*i), data, func(err error) {
+				if err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				remaining--
+			})
+		}
+		w.sim.RunFor(3 * time.Second)
+		if remaining != 0 {
+			t.Fatalf("round %d: %d writes incomplete", round, remaining)
+		}
+		if w.ctrl.Stats.DigestErrors != 0 {
+			t.Fatalf("controller saw %d digest errors — TX recovery corrupted digests",
+				w.ctrl.Stats.DigestErrors)
+		}
+		// Verify the data actually landed intact.
+		for i := 0; i < writes; i++ {
+			got := readBlocks(t, w, uint64(9000+16*i), 16)
+			for j := range got {
+				if got[j] != content(round, i, j) {
+					t.Fatalf("round %d write %d byte %d corrupted", round, i, j)
+				}
 			}
 		}
+	}
+	if w.hostStk.Stats.Retransmits == 0 {
+		t.Error("no retransmission: the recovery replay was never exercised")
+	}
+	// Everything but the capsule sent last has been acknowledged and dropped
+	// by a later Add, each exactly once.
+	if released != int(out.retained)-1 || released < 2*writes {
+		t.Errorf("%d capsules sent, %d released", out.retained, released)
 	}
 }
 

@@ -94,6 +94,16 @@ func Build(h *Header, data []byte, dummyDigest bool) []byte {
 		panic("nvmetcp: data length mismatch")
 	}
 	buf := make([]byte, h.TotalLen())
+	copy(buf[HeaderLen:], data)
+	finish(buf, h, dummyDigest)
+	return buf
+}
+
+// finish completes the PDU in buf, h.TotalLen() bytes with the data already
+// at buf[HeaderLen:]: the header, its digest, and the data digest, computed
+// or dummy as for Build. buf may be recycled, so every byte outside the data
+// is written, the dummy's zeros included.
+func finish(buf []byte, h *Header, dummyDigest bool) {
 	buf[0] = h.Type
 	buf[1] = BaseHeaderLen
 	buf[2] = flagHDGST | flagDDGST
@@ -105,11 +115,13 @@ func Build(h *Header, data []byte, dummyDigest bool) []byte {
 	binary.BigEndian.PutUint64(buf[12:20], h.Offset)
 	binary.BigEndian.PutUint32(buf[20:24], uint32(h.DataLen))
 	binary.BigEndian.PutUint32(buf[24:28], crc32c.Checksum(buf[:BaseHeaderLen]))
-	copy(buf[HeaderLen:], data)
-	if h.DataLen > 0 && !dummyDigest {
-		binary.BigEndian.PutUint32(buf[HeaderLen+h.DataLen:], crc32c.Checksum(data))
+	if h.DataLen > 0 {
+		data, digest := buf[HeaderLen:HeaderLen+h.DataLen], uint32(0)
+		if !dummyDigest {
+			digest = crc32c.Checksum(data)
+		}
+		binary.BigEndian.PutUint32(buf[HeaderLen+h.DataLen:], digest)
 	}
-	return buf
 }
 
 // Decode parses a complete header previously validated by ParseHeader.

@@ -2,11 +2,13 @@ package nvmetcp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/blockdev"
+	"repro/internal/crc32c"
 	"repro/internal/cycles"
 	"repro/internal/meta"
 	"repro/internal/netsim"
@@ -23,22 +25,28 @@ type fakeStream struct {
 	ledger  cycles.Ledger
 	onData  func(tcpip.Chunk)
 	written [][]byte
+	discard bool // count what is written, keep none of it
 	seq     uint32
+	acked   uint32
 	shortBy int
 }
 
-func newFakeStream() *fakeStream { return &fakeStream{model: cycles.DefaultModel(), seq: 1} }
+func newFakeStream() *fakeStream {
+	return &fakeStream{model: cycles.DefaultModel(), seq: 1, acked: 1}
+}
 
 func (f *fakeStream) Write(p []byte) int { return f.WriteZC(p) }
 func (f *fakeStream) WriteZC(p []byte) int {
 	p = p[:len(p)-f.shortBy]
-	f.written = append(f.written, p)
+	if !f.discard {
+		f.written = append(f.written, bytes.Clone(p)) // as a transport does: the writer recycles p
+	}
 	f.seq += uint32(len(p))
 	return len(p)
 }
 func (f *fakeStream) WriteSpace() int                { return 1 << 30 }
 func (f *fakeStream) WriteSeq() uint32               { return f.seq }
-func (f *fakeStream) AckedSeq() uint32               { return 1 }
+func (f *fakeStream) AckedSeq() uint32               { return f.acked }
 func (f *fakeStream) ReadSeq() uint32                { return 1 }
 func (f *fakeStream) SetOnData(fn func(tcpip.Chunk)) { f.onData = fn }
 func (f *fakeStream) SetOnDrain(func())              {}
@@ -340,4 +348,92 @@ func FuzzController(f *testing.F) {
 			t.Fatalf("after the tail: device %+v -> %+v, errors %v", before, after, h.errs)
 		}
 	})
+}
+
+// TestLargeReadSplitsIntoCapsules: a read of more than MaxRespData comes
+// back as several capsules, each a well-formed PDU carrying its share of the
+// blocks — overlay or pattern — at its offset in the request buffer.
+func TestLargeReadSplitsIntoCapsules(t *testing.T) {
+	const lba, blocks = 500, 2*MaxRespData/blockdev.BlockSize + 3
+	h := newCtrlHarness()
+	overlay := bytes.Repeat([]byte{0xC7}, blockdev.BlockSize)
+	h.dev.Write(lba+MaxRespData/blockdev.BlockSize, overlay, nil) // first block of the second capsule
+	h.sim.Run(0)
+	want := wantBlocks(lba, blocks)
+	copy(want[MaxRespData:], overlay)
+
+	h.inject(Build(&Header{Type: TypeCmd, CID: 9, Op: OpRead, Offset: EncodeReadCmd(lba, blocks)}, nil, false))
+	if len(h.fs.written) != 3 {
+		t.Fatalf("%d capsules for a read of %d bytes, want 3", len(h.fs.written), len(want))
+	}
+	off := 0
+	for i, pdu := range h.fs.written {
+		layout, ok := ParseHeader(pdu[:HeaderLen])
+		if hdr := Decode(pdu); !ok || layout.Total != len(pdu) || hdr.CID != 9 || hdr.Op != StatusOK ||
+			hdr.Offset != uint64(off) || hdr.DataLen != min(MaxRespData, len(want)-off) {
+			t.Fatalf("capsule %d: header %+v (valid=%v, %d bytes) at offset %d", i, hdr, ok, len(pdu), off)
+		}
+		data := pdu[HeaderLen : len(pdu)-DigestLen]
+		if !bytes.Equal(data, want[off:off+len(data)]) {
+			t.Errorf("capsule %d carries the wrong blocks", i)
+		}
+		if binary.BigEndian.Uint32(pdu[len(pdu)-DigestLen:]) != crc32c.Checksum(data) {
+			t.Errorf("capsule %d: bad data digest", i)
+		}
+		off += len(data)
+	}
+	if off != len(want) || h.c.Stats.BytesServed != uint64(len(want)) {
+		t.Errorf("capsules carry %d bytes, BytesServed %d, want %d", off, h.c.Stats.BytesServed, len(want))
+	}
+}
+
+// nopDevice accepts offload contexts and does nothing with them.
+type nopDevice struct{}
+
+func (nopDevice) AttachTx(wire.FlowID, *offload.TxEngine) {}
+func (nopDevice) AttachRx(wire.FlowID, *offload.RxEngine) {}
+func (nopDevice) DetachTx(wire.FlowID)                    {}
+func (nopDevice) DetachRx(wire.FlowID)                    {}
+
+// readCycle returns one steady-state turn of the target's read path on a
+// transport that keeps nothing: a 256 KiB read command arrives, the device
+// completes it, the response capsule is generated, digested (in software, or
+// left to the NIC and retained) and written, and TCP acknowledges it.
+func readCycle(offloaded bool) func() {
+	h := newCtrlHarness()
+	h.fs.discard = true
+	if offloaded {
+		h.c.EnableTxOffload(nopDevice{})
+	}
+	cmd := Build(&Header{Type: TypeCmd, CID: 9, Op: OpRead, Offset: EncodeReadCmd(500, MaxRespData/blockdev.BlockSize)}, nil, false)
+	return func() {
+		h.fs.onData(tcpip.Chunk{Seq: h.next, Data: cmd})
+		h.next += uint32(len(cmd))
+		h.sim.Run(0)
+		h.fs.acked = h.fs.seq
+	}
+}
+
+// TestControllerReadNoAlloc: at steady state the target serves a read
+// without allocating — the command's bookkeeping, the device request and
+// the capsule buffer are all recycled.
+func TestControllerReadNoAlloc(t *testing.T) {
+	for _, offloaded := range []bool{false, true} {
+		cycle := readCycle(offloaded)
+		for i := 0; i < 4; i++ {
+			cycle()
+		}
+		if n := testing.AllocsPerRun(20, cycle); n != 0 {
+			t.Errorf("offloaded=%v: a read cycle allocates %v times", offloaded, n)
+		}
+	}
+}
+
+func BenchmarkControllerRead256K(b *testing.B) {
+	cycle := readCycle(true)
+	b.SetBytes(MaxRespData)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
 }

@@ -2,6 +2,7 @@ package nvmetcp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cycles"
 	"repro/internal/l5p"
@@ -13,13 +14,16 @@ import (
 // Capsules are built and charged here, wait for transport space and enter
 // the stream whole; with the transmit data-digest offload installed they
 // also stay retained until TCP acknowledges them, for the driver's recovery
-// replay (§4.2).
+// replay (§4.2). Either way a capsule's buffer comes back for a later
+// capsule once nothing reads it any more, so a queue at steady state
+// allocates nothing per capsule.
 type sendQueue struct {
 	tr     stream.Stream
 	model  *cycles.Model
 	ledger *cycles.Ledger
 	fail   func(error) // the owner's teardown
 	q      [][]byte
+	free   l5p.FreeList // capsule buffers nothing reads any more
 
 	offloaded bool // the NIC fills data digests: capsules carry a dummy
 	retain    l5p.TxRetainer
@@ -40,18 +44,27 @@ func (s *sendQueue) init(tr stream.Stream, fail func(error)) {
 // owner's NIC. Only meaningful over a plain TCP transport.
 func (s *sendQueue) enableTxOffload(dev l5p.Device) {
 	s.offloaded = true
+	s.retain.Release = s.free.Put
 	e := offload.NewTxEngine(NewTxOps(s.model, s.ledger), &s.retain, s.tr.WriteSeq())
 	dev.AttachTx(s.tr.Flow(), e)
 }
 
-// send builds a capsule, charges what software does for it — the data
-// digest unless the NIC fills it (§5.1), framing, the header digest — and
-// queues it.
+// send queues a capsule carrying a copy of data.
 func (s *sendQueue) send(hdr *Header, data []byte) {
+	pdu := s.free.Get(hdr.TotalLen())
+	copy(pdu[HeaderLen:], data)
+	s.post(hdr, pdu)
+}
+
+// post finishes the capsule in pdu — hdr.TotalLen() bytes from s.free,
+// stale but for the data its caller put at HeaderLen — charges what
+// software does for it (the data digest unless the NIC fills it, §5.1;
+// framing; the header digest) and queues it.
+func (s *sendQueue) post(hdr *Header, pdu []byte) {
 	if s.broken {
 		return
 	}
-	pdu := Build(hdr, data, s.offloaded)
+	finish(pdu, hdr, s.offloaded)
 	if !s.offloaded && hdr.DataLen > 0 {
 		s.ledger.Charge(cycles.HostL5P, cycles.CRC, s.model.CRCCycles(hdr.DataLen), hdr.DataLen)
 	}
@@ -76,6 +89,11 @@ func (s *sendQueue) pump() {
 			s.fail(fmt.Errorf("nvmetcp: short write (%d of %d bytes) despite space check", n, len(pdu)))
 			return
 		}
-		s.q = s.q[1:]
+		if !s.offloaded {
+			s.free.Put(pdu) // the transport has its own copy
+		}
+		// Slide down rather than re-slice: the queue is a few entries and
+		// stays on its array.
+		s.q = slices.Delete(s.q, 0, 1)
 	}
 }

@@ -16,7 +16,8 @@ import (
 type Stream interface {
 	// Write queues stream bytes, returning how many were accepted; it
 	// pays the user-to-kernel copy. WriteZC is the sendpage path for data
-	// already in kernel buffers.
+	// already in kernel buffers. Either way the stream holds its own copy
+	// of what it accepted: the writer may reuse p on return.
 	Write(p []byte) int
 	WriteZC(p []byte) int
 	// WriteSpace returns how many bytes Write would accept now.

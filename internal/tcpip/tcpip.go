@@ -17,6 +17,7 @@ package tcpip
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cycles"
@@ -584,12 +585,14 @@ type Socket struct {
 	irs        uint32
 	rcvNxt     uint32
 	ooo        []rxSeg
-	rcvChunks  []Chunk
+	rcvChunks  []Chunk // rcvChunks[rcvHead:] is the receive queue
+	rcvHead    int
 	rcvBufUsed int
 	rcvBufCap  int
 	peerFin    bool
 	finRcvdSeq uint32
 	sawEOF     bool
+	wndShut    bool // the window last advertised was below one MSS
 }
 
 // Flow returns the socket's flow (local→remote).
@@ -625,8 +628,8 @@ func (s *Socket) WriteSeq() uint32 {
 // ReadSeq returns the TCP sequence number of the next byte ReadChunk will
 // return. L5Ps use it to answer receive-resync requests (§4.3).
 func (s *Socket) ReadSeq() uint32 {
-	if len(s.rcvChunks) > 0 {
-		return s.rcvChunks[0].Seq
+	if s.rcvHead < len(s.rcvChunks) {
+		return s.rcvChunks[s.rcvHead].Seq
 	}
 	return s.rcvNxt
 }
@@ -749,20 +752,33 @@ func (s *Socket) EOF() bool { return s.peerFin && s.rcvBufUsed == 0 }
 // ReadChunk returns the next in-order chunk of received data with its
 // offload verdict flags, or ok=false when nothing is buffered. A chunk
 // never mixes bytes with different verdicts.
+//
+// Reading re-opens the receive window. A sender that was told the window is
+// shut stops with nothing in flight, so no ACK is due that would tell it
+// otherwise: the read that brings free space back to min(rcvBufCap/2, MSS)
+// — the receiver's silly-window threshold — sends the window update itself.
 func (s *Socket) ReadChunk() (c Chunk, ok bool) {
-	if len(s.rcvChunks) == 0 {
+	if s.rcvHead == len(s.rcvChunks) {
 		return Chunk{}, false
 	}
-	c = s.rcvChunks[0]
-	s.rcvChunks = s.rcvChunks[1:]
+	c = s.rcvChunks[s.rcvHead]
+	s.rcvChunks[s.rcvHead] = Chunk{}
+	if s.rcvHead++; s.rcvHead == len(s.rcvChunks) {
+		// Empty: rewind, so deliverOwned appends into the same array for
+		// the life of the connection instead of walking off its end.
+		s.rcvChunks, s.rcvHead = s.rcvChunks[:0], 0
+	}
 	s.rcvBufUsed -= len(c.Data)
+	if s.wndShut && s.rcvBufCap-s.rcvBufUsed >= min(s.rcvBufCap/2, s.stack.MSS()) && s.state != stateClosed {
+		s.sendAck()
+	}
 	return c, true
 }
 
 // PeekChunks invokes fn over buffered chunks without consuming them,
 // stopping early if fn returns false.
 func (s *Socket) PeekChunks(fn func(Chunk) bool) {
-	for _, c := range s.rcvChunks {
+	for _, c := range s.rcvChunks[s.rcvHead:] {
 		if !fn(c) {
 			return
 		}
@@ -778,6 +794,7 @@ func (s *Socket) recvWindow() uint16 {
 	if w > 0xffff {
 		w = 0xffff
 	}
+	s.wndShut = free < s.stack.MSS() // every caller is building a segment
 	return uint16(w)
 }
 
@@ -938,7 +955,9 @@ func (s *Socket) trySend() {
 		s.finQueued = false
 		s.armRTO()
 	}
-	if s.Unacked() > 0 && !s.rtoTimer.Pending() {
+	// Unsent data with nothing in flight means the peer's window is shut:
+	// the same timer then runs as the persist timer (onRTO probes).
+	if (s.Unacked() > 0 || s.Unsent() > 0) && !s.rtoTimer.Pending() {
 		s.armRTO()
 	}
 	if s.drainNote && s.sndBufCap-len(s.sndBuf) >= s.drainLowWater() && s.OnDrain != nil {
@@ -1012,7 +1031,17 @@ func (s *Socket) onRTO() {
 		s.sendControl(s.synAckFlags(), s.iss)
 	default:
 		if s.Unacked() == 0 {
-			return
+			if s.Unsent() <= 0 {
+				return
+			}
+			// Persist probe: the window update that would restart a sender
+			// stopped by a shut window can be lost, and with nothing in
+			// flight nothing else would ever elicit another. One byte of new
+			// data past the window does: its ACK carries the window as it is
+			// now, and a lost probe is retransmitted like any segment.
+			s.transmitRange(s.sndNxt, 1, false)
+			s.sndNxt++
+			break
 		}
 		s.stack.Stats.Timeouts++
 		s.stack.Stats.Retransmits++
@@ -1201,6 +1230,10 @@ func (s *Socket) processAck(pkt *wire.Packet) {
 				}
 				s.trySend()
 			}
+		} else if s.Unacked() == 0 {
+			// Nothing in flight, so no later ACK will call trySend: if this
+			// one re-opened a shut window it must restart the sender itself.
+			s.trySend()
 		}
 		return
 	}
@@ -1612,6 +1645,11 @@ func (s *Socket) deliver(seq uint32, data []byte, flags meta.RxFlags) {
 func (s *Socket) deliverOwned(seq uint32, data []byte, flags meta.RxFlags) {
 	if len(data) == 0 {
 		return
+	}
+	// A reader that never quite empties the queue must not grow it without
+	// bound: slide down once the consumed prefix is at least the live part.
+	if s.rcvHead > 0 && s.rcvHead >= len(s.rcvChunks)-s.rcvHead {
+		s.rcvChunks, s.rcvHead = slices.Delete(s.rcvChunks, 0, s.rcvHead), 0
 	}
 	// Do not coalesce chunks with different offload verdicts (§4.3).
 	s.rcvChunks = append(s.rcvChunks, Chunk{Seq: seq, Data: data, Flags: flags})

@@ -81,3 +81,16 @@ func FuzzSackOption(f *testing.F) {
 		}
 	})
 }
+
+// FuzzChecksum holds the chunked internet checksum to the byte-pair
+// reference for arbitrary data (so any length and parity) and starting sum.
+func FuzzChecksum(f *testing.F) {
+	f.Add([]byte{}, uint32(0))
+	f.Add([]byte{0xff}, uint32(0xffff))
+	f.Add(bytes.Repeat([]byte{0xff, 0xfe, 0x01}, 15), uint32(0xffffffff)) // 45 bytes: one 32-byte turn and every step after it
+	f.Fuzz(func(t *testing.T, data []byte, sum uint32) {
+		if got, want := internetChecksum(data, sum), checksumRef(data, sum); got != want {
+			t.Fatalf("%d bytes from sum %#x: got %#x, want %#x", len(data), sum, got, want)
+		}
+	})
+}

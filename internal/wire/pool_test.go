@@ -75,26 +75,32 @@ func TestPeekFlow(t *testing.T) {
 	}
 }
 
-// TestChecksumChunkedEquivalence checks the 8-byte-chunk summation against
-// a reference byte-pair implementation over every alignment and oddness.
-func TestChecksumChunkedEquivalence(t *testing.T) {
-	ref := func(data []byte, sum uint32) uint16 {
-		for len(data) >= 2 {
-			sum += uint32(data[0])<<8 | uint32(data[1])
-			data = data[2:]
-		}
-		if len(data) == 1 {
-			sum += uint32(data[0]) << 8
-		}
-		for sum>>16 != 0 {
-			sum = (sum & 0xffff) + sum>>16
-		}
-		return ^uint16(sum)
+// checksumRef is RFC 1071 as written: one big-endian byte pair at a time,
+// an odd last byte padded with zero, carries folded back in.
+func checksumRef(data []byte, sum uint32) uint16 {
+	acc := uint64(sum)
+	for len(data) >= 2 {
+		acc += uint64(data[0])<<8 | uint64(data[1])
+		data = data[2:]
 	}
+	if len(data) == 1 {
+		acc += uint64(data[0]) << 8
+	}
+	for acc>>16 != 0 {
+		acc = (acc & 0xffff) + acc>>16
+	}
+	return ^uint16(acc)
+}
+
+// TestChecksumChunkedEquivalence checks the chunked summation against the
+// byte-pair reference over every length through two turns of the 32-byte
+// loop and its 8/4/2/1-byte steps.
+func TestChecksumChunkedEquivalence(t *testing.T) {
+	ref := checksumRef
 	rng := rand.New(rand.NewSource(3))
 	buf := make([]byte, 4096)
 	rng.Read(buf)
-	for n := 0; n <= 64; n++ {
+	for n := 0; n <= 80; n++ {
 		if got, want := internetChecksum(buf[:n], 77), ref(buf[:n], 77); got != want {
 			t.Fatalf("len %d: got %#x want %#x", n, got, want)
 		}
