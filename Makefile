@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check alloc-check soak fuzz-short golden-check perf-check fmt fmt-check lint lint-json lint-baseline experiments loc
+.PHONY: all build test vet race check alloc-check soak fuzz-short golden-check perf-check fmt fmt-check lint experiments loc
 
 all: build
 
@@ -15,32 +15,19 @@ vet:
 
 # The simulator is single-threaded by design (one virtual clock, one event
 # heap; virtclock bans the go statement outside package main), so the race
-# run guards the linter's worker pools — the only goroutines left — and
-# anything a test itself spawns.
+# run guards only the goroutines a test itself spawns.
 race:
 	$(GO) test -race -timeout 30m -skip 'OffloadEquivalenceSoak' ./...
 
 check: vet lint fmt-check race soak alloc-check fuzz-short golden-check perf-check
 
 # The invariant linter: the analyzers in internal/analysis (virtclock,
-# nilhook, statsreg, wiremut, seriesname, framepool, hotalloc) enforce the
-# DESIGN.md contracts mechanically. The committed
-# lint.baseline freezes accepted pre-existing findings, so `make check`
-# fails on any unsuppressed NEW diagnostic while a new analyzer can land
-# strict on new code. See DESIGN.md "Invariants as analyzers".
+# nilhook, statsreg, wiremut, seriesname, hotalloc) enforce the DESIGN.md
+# contracts mechanically. It passes with zero findings; the only way to
+# silence one is a reasoned //lint:ignore. See DESIGN.md "Invariants as
+# analyzers".
 lint:
-	$(GO) run ./cmd/simlint -baseline lint.baseline ./...
-
-# The same run as a machine-readable report (simlint.json), uploaded as a
-# CI artifact for annotation tooling.
-lint-json:
-	$(GO) run ./cmd/simlint -baseline lint.baseline -json ./... > simlint.json
-
-# Refreeze the baseline: run after intentionally accepting findings (or
-# clearing old ones), then commit the lint.baseline diff. Suppressed
-# (//lint:ignore'd) findings never enter the baseline.
-lint-baseline:
-	$(GO) run ./cmd/simlint -baseline lint.baseline -update-baseline ./...
+	$(GO) run ./cmd/simlint ./...
 
 # The randomized offload-equivalence soak: 20 seeded loss+reorder+ECN+MTU-flap
 # schedules, offloaded vs software plaintext compared byte for byte, under the
@@ -53,10 +40,11 @@ soak:
 # the event queue against its reference model, gcm.Stream against
 # crypto/cipher's GCM, the L5P message assembler under the ktls, nvmetcp
 # and dpi header parsers, the NVMe-TCP target against a model of the
-# commands it may serve, and the two word-at-a-time byte loops — the SSD
+# commands it may serve, the two word-at-a-time byte loops — the SSD
 # model's block pattern and the internet checksum — against their
-# byte-wise references. `go test -fuzz` takes one target per invocation,
-# hence the separate lines.
+# byte-wise references, the dpi automaton against a naive search, and
+# wire.Parse, whose accepted packets must survive Marshal and Parse again.
+# `go test -fuzz` takes one target per invocation, hence the separate lines.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 5s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 5s ./internal/tcpip/
@@ -69,6 +57,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssembler$$' -fuzztime 5s ./internal/l5p/
 	$(GO) test -run '^$$' -fuzz '^FuzzController$$' -fuzztime 5s ./internal/nvmetcp/
 	$(GO) test -run '^$$' -fuzz '^FuzzPattern$$' -fuzztime 5s ./internal/blockdev/
+	$(GO) test -run '^$$' -fuzz '^FuzzAutomaton$$' -fuzztime 5s ./internal/dpi/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/wire/
 
 # Deterministic-seed rerun of the goldens: the full event sequence of a
 # seeded run (the Chrome trace) and what cmd/experiments prints for sec61,

@@ -1,9 +1,9 @@
 // Package analysis is a self-contained, dependency-free re-implementation
 // of the golang.org/x/tools/go/analysis surface this repository needs: a
 // set of static analyzers ("simlint") that mechanically enforce the
-// simulator's design invariants (DESIGN.md "Invariants as analyzers"), a
-// package loader built on `go list -export` plus the standard library's
-// gc export-data importer, and an analysistest-style fixture runner.
+// simulator's design invariants (DESIGN.md "Invariants as analyzers") and
+// a package loader built on `go list -export` plus the standard library's
+// gc export-data importer.
 //
 // The contracts these analyzers encode are the ones everything downstream
 // leans on: the byte-identical golden Chrome trace and the seeded
@@ -15,25 +15,23 @@
 // only mutated through checksum-repairing helpers (wiremut); the
 // sampler's exports and the golden metrics fixtures assume canonical
 // dotted-lowercase series names (seriesname); and the hand-tuned batch
-// loop assumes its per-packet paths stay allocation-free (hotalloc). A
-// violation fails `make lint` (inside `make check`) at source level
-// instead of flaking a soak after the fact.
+// loop assumes its per-packet paths stay allocation-free and take their
+// frames from the pool (hotalloc). A violation fails `make lint` (inside
+// `make check`) at source level instead of flaking a soak after the fact.
 //
-// The package also carries the driver that cmd/simlint fronts: reasoned
-// `//lint:ignore` suppression (driver.go), a committed baseline for
-// landing new analyzers strict-on-new-code (baseline.go), and a JSON
-// report for CI annotation (jsonout.go). Per-package passes run in
-// parallel; diagnostics stay position-sorted and deduplicated.
+// The driver that cmd/simlint fronts (driver.go) knows one way to silence
+// a finding: a reasoned `//lint:ignore`. Malformed directives are
+// findings. The run is serial and its diagnostics are position-sorted.
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 )
 
 // Analyzer is one named check. Run executes per package; RunProgram, when
@@ -51,19 +49,13 @@ type Analyzer struct {
 
 // Pass carries one analyzer's view of one type-checked package.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-
+	*Package
 	report func(Diagnostic)
 }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name,
-		Message: fmt.Sprintf(format, args...)})
+	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
 // Diagnostic is one reported violation.
@@ -75,8 +67,6 @@ type Diagnostic struct {
 
 // Package is one loaded, parsed, and type-checked package.
 type Package struct {
-	PkgPath   string
-	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
@@ -95,114 +85,80 @@ func (p *Program) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Run executes the analyzers over the program and returns their
-// diagnostics sorted by position then analyzer name, deduplicated and
-// deterministic. Per-package passes run in parallel (one worker per
-// core, each package through every per-package analyzer), so `make lint`
-// does not slow down linearly as the suite grows; whole-program passes
-// run serially afterwards. Identical diagnostics — the same position,
-// analyzer, and message, as happens when overlapping patterns hand the
-// same package to the loader twice — collapse to one.
+// Run executes the analyzers over the program, each over every package in
+// turn and then over the whole program, and returns their diagnostics
+// sorted by position, analyzer and message.
 func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
-	perPkg := make([]*Analyzer, 0, len(analyzers))
-	for _, a := range analyzers {
-		if a.Run != nil {
-			perPkg = append(perPkg, a)
-		}
-	}
-	results := make([][]Diagnostic, len(prog.Packages))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for pi, pkg := range prog.Packages {
-		wg.Add(1)
-		//lint:ignore virtclock host tooling, not simulated-world code: the linter's own bounded worker pool, joined by wg.Wait before any result is read
-		go func(pi int, pkg *Package) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var local []Diagnostic
-			for _, a := range perPkg {
-				pass := &Pass{
-					Analyzer:  a,
-					Fset:      prog.Fset,
-					Files:     pkg.Files,
-					Pkg:       pkg.Pkg,
-					TypesInfo: pkg.TypesInfo,
-				}
-				pass.report = func(d Diagnostic) {
-					d.Analyzer = pass.Analyzer.Name
-					local = append(local, d)
-				}
-				if err := a.Run(pass); err != nil {
-					local = append(local, Diagnostic{Pos: token.NoPos, Analyzer: a.Name,
-						Message: fmt.Sprintf("internal error: %v", err)})
-				}
-			}
-			results[pi] = local
-		}(pi, pkg)
-	}
-	wg.Wait()
 	var diags []Diagnostic
-	for _, local := range results {
-		diags = append(diags, local...)
-	}
 	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		a := a
-		collect := func(d Diagnostic) {
+		report := func(d Diagnostic) {
 			d.Analyzer = a.Name
 			diags = append(diags, d)
 		}
-		prog.report = collect
-		if err := a.RunProgram(prog); err != nil {
-			collect(Diagnostic{Pos: token.NoPos,
-				Message: fmt.Sprintf("internal error: %v", err)})
+		fail := func(err error) {
+			report(Diagnostic{Pos: token.NoPos, Message: fmt.Sprintf("internal error: %v", err)})
 		}
-		prog.report = nil
+		if a.Run != nil {
+			for _, pkg := range prog.Packages {
+				if err := a.Run(&Pass{Package: pkg, report: report}); err != nil {
+					fail(err)
+				}
+			}
+		}
+		if a.RunProgram != nil {
+			prog.report = report
+			if err := a.RunProgram(prog); err != nil {
+				fail(err)
+			}
+			prog.report = nil
+		}
 	}
-	SortDiagnostics(prog, diags)
-	return dedupeDiagnostics(diags)
+	sortDiagnostics(prog, diags)
+	return diags
 }
 
-// SortDiagnostics orders diags by position, then analyzer, then message
-// — the full key, so concurrent collection and driver-side merging (the
-// directive diagnostics folded back in by cmd/simlint) stay
-// deterministic.
-func SortDiagnostics(prog *Program, diags []Diagnostic) {
-	sort.SliceStable(diags, func(i, j int) bool {
-		pi, pj := prog.Fset.Position(diags[i].Pos), prog.Fset.Position(diags[j].Pos)
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		if pi.Column != pj.Column {
-			return pi.Column < pj.Column
-		}
-		if diags[i].Analyzer != diags[j].Analyzer {
-			return diags[i].Analyzer < diags[j].Analyzer
-		}
-		return diags[i].Message < diags[j].Message
+// sortDiagnostics orders diags by the full key — position, analyzer,
+// message — so the output is deterministic.
+func sortDiagnostics(prog *Program, diags []Diagnostic) {
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		pa, pb := prog.Fset.Position(a.Pos), prog.Fset.Position(b.Pos)
+		return cmp.Or(strings.Compare(pa.Filename, pb.Filename),
+			cmp.Compare(pa.Line, pb.Line), cmp.Compare(pa.Column, pb.Column),
+			strings.Compare(a.Analyzer, b.Analyzer), strings.Compare(a.Message, b.Message))
 	})
 }
 
-// dedupeDiagnostics collapses adjacent identical diagnostics in a sorted
-// slice: a package reached through multiple program roots must not
-// double-report.
-func dedupeDiagnostics(diags []Diagnostic) []Diagnostic {
-	w := 0
-	for i, d := range diags {
-		if i > 0 && d == diags[i-1] {
-			continue
-		}
-		diags[w] = d
-		w++
+// calledFunc resolves a call's function expression, or an identifier use,
+// to the package-level function or method it names and that function's
+// package name. It returns (nil, "") for anything else: builtins,
+// conversions, func values. Analyzers match on the package name, not the
+// path, so fixtures can model the real packages.
+func calledFunc(info *types.Info, e ast.Expr) (*types.Func, string) {
+	var id *ast.Ident
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		id = e.Sel
+	default:
+		return nil, ""
 	}
-	return diags[:w]
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return nil, ""
+	}
+	return fn, fn.Pkg().Name()
+}
+
+// isNamed reports whether t, or the type t points to, is the named type
+// pkg.name, the package matched by name as in calledFunc.
+func isNamed(t types.Type, pkg, name string) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == name && n.Obj().Pkg() != nil && n.Obj().Pkg().Name() == pkg
 }
 
 // All lists every simlint analyzer, in reporting order.
-var All = []*Analyzer{VirtClock, NilHook, StatsReg, WireMut, SeriesName, FramePool, HotAlloc}
+var All = []*Analyzer{VirtClock, NilHook, StatsReg, WireMut, SeriesName, HotAlloc}

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/token"
 	"strconv"
 	"strings"
 )
@@ -17,17 +16,16 @@ import (
 // analyzer names must exist, so a typo cannot silently disable a check.
 // Malformed directives are returned as diagnostics under the "directive"
 // analyzer name and fail the run like any other finding (they are not
-// themselves suppressible). Suppressed diagnostics stay counted: the
-// driver's summary and JSON report carry them, so `make lint` output
-// always shows how much of the repo lives on an annotation.
+// themselves suppressible). Suppressed diagnostics stay counted in the
+// driver's summary, so `make lint` output always shows how much of the
+// repo lives on an annotation.
 
-// DirectiveAnalyzer is the analyzer name malformed-directive diagnostics
+// directiveAnalyzer is the analyzer name malformed-directive diagnostics
 // report under.
-const DirectiveAnalyzer = "directive"
+const directiveAnalyzer = "directive"
 
-// Directive is one parsed //lint:ignore comment.
-type Directive struct {
-	Pos       token.Pos
+// directive is one parsed //lint:ignore comment.
+type directive struct {
 	File      string
 	Line      int
 	Analyzers []string
@@ -40,62 +38,47 @@ type Suppressed struct {
 	Reason string
 }
 
-// ParseDirectives scans every comment of the program for //lint:ignore
+// Lint runs the analyzers over prog and applies its //lint:ignore
+// directives. kept is what fails the run, malformed directives included,
+// sorted by position; suppressed is what a directive silenced.
+func Lint(prog *Program, analyzers []*Analyzer) (kept []Diagnostic, suppressed []Suppressed) {
+	dirs, malformed := parseDirectives(prog, analyzers)
+	kept, suppressed = applySuppressions(prog, Run(prog, analyzers), dirs)
+	kept = append(kept, malformed...)
+	sortDiagnostics(prog, kept)
+	return kept, suppressed
+}
+
+// parseDirectives scans every comment of the program for //lint:ignore
 // directives. It returns the well-formed directives plus diagnostics for
 // the malformed ones: a missing reason or an unknown analyzer name is a
 // finding, because either would let violations vanish unargued.
-func ParseDirectives(prog *Program, known []*Analyzer) ([]Directive, []Diagnostic) {
+func parseDirectives(prog *Program, known []*Analyzer) ([]directive, []Diagnostic) {
 	names := make(map[string]bool, len(known))
 	for _, a := range known {
 		names[a.Name] = true
 	}
-	var dirs []Directive
+	var dirs []directive
 	var bad []Diagnostic
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
 			for _, cg := range file.Comments {
 				for _, c := range cg.List {
-					text, ok := strings.CutPrefix(c.Text, "//")
-					if !ok { // /* ... */ comments are not directives
-						continue
-					}
-					text, ok = strings.CutPrefix(strings.TrimSpace(text), "lint:ignore")
+					text, ok := strings.CutPrefix(c.Text, "//") // /* ... */ comments are not directives
 					if !ok {
 						continue
 					}
-					rest := strings.TrimSpace(text)
-					fields := strings.Fields(rest)
-					if len(fields) == 0 {
-						bad = append(bad, Diagnostic{Pos: c.Pos(), Analyzer: DirectiveAnalyzer,
-							Message: "//lint:ignore needs an analyzer and a reason: //lint:ignore <analyzer> <why this violation is sanctioned>"})
+					if text, ok = strings.CutPrefix(strings.TrimSpace(text), "lint:ignore"); !ok {
 						continue
 					}
-					analyzers := strings.Split(fields[0], ",")
-					reason := strings.TrimSpace(strings.TrimPrefix(rest, fields[0]))
-					if reason == "" {
-						bad = append(bad, Diagnostic{Pos: c.Pos(), Analyzer: DirectiveAnalyzer,
-							Message: "//lint:ignore needs a reason: //lint:ignore <analyzer> <why this violation is sanctioned>"})
-						continue
+					analyzers, reason, problems := parseDirective(text, names)
+					for _, msg := range problems {
+						bad = append(bad, Diagnostic{Pos: c.Pos(), Analyzer: directiveAnalyzer, Message: msg})
 					}
-					unknown := false
-					for _, an := range analyzers {
-						if !names[an] {
-							bad = append(bad, Diagnostic{Pos: c.Pos(), Analyzer: DirectiveAnalyzer,
-								Message: "//lint:ignore names unknown analyzer " + strconv.Quote(an) + ": a typo here would silently suppress nothing"})
-							unknown = true
-						}
+					if len(problems) == 0 {
+						pos := prog.Fset.Position(c.Pos())
+						dirs = append(dirs, directive{File: pos.Filename, Line: pos.Line, Analyzers: analyzers, Reason: reason})
 					}
-					if unknown {
-						continue
-					}
-					pos := prog.Fset.Position(c.Pos())
-					dirs = append(dirs, Directive{
-						Pos:       c.Pos(),
-						File:      pos.Filename,
-						Line:      pos.Line,
-						Analyzers: analyzers,
-						Reason:    reason,
-					})
 				}
 			}
 		}
@@ -103,38 +86,52 @@ func ParseDirectives(prog *Program, known []*Analyzer) ([]Directive, []Diagnosti
 	return dirs, bad
 }
 
-// ApplySuppressions partitions diags into the kept and the suppressed: a
+// parseDirective splits the text after "lint:ignore" into its analyzer
+// names and reason, or returns what is wrong with it.
+func parseDirective(text string, names map[string]bool) (analyzers []string, reason string, problems []string) {
+	fields := strings.Fields(text)
+	if len(fields) == 0 {
+		return nil, "", []string{"//lint:ignore needs an analyzer and a reason: //lint:ignore <analyzer> <why this violation is sanctioned>"}
+	}
+	reason = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(text), fields[0]))
+	if reason == "" {
+		return nil, "", []string{"//lint:ignore needs a reason: //lint:ignore <analyzer> <why this violation is sanctioned>"}
+	}
+	analyzers = strings.Split(fields[0], ",")
+	for _, an := range analyzers {
+		if !names[an] {
+			problems = append(problems, "//lint:ignore names unknown analyzer "+strconv.Quote(an)+": a typo here would silently suppress nothing")
+		}
+	}
+	return analyzers, reason, problems
+}
+
+// applySuppressions partitions diags into the kept and the suppressed: a
 // diagnostic is suppressed by a directive for its analyzer on the same
 // line or the line directly above.
-func ApplySuppressions(prog *Program, diags []Diagnostic, dirs []Directive) (kept []Diagnostic, suppressed []Suppressed) {
-	type lineKey struct {
-		file string
-		line int
+func applySuppressions(prog *Program, diags []Diagnostic, dirs []directive) (kept []Diagnostic, suppressed []Suppressed) {
+	type key struct {
+		file     string
+		line     int
+		analyzer string
 	}
-	index := make(map[lineKey][]*Directive)
-	for i := range dirs {
-		d := &dirs[i]
-		index[lineKey{d.File, d.Line}] = append(index[lineKey{d.File, d.Line}], d)
-	}
-	match := func(file string, line int, analyzer string) *Directive {
-		for _, at := range []int{line, line - 1} {
-			for _, d := range index[lineKey{file, at}] {
-				for _, an := range d.Analyzers {
-					if an == analyzer {
-						return d
-					}
-				}
-			}
+	reasons := make(map[key]string)
+	for _, d := range dirs {
+		for _, an := range d.Analyzers {
+			reasons[key{d.File, d.Line, an}] = d.Reason
 		}
-		return nil
 	}
 	for _, d := range diags {
 		pos := prog.Fset.Position(d.Pos)
-		if dir := match(pos.Filename, pos.Line, d.Analyzer); dir != nil {
-			suppressed = append(suppressed, Suppressed{Diagnostic: d, Reason: dir.Reason})
-			continue
+		reason, ok := reasons[key{pos.Filename, pos.Line, d.Analyzer}]
+		if !ok {
+			reason, ok = reasons[key{pos.Filename, pos.Line - 1, d.Analyzer}]
 		}
-		kept = append(kept, d)
+		if ok {
+			suppressed = append(suppressed, Suppressed{Diagnostic: d, Reason: reason})
+		} else {
+			kept = append(kept, d)
+		}
 	}
 	return kept, suppressed
 }

@@ -1,33 +1,9 @@
 package analysis
 
 import (
-	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
-
-var update = flag.Bool("update", false, "rewrite the JSON report golden file")
-
-// loadFixture type-checks the named fixture packages as one program.
-func loadFixture(t *testing.T, paths ...string) *Program {
-	t.Helper()
-	loader, err := newFixtureLoader(filepath.Join("testdata", "src"))
-	if err != nil {
-		t.Fatalf("loading fixtures: %v", err)
-	}
-	prog := &Program{Fset: loader.fset}
-	for _, path := range paths {
-		pkg, err := loader.load(path)
-		if err != nil {
-			t.Fatalf("loading fixture %q: %v", path, err)
-		}
-		prog.Packages = append(prog.Packages, pkg)
-	}
-	return prog
-}
 
 // TestDirectives covers the suppression surface end to end over the
 // driver fixture: trailing and preceding placement suppress, a directive
@@ -41,7 +17,7 @@ func TestDirectives(t *testing.T) {
 			len(diags), dumpDiags(prog, diags))
 	}
 
-	dirs, malformed := ParseDirectives(prog, All)
+	dirs, malformed := parseDirectives(prog, All)
 	if len(dirs) != 2 {
 		t.Fatalf("got %d well-formed directives, want 2: %+v", len(dirs), dirs)
 	}
@@ -59,8 +35,8 @@ func TestDirectives(t *testing.T) {
 	}
 	var sawMissingReason, sawUnknown bool
 	for _, d := range malformed {
-		if d.Analyzer != DirectiveAnalyzer {
-			t.Errorf("malformed directive reported under %q, want %q", d.Analyzer, DirectiveAnalyzer)
+		if d.Analyzer != directiveAnalyzer {
+			t.Errorf("malformed directive reported under %q, want %q", d.Analyzer, directiveAnalyzer)
 		}
 		if strings.Contains(d.Message, "needs a reason") {
 			sawMissingReason = true
@@ -76,7 +52,7 @@ func TestDirectives(t *testing.T) {
 		t.Error("unknown-analyzer directive did not produce a finding")
 	}
 
-	kept, suppressed := ApplySuppressions(prog, diags, dirs)
+	kept, suppressed := applySuppressions(prog, diags, dirs)
 	if len(suppressed) != 2 {
 		t.Fatalf("got %d suppressed, want 2 (trailing + preceding)", len(suppressed))
 	}
@@ -89,97 +65,6 @@ func TestDirectives(t *testing.T) {
 	// lines: 3 virtclock findings survive.
 	if len(kept) != 3 {
 		t.Fatalf("got %d kept, want 3:\n%s", len(kept), dumpDiags(prog, kept))
-	}
-}
-
-// TestBaselineRoundTrip freezes a run's findings, reloads them, and
-// checks multiset budget matching: a full baseline excuses everything,
-// and removing one entry resurrects exactly one finding even when four
-// findings share a message.
-func TestBaselineRoundTrip(t *testing.T) {
-	prog := loadFixture(t, "driver/a")
-	diags := Run(prog, []*Analyzer{VirtClock})
-	if len(diags) == 0 {
-		t.Fatal("fixture produced no diagnostics to baseline")
-	}
-	path := filepath.Join(t.TempDir(), "lint.baseline")
-	if err := WriteBaseline(path, prog, diags); err != nil {
-		t.Fatalf("writing baseline: %v", err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("reloading baseline: %v", err)
-	}
-	if len(b.Entries) != len(diags) {
-		t.Fatalf("round-trip lost entries: wrote %d, read %d", len(diags), len(b.Entries))
-	}
-	fresh, baselined := b.Apply(prog, diags)
-	if len(fresh) != 0 || len(baselined) != len(diags) {
-		t.Fatalf("full baseline: got %d fresh / %d baselined, want 0 / %d:\n%s",
-			len(fresh), len(baselined), len(diags), dumpDiags(prog, fresh))
-	}
-	// Four findings share the time.Now message; a baseline holding three
-	// of them excuses exactly three.
-	short := &Baseline{Entries: b.Entries[1:]}
-	fresh, baselined = short.Apply(prog, diags)
-	if len(fresh) != 1 || len(baselined) != len(diags)-1 {
-		t.Fatalf("shortened baseline: got %d fresh / %d baselined, want 1 / %d",
-			len(fresh), len(baselined), len(diags)-1)
-	}
-}
-
-// TestJSONReportGolden pins the -json schema: CI annotation tooling
-// parses this shape, so a field rename must be a conscious change (rerun
-// with -update).
-func TestJSONReportGolden(t *testing.T) {
-	prog := loadFixture(t, "driver/a")
-	diags := Run(prog, All)
-	dirs, malformed := ParseDirectives(prog, All)
-	kept, suppressed := ApplySuppressions(prog, diags, dirs)
-	kept = append(kept, malformed...)
-	SortDiagnostics(prog, kept)
-	// Baseline one of the surviving time.Now findings so every report
-	// section is exercised, including "baselined".
-	b := &Baseline{Entries: []BaselineEntry{{
-		Analyzer: "virtclock",
-		File:     "testdata/src/driver/a/a.go",
-		Message:  "time.Now reads the wall clock; simulator code must take time from the netsim virtual clock",
-	}}}
-	kept, baselined := b.Apply(prog, kept)
-	if len(baselined) != 1 {
-		t.Fatalf("got %d baselined, want 1", len(baselined))
-	}
-
-	var buf bytes.Buffer
-	if err := BuildReport(prog, kept, suppressed, baselined).Encode(&buf); err != nil {
-		t.Fatalf("encoding report: %v", err)
-	}
-	golden := filepath.Join("testdata", "driver_report.golden")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatalf("rewriting golden: %v", err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("JSON report drifted from golden (rerun with -update if intended)\ngot:\n%s\nwant:\n%s",
-			buf.String(), want)
-	}
-}
-
-// TestDedupeAcrossRoots hands Run the same package twice, as happens when
-// overlapping patterns reach one package via two program roots: the
-// diagnostics must not double.
-func TestDedupeAcrossRoots(t *testing.T) {
-	prog := loadFixture(t, "driver/a")
-	single := Run(prog, []*Analyzer{VirtClock})
-	doubled := &Program{Fset: prog.Fset, Packages: append(prog.Packages, prog.Packages[0])}
-	deduped := Run(doubled, []*Analyzer{VirtClock})
-	if len(deduped) != len(single) {
-		t.Fatalf("package via two roots: got %d diagnostics, want %d", len(deduped), len(single))
 	}
 }
 

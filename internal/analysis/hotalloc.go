@@ -21,7 +21,12 @@ import (
 //     and slice/map literals (plain struct-value literals like
 //     `rxSlot{}` assign in place and are fine);
 //   - func literals, which allocate a closure object whenever they
-//     capture.
+//     capture;
+//   - a wire.Frame composite literal or a (*wire.Packet).Marshal call,
+//     which build a frame outside the frame pool: the marked paths take
+//     frames from pool.Get/pool.Clone and serialize with MarshalHeaders,
+//     or the pool's gets == puts leak accounting goes out of balance
+//     (`make(wire.Frame, n)` is already a make finding).
 //
 // The check is deliberately syntactic — it has no escape analysis — so
 // every finding is either hoisted out of the hot path or annotated with
@@ -31,7 +36,7 @@ import (
 // fails the build at the source line instead of a benchmark later.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "functions marked //simlint:hotpath must not allocate per call (append regrowth, make/new, escaping literals, closures)",
+	Doc:  "functions marked //simlint:hotpath must not allocate per call (append regrowth, make/new, escaping literals, closures, frames outside the pool)",
 	Run:  runHotAlloc,
 }
 
@@ -68,6 +73,10 @@ func checkHotBody(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.CallExpr:
+			if isPacketMarshal(pass.TypesInfo, e.Fun) {
+				pass.Reportf(e.Pos(),
+					"(*wire.Packet).Marshal allocates its own frame in a //simlint:hotpath function: use pool.Get + MarshalHeaders so the buffer is recycled")
+			}
 			id, ok := ast.Unparen(e.Fun).(*ast.Ident)
 			if !ok {
 				return true
@@ -92,7 +101,10 @@ func checkHotBody(pass *Pass, body *ast.BlockStmt) {
 					"&composite literal allocates in a //simlint:hotpath function: hoist the value out of the hot path or annotate with //lint:ignore hotalloc <reason>")
 			}
 		case *ast.CompositeLit:
-			if isSliceOrMapLit(pass, e) {
+			if isNamed(pass.TypesInfo.Types[e].Type, "wire", "Frame") {
+				pass.Reportf(e.Pos(),
+					"wire.Frame literal allocates a frame outside the pool in a //simlint:hotpath function: take it from the frame pool (pool.Get) so gets == puts holds")
+			} else if isSliceOrMapLit(pass, e) {
 				pass.Reportf(e.Pos(),
 					"%s literal allocates in a //simlint:hotpath function: hoist the allocation out of the hot path or annotate with //lint:ignore hotalloc <reason>", litKind(pass, e))
 			}
@@ -102,6 +114,16 @@ func checkHotBody(pass *Pass, body *ast.BlockStmt) {
 		}
 		return true
 	})
+}
+
+// isPacketMarshal reports whether fun names (*wire.Packet).Marshal.
+func isPacketMarshal(info *types.Info, fun ast.Expr) bool {
+	fn, pkg := calledFunc(info, fun)
+	if pkg != "wire" || fn.Name() != "Marshal" {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && isNamed(recv.Type(), "wire", "Packet")
 }
 
 // isSliceOrMapLit reports whether lit builds a slice or map value.

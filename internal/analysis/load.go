@@ -13,16 +13,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // listedPkg is the subset of `go list -json` output the loader consumes.
 type listedPkg struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
 	Export     string
@@ -44,10 +40,9 @@ func excludedByBuildTags(p *listedPkg) bool {
 // goList shells out to the go tool, which works fully offline: export
 // data for dependencies (the standard library included) comes from the
 // local build cache, compiling on first use.
-func goList(extra []string, patterns ...string) ([]*listedPkg, error) {
-	args := append([]string{"list"}, extra...)
-	args = append(args, "-json=ImportPath,Name,Dir,GoFiles,Export,DepOnly,Standard,Error")
-	args = append(args, patterns...)
+func goList(patterns ...string) ([]*listedPkg, error) {
+	args := append([]string{"list", "-e", "-deps", "-export",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var out, errb bytes.Buffer
 	cmd.Stdout = &out
@@ -74,7 +69,7 @@ func goList(extra []string, patterns ...string) ([]*listedPkg, error) {
 // appear as dependencies — resolve through compiled export data, so only
 // the matched packages themselves are parsed from source.
 func Load(patterns ...string) (*Program, error) {
-	pkgs, err := goList([]string{"-e", "-deps", "-export"}, patterns...)
+	pkgs, err := goList(patterns...)
 	if err != nil {
 		return nil, err
 	}
@@ -108,50 +103,18 @@ func Load(patterns ...string) (*Program, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("no packages matched %v", patterns)
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	// Targets type-check independently — every import, including sibling
-	// targets, resolves through compiled export data — so spread them over
-	// the cores. The importer caches into a shared map and is serialized
-	// by lockedImporter; the FileSet is goroutine-safe by contract.
-	imp := &lockedImporter{imp: exportImporter(fset, exports)}
+	imp := exportImporter(fset, exports)
 	prog := &Program{Fset: fset}
-	prog.Packages = make([]*Package, len(targets))
-	errs := make([]error, len(targets))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		wg.Add(1)
-		//lint:ignore virtclock host tooling, not simulated-world code: the linter's own bounded worker pool, joined by wg.Wait before any result is read
-		go func(i int, t *listedPkg) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			prog.Packages[i], errs[i] = checkPackage(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
-		}(i, t)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for _, t := range targets {
+		pkg, err := checkPackage(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
 		if err != nil {
 			return nil, err
 		}
+		prog.Packages = append(prog.Packages, pkg)
 	}
 	return prog, nil
-}
-
-// lockedImporter serializes a non-goroutine-safe importer (the gc
-// export-data importer caches packages in a plain map) for the parallel
-// type-check above.
-type lockedImporter struct {
-	mu  sync.Mutex
-	imp types.Importer
-}
-
-func (l *lockedImporter) Import(path string) (*types.Package, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.imp.Import(path)
 }
 
 // exportImporter returns an importer that reads compiled gc export data
@@ -177,116 +140,16 @@ func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, fil
 		}
 		asts = append(asts, f)
 	}
-	info := newInfo()
+	info := &types.Info{
+		Types:     make(map[ast.Expr]types.TypeAndValue),
+		Defs:      make(map[*ast.Ident]types.Object),
+		Uses:      make(map[*ast.Ident]types.Object),
+		Instances: make(map[*ast.Ident]types.Instance),
+	}
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, asts, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
 	}
-	return &Package{PkgPath: path, Fset: fset, Files: asts, Pkg: tpkg, TypesInfo: info}, nil
-}
-
-func newInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-}
-
-// fixtureLoader type-checks analysistest fixture trees: import paths that
-// exist under root resolve recursively from fixture source; everything
-// else resolves via standard-library export data.
-type fixtureLoader struct {
-	root   string // testdata/src
-	fset   *token.FileSet
-	std    types.Importer
-	stdmap map[string]string
-	loaded map[string]*Package
-}
-
-func newFixtureLoader(root string) (*fixtureLoader, error) {
-	l := &fixtureLoader{
-		root:   root,
-		fset:   token.NewFileSet(),
-		stdmap: make(map[string]string),
-		loaded: make(map[string]*Package),
-	}
-	// Resolve standard-library export data for every non-fixture import
-	// reachable from the tree, in one go-list invocation.
-	stdPaths := map[string]bool{}
-	err := filepath.Walk(root, func(p string, fi os.FileInfo, err error) error {
-		if err != nil || fi.IsDir() || filepath.Ext(p) != ".go" {
-			return err
-		}
-		f, err := parser.ParseFile(l.fset, p, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		for _, im := range f.Imports {
-			path := im.Path.Value[1 : len(im.Path.Value)-1]
-			if _, statErr := os.Stat(filepath.Join(root, filepath.FromSlash(path))); statErr != nil {
-				stdPaths[path] = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(stdPaths) > 0 {
-		var paths []string
-		for p := range stdPaths {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		pkgs, err := goList([]string{"-deps", "-export"}, paths...)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range pkgs {
-			if p.Export != "" {
-				l.stdmap[p.ImportPath] = p.Export
-			}
-		}
-	}
-	l.std = exportImporter(l.fset, l.stdmap)
-	return l, nil
-}
-
-// Import implements types.Importer over the fixture tree.
-func (l *fixtureLoader) Import(path string) (*types.Package, error) {
-	if pkg, err := l.load(path); err == nil {
-		return pkg.Pkg, nil
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	return l.std.Import(path)
-}
-
-// load parses and checks the fixture package at root/path.
-func (l *fixtureLoader) load(path string) (*Package, error) {
-	if pkg, ok := l.loaded[path]; ok {
-		return pkg, nil
-	}
-	dir := filepath.Join(l.root, filepath.FromSlash(path))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
-			files = append(files, e.Name())
-		}
-	}
-	pkg, err := checkPackage(l.fset, l, path, dir, files)
-	if err != nil {
-		return nil, err
-	}
-	l.loaded[path] = pkg
-	return pkg, nil
+	return &Package{Files: asts, Pkg: tpkg, TypesInfo: info}, nil
 }

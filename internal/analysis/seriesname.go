@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"regexp"
 	"strconv"
 )
@@ -45,19 +44,13 @@ func runSeriesName(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
+			fn, pkg := calledFunc(pass.TypesInfo, call.Fun)
+			if pkg != "telemetry" {
 				return true
 			}
-			argIdx, ok := seriesNameArg[sel.Sel.Name]
-			if !ok || len(call.Args) <= argIdx {
-				return true
+			if argIdx, ok := seriesNameArg[fn.Name()]; ok && len(call.Args) > argIdx {
+				checkSeriesNameExpr(pass, fn.Name(), call.Args[argIdx])
 			}
-			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "telemetry" {
-				return true
-			}
-			checkSeriesNameExpr(pass, sel.Sel.Name, call.Args[argIdx])
 			return true
 		})
 	}

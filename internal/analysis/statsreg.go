@@ -104,11 +104,8 @@ func typeKey(n *types.Named) string {
 func collectWitnesses(pkg *Package, registered map[string]bool) {
 	// Generic instantiations: telemetry.Sum[T]/Sub[T]/SumInto[T].
 	for id, inst := range pkg.TypesInfo.Instances {
-		fn, ok := pkg.TypesInfo.Uses[id].(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "telemetry" {
-			continue
-		}
-		if fn.Name() != "Sum" && fn.Name() != "Sub" && fn.Name() != "SumInto" {
+		fn, fpkg := calledFunc(pkg.TypesInfo, id)
+		if fpkg != "telemetry" || (fn.Name() != "Sum" && fn.Name() != "Sub" && fn.Name() != "SumInto") {
 			continue
 		}
 		if inst.TypeArgs.Len() == 1 {
@@ -124,12 +121,7 @@ func collectWitnesses(pkg *Package, registered map[string]bool) {
 			if !ok || len(call.Args) != 2 {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "RegisterCounters" {
-				return true
-			}
-			fn, ok := pkg.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "telemetry" {
+			if fn, fpkg := calledFunc(pkg.TypesInfo, call.Fun); fpkg != "telemetry" || fn.Name() != "RegisterCounters" {
 				return true
 			}
 			argType := pkg.TypesInfo.Types[call.Args[1]].Type

@@ -46,11 +46,11 @@ func runVirtClock(pass *Pass) error {
 	}
 	sort.Slice(idents, func(i, j int) bool { return idents[i].Pos() < idents[j].Pos() })
 	for _, id := range idents {
-		fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-		if !ok || fn.Pkg() == nil {
+		fn, _ := calledFunc(pass.TypesInfo, id)
+		if fn == nil {
 			continue
 		}
-		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+		if fn.Type().(*types.Signature).Recv() != nil {
 			continue // methods (e.g. (*rand.Rand).Intn) are always fine
 		}
 		switch fn.Pkg().Path() {

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // WireMut guards the serialized-frame contract: outside the wire package,
 // nobody index-assigns into a wire.Frame (the named []byte a Marshal
@@ -51,21 +48,9 @@ func reportFrameIndex(pass *Pass, e ast.Expr) {
 	if !ok {
 		return
 	}
-	tv, ok := pass.TypesInfo.Types[ix.X]
-	if !ok || !isWireFrame(tv.Type) {
+	if !isNamed(pass.TypesInfo.Types[ix.X].Type, "wire", "Frame") {
 		return
 	}
 	pass.Reportf(ix.Pos(),
 		"raw write into a serialized wire.Frame: header bytes carry IP/TCP checksums — mutate through a checksum-repairing wire helper (e.g. wire.SetCE) instead")
-}
-
-// isWireFrame reports whether t is the named type Frame from a package
-// named wire (matched by name so fixtures can model the contract).
-func isWireFrame(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Frame" && obj.Pkg() != nil && obj.Pkg().Name() == "wire"
 }

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -91,6 +93,50 @@ func FuzzChecksum(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, sum uint32) {
 		if got, want := internetChecksum(data, sum), checksumRef(data, sum); got != want {
 			t.Fatalf("%d bytes from sum %#x: got %#x, want %#x", len(data), sum, got, want)
+		}
+	})
+}
+
+// FuzzParse feeds Parse arbitrary frame bytes. It must never panic, and
+// any packet it accepts — a checksum failure included — must be a fixed
+// point of Parse∘Marshal: re-serializing it and parsing again gives the
+// same packet with no error. The fields Parse reads but Marshal does not
+// write back (IP options, reserved TCP bits, unknown TCP options, bytes
+// past the IP total length) are outside Packet, so they cannot break it.
+func FuzzParse(f *testing.F) {
+	for _, p := range []*Packet{
+		{Flow: testFlow(), Seq: 1, Ack: 2, Flags: FlagSYN, Window: 65535, SACKPermitted: true},
+		{Flow: testFlow(), Seq: 7, Ack: 9, Flags: FlagACK | FlagECE, ECN: ECNCE,
+			SACKBlocks: []SACKBlock{{100, 200}, {300, 400}, {500, 600}}},
+		{Flow: testFlow().Reverse(), Seq: 1 << 31, Flags: FlagACK | FlagPSH | FlagCWR, ECN: ECNECT0,
+			Payload: []byte("odd")},
+		{Flow: testFlow(), Flags: FlagFIN | FlagACK, ECN: ECNECT1, SACKPermitted: true,
+			SACKBlocks: []SACKBlock{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, Payload: []byte("x")},
+	} {
+		f.Add([]byte(p.Marshal()))
+	}
+	bad := (&Packet{Flow: testFlow(), Payload: []byte("corrupt")}).Marshal()
+	bad[len(bad)-1] ^= 0xff
+	f.Add([]byte(bad))
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		p, err := Parse(Frame(frame))
+		if p == nil {
+			return
+		}
+		if err != nil && !errors.Is(err, ErrBadChecksum) {
+			t.Fatalf("Parse returned a packet with error %v", err)
+		}
+		q, err := Parse(p.Marshal())
+		if err != nil {
+			t.Fatalf("re-parse of %v: %v", p, err)
+		}
+		if !bytes.Equal(q.Payload, p.Payload) {
+			t.Fatalf("payload %x, want %x", q.Payload, p.Payload)
+		}
+		q.Payload, p.Payload = nil, nil
+		if !reflect.DeepEqual(q, p) {
+			t.Fatalf("Parse(Marshal(p)) = %+v, want %+v", q, p)
 		}
 	})
 }
