@@ -71,7 +71,8 @@ golden-check:
 # per-packet path, nor Stats()/Sample() at steady state, nor a poll or
 # doorbell beyond the parsed packets, nor re-arming and running a timer, nor
 # a frame crossing a link, nor an offload engine's Process in sequence or
-# searching, nor gcm.Stream.Update, nor an L5P cutting messages out of its
+# searching, nor gcm.Stream.Update or Tag at any piece length (GHASH's
+# scratch run comes from a sync.Pool), nor an L5P cutting messages out of its
 # chunk queue or walking a message's byte ranges, or retaining a sent
 # message and dropping an acknowledged one, nor the NVMe-TCP target serving
 # a read — command, device request, response capsule, digest offloaded or

@@ -7,19 +7,23 @@ import (
 )
 
 // pieceLen maps a schedule byte to the sizes the engines actually see:
-// empty, sub-block, exactly one block, one MSS, and odd multi-block runs.
+// empty, sub-block, exactly one block, one MSS, odd multi-block runs, and a
+// whole record plus an odd tail, which chains GHASH over several scratch
+// runs.
 func pieceLen(b byte) int {
-	switch b % 5 {
+	switch b % 6 {
 	case 0:
 		return 0
 	case 1:
-		return 1 + int(b/5)%15
+		return 1 + int(b/6)%15
 	case 2:
 		return blockSize
 	case 3:
 		return 1448
+	case 4:
+		return 17 + int(b/6)*37
 	default:
-		return 17 + int(b/5)*37
+		return 16<<10 + 1 + 2*(int(b/6)%8)
 	}
 }
 
@@ -35,6 +39,7 @@ func FuzzStreamVsAEAD(f *testing.F) {
 	f.Add(int64(3), []byte{2, 1, 3, 1, 2, 1, 3, 1, 0, 2, 0, 14, 1, 251})
 	f.Add(int64(4), []byte{1, 2, 1, 2, 1, 2})
 	f.Add(int64(5), []byte{})
+	f.Add(int64(6), []byte{0, 5, 1, 3, 6, 11, 2, 4})
 	f.Fuzz(func(t *testing.T, seed int64, sched []byte) {
 		if len(sched) > 48 {
 			sched = sched[:48]

@@ -12,13 +12,11 @@
 // modeled cost of crypto is charged to the cycles ledger by the callers;
 // the modeled engine state is what a Stream carries between packets — the
 // counter position (nonce + byte offset) and the GHASH accumulator with
-// its partial block. Producing the bytes is host overhead, so the CTR half
-// runs on the standard library's AES-CTR (multi-block AES-NI / ARMv8
-// assembly since Go 1.24) seeked to an explicit counter; only GHASH is
-// computed here, by byte-position table multiplication in GF(2^128),
-// because the standard library exposes no incremental GHASH. The package
-// tests and FuzzStreamVsAEAD verify byte-for-byte equality with
-// crypto/cipher's GCM.
+// its partial block. Producing the bytes is host overhead, so it runs on
+// the standard library's hardware paths: its AES-CTR seeked to an explicit
+// counter, and its AEAD's carry-less multiply for GHASH, read back out of
+// an AAD-only Seal (see Cipher). The package tests and FuzzStreamVsAEAD
+// verify byte-for-byte equality with crypto/cipher's GCM.
 package gcm
 
 import (
@@ -27,18 +25,19 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
 // cipherCache memoizes Ciphers by key: experiments run thousands of flows
-// sharing session keys, and each Cipher carries 64 KiB of GHASH tables.
+// sharing session keys, and each Cipher carries a 64 KiB GHASH table.
 var (
 	cacheMu     sync.Mutex
 	cipherCache = make(map[string]*Cipher)
 )
 
 // NewCached returns a Cipher for the key, reusing a previously built one.
-// Ciphers are stateless per message, so sharing is safe.
+// A Cipher never changes after New, so sharing is safe, across goroutines.
 func NewCached(key []byte) (*Cipher, error) {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
@@ -53,32 +52,16 @@ func NewCached(key []byte) (*Cipher, error) {
 	return c, nil
 }
 
-// aeadCache memoizes whole-message AEADs by key, alongside cipherCache.
-var aeadCache = make(map[string]cipher.AEAD)
-
-// AEADCached returns the standard library's AES-GCM AEAD for the key.
-// It produces byte-identical output to a Stream driven over the whole
-// message (the package tests assert equality), but crypto/cipher also
-// reaches the carryless-multiply instructions the Stream's byte-table
-// GHASH cannot. Host software uses it for whole-record seal/open, while the
-// incremental Stream remains the model of the NIC's packet-by-packet
-// engines and the partial-record fallback.
+// AEADCached returns the standard library's AES-GCM AEAD for the key, the
+// one NewCached's Cipher holds. Host software seals and opens whole records
+// with it; the Stream, byte-identical over a whole message, models the NIC's
+// packet-by-packet engines and the partial-record fallback.
 func AEADCached(key []byte) (cipher.AEAD, error) {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if a, ok := aeadCache[string(key)]; ok {
-		return a, nil
-	}
-	block, err := aes.NewCipher(key)
+	c, err := NewCached(key)
 	if err != nil {
-		return nil, fmt.Errorf("gcm: %w", err)
+		return nil, err
 	}
-	a, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("gcm: %w", err)
-	}
-	aeadCache[string(key)] = a
-	return a, nil
+	return c.aead, nil
 }
 
 // Standard AES-GCM parameters.
@@ -94,6 +77,10 @@ const (
 	// J0. The stdlib CTR would instead carry into the nonce, so transform
 	// refuses to go there.
 	maxDataLen = (1<<32 - 2) * blockSize
+
+	// runLen is the most one GHASH Seal absorbs; longer runs are chained
+	// through the accumulator, so the pooled scratch stays small.
+	runLen = 4096
 )
 
 // fieldElement is an element of GF(2^128) in GCM's reflected bit order:
@@ -102,36 +89,140 @@ type fieldElement struct {
 	low, high uint64
 }
 
+func load(b []byte) fieldElement {
+	return fieldElement{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:16])}
+}
+
 func gcmAdd(x, y fieldElement) fieldElement {
 	return fieldElement{x.low ^ y.low, x.high ^ y.high}
 }
 
-// gcmDouble multiplies by the polynomial x in GF(2^128).
+// gcmDouble multiplies by the polynomial x in GF(2^128), reducing by the
+// GCM polynomial 1 + x + x² + x⁷ + x¹²⁸ when the x¹²⁷ bit shifts out.
 func gcmDouble(x fieldElement) fieldElement {
-	msbSet := x.high&1 == 1
-	var d fieldElement
-	d.high = x.high >> 1
-	d.high |= x.low << 63
-	d.low = x.low >> 1
-	if msbSet {
-		// Reduce by the GCM polynomial: 1 + x + x² + x⁷ + x¹²⁸.
-		d.low ^= 0xe100000000000000
-	}
-	return d
+	return fieldElement{x.low>>1 ^ 0xe100000000000000&-(x.high&1), x.high>>1 | x.low<<63}
 }
 
-// Cipher is an AES key schedule plus the precomputed GHASH tables. It is
-// the static per-connection state of an offload context (the "cipher keys"
-// of §4.1); one Cipher serves any number of records/streams.
-//
-// GHASH uses byte-position tables: byteTable[pos][b] is the field product
-// of H with the block that has byte b at position pos and zeros elsewhere.
-// Multiplying the accumulator by H is then 16 table lookups — the classic
-// 64 KiB software GHASH layout.
-type Cipher struct {
-	block     cipher.Block
-	byteTable [16][256]fieldElement
+// poly is a polynomial over GF(2) in natural bit order (bit i of word i/64
+// is the coefficient of xⁱ), wide enough for the field polynomial.
+type poly [3]uint64
+
+var fieldPoly = poly{0x87, 0, 1} // x¹²⁸ + x⁷ + x² + x + 1
+
+func (p *poly) add(q *poly) { p[0], p[1], p[2] = p[0]^q[0], p[1]^q[1], p[2]^q[2] }
+
+// half divides an even p by x.
+func (p *poly) half() { p[0], p[1], p[2] = p[0]>>1|p[1]<<63, p[1]>>1|p[2]<<63, p[2]>>1 }
+
+func (p *poly) deg() int {
+	i := 2
+	for i > 0 && p[i] == 0 {
+		i--
+	}
+	return 64*i + bits.Len64(p[i]) - 1
 }
+
+// inverse returns a⁻¹ for a ≠ 0 by the binary extended Euclidean algorithm
+// over GF(2)[x] (Hankerson, Menezes and Vanstone, "Guide to Elliptic Curve
+// Cryptography", Alg. 2.48): u and v shrink from a and the field polynomial
+// towards 1 while g1·a ≡ u and g2·a ≡ v (mod it) hold; v is always odd.
+func inverse(a fieldElement) fieldElement {
+	u, v := poly{bits.Reverse64(a.low), bits.Reverse64(a.high)}, fieldPoly
+	g1, g2 := poly{1}, poly{}
+	for {
+		for ; u[0]&1 == 0; u.half() {
+			if g1[0]&1 == 1 {
+				g1.add(&fieldPoly)
+			}
+			g1.half()
+		}
+		if u == (poly{1}) {
+			return fieldElement{bits.Reverse64(g1[0]), bits.Reverse64(g1[1])}
+		}
+		if u.deg() < v.deg() {
+			u, v, g1, g2 = v, u, g2, g1
+		}
+		u.add(&v)
+		g1.add(&g2)
+	}
+}
+
+// mulTable multiplies by a constant k with byte-position tables:
+// t[pos][b] is the field product of k with the block that has byte b at
+// position pos and zeros elsewhere, so a multiply is 16 table lookups — the
+// classic 64 KiB software GHASH layout.
+type mulTable [16][256]fieldElement
+
+func (t *mulTable) init(k fieldElement) {
+	// Bit i of the block (MSB of byte 0 is bit 0) is the coefficient of
+	// x^i; multiplying by x is gcmDouble in this reflected layout.
+	var bitElem [128]fieldElement
+	bitElem[0] = k
+	for i := 1; i < 128; i++ {
+		bitElem[i] = gcmDouble(bitElem[i-1])
+	}
+	for pos := 0; pos < 16; pos++ {
+		for b := 1; b < 256; b++ {
+			// Build incrementally from b with its lowest set bit cleared;
+			// in-byte bit index j counts from the MSB.
+			j := 7 - bits.TrailingZeros8(uint8(b))
+			t[pos][b] = gcmAdd(t[pos][b&(b-1)], bitElem[pos*8+j])
+		}
+	}
+}
+
+// mulInv returns y·H⁻¹. It is fully unrolled: every table index is a
+// constant-shift byte extraction, so the compiler drops the bounds checks
+// and the 16 loads pipeline instead of serializing behind loop-carried
+// shifts.
+func (c *Cipher) mulInv(y fieldElement) fieldElement {
+	t := &c.hInv
+	lo, hi := y.low, y.high
+	e0 := t[0][lo>>56]
+	e1 := t[1][lo>>48&0xff]
+	e2 := t[2][lo>>40&0xff]
+	e3 := t[3][lo>>32&0xff]
+	e4 := t[4][lo>>24&0xff]
+	e5 := t[5][lo>>16&0xff]
+	e6 := t[6][lo>>8&0xff]
+	e7 := t[7][lo&0xff]
+	e8 := t[8][hi>>56]
+	e9 := t[9][hi>>48&0xff]
+	e10 := t[10][hi>>40&0xff]
+	e11 := t[11][hi>>32&0xff]
+	e12 := t[12][hi>>24&0xff]
+	e13 := t[13][hi>>16&0xff]
+	e14 := t[14][hi>>8&0xff]
+	e15 := t[15][hi&0xff]
+	return fieldElement{
+		e0.low ^ e1.low ^ e2.low ^ e3.low ^ e4.low ^ e5.low ^ e6.low ^ e7.low ^
+			e8.low ^ e9.low ^ e10.low ^ e11.low ^ e12.low ^ e13.low ^ e14.low ^ e15.low,
+		e0.high ^ e1.high ^ e2.high ^ e3.high ^ e4.high ^ e5.high ^ e6.high ^ e7.high ^
+			e8.high ^ e9.high ^ e10.high ^ e11.high ^ e12.high ^ e13.high ^ e14.high ^ e15.high,
+	}
+}
+
+// Cipher is an AES key schedule, the standard library's AEAD for the key,
+// and what it takes to read a running GHASH back out of that AEAD: the
+// static per-connection state of an offload context (the "cipher keys" of
+// §4.1). One Cipher serves any number of records/streams; nothing in it
+// changes after New.
+//
+// For an AAD-only message of whole blocks B₁…Bₙ with the accumulator y
+// XORed into B₁, the AEAD's tag is (yₙ ⊕ L)·H ⊕ mask, where yᵢ = (yᵢ₋₁ ⊕
+// Bᵢ)·H steps y over the run, L = [128n]₆₄‖0 is the length block and mask =
+// E(K, J0) the empty message's tag. So y' = yₙ = (tag ⊕ mask)·H⁻¹ ⊕ L: one
+// Seal on the CPU's carry-less multiply and one table multiply per run.
+type Cipher struct {
+	block cipher.Block
+	aead  cipher.AEAD
+	mask  fieldElement
+	zeroH bool     // H = 0 (probability 2⁻¹²⁸): GHASH ≡ 0, and H has no inverse
+	hInv  mulTable // multiplies by H⁻¹
+}
+
+// zeroNonce is the nonce of every GHASH Seal, so J0 = 0⁹⁶‖1.
+var zeroNonce [NonceSize]byte
 
 // New builds a Cipher from a 16-, 24-, or 32-byte AES key.
 func New(key []byte) (*Cipher, error) {
@@ -139,75 +230,52 @@ func New(key []byte) (*Cipher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gcm: %w", err)
 	}
-	c := &Cipher{block: block}
-	var h [blockSize]byte
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, fmt.Errorf("gcm: %w", err)
+	}
+	var h, tag [blockSize]byte
 	block.Encrypt(h[:], h[:]) // H = E(K, 0¹²⁸)
-	x := fieldElement{
-		binary.BigEndian.Uint64(h[:8]),
-		binary.BigEndian.Uint64(h[8:]),
-	}
-	// Bit k of the block (MSB of byte 0 is bit 0) is the coefficient of
-	// x^k; multiplying by x is gcmDouble in this reflected layout.
-	var bitElem [128]fieldElement
-	bitElem[0] = x
-	for k := 1; k < 128; k++ {
-		bitElem[k] = gcmDouble(bitElem[k-1])
-	}
-	for pos := 0; pos < 16; pos++ {
-		for b := 1; b < 256; b++ {
-			// Build incrementally from b with its lowest set bit cleared;
-			// in-byte bit index j counts from the MSB.
-			lsb := b & -b
-			j := 7 - trailingZeros8(lsb)
-			c.byteTable[pos][b] = gcmAdd(c.byteTable[pos][b&(b-1)], bitElem[pos*8+j])
-		}
+	c := &Cipher{block: block, aead: aead, zeroH: load(h[:]) == fieldElement{},
+		mask: load(aead.Seal(tag[:0], zeroNonce[:], nil, nil))}
+	if !c.zeroH {
+		c.hInv.init(inverse(load(h[:])))
 	}
 	return c, nil
 }
 
-func trailingZeros8(b int) int {
-	n := 0
-	for b&1 == 0 {
-		b >>= 1
-		n++
-	}
-	return n
-}
+// AEAD returns the standard library's AES-GCM AEAD for the Cipher's key.
+func (c *Cipher) AEAD() cipher.AEAD { return c.aead }
 
-// ghashBlocks folds a run of whole blocks into the accumulator:
-// y = (y ⊕ block)·H for each. The accumulator stays in locals across the
-// run, and each multiply is fully unrolled: every table index is a
-// constant-shift byte extraction, so the compiler drops the bounds checks
-// and the 16 loads pipeline instead of serializing behind loop-carried
-// shifts. len(blocks) must be a multiple of 16.
-func (c *Cipher) ghashBlocks(y fieldElement, blocks []byte) fieldElement {
-	t := &c.byteTable
-	lo, hi := y.low, y.high
-	for ; len(blocks) >= blockSize; blocks = blocks[blockSize:] {
-		lo ^= binary.BigEndian.Uint64(blocks[:8])
-		hi ^= binary.BigEndian.Uint64(blocks[8:16])
-		e0 := t[0][lo>>56]
-		e1 := t[1][lo>>48&0xff]
-		e2 := t[2][lo>>40&0xff]
-		e3 := t[3][lo>>32&0xff]
-		e4 := t[4][lo>>24&0xff]
-		e5 := t[5][lo>>16&0xff]
-		e6 := t[6][lo>>8&0xff]
-		e7 := t[7][lo&0xff]
-		e8 := t[8][hi>>56]
-		e9 := t[9][hi>>48&0xff]
-		e10 := t[10][hi>>40&0xff]
-		e11 := t[11][hi>>32&0xff]
-		e12 := t[12][hi>>24&0xff]
-		e13 := t[13][hi>>16&0xff]
-		e14 := t[14][hi>>8&0xff]
-		e15 := t[15][hi&0xff]
-		lo = e0.low ^ e1.low ^ e2.low ^ e3.low ^ e4.low ^ e5.low ^ e6.low ^ e7.low ^
-			e8.low ^ e9.low ^ e10.low ^ e11.low ^ e12.low ^ e13.low ^ e14.low ^ e15.low
-		hi = e0.high ^ e1.high ^ e2.high ^ e3.high ^ e4.high ^ e5.high ^ e6.high ^ e7.high ^
-			e8.high ^ e9.high ^ e10.high ^ e11.high ^ e12.high ^ e13.high ^ e14.high ^ e15.high
+// scratch is one GHASH run plus room for the tag. It is pooled rather than
+// held by each Stream (growing every flow context) or each Cipher (a lock
+// every world sharing the key would contend on), so Cipher stays immutable.
+type scratch [runLen + TagSize]byte
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// ghash folds the whole blocks of head‖data into the accumulator, y =
+// (y ⊕ block)·H for each, by the identity in Cipher's comment, runLen bytes
+// per Seal. len(head) ≤ 16 and len(head)+len(data) is a multiple of 16.
+//
+//simlint:hotpath
+func (c *Cipher) ghash(y fieldElement, head, data []byte) fieldElement {
+	if c.zeroH {
+		return fieldElement{}
 	}
-	return fieldElement{lo, hi}
+	sc := scratchPool.Get().(*scratch)
+	for len(head)+len(data) > 0 {
+		n := copy(sc[:], head)
+		m := copy(sc[n:runLen], data)
+		head, data, n = nil, data[m:], n+m
+		binary.BigEndian.PutUint64(sc[:8], binary.BigEndian.Uint64(sc[:8])^y.low)
+		binary.BigEndian.PutUint64(sc[8:16], binary.BigEndian.Uint64(sc[8:16])^y.high)
+		tag := c.aead.Seal(sc[runLen:runLen], zeroNonce[:], nil, sc[:n])
+		y = c.mulInv(gcmAdd(load(tag), c.mask))
+		y.low ^= uint64(n) * 8
+	}
+	scratchPool.Put(sc)
+	return y
 }
 
 // Direction selects whether a Stream produces ciphertext or plaintext.
@@ -268,7 +336,7 @@ func (c *Cipher) InitStream(s *Stream, dir Direction, nonce, aad []byte) {
 	c.block.Encrypt(s.tagMask[:], s.ctr[:])
 	s.seek()
 	s.ghashUpdate(aad)
-	s.ghashFlushPad()
+	s.ghashFlushPad(nil)
 }
 
 // seek positions the keystream at byte dataLen of the message: a CTR over
@@ -283,30 +351,31 @@ func (s *Stream) seek() {
 	}
 }
 
+// ghashUpdate absorbs data: the pending partial block and the whole blocks
+// of data after it go through one ghash call, and the tail stays pending.
+//
+//simlint:hotpath
 func (s *Stream) ghashUpdate(data []byte) {
-	if s.bufLen > 0 {
-		n := copy(s.buf[s.bufLen:], data)
-		s.bufLen += n
-		data = data[n:]
-		if s.bufLen < blockSize {
-			return
-		}
-		s.y = s.c.ghashBlocks(s.y, s.buf[:])
+	if s.bufLen+len(data) < blockSize {
+		s.bufLen += copy(s.buf[s.bufLen:], data)
+		return
 	}
-	whole := len(data) &^ (blockSize - 1)
-	s.y = s.c.ghashBlocks(s.y, data[:whole])
+	whole := (s.bufLen+len(data))&^(blockSize-1) - s.bufLen
+	s.y = s.c.ghash(s.y, s.buf[:s.bufLen], data[:whole])
 	s.bufLen = copy(s.buf[:], data[whole:])
 }
 
-// ghashFlushPad zero-pads and absorbs any partial GHASH block (used at the
-// AAD/data boundary and before the length block).
-func (s *Stream) ghashFlushPad() {
-	if s.bufLen == 0 {
-		return
+// ghashFlushPad zero-pads and absorbs any partial GHASH block, then the
+// whole blocks of next, in one run: InitStream calls it at the AAD/data
+// boundary, Tag with the length block.
+func (s *Stream) ghashFlushPad(next []byte) {
+	if s.bufLen > 0 {
+		clear(s.buf[s.bufLen:])
+		s.bufLen = 0
+		s.y = s.c.ghash(s.y, s.buf[:], next)
+	} else if len(next) > 0 {
+		s.y = s.c.ghash(s.y, nil, next)
 	}
-	clear(s.buf[s.bufLen:])
-	s.y = s.c.ghashBlocks(s.y, s.buf[:])
-	s.bufLen = 0
 }
 
 // Update processes the next len(src) bytes of the message into dst (which
@@ -367,11 +436,10 @@ func (s *Stream) transform(dst, src []byte, srcIsCiphertext bool) {
 // Tag finalizes the message and returns the 16-byte authentication tag.
 // The stream must not be updated afterwards.
 func (s *Stream) Tag() [TagSize]byte {
-	s.ghashFlushPad()
 	var lenBlock [blockSize]byte
 	binary.BigEndian.PutUint64(lenBlock[:8], s.aadLen*8)
 	binary.BigEndian.PutUint64(lenBlock[8:], s.dataLen*8)
-	s.y = s.c.ghashBlocks(s.y, lenBlock[:])
+	s.ghashFlushPad(lenBlock[:])
 	var tag [TagSize]byte
 	binary.BigEndian.PutUint64(tag[:8], s.y.low)
 	binary.BigEndian.PutUint64(tag[8:], s.y.high)

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -230,20 +233,178 @@ func TestProcessed(t *testing.T) {
 }
 
 func TestStreamNoAlloc(t *testing.T) {
-	// The per-packet entry point allocates nothing; starting a record
-	// allocates only the stdlib's CTR object. The flow contexts rely on
-	// this: they hold the Stream by value and re-initialise it in place.
+	// The per-packet entry point and the tag allocate nothing; starting a
+	// record allocates only the stdlib's CTR object. The flow contexts rely
+	// on this: they hold the Stream by value and re-initialise it in place.
 	c, _ := New(key16(14))
 	nonce := make([]byte, NonceSize)
 	aad := []byte("hdr..")
-	buf := make([]byte, 1448)
+	buf := make([]byte, 16<<10)
 	var s Stream
 	c.InitStream(&s, Seal, nonce, aad)
-	if n := testing.AllocsPerRun(100, func() { s.Update(buf, buf) }); n != 0 {
-		t.Errorf("Update allocates %v per call, want 0", n)
+	// An MSS, an odd length that moves the pending partial block on every
+	// call, and a 16 KiB record chained over several scratch runs.
+	for _, n := range []int{1448, 1447, 16 << 10} {
+		if a := testing.AllocsPerRun(100, func() { s.Update(buf[:n], buf[:n]) }); a != 0 {
+			t.Errorf("Update(%d bytes) allocates %v per call, want 0", n, a)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.Tag() }); n != 0 {
+		t.Errorf("Tag allocates %v per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { c.InitStream(&s, Seal, nonce, aad) }); n > 1 {
 		t.Errorf("InitStream allocates %v per call, want at most 1", n)
+	}
+}
+
+// ghashRef is the byte-table GHASH the package ran before it moved onto the
+// stdlib AEAD: y = (y ⊕ block)·H for each whole block, t being the table
+// of H. It is kept as the reference the AEAD-backed path is checked
+// against.
+func ghashRef(t *mulTable, y fieldElement, blocks []byte) fieldElement {
+	lo, hi := y.low, y.high
+	for ; len(blocks) >= blockSize; blocks = blocks[blockSize:] {
+		lo ^= binary.BigEndian.Uint64(blocks[:8])
+		hi ^= binary.BigEndian.Uint64(blocks[8:16])
+		e0 := t[0][lo>>56]
+		e1 := t[1][lo>>48&0xff]
+		e2 := t[2][lo>>40&0xff]
+		e3 := t[3][lo>>32&0xff]
+		e4 := t[4][lo>>24&0xff]
+		e5 := t[5][lo>>16&0xff]
+		e6 := t[6][lo>>8&0xff]
+		e7 := t[7][lo&0xff]
+		e8 := t[8][hi>>56]
+		e9 := t[9][hi>>48&0xff]
+		e10 := t[10][hi>>40&0xff]
+		e11 := t[11][hi>>32&0xff]
+		e12 := t[12][hi>>24&0xff]
+		e13 := t[13][hi>>16&0xff]
+		e14 := t[14][hi>>8&0xff]
+		e15 := t[15][hi&0xff]
+		lo = e0.low ^ e1.low ^ e2.low ^ e3.low ^ e4.low ^ e5.low ^ e6.low ^ e7.low ^
+			e8.low ^ e9.low ^ e10.low ^ e11.low ^ e12.low ^ e13.low ^ e14.low ^ e15.low
+		hi = e0.high ^ e1.high ^ e2.high ^ e3.high ^ e4.high ^ e5.high ^ e6.high ^ e7.high ^
+			e8.high ^ e9.high ^ e10.high ^ e11.high ^ e12.high ^ e13.high ^ e14.high ^ e15.high
+	}
+	return fieldElement{lo, hi}
+}
+
+// hashKey returns H = E(K, 0¹²⁸) for the Cipher's key.
+func hashKey(c *Cipher) fieldElement {
+	var h [blockSize]byte
+	c.block.Encrypt(h[:], h[:])
+	return load(h[:])
+}
+
+// gfMul is the bit-serial field product x·y, independent of any table.
+func gfMul(x, y fieldElement) fieldElement {
+	var z fieldElement
+	for i := 0; i < 128; i++ {
+		w := y.low
+		if i >= 64 {
+			w = y.high
+		}
+		if w>>(63-i%64)&1 == 1 {
+			z = gcmAdd(z, x)
+		}
+		x = gcmDouble(x)
+	}
+	return z
+}
+
+func randElement(rng *rand.Rand) fieldElement {
+	return fieldElement{rng.Uint64(), rng.Uint64()}
+}
+
+func TestGHASHMatchesReference(t *testing.T) {
+	// Run lengths around the AEAD's 8-block loop (128 bytes) and the
+	// scratch run (runLen), with 0–15 bytes already pending in the Stream.
+	c, _ := New(key16(30))
+	var ref mulTable
+	ref.init(hashKey(c))
+	rng := rand.New(rand.NewSource(31))
+	for _, run := range []int{16, 112, 128, 144, 4080, 4096, 4112, 16<<10 + 16} {
+		for pending := 0; pending < blockSize; pending++ {
+			tail := (pending*7 + run/16) % blockSize
+			msg := make([]byte, run+tail)
+			rng.Read(msg)
+			y := randElement(rng)
+			s := Stream{c: c, y: y, bufLen: pending}
+			copy(s.buf[:], msg[:pending])
+			s.ghashUpdate(msg[pending:])
+			if want := ghashRef(&ref, y, msg[:run]); s.y != want {
+				t.Fatalf("run %d, pending %d: y = %x, reference %x", run, pending, s.y, want)
+			}
+			if s.bufLen != tail || !bytes.Equal(s.buf[:tail], msg[run:]) {
+				t.Fatalf("run %d, pending %d: %d bytes left pending, want the %d-byte tail", run, pending, s.bufLen, tail)
+			}
+		}
+	}
+}
+
+func TestInverse(t *testing.T) {
+	one := fieldElement{1 << 63, 0} // the polynomial 1 in the reflected order
+	rng := rand.New(rand.NewSource(32))
+	for i := 0; i < 200; i++ {
+		x := randElement(rng)
+		if i == 0 {
+			x = one
+		}
+		if got := gfMul(x, inverse(x)); got != one {
+			t.Fatalf("x·x⁻¹ = %x for x = %x", got, x)
+		}
+	}
+	c, _ := New(key16(33))
+	h := hashKey(c)
+	for i := 0; i < 200; i++ {
+		y := randElement(rng)
+		if got := c.mulInv(gfMul(y, h)); got != y {
+			t.Fatalf("mulInv(y·H) = %x, want y = %x", got, y)
+		}
+	}
+}
+
+func TestSharedCipherConcurrent(t *testing.T) {
+	// One cached Cipher serves every goroutine; each drives its own record
+	// through per-packet Updates that interleave with the others' on the
+	// pooled GHASH scratch, and must still match the one-shot AEAD.
+	key := key16(34)
+	c, err := NewCached(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, recLen, piece = 8, 20000, 1447
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			nonce := make([]byte, NonceSize)
+			rng.Read(nonce)
+			aad := make([]byte, 13)
+			rng.Read(aad)
+			pt := make([]byte, recLen)
+			rng.Read(pt)
+			var s Stream
+			c.InitStream(&s, Seal, nonce, aad)
+			ct := make([]byte, recLen)
+			for off := 0; off < recLen; off += piece {
+				end := min(off+piece, recLen)
+				s.Update(ct[off:end], pt[off:end])
+				runtime.Gosched()
+			}
+			tag := s.Tag()
+			if !bytes.Equal(append(ct, tag[:]...), stdSeal(key, nonce, pt, aad)) {
+				errs <- fmt.Errorf("worker %d: record differs from the stdlib's Seal", w)
+				return
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -294,6 +455,39 @@ func BenchmarkSeal16K(b *testing.B) {
 		s := c.NewStream(Seal, nonce, nil)
 		s.Update(buf, buf)
 		_ = s.Tag()
+	}
+}
+
+// BenchmarkStreamUpdate is one packet's in-place Open on a live stream, at
+// the sizes of the benchmark's gcm.stream_ns_per_byte rows.
+func BenchmarkStreamUpdate(b *testing.B) {
+	for _, n := range []int{64, 1448, 16384} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			c, _ := New(key16(13))
+			nonce := make([]byte, NonceSize)
+			buf := make([]byte, n)
+			var s Stream
+			c.InitStream(&s, Open, nonce, nil)
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if s.Processed() > 1<<30 {
+					c.InitStream(&s, Open, nonce, nil)
+				}
+				s.Update(buf, buf)
+			}
+		})
+	}
+}
+
+// BenchmarkNew is the per-key cost: key schedule, AEAD, H⁻¹ and its table.
+func BenchmarkNew(b *testing.B) {
+	key := key16(13)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(key); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -72,10 +72,11 @@ type Conn struct {
 	tr       *telemetry.Tracer // inherited from the socket's stack
 	traceTid string
 
-	// Whole-record software crypto uses the standard library AEAD (host
-	// CPUs have AES-NI and carryless multiply); the incremental rxCipher
-	// Stream serves only the partial-record mixed pass of §5.2, which must
-	// advance over arbitrary byte ranges. Both produce identical bytes.
+	// Whole-record software crypto uses the standard library AEAD that
+	// rxCipher holds for the key; the incremental rxCipher Stream serves
+	// only the partial-record mixed pass of §5.2, which must advance over
+	// arbitrary byte ranges. Both run on AES-NI and carry-less multiply and
+	// produce identical bytes.
 	aead     cipher.AEAD
 	rxCipher *gcm.Cipher
 	rxStream gcm.Stream // the mixed pass's stream, initialised in place per record
@@ -133,10 +134,6 @@ func NewConn(sock *tcpip.Socket, cfg Config) (*Conn, error) {
 	if cfg.RecordSize <= 0 || cfg.RecordSize > MaxPlaintext {
 		cfg.RecordSize = MaxPlaintext
 	}
-	aead, err := gcm.AEADCached(cfg.Key)
-	if err != nil {
-		return nil, fmt.Errorf("ktls: %w", err)
-	}
 	rxC, err := gcm.NewCached(cfg.Key)
 	if err != nil {
 		return nil, fmt.Errorf("ktls: %w", err)
@@ -147,7 +144,7 @@ func NewConn(sock *tcpip.Socket, cfg Config) (*Conn, error) {
 		cfg:      cfg,
 		model:    model,
 		ledger:   ledger,
-		aead:     aead,
+		aead:     rxC.AEAD(),
 		rxCipher: rxC,
 		tr:       sock.StackTracer(),
 		traceTid: sock.StackTraceTid() + ".tls",
