@@ -36,19 +36,22 @@ soak:
 	$(GO) test -race -count=1 -timeout 30m -run 'OffloadEquivalence' ./internal/experiments/
 
 # A few seconds of coverage-guided fuzzing per target: TCP reassembly, the
-# SACK option codec and scoreboard, the RxEngine header parser/search path,
-# the event queue against its reference model, gcm.Stream against
-# crypto/cipher's GCM, the L5P message assembler under the ktls, nvmetcp
-# and dpi header parsers, the NVMe-TCP target against a model of the
-# commands it may serve, the two word-at-a-time byte loops — the SSD
-# model's block pattern and the internet checksum — against their
-# byte-wise references, the dpi automaton against a naive search, and
-# wire.Parse, whose accepted packets must survive Marshal and Parse again.
+# SACK option codec and scoreboard, the TCP send ring against a
+# bytes.Buffer, the RxEngine header parser/search path, the event queue
+# with a faulty link's frames in flight against its reference model,
+# gcm.Stream against crypto/cipher's GCM, the L5P message assembler under
+# the ktls, nvmetcp and dpi header parsers, the NVMe-TCP target against a
+# model of the commands it may serve, the two word-at-a-time byte loops —
+# the SSD model's block pattern and the internet checksum — against their
+# byte-wise references (the checksum also in chained pieces), the dpi
+# automaton against a naive search, and wire.Parse, whose accepted packets
+# must survive Marshal and Parse again and which ParseInto must match.
 # `go test -fuzz` takes one target per invocation, hence the separate lines.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 5s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 5s ./internal/tcpip/
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreboard$$' -fuzztime 5s ./internal/tcpip/
+	$(GO) test -run '^$$' -fuzz '^FuzzSendRing$$' -fuzztime 5s ./internal/tcpip/
 	$(GO) test -run '^$$' -fuzz '^FuzzSackOption$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzRxEngine$$' -fuzztime 5s ./internal/offload/
@@ -69,8 +72,10 @@ golden-check:
 # The race detector instruments allocations, so the zero-alloc guarantees
 # (disabled telemetry and lifecycle spans must not allocate on the
 # per-packet path, nor Stats()/Sample() at steady state, nor a poll or
-# doorbell beyond the parsed packets, nor re-arming and running a timer, nor
-# a frame crossing a link, nor an offload engine's Process in sequence or
+# doorbell (received frames parse into one reused packet), nor parsing a
+# frame into a packet, nor re-arming and running a timer, nor a frame
+# crossing a link, nor writing, reading and trimming a TCP send ring at its
+# working size, nor an offload engine's Process in sequence or
 # searching, nor gcm.Stream.Update or Tag at any piece length (GHASH's
 # scratch run comes from a sync.Pool), nor an L5P cutting messages out of its
 # chunk queue or walking a message's byte ranges, or retaining a sent
@@ -79,7 +84,7 @@ golden-check:
 # not; starting a GCM record allocates only the stdlib's CTR) are asserted
 # in a separate non-race run.
 alloc-check:
-	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/offload/ ./internal/gcm/ ./internal/l5p/ ./internal/blockdev/ ./internal/nvmetcp/
+	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/tcpip/ ./internal/wire/ ./internal/offload/ ./internal/gcm/ ./internal/l5p/ ./internal/blockdev/ ./internal/nvmetcp/
 
 # The gate on everything modeled: each BENCHMARK.json workload on seeds 1
 # and 2, one repetition (--seconds 0), checked bit for bit against

@@ -141,11 +141,22 @@ func (s *Simulator) After(d time.Duration, fn func()) *Timer {
 // schedule queues t (or moves it, if already queued) to fire at absolute
 // time at, clamped to now, behind every event already scheduled for then.
 func (s *Simulator) schedule(t *Timer, at time.Duration) {
-	if at < s.now {
-		at = s.now
-	}
-	t.at, t.seq = at, s.seq
+	at, seq := s.reserve(at)
+	s.scheduleSeq(t, at, seq)
+}
+
+// reserve takes the next place in the event order for an event at time
+// at, clamped to now.
+func (s *Simulator) reserve(at time.Duration) (time.Duration, uint64) {
 	s.seq++
+	return max(at, s.now), s.seq - 1
+}
+
+// scheduleSeq queues or moves t to the position (at, seq) that reserve
+// handed out earlier: a link's direction timer is re-armed at the slot its
+// next frame reserved when it was sent.
+func (s *Simulator) scheduleSeq(t *Timer, at time.Duration, seq uint64) {
+	t.at, t.seq = at, seq
 	if t.index < 0 {
 		t.index = len(s.queue)
 		s.queue = append(s.queue, t)
@@ -198,8 +209,9 @@ func (s *Simulator) RunUntil(t time.Duration) {
 // RunFor advances the clock by d, processing all events in the window.
 func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 
-// QueueLen returns the number of pending events. Stopped timers leave the
-// queue immediately, so this is the live count.
+// QueueLen returns the number of nodes in the event heap: armed timers, one
+// per link direction with in-order frames in flight, and one per frame that
+// overtook its direction's FIFO. Stopped timers leave the heap immediately.
 func (s *Simulator) QueueLen() int { return len(s.queue) }
 
 // Quiesced reports whether no events remain.
@@ -419,12 +431,20 @@ type direction struct {
 	stats    DirStats
 	nextFree time.Duration // when the serializer is next available
 	geBad    bool          // Gilbert–Elliott channel state
+	// head..tail are the frames in flight in arrival order, linked through
+	// delivery.next; timer is armed at head's reserved (at, seq), so the
+	// whole FIFO costs the event heap one node.
+	head, tail *delivery
+	timer      Timer
 }
 
 // NewLink creates a link; attach endpoints with AttachA/AttachB before
 // sending.
 func NewLink(sim *Simulator, cfg LinkConfig) *Link {
 	l := &Link{sim: sim, cfg: cfg}
+	for dir := range l.dirs {
+		l.dirs[dir].timer = Timer{sim: sim, fn: func() { l.fireHead(dir) }, index: -1}
+	}
 	l.dirs[0].rng = rand.New(rand.NewSource(cfg.AtoB.Seed + 1))
 	l.dirs[1].rng = rand.New(rand.NewSource(cfg.BtoA.Seed + 2))
 	return l
@@ -646,14 +666,18 @@ func (l *Link) notifyTooBig(dir int) {
 	}
 }
 
-// delivery is one frame in flight: its event-heap node together with what
-// the handler needs, so sending a frame builds no closure. The embedded
-// timer's handle never leaves the link, which is what makes it safe to
-// recycle the node through Link.free once it has fired.
+// delivery is one frame in flight with what the handler needs, so sending
+// a frame builds no closure. timer.at and timer.seq are the frame's place
+// in the event order, reserved at send time. An in-order frame waits in
+// its direction's FIFO and its timer never enters the heap; a frame that
+// overtakes the FIFO's tail (a reorder hold behind it, a duplicate copy)
+// is scheduled on its own timer. The timer's handle never leaves the link,
+// which is what makes it safe to recycle the node through Link.free once
+// it has fired.
 type delivery struct {
 	timer Timer
 	link  *Link
-	next  *delivery // free list
+	next  *delivery // the free list, or the direction's FIFO
 	dst   Endpoint  // resolved at send time
 	frame wire.Frame
 	sent  time.Duration
@@ -662,7 +686,9 @@ type delivery struct {
 }
 
 // deliverAt queues frame, handed to the link at virtual time sent, for
-// delivery to dst at time at.
+// delivery to dst at time at. The frame takes its seq now, exactly where
+// scheduling its own timer would, so the pop order does not depend on
+// which of the two ways it waits.
 //
 //simlint:hotpath
 func (l *Link) deliverAt(at, sent time.Duration, dir int, dst Endpoint, frame wire.Frame, dup bool) {
@@ -673,7 +699,20 @@ func (l *Link) deliverAt(at, sent time.Duration, dir int, dst Endpoint, frame wi
 		l.free = v.next
 	}
 	v.dst, v.frame, v.sent, v.dir, v.dup = dst, frame, sent, dir, dup
-	l.sim.schedule(&v.timer, at)
+	d := &l.dirs[dir]
+	if d.tail != nil && at < d.tail.timer.at {
+		l.sim.schedule(&v.timer, at)
+		return
+	}
+	v.timer.at, v.timer.seq = l.sim.reserve(at)
+	v.next = nil
+	if d.tail == nil {
+		d.head = v
+		l.sim.scheduleSeq(&d.timer, v.timer.at, v.timer.seq)
+	} else {
+		d.tail.next = v
+	}
+	d.tail = v
 }
 
 func (l *Link) newDelivery() *delivery {
@@ -682,7 +721,24 @@ func (l *Link) newDelivery() *delivery {
 	return v
 }
 
-// fire is the delivery event. The node goes back on the free list, holding
+// fireHead is a direction timer's event: it delivers the FIFO's head and
+// re-arms the timer at the next frame's reserved slot first, so a send
+// from inside DeliverFrame appends behind it.
+//
+//simlint:hotpath
+func (l *Link) fireHead(dir int) {
+	d := &l.dirs[dir]
+	v := d.head
+	if d.head = v.next; d.head == nil {
+		d.tail = nil
+	} else {
+		l.sim.scheduleSeq(&d.timer, d.head.timer.at, d.head.timer.seq)
+	}
+	v.fire()
+}
+
+// fire delivers the frame: it is the event of a node on its own timer and
+// the tail end of fireHead. The node goes back on the free list, holding
 // neither frame nor endpoint, before the endpoint runs, so a send from
 // inside DeliverFrame can already reuse it.
 //

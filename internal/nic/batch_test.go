@@ -110,13 +110,13 @@ func TestMidDrainPostsLandInNextBatch(t *testing.T) {
 	}
 }
 
-// TestPollDoorbellNoAllocBeyondParse pins the steady-state cost of one
-// receive poll plus one transmit doorbell at Queues: 4: wire.Parse's one
-// packet per received frame and nothing else. The two events are re-armed
-// timers, so scheduling them is free; anything the handlers add per event —
-// a closure, a scratch slice, a fan-out — shows up as extra allocations
-// whatever the batch size.
-func TestPollDoorbellNoAllocBeyondParse(t *testing.T) {
+// TestPollDoorbellNoAlloc pins the steady-state cost of one receive poll
+// plus one transmit doorbell at Queues: 4 to nothing: every received frame
+// parses into the NIC's one packet, and the two events are re-armed
+// timers, so scheduling them is free. Anything the handlers add per frame
+// or per event — a parsed packet, a closure, a scratch slice, a fan-out —
+// shows up as allocations whatever the batch size.
+func TestPollDoorbellNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counting unreliable under -race")
 	}
@@ -138,12 +138,9 @@ func TestPollDoorbellNoAllocBeyondParse(t *testing.T) {
 			flush(sim)
 		}
 	}
-	parse := testing.AllocsPerRun(100, func() { wire.Parse(rx[0]) })
 	for _, frames := range []int{8, 48} {
-		got := testing.AllocsPerRun(100, batch(frames))
-		if want := float64(frames) * parse; got != want {
-			t.Errorf("%d frames: %v allocs per poll+doorbell, want %v (%v per parsed frame, 0 for the two events)",
-				frames, got, want, parse)
+		if got := testing.AllocsPerRun(100, batch(frames)); got != 0 {
+			t.Errorf("%d frames: %v allocs per poll+doorbell, want 0", frames, got)
 		}
 	}
 	if st := n.Stats(); st.RxPackets == 0 || st.TxPackets == 0 || st.RxPackets != st.RxPolledFrames {

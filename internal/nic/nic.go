@@ -240,6 +240,9 @@ type NIC struct {
 	// snapshots allocate nothing.
 	lc     lifecycle
 	merged Stats
+	// rxPkt is the packet every received frame parses into: the stack keeps
+	// nothing of it past Input (tcpip.Stack.Input).
+	rxPkt wire.Packet
 }
 
 type cacheKey struct {
@@ -612,10 +615,10 @@ func (n *NIC) rxComplete(q *Queue, frame wire.Frame) {
 	m := n.cfg.Model
 	lg := n.cfg.Ledger
 	lcOn := n.lc.enabled
-	pkt, err := wire.Parse(frame)
-	if err != nil {
+	pkt := &n.rxPkt
+	if err := wire.ParseInto(frame, pkt); err != nil {
 		q.Stats.RxBadFrames++
-		if pkt == nil || n.cfg.DropRxChecksumErrors {
+		if pkt.Payload == nil || n.cfg.DropRxChecksumErrors {
 			// Unparseable, or the device is configured to discard checksum
 			// failures itself (the default of real NICs).
 			return

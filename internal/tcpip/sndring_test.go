@@ -1,0 +1,313 @@
+package tcpip
+
+import (
+	"bytes"
+	"fmt"
+	"math/bits"
+	"testing"
+	"time"
+
+	"repro/internal/netsim"
+	"repro/internal/wire"
+)
+
+// sentBytes copies the buffered send bytes in [from, to) out of the ring:
+// what the peer has yet to acknowledge, for tests that check the ring
+// holds the written stream.
+func (s *Socket) sentBytes(from, to uint32) ([]byte, error) {
+	if s.state == stateClosed {
+		return nil, fmt.Errorf("tcpip: stream range [%d,%d) of a closed socket", from, to)
+	}
+	start, end := int32(from-s.sndUna), int32(to-s.sndUna)
+	if start < 0 || end < start || int(end) > s.sndLen {
+		return nil, fmt.Errorf("tcpip: stream range [%d,%d) outside retained [%d,%d)",
+			from, to, s.sndUna, s.sndUna+uint32(s.sndLen))
+	}
+	return bytes.Clone(s.sndSlice(int(start), int(end-start))), nil
+}
+
+// TestSendStoreRecycling opens, closes and reopens connections with
+// distinct patterns: a closed socket's send ring must reach the next
+// connection (that is the point), never a second live one, and the closed
+// socket must hold no bytes that are no longer its own. The free list's
+// byte bound is checked on its own at the end.
+func TestSendStoreRecycling(t *testing.T) {
+	p := newPair(t, netsim.LinkConfig{Gbps: 1, Latency: 100 * time.Microsecond})
+	got := map[uint16]*bytes.Buffer{} // by client port
+	p.b.Listen(80, func(s *Socket) {
+		buf := &bytes.Buffer{}
+		got[s.Flow().Dst.Port] = buf
+		s.OnReadable = func(s *Socket) {
+			for c, ok := s.ReadChunk(); ok; c, ok = s.ReadChunk() {
+				buf.Write(c.Data)
+			}
+			if s.EOF() {
+				s.Close()
+			}
+		}
+	})
+	open := func(pattern []byte, thenClose bool) *Socket {
+		return p.a.Connect(wire.Addr{IP: p.b.IP(), Port: 80}, func(s *Socket) {
+			if n := s.Write(pattern); n != len(pattern) {
+				t.Fatalf("short write %d of %d", n, len(pattern))
+			}
+			if thenClose {
+				s.Close()
+			}
+		})
+	}
+	base := func(b []byte) *byte { return &b[:1][0] }
+	checkLive := func(s *Socket, pattern []byte) {
+		t.Helper()
+		b, err := s.sentBytes(s.sndUna, s.sndUna+uint32(s.BufferedOut()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(pattern, b) || len(b) == 0 {
+			t.Errorf("live socket's %d buffered bytes are not its pattern's tail", len(b))
+		}
+	}
+
+	patA, patB, patC, patD := randBytes(20000, 1), randBytes(15000, 2), randBytes(30000, 3), randBytes(9000, 4)
+
+	first := open(patA, true)
+	p.sim.RunUntil(10 * time.Millisecond)
+	if first.State() != "closed" {
+		t.Fatalf("first connection is %s, want closed", first.State())
+	}
+	if _, err := first.sentBytes(first.sndUna, first.sndUna); err == nil || first.BufferedOut() != 0 {
+		t.Error("a torn-down socket still reads from its send ring")
+	}
+	// One write of 20 000 bytes: one ring, the next power of two.
+	if len(p.a.sndFree) != 1 || len(p.a.sndFree[0]) != 32<<10 || p.a.sndFreeBytes != 32<<10 {
+		t.Fatalf("free list holds %d rings, %d bytes after one teardown, want one ring of 32 KiB",
+			len(p.a.sndFree), p.a.sndFreeBytes)
+	}
+	recycled := base(p.a.sndFree[0])
+
+	// Two live connections at once: one starts on the recycled ring, the
+	// other must not share it.
+	second, third := open(patB, false), open(patC, false)
+	p.sim.RunUntil(10*time.Millisecond + 250*time.Microsecond)
+	if second.BufferedOut() == 0 || third.BufferedOut() == 0 {
+		t.Fatal("timing: nothing buffered 250µs after connecting")
+	}
+	if base(second.snd) != recycled {
+		t.Error("the reopened connection did not take the recycled ring")
+	}
+	if base(third.snd) == base(second.snd) {
+		t.Fatal("two live sockets share one send ring")
+	}
+	checkLive(second, patB)
+	checkLive(third, patC)
+
+	// Close one while the other still has bytes in flight, and let a fourth
+	// connection take over its ring.
+	second.Close()
+	p.sim.RunUntil(11 * time.Millisecond)
+	if second.State() != "closed" || third.State() != "established" {
+		t.Fatalf("second %s, third %s", second.State(), third.State())
+	}
+	third.Write(patC[:5000])
+	fourth := open(patD, false)
+	p.sim.RunUntil(11*time.Millisecond + 250*time.Microsecond)
+	if base(fourth.snd) != recycled {
+		t.Error("the ring did not go round a second time")
+	}
+	if base(fourth.snd) == base(third.snd) {
+		t.Fatal("recycled ring aliases a live socket's")
+	}
+	checkLive(third, patC[:5000])
+	checkLive(fourth, patD)
+	third.Close()
+	fourth.Close()
+	p.sim.RunUntil(time.Second)
+
+	want := map[uint16][]byte{
+		first.Flow().Src.Port:  patA,
+		second.Flow().Src.Port: patB,
+		third.Flow().Src.Port:  append(append([]byte(nil), patC...), patC[:5000]...),
+		fourth.Flow().Src.Port: patD,
+	}
+	for port, w := range want {
+		if g := got[port]; g == nil || !bytes.Equal(g.Bytes(), w) {
+			t.Errorf("port %d: server did not receive the connection's own bytes", port)
+		}
+	}
+
+	// The free list holds rings of any size but at most defaultSndBuf
+	// bytes in all: a ring that would exceed it is dropped, and taking one
+	// back frees its share of the budget.
+	st := &Stack{}
+	for _, n := range []int{2 << 20, 1 << 20, 1 << 20, 4 << 10} {
+		st.putSndRing(make([]byte, n))
+	}
+	if len(st.sndFree) != 3 || st.sndFreeBytes != defaultSndBuf {
+		t.Fatalf("free list holds %d rings, %d bytes; want the first three, %d bytes",
+			len(st.sndFree), st.sndFreeBytes, defaultSndBuf)
+	}
+	if r := st.getSndRing(1 << 20); len(r) != 1<<20 || st.sndFreeBytes != 3<<20 {
+		t.Fatalf("got a %d-byte ring, %d bytes left held", len(r), st.sndFreeBytes)
+	}
+	if r := st.getSndRing(4 << 20); len(r) != 4<<20 || len(st.sndFree) != 2 {
+		t.Fatalf("a need no ring on the list meets must allocate: got %d bytes, %d rings held",
+			len(r), len(st.sndFree))
+	}
+}
+
+// TestSendRingWrap streams 1 MiB through a send ring the writer keeps
+// under 6 000 bytes full — an 8 KiB ring, which segments cross on most
+// laps. On the way it loses one wrapping segment, so the fast retransmit
+// resends a wrapping range through the gather scratch; after that, once,
+// while the ring is wrapped, it writes enough to make it grow. Every byte
+// the peer reads must be the written stream's.
+func TestSendRingWrap(t *testing.T) {
+	var (
+		p                   *pair
+		lastFR              uint64
+		wrapped, gatheredFR int
+		dropped, grew       bool
+	)
+	gathered := func(pkt *wire.Packet) bool {
+		g := p.a.gather[:cap(p.a.gather)]
+		return len(pkt.Payload) > 0 && len(g) > 0 && &pkt.Payload[0] == &g[0]
+	}
+	p = newFilterPair(t, netsim.LinkConfig{Gbps: 10, Latency: 5 * time.Microsecond}, func(pkt *wire.Packet) bool {
+		fastRexmit := p.a.Stats.FastRetransmits != lastFR
+		lastFR = p.a.Stats.FastRetransmits
+		if !gathered(pkt) {
+			return false
+		}
+		if fastRexmit {
+			gatheredFR++
+		}
+		if wrapped++; wrapped == 3 {
+			dropped = true
+			return true
+		}
+		return false
+	})
+	var got bytes.Buffer
+	done := false
+	p.b.Listen(80, func(s *Socket) {
+		s.OnReadable = func(s *Socket) {
+			for c, ok := s.ReadChunk(); ok; c, ok = s.ReadChunk() {
+				got.Write(c.Data)
+			}
+			done = s.EOF()
+		}
+	})
+	var sender *Socket
+	p.a.Connect(wire.Addr{IP: p.b.IP(), Port: 80}, func(s *Socket) { sender = s })
+
+	data := randBytes(1<<20, 91)
+	written, limit := 0, 6000
+	for i := 0; !done && i < 1e6; i++ {
+		if s := sender; s != nil && written < len(data) {
+			ring := len(s.snd)
+			wrapping := !grew && gatheredFR > 0 && s.sndOff+s.sndLen > ring
+			if wrapping {
+				limit *= 4 // write past the ring's end
+			}
+			if n := min(limit-s.BufferedOut(), len(data)-written); n > 0 {
+				written += s.Write(data[written : written+n])
+			}
+			if wrapping {
+				if grew = len(s.snd) > ring; !grew {
+					t.Fatalf("a write to %d bytes left the %d-byte ring as it was", s.sndLen, ring)
+				}
+			}
+			if written == len(data) {
+				s.Close()
+			}
+		}
+		p.sim.RunFor(time.Microsecond)
+	}
+	if !done || !bytes.Equal(got.Bytes(), data) {
+		t.Fatalf("peer read %d bytes (done=%v), want the %d written, byte for byte", got.Len(), done, len(data))
+	}
+	if !dropped || gatheredFR == 0 || !grew {
+		t.Errorf("lost a wrapping segment: %v; fast retransmits %d, %d of them through the gather scratch; grew while wrapped: %v",
+			dropped, p.a.Stats.FastRetransmits, gatheredFR, grew)
+	}
+}
+
+// FuzzSendRing drives the ring's three operations — append behind the
+// buffered bytes, trim at the head, read any buffered range — from fuzz
+// bytes, checking every read against a bytes.Buffer holding the same
+// stream, and the ring's shape after every step: a power of two, never
+// shorter than what it holds, never longer than the next power of two of
+// the most it ever held.
+func FuzzSendRing(f *testing.F) {
+	f.Add([]byte{0, 200, 2, 9, 1, 100, 0, 255, 2, 7, 1, 255, 0, 3, 2, 1})
+	f.Add([]byte{0, 110, 1, 99, 0, 110, 2, 0, 0, 250, 2, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := &Socket{stack: &Stack{}}
+		var ref bytes.Buffer
+		var next byte
+		peak := 0
+		for ; len(ops) >= 2; ops = ops[2:] {
+			k := int(ops[1])
+			switch ops[0] % 3 {
+			case 0: // write k·37 bytes of a counter stream (period 251)
+				p := make([]byte, k*37)
+				for i := range p {
+					p[i], next = next, (next+1)%251
+				}
+				s.sndAppend(p)
+				ref.Write(p)
+			case 1: // acknowledge up to k·41 bytes
+				n := min(k*41, ref.Len())
+				s.sndTrim(n)
+				ref.Next(n)
+			case 2: // read a range
+				if ref.Len() == 0 {
+					continue
+				}
+				off := k * 53 % ref.Len()
+				n := min(ref.Len()-off, 1+k*29)
+				if got := s.sndSlice(off, n); !bytes.Equal(got, ref.Bytes()[off:off+n]) {
+					t.Fatalf("sndSlice(%d, %d) differs from the written stream", off, n)
+				}
+			}
+			peak = max(peak, ref.Len())
+			if r := len(s.snd); s.sndLen != ref.Len() || r&(r-1) != 0 || r < s.sndLen ||
+				(peak > 0 && r > 1<<bits.Len(uint(peak-1))) {
+				t.Fatalf("ring of %d bytes holding %d (reference %d, peak %d)", r, s.sndLen, ref.Len(), peak)
+			}
+		}
+		if got := s.sndSlice(0, ref.Len()); !bytes.Equal(got, ref.Bytes()) {
+			t.Fatal("buffered bytes differ from the written stream")
+		}
+		held := 0
+		for _, r := range s.stack.sndFree {
+			held += len(r)
+		}
+		if held != s.stack.sndFreeBytes || held > defaultSndBuf {
+			t.Fatalf("free list holds %d bytes, counts %d", held, s.stack.sndFreeBytes)
+		}
+	})
+}
+
+// TestSndAppendNoAlloc: once the ring and the gather scratch have reached
+// the size a connection's window needs, writing, reading any range —
+// wrapping ones included — and trimming never allocate.
+func TestSndAppendNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counting unreliable under -race")
+	}
+	s := &Socket{stack: &Stack{}}
+	s.sndAppend(make([]byte, 3000)) // a 4 KiB ring
+	s.stack.growGather(4 << 10)
+	chunk := make([]byte, 1000)
+	if got := testing.AllocsPerRun(1000, func() {
+		s.sndAppend(chunk)
+		s.sndSlice(0, s.sndLen) // wraps on most turns
+		s.sndTrim(len(chunk))
+	}); got != 0 {
+		t.Errorf("sndAppend + sndSlice + sndTrim = %v allocs at steady state, want 0", got)
+	}
+	if len(s.snd) != 4<<10 {
+		t.Errorf("the ring grew to %d bytes holding at most 4000", len(s.snd))
+	}
+}

@@ -10,13 +10,14 @@
 // plays the role of the Linux TCP/IP stack: it knows nothing about
 // offloads except that received chunks carry opaque per-packet metadata
 // flags (meta.RxFlags) which it must preserve without coalescing across
-// differing values (§4.3), and that transmitted bytes must remain readable
-// until acknowledged so the driver can reconstruct NIC contexts from them
-// (§4.2, Fig. 6).
+// differing values (§4.3). The transmitted bytes the driver reads to
+// reconstruct NIC contexts (§4.2, Fig. 6) are retained above it, by the
+// L5P (l5p.TxRetainer).
 package tcpip
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -35,11 +36,14 @@ const WindowShift = 10
 // tests). The device owns frame serialization and transmit-side offloads.
 type NetDevice interface {
 	// Transmit sends one TCP packet toward the peer. The payload aliases
-	// the socket's send buffer and is valid only for the duration of the
+	// the socket's send ring, or the stack's gather scratch when the
+	// segment wraps the ring, and is valid only for the duration of the
 	// call: the device must serialize (copy) it into its own frame memory
-	// before returning — acknowledgments arriving later shift the buffer
-	// under the slice. Offload engines transform the device's copy, never
-	// the payload slice itself.
+	// before returning — later writes reuse the ring slots that
+	// acknowledgments free, and the next wrapping segment reuses the
+	// scratch. The packet, the payload's length included, stays readable
+	// (the NIC marshals headers at doorbell time). Offload engines
+	// transform the device's copy, never the payload slice itself.
 	Transmit(pkt *wire.Packet)
 }
 
@@ -56,11 +60,15 @@ type Stack struct {
 	nextPort  uint16
 	issSeed   uint32
 
-	// sndFree holds the send stores of torn-down sockets for the next
-	// connections to start on: a short connection otherwise re-grows its
-	// store 8 K → 24 K → 56 K and leaves all three to the collector.
-	// Bounded in entries and in bytes per entry (see putSndStore).
-	sndFree [][]byte
+	// sndFree holds outgrown send rings and those of torn-down sockets for
+	// the next connections to start on: a short connection otherwise
+	// doubles its ring a few times and leaves every size to the collector.
+	// The rings held total at most defaultSndBuf bytes (sndFreeBytes).
+	sndFree      [][]byte
+	sndFreeBytes int
+	// gather is the scratch a segment that wraps its socket's ring is
+	// copied into; like any payload it lives for one Transmit call.
+	gather []byte
 
 	tracer   *telemetry.Tracer
 	traceTid string
@@ -143,36 +151,30 @@ func NewStack(sim *netsim.Simulator, ip [4]byte, model *cycles.Model, ledger *cy
 	}
 }
 
-// The send-store free list keeps at most sndFreeMax stores of at most
-// sndFreeMaxCap bytes each. Bulk senders grow past the size bound, but they
-// live long enough to amortize their own growth.
-const (
-	sndFreeMax    = 16
-	sndFreeMaxCap = 256 << 10
-)
-
-// getSndStore returns an empty store of capacity at least n, recycled if
-// the free list has one that large.
-func (st *Stack) getSndStore(n int) []byte {
+// getSndRing returns a send ring of n bytes, a power of two, recycled if
+// the free list has one at least that large. Its contents are stale.
+func (st *Stack) getSndRing(n int) []byte {
 	last := len(st.sndFree) - 1
 	for i := last; i >= 0; i-- {
-		if b := st.sndFree[i]; cap(b) >= n {
+		if b := st.sndFree[i]; len(b) >= n {
 			st.sndFree[i] = st.sndFree[last]
 			st.sndFree[last] = nil
 			st.sndFree = st.sndFree[:last]
+			st.sndFreeBytes -= len(b)
 			return b
 		}
 	}
-	return make([]byte, 0, n)
+	return make([]byte, n)
 }
 
-// putSndStore offers a store no socket references any more to the free
-// list; it is dropped when the list is full or the store too large.
-func (st *Stack) putSndStore(b []byte) {
-	if cap(b) == 0 || cap(b) > sndFreeMaxCap || len(st.sndFree) == sndFreeMax {
+// putSndRing offers a ring no socket references any more to the free list;
+// it is dropped when keeping it would hold more than defaultSndBuf bytes.
+func (st *Stack) putSndRing(b []byte) {
+	if len(b) == 0 || st.sndFreeBytes+len(b) > defaultSndBuf {
 		return
 	}
-	st.sndFree = append(st.sndFree, b[:0])
+	st.sndFree = append(st.sndFree, b)
+	st.sndFreeBytes += len(b)
 }
 
 // SetDevice attaches the output device.
@@ -375,7 +377,10 @@ func (st *Stack) newSocket(flow wire.FlowID) *Socket {
 }
 
 // Input delivers a received, already-parsed packet from the NIC, together
-// with the NIC's per-packet offload verdict flags.
+// with the NIC's per-packet offload verdict flags. Input keeps neither pkt
+// nor anything it points to (Payload, SACKBlocks) after it returns: bytes
+// it buffers are copied, so the device may reuse the packet and recycle
+// the frame at once.
 func (st *Stack) Input(pkt *wire.Packet, flags meta.RxFlags) {
 	if flags&meta.RxChecksumBad != 0 {
 		// The device delivered a frame its checksum offload flagged bad
@@ -504,8 +509,9 @@ type Socket struct {
 	iss        uint32
 	sndUna     uint32 // oldest unacknowledged sequence
 	sndNxt     uint32 // next sequence to send
-	sndBuf     []byte // bytes [sndUna+synAdj, ...) not yet acknowledged
-	sndStore   []byte // sndBuf's largest backing array, for compaction
+	snd        []byte // send ring, a power of two long (or nil)
+	sndOff     int    // ring index of the byte at sndUna
+	sndLen     int    // bytes written and not yet acknowledged
 	sndBufCap  int
 	finQueued  bool
 	finSeq     uint32
@@ -622,7 +628,7 @@ func (s *Socket) Established() bool {
 // WriteSeq returns the TCP sequence number the next written byte will
 // occupy. L5Ps use it to map messages to stream positions (§4.2).
 func (s *Socket) WriteSeq() uint32 {
-	return s.sndUna + uint32(len(s.sndBuf))
+	return s.sndUna + uint32(s.sndLen)
 }
 
 // ReadSeq returns the TCP sequence number of the next byte ReadChunk will
@@ -632,23 +638,6 @@ func (s *Socket) ReadSeq() uint32 {
 		return s.rcvChunks[s.rcvHead].Seq
 	}
 	return s.rcvNxt
-}
-
-// StreamBytes returns the unacknowledged sent bytes in [from, to). It is
-// the host-memory region the NIC driver DMA-reads during transmit context
-// recovery (Fig. 6); callers must treat it as read-only.
-func (s *Socket) StreamBytes(from, to uint32) ([]byte, error) {
-	if s.state == stateClosed {
-		// teardown released the send store; nothing is retained.
-		return nil, fmt.Errorf("tcpip: stream range [%d,%d) of a closed socket", from, to)
-	}
-	start := int32(from - s.sndUna)
-	end := int32(to - s.sndUna)
-	if start < 0 || end < start || int(end) > len(s.sndBuf) {
-		return nil, fmt.Errorf("tcpip: stream range [%d,%d) outside retained [%d,%d)",
-			from, to, s.sndUna, s.sndUna+uint32(len(s.sndBuf)))
-	}
-	return s.sndBuf[start:end], nil
 }
 
 // Write appends p to the send buffer, returning how many bytes were
@@ -668,7 +657,7 @@ func (s *Socket) WriteZC(p []byte) int {
 	if s.state != stateEstablished && s.state != stateCloseWait {
 		return 0
 	}
-	space := s.sndBufCap - len(s.sndBuf)
+	space := s.sndBufCap - s.sndLen
 	n := len(p)
 	if n > space {
 		n = space
@@ -680,54 +669,92 @@ func (s *Socket) WriteZC(p []byte) int {
 	// Arm the drain notification when the writer is likely waiting: either
 	// the write was truncated, or free space dropped below the low-water
 	// mark (so steady-state writers refill as acknowledgments drain).
-	if n < len(p) || s.sndBufCap-len(s.sndBuf) < s.drainLowWater() {
+	if n < len(p) || s.sndBufCap-s.sndLen < s.drainLowWater() {
 		s.drainNote = true
 	}
 	return n
 }
 
-// sndAppend appends to the send buffer, compacting into a reused store
-// instead of letting append reallocate: acks trim sndBuf from the front,
-// so the slice marches off the end of its array while most of the array
-// sits unused behind it — a plain append would reallocate and copy the
-// whole outstanding window, over and over, for the connection's lifetime.
-// The store keeps 2x headroom over the fill level; anything less drains
-// only the slack between compactions and turns the shuffle quadratic.
-// Stores come from and (in teardown, or here when outgrown) go back to the
-// stack's free list.
+// sndAppend copies p into the send ring behind the buffered bytes. Acks
+// trim the ring at its head in O(1) (sndTrim), so nothing is ever moved to
+// make room except by growSnd, once per doubling.
+//
+//simlint:hotpath
 func (s *Socket) sndAppend(p []byte) {
-	if cap(s.sndBuf)-len(s.sndBuf) < len(p) {
-		need := len(s.sndBuf) + len(p)
-		if cap(s.sndStore) < 2*need {
-			grown := s.stack.getSndStore(2 * need)
-			s.sndBuf = append(grown, s.sndBuf...)
-			// Only now: sndBuf lived in the old store until that copy.
-			s.stack.putSndStore(s.sndStore)
-			s.sndStore = grown
-		} else {
-			s.sndBuf = append(s.sndStore[:0], s.sndBuf...)
-		}
+	if len(s.snd)-s.sndLen < len(p) {
+		s.growSnd(s.sndLen + len(p))
 	}
-	s.sndBuf = append(s.sndBuf, p...)
+	at := (s.sndOff + s.sndLen) & (len(s.snd) - 1)
+	n := copy(s.snd[at:], p)
+	copy(s.snd, p[n:])
+	s.sndLen += len(p)
 }
 
+// growSnd moves the buffered bytes to the start of a ring of the next
+// power of two at least need bytes long — at most nextpow2(defaultSndBuf),
+// since Write never buffers more — and hands the old ring to the stack's
+// free list.
+func (s *Socket) growSnd(need int) {
+	ring := s.stack.getSndRing(1 << bits.Len(uint(need-1)))
+	if s.sndLen > 0 {
+		n := copy(ring, s.snd[s.sndOff:min(s.sndOff+s.sndLen, len(s.snd))])
+		copy(ring[n:s.sndLen], s.snd)
+	}
+	s.stack.putSndRing(s.snd)
+	s.snd, s.sndOff = ring, 0
+}
+
+// sndTrim drops n acknowledged bytes from the head of the ring.
+func (s *Socket) sndTrim(n int) {
+	s.sndLen -= n
+	if s.sndLen == 0 {
+		s.sndOff = 0
+		return
+	}
+	s.sndOff = (s.sndOff + n) & (len(s.snd) - 1)
+}
+
+// sndSlice returns the n buffered bytes that start off bytes past sndUna:
+// a slice of the ring, or — for the rare range that wraps its end — the
+// stack's gather scratch holding a copy. Either is valid until the next
+// write, ack or transmission, which is all the NetDevice contract lets the
+// device rely on.
+//
+//simlint:hotpath
+func (s *Socket) sndSlice(off, n int) []byte {
+	at := (s.sndOff + off) & (len(s.snd) - 1)
+	if at+n <= len(s.snd) {
+		return s.snd[at : at+n : at+n]
+	}
+	if cap(s.stack.gather) < n {
+		s.stack.growGather(n)
+	}
+	g := s.stack.gather[:n]
+	c := copy(g, s.snd[at:])
+	copy(g[c:], s.snd)
+	return g
+}
+
+// growGather makes the gather scratch at least n bytes long.
+func (st *Stack) growGather(n int) { st.gather = make([]byte, n) }
+
 // WriteSpace returns how many bytes Write would currently accept.
-func (s *Socket) WriteSpace() int { return s.sndBufCap - len(s.sndBuf) }
+func (s *Socket) WriteSpace() int { return s.sndBufCap - s.sndLen }
 
 // AckedSeq returns the oldest unacknowledged sequence number (snd.una).
-// Bytes before it are no longer retained for StreamBytes.
+// Bytes before it are no longer retained.
 func (s *Socket) AckedSeq() uint32 { return s.sndUna }
 
 // Unsent returns bytes buffered but not yet transmitted.
 func (s *Socket) Unsent() int {
-	return len(s.sndBuf) - int(s.sndNxt-s.sndUna)
+	return s.sndLen - int(s.sndNxt-s.sndUna)
 }
 
 // Unacked returns bytes transmitted but not yet acknowledged.
 func (s *Socket) Unacked() int { return int(s.sndNxt - s.sndUna) }
 
 // BufferedOut returns all bytes held in the send buffer.
-func (s *Socket) BufferedOut() int { return len(s.sndBuf) }
+func (s *Socket) BufferedOut() int { return s.sndLen }
 
 // Close queues a FIN after all buffered data. Further Writes are refused.
 func (s *Socket) Close() {
@@ -927,7 +954,7 @@ func (s *Socket) trySend() {
 		if s.peerWindow < wnd {
 			wnd = s.peerWindow
 		}
-		avail := len(s.sndBuf) - inFlight
+		avail := s.sndLen - inFlight
 		if avail <= 0 {
 			break
 		}
@@ -948,7 +975,7 @@ func (s *Socket) trySend() {
 		s.sndNxt += uint32(n)
 	}
 	// FIN goes out once all data has been transmitted.
-	if s.finQueued && int(s.sndNxt-s.sndUna) == len(s.sndBuf) {
+	if s.finQueued && int(s.sndNxt-s.sndUna) == s.sndLen {
 		s.finSeq = s.sndNxt
 		s.sendControl(wire.FlagFIN|wire.FlagACK, s.sndNxt)
 		s.sndNxt++
@@ -960,19 +987,19 @@ func (s *Socket) trySend() {
 	if (s.Unacked() > 0 || s.Unsent() > 0) && !s.rtoTimer.Pending() {
 		s.armRTO()
 	}
-	if s.drainNote && s.sndBufCap-len(s.sndBuf) >= s.drainLowWater() && s.OnDrain != nil {
+	if s.drainNote && s.sndBufCap-s.sndLen >= s.drainLowWater() && s.OnDrain != nil {
 		s.drainNote = false
 		s.OnDrain(s)
 	}
 }
 
 // transmitRange sends len bytes starting at seq out of the send buffer.
-// The payload slice aliases the send buffer; per the NetDevice contract
-// the device copies it into frame memory during Transmit, so the hot path
-// performs exactly one payload copy (host memory → NIC frame, the DMA).
+// The payload slice aliases the send ring (or, for a range that wraps it,
+// the gather scratch); per the NetDevice contract the device copies it
+// into frame memory during Transmit, so the hot path performs one payload
+// copy (host memory → NIC frame, the DMA), two for a wrapping segment.
 func (s *Socket) transmitRange(seq uint32, n int, isRetransmit bool) {
-	off := int(seq - s.sndUna)
-	payload := s.sndBuf[off : off+n : off+n]
+	payload := s.sndSlice(int(seq-s.sndUna), n)
 	pkt := &wire.Packet{
 		Flow:    s.flow,
 		Seq:     seq,
@@ -1064,7 +1091,7 @@ func (s *Socket) onRTO() {
 		s.dupAcks = 0
 		s.highRxt = s.sndUna
 		s.beginEpisode()
-		n := min(s.stack.MSS(), len(s.sndBuf))
+		n := min(s.stack.MSS(), s.sndLen)
 		if n > 0 {
 			s.transmitRange(s.sndUna, n, true)
 		} else if s.finSeq == s.sndUna && s.sndNxt == s.sndUna+1 {
@@ -1250,10 +1277,10 @@ func (s *Socket) processAck(pkt *wire.Packet) {
 		finAcked = true
 		dataAcked--
 	}
-	if dataAcked > len(s.sndBuf) {
-		dataAcked = len(s.sndBuf)
+	if dataAcked > s.sndLen {
+		dataAcked = s.sndLen
 	}
-	s.sndBuf = s.sndBuf[dataAcked:]
+	s.sndTrim(dataAcked)
 	s.sndUna = ack
 	s.sb.advance(ack)
 	if s.rescueWait && seqLT(s.rescueSeq, ack) {
@@ -1294,7 +1321,7 @@ func (s *Socket) processAck(pkt *wire.Packet) {
 			if s.sackOK {
 				s.sackRetransmit(true)
 			} else {
-				n := min(mss, len(s.sndBuf))
+				n := min(mss, s.sndLen)
 				if n > 0 {
 					s.stack.Stats.Retransmits++
 					s.transmitRange(s.sndUna, n, true)
@@ -1326,7 +1353,7 @@ func (s *Socket) processAck(pkt *wire.Packet) {
 		}
 	}
 	s.trySend()
-	if s.drainNote && s.sndBufCap-len(s.sndBuf) >= s.drainLowWater() && s.OnDrain != nil {
+	if s.drainNote && s.sndBufCap-s.sndLen >= s.drainLowWater() && s.OnDrain != nil {
 		s.drainNote = false
 		s.OnDrain(s)
 	}
@@ -1348,7 +1375,7 @@ func (s *Socket) enterFastRecovery(mss int) {
 		return
 	}
 	s.stack.Stats.Retransmits++
-	n := min(mss, len(s.sndBuf))
+	n := min(mss, s.sndLen)
 	if n > 0 {
 		s.transmitRange(s.sndUna, n, true)
 	}
@@ -1464,7 +1491,7 @@ func (s *Socket) sackRetransmit(force bool) {
 	if !ok {
 		return
 	}
-	dataEnd := s.sndUna + uint32(len(s.sndBuf))
+	dataEnd := s.sndUna + uint32(s.sndLen)
 	for {
 		from := s.highRxt
 		if seqLT(from, s.sndUna) {
@@ -1619,11 +1646,10 @@ func (s *Socket) teardown() {
 	s.stopRTO()
 	s.clearDelack()
 	delete(s.stack.socks, s.flow)
-	// Nothing reads the send buffer of a closed socket (StreamBytes
-	// refuses), so its store can serve the next connection — the one
-	// OnClose may be about to open.
-	s.stack.putSndStore(s.sndStore)
-	s.sndBuf, s.sndStore = nil, nil
+	// Nothing reads the send buffer of a closed socket, so its ring can
+	// serve the next connection — the one OnClose may be about to open.
+	s.stack.putSndRing(s.snd)
+	s.snd, s.sndOff, s.sndLen = nil, 0, 0
 	if s.OnClose != nil {
 		s.OnClose(s)
 	}
@@ -1699,7 +1725,7 @@ func (s *Socket) drainOOO() {
 // DebugString renders the socket's transmission state for diagnostics.
 func (s *Socket) DebugString() string {
 	return fmt.Sprintf("state=%s sndUna=%d sndNxt=%d buf=%d cwnd=%d ssthresh=%d peerWnd=%d rto=%v rtoArmed=%v inRec=%v dupAcks=%d sacked=%d rcvNxt=%d ooo=%d rcvUsed=%d",
-		s.state, s.sndUna, s.sndNxt, len(s.sndBuf), s.cc.Cwnd(), s.cc.Ssthresh(),
+		s.state, s.sndUna, s.sndNxt, s.sndLen, s.cc.Cwnd(), s.cc.Ssthresh(),
 		s.peerWindow, s.rto, s.rtoTimer.Pending(), s.inRecovery, s.dupAcks,
 		s.sb.sackedBytes(), s.rcvNxt, len(s.ooo), s.rcvBufUsed)
 }

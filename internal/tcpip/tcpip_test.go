@@ -293,16 +293,16 @@ func TestStreamBytesRetainedUntilAcked(t *testing.T) {
 		t.Fatal("timing: no data buffered at 250µs")
 	}
 	from := sock.sndUna
-	got, err := sock.StreamBytes(from, from+100)
+	got, err := sock.sentBytes(from, from+100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload[:100]) {
-		t.Error("StreamBytes returned wrong bytes")
+		t.Error("the send ring holds the wrong bytes")
 	}
 	// Out-of-range requests must fail.
-	if _, err := sock.StreamBytes(from-1, from+10); err == nil {
-		t.Error("StreamBytes accepted an already-released range")
+	if _, err := sock.sentBytes(from-1, from+10); err == nil {
+		t.Error("an already-acknowledged range is still readable")
 	}
 	p.sim.RunUntil(time.Second)
 	if sock.Unacked() != 0 {

@@ -98,11 +98,11 @@ func TestStreamBytesWrapped(t *testing.T) {
 	})
 	p.sim.RunUntil(3 * time.Millisecond) // data buffered, little acked
 	from := sock.AckedSeq()
-	got, err := sock.StreamBytes(from, from+4096)
+	got, err := sock.sentBytes(from, from+4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
-		t.Error("StreamBytes across the wrap returned wrong bytes")
+		t.Error("the send ring holds the wrong bytes across the sequence wrap")
 	}
 }

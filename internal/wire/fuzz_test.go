@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -85,14 +87,31 @@ func FuzzSackOption(f *testing.F) {
 }
 
 // FuzzChecksum holds the chunked internet checksum to the byte-pair
-// reference for arbitrary data (so any length and parity) and starting sum.
+// reference for arbitrary data (so any length and parity) and starting sum,
+// and again the way tcpChecksum calls it: a 12-byte pseudo-header, then the
+// data as a chain of pieces, every one but the last of even length (cut
+// where the bytes of cuts say).
 func FuzzChecksum(f *testing.F) {
-	f.Add([]byte{}, uint32(0))
-	f.Add([]byte{0xff}, uint32(0xffff))
-	f.Add(bytes.Repeat([]byte{0xff, 0xfe, 0x01}, 15), uint32(0xffffffff)) // 45 bytes: one 32-byte turn and every step after it
-	f.Fuzz(func(t *testing.T, data []byte, sum uint32) {
+	f.Add([]byte{}, uint32(0), []byte{})
+	f.Add([]byte{0xff}, uint32(0xffff), []byte{0})
+	f.Add(bytes.Repeat([]byte{0xff, 0xfe, 0x01}, 15), uint32(0xffffffff), []byte{20, 7}) // 45 bytes: one 32-byte turn and every step after it
+	f.Fuzz(func(t *testing.T, data []byte, sum uint32, cuts []byte) {
 		if got, want := internetChecksum(data, sum), checksumRef(data, sum); got != want {
 			t.Fatalf("%d bytes from sum %#x: got %#x, want %#x", len(data), sum, got, want)
+		}
+		var pseudo [12]byte
+		binary.BigEndian.PutUint32(pseudo[:], sum)
+		binary.BigEndian.PutUint32(pseudo[8:], sum^uint32(len(data)))
+		acc := sumWords(pseudo[:], 0)
+		rest := data
+		for _, c := range cuts {
+			n := min(2*int(c), len(rest)&^1)
+			acc, rest = sumWords(rest[:n], acc), rest[n:]
+		}
+		acc = sumWords(rest, acc)
+		if got, want := foldSum(acc), checksumRef(append(pseudo[:], data...), 0); got != want {
+			t.Fatalf("%d bytes in %d pieces behind a pseudo-header: got %#x, want %#x",
+				len(data), len(cuts)+1, got, want)
 		}
 	})
 }
@@ -103,6 +122,8 @@ func FuzzChecksum(f *testing.F) {
 // same packet with no error. The fields Parse reads but Marshal does not
 // write back (IP options, reserved TCP bits, unknown TCP options, bytes
 // past the IP total length) are outside Packet, so they cannot break it.
+// ParseInto a dirty packet — four SACK blocks, a payload, every header
+// field set — must reach Parse's verdict and packet, with no stale block.
 func FuzzParse(f *testing.F) {
 	for _, p := range []*Packet{
 		{Flow: testFlow(), Seq: 1, Ack: 2, Flags: FlagSYN, Window: 65535, SACKPermitted: true},
@@ -121,8 +142,25 @@ func FuzzParse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		p, err := Parse(Frame(frame))
+		dirty := &Packet{Flow: testFlow(), Seq: 5, Ack: 6, Flags: FlagSYN, Window: 7, ECN: ECNCE,
+			SACKPermitted: true, TxCycles: 8, Payload: []byte("stale"),
+			SACKBlocks: []SACKBlock{{1, 2}, {3, 4}, {5, 6}, {7, 8}}}
+		if err2 := ParseInto(Frame(frame), dirty); fmt.Sprint(err2) != fmt.Sprint(err) {
+			t.Fatalf("ParseInto error %v, Parse error %v", err2, err)
+		}
+		if (p == nil) != (dirty.Payload == nil) {
+			t.Fatalf("Parse returned %v, ParseInto left payload %x", p, dirty.Payload)
+		}
 		if p == nil {
 			return
+		}
+		if !slices.Equal(dirty.SACKBlocks, p.SACKBlocks) {
+			t.Fatalf("ParseInto SACK blocks %v, Parse %v", dirty.SACKBlocks, p.SACKBlocks)
+		}
+		into := *dirty
+		into.SACKBlocks = p.SACKBlocks
+		if !reflect.DeepEqual(&into, p) {
+			t.Fatalf("ParseInto = %+v, Parse = %+v", &into, p)
 		}
 		if err != nil && !errors.Is(err, ErrBadChecksum) {
 			t.Fatalf("Parse returned a packet with error %v", err)

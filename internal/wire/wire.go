@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Header sizes in bytes.
@@ -376,20 +377,38 @@ var (
 // for validation. All other errors return a nil packet. Callers that treat
 // any non-nil error as a drop keep their existing behaviour.
 func Parse(buf Frame) (*Packet, error) {
+	pkt := new(Packet)
+	err := ParseInto(buf, pkt)
+	if pkt.Payload == nil {
+		return nil, err
+	}
+	return pkt, err
+}
+
+// ParseInto is Parse into a caller-owned packet, every field overwritten
+// (SACKBlocks is refilled from [:0], keeping its array), so a receive loop
+// can reuse one packet for every frame. It returns Parse's error. A frame
+// Parse returns a packet for leaves pkt.Payload non-nil (empty, not nil,
+// when the segment carries no data); one it rejects leaves it nil.
+//
+//simlint:hotpath
+func ParseInto(buf Frame, pkt *Packet) error {
+	blocks := pkt.SACKBlocks[:0]
+	*pkt = Packet{}
 	if len(buf) < FrameOverhead {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	eth := buf[:EthernetHeaderLen]
 	if binary.BigEndian.Uint16(eth[12:14]) != EtherTypeIPv4 {
-		return nil, ErrNotIPv4
+		return ErrNotIPv4
 	}
 	ip := buf[EthernetHeaderLen:]
 	if ip[0]>>4 != 4 {
-		return nil, ErrNotIPv4
+		return ErrNotIPv4
 	}
 	ihl := int(ip[0]&0x0f) * 4
 	if ihl < IPv4HeaderLen || len(ip) < ihl {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	var sumErr error
 	if internetChecksum(ip[:ihl], 0) != 0 {
@@ -397,44 +416,40 @@ func Parse(buf Frame) (*Packet, error) {
 	}
 	totalLen := int(binary.BigEndian.Uint16(ip[2:4]))
 	if totalLen > len(ip) || totalLen < ihl+TCPHeaderLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if ip[9] != ProtoTCP {
-		return nil, ErrNotTCP
+		return ErrNotTCP
 	}
-	var flow FlowID
-	copy(flow.Src.IP[:], ip[12:16])
-	copy(flow.Dst.IP[:], ip[16:20])
+	pkt.ECN = ip[1] & 0b11
+	copy(pkt.Flow.Src.IP[:], ip[12:16])
+	copy(pkt.Flow.Dst.IP[:], ip[16:20])
 
 	tcp := ip[ihl:totalLen]
 	dataOff := int(tcp[12]>>4) * 4
 	if dataOff < TCPHeaderLen || len(tcp) < dataOff {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	payload := tcp[dataOff:]
-	flow.Src.Port = binary.BigEndian.Uint16(tcp[0:2])
-	flow.Dst.Port = binary.BigEndian.Uint16(tcp[2:4])
-	if sumErr == nil && tcpChecksum(flow, tcp, nil) != 0 {
+	pkt.Flow.Src.Port = binary.BigEndian.Uint16(tcp[0:2])
+	pkt.Flow.Dst.Port = binary.BigEndian.Uint16(tcp[2:4])
+	if sumErr == nil && tcpChecksum(pkt.Flow, tcp, nil) != 0 {
 		sumErr = fmt.Errorf("%w: TCP segment", ErrBadChecksum)
 	}
-	pkt := &Packet{
-		Flow:    flow,
-		Seq:     binary.BigEndian.Uint32(tcp[4:8]),
-		Ack:     binary.BigEndian.Uint32(tcp[8:12]),
-		Flags:   TCPFlags(tcp[13]),
-		Window:  binary.BigEndian.Uint16(tcp[14:16]),
-		ECN:     ip[1] & 0b11,
-		Payload: payload,
-	}
+	pkt.Seq = binary.BigEndian.Uint32(tcp[4:8])
+	pkt.Ack = binary.BigEndian.Uint32(tcp[8:12])
+	pkt.Flags = TCPFlags(tcp[13])
+	pkt.Window = binary.BigEndian.Uint16(tcp[14:16])
+	pkt.SACKBlocks = blocks
 	if err := parseOptions(tcp[TCPHeaderLen:dataOff], pkt); err != nil {
 		if sumErr != nil {
 			// The frame is damaged anyway; the checksum verdict is the
 			// useful error, and the mangled options are not worth keeping.
-			return nil, sumErr
+			return sumErr
 		}
-		return nil, err
+		return err
 	}
-	return pkt, sumErr
+	pkt.Payload = tcp[dataOff:]
+	return sumErr
 }
 
 // SetCE rewrites frame's ECN codepoint to CE ("congestion experienced") in
@@ -471,42 +486,48 @@ func macFor(ip [4]byte) []byte {
 }
 
 // sumWords adds data to a running ones-complement accumulator as a stream
-// of big-endian 16-bit words. RFC 1071's sum is associative and
-// grouping-independent, so accumulating 32-bit big-endian words into a
-// 64-bit register and folding at the end yields the byte-pair sum exactly —
-// this is the simulator's hottest pure function (it runs over every payload
-// byte twice, marshal and parse). The main loop takes 32 bytes a turn as
-// four 64-bit loads, each split into its 32-bit halves, on two accumulators
-// so the additions do not wait on each other; the 8/4/2/1-byte steps finish
-// what is left.
+// of big-endian 16-bit words; data starts on a word boundary, so in a
+// chain of calls every piece but the last has even length. It is the
+// simulator's hottest pure function (it runs over every payload byte
+// twice, marshal and parse). The ones-complement sum does not depend on
+// byte order (RFC 1071 §2(B)): summing the bytes as little-endian words —
+// plain loads on the hosts this runs on — and swapping the bytes of the
+// folded result gives the big-endian sum. So the main loop adds 32 bytes a
+// turn as four 64-bit words with add-with-carry, each carry going back in
+// at the next add (the end-around carry), and the 8/4/2/1-byte steps
+// finish what is left.
 func sumWords(data []byte, sum uint64) uint64 {
-	const lo = 1<<32 - 1
-	var sum2 uint64
+	var acc, c uint64
 	for len(data) >= 32 {
-		a, b := binary.BigEndian.Uint64(data), binary.BigEndian.Uint64(data[8:])
-		c, d := binary.BigEndian.Uint64(data[16:]), binary.BigEndian.Uint64(data[24:])
-		sum += a>>32 + a&lo + b>>32 + b&lo
-		sum2 += c>>32 + c&lo + d>>32 + d&lo
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data[8:]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data[16:]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data[24:]), c)
 		data = data[32:]
 	}
-	sum += sum2
 	for len(data) >= 8 {
-		sum += uint64(binary.BigEndian.Uint32(data)) +
-			uint64(binary.BigEndian.Uint32(data[4:]))
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(data), c)
 		data = data[8:]
 	}
 	if len(data) >= 4 {
-		sum += uint64(binary.BigEndian.Uint32(data))
+		acc, c = bits.Add64(acc, uint64(binary.LittleEndian.Uint32(data)), c)
 		data = data[4:]
 	}
 	if len(data) >= 2 {
-		sum += uint64(binary.BigEndian.Uint16(data))
+		acc, c = bits.Add64(acc, uint64(binary.LittleEndian.Uint16(data)), c)
 		data = data[2:]
 	}
 	if len(data) == 1 {
-		sum += uint64(data[0]) << 8
+		acc, c = bits.Add64(acc, uint64(data[0]), c)
 	}
-	return sum
+	acc, c = bits.Add64(acc, 0, c)
+	acc += c
+	// Fold 64 → 16 bits, each fold adding its carry back in.
+	acc = acc&0xffffffff + acc>>32
+	acc = acc&0xffff + acc>>16
+	acc = acc&0xffff + acc>>16
+	acc = acc&0xffff + acc>>16
+	return sum + uint64(bits.ReverseBytes16(uint16(acc)))
 }
 
 // foldSum reduces a 64-bit ones-complement accumulator to the final
