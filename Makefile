@@ -64,10 +64,11 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/wire/
 
 # Deterministic-seed rerun of the goldens: the full event sequence of a
-# seeded run (the Chrome trace) and what cmd/experiments prints for sec61,
-# sec62, fig11 and abl-recovery must stay byte-identical.
+# seeded run (the Chrome trace), what cmd/experiments prints for sec61,
+# sec62, fig11 and abl-recovery, and every counter the chaos, ecn, mtuflap
+# and recovery tables print (on short runs) must stay byte-identical.
 golden-check:
-	$(GO) test -count=1 -run 'GoldenChromeTrace|TablesGolden' ./internal/experiments/
+	$(GO) test -count=1 -run 'GoldenChromeTrace|TablesGolden|ChaosGolden' ./internal/experiments/
 
 # The race detector instruments allocations, so the zero-alloc guarantees
 # (disabled telemetry and lifecycle spans must not allocate on the
