@@ -43,8 +43,9 @@ func (v ablationVariant) String() string {
 }
 
 // runRecoveryAblation transfers a fixed stream under loss with the given
-// receiver variant and returns the record classification.
-func runRecoveryAblation(v ablationVariant, loss float64, seed int64) (ktls.Stats, float64) {
+// receiver variant and returns the record classification, the receiver's
+// host cycles per byte and how many connections an error killed.
+func runRecoveryAblation(v ablationVariant, loss float64, seed int64) (st ktls.Stats, cpb float64, failed int) {
 	w := faultPair(netsim.FaultConfig{LossProb: loss, Seed: seed}, netsim.FaultConfig{})
 	cliTLS, srvTLS := TLSKeys(16 << 10)
 
@@ -74,7 +75,7 @@ func runRecoveryAblation(v ablationVariant, loss float64, seed int64) (ktls.Stat
 			eng.DisableRecovery()
 		}
 		c.OnPlain = func(ktls.PlainChunk) {}
-		c.OnError = func(err error) { panic(err) }
+		c.OnError = func(error) { failed++ }
 	})
 	msg := make([]byte, 256<<10)
 	w.Gen.Stack.Connect(wire.Addr{IP: w.Srv.Stack.IP(), Port: 5001}, func(s *tcpip.Socket) {
@@ -85,6 +86,7 @@ func runRecoveryAblation(v ablationVariant, loss float64, seed int64) (ktls.Stat
 		if err := c.EnableTxOffload(w.Gen.NIC, false); err != nil {
 			panic(err)
 		}
+		c.OnError = func(error) { failed++ }
 		pump := func(c *ktls.Conn) {
 			for c.Write(msg) > 0 {
 			}
@@ -93,12 +95,11 @@ func runRecoveryAblation(v ablationVariant, loss float64, seed int64) (ktls.Stat
 		pump(c)
 	})
 	w.Sim.RunFor(8 * time.Millisecond)
-	st := conn.Stats
-	cpb := 0.0
+	st = conn.Stats
 	if n := st.RecordsRx; n > 0 {
 		cpb = w.Srv.Ledger.HostCycles() / float64(uint64(n)*16<<10)
 	}
-	return st, cpb
+	return st, cpb, failed
 }
 
 // AblationRecovery compares the receive-recovery variants under loss.
@@ -110,7 +111,10 @@ func AblationRecovery() []*Table {
 			"host cyc/B"},
 	}
 	for _, v := range []ablationVariant{ablFull, ablNoPartial, ablNoResync, ablNone} {
-		st, cpb := runRecoveryAblation(v, 0.02, 321)
+		st, cpb, failed := runRecoveryAblation(v, 0.02, 321)
+		if failed > 0 {
+			t.Notes = append(t.Notes, fmt.Sprintf("%s: %d connections died of an error", v, failed))
+		}
 		n := float64(st.RecordsRx)
 		if n == 0 {
 			n = 1

@@ -17,9 +17,13 @@ package experiments
 //     never falls materially below its software baseline under the same
 //     fault schedule.
 //
-// Every run is named by a seed: the link fault generators, the NIC chaos
-// generator, and the workload's own randomness all derive from it, so a
-// chaos run is exactly reproducible.
+// The harness has no workload driver of its own: a fault schedule is part
+// of the world (chaosPair, StorageOpts.Faults), and RunIperf and RunFio —
+// which check every delivered byte in every experiment against the offset
+// pattern below or the device's content — arm it after their warm-up.
+// Every run is named by a seed: the link fault generators and the NIC chaos
+// generator derive from it and the workloads are fixed, so a chaos run is
+// exactly reproducible.
 
 import (
 	"bytes"
@@ -28,13 +32,10 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/cycles"
-	"repro/internal/ktls"
 	"repro/internal/netsim"
 	"repro/internal/nic"
 	"repro/internal/offload"
 	"repro/internal/tcpip"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -42,19 +43,41 @@ import (
 // sizes: a byte delivered at the wrong stream offset mismatches.
 const patPeriod = 8191
 
+// patTable holds the pattern twice, so patTable[p:p+n] is the pattern from
+// phase p for any p < patPeriod and n <= patPeriod.
 var patTable = func() []byte {
-	b := make([]byte, patPeriod)
-	rand.New(rand.NewSource(0x5eed)).Read(b)
+	b := make([]byte, 2*patPeriod)
+	rand.New(rand.NewSource(0x5eed)).Read(b[:patPeriod])
+	copy(b[patPeriod:], b)
 	return b
 }()
 
 // chaosByte is the expected plaintext byte at absolute stream offset off.
 func chaosByte(off uint64) byte { return patTable[off%patPeriod] }
 
+// fillPattern writes the pattern for stream offsets off.. into dst.
 func fillPattern(dst []byte, off uint64) {
-	for i := range dst {
-		dst[i] = chaosByte(off + uint64(i))
+	p := off % patPeriod
+	for len(dst) > 0 {
+		dst = dst[copy(dst, patTable[p:p+patPeriod]):]
 	}
+}
+
+// patternMismatch returns the index of the first byte of data that differs
+// from the pattern at stream offsets off.., or -1 if none does.
+func patternMismatch(data []byte, off uint64) int {
+	for i := 0; i < len(data); i += patPeriod {
+		p, n := (off+uint64(i))%patPeriod, min(len(data)-i, patPeriod)
+		if bytes.Equal(data[i:i+n], patTable[p:p+uint64(n)]) {
+			continue
+		}
+		for j := i; ; j++ {
+			if data[j] != chaosByte(off+uint64(j)) {
+				return j
+			}
+		}
+	}
+	return -1
 }
 
 // ChaosFaults is one seeded fault schedule: everything a chaos run injects,
@@ -103,25 +126,35 @@ type MTUFlap struct {
 	MTU int           // new IP-level path MTU in bytes (e.g. 1500, 1100)
 }
 
-// armMTUFlaps schedules the flaps: link enforcement and stack segmentation
-// change together, so re-segmentation is driven by the stacks rather than
-// by an RTO-per-oversized-frame crawl.
-func armMTUFlaps(sim *netsim.Simulator, base time.Duration, link *netsim.Link,
-	flaps []MTUFlap, stacks ...*tcpip.Stack) {
-	for _, fl := range flaps {
-		fl := fl
-		sim.At(base+fl.At, func() {
-			link.SetMTU(fl.MTU + wire.EthernetHeaderLen)
-			for _, st := range stacks {
-				st.SetMTU(fl.MTU)
+// tuneStacks gives the world's stacks f's TCP options; worlds call it
+// before any connection opens.
+func (f ChaosFaults) tuneStacks(stacks ...*tcpip.Stack) {
+	for _, st := range stacks {
+		if f.ECN {
+			st.EnableECN()
+		}
+		if f.SACK {
+			st.EnableSACK()
+		}
+		if f.CC != "" {
+			if err := st.SetCongestionControl(f.CC); err != nil {
+				panic(err)
 			}
-		})
+		}
 	}
 }
 
-// linkFaults builds the netsim config with blackouts shifted to absolute
-// virtual time base.
-func (f ChaosFaults) linkFaults(base time.Duration) netsim.FaultConfig {
+// arm starts the schedule now: set installs the link faults (blackouts
+// shifted to the present) on the data direction of link, and each MTU flap
+// changes link enforcement and the stacks' segmentation together, so
+// re-segmentation is driven by the stacks rather than by an
+// RTO-per-oversized-frame crawl. A nil schedule arms nothing.
+func (f *ChaosFaults) arm(sim *netsim.Simulator, link *netsim.Link,
+	set func(netsim.FaultConfig), stacks ...*tcpip.Stack) {
+	if f == nil {
+		return
+	}
+	base := sim.Now()
 	fc := netsim.FaultConfig{
 		Seed:        f.Seed,
 		CorruptProb: f.CorruptProb,
@@ -136,7 +169,52 @@ func (f ChaosFaults) linkFaults(base time.Duration) netsim.FaultConfig {
 	for _, b := range f.Blackouts {
 		fc.Blackouts = append(fc.Blackouts, netsim.Blackout{Start: base + b.Start, End: base + b.End})
 	}
-	return fc
+	set(fc)
+	for _, fl := range f.MTUFlaps {
+		sim.At(base+fl.At, func() {
+			link.SetMTU(fl.MTU + wire.EthernetHeaderLen)
+			for _, st := range stacks {
+				st.SetMTU(fl.MTU)
+			}
+		})
+	}
+}
+
+// chaosPair is the chaos harness's iperf world: 100 Gbps, a 64-flow context
+// cache, f's NIC faults, a datacenter RTO range and f's TCP options from
+// the start; RunIperf arms f's link faults and MTU flaps on the data
+// direction once its warm-up ends. queues ≤ 1 keeps one queue pair.
+func chaosPair(f ChaosFaults, queues int) *PairWorld {
+	w := NewPairWorld(netsim.LinkConfig{Gbps: 100, Latency: 2 * time.Microsecond},
+		nic.Config{Chaos: f.NIC, CtxCacheFlows: 64, Queues: queues})
+	datacenterRTO(&w.Model)
+	f.tuneStacks(w.Gen.Stack, w.Srv.Stack)
+	w.faults = &f
+	return w
+}
+
+// chaosStorage is the chaos harness's storage world; RunFio arms f on the
+// target→server direction, which carries the read responses.
+func chaosStorage(f ChaosFaults, offloaded bool) *StorageWorld {
+	return NewStorageWorld(StorageOpts{
+		NICCfg:    nic.Config{CtxCacheFlows: 64},
+		NVMePlace: offloaded,
+		NVMeCRC:   offloaded,
+		Faults:    &f,
+	})
+}
+
+// chaosFio is the chaos harness's fio run: depth reads of eight blocks.
+func chaosFio(f ChaosFaults, offloaded bool, depth int, dur time.Duration) (*StorageWorld, *FioResult) {
+	w := chaosStorage(f, offloaded)
+	return w, RunFio(w, 8*blockdev.BlockSize, depth, dur)
+}
+
+// chaosIperf is the chaos harness's iperf run: 256 KiB writes in 16 KiB
+// records.
+func chaosIperf(f ChaosFaults, mode IperfMode, streams int, dur time.Duration) (*PairWorld, *IperfResult) {
+	w := chaosPair(f, 1)
+	return w, RunIperf(w, mode, streams, 256<<10, 16<<10, dur)
 }
 
 // ChaosSchedule derives a full randomized fault schedule from one seed.
@@ -174,360 +252,6 @@ func ChaosSchedule(seed int64, evading bool) ChaosFaults {
 	return f
 }
 
-// ChaosResult is the outcome of one chaos run.
-type ChaosResult struct {
-	Mode        string
-	Bytes       uint64 // pattern-verified payload delivered over the whole run
-	SentBytes   uint64 // payload accepted from the sending application
-	WindowBytes uint64 // delivered inside the measured window
-	Elapsed     time.Duration
-	Gbps        float64 // receiver single-core throughput over the window
-
-	// Violations lists broken invariants (wrong bytes delivered, receiver
-	// ahead of sender). Empty on a correct run, whatever the faults did.
-	Violations []string
-
-	ConnsFailed  int    // TLS connections killed by an auth failure
-	AuthFailures uint64 // records the software tag check rejected
-
-	// Engine-level degradation counters, summed across receive engines.
-	EngFallbacks       uint64
-	EngCorruptionDrops uint64
-	ResyncDropped      uint64
-	ForcedRejects      uint64
-
-	// NIC is the receiving device's counter block (nic.Stats export).
-	NIC nic.Stats
-
-	// NVMe-only outcomes.
-	ReadsOK       uint64
-	ReadsFailed   uint64
-	DigestErrors  uint64
-	FramingErrors uint64
-
-	// ECN signal chain, end to end: marks the link applied, marks the data
-	// receiver's TCP saw, echoes the data sender heard, and the cuts and
-	// CWR acknowledgements it produced.
-	CEMarked    uint64
-	CEReceived  uint64
-	ECEReceived uint64
-	ECNCuts     uint64
-	CWRSent     uint64
-
-	// MTU-flap outcomes: re-cut transmissions on the data sender, and
-	// frames the link dropped as oversized (0 when the stacks re-segment
-	// promptly — the regression the mtuflap scenario pins).
-	Resegments uint64
-	MTUDrops   uint64
-
-	// Loss-recovery outcomes, harvested from the data sender's stack, plus
-	// the percentiles of its recovery-episode-duration histogram
-	// (detection → cumulative ACK covering the pre-loss send frontier).
-	Timeouts         uint64
-	FastRetx         uint64
-	SACKBlocksRcvd   uint64
-	DSACKsRcvd       uint64
-	HolesRetx        uint64
-	SpuriousRTOs     uint64
-	Undos            uint64
-	RecoveryEpisodes uint64
-	RecoveryP50      time.Duration
-	RecoveryP90      time.Duration
-	RecoveryP99      time.Duration
-
-	// EngRelocks counts deterministic boundary re-locks across the
-	// receiving engines (gap closed without a resync round trip).
-	EngRelocks uint64
-}
-
-// harvestRecovery folds the data sender's loss-recovery counters and its
-// episode-duration histogram into the result.
-func (r *ChaosResult) harvestRecovery(st *tcpip.Stack, hist *telemetry.Histogram) {
-	r.Timeouts = st.Stats.Timeouts
-	r.FastRetx = st.Stats.FastRetransmits
-	r.SACKBlocksRcvd = st.Stats.SACKBlocksRcvd
-	r.DSACKsRcvd = st.Stats.DSACKsRcvd
-	r.HolesRetx = st.Stats.HolesRetransmitted
-	r.SpuriousRTOs = st.Stats.SpuriousRTOs
-	r.Undos = st.Stats.Undos
-	r.RecoveryEpisodes = st.Stats.RecoveryEpisodes
-	r.RecoveryP50 = time.Duration(hist.Quantile(0.50))
-	r.RecoveryP90 = time.Duration(hist.Quantile(0.90))
-	r.RecoveryP99 = time.Duration(hist.Quantile(0.99))
-}
-
-// chaosRecv tracks one receiving connection's position in the pattern.
-type chaosRecv struct {
-	off uint64
-	bad bool
-}
-
-func (r *ChaosResult) verify(st *chaosRecv, id int, data []byte) {
-	for i, b := range data {
-		if b != chaosByte(st.off+uint64(i)) && !st.bad {
-			st.bad = true
-			r.Violations = append(r.Violations,
-				fmt.Sprintf("conn %d: wrong byte delivered at stream offset %d", id, st.off+uint64(i)))
-		}
-	}
-	st.off += uint64(len(data))
-	r.Bytes += uint64(len(data))
-}
-
-// RunChaosIperf drives the iperf workload with a fault schedule armed after
-// establishment, verifying every delivered byte against the send pattern.
-func RunChaosIperf(f ChaosFaults, mode IperfMode, streams, msgSize, recordSize int, dur time.Duration) *ChaosResult {
-	w := NewPairWorld(netsim.LinkConfig{
-		Gbps:    100,
-		Latency: 2 * time.Microsecond,
-	}, nic.Config{Chaos: f.NIC, CtxCacheFlows: 64})
-	w.Model.MinRTOMicros = 2000
-	w.Model.MaxRTOMicros = 500000
-	if f.ECN {
-		w.Gen.Stack.EnableECN()
-		w.Srv.Stack.EnableECN()
-	}
-	if f.SACK {
-		w.Gen.Stack.EnableSACK()
-		w.Srv.Stack.EnableSACK()
-	}
-	if f.CC != "" {
-		for _, st := range []*tcpip.Stack{w.Gen.Stack, w.Srv.Stack} {
-			if err := st.SetCongestionControl(f.CC); err != nil {
-				panic(err)
-			}
-		}
-	}
-	recHist := telemetry.NewHistogram("tcp.recovery_episode_ns")
-	w.Gen.Stack.SetRecoveryHistogram(recHist)
-
-	res := &ChaosResult{Mode: mode.String()}
-	cliTLS, srvTLS := TLSKeys(recordSize)
-	if f.RxPolicy != nil {
-		srvTLS.RxFallback = f.RxPolicy
-	}
-	var rcvConns []*ktls.Conn
-	var sent []*uint64
-
-	connID := 0
-	w.Srv.Stack.Listen(5001, func(s *tcpip.Socket) {
-		id := connID
-		connID++
-		st := &chaosRecv{}
-		if mode == IperfTCP {
-			s.OnReadable = func(s *tcpip.Socket) {
-				w.Srv.Ledger.Charge(cycles.HostApp, cycles.Syscall, w.Model.SyscallCost, 0)
-				for {
-					ch, ok := s.ReadChunk()
-					if !ok {
-						break
-					}
-					res.verify(st, id, ch.Data)
-				}
-			}
-			return
-		}
-		conn, err := ktls.NewConn(s, srvTLS)
-		if err != nil {
-			panic(err)
-		}
-		if mode == IperfTLSOffload {
-			if err := conn.EnableRxOffload(w.Srv.NIC); err != nil {
-				panic(err)
-			}
-		}
-		conn.OnPlain = func(pc ktls.PlainChunk) { res.verify(st, id, pc.Data) }
-		conn.OnError = func(error) { res.ConnsFailed++ }
-		rcvConns = append(rcvConns, conn)
-	})
-
-	for i := 0; i < streams; i++ {
-		w.Gen.Stack.Connect(wire.Addr{IP: w.Srv.Stack.IP(), Port: 5001}, func(s *tcpip.Socket) {
-			off := new(uint64)
-			sent = append(sent, off)
-			scratch := make([]byte, msgSize)
-			if mode == IperfTCP {
-				pump := func(s *tcpip.Socket) {
-					w.Gen.Ledger.Charge(cycles.HostApp, cycles.Syscall, w.Model.SyscallCost, 0)
-					for {
-						fillPattern(scratch, *off)
-						n := s.Write(scratch)
-						if n <= 0 {
-							break
-						}
-						*off += uint64(n)
-					}
-				}
-				s.OnDrain = pump
-				pump(s)
-				return
-			}
-			conn, err := ktls.NewConn(s, cliTLS)
-			if err != nil {
-				panic(err)
-			}
-			if mode == IperfTLSOffload {
-				if err := conn.EnableTxOffload(w.Gen.NIC, false); err != nil {
-					panic(err)
-				}
-			}
-			conn.OnError = func(error) {}
-			pump := func(c *ktls.Conn) {
-				for {
-					fillPattern(scratch, *off)
-					n := c.Write(scratch)
-					if n <= 0 {
-						break
-					}
-					*off += uint64(n)
-				}
-			}
-			conn.OnDrain = pump
-			pump(conn)
-		})
-	}
-
-	// Clean establishment, then arm the schedule on the data direction.
-	w.Sim.RunFor(3 * time.Millisecond)
-	w.Link.SetFaultsAtoB(f.linkFaults(w.Sim.Now()))
-	armMTUFlaps(w.Sim, w.Sim.Now(), w.Link, f.MTUFlaps, w.Gen.Stack, w.Srv.Stack)
-	warm := res.Bytes
-	rcvBefore := w.Srv.Ledger.Clone()
-	start := w.Sim.Now()
-	w.Sim.RunFor(dur)
-	res.Elapsed = w.Sim.Now() - start
-	res.WindowBytes = res.Bytes - warm
-	res.Gbps = oneCoreGbps(&w.Model, cycles.Diff(w.Srv.Ledger, rcvBefore), res.WindowBytes, res.Elapsed)
-
-	for _, off := range sent {
-		res.SentBytes += *off
-	}
-	if res.Bytes > res.SentBytes {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("receiver delivered %d bytes but sender only produced %d", res.Bytes, res.SentBytes))
-	}
-	for _, c := range rcvConns {
-		res.AuthFailures += c.Stats.AuthFailures
-		if e := c.RxEngine(); e != nil {
-			res.EngFallbacks += e.Stats.Fallbacks
-			res.EngCorruptionDrops += e.Stats.CorruptionDrops
-			res.ResyncDropped += e.Stats.ResyncDropped
-			res.ForcedRejects += e.Stats.ForcedRejects
-			res.EngRelocks += e.Stats.Relocks
-		}
-	}
-	res.harvestRecovery(w.Gen.Stack, recHist)
-	res.NIC = w.Srv.NIC.Stats()
-	res.CEMarked = w.Link.StatsAtoB().CEMarked
-	res.CEReceived = w.Srv.Stack.Stats.CEReceived
-	res.ECEReceived = w.Gen.Stack.Stats.ECEReceived
-	res.ECNCuts = w.Gen.Stack.Stats.ECNCwndCuts
-	res.CWRSent = w.Gen.Stack.Stats.CWRSent
-	res.Resegments = w.Gen.Stack.Stats.Resegments
-	res.MTUDrops = w.Link.StatsAtoB().MTUDrops + w.Link.StatsBtoA().MTUDrops
-	return res
-}
-
-// RunChaosNVMe drives random reads over NVMe-TCP with the fault schedule on
-// the target→server direction, verifying every successfully completed read
-// against the device's deterministic content. Digest failures complete the
-// read with an error; framing corruption kills the association — either
-// way no wrong byte reaches the caller.
-func RunChaosNVMe(f ChaosFaults, offloaded bool, depth, blocks int, dur time.Duration) *ChaosResult {
-	w := NewStorageWorld(StorageOpts{
-		NICCfg:    nic.Config{Chaos: f.NIC, CtxCacheFlows: 64},
-		NVMePlace: offloaded,
-		NVMeCRC:   offloaded,
-		ECN:       f.ECN,
-		SACK:      f.SACK,
-		CC:        f.CC,
-	})
-	w.Model.MinRTOMicros = 2000
-	w.Model.MaxRTOMicros = 500000
-	// Read responses flow target→server: the target's stack is the data
-	// sender whose recovery behaviour the result reports.
-	recHist := telemetry.NewHistogram("tcp.recovery_episode_ns")
-	w.Tgt.Stack.SetRecoveryHistogram(recHist)
-
-	mode := "nvme"
-	if offloaded {
-		mode = "nvme-offload"
-	}
-	res := &ChaosResult{Mode: mode}
-	if f.RxPolicy != nil && w.Host.RxEngine() != nil {
-		w.Host.RxEngine().SetFallbackPolicy(*f.RxPolicy)
-	}
-	dead := false
-	w.Host.OnError = func(error) { dead = true }
-
-	rng := rand.New(rand.NewSource(f.Seed + 77))
-	const region = 1 << 16
-	want := make([]byte, blockdev.BlockSize)
-	var issue func()
-	issue = func() {
-		if dead {
-			return
-		}
-		lba := uint64(rng.Intn(region)) * uint64(blocks)
-		buf := make([]byte, blocks*blockdev.BlockSize)
-		w.Srv.Ledger.Charge(cycles.HostApp, cycles.Syscall, w.Model.SyscallCost, 0)
-		w.Host.ReadBlocks(lba, blocks, buf, func(err error) {
-			if err != nil {
-				res.ReadsFailed++
-			} else {
-				res.ReadsOK++
-				for i := 0; i < blocks; i++ {
-					blockdev.Pattern(lba+uint64(i), 0, want)
-					if !bytes.Equal(buf[i*blockdev.BlockSize:(i+1)*blockdev.BlockSize], want) {
-						res.Violations = append(res.Violations,
-							fmt.Sprintf("read at lba %d delivered wrong block %d", lba, i))
-						break
-					}
-				}
-				res.Bytes += uint64(len(buf))
-			}
-			issue()
-		})
-	}
-	for i := 0; i < depth; i++ {
-		issue()
-	}
-
-	// Warm the pipeline clean, then arm the schedule on the response path.
-	w.Sim.RunFor(2 * time.Millisecond)
-	w.Back.SetFaultsBtoA(f.linkFaults(w.Sim.Now()))
-	armMTUFlaps(w.Sim, w.Sim.Now(), w.Back, f.MTUFlaps, w.Srv.Stack, w.Tgt.Stack)
-	warm := res.Bytes
-	srvBefore := w.Srv.Ledger.Clone()
-	start := w.Sim.Now()
-	w.Sim.RunFor(dur)
-	res.Elapsed = w.Sim.Now() - start
-	res.WindowBytes = res.Bytes - warm
-	res.Gbps = oneCoreGbps(&w.Model, cycles.Diff(w.Srv.Ledger, srvBefore), res.WindowBytes, res.Elapsed)
-
-	if e := w.Host.RxEngine(); e != nil {
-		res.EngFallbacks = e.Stats.Fallbacks
-		res.EngCorruptionDrops = e.Stats.CorruptionDrops
-		res.ResyncDropped = e.Stats.ResyncDropped
-		res.ForcedRejects = e.Stats.ForcedRejects
-		res.EngRelocks = e.Stats.Relocks
-	}
-	res.harvestRecovery(w.Tgt.Stack, recHist)
-	res.DigestErrors = w.Host.Stats.DigestErrors
-	res.FramingErrors = w.Host.Stats.FramingErrors + w.Ctrl.Stats.FramingErrors
-	res.NIC = w.Srv.NIC.Stats()
-	// Read responses flow target→server, so the server's stack sees the CE
-	// marks and the target's stack takes the cuts and re-segments.
-	res.CEMarked = w.Back.StatsBtoA().CEMarked
-	res.CEReceived = w.Srv.Stack.Stats.CEReceived
-	res.ECEReceived = w.Tgt.Stack.Stats.ECEReceived
-	res.ECNCuts = w.Tgt.Stack.Stats.ECNCwndCuts
-	res.CWRSent = w.Tgt.Stack.Stats.CWRSent
-	res.Resegments = w.Tgt.Stack.Stats.Resegments
-	res.MTUDrops = w.Back.StatsAtoB().MTUDrops + w.Back.StatsBtoA().MTUDrops
-	return res
-}
-
 // chaosCorruptRates sweeps per-frame corruption probabilities.
 var chaosCorruptRates = []float64{0, 0.002, 0.01, 0.05}
 
@@ -548,22 +272,22 @@ func ChaosCorruption() *Table {
 	}
 	for _, p := range chaosCorruptRates {
 		var gbps [3]float64
-		var off *ChaosResult
+		var off []string
 		viol := 0
 		for i, mode := range []IperfMode{IperfTCP, IperfTLSOffload, IperfTLS} {
 			f := ChaosFaults{Seed: int64(4000 + i), CorruptProb: p, Evading: mode != IperfTCP}
-			r := RunChaosIperf(f, mode, chaosStreams, 256<<10, 16<<10, chaosWindow)
-			gbps[i] = r.Gbps
-			viol += len(r.Violations)
+			w, r := chaosIperf(f, mode, chaosStreams, chaosWindow)
+			gbps[i] = r.rcvGbps(&w.Model)
+			viol += len(r.violations)
 			if mode == IperfTLSOffload {
-				off = r
+				st := w.Srv.NIC.Stats()
+				off = []string{fmt.Sprint(st.RxFallbacks), fmt.Sprint(st.RxCorruptionDrops),
+					fmt.Sprint(r.TLS.AuthFailures), fmt.Sprint(r.connsFailed)}
 			}
 		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.1f%%", p*100), f1(gbps[0]), f1(gbps[1]), f1(gbps[2]),
-			fmt.Sprint(off.NIC.RxFallbacks), fmt.Sprint(off.NIC.RxCorruptionDrops),
-			fmt.Sprint(off.AuthFailures), fmt.Sprint(off.ConnsFailed), fmt.Sprint(viol),
-		})
+		t.Rows = append(t.Rows, append([]string{
+			fmt.Sprintf("%.1f%%", p*100), f1(gbps[0]), f1(gbps[1]), f1(gbps[2])},
+			append(off, fmt.Sprint(viol))...))
 	}
 	t.Notes = append(t.Notes,
 		"tcp sees detectable corruption (L4 checksums catch it: acts as loss); tls/offload see checksum-evading corruption (only the ICV catches it: the record is rejected, the engine falls back, the connection dies)",
@@ -581,14 +305,7 @@ func ChaosSoak() *Table {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, r := range chaosSoakRuns(seed) {
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(seed), r.Mode, f1(r.Gbps),
-				f1(float64(r.Bytes) / (1 << 20)),
-				fmt.Sprint(r.EngFallbacks), fmt.Sprint(r.EngCorruptionDrops),
-				fmt.Sprint(r.NIC.RxRingStalls), fmt.Sprint(r.NIC.CtxInvalidations),
-				fmt.Sprint(r.ResyncDropped), fmt.Sprint(r.ForcedRejects),
-				fmt.Sprint(len(r.Violations)),
-			})
+			t.Rows = append(t.Rows, r.row)
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -597,17 +314,42 @@ func ChaosSoak() *Table {
 	return t
 }
 
-// chaosSoakRuns executes one seed's schedule across the four transports.
-func chaosSoakRuns(seed int64) []*ChaosResult {
-	sched := func(evading bool) ChaosFaults { return ChaosSchedule(seed, evading) }
-	out := []*ChaosResult{
-		RunChaosIperf(sched(false), IperfTCP, chaosStreams, 256<<10, 16<<10, chaosWindow),
-		RunChaosIperf(sched(true), IperfTLS, chaosStreams, 256<<10, 16<<10, chaosWindow),
-		RunChaosIperf(sched(true), IperfTLSOffload, chaosStreams, 256<<10, 16<<10, chaosWindow),
-		RunChaosNVMe(sched(true), false, 8, 8, chaosWindow),
-		RunChaosNVMe(sched(true), true, 8, 8, chaosWindow),
+// soakRun is one transport's chaos-soak row and what its byte checks found.
+type soakRun struct {
+	row []string
+	verdict
+}
+
+// chaosSoakRuns executes one seed's schedule across the five transports.
+func chaosSoakRuns(seed int64) []soakRun {
+	run := func(mode string, gbps float64, eng offload.RxStats, st nic.Stats, v verdict) soakRun {
+		return soakRun{[]string{
+			fmt.Sprint(seed), mode, f1(gbps), f1(float64(v.checked) / (1 << 20)),
+			fmt.Sprint(eng.Fallbacks), fmt.Sprint(eng.CorruptionDrops),
+			fmt.Sprint(st.RxRingStalls), fmt.Sprint(st.CtxInvalidations),
+			fmt.Sprint(eng.ResyncDropped), fmt.Sprint(eng.ForcedRejects),
+			fmt.Sprint(len(v.violations)),
+		}, v}
+	}
+	var out []soakRun
+	for _, mode := range []IperfMode{IperfTCP, IperfTLS, IperfTLSOffload} {
+		w, r := chaosIperf(ChaosSchedule(seed, mode != IperfTCP), mode, chaosStreams, chaosWindow)
+		out = append(out, run(mode.String(), r.rcvGbps(&w.Model), r.RxEngine, w.Srv.NIC.Stats(), r.verdict))
+	}
+	for _, mode := range []string{"nvme", "nvme-offload"} {
+		w, r := chaosFio(ChaosSchedule(seed, true), mode == "nvme-offload", 8, chaosWindow)
+		out = append(out, run(mode, r.gbps(&w.Model), w.hostRxStats(), w.Srv.NIC.Stats(), r.verdict))
 	}
 	return out
+}
+
+// hostRxStats is the NVMe host's receive-engine counters; zero without the
+// offload.
+func (w *StorageWorld) hostRxStats() offload.RxStats {
+	if e := w.Host.RxEngine(); e != nil {
+		return e.Stats
+	}
+	return offload.RxStats{}
 }
 
 // Chaos is the registered experiment: the corruption sweep plus the soak.

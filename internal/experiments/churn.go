@@ -62,6 +62,8 @@ type ChurnResult struct {
 	// engine-map flows, and pending harvest snapshots across both hosts.
 	// Anything non-zero is a lifecycle leak.
 	Leaked int
+
+	connsFailed int // connections an error killed, either end
 }
 
 // RunChurn drives the churn workload and returns the measured window.
@@ -85,10 +87,8 @@ func RunChurn(cfg ChurnConfig) *ChurnResult {
 	}, nic.Config{Queues: cfg.Queues, CtxCacheFlows: cfg.CacheFlows})
 	// Short-lived flows on a microsecond fabric need datacenter loss
 	// recovery, not 200 ms RTOs.
-	w.Model.MinRTOMicros = 2000
-	w.Model.MaxRTOMicros = 500000
-	w.Gen.Stack.EnableSACK()
-	w.Srv.Stack.EnableSACK()
+	datacenterRTO(&w.Model)
+	ChaosFaults{SACK: true}.tuneStacks(w.Gen.Stack, w.Srv.Stack)
 
 	res := &ChurnResult{}
 	rng := rand.New(rand.NewSource(cfg.Seed + 19))
@@ -106,7 +106,7 @@ func RunChurn(cfg ChurnConfig) *ChurnResult {
 			panic(err)
 		}
 		conn.OnPlain = func(pc ktls.PlainChunk) { delivered += uint64(len(pc.Data)) }
-		conn.OnError = func(err error) { panic(err) }
+		conn.OnError = func(error) { res.connsFailed++ }
 		conn.OnClose = func(c *ktls.Conn) {
 			// Peer closed and every record is processed: destroy the NIC
 			// context (l5o_destroy) and finish the TCP teardown.
@@ -145,6 +145,7 @@ func RunChurn(cfg ChurnConfig) *ChurnResult {
 			if err := conn.EnableTxOffload(w.Gen.NIC, false); err != nil {
 				panic(err)
 			}
+			conn.OnError = func(error) { res.connsFailed++ }
 			remaining := total
 			pump := func(c *ktls.Conn) {
 				for remaining > 0 {

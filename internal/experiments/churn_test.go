@@ -35,6 +35,9 @@ func TestChurnLeaksNothing(t *testing.T) {
 	if r.Leaked != 0 {
 		t.Errorf("churn leaked %d NIC state entries (cache/engines/harvest)", r.Leaked)
 	}
+	if r.connsFailed != 0 {
+		t.Errorf("%d churned connections died of an error under plain loss", r.connsFailed)
+	}
 }
 
 func TestChurnSpreadsAcrossQueues(t *testing.T) {

@@ -38,25 +38,25 @@ func ECNSweep() *Table {
 			"ece", "cuts", "cwr", "falls", "viol"},
 	}
 	for _, p := range ecnCEMarkRates {
-		var gbps [3]float64
-		var off *ChaosResult
+		row := []string{fmt.Sprintf("%.1f%%", p*100)}
 		viol := 0
+		var off *PairWorld
 		for i, mode := range []IperfMode{IperfTCP, IperfTLS, IperfTLSOffload} {
 			f := ChaosFaults{Seed: int64(6000 + i), ECN: true, CEMarkProb: p}
-			r := RunChaosIperf(f, mode, chaosStreams, 256<<10, 16<<10, chaosWindow)
-			gbps[i] = r.Gbps
-			viol += len(r.Violations)
+			w, r := chaosIperf(f, mode, chaosStreams, chaosWindow)
+			row = append(row, f1(r.rcvGbps(&w.Model)))
+			viol += len(r.violations)
 			if mode == IperfTLSOffload {
-				off = r
+				off = w
 			}
 		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.1f%%", p*100), f1(gbps[0]), f1(gbps[1]), f1(gbps[2]),
-			fmt.Sprint(off.CEMarked), fmt.Sprint(off.CEReceived),
-			fmt.Sprint(off.ECEReceived), fmt.Sprint(off.ECNCuts),
-			fmt.Sprint(off.CWRSent), fmt.Sprint(off.NIC.RxFallbacks),
+		snd, rcv := off.Gen.Stack.Stats, off.Srv.Stack.Stats
+		t.Rows = append(t.Rows, append(row,
+			fmt.Sprint(off.Link.StatsAtoB().CEMarked), fmt.Sprint(rcv.CEReceived),
+			fmt.Sprint(snd.ECEReceived), fmt.Sprint(snd.ECNCwndCuts),
+			fmt.Sprint(snd.CWRSent), fmt.Sprint(off.Srv.NIC.Stats().RxFallbacks),
 			fmt.Sprint(viol),
-		})
+		))
 	}
 	t.Notes = append(t.Notes,
 		"marked/ce/ece/cuts/cwr trace one congestion signal end to end: link CE marks -> receiver TCP -> sender echo -> cwnd cut -> CWR answer",
@@ -100,14 +100,14 @@ func MTUFlapSweep() *Table {
 	for _, sched := range mtuFlapSchedules {
 		f := ChaosFaults{Seed: 6100, ECN: true, LossProb: 0.02,
 			CEMarkProb: 0.005, MTUFlaps: sched.flaps}
-		sw := RunChaosIperf(f, IperfTLS, chaosStreams, 256<<10, 16<<10, mtuFlapWindow)
-		off := RunChaosIperf(f, IperfTLSOffload, chaosStreams, 256<<10, 16<<10, mtuFlapWindow)
+		swW, sw := chaosIperf(f, IperfTLS, chaosStreams, mtuFlapWindow)
+		offW, off := chaosIperf(f, IperfTLSOffload, chaosStreams, mtuFlapWindow)
+		st := offW.Srv.NIC.Stats()
 		t.Rows = append(t.Rows, []string{
-			sched.name, f1(sw.Gbps), f1(off.Gbps),
-			fmt.Sprint(off.Resegments), fmt.Sprint(off.MTUDrops),
-			fmt.Sprint(off.NIC.RxSearches), fmt.Sprint(off.NIC.RxResumes),
-			fmt.Sprint(off.NIC.RxFallbacks),
-			fmt.Sprint(len(sw.Violations) + len(off.Violations)),
+			sched.name, f1(sw.rcvGbps(&swW.Model)), f1(off.rcvGbps(&offW.Model)),
+			fmt.Sprint(offW.Gen.Stack.Stats.Resegments), fmt.Sprint(offW.mtuDrops()),
+			fmt.Sprint(st.RxSearches), fmt.Sprint(st.RxResumes), fmt.Sprint(st.RxFallbacks),
+			fmt.Sprint(len(sw.violations) + len(off.violations)),
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -115,6 +115,11 @@ func MTUFlapSweep() *Table {
 		"mtudrop stays 0: the stack re-segments immediately, so no queued old-MSS cut ever reaches the narrower link",
 		"resumes >= 1 under every flap schedule: engines that lost sync to loss re-lock onto boundaries cut at a different MSS than they lost sync at (the paper's 4.3 resume path)")
 	return t
+}
+
+// mtuDrops counts the frames the link dropped as oversized, both ways.
+func (w *PairWorld) mtuDrops() uint64 {
+	return w.Link.StatsAtoB().MTUDrops + w.Link.StatsBtoA().MTUDrops
 }
 
 // ECN is the registered `ecn` experiment.

@@ -10,21 +10,23 @@ import (
 // falls back — the rate dip is a timing change, not a sequence-space one.
 func TestECNSignalChain(t *testing.T) {
 	f := ChaosFaults{Seed: 6002, ECN: true, CEMarkProb: 0.02}
-	r := RunChaosIperf(f, IperfTLSOffload, chaosStreams, 256<<10, 16<<10, chaosWindow)
-	if len(r.Violations) != 0 {
-		t.Fatalf("violations under ECN marking: %v", r.Violations)
+	w, r := chaosIperf(f, IperfTLSOffload, chaosStreams, chaosWindow)
+	if len(r.violations) != 0 {
+		t.Fatalf("violations under ECN marking: %v", r.violations)
 	}
-	if r.CEMarked == 0 || r.CEReceived == 0 || r.ECEReceived == 0 ||
-		r.ECNCuts == 0 || r.CWRSent == 0 {
+	snd, rcv, st := w.Gen.Stack.Stats, w.Srv.Stack.Stats, w.Srv.NIC.Stats()
+	marked := w.Link.StatsAtoB().CEMarked
+	if marked == 0 || rcv.CEReceived == 0 || snd.ECEReceived == 0 ||
+		snd.ECNCwndCuts == 0 || snd.CWRSent == 0 {
 		t.Errorf("ECN chain has a dead stage: marked=%d ce=%d ece=%d cuts=%d cwr=%d",
-			r.CEMarked, r.CEReceived, r.ECEReceived, r.ECNCuts, r.CWRSent)
+			marked, rcv.CEReceived, snd.ECEReceived, snd.ECNCwndCuts, snd.CWRSent)
 	}
-	if r.NIC.RxCEMarks != r.CEReceived {
-		t.Errorf("NIC saw %d CE marks but the stack counted %d", r.NIC.RxCEMarks, r.CEReceived)
+	if st.RxCEMarks != rcv.CEReceived {
+		t.Errorf("NIC saw %d CE marks but the stack counted %d", st.RxCEMarks, rcv.CEReceived)
 	}
-	if r.EngFallbacks != 0 || r.NIC.RxFallbacks != 0 {
+	if r.RxEngine.Fallbacks != 0 || st.RxFallbacks != 0 {
 		t.Errorf("engine fell back under a pure ECN rate dip: eng=%d nic=%d",
-			r.EngFallbacks, r.NIC.RxFallbacks)
+			r.RxEngine.Fallbacks, st.RxFallbacks)
 	}
 }
 
@@ -33,13 +35,13 @@ func TestECNSignalChain(t *testing.T) {
 // stays dark end to end.
 func TestECNNegotiationRequired(t *testing.T) {
 	f := ChaosFaults{Seed: 6003, CEMarkProb: 0.05} // ECN not enabled
-	r := RunChaosIperf(f, IperfTLSOffload, 4, 256<<10, 16<<10, chaosWindow)
-	if r.CEMarked != 0 || r.CEReceived != 0 || r.ECNCuts != 0 {
-		t.Errorf("ECN chain fired without negotiation: marked=%d ce=%d cuts=%d",
-			r.CEMarked, r.CEReceived, r.ECNCuts)
+	w, r := chaosIperf(f, IperfTLSOffload, 4, chaosWindow)
+	marked, ce, cuts := w.Link.StatsAtoB().CEMarked, w.Srv.Stack.Stats.CEReceived, w.Gen.Stack.Stats.ECNCwndCuts
+	if marked != 0 || ce != 0 || cuts != 0 {
+		t.Errorf("ECN chain fired without negotiation: marked=%d ce=%d cuts=%d", marked, ce, cuts)
 	}
-	if len(r.Violations) != 0 {
-		t.Errorf("violations: %v", r.Violations)
+	if len(r.violations) != 0 {
+		t.Errorf("violations: %v", r.violations)
 	}
 }
 
@@ -53,30 +55,30 @@ func TestMTUFlapResumesOffload(t *testing.T) {
 			{At: 500 * time.Microsecond, MTU: 1100},
 			{At: 1500 * time.Microsecond, MTU: 1500},
 		}}
-	off := RunChaosIperf(f, IperfTLSOffload, chaosStreams, 256<<10, 16<<10, mtuFlapWindow)
-	if len(off.Violations) != 0 {
-		t.Fatalf("violations under MTU flaps: %v", off.Violations)
+	w, off := chaosIperf(f, IperfTLSOffload, chaosStreams, mtuFlapWindow)
+	if len(off.violations) != 0 {
+		t.Fatalf("violations under MTU flaps: %v", off.violations)
 	}
-	if off.NIC.RxResumes < 1 {
+	if st := w.Srv.NIC.Stats(); st.RxResumes < 1 {
 		t.Errorf("no engine resumed across the MTU flap: searches=%d resumes=%d",
-			off.NIC.RxSearches, off.NIC.RxResumes)
+			st.RxSearches, st.RxResumes)
 	}
-	if off.Resegments == 0 {
+	if w.Gen.Stack.Stats.Resegments == 0 {
 		t.Error("no transmission was re-cut at the new MSS")
 	}
-	if off.MTUDrops != 0 {
-		t.Errorf("%d frames were emitted at the old MSS after the shrink", off.MTUDrops)
+	if d := w.mtuDrops(); d != 0 {
+		t.Errorf("%d frames were emitted at the old MSS after the shrink", d)
 	}
 
 	// The software-only ablation under the identical schedule: both paths
 	// verify every delivered byte against the same pattern, so zero
 	// violations on both sides is zero plaintext divergence.
-	sw := RunChaosIperf(f, IperfTLS, chaosStreams, 256<<10, 16<<10, mtuFlapWindow)
-	if len(sw.Violations) != 0 {
-		t.Fatalf("software ablation violations: %v", sw.Violations)
+	_, sw := chaosIperf(f, IperfTLS, chaosStreams, mtuFlapWindow)
+	if len(sw.violations) != 0 {
+		t.Fatalf("software ablation violations: %v", sw.violations)
 	}
-	if off.Bytes == 0 || sw.Bytes == 0 {
-		t.Errorf("no verified bytes: offload=%d software=%d", off.Bytes, sw.Bytes)
+	if off.checked == 0 || sw.checked == 0 {
+		t.Errorf("no verified bytes: offload=%d software=%d", off.checked, sw.checked)
 	}
 }
 
@@ -89,32 +91,27 @@ func TestMTUFlapNVMe(t *testing.T) {
 			{At: 500 * time.Microsecond, MTU: 1100},
 			{At: 2 * time.Millisecond, MTU: 1500},
 		}}
-	r := RunChaosNVMe(f, true, 8, 8, mtuFlapWindow)
-	if len(r.Violations) != 0 {
-		t.Fatalf("violations: %v", r.Violations)
+	w, r := chaosFio(f, true, 8, mtuFlapWindow)
+	if len(r.violations) != 0 {
+		t.Fatalf("violations: %v", r.violations)
 	}
-	if r.ReadsOK == 0 {
+	if r.Requests == 0 {
 		t.Error("no read completed across the MTU flap")
 	}
-	if r.Resegments == 0 {
+	if w.Tgt.Stack.Stats.Resegments == 0 {
 		t.Error("target never re-cut a response at the new MSS")
 	}
-	if r.MTUDrops != 0 {
-		t.Errorf("%d oversized frames hit the narrowed backend link", r.MTUDrops)
+	if d := w.Back.StatsAtoB().MTUDrops + w.Back.StatsBtoA().MTUDrops; d != 0 {
+		t.Errorf("%d oversized frames hit the narrowed backend link", d)
 	}
 }
 
-// TestECNTableShape and the mtuflap twin keep the registered experiments
-// honest without re-running the full sweeps: one row each, spot-checked.
+// TestECNDeterminism keeps the ECN and MTU-flap machinery seeded: the same
+// schedule twice renders byte-identical counters.
 func TestECNDeterminism(t *testing.T) {
-	run := func() *ChaosResult {
-		f := ChaosFaults{Seed: 7, ECN: true, CEMarkProb: 0.01,
-			MTUFlaps: []MTUFlap{{At: 700 * time.Microsecond, MTU: 1200}}}
-		return RunChaosIperf(f, IperfTLSOffload, 4, 256<<10, 16<<10, chaosWindow)
-	}
-	a, b := run(), run()
-	if a.Bytes != b.Bytes || a.CEMarked != b.CEMarked || a.ECNCuts != b.ECNCuts ||
-		a.Resegments != b.Resegments || a.NIC.RxResumes != b.NIC.RxResumes {
-		t.Errorf("ECN+flap run not deterministic:\na=%+v\nb=%+v", a, b)
+	g := chaosGoldenRun{"det", ChaosFaults{Seed: 7, ECN: true, CEMarkProb: 0.01,
+		MTUFlaps: []MTUFlap{{At: 700 * time.Microsecond, MTU: 1200}}}, "offload", 4, chaosWindow}
+	if a, b := g.render(), g.render(); a != b {
+		t.Errorf("ECN+flap run not deterministic:\na=%s\nb=%s", a, b)
 	}
 }

@@ -7,25 +7,21 @@ package experiments
 // under the identical fault schedule.
 //
 // The two runs diverge in timing (the offload changes per-record costs), so
-// the comparison is per-connection common-prefix equality — both sides also
-// verify every byte against the deterministic send pattern, which pins the
-// absolute stream offsets the prefixes sit at. For NVMe the equivalence is
+// the comparison is per-connection common-prefix equality: both sides'
+// drivers verify every byte against the deterministic send pattern at its
+// absolute stream offset, so two clean runs delivered identical plaintext
+// over their common prefix by construction. For NVMe the equivalence is
 // through the device: every completed read, offloaded or not, is compared
 // against the target device's deterministic content, so two clean runs
 // returned identical PDU payloads for identical LBAs by construction.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
-	"repro/internal/ktls"
-	"repro/internal/netsim"
 	"repro/internal/nic"
-	"repro/internal/tcpip"
-	"repro/internal/wire"
 )
 
 const equivSeeds = 20
@@ -57,108 +53,53 @@ func equivSchedule(seed int64) ChaosFaults {
 	return f
 }
 
-// equivTLSRun drives one seeded ktls flow and returns the exact plaintext
-// each receiving connection delivered, in accept order. queues shapes the
-// multi-queue arm (≤1 keeps the default). After the fault window the
-// writers stop and the world drains to quiescence, so poolInUse is the
-// number of leaked frames — zero unless a hot-path owner lost one.
-func equivTLSRun(f ChaosFaults, mode IperfMode, streams int, dur time.Duration, queues int) (plain [][]byte, st nic.Stats, poolInUse uint64, err error) {
+// equivTLSRun drives one seeded ktls flow: RunIperf's driver on a
+// chaosPair with queues queue pairs, a 1 ms warm-up, 64 KiB writes and
+// 4 KiB records. After the fault window the writers stop and the world
+// drains to quiescence, so poolInUse is the number of leaked frames — zero
+// unless a hot-path owner lost one.
+func equivTLSRun(f ChaosFaults, mode IperfMode, streams int, dur time.Duration, queues int) (res *IperfResult, st nic.Stats, poolInUse uint64) {
 	// 100 Gbps like the chaos harness: a slower link builds a serializer
 	// backlog during establishment, and frames delivered inside the window
 	// would all predate the fault arming.
-	cfg := nic.Config{CtxCacheFlows: 64}
-	if queues > 1 {
-		cfg.Queues = queues
-	}
-	w := NewPairWorld(netsim.LinkConfig{
-		Gbps:    100,
-		Latency: 2 * time.Microsecond,
-	}, cfg)
-	w.Model.MinRTOMicros = 2000
-	w.Model.MaxRTOMicros = 500000
-	if f.ECN {
-		w.Gen.Stack.EnableECN()
-		w.Srv.Stack.EnableECN()
-	}
-	if f.SACK {
-		w.Gen.Stack.EnableSACK()
-		w.Srv.Stack.EnableSACK()
-	}
-	if f.CC != "" {
-		if cerr := w.Gen.Stack.SetCongestionControl(f.CC); cerr != nil {
-			panic(cerr)
-		}
-		if cerr := w.Srv.Stack.SetCongestionControl(f.CC); cerr != nil {
-			panic(cerr)
-		}
-	}
-
-	const msgSize, recordSize = 64 << 10, 4 << 10
-	cliTLS, srvTLS := TLSKeys(recordSize)
-	var failure error
-	var stopped bool
-
-	w.Srv.Stack.Listen(5001, func(s *tcpip.Socket) {
-		id := len(plain)
-		plain = append(plain, nil)
-		conn, cerr := ktls.NewConn(s, srvTLS)
-		if cerr != nil {
-			panic(cerr)
-		}
-		if mode == IperfTLSOffload {
-			if cerr := conn.EnableRxOffload(w.Srv.NIC); cerr != nil {
-				panic(cerr)
-			}
-		}
-		conn.OnPlain = func(pc ktls.PlainChunk) {
-			plain[id] = append(plain[id], pc.Data...)
-		}
-		conn.OnError = func(e error) {
-			if failure == nil {
-				failure = fmt.Errorf("conn %d: %w", id, e)
-			}
-		}
-	})
-	for i := 0; i < streams; i++ {
-		w.Gen.Stack.Connect(wire.Addr{IP: w.Srv.Stack.IP(), Port: 5001}, func(s *tcpip.Socket) {
-			off := new(uint64)
-			scratch := make([]byte, msgSize)
-			conn, cerr := ktls.NewConn(s, cliTLS)
-			if cerr != nil {
-				panic(cerr)
-			}
-			if mode == IperfTLSOffload {
-				if cerr := conn.EnableTxOffload(w.Gen.NIC, false); cerr != nil {
-					panic(cerr)
-				}
-			}
-			pump := func(c *ktls.Conn) {
-				for !stopped {
-					fillPattern(scratch, *off)
-					n := c.Write(scratch)
-					if n <= 0 {
-						break
-					}
-					*off += uint64(n)
-				}
-			}
-			conn.OnDrain = pump
-			pump(conn)
-		})
-	}
-
-	w.Sim.RunFor(1 * time.Millisecond)
-	w.Link.SetFaultsAtoB(f.linkFaults(w.Sim.Now()))
-	armMTUFlaps(w.Sim, w.Sim.Now(), w.Link, f.MTUFlaps, w.Gen.Stack, w.Srv.Stack)
-	w.Sim.RunFor(dur)
-	// Leak barrier: stop the writers, let retransmissions and acks drain
-	// until the world quiesces, then count frames still out of the pool.
-	// Every drop/replace/complete path must have Put its frame by now.
-	stopped = true
+	w := chaosPair(f, queues)
+	res = runIperf(w, mode, streams, 64<<10, 4<<10, time.Millisecond, dur)
+	// Leak barrier: with the writers stopped, let retransmissions and acks
+	// drain until the world quiesces, then count frames still out of the
+	// pool. Every drop/replace/complete path must have Put its frame by now.
 	for i := 0; i < 500 && !w.Sim.Quiesced(); i++ {
 		w.Sim.RunFor(10 * time.Millisecond)
 	}
-	return plain, w.Srv.NIC.Stats(), w.Pool.InUse(), failure
+	return res, w.Srv.NIC.Stats(), w.Pool.InUse()
+}
+
+// compareEquivRuns checks one seed's offloaded run against its software
+// ablation and returns the bytes their connections have in common. Both
+// drivers checked every delivered byte against the send pattern at its
+// absolute stream offset, so with no violation on either side each
+// connection's common prefix is byte-identical plaintext.
+func compareEquivRuns(t *testing.T, label string, off, sw *IperfResult, offLeak, swLeak uint64) (compared uint64) {
+	t.Helper()
+	for _, r := range []*IperfResult{off, sw} {
+		if len(r.violations) != 0 || r.connsFailed != 0 {
+			t.Fatalf("%s: violations %v, %d failed connections", label, r.violations, r.connsFailed)
+		}
+	}
+	if offLeak != 0 || swLeak != 0 {
+		t.Errorf("%s: frame pool leak at teardown: off=%d sw=%d frames out", label, offLeak, swLeak)
+	}
+	if len(off.rcv) != len(sw.rcv) {
+		t.Fatalf("%s: %d offloaded conns vs %d software", label, len(off.rcv), len(sw.rcv))
+	}
+	for id := range off.rcv {
+		n := min(off.rcv[id].off, sw.rcv[id].off)
+		if n == 0 {
+			t.Errorf("%s conn %d: empty common prefix (off=%d sw=%d)",
+				label, id, off.rcv[id].off, sw.rcv[id].off)
+		}
+		compared += n
+	}
+	return compared
 }
 
 // TestOffloadEquivalenceSoak is the soak proper: over equivSeeds randomized
@@ -171,39 +112,9 @@ func TestOffloadEquivalenceSoak(t *testing.T) {
 	var resumes, searches, bytesCompared uint64
 	for seed := int64(1); seed <= equivSeeds; seed++ {
 		f := equivSchedule(seed)
-		off, offNIC, offLeak, offErr := equivTLSRun(f, IperfTLSOffload, streams, window, 1)
-		sw, _, swLeak, swErr := equivTLSRun(f, IperfTLS, streams, window, 1)
-		if offErr != nil {
-			t.Fatalf("seed %d: offloaded run failed: %v", seed, offErr)
-		}
-		if swErr != nil {
-			t.Fatalf("seed %d: software run failed: %v", seed, swErr)
-		}
-		if offLeak != 0 || swLeak != 0 {
-			t.Errorf("seed %d: frame pool leak at teardown: off=%d sw=%d frames out", seed, offLeak, swLeak)
-		}
-		if len(off) != len(sw) {
-			t.Fatalf("seed %d: %d offloaded conns vs %d software", seed, len(off), len(sw))
-		}
-		for id := range off {
-			n := min(len(off[id]), len(sw[id]))
-			if n == 0 {
-				t.Errorf("seed %d conn %d: empty common prefix (off=%d sw=%d)",
-					seed, id, len(off[id]), len(sw[id]))
-				continue
-			}
-			if !bytes.Equal(off[id][:n], sw[id][:n]) {
-				t.Errorf("seed %d conn %d: plaintext diverges within first %d bytes", seed, id, n)
-			}
-			// Both must also sit at the right absolute offsets.
-			for i := 0; i < n; i++ {
-				if off[id][i] != chaosByte(uint64(i)) {
-					t.Errorf("seed %d conn %d: wrong byte at offset %d", seed, id, i)
-					break
-				}
-			}
-			bytesCompared += uint64(n)
-		}
+		off, offNIC, offLeak := equivTLSRun(f, IperfTLSOffload, streams, window, 1)
+		sw, _, swLeak := equivTLSRun(f, IperfTLS, streams, window, 1)
+		bytesCompared += compareEquivRuns(t, fmt.Sprintf("seed %d", seed), off, sw, offLeak, swLeak)
 		resumes += offNIC.RxResumes
 		searches += offNIC.RxSearches
 	}
@@ -232,40 +143,10 @@ func TestOffloadEquivalenceSoakSharded(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		queues := queueArms[int(seed)%len(queueArms)]
 		f := equivSchedule(seed)
-		off, offNIC, offLeak, offErr := equivTLSRun(f, IperfTLSOffload, streams, window, queues)
-		sw, _, swLeak, swErr := equivTLSRun(f, IperfTLS, streams, window, queues)
-		if offErr != nil {
-			t.Fatalf("seed %d queues %d: offloaded run failed: %v", seed, queues, offErr)
-		}
-		if swErr != nil {
-			t.Fatalf("seed %d queues %d: software run failed: %v", seed, queues, swErr)
-		}
-		if offLeak != 0 || swLeak != 0 {
-			t.Errorf("seed %d queues %d: frame pool leak at teardown: off=%d sw=%d frames out",
-				seed, queues, offLeak, swLeak)
-		}
-		if len(off) != len(sw) {
-			t.Fatalf("seed %d queues %d: %d offloaded conns vs %d software", seed, queues, len(off), len(sw))
-		}
-		for id := range off {
-			n := min(len(off[id]), len(sw[id]))
-			if n == 0 {
-				t.Errorf("seed %d queues %d conn %d: empty common prefix (off=%d sw=%d)",
-					seed, queues, id, len(off[id]), len(sw[id]))
-				continue
-			}
-			if !bytes.Equal(off[id][:n], sw[id][:n]) {
-				t.Errorf("seed %d queues %d conn %d: plaintext diverges within first %d bytes",
-					seed, queues, id, n)
-			}
-			for i := 0; i < n; i++ {
-				if off[id][i] != chaosByte(uint64(i)) {
-					t.Errorf("seed %d queues %d conn %d: wrong byte at offset %d", seed, queues, id, i)
-					break
-				}
-			}
-			bytesCompared += uint64(n)
-		}
+		off, offNIC, offLeak := equivTLSRun(f, IperfTLSOffload, streams, window, queues)
+		sw, _, swLeak := equivTLSRun(f, IperfTLS, streams, window, queues)
+		bytesCompared += compareEquivRuns(t, fmt.Sprintf("seed %d queues %d", seed, queues),
+			off, sw, offLeak, swLeak)
 		resumes += offNIC.RxResumes
 		searches += offNIC.RxSearches
 	}
@@ -288,15 +169,16 @@ func TestOffloadEquivalenceNVMe(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		f := equivSchedule(seed)
 		for _, offloaded := range []bool{true, false} {
-			r := RunChaosNVMe(f, offloaded, 8, 8, 4*time.Millisecond)
-			if len(r.Violations) != 0 {
-				t.Errorf("seed %d offloaded=%v: %v", seed, offloaded, r.Violations)
+			_, r := chaosFio(f, offloaded, 8, 4*time.Millisecond)
+			if len(r.violations) != 0 || r.connsFailed != 0 {
+				t.Errorf("seed %d offloaded=%v: violations %v, association failed: %v",
+					seed, offloaded, r.violations, r.connsFailed != 0)
 			}
-			if r.ReadsOK == 0 {
+			if r.Requests == 0 {
 				t.Errorf("seed %d offloaded=%v: no read completed", seed, offloaded)
 			}
 			if offloaded {
-				reads += r.ReadsOK
+				reads += r.Requests
 			}
 		}
 	}

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"repro/internal/cycles"
+	"repro/internal/httpsim"
 	"repro/internal/netsim"
+	"repro/internal/nic"
 )
 
 // These tests assert the *shape* properties each experiment must
@@ -48,9 +50,21 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// requireClean fails the test unless the run checked delivered bytes and
+// found no wrong byte, no failed connection and no failed read.
+func requireClean(t *testing.T, label string, v verdict, failedReads uint64) {
+	t.Helper()
+	if v.checked == 0 || len(v.violations) != 0 || v.connsFailed != 0 || failedReads != 0 {
+		t.Errorf("%s: %d bytes checked, violations %v, %d failed connections, %d failed reads",
+			label, v.checked, v.violations, v.connsFailed, failedReads)
+	}
+}
+
 func TestIperfOffloadRemovesHostCrypto(t *testing.T) {
 	sw := RunIperf(cleanPair(), IperfTLS, 2, 256<<10, 16<<10, 2*time.Millisecond)
 	hw := RunIperf(cleanPair(), IperfTLSOffload, 2, 256<<10, 16<<10, 2*time.Millisecond)
+	requireClean(t, "tls", sw.verdict, 0)
+	requireClean(t, "offload", hw.verdict, 0)
 	if sw.Snd.HostOpCycles(cycles.Encrypt) == 0 {
 		t.Error("software run charged no encrypt")
 	}
@@ -86,6 +100,7 @@ func TestFig11Shares(t *testing.T) {
 	// 54–74% band at 16 KiB.
 	w := cleanPair()
 	res := RunIperf(w, IperfTLS, 1, 256<<10, 16<<10, 2*time.Millisecond)
+	requireClean(t, "tls", res.verdict, 0)
 	n := float64(res.Records)
 	rxC := res.Rcv.HostOpCycles(cycles.Decrypt) / n
 	rxShare := rxC / (res.Rcv.HostCycles() / n)
@@ -100,6 +115,9 @@ func TestFig10Shape(t *testing.T) {
 	big16 := RunFio(cleanStorage(), 256<<10, 16, 4*time.Millisecond)
 	big256 := RunFio(cleanStorage(), 256<<10, 256, 4*time.Millisecond)
 	small := RunFio(cleanStorage(), 4<<10, 64, 4*time.Millisecond)
+	for _, r := range []*FioResult{big16, big256, small} {
+		requireClean(t, "fio", r.verdict, r.failed)
+	}
 
 	share := func(r *FioResult) float64 {
 		return (r.Ledger.HostOpCycles(cycles.Copy) + r.Ledger.HostOpCycles(cycles.CRC)) /
@@ -149,7 +167,7 @@ func TestFig13Ordering(t *testing.T) {
 	var one [4]float64
 	for i, mode := range []int{1, 2, 3, 0} { // https, offload, zc, http
 		w := cleanPair()
-		res := RunHTTPC2(w, httpMode(mode), 16, 64<<10, time.Millisecond)
+		res := RunHTTPC2(w, httpsim.Mode(mode), 16, 64<<10, time.Millisecond)
 		one[i] = w.Model.SingleCoreGbps(res.Srv, res.Bytes)
 	}
 	for i := 1; i < 4; i++ {
@@ -171,6 +189,7 @@ func TestFig16SenderLossShape(t *testing.T) {
 	for i, mode := range []IperfMode{IperfTCP, IperfTLSOffload, IperfTLS} {
 		w := faultPair(netsim.FaultConfig{LossProb: p, Seed: int64(900 + i)}, netsim.FaultConfig{})
 		res := RunIperf(w, mode, 16, 256<<10, 16<<10, 8*time.Millisecond)
+		requireClean(t, mode.String(), res.verdict, 0)
 		gbps[i] = oneCoreGbps(&w.Model, res.Snd, res.Bytes, res.Elapsed)
 		if mode == IperfTLSOffload {
 			ctx = res.Snd.PCIeBytes(cycles.CtxDMA)
@@ -194,6 +213,7 @@ func TestFig16SenderLossShape(t *testing.T) {
 func TestFig17RecordClassification(t *testing.T) {
 	w := faultPair(netsim.FaultConfig{LossProb: 0.02, Seed: 901}, netsim.FaultConfig{})
 	res := RunIperf(w, IperfTLSOffload, 16, 256<<10, 16<<10, 8*time.Millisecond)
+	requireClean(t, "offload", res.verdict, 0)
 	total := res.TLS.RecordsRx
 	if total == 0 {
 		t.Fatal("no records")
@@ -214,8 +234,8 @@ func TestFig19NoCliff(t *testing.T) {
 	// Crossing the context-cache capacity must not collapse throughput.
 	run := func(conns int) (float64, float64) {
 		w := NewPairWorld(netsim.LinkConfig{Gbps: 100, Latency: 2 * time.Microsecond},
-			nicConfigWithCache(64))
-		res := RunHTTPC2(w, httpMode(3), conns, 64<<10, time.Millisecond)
+			nic.Config{CtxCacheFlows: 64})
+		res := RunHTTPC2(w, httpsim.Mode(3), conns, 64<<10, time.Millisecond)
 		miss := 0.0
 		st := w.Srv.NIC.Stats()
 		if st.CtxCacheHits+st.CtxCacheMiss > 0 {
@@ -238,11 +258,10 @@ func TestStorageWorldLedgerConservation(t *testing.T) {
 	// processes at least the payload bytes the host no longer touches.
 	w := NewStorageWorld(StorageOpts{NVMePlace: true, NVMeCRC: true, TargetTxOffload: true})
 	res := RunFio(w, 64<<10, 8, 3*time.Millisecond)
+	requireClean(t, "fio", res.verdict, res.failed)
 	nicCRC := res.Ledger.Get(cycles.NIC, cycles.CRC).Bytes
 	// Responses in flight at the window edges cause a small mismatch.
 	if float64(nicCRC) < 0.95*float64(res.Bytes) {
 		t.Errorf("NIC CRC'd %d bytes < 95%% of %d payload bytes", nicCRC, res.Bytes)
 	}
 }
-
-func httpMode(i int) (m httpsimMode) { return httpsimMode(i) }

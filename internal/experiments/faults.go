@@ -31,12 +31,17 @@ func faultPair(data, ack netsim.FaultConfig) *PairWorld {
 		AtoB:    data,
 		BtoA:    ack,
 	}, nic.Config{})
-	// The paper's loss sweeps run 128 streams on a back-to-back testbed
-	// with SACK; a microsecond-RTT fabric recovers on a similar timescale
-	// with a datacenter RTO floor.
-	w.Model.MinRTOMicros = 2000
-	w.Model.MaxRTOMicros = 500000
+	datacenterRTO(&w.Model)
 	return w
+}
+
+// datacenterRTO is the RTO range of every faulted world. The paper's loss
+// sweeps run 128 streams on a back-to-back testbed with SACK; a
+// microsecond-RTT fabric recovers on a similar timescale with a datacenter
+// RTO floor.
+func datacenterRTO(m *cycles.Model) {
+	m.MinRTOMicros = 2000
+	m.MaxRTOMicros = 500000
 }
 
 const faultStreams = 48

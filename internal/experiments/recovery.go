@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/telemetry"
 )
 
 // recoveryRates are the per-frame loss probabilities of the sweep; each is
@@ -47,7 +48,17 @@ func recoveryFaults(loss float64, sack bool, cc string) ChaosFaults {
 	}
 }
 
-func usQ(d time.Duration) string {
+// recoveryIperf runs the sweep's iperf under f and returns, besides the
+// world and result, the data sender's recovery-episode durations (detection
+// → cumulative ACK covering the pre-loss send frontier).
+func recoveryIperf(f ChaosFaults, mode IperfMode, streams int) (*PairWorld, *IperfResult, *telemetry.Histogram) {
+	w := chaosPair(f, 1)
+	h := telemetry.NewHistogram("tcp.recovery_episode_ns")
+	w.Gen.Stack.SetRecoveryHistogram(h)
+	return w, RunIperf(w, mode, streams, 256<<10, 16<<10, recoveryWindow), h
+}
+
+func usQ(d int64) string {
 	return fmt.Sprintf("%.0f", float64(d)/float64(time.Microsecond))
 }
 
@@ -64,14 +75,14 @@ func RecoveryLatency() *Table {
 	for _, loss := range recoveryRates {
 		for _, cc := range []string{"newreno", "cubic"} {
 			for _, sack := range []bool{false, true} {
-				f := recoveryFaults(loss, sack, cc)
-				r := RunChaosIperf(f, IperfTCP, recoveryStreams, 256<<10, 16<<10, recoveryWindow)
+				w, r, h := recoveryIperf(recoveryFaults(loss, sack, cc), IperfTCP, recoveryStreams)
+				st := w.Gen.Stack.Stats
 				t.Rows = append(t.Rows, []string{
-					fmt.Sprintf("%.1f%%", loss*100), cc, onOff(sack), f1(r.Gbps),
-					fmt.Sprint(r.RecoveryEpisodes), fmt.Sprint(r.Timeouts),
-					fmt.Sprint(r.FastRetx), fmt.Sprint(r.HolesRetx),
-					fmt.Sprint(r.SpuriousRTOs), fmt.Sprint(r.Undos),
-					usQ(r.RecoveryP50), usQ(r.RecoveryP99),
+					fmt.Sprintf("%.1f%%", loss*100), cc, onOff(sack), f1(r.rcvGbps(&w.Model)),
+					fmt.Sprint(st.RecoveryEpisodes), fmt.Sprint(st.Timeouts),
+					fmt.Sprint(st.FastRetransmits), fmt.Sprint(st.HolesRetransmitted),
+					fmt.Sprint(st.SpuriousRTOs), fmt.Sprint(st.Undos),
+					usQ(h.Quantile(0.50)), usQ(h.Quantile(0.99)),
 				})
 			}
 		}
@@ -96,17 +107,16 @@ func RecoveryRelock() *Table {
 	for _, loss := range recoveryRates {
 		for _, sack := range []bool{false, true} {
 			for _, mode := range []IperfMode{IperfTLS, IperfTLSOffload} {
-				f := recoveryFaults(loss, sack, "newreno")
-				r := RunChaosIperf(f, mode, recoveryStreams, 256<<10, 16<<10, recoveryWindow)
-				desyncs := r.NIC.RxSearches + r.EngRelocks
+				w, r, _ := recoveryIperf(recoveryFaults(loss, sack, "newreno"), mode, recoveryStreams)
+				st, relocks := w.Srv.NIC.Stats(), r.RxEngine.Relocks
 				rate := "-"
-				if desyncs > 0 {
-					rate = f1(100 * float64(r.NIC.RxResumes+r.EngRelocks) / float64(desyncs))
+				if desyncs := st.RxSearches + relocks; desyncs > 0 {
+					rate = f1(100 * float64(st.RxResumes+relocks) / float64(desyncs))
 				}
 				t.Rows = append(t.Rows, []string{
-					fmt.Sprintf("%.1f%%", loss*100), onOff(sack), r.Mode, f1(r.Gbps),
-					fmt.Sprint(r.NIC.RxSearches), fmt.Sprint(r.NIC.RxTracks),
-					fmt.Sprint(r.NIC.RxResumes), fmt.Sprint(r.EngRelocks), rate,
+					fmt.Sprintf("%.1f%%", loss*100), onOff(sack), mode.String(), f1(r.rcvGbps(&w.Model)),
+					fmt.Sprint(st.RxSearches), fmt.Sprint(st.RxTracks),
+					fmt.Sprint(st.RxResumes), fmt.Sprint(relocks), rate,
 				})
 			}
 		}

@@ -11,30 +11,29 @@ import (
 // share the fault schedule, so the comparison isolates the recovery
 // machinery.
 func TestRecoverySACKBeatsRTO(t *testing.T) {
-	const minRTO = 2 * time.Millisecond // chaos-world override
-	noSACK := RunChaosIperf(recoveryFaults(0.02, false, "newreno"),
-		IperfTCP, recoveryStreams, 256<<10, 16<<10, recoveryWindow)
-	withSACK := RunChaosIperf(recoveryFaults(0.02, true, "newreno"),
-		IperfTCP, recoveryStreams, 256<<10, 16<<10, recoveryWindow)
+	const minRTO = 2 * time.Millisecond // datacenterRTO's floor
+	noW, noR, _ := recoveryIperf(recoveryFaults(0.02, false, "newreno"), IperfTCP, recoveryStreams)
+	sackW, sackR, sackH := recoveryIperf(recoveryFaults(0.02, true, "newreno"), IperfTCP, recoveryStreams)
+	noSACK, withSACK := noW.Gen.Stack.Stats, sackW.Gen.Stack.Stats
 
-	if len(noSACK.Violations)+len(withSACK.Violations) != 0 {
-		t.Fatalf("violations: %v / %v", noSACK.Violations, withSACK.Violations)
+	if len(noR.violations)+len(sackR.violations) != 0 {
+		t.Fatalf("violations: %v / %v", noR.violations, sackR.violations)
 	}
 	if noSACK.Timeouts == 0 {
 		t.Errorf("NewReno without SACK hit no RTO under 2%% loss+reorder (episodes=%d)",
 			noSACK.RecoveryEpisodes)
 	}
-	if withSACK.HolesRetx == 0 || withSACK.SACKBlocksRcvd == 0 {
+	if withSACK.HolesRetransmitted == 0 || withSACK.SACKBlocksRcvd == 0 {
 		t.Errorf("SACK machinery never engaged: holes=%d blocks=%d",
-			withSACK.HolesRetx, withSACK.SACKBlocksRcvd)
+			withSACK.HolesRetransmitted, withSACK.SACKBlocksRcvd)
 	}
 	if withSACK.RecoveryEpisodes == 0 {
 		t.Fatal("no recovery episode recorded with SACK on")
 	}
 	// The p90 episode with SACK finishes in RTTs, far below the minimum
 	// RTO — hole-directed retransmission, not timer expiry.
-	if withSACK.RecoveryP90 >= minRTO {
-		t.Errorf("SACK recovery p90 = %v, want < min RTO %v", withSACK.RecoveryP90, minRTO)
+	if p90 := time.Duration(sackH.Quantile(0.90)); p90 >= minRTO {
+		t.Errorf("SACK recovery p90 = %v, want < min RTO %v", p90, minRTO)
 	}
 	if withSACK.Timeouts > noSACK.Timeouts {
 		t.Errorf("SACK produced more RTOs (%d) than plain NewReno (%d)",
@@ -46,19 +45,19 @@ func TestRecoverySACKBeatsRTO(t *testing.T) {
 // congestion controller changes the rate, never the bytes, and SACK's
 // recovery behaviour carries over.
 func TestRecoveryCubicEquivalent(t *testing.T) {
-	r := RunChaosIperf(recoveryFaults(0.02, true, "cubic"),
-		IperfTCP, recoveryStreams, 256<<10, 16<<10, recoveryWindow)
-	if len(r.Violations) != 0 {
-		t.Fatalf("violations under cubic: %v", r.Violations)
+	w, r, h := recoveryIperf(recoveryFaults(0.02, true, "cubic"), IperfTCP, recoveryStreams)
+	if len(r.violations) != 0 {
+		t.Fatalf("violations under cubic: %v", r.violations)
 	}
-	if r.HolesRetx == 0 || r.RecoveryEpisodes == 0 {
+	st := w.Gen.Stack.Stats
+	if st.HolesRetransmitted == 0 || st.RecoveryEpisodes == 0 {
 		t.Errorf("recovery never engaged under cubic: holes=%d episodes=%d",
-			r.HolesRetx, r.RecoveryEpisodes)
+			st.HolesRetransmitted, st.RecoveryEpisodes)
 	}
 	// CUBIC keeps larger flights in the air, so tail episodes merge across
 	// adjacent bursts; the median still finishes in RTTs, well under the RTO.
-	if r.RecoveryP50 >= 2*time.Millisecond {
-		t.Errorf("cubic SACK recovery p50 = %v, want < min RTO", r.RecoveryP50)
+	if p50 := time.Duration(h.Quantile(0.50)); p50 >= 2*time.Millisecond {
+		t.Errorf("cubic SACK recovery p50 = %v, want < min RTO", p50)
 	}
 }
 
@@ -66,33 +65,28 @@ func TestRecoveryCubicEquivalent(t *testing.T) {
 // keeps re-locking with SACK on — faster transport repair must not confuse
 // the engine (stale refills are bypassed) and byte exactness holds.
 func TestRecoveryOffloadRelock(t *testing.T) {
-	r := RunChaosIperf(recoveryFaults(0.02, true, "newreno"),
-		IperfTLSOffload, recoveryStreams, 256<<10, 16<<10, recoveryWindow)
-	if len(r.Violations) != 0 {
-		t.Fatalf("violations: %v", r.Violations)
+	w, r, _ := recoveryIperf(recoveryFaults(0.02, true, "newreno"), IperfTLSOffload, recoveryStreams)
+	if len(r.violations) != 0 || r.connsFailed != 0 {
+		t.Fatalf("violations: %v, failed connections: %d", r.violations, r.connsFailed)
 	}
-	if r.NIC.RxSearches+r.EngRelocks == 0 {
+	st, relocks := w.Srv.NIC.Stats(), r.RxEngine.Relocks
+	if st.RxSearches+relocks == 0 {
 		t.Error("no desync episode under 2% loss; the re-lock loop is unexercised")
 	}
-	if r.NIC.RxResumes+r.EngRelocks == 0 {
+	if st.RxResumes+relocks == 0 {
 		t.Errorf("engine never regained sync: searches=%d resumes=%d relocks=%d",
-			r.NIC.RxSearches, r.NIC.RxResumes, r.EngRelocks)
+			st.RxSearches, st.RxResumes, relocks)
 	}
-	if r.EngFallbacks != 0 {
-		t.Errorf("engine fell back under plain loss+reorder: %d", r.EngFallbacks)
+	if r.RxEngine.Fallbacks != 0 {
+		t.Errorf("engine fell back under plain loss+reorder: %d", r.RxEngine.Fallbacks)
 	}
 }
 
 // TestRecoveryDeterminism: the sweep is seeded; identical configs must
 // reproduce identical recovery counters.
 func TestRecoveryDeterminism(t *testing.T) {
-	run := func() *ChaosResult {
-		return RunChaosIperf(recoveryFaults(0.02, true, "cubic"),
-			IperfTCP, 2, 256<<10, 16<<10, chaosWindow)
-	}
-	a, b := run(), run()
-	if a.Bytes != b.Bytes || a.Timeouts != b.Timeouts || a.HolesRetx != b.HolesRetx ||
-		a.RecoveryEpisodes != b.RecoveryEpisodes || a.RecoveryP99 != b.RecoveryP99 {
-		t.Errorf("recovery run not deterministic:\na=%+v\nb=%+v", a, b)
+	g := chaosGoldenRun{"det", recoveryFaults(0.02, true, "cubic"), "tcp", 2, chaosWindow}
+	if a, b := g.render(), g.render(); a != b {
+		t.Errorf("recovery run not deterministic:\na=%s\nb=%s", a, b)
 	}
 }

@@ -53,6 +53,8 @@ type PairWorld struct {
 	Link  *netsim.Link
 	Gen   *Machine // workload generator / client (side A)
 	Srv   *Machine // device under test / server (side B)
+
+	faults *ChaosFaults // armed on the A→B direction by RunIperf, if set
 }
 
 // NewPairWorld builds the two-machine topology.
@@ -86,7 +88,8 @@ type StorageWorld struct {
 	Ctrl   *nvmetcp.Controller
 	SrvTLS *ktls.Conn // server-side TLS conn of the storage link, if any
 
-	telPrefix string // trace/metrics prefix when telemetry is enabled
+	telPrefix string       // trace/metrics prefix when telemetry is enabled
+	faults    *ChaosFaults // armed on the target→server direction by RunFio, if set
 }
 
 // StorageOpts configures the storage path.
@@ -102,13 +105,11 @@ type StorageOpts struct {
 	NVMePlace, NVMeCRC bool
 	// TargetTxOffload offloads the target's response data digests.
 	TargetTxOffload bool
-	// ECN enables RFC 3168 on all three stacks before establishment.
-	ECN bool
-	// SACK enables RFC 2018/2883 loss recovery on all three stacks before
-	// establishment; CC selects their congestion controller ("newreno",
-	// "cubic"; empty keeps the default).
-	SACK bool
-	CC   string
+	// Faults, when set, is the world's fault schedule: its NIC faults and
+	// TCP options apply from the start, a datacenter RTO range once the
+	// storage connection is up, and RunFio arms its link faults and MTU
+	// flaps on the read-response direction after its warm-up.
+	Faults *ChaosFaults
 }
 
 // NewStorageWorld builds the topology and establishes the NVMe connection.
@@ -126,6 +127,9 @@ func NewStorageWorld(o StorageOpts) *StorageWorld {
 	w.Front.SetPool(w.Pool)
 	w.Back.SetPool(w.Pool)
 	o.NICCfg.Pool = w.Pool
+	if o.Faults != nil {
+		o.NICCfg.Chaos = o.Faults.NIC
+	}
 
 	w.Gen = NewMachine(w.Sim, &w.Model, 1, w.Front.SendAtoB, o.NICCfg)
 	w.Srv = &Machine{Ledger: &cycles.Ledger{}}
@@ -151,22 +155,8 @@ func NewStorageWorld(o StorageOpts) *StorageWorld {
 	w.Front.AttachB(w.Srv.NIC)
 	w.Back.AttachA(w.Srv.NIC)
 	w.Back.AttachB(w.Tgt.NIC)
-	if o.ECN {
-		w.Gen.Stack.EnableECN()
-		w.Srv.Stack.EnableECN()
-		w.Tgt.Stack.EnableECN()
-	}
-	if o.SACK {
-		w.Gen.Stack.EnableSACK()
-		w.Srv.Stack.EnableSACK()
-		w.Tgt.Stack.EnableSACK()
-	}
-	if o.CC != "" {
-		for _, st := range []*tcpip.Stack{w.Gen.Stack, w.Srv.Stack, w.Tgt.Stack} {
-			if err := st.SetCongestionControl(o.CC); err != nil {
-				panic(err)
-			}
-		}
+	if o.Faults != nil {
+		o.Faults.tuneStacks(w.Gen.Stack, w.Srv.Stack, w.Tgt.Stack)
 	}
 	// Attach before establishment: offload engines pick up their tracer
 	// when AttachRx/AttachTx run during connection setup below.
@@ -234,6 +224,13 @@ func NewStorageWorld(o StorageOpts) *StorageWorld {
 	w.Sim.RunFor(10 * time.Millisecond)
 	if w.Host == nil || w.Ctrl == nil {
 		panic("experiments: storage connection failed to establish")
+	}
+	if f := o.Faults; f != nil {
+		datacenterRTO(&w.Model)
+		if e := w.Host.RxEngine(); e != nil && f.RxPolicy != nil {
+			e.SetFallbackPolicy(*f.RxPolicy)
+		}
+		w.faults = f
 	}
 	if tel != nil {
 		w.Host.EnableTelemetry(tel.Trace, tel.Reg, w.telPrefix+".srv.nvme")

@@ -1,16 +1,17 @@
 package experiments
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"time"
-
-	"repro/internal/nic"
 
 	"repro/internal/blockdev"
 	"repro/internal/cycles"
 	"repro/internal/httpsim"
 	"repro/internal/ktls"
 	"repro/internal/kvsim"
+	"repro/internal/netsim"
 	"repro/internal/offload"
 	"repro/internal/tcpip"
 	"repro/internal/telemetry"
@@ -57,17 +58,68 @@ type IperfResult struct {
 	TxEngine offload.TxStats
 	// Records is total records received (for percentage bases).
 	Records uint64
+
+	verdict
+	rcv []patternCursor // per receiving connection, in accept order
+}
+
+// verdict is what a workload driver's byte checks found over a whole run,
+// warm-up included. violations is empty on a correct run, whatever the
+// faults did.
+type verdict struct {
+	checked     uint64   // delivered payload verified against what was sent
+	violations  []string // wrong bytes delivered, receiver ahead of sender
+	connsFailed int      // connections an error killed
+}
+
+// patternCursor is one receiving connection's position in the send pattern.
+type patternCursor struct {
+	off uint64
+	bad bool // a violation was already reported for this connection
+}
+
+// check verifies data delivered on connection id against the send pattern
+// at that connection's stream offset.
+func (r *IperfResult) check(id int, data []byte) {
+	c := &r.rcv[id]
+	if i := patternMismatch(data, c.off); i >= 0 && !c.bad {
+		c.bad = true
+		r.violations = append(r.violations,
+			fmt.Sprintf("conn %d: wrong byte delivered at stream offset %d", id, c.off+uint64(i)))
+	}
+	c.off += uint64(len(data))
+	r.checked += uint64(len(data))
+}
+
+// rcvGbps is the receiver's single-core throughput over the window.
+func (r *IperfResult) rcvGbps(m *cycles.Model) float64 {
+	return oneCoreGbps(m, r.Rcv, r.Bytes, r.Elapsed)
 }
 
 // RunIperf drives `streams` sender connections for dur of virtual time
-// after establishment and returns the measured window.
+// after establishment and returns the measured window. Every stream sends
+// the offset-indexed pattern and every delivered byte is checked against
+// it; a connection error is counted, not fatal. A world built with a fault
+// schedule has it armed once the warm-up ends.
 func RunIperf(w *PairWorld, mode IperfMode, streams, msgSize, recordSize int, dur time.Duration) *IperfResult {
+	return runIperf(w, mode, streams, msgSize, recordSize, 3*time.Millisecond, dur)
+}
+
+// runIperf is RunIperf with a caller-chosen clean warm-up. The writers stop
+// when the window closes, so a caller may drain the world afterwards.
+func runIperf(w *PairWorld, mode IperfMode, streams, msgSize, recordSize int, warm, dur time.Duration) *IperfResult {
 	cliTLS, srvTLS := TLSKeys(recordSize)
+	if w.faults != nil && w.faults.RxPolicy != nil {
+		srvTLS.RxFallback = w.faults.RxPolicy
+	}
 	res := &IperfResult{}
-	var rcvConns []*ktls.Conn
-	var sndConns []*ktls.Conn
+	var rcvConns, sndConns []*ktls.Conn
+	var sent uint64
+	stopped := false
 
 	w.Srv.Stack.Listen(5001, func(s *tcpip.Socket) {
+		id := len(res.rcv)
+		res.rcv = append(res.rcv, patternCursor{})
 		if mode == IperfTCP {
 			s.OnReadable = func(s *tcpip.Socket) {
 				w.Srv.Ledger.Charge(cycles.HostApp, cycles.Syscall, w.Model.SyscallCost, 0)
@@ -76,7 +128,7 @@ func RunIperf(w *PairWorld, mode IperfMode, streams, msgSize, recordSize int, du
 					if !ok {
 						break
 					}
-					res.Bytes += uint64(len(ch.Data))
+					res.check(id, ch.Data)
 				}
 			}
 			return
@@ -90,22 +142,34 @@ func RunIperf(w *PairWorld, mode IperfMode, streams, msgSize, recordSize int, du
 				panic(err)
 			}
 		}
-		conn.OnPlain = func(pc ktls.PlainChunk) { res.Bytes += uint64(len(pc.Data)) }
-		conn.OnError = func(err error) { panic(err) }
+		conn.OnPlain = func(pc ktls.PlainChunk) { res.check(id, pc.Data) }
+		conn.OnError = func(error) { res.connsFailed++ }
 		rcvConns = append(rcvConns, conn)
 	})
 
-	msg := make([]byte, msgSize)
-	for i := range msg {
-		msg[i] = byte(i * 131)
-	}
+	// One read-only copy of the pattern serves every stream: the message
+	// for stream offset off starts at phase off mod patPeriod.
+	pat := make([]byte, msgSize+patPeriod)
+	fillPattern(pat, 0)
 	for i := 0; i < streams; i++ {
 		w.Gen.Stack.Connect(wire.Addr{IP: w.Srv.Stack.IP(), Port: 5001}, func(s *tcpip.Socket) {
-			if mode == IperfTCP {
-				pump := func(s *tcpip.Socket) {
-					w.Gen.Ledger.Charge(cycles.HostApp, cycles.Syscall, w.Model.SyscallCost, 0)
-					for s.Write(msg) > 0 {
+			var off uint64
+			push := func(send func([]byte) int) {
+				for !stopped {
+					p := off % patPeriod
+					n := send(pat[p : p+uint64(msgSize)])
+					if n <= 0 {
+						break
 					}
+					off += uint64(n)
+					sent += uint64(n)
+				}
+			}
+			if mode == IperfTCP {
+				send := s.Write
+				pump := func(*tcpip.Socket) {
+					w.Gen.Ledger.Charge(cycles.HostApp, cycles.Syscall, w.Model.SyscallCost, 0)
+					push(send)
 				}
 				s.OnDrain = pump
 				pump(s)
@@ -120,19 +184,20 @@ func RunIperf(w *PairWorld, mode IperfMode, streams, msgSize, recordSize int, du
 					panic(err)
 				}
 			}
+			conn.OnError = func(error) { res.connsFailed++ }
 			sndConns = append(sndConns, conn)
-			pump := func(c *ktls.Conn) {
-				for c.Write(msg) > 0 {
-				}
-			}
+			send := conn.Write
+			pump := func(*ktls.Conn) { push(send) }
 			conn.OnDrain = pump
 			pump(conn)
 		})
 	}
 
-	// Let connections establish and pipelines fill, then measure.
-	w.Sim.RunFor(3 * time.Millisecond)
-	res.Bytes = 0
+	// Let connections establish and pipelines fill, then arm the fault
+	// schedule and measure.
+	w.Sim.RunFor(warm)
+	w.faults.arm(w.Sim, w.Link, w.Link.SetFaultsAtoB, w.Gen.Stack, w.Srv.Stack)
+	warmBytes := res.checked
 	var tlsBase ktls.Stats
 	for _, c := range rcvConns {
 		telemetry.Sum(&tlsBase, c.Stats)
@@ -141,9 +206,15 @@ func RunIperf(w *PairWorld, mode IperfMode, streams, msgSize, recordSize int, du
 	rcvBefore := w.Srv.Ledger.Clone()
 	start := w.Sim.Now()
 	w.Sim.RunFor(dur)
+	stopped = true
 	res.Elapsed = w.Sim.Now() - start
+	res.Bytes = res.checked - warmBytes
 	res.Snd = cycles.Diff(w.Gen.Ledger, sndBefore)
 	res.Rcv = cycles.Diff(w.Srv.Ledger, rcvBefore)
+	if res.checked > sent {
+		res.violations = append(res.violations,
+			fmt.Sprintf("receiver delivered %d bytes but sender only produced %d", res.checked, sent))
+	}
 	for _, c := range rcvConns {
 		telemetry.Sum(&res.TLS, c.Stats)
 		if e := c.RxEngine(); e != nil {
@@ -167,34 +238,62 @@ type FioResult struct {
 	Bytes    uint64
 	Elapsed  time.Duration
 	Ledger   *cycles.Ledger // server-machine delta
+
+	verdict
+	failed uint64 // reads completed with an error, warm-up included
+}
+
+// gbps is the server's single-core throughput over the window.
+func (r *FioResult) gbps(m *cycles.Model) float64 {
+	return oneCoreGbps(m, r.Ledger, r.Bytes, r.Elapsed)
 }
 
 // RunFio keeps `depth` random reads of reqSize outstanding on the storage
-// world's host for dur of virtual time (Fig. 10's workload).
+// world's host for dur of virtual time (Fig. 10's workload). Every block a
+// read returns is checked against the device's deterministic content; a
+// failed read is counted and the slot re-issued, and once the association
+// dies no read is issued again. A world built with a fault schedule has it
+// armed once the warm-up ends.
 func RunFio(w *StorageWorld, reqSize, depth int, dur time.Duration) *FioResult {
 	res := &FioResult{}
 	blocks := (reqSize + blockdev.BlockSize - 1) / blockdev.BlockSize
 	w.Host.WorkingSetBytes = depth * reqSize
+	w.Host.OnError = func(error) { res.connsFailed++ }
 	rng := rand.New(rand.NewSource(7))
 	const region = 1 << 22 // LBAs to spread random reads over
 
 	lat := latencyHistogram("fio.request_latency_ns")
+	want := make([]byte, blockdev.BlockSize)
 	var issue func()
 	issue = func() {
+		if res.connsFailed > 0 {
+			return
+		}
 		lba := uint64(rng.Intn(region)) * uint64(blocks)
 		buf := make([]byte, blocks*blockdev.BlockSize)
 		w.Srv.Ledger.Charge(cycles.HostApp, cycles.AppWork, w.Model.AppPerRequest, 0)
 		w.Srv.Ledger.Charge(cycles.HostApp, cycles.Syscall, w.Model.SyscallCost, 0)
 		issued := w.Sim.Now()
 		w.Host.ReadBlocks(lba, blocks, buf, func(err error) {
-			if err != nil {
-				panic(err)
-			}
 			// Interrupt + completion + context switch back into fio.
 			w.Srv.Ledger.Charge(cycles.HostApp, cycles.AppWork, w.Model.FioPerIO, 0)
 			lat.Record(int64(w.Sim.Now() - issued))
+			if err != nil {
+				res.failed++
+				issue()
+				return
+			}
 			res.Requests++
-			res.Bytes += uint64(blocks * blockdev.BlockSize)
+			res.Bytes += uint64(len(buf))
+			res.checked += uint64(len(buf))
+			for i := 0; i < blocks; i++ {
+				blockdev.Pattern(lba+uint64(i), 0, want)
+				if !bytes.Equal(buf[i*blockdev.BlockSize:(i+1)*blockdev.BlockSize], want) {
+					res.violations = append(res.violations,
+						fmt.Sprintf("read at lba %d delivered wrong block %d", lba, i))
+					break
+				}
+			}
 			issue()
 		})
 	}
@@ -202,6 +301,7 @@ func RunFio(w *StorageWorld, reqSize, depth int, dur time.Duration) *FioResult {
 		issue()
 	}
 	w.Sim.RunFor(2 * time.Millisecond) // warm the pipeline
+	w.faults.arm(w.Sim, w.Back, w.Back.SetFaultsBtoA, w.Srv.Stack, w.Tgt.Stack)
 	res.Requests, res.Bytes = 0, 0
 	before := w.Srv.Ledger.Clone()
 	start := w.Sim.Now()
@@ -223,17 +323,7 @@ type HTTPResult struct {
 
 // RunHTTPC2 drives the page-cache configuration on a pair world.
 func RunHTTPC2(w *PairWorld, mode httpsim.Mode, conns, fileSize int, dur time.Duration) *HTTPResult {
-	_, srvTLS := TLSKeys(0)
-	hs := httpsim.NewServer(w.Srv.Stack, httpsim.ServerConfig{
-		Mode:   mode,
-		TLSCfg: srvTLS,
-		Store:  httpsim.PageCacheStore{},
-		Dev:    w.Srv.NIC,
-	})
-	if tel != nil {
-		hs.RegisterTelemetry(tel.Reg, "http.srv")
-	}
-	res := driveHTTP(w.Sim, &w.Model, w.Gen, w.Srv, mode, conns, fileSize, dur)
+	res := driveHTTP(w.Sim, w.Gen, w.Srv, httpsim.PageCacheStore{}, mode, conns, fileSize, dur)
 	w.FlushTelemetry()
 	return res
 }
@@ -241,26 +331,24 @@ func RunHTTPC2(w *PairWorld, mode httpsim.Mode, conns, fileSize int, dur time.Du
 // RunHTTPC1 drives the cold-cache configuration on a storage world (the
 // server fetches every file over NVMe-TCP).
 func RunHTTPC1(w *StorageWorld, mode httpsim.Mode, conns, fileSize int, dur time.Duration) *HTTPResult {
-	_, srvTLS := TLSKeys(0)
-	hs := httpsim.NewServer(w.Srv.Stack, httpsim.ServerConfig{
-		Mode:   mode,
-		TLSCfg: srvTLS,
-		Store:  &httpsim.NVMeStore{Host: w.Host},
-		Dev:    w.Srv.NIC,
-	})
-	if tel != nil {
-		hs.RegisterTelemetry(tel.Reg, "http.srv")
-	}
-	res := driveHTTP(w.Sim, &w.Model, w.Gen, w.Srv, mode, conns, fileSize, dur)
+	res := driveHTTP(w.Sim, w.Gen, w.Srv, &httpsim.NVMeStore{Host: w.Host}, mode, conns, fileSize, dur)
 	w.FlushTelemetry()
 	return res
 }
 
-func driveHTTP(sim interface {
-	RunFor(time.Duration)
-	Now() time.Duration
-}, model *cycles.Model, gen, srv *Machine, mode httpsim.Mode, conns, fileSize int, dur time.Duration) *HTTPResult {
-	cliTLS, _ := TLSKeys(0)
+// driveHTTP serves files from store on srv to wrk-style clients on gen.
+func driveHTTP(sim *netsim.Simulator, gen, srv *Machine, store httpsim.FileStore,
+	mode httpsim.Mode, conns, fileSize int, dur time.Duration) *HTTPResult {
+	cliTLS, srvTLS := TLSKeys(0)
+	hs := httpsim.NewServer(srv.Stack, httpsim.ServerConfig{
+		Mode:   mode,
+		TLSCfg: srvTLS,
+		Store:  store,
+		Dev:    srv.NIC,
+	})
+	if tel != nil {
+		hs.RegisterTelemetry(tel.Reg, "http.srv")
+	}
 	port := uint16(80)
 	if mode.TLS() {
 		port = 443
@@ -277,20 +365,30 @@ func driveHTTP(sim interface {
 	if tel != nil {
 		cl.RegisterTelemetry(tel.Reg, "http.cli")
 	}
+	return measureRequests(sim, srv, dur, func() (uint64, uint64, time.Duration) {
+		return cl.Stats.Bytes, cl.Stats.Responses, cl.TotalRTT
+	})
+}
+
+// measureRequests warms a request/response workload for 3 ms, then
+// measures dur of it; client reports the bytes and responses delivered so
+// far and the sum of their round trips.
+func measureRequests(sim *netsim.Simulator, srv *Machine, dur time.Duration,
+	client func() (delivered, responses uint64, rtt time.Duration)) *HTTPResult {
 	sim.RunFor(3 * time.Millisecond)
-	base := cl.Stats
-	rttBase := cl.TotalRTT
+	bytes0, n0, rtt0 := client()
 	before := srv.Ledger.Clone()
 	start := sim.Now()
 	sim.RunFor(dur)
+	bytes1, n1, rtt1 := client()
 	res := &HTTPResult{
-		Bytes:    cl.Stats.Bytes - base.Bytes,
-		Requests: cl.Stats.Responses - base.Responses,
+		Bytes:    bytes1 - bytes0,
+		Requests: n1 - n0,
 		Elapsed:  sim.Now() - start,
 		Srv:      cycles.Diff(srv.Ledger, before),
 	}
-	if n := cl.Stats.Responses - base.Responses; n > 0 {
-		res.AvgRTT = (cl.TotalRTT - rttBase) / time.Duration(n)
+	if n1 > n0 {
+		res.AvgRTT = (rtt1 - rtt0) / time.Duration(n1-n0)
 	}
 	return res
 }
@@ -309,21 +407,9 @@ func RunKV(w *StorageWorld, conns, valueSize int, dur time.Duration) *HTTPResult
 		ks.RegisterTelemetry(tel.Reg, "kv.srv")
 		cl.RegisterTelemetry(tel.Reg, "kv.cli")
 	}
-	w.Sim.RunFor(3 * time.Millisecond)
-	base := cl.Stats
-	rttBase := cl.TotalRTT
-	before := w.Srv.Ledger.Clone()
-	start := w.Sim.Now()
-	w.Sim.RunFor(dur)
-	res := &HTTPResult{
-		Bytes:    cl.Stats.Bytes - base.Bytes,
-		Requests: cl.Stats.Responses - base.Responses,
-		Elapsed:  w.Sim.Now() - start,
-		Srv:      cycles.Diff(w.Srv.Ledger, before),
-	}
-	if n := cl.Stats.Responses - base.Responses; n > 0 {
-		res.AvgRTT = (cl.TotalRTT - rttBase) / time.Duration(n)
-	}
+	res := measureRequests(w.Sim, w.Srv, dur, func() (uint64, uint64, time.Duration) {
+		return cl.Stats.Bytes, cl.Stats.Responses, cl.TotalRTT
+	})
 	w.FlushTelemetry()
 	return res
 }
@@ -360,9 +446,3 @@ func nCoreGbps(m *cycles.Model, lg *cycles.Ledger, bytes uint64, n int, caps ...
 	}
 	return g
 }
-
-// httpsimMode re-exports httpsim.Mode for the shape tests.
-type httpsimMode = httpsim.Mode
-
-// nicConfigWithCache builds a NIC config with a bounded context cache.
-func nicConfigWithCache(flows int) nic.Config { return nic.Config{CtxCacheFlows: flows} }

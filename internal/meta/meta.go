@@ -35,9 +35,9 @@ const (
 	// (§7); the match results travel out of band through the match sink.
 	DPIScanned
 	// RxChecksumBad marks a packet whose IP or TCP checksum failed NIC
-	// validation but was delivered anyway (nic.Config.DropRxChecksumErrors
-	// false, the behaviour of devices without checksum-drop): the stack
-	// must validate in software, count the failure, and discard the packet
+	// validation but was delivered anyway (the NIC reports the verdict and
+	// never drops, like a device without checksum-drop): the stack must
+	// validate in software, count the failure, and discard the packet
 	// before any socket sees it.
 	RxChecksumBad
 )

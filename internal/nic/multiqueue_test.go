@@ -206,25 +206,8 @@ func TestDropRxChecksumErrorsModes(t *testing.T) {
 		return frame
 	}
 
-	t.Run("drop", func(t *testing.T) {
-		sim, _, b, _, nb := world(t, Config{DropRxChecksumErrors: true})
-		nb.DeliverFrame(corrupt(flowTo(0)))
-		flush(sim)
-		st := nb.Stats()
-		if st.RxBadFrames != 1 {
-			t.Errorf("RxBadFrames = %d, want 1", st.RxBadFrames)
-		}
-		if st.RxPackets != 0 {
-			t.Errorf("RxPackets = %d: dropped frame must not count as delivered", st.RxPackets)
-		}
-		if b.Stats.ChecksumErrors != 0 || b.Stats.PacketsIn != 0 {
-			t.Errorf("stack saw the dropped frame: csum=%d in=%d",
-				b.Stats.ChecksumErrors, b.Stats.PacketsIn)
-		}
-	})
-
 	t.Run("deliver", func(t *testing.T) {
-		sim, _, b, _, nb := world(t, Config{DropRxChecksumErrors: false})
+		sim, _, b, _, nb := world(t, Config{})
 		nb.DeliverFrame(corrupt(flowTo(0)))
 		flush(sim)
 		st := nb.Stats()
@@ -245,7 +228,7 @@ func TestDropRxChecksumErrorsModes(t *testing.T) {
 	t.Run("deliver-mid-stream", func(t *testing.T) {
 		// A corrupt frame injected into a live connection is discarded by
 		// software validation; the stream stays intact.
-		sim, a, b, _, nb := world(t, Config{DropRxChecksumErrors: false})
+		sim, a, b, _, nb := world(t, Config{})
 		var got []byte
 		b.Listen(80, func(s *tcpip.Socket) {
 			s.OnReadable = func(s *tcpip.Socket) {

@@ -46,12 +46,6 @@ type Config struct {
 	CtxCacheFlows int
 	// CtxBytes is the size of one flow context (208 B in the paper).
 	CtxBytes int
-	// DropRxChecksumErrors silently discards frames that fail IP/TCP
-	// checksums (default behaviour of real NICs). When false, the frame is
-	// still DMA'd to the host, flagged meta.RxChecksumBad, and the stack
-	// validates in software and counts the failure — the behaviour of a
-	// device whose checksum offload only reports a verdict.
-	DropRxChecksumErrors bool
 	// Chaos, when set, injects NIC-internal faults (chaos.go).
 	Chaos *ChaosConfig
 	// Pool recycles frame buffers across the transmit and receive paths.
@@ -618,15 +612,13 @@ func (n *NIC) rxComplete(q *Queue, frame wire.Frame) {
 	pkt := &n.rxPkt
 	if err := wire.ParseInto(frame, pkt); err != nil {
 		q.Stats.RxBadFrames++
-		if pkt.Payload == nil || n.cfg.DropRxChecksumErrors {
-			// Unparseable, or the device is configured to discard checksum
-			// failures itself (the default of real NICs).
-			return
+		if pkt.Payload == nil {
+			return // unparseable
 		}
-		// Checksum offload flagged the frame bad but the device delivers
-		// anyway: the frame is DMA'd up like any other and the stack
-		// validates in software. Offload engines never see it — they only
-		// run over verified payload.
+		// Checksum offload flagged the frame bad; the device reports the
+		// verdict and delivers anyway: the frame is DMA'd up like any other
+		// and the stack validates in software. Offload engines never see
+		// it — they only run over verified payload.
 		q.Stats.RxPackets++
 		q.Stats.RxBytes += uint64(len(frame))
 		lg.Charge(cycles.PCIe, cycles.DMA, 0, len(frame))

@@ -129,9 +129,8 @@ type StackStats struct {
 	RecoveryEpisodes   uint64 // completed loss-recovery episodes
 
 	// ChecksumErrors counts packets the NIC delivered flagged
-	// meta.RxChecksumBad (DropRxChecksumErrors=false): the stack validates
-	// in software, counts the failure here, and discards before any socket
-	// sees the packet.
+	// meta.RxChecksumBad: the stack validates in software, counts the
+	// failure here, and discards before any socket sees the packet.
 	ChecksumErrors uint64
 }
 
@@ -383,10 +382,10 @@ func (st *Stack) newSocket(flow wire.FlowID) *Socket {
 // the frame at once.
 func (st *Stack) Input(pkt *wire.Packet, flags meta.RxFlags) {
 	if flags&meta.RxChecksumBad != 0 {
-		// The device delivered a frame its checksum offload flagged bad
-		// (DropRxChecksumErrors=false). Software validation re-walks the
-		// packet — charge a stack-receive pass — confirms the verdict, and
-		// discards before demux: no socket may act on corrupt headers.
+		// The device delivered a frame its checksum offload flagged bad.
+		// Software validation re-walks the packet — charge a stack-receive
+		// pass — confirms the verdict, and discards before demux: no socket
+		// may act on corrupt headers.
 		st.Stats.ChecksumErrors++
 		st.ledger.Charge(cycles.HostTCP, cycles.StackRx, st.model.StackRxPerPacket, len(pkt.Payload))
 		return

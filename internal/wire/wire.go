@@ -372,10 +372,9 @@ var (
 // Checksum failures are special: the frame still parsed structurally, so
 // Parse returns the best-effort packet alongside an ErrBadChecksum error.
 // This is how real receive hardware behaves — the checksum verdict is a
-// flag on an otherwise-delivered frame, and a NIC configured not to drop
-// (nic.Config.DropRxChecksumErrors = false) hands the packet to software
-// for validation. All other errors return a nil packet. Callers that treat
-// any non-nil error as a drop keep their existing behaviour.
+// flag on an otherwise-delivered frame, and the NIC hands the packet to
+// software for validation. All other errors return a nil packet. Callers
+// that treat any non-nil error as a drop keep their existing behaviour.
 func Parse(buf Frame) (*Packet, error) {
 	pkt := new(Packet)
 	err := ParseInto(buf, pkt)
