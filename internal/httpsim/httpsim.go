@@ -184,6 +184,7 @@ func (s *Server) accept(sock *tcpip.Socket) {
 	}
 	c := &serverConn{srv: s, st: st}
 	st.SetOnData(c.onData)
+	st.SetOnError(func(error) { s.Stats.Errors++ }) // the connection is dead
 	st.SetOnDrain(c.pump)
 }
 
@@ -376,6 +377,7 @@ func (c *Client) startConn(sock *tcpip.Socket, connID uint64) {
 	}
 	cc := &clientConn{cli: c, st: st, id: connID}
 	st.SetOnData(cc.onData)
+	st.SetOnError(func(error) { c.Stats.Errors++ }) // the connection is dead
 	st.SetOnDrain(func() {})
 	cc.nextRequest()
 }

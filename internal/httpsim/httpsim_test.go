@@ -234,3 +234,56 @@ func TestFileContentConsistency(t *testing.T) {
 		t.Error("offset content mismatch")
 	}
 }
+
+// corruptOnce damages the payload of the first data frame it sees, keeping
+// the checksums valid so that only the record layer can tell, and lets
+// every later frame through.
+func corruptOnce() netsim.FaultConfig {
+	done := false
+	return netsim.FaultConfig{CorruptProb: 1, Corrupter: func(rng *rand.Rand, f wire.Frame) bool {
+		if done {
+			return false
+		}
+		done = wire.CorruptPayload(rng, f)
+		return done
+	}}
+}
+
+// TestTLSRecordErrorIsCounted: both ends of an HTTPS connection decrypt in
+// software here, and a record that fails its check kills its connection
+// (TLS cannot resynchronize past it). The side that received it counts an
+// error instead of panicking — the client for a corrupt response, the
+// server for a corrupt request — and the other connections go on.
+func TestTLSRecordErrorIsCounted(t *testing.T) {
+	for _, toClient := range []bool{true, false} {
+		sim := netsim.New()
+		model := cycles.DefaultModel()
+		cfg := netsim.LinkConfig{Gbps: 100, Latency: 2 * time.Microsecond}
+		if toClient {
+			cfg.BtoA = corruptOnce()
+		} else {
+			cfg.AtoB = corruptOnce()
+		}
+		link := netsim.NewLink(sim, cfg)
+		gen := newMachine(sim, &model, 1, link.SendAtoB)
+		srv := newMachine(sim, &model, 2, link.SendBtoA)
+		link.AttachA(gen.nic)
+		link.AttachB(srv.nic)
+		cliCfg, srvCfg := tlsPair()
+		server := NewServer(srv.stack, ServerConfig{Mode: ModeHTTPS, TLSCfg: srvCfg, Store: PageCacheStore{}})
+		cl := NewClient(gen.stack, ClientConfig{TLS: true, TLSCfg: cliCfg,
+			Server: wire.Addr{IP: srv.stack.IP(), Port: 443}, Connections: 2, FileSize: 16 << 10, Files: 4, Verify: true})
+		sim.RunFor(5 * time.Millisecond)
+		want := [2]uint64{0, 1} // client, server errors
+		if toClient {
+			want = [2]uint64{1, 0}
+		}
+		if got := [2]uint64{cl.Stats.Errors, server.Stats.Errors}; got != want || cl.Stats.VerifyFails != 0 {
+			t.Errorf("corrupt record to the client=%v: client/server errors %v, want %v; %d verify failures",
+				toClient, got, want, cl.Stats.VerifyFails)
+		}
+		if cl.Stats.Responses == 0 {
+			t.Errorf("corrupt record to the client=%v: the other connection served nothing", toClient)
+		}
+	}
+}

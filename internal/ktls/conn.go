@@ -3,6 +3,7 @@ package ktls
 import (
 	"crypto/cipher"
 	"fmt"
+	"slices"
 
 	"repro/internal/cycles"
 	"repro/internal/gcm"
@@ -40,7 +41,8 @@ type Config struct {
 // PlainChunk is a run of received plaintext bytes delivered to the layer
 // above, annotated with the wire position of its first byte (the coordinate
 // stacked offloads use for resynchronization, §5.3) and the NIC's verdict
-// flags inherited from the enclosing packets.
+// flags inherited from the enclosing packets. Data is borrowed from the
+// received frame or the Conn's record buffer: valid until OnPlain returns.
 type PlainChunk struct {
 	Data    []byte
 	WireSeq uint32
@@ -87,15 +89,15 @@ type Conn struct {
 	// buffer goes back on txFree when nothing reads it any more: at once for
 	// a software-encrypted record (WriteZC has copied it into the socket),
 	// and for an offload record — kept for recovery replay — when the
-	// retainer releases it as acknowledged. rxRec is only the AEAD's
-	// ciphertext input. Decrypted plaintext is NOT reused: OnPlain consumers
-	// retain it (the NVMe PDU assembler buffers chunks across callbacks).
+	// retainer releases it as acknowledged. rxRec holds a received record
+	// flattened for software crypto, decrypted in place, and past its end
+	// the partial-record pass's plaintext: OnPlain gets the bytes until it
+	// returns, like every receive callback.
 	txFree l5p.FreeList
-	rxRec  []byte // flattened wire record
+	rxRec  []byte
 
 	// Transmit offload state. Offloaded records are retained until TCP
 	// acknowledges all of them, for the driver's recovery replay (§4.2).
-	zeroCopy bool
 	dev      l5p.Device
 	txEngine *offload.TxEngine // nil: records are encrypted in software
 	retain   l5p.TxRetainer
@@ -110,10 +112,15 @@ type Conn struct {
 	// dead marks a connection killed by a fatal record-layer error: TLS
 	// cannot resynchronize past a bad record, so nothing after it may be
 	// delivered (a skipped record would be a silent gap in the stream).
-	dead bool
+	dead     bool
+	zeroCopy bool // transmit offload without the private copy (§5.2)
+	// nonce is the AEAD calls' nonce, built in place: a local array passed
+	// through the cipher.AEAD interface would move to the heap per record.
+	nonce [gcm.NonceSize]byte
 
 	// OnPlain receives decrypted application data in order. Required
-	// before any data arrives.
+	// before any data arrives. The chunk's bytes are valid until OnPlain
+	// returns; a consumer that keeps them copies them.
 	OnPlain func(PlainChunk)
 	// OnDrain fires when socket send-buffer space frees up after a short
 	// Write.
@@ -304,8 +311,8 @@ func (c *Conn) Write(p []byte) int {
 			}
 			c.retain.Add(c.sock.WriteSeq(), c.txSeq, rec, c.sock.AckedSeq())
 		} else {
-			nonce := RecordNonce(c.cfg.TxIV, c.txSeq)
-			c.aead.Seal(rec[HeaderLen:HeaderLen], nonce[:], p[:n], rec[:HeaderLen])
+			c.nonce = RecordNonce(c.cfg.TxIV, c.txSeq)
+			c.aead.Seal(rec[HeaderLen:HeaderLen], c.nonce[:], p[:n], rec[:HeaderLen])
 			c.ledger.Charge(cycles.HostL5P, cycles.Encrypt, c.model.GCMCycles(n), n)
 			if !c.cfg.Sendfile {
 				// copy_from_user into the skb (the offload path pays the
@@ -347,7 +354,7 @@ func (c *Conn) onReadable(s *tcpip.Socket) {
 		rec, total, err := c.asm.Next()
 		if err != nil {
 			c.fail(fmt.Errorf("ktls: %w", err))
-			break
+			return
 		}
 		if rec == nil {
 			break
@@ -436,10 +443,11 @@ func (c *Conn) emitBody(chunks []tcpip.Chunk, bodyLen int, plain []byte) {
 func (c *Conn) softwareDecrypt(chunks []tcpip.Chunk, total, bodyLen int) {
 	c.rxRec = l5p.AppendRange(c.rxRec[:0], chunks, 0, total)
 	rec := c.rxRec
-	nonce := RecordNonce(c.cfg.RxIV, c.rxSeq)
+	c.nonce = RecordNonce(c.cfg.RxIV, c.rxSeq)
 	c.ledger.Charge(cycles.HostL5P, cycles.Decrypt, c.model.GCMCycles(bodyLen), bodyLen)
 	c.Stats.SwDecryptBytes += uint64(bodyLen)
-	plain, err := c.aead.Open(make([]byte, 0, bodyLen), nonce[:], rec[HeaderLen:], rec[:HeaderLen])
+	// In place: the plaintext overwrites the ciphertext it came from.
+	plain, err := c.aead.Open(rec[HeaderLen:HeaderLen], c.nonce[:], rec[HeaderLen:], rec[:HeaderLen])
 	if err != nil {
 		c.authFailed(fmt.Errorf("ktls: record %d authentication failed", c.rxSeq))
 		return
@@ -460,12 +468,12 @@ func (c *Conn) authFailed(err error) {
 }
 
 func (c *Conn) partialFallback(chunks []tcpip.Chunk, total, bodyLen int) {
-	c.rxRec = l5p.AppendRange(c.rxRec[:0], chunks, 0, total)
-	rec := c.rxRec
+	// The record and, behind it, its plaintext share rxRec.
+	c.rxRec = l5p.AppendRange(slices.Grow(c.rxRec[:0], total+bodyLen), chunks, 0, total)
+	rec, plain := c.rxRec, c.rxRec[total:total+bodyLen]
 	nonce := RecordNonce(c.cfg.RxIV, c.rxSeq)
 	s := &c.rxStream
 	c.rxCipher.InitStream(s, gcm.Open, nonce[:], rec[:HeaderLen])
-	plain := make([]byte, bodyLen)
 
 	reenc := 0
 	for off, part := range l5p.Clip(chunks, HeaderLen, HeaderLen+bodyLen) {

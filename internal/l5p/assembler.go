@@ -16,9 +16,17 @@ import (
 // split), because the L5P decides per message, from its chunks' flags,
 // which work the NIC already did.
 //
+// Received bytes are borrowed: a pushed chunk's bytes need only stay valid
+// until the owner's receive callback returns, provided the owner calls Next
+// until it returns no message before that. When Next must wait for more
+// bytes, it copies the chunks pushed since it last waited into one buffer
+// that the Assembler reuses, so the bytes that outlive the callback are
+// copied once and nothing else is. A message Next returns is valid until
+// the next call to Next.
+//
 // Push and Next cost amortised O(1) per chunk and allocate nothing once the
-// queue has grown to the connection's working size, whether the owner pushes
-// a batch and then drains or drains after every chunk.
+// queue and the buffer have grown to the connection's working size, whether
+// the owner pushes a batch and then drains or drains after every chunk.
 type Assembler struct {
 	// HeaderLen and Parse are the protocol's framing, set once by the
 	// owner: every message starts with a HeaderLen-byte header, and Parse
@@ -27,70 +35,129 @@ type Assembler struct {
 	HeaderLen int
 	Parse     func(hdr []byte) (offload.MsgLayout, bool)
 
-	// q[head:] are the buffered chunks and size their bytes. Messages leave
-	// from the front; Push slides the rest back down once the dead prefix
-	// is at least as long, so the queue never marches off its backing array.
+	// q[head:] are the buffered chunks and size the bytes pushed and not
+	// yet returned. Messages leave from the front; Push slides the rest
+	// back down once the dead prefix is at least as long, so the queue
+	// never marches off its backing array.
 	q    []tcpip.Chunk
 	head int
 	size int
+
+	// The first kept chunks of q[head:] live back to back from buf[0]; the
+	// chunks behind them were pushed since the last wait and still borrow
+	// the pusher's memory. Kept chunks all belong to the front message,
+	// which take consumes whole, so buf starts over at the first wait with
+	// nothing kept and its bytes never move. buf's spare capacity also
+	// gathers a header that straddles chunks.
+	buf  []byte
+	kept int
 
 	// total is the front message's length, from its header: parsed once,
 	// when the header has arrived, and kept until the message is taken
 	// (0: not yet).
 	total int
 	msg   []tcpip.Chunk // Next's result, reused for every message
-	hdr   [32]byte      // header gather buffer (longer headers still work, on the heap)
 	err   error
 }
 
-// Push queues the next chunk of the stream.
+// Push queues the next chunk of the stream, borrowing its bytes (see
+// Assembler).
+//
+//simlint:hotpath
 func (a *Assembler) Push(ch tcpip.Chunk) {
 	if len(ch.Data) == 0 {
 		return
+	}
+	a.size += len(ch.Data)
+	if a.err != nil {
+		return // the stream is dead: count the bytes, keep no reference
 	}
 	if a.head > 0 && a.head >= len(a.q)-a.head {
 		a.q = a.q[:copy(a.q, a.q[a.head:])]
 		a.head = 0
 	}
-	a.q = append(a.q, ch)
-	a.size += len(ch.Data)
+	n := len(a.q)
+	a.q = slices.Grow(a.q, 1)[:n+1] // grows to the working depth once
+	a.q[n] = ch
 }
 
-// Buffered returns how many stream bytes are queued and not yet returned.
+// Buffered returns how many stream bytes were pushed and not yet returned.
 func (a *Assembler) Buffered() int { return a.size }
 
 // Next returns the chunks of the next complete message and its length, or
 // nil when more bytes are needed. The chunks live in a scratch slice that
 // the following Next overwrites. A header Parse rejects — corruption that
 // slipped past L4 — means the stream can no longer be cut: that error is
-// returned now and by every later call, and nothing more is delivered.
+// returned now and by every later call, nothing more is delivered, and the
+// queue is dropped.
 func (a *Assembler) Next() (msg []tcpip.Chunk, total int, err error) {
 	if a.err != nil {
 		return nil, 0, a.err
 	}
 	if a.total == 0 {
 		if a.size < a.HeaderLen {
+			a.retain()
 			return nil, 0, nil
 		}
-		hdr := a.hdr[:0]
-		for _, ch := range a.q[a.head:] {
-			hdr = append(hdr, ch.Data[:min(len(ch.Data), a.HeaderLen-len(hdr))]...)
-			if len(hdr) == a.HeaderLen {
-				break
-			}
-		}
+		hdr := a.header()
 		layout, ok := a.Parse(hdr)
 		if !ok || layout.Total < a.HeaderLen {
 			a.err = fmt.Errorf("malformed message header % x at seq %d", hdr, a.q[a.head].Seq)
+			a.q, a.head, a.msg, a.buf, a.kept = nil, 0, nil, nil, 0
 			return nil, 0, a.err
 		}
 		a.total = layout.Total
 	}
 	if a.size < a.total {
+		a.retain()
 		return nil, 0, nil
 	}
 	total, a.total = a.total, 0
 	return a.take(total), total, nil
+}
+
+// header returns the front message's HeaderLen header bytes: in place when
+// the first chunk holds them, else gathered into buf's spare capacity.
+func (a *Assembler) header() []byte {
+	if first := a.q[a.head].Data; len(first) >= a.HeaderLen {
+		return first[:a.HeaderLen:a.HeaderLen]
+	}
+	a.buf = slices.Grow(a.buf, a.HeaderLen)
+	hdr := a.buf[len(a.buf):len(a.buf)]
+	for _, ch := range a.q[a.head:] {
+		hdr = append(hdr, ch.Data[:min(len(ch.Data), a.HeaderLen-len(hdr))]...)
+		if len(hdr) == a.HeaderLen {
+			break
+		}
+	}
+	return hdr
+}
+
+// retain copies the chunks pushed since the last wait to the end of buf and
+// points them there, so that nothing queued borrows the pusher's memory. A
+// chunk is copied at most once, however long its message takes to arrive.
+func (a *Assembler) retain() {
+	fresh := a.q[a.head+a.kept:]
+	if len(fresh) == 0 {
+		return
+	}
+	if a.kept == 0 {
+		a.buf = a.buf[:0] // no queued byte lives in it
+	}
+	n := 0
+	for _, ch := range fresh {
+		n += len(ch.Data)
+	}
+	// Growing moves buf's bytes to a new array; the kept chunks keep
+	// pointing at the old one, which holds the same bytes and is never
+	// written again.
+	a.buf = slices.Grow(a.buf, n)
+	for i := range fresh {
+		off := len(a.buf)
+		a.buf = append(a.buf, fresh[i].Data...)
+		fresh[i].Data = a.buf[off:len(a.buf):len(a.buf)]
+	}
+	a.kept += len(fresh)
 }
 
 // take consumes exactly n buffered bytes into the scratch result.
@@ -101,6 +168,9 @@ func (a *Assembler) take(n int) []tcpip.Chunk {
 		ch := a.q[a.head]
 		if len(ch.Data) <= n {
 			a.head++
+			if a.kept > 0 {
+				a.kept--
+			}
 		} else {
 			a.q[a.head] = tcpip.Chunk{Seq: ch.Seq + uint32(n), Data: ch.Data[n:], Flags: ch.Flags}
 			ch.Data = ch.Data[:n]

@@ -7,8 +7,10 @@
 //   - Device: l5o_create / l5o_destroy, the driver calls that install and
 //     remove a flow's engines.
 //   - Assembler: the in-order chunk stream cut into complete messages, each
-//     chunk keeping its wire sequence and the NIC's verdict flags; Clip,
-//     AppendRange and Verdict read a message's byte ranges and flags.
+//     chunk keeping its wire sequence and the NIC's verdict flags, and the
+//     bytes of a message still waiting for its rest copied once, out of the
+//     borrowed receive buffers; Clip, AppendRange and Verdict read a
+//     message's byte ranges and flags.
 //   - ResyncMailbox: l5o_resync_rx_req in, l5o_resync_rx_resp out (§4.3).
 //   - TxRetainer: l5o_get_tx_msgstate and the host memory the driver
 //     DMA-reads during transmit context recovery (§4.2); FreeList recycles

@@ -327,7 +327,10 @@ func TestClipNoAlloc(t *testing.T) {
 // result is messages or a sticky error — never a panic, never a parser
 // handed anything but exactly one header's bytes; the delivered messages
 // concatenate to exactly the consumed prefix of the input, each as long as
-// its header says, with contiguous sequence numbers.
+// its header says, with contiguous sequence numbers, and they are the
+// messages, and the error, that cutting the whole input at once gives.
+// Every piece is pushed from one scratch buffer that is poisoned after each
+// drain, so bytes the assembler keeps without copying them show up.
 func FuzzAssembler(f *testing.F) {
 	for i, p := range protos {
 		rng := rand.New(rand.NewSource(int64(i)))
@@ -349,14 +352,18 @@ func FuzzAssembler(f *testing.F) {
 		next := base
 		var out []byte
 		var sticky error
+		scratch := make([]byte, len(data))
 		for off, i := 0, 0; off < len(data); i++ {
 			n := len(data) - off
 			if len(cuts) > 0 {
 				n = min(n, 1+int(cuts[i%len(cuts)]))
 			}
-			a.Push(tcpip.Chunk{Seq: base + uint32(off), Data: data[off : off+n]})
+			a.Push(tcpip.Chunk{Seq: base + uint32(off), Data: scratch[:copy(scratch, data[off:off+n])]})
 			off += n
 			msgs, err := drain(t, p, &a, &next)
+			for j := range scratch[:n] { // the piece's memory is reused once its callback returns
+				scratch[j] = 0xDB
+			}
 			if sticky != nil && (err != sticky || len(msgs) > 0) {
 				t.Fatalf("after error %q: %d messages, err %v", sticky, len(msgs), err)
 			}
@@ -370,6 +377,20 @@ func FuzzAssembler(f *testing.F) {
 		}
 		if !bytes.Equal(out, data[:len(out)]) {
 			t.Fatal("delivered messages are not a prefix of the input")
+		}
+		// Cut in one piece, the input holds messages up to the first
+		// incomplete one or the first bad header, which is the error.
+		want, bad := 0, false
+		for len(data)-want >= p.hdrLen {
+			layout, ok := p.parse(data[want : want+p.hdrLen])
+			if bad = !ok || layout.Total < p.hdrLen; bad || len(data)-want < layout.Total {
+				break
+			}
+			want += layout.Total
+		}
+		if len(out) != want || (sticky != nil) != bad {
+			t.Fatalf("delivered %d bytes, error %v; the input holds %d bytes of messages, bad header %v",
+				len(out), sticky, want, bad)
 		}
 	})
 }

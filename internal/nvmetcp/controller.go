@@ -65,8 +65,9 @@ type Controller struct {
 	readFree []*readOp // finished reads, for the next commands
 	dead     bool
 
-	// OnError receives fatal association errors (malformed framing from
-	// corruption); the target stops serving the connection.
+	// OnError receives the fatal association error (malformed framing from
+	// corruption, or the stream beneath failing: a TLS record that does not
+	// authenticate); the target stops serving the connection.
 	OnError func(error)
 
 	// Stats is exported for experiments; treat as read-only.
@@ -82,6 +83,7 @@ func NewController(tr stream.Stream, dev *blockdev.Device) *Controller {
 		asm:    l5p.Assembler{HeaderLen: HeaderLen, Parse: ParseHeader},
 	}
 	tr.SetOnData(c.onData)
+	tr.SetOnError(func(err error) { c.fail(fmt.Errorf("nvmetcp: %w", err)) })
 	c.out.init(tr, c.fail)
 	return c
 }
@@ -121,8 +123,11 @@ func (c *Controller) onData(ch tcpip.Chunk) {
 	}
 }
 
-// fail stops serving the association and surfaces the error.
+// fail stops serving the association and surfaces the error, once.
 func (c *Controller) fail(err error) {
+	if c.dead {
+		return
+	}
 	c.dead = true
 	if c.OnError != nil {
 		c.OnError(err)
@@ -134,9 +139,7 @@ func (c *Controller) fail(err error) {
 // command stream is corrupt or hostile.
 func (c *Controller) reject(cid uint16, err error) {
 	c.out.send(&Header{Type: TypeResp, CID: cid, Op: StatusInvalidField}, nil)
-	if !c.dead { // a short write of the response has already failed the association
-		c.fail(err)
-	}
+	c.fail(err) // a no-op if a short write of the response already failed the association
 }
 
 func (c *Controller) handleCmd(chunks []tcpip.Chunk) {

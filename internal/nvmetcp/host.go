@@ -73,8 +73,9 @@ type Host struct {
 	// no further PDUs are processed.
 	dead bool
 
-	// OnError receives fatal association errors (malformed framing from
-	// corruption). All in-flight requests complete with the error first.
+	// OnError receives the fatal association error (malformed framing from
+	// corruption, or the stream beneath failing: a TLS record that does not
+	// authenticate). All in-flight requests complete with the error first.
 	OnError func(error)
 
 	trace    *telemetry.Tracer
@@ -96,6 +97,7 @@ func NewHost(tr stream.Stream) *Host {
 		asm:     l5p.Assembler{HeaderLen: HeaderLen, Parse: ParseHeader},
 	}
 	tr.SetOnData(h.onData)
+	tr.SetOnError(func(err error) { h.fail(fmt.Errorf("nvmetcp: %w", err)) })
 	h.out.init(tr, h.fail)
 	return h
 }
@@ -231,8 +233,12 @@ func (h *Host) onData(ch tcpip.Chunk) {
 }
 
 // fail tears the association down gracefully: every in-flight request
-// fails (in CID order, for determinism) and the error is surfaced.
+// fails (in CID order, for determinism) and the error is surfaced, once —
+// a completion callback that writes to the dead stream fails it again.
 func (h *Host) fail(err error) {
+	if h.dead {
+		return
+	}
 	h.dead = true
 	for _, cid := range slices.Sorted(maps.Keys(h.pending)) {
 		// A completion callback may already have retired a later request.

@@ -49,6 +49,7 @@ func (f *fakeStream) WriteSeq() uint32               { return f.seq }
 func (f *fakeStream) AckedSeq() uint32               { return f.acked }
 func (f *fakeStream) ReadSeq() uint32                { return 1 }
 func (f *fakeStream) SetOnData(fn func(tcpip.Chunk)) { f.onData = fn }
+func (f *fakeStream) SetOnError(func(error))         {}
 func (f *fakeStream) SetOnDrain(func())              {}
 func (f *fakeStream) Flow() wire.FlowID              { return wire.FlowID{} }
 func (f *fakeStream) Model() *cycles.Model           { return &f.model }

@@ -28,8 +28,13 @@ type Stream interface {
 	AckedSeq() uint32
 	// ReadSeq returns the coordinate of the next byte to be delivered.
 	ReadSeq() uint32
-	// SetOnData registers the receive callback.
+	// SetOnData registers the receive callback. A chunk's bytes are valid
+	// until fn returns; a consumer that keeps them copies them.
 	SetOnData(fn func(tcpip.Chunk))
+	// SetOnError registers the callback for a fatal error of the stream
+	// itself (for TLS, a record that fails authentication or framing):
+	// nothing is delivered after it. A plain socket has none.
+	SetOnError(fn func(error))
 	// SetOnDrain registers the write-space callback.
 	SetOnDrain(fn func())
 	// Flow returns the connection's local→remote flow.
@@ -85,6 +90,10 @@ func (t *SocketTransport) SetOnData(fn func(tcpip.Chunk)) {
 	}
 }
 
+// SetOnError implements Stream: TCP repairs what it can and has no fatal
+// receive error to report.
+func (t *SocketTransport) SetOnError(func(error)) {}
+
 // SetOnDrain implements Stream.
 func (t *SocketTransport) SetOnDrain(fn func()) {
 	t.sock.OnDrain = func(*tcpip.Socket) { fn() }
@@ -111,7 +120,7 @@ type TLSTransport struct {
 }
 
 // NewTLSTransport wraps a kTLS connection. It takes over the connection's
-// OnPlain and OnDrain callbacks.
+// OnPlain, OnError and OnDrain callbacks.
 func NewTLSTransport(c *ktls.Conn) *TLSTransport {
 	return &TLSTransport{conn: c}
 }
@@ -148,6 +157,9 @@ func (t *TLSTransport) SetOnData(fn func(tcpip.Chunk)) {
 		fn(tcpip.Chunk{Seq: pc.WireSeq, Data: pc.Data, Flags: pc.Flags})
 	}
 }
+
+// SetOnError implements Stream.
+func (t *TLSTransport) SetOnError(fn func(error)) { t.conn.OnError = fn }
 
 // SetOnDrain implements Stream.
 func (t *TLSTransport) SetOnDrain(fn func()) {

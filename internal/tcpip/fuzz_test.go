@@ -15,7 +15,9 @@ import (
 // a receive stream: ctl bytes drive segment offsets, lengths, duplication,
 // and stale/overlapping re-sends. After a final in-order sweep the socket
 // must deliver exactly the original byte stream — no gap, no duplicate
-// byte, no reordering — and must never panic on any arrival pattern.
+// byte, no reordering — and must never panic on any arrival pattern. Each
+// segment's payload is overwritten after Input, so a chunk the socket
+// queued without copying shows up as poisoned bytes.
 func FuzzReassembly(f *testing.F) {
 	f.Add(int64(1), []byte{3, 200, 40, 0, 90, 5, 255, 17})
 	f.Add(int64(2), []byte{0, 0, 0, 0})
@@ -54,6 +56,10 @@ func FuzzReassembly(f *testing.F) {
 		data := make([]byte, 512+rng.Intn(4096))
 		rng.Read(data)
 		ctlAt := func(i int) int { return int(ctl[i%len(ctl)]) }
+		// Every segment arrives in the same buffer, poisoned once Input
+		// returns, as the NIC recycles a received frame: whatever the
+		// socket keeps past Input must be its own copy.
+		frame := make([]byte, len(data))
 		deliver := func(off, n int) {
 			if n <= 0 || off+n > len(data) {
 				return
@@ -61,8 +67,11 @@ func FuzzReassembly(f *testing.F) {
 			st.Input(&wire.Packet{
 				Flow: flow, Seq: iss + 1 + uint32(off), Ack: srvISS + 1,
 				Flags: wire.FlagACK, Window: 64,
-				Payload: append([]byte(nil), data[off:off+n]...),
+				Payload: frame[:copy(frame, data[off:off+n])],
 			}, meta.RxFlags(ctlAt(off)%4))
+			for i := range frame[:n] {
+				frame[i] = 0xDB
+			}
 		}
 
 		// Fuzzer-directed arrival pattern: each ctl triple picks an offset

@@ -471,10 +471,16 @@ func (s sockState) String() string {
 
 // Chunk is a contiguous run of received in-order bytes sharing one offload
 // verdict. The stack never merges chunks with different flags.
+//
+// Data is borrowed: a chunk read inside OnReadable may alias the received
+// frame, which the NIC recycles when the callback returns. Whoever keeps the
+// bytes past that copies them; a chunk still queued when OnReadable returns
+// is copied by the socket, so a later read finds it intact.
 type Chunk struct {
 	// Seq is the TCP sequence number of the first byte.
 	Seq uint32
-	// Data is the payload (post any NIC in-place transforms).
+	// Data is the payload (post any NIC in-place transforms), valid until
+	// the receive callback that was handed it returns.
 	Data []byte
 	// Flags is the NIC's per-packet offload verdict.
 	Flags meta.RxFlags
@@ -497,6 +503,7 @@ type Socket struct {
 	// OnEstablished fires once when the connection is established.
 	OnEstablished func(*Socket)
 	// OnReadable fires whenever new in-order data (or EOF) is available.
+	// The chunks it reads are valid until it returns (see Chunk).
 	OnReadable func(*Socket)
 	// OnDrain fires when send-buffer space becomes available after Write
 	// returned a short count.
@@ -777,7 +784,9 @@ func (s *Socket) EOF() bool { return s.peerFin && s.rcvBufUsed == 0 }
 
 // ReadChunk returns the next in-order chunk of received data with its
 // offload verdict flags, or ok=false when nothing is buffered. A chunk
-// never mixes bytes with different verdicts.
+// never mixes bytes with different verdicts. Inside OnReadable its bytes
+// may be the received frame's and are valid until OnReadable returns; a
+// caller that keeps them copies them.
 //
 // Reading re-opens the receive window. A sender that was told the window is
 // shut stops with nothing in flight, so no ACK is due that would tell it
@@ -790,7 +799,7 @@ func (s *Socket) ReadChunk() (c Chunk, ok bool) {
 	c = s.rcvChunks[s.rcvHead]
 	s.rcvChunks[s.rcvHead] = Chunk{}
 	if s.rcvHead++; s.rcvHead == len(s.rcvChunks) {
-		// Empty: rewind, so deliverOwned appends into the same array for
+		// Empty: rewind, so deliver appends into the same array for
 		// the life of the connection instead of walking off its end.
 		s.rcvChunks, s.rcvHead = s.rcvChunks[:0], 0
 	}
@@ -802,7 +811,8 @@ func (s *Socket) ReadChunk() (c Chunk, ok bool) {
 }
 
 // PeekChunks invokes fn over buffered chunks without consuming them,
-// stopping early if fn returns false.
+// stopping early if fn returns false. fn may not keep a chunk's bytes past
+// the receive callback it runs in (see ReadChunk).
 func (s *Socket) PeekChunks(fn func(Chunk) bool) {
 	for _, c := range s.rcvChunks[s.rcvHead:] {
 		if !fn(c) {
@@ -1596,6 +1606,9 @@ func (s *Socket) processData(pkt *wire.Packet, flags meta.RxFlags) {
 		if s.OnReadable != nil && (s.rcvBufUsed > 0 || s.EOF()) {
 			s.OnReadable(s)
 		}
+		if len(data) > 0 {
+			s.keepUnread(seq)
+		}
 		return
 	}
 
@@ -1654,20 +1667,14 @@ func (s *Socket) teardown() {
 	}
 }
 
-// deliver appends in-order payload to the receive queue. data aliases the
-// arriving frame (which the NIC recycles into the frame pool as soon as
-// Input returns), so the bytes are copied here — this is the stack's DMA
-// into socket buffer memory, and the one copy the receive path performs.
+// deliver appends in-order payload to the receive queue. data is borrowed:
+// from processData it aliases the arriving frame, which the NIC recycles as
+// soon as Input returns, so the chunk is handed to OnReadable by reference
+// and keepUnread copies it only if the reader leaves it queued; drainOOO's
+// segments are the socket's own (insertOOO copied them on arrival).
+//
+//simlint:hotpath
 func (s *Socket) deliver(seq uint32, data []byte, flags meta.RxFlags) {
-	if len(data) == 0 {
-		return
-	}
-	s.deliverOwned(seq, append([]byte(nil), data...), flags)
-}
-
-// deliverOwned is deliver for bytes the socket already owns (drained
-// out-of-order segments, which insertOOO copied on arrival).
-func (s *Socket) deliverOwned(seq uint32, data []byte, flags meta.RxFlags) {
 	if len(data) == 0 {
 		return
 	}
@@ -1676,10 +1683,27 @@ func (s *Socket) deliverOwned(seq uint32, data []byte, flags meta.RxFlags) {
 	if s.rcvHead > 0 && s.rcvHead >= len(s.rcvChunks)-s.rcvHead {
 		s.rcvChunks, s.rcvHead = slices.Delete(s.rcvChunks, 0, s.rcvHead), 0
 	}
-	// Do not coalesce chunks with different offload verdicts (§4.3).
-	s.rcvChunks = append(s.rcvChunks, Chunk{Seq: seq, Data: data, Flags: flags})
+	// Do not coalesce chunks with different offload verdicts (§4.3). The
+	// array grows to the connection's working depth once and is kept.
+	n := len(s.rcvChunks)
+	s.rcvChunks = slices.Grow(s.rcvChunks, 1)[:n+1]
+	s.rcvChunks[n] = Chunk{Seq: seq, Data: data, Flags: flags}
 	s.rcvBufUsed += len(data)
 	s.rcvNxt = seq + uint32(len(data))
+}
+
+// keepUnread gives the chunk processData queued at seq — bytes of the
+// arriving frame — a copy of its own if OnReadable left it in the queue: no
+// reader yet, a reader that stopped reading, or one that reads later. Only
+// segments drained from the out-of-order list can sit behind it, so the
+// walk back from the tail is short.
+func (s *Socket) keepUnread(seq uint32) {
+	for i := len(s.rcvChunks) - 1; i >= s.rcvHead && !seqLT(s.rcvChunks[i].Seq, seq); i-- {
+		if c := &s.rcvChunks[i]; c.Seq == seq {
+			c.Data = append([]byte(nil), c.Data...)
+			return
+		}
+	}
 }
 
 // insertOOO buffers an out-of-order segment, keeping the list sorted by
@@ -1713,7 +1737,7 @@ func (s *Socket) drainOOO() {
 		if int(skip) >= len(seg.data) {
 			continue
 		}
-		s.deliverOwned(s.rcvNxt, seg.data[skip:], seg.flags)
+		s.deliver(s.rcvNxt, seg.data[skip:], seg.flags)
 	}
 	if s.finRcvdSeq != 0 && s.rcvNxt == s.finRcvdSeq {
 		s.handleFin(s.finRcvdSeq)
