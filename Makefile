@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check alloc-check soak fuzz-short golden-check perf-check fmt fmt-check lint experiments loc
+.PHONY: all build test vet race check alloc-check soak fuzz-short golden-check perf-check examples fmt fmt-check lint experiments loc
 
 all: build
 
@@ -19,7 +19,7 @@ vet:
 race:
 	$(GO) test -race -timeout 30m -skip 'OffloadEquivalenceSoak' ./...
 
-check: vet lint fmt-check race soak alloc-check fuzz-short golden-check perf-check
+check: vet lint fmt-check race soak alloc-check fuzz-short golden-check perf-check examples
 
 # The invariant linter: the analyzers in internal/analysis (virtclock,
 # nilhook, statsreg, wiremut, seriesname, hotalloc) enforce the DESIGN.md
@@ -105,6 +105,13 @@ perf-check:
 	done; \
 	if [ $$fail = 0 ]; then echo "perf-check: all workloads reproduce benchmark/expected.json on seeds 1 and 2"; \
 	else echo "perf-check: FAILED, see the rows above"; exit 1; fi
+
+# Run every example end to end. Each checks the bytes it moved and exits
+# non-zero (log.Fatal) on a corrupted or short transfer.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 fmt:
 	gofmt -l .

@@ -64,3 +64,44 @@ func TestRepoClean(t *testing.T) {
 		t.Errorf("got %d suppressed findings, want 3 (the hotalloc appends in internal/nic/nic.go)", len(suppressed))
 	}
 }
+
+// TestEveryPackageHasAnEntryPoint keeps dead packages from coming back:
+// every package of the module must be a dependency of a command, an
+// example or the benchmark, i.e. something a run can reach. A package
+// only its own tests import belongs in the allowlist, with its reason, or
+// out of the tree.
+func TestEveryPackageHasAnEntryPoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lists and compiles the whole module")
+	}
+	allow := map[string]string{
+		"repro":              "the module's package doc; holds no code",
+		"repro/internal/dpi": "the §7 DPI offload, kept for what its tests drive: the l5p kit and a stacked sparse engine under ktls (ROADMAP item 16)",
+	}
+	all, err := goList("repro/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mains, err := goList("repro/cmd/...", "repro/examples/...", "repro/benchmark")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached := make(map[string]bool)
+	for _, p := range mains {
+		reached[p.ImportPath] = true
+	}
+	for _, p := range all {
+		if p.DepOnly || p.Standard {
+			continue
+		}
+		if _, ok := allow[p.ImportPath]; ok {
+			if reached[p.ImportPath] {
+				t.Errorf("%s is reached now; drop it from the allowlist", p.ImportPath)
+			}
+			continue
+		}
+		if !reached[p.ImportPath] {
+			t.Errorf("%s: no command, example or benchmark imports it", p.ImportPath)
+		}
+	}
+}

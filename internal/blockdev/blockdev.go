@@ -25,8 +25,6 @@ type Config struct {
 	Latency time.Duration
 	// GBps caps the device's data bandwidth; 0 means uncapped.
 	GBps float64
-	// QueueDepth bounds concurrently-serviced requests; 0 means unbounded.
-	QueueDepth int
 }
 
 // Stats counts device activity.
@@ -43,9 +41,7 @@ type Device struct {
 	cfg      Config
 	written  map[uint64][]byte // sparse overlay of written blocks
 	nextFree time.Duration     // bandwidth serialization point
-	inFlight int
-	waiting  []*request
-	free     []*request // completed requests, for the next commands
+	free     []*request        // completed requests, for the next commands
 
 	// Stats is exported for experiments; treat as read-only.
 	Stats Stats
@@ -133,7 +129,8 @@ func (d *Device) Write(lba uint64, data []byte, done func()) {
 	d.submit(lba, len(data), true, data, done)
 }
 
-// submit starts a command, or queues it behind the queue-depth bound.
+// submit starts a command: its completion fires after the
+// bandwidth-limited transfer time plus the latency.
 func (d *Device) submit(lba uint64, bytes int, write bool, data []byte, done func()) {
 	var r *request
 	if n := len(d.free); n > 0 {
@@ -143,17 +140,6 @@ func (d *Device) submit(lba uint64, bytes int, write bool, data []byte, done fun
 		r.timer = d.sim.NewTimer(r.complete)
 	}
 	r.lba, r.bytes, r.write, r.data, r.done = lba, bytes, write, data, done
-	if d.cfg.QueueDepth > 0 && d.inFlight >= d.cfg.QueueDepth {
-		d.waiting = append(d.waiting, r)
-		return
-	}
-	d.start(r)
-}
-
-// start schedules r's completion after the bandwidth-limited transfer time
-// plus the latency.
-func (d *Device) start(r *request) {
-	d.inFlight++
 	now := d.sim.Now()
 	svcStart := max(now, d.nextFree)
 	var xfer time.Duration
@@ -167,7 +153,6 @@ func (d *Device) start(r *request) {
 // complete is the device finishing r.
 func (r *request) complete() {
 	d := r.dev
-	d.inFlight--
 	if !r.write {
 		d.Stats.Reads++
 		d.Stats.BytesRead += uint64(r.bytes)
@@ -185,10 +170,5 @@ func (r *request) complete() {
 	d.free = append(d.free, r) // done may submit again and take it
 	if done != nil {
 		done()
-	}
-	if len(d.waiting) > 0 && (d.cfg.QueueDepth <= 0 || d.inFlight < d.cfg.QueueDepth) {
-		next := d.waiting[0]
-		d.waiting = d.waiting[1:]
-		d.start(next)
 	}
 }

@@ -135,22 +135,6 @@ func TestLatencyAndBandwidth(t *testing.T) {
 	}
 }
 
-func TestQueueDepth(t *testing.T) {
-	sim := netsim.New()
-	d := New(sim, Config{Latency: 10 * time.Microsecond, QueueDepth: 1})
-	n := 0
-	for i := 0; i < 4; i++ {
-		d.Read(uint64(i), 1, func() { n++ })
-	}
-	sim.Run(0)
-	if n != 4 {
-		t.Errorf("completed %d of 4 with bounded queue", n)
-	}
-	if sim.Now() < 40*time.Microsecond {
-		t.Errorf("QD=1 should serialize latencies: finished at %v", sim.Now())
-	}
-}
-
 // block returns one block of a recognisable constant.
 func block(v byte) []byte { return bytes.Repeat([]byte{v}, BlockSize) }
 
@@ -200,7 +184,7 @@ func TestReadSamplesAtCompletion(t *testing.T) {
 // stream of commands runs on the requests of the first few.
 func TestRequestsRecycled(t *testing.T) {
 	sim := netsim.New()
-	d := New(sim, Config{Latency: time.Microsecond, QueueDepth: 2})
+	d := New(sim, Config{Latency: time.Microsecond})
 	left := 100
 	var again func()
 	again = func() {

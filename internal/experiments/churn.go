@@ -27,11 +27,6 @@ type ChurnConfig struct {
 	// Concurrent is the number of live connection slots the generator
 	// keeps; every completed connection is immediately replaced.
 	Concurrent int
-	// BytesPerConn is the mean payload one connection pushes before
-	// closing (actual sizes jitter ±50% from Seed).
-	BytesPerConn int
-	// RecordSize is the TLS record size (0 = ktls default).
-	RecordSize int
 	// LossProb drops data-direction frames, forcing receive engines out of
 	// sync so churn and loss compound (fallback signal).
 	LossProb float64
@@ -40,6 +35,10 @@ type ChurnConfig struct {
 	// Seed drives spawn jitter and per-connection sizes.
 	Seed int64
 }
+
+// churnConnBytes is the mean payload one churn connection pushes before
+// closing (actual sizes jitter ±50% from ChurnConfig.Seed).
+const churnConnBytes = 24 << 10
 
 // ChurnResult is one churn run's outcome.
 type ChurnResult struct {
@@ -74,9 +73,6 @@ func RunChurn(cfg ChurnConfig) *ChurnResult {
 	if cfg.Concurrent == 0 {
 		cfg.Concurrent = 96
 	}
-	if cfg.BytesPerConn == 0 {
-		cfg.BytesPerConn = 24 << 10
-	}
 	if cfg.Window == 0 {
 		cfg.Window = 2 * time.Millisecond
 	}
@@ -92,10 +88,18 @@ func RunChurn(cfg ChurnConfig) *ChurnResult {
 
 	res := &ChurnResult{}
 	rng := rand.New(rand.NewSource(cfg.Seed + 19))
-	cliTLS, srvTLS := TLSKeys(cfg.RecordSize)
+	cliTLS, srvTLS := TLSKeys(0)
 	end := w.Sim.Now() + cfg.Window
 	var delivered uint64
-	var srvConns []*ktls.Conn
+	// Record classification is summed over every server connection: at
+	// its close, or after the drain for one an error left open.
+	open := make(map[*ktls.Conn]bool)
+	addRecords := func(c *ktls.Conn) {
+		var s ktls.Stats
+		telemetry.Sum(&s, c.Stats)
+		res.Records += s.RecordsRx
+		res.FallbackRecords += s.RxPartial + s.RxUnoffloaded
+	}
 
 	w.Srv.Stack.Listen(5001, func(s *tcpip.Socket) {
 		conn, err := ktls.NewConn(s, srvTLS)
@@ -112,8 +116,12 @@ func RunChurn(cfg ChurnConfig) *ChurnResult {
 			// context (l5o_destroy) and finish the TCP teardown.
 			c.DisableRxOffload()
 			s.Close()
+			if open[c] {
+				delete(open, c)
+				addRecords(c)
+			}
 		}
-		srvConns = append(srvConns, conn)
+		open[conn] = true
 	})
 
 	msg := make([]byte, 4096)
@@ -129,7 +137,7 @@ func RunChurn(cfg ChurnConfig) *ChurnResult {
 			sl.sock = nil
 			return
 		}
-		total := cfg.BytesPerConn/2 + rng.Intn(cfg.BytesPerConn)
+		total := churnConnBytes/2 + rng.Intn(churnConnBytes)
 		var sock *tcpip.Socket
 		sock = w.Gen.Stack.Connect(addr, func(s *tcpip.Socket) {
 			if sl.sock != s {
@@ -240,11 +248,8 @@ func RunChurn(cfg ChurnConfig) *ChurnResult {
 	}
 	w.FlushTelemetry()
 
-	for _, c := range srvConns {
-		var s ktls.Stats
-		telemetry.Sum(&s, c.Stats)
-		res.Records += s.RecordsRx
-		res.FallbackRecords += s.RxPartial + s.RxUnoffloaded
+	for c := range open {
+		addRecords(c)
 	}
 	if res.Records > 0 {
 		res.FallbackRate = float64(res.FallbackRecords) / float64(res.Records)

@@ -107,7 +107,7 @@ func checkEventOps(t *testing.T, data []byte) {
 	const forever = time.Duration(1<<63 - 1)
 	sim, m := New(), &modelQueue{}
 	cfg := LinkConfig{Gbps: 10, Latency: 3 * time.Microsecond,
-		AtoB: FaultConfig{LossProb: 0.1, ReorderProb: 0.2, ReorderDelay: 2 * time.Microsecond, DupProb: 0.2, Seed: 1},
+		AtoB: FaultConfig{LossProb: 0.1, ReorderProb: 0.2, DupProb: 0.2, Seed: 1},
 		BtoA: FaultConfig{LossProb: 0.05, ReorderProb: 0.1, DupProb: 0.1, Seed: 2}}
 	link := NewLink(sim, cfg)
 	var timers []*Timer
@@ -141,10 +141,9 @@ func checkEventOps(t *testing.T, data []byte) {
 		serialize := time.Duration(float64(size) * 8 / (cfg.Gbps * 1e9) * float64(time.Second))
 		nextFree[dir] = max(sim.Now(), nextFree[dir]) + serialize
 		at := nextFree[dir] + cfg.Latency
-		st, hold := link.StatsPtrAtoB(), cfg.AtoB.ReorderDelay
+		st := link.StatsPtrAtoB()
 		if dir == 1 {
-			// BtoA leaves ReorderDelay at its default.
-			st, hold = link.StatsPtrBtoA(), 4*max(serialize, time.Microsecond)
+			st = link.StatsPtrBtoA()
 		}
 		before := *st
 		if dir == 0 {
@@ -156,7 +155,7 @@ func checkEventOps(t *testing.T, data []byte) {
 			return
 		}
 		if st.Reordered > before.Reordered {
-			at += hold
+			at += 4 * max(serialize, time.Microsecond)
 		}
 		m.send(frameBase+2*k, dir, at)
 		if st.Duplicated > before.Duplicated {

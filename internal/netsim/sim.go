@@ -293,12 +293,10 @@ func (q eventQueue) down(t *Timer, i int) bool {
 type FaultConfig struct {
 	// LossProb is the probability a frame is silently dropped.
 	LossProb float64
-	// ReorderProb is the probability a frame is held back by ReorderDelay,
-	// letting later frames overtake it.
+	// ReorderProb is the probability a frame is held back by 4 frame-times
+	// at the link rate (at least 1µs each), letting later frames overtake
+	// it.
 	ReorderProb float64
-	// ReorderDelay is the extra holding time for reordered frames. Zero
-	// defaults to 4 frame-times at the link rate (enough to overtake).
-	ReorderDelay time.Duration
 	// DupProb is the probability a frame is delivered twice.
 	DupProb float64
 	// CorruptProb is the probability a frame is delivered with its bytes
@@ -410,9 +408,6 @@ type Link struct {
 	dirs   [2]direction
 	tracer *telemetry.Tracer
 	tids   [2]string // per-direction track labels, precomputed at attach
-	// tooBig holds per-direction PMTUD callbacks (NotifyTooBigA/B), fired
-	// one link latency after an MTU drop of that direction's frame.
-	tooBig [2]func(mtu int)
 	pool   *wire.FramePool
 	free   *delivery // fired delivery nodes awaiting reuse
 }
@@ -488,17 +483,6 @@ func (l *Link) setFaults(dir int, fc FaultConfig) {
 // dropped if they exceed the new MTU. 0 removes the limit.
 func (l *Link) SetMTU(mtu int) { l.cfg.MTU = mtu }
 
-// NotifyTooBigA registers fn to receive an ICMP-style "fragmentation
-// needed" signal — carrying the constricting link MTU — whenever a frame
-// sent by the A side is dropped for exceeding it. Delivery is delayed by
-// the link latency, the way a real ICMP error travels back from the
-// bottleneck hop. No rng draw is involved, so registering the callback
-// does not perturb seeded fault sequences.
-func (l *Link) NotifyTooBigA(fn func(mtu int)) { l.tooBig[0] = fn }
-
-// NotifyTooBigB registers the B-side equivalent of NotifyTooBigA.
-func (l *Link) NotifyTooBigB(fn func(mtu int)) { l.tooBig[1] = fn }
-
 // MTU returns the link's current maximum frame size (0 = unlimited).
 func (l *Link) MTU() int { return l.cfg.MTU }
 
@@ -540,16 +524,13 @@ func (l *Link) send(dir int, frame wire.Frame) {
 	l.tracer.Instant1("net", "pkt.tx", l.tids[dir], "bytes", int64(len(frame)))
 
 	// Path MTU: frames too large for the current path are dropped outright.
-	// When the sender registered a too-big callback it hears an ICMP-style
-	// "fragmentation needed" signal one link latency later; otherwise the
-	// stack learns via loss or is told out of band by the harness playing
-	// PMTUD. No rng draw, so enabling an MTU does not perturb the fault
-	// sequences.
+	// The stack learns via loss or is told out of band (SetMTU) by the
+	// harness playing PMTUD. No rng draw, so enabling an MTU does not
+	// perturb the fault sequences.
 	if l.cfg.MTU > 0 && len(frame) > l.cfg.MTU {
 		d.stats.MTUDrops++
 		d.stats.Dropped++
 		l.tracer.Instant1("net", "pkt.drop.mtu", l.tids[dir], "bytes", int64(len(frame)))
-		l.notifyTooBig(dir)
 		l.pool.Put(frame)
 		return
 	}
@@ -608,11 +589,7 @@ func (l *Link) send(dir int, frame wire.Frame) {
 	}
 	if fc.ReorderProb > 0 && d.rng.Float64() < fc.ReorderProb {
 		d.stats.Reordered++
-		extra := fc.ReorderDelay
-		if extra == 0 {
-			extra = 4 * max(serialize, time.Microsecond)
-		}
-		arrive += extra
+		arrive += 4 * max(serialize, time.Microsecond)
 	}
 	// Corruption damages a private copy so the sender's retransmit buffers
 	// (and a later duplicate of the same frame) are unaffected. With a pool
@@ -654,15 +631,6 @@ func (l *Link) send(dir int, frame wire.Frame) {
 	if fc.DupProb > 0 && d.rng.Float64() < fc.DupProb {
 		d.stats.Duplicated++
 		l.deliverAt(arrive+max(serialize, time.Microsecond), now, dir, dst, l.pool.Clone(frame), true)
-	}
-}
-
-// notifyTooBig sends the ICMP-style too-big signal for a frame the dir
-// side just lost to the MTU, if that side registered for it.
-func (l *Link) notifyTooBig(dir int) {
-	if cb := l.tooBig[dir]; cb != nil {
-		mtu := l.cfg.MTU
-		l.sim.After(l.cfg.Latency, func() { cb(mtu) })
 	}
 }
 

@@ -35,17 +35,18 @@ func bareNIC(send func(wire.Frame), cfg Config) (*netsim.Simulator, *tcpip.Stack
 // so a wrapping device runs inside stack.Input.
 func TestMidDrainPostsLandInNextBatch(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		queues, budget int
+		name          string
+		queues, burst int
 	}{
 		// One queue, so completion order is arrival order even though the
-		// tiny budget defers most of the burst: leftovers must stay ahead
+		// burst overruns the poll budget: the leftovers must stay ahead
 		// of the frames delivered mid-drain.
-		{"one-queue-over-budget", 1, 2},
-		{"four-queues", 4, 0},
+		{"one-queue-over-budget", 1, rxPollBudget + 2},
+		{"four-queues", 4, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const burst, midRx, midTx = 5, 3, 3
+			const midRx, midTx = 3, 3
+			burst := tc.burst
 			pool := wire.NewFramePool()
 			var n *NIC
 			// Flows are identified by the remote port, on both paths.
@@ -74,7 +75,7 @@ func TestMidDrainPostsLandInNextBatch(t *testing.T) {
 					transmit(&wire.Packet{Flow: flowTo(100 + txLeft).Reverse(), Flags: wire.FlagACK})
 				}
 			}
-			sim, stack, nic := bareNIC(send, Config{Queues: tc.queues, RxPollBudget: tc.budget, Pool: pool})
+			sim, stack, nic := bareNIC(send, Config{Queues: tc.queues, Pool: pool})
 			n = nic
 			stack.Listen(80, func(*tcpip.Socket) {})
 			nextRx := burst
@@ -100,7 +101,7 @@ func TestMidDrainPostsLandInNextBatch(t *testing.T) {
 			if len(posted) != burst+midRx+midTx || !slices.Equal(sent, posted) {
 				t.Errorf("sent %v, want post order %v", sent, posted)
 			}
-			if st := n.Stats(); st.RxPackets != burst+midRx || st.TxPackets != burst+midRx+midTx {
+			if st := n.Stats(); st.RxPackets != uint64(burst+midRx) || st.TxPackets != uint64(burst+midRx+midTx) {
 				t.Errorf("RxPackets = %d, TxPackets = %d", st.RxPackets, st.TxPackets)
 			}
 			if pool.InUse() != 0 {

@@ -21,12 +21,10 @@ type ChaosConfig struct {
 	// bounded cache (Config.CtxCacheFlows > 0).
 	CtxInvalidateProb float64
 	// RxStallProb is the per-frame probability that the receive ring
-	// stalls: this frame and the next RxStallFrames-1 are dropped as if
+	// stalls: this frame and the next rxStallFrames-1 are dropped as if
 	// no descriptors were posted. The stack sees it as loss and recovers
 	// through retransmission.
 	RxStallProb float64
-	// RxStallFrames is how many frames one stall swallows (default 4).
-	RxStallFrames int
 	// ResyncDropProb is the probability an engine's resync request is
 	// lost before reaching L5P software (the confirmation never comes).
 	ResyncDropProb float64
@@ -35,24 +33,21 @@ type ChaosConfig struct {
 	ResyncRejectProb float64
 }
 
+// rxStallFrames is how many frames one receive-ring stall swallows.
+const rxStallFrames = 4
+
 // chaosState is the NIC's live fault-injection state.
 type chaosState struct {
-	cfg         ChaosConfig
-	rng         *rand.Rand
-	stallLeft   int
-	stallFrames int
+	cfg       ChaosConfig
+	rng       *rand.Rand
+	stallLeft int
 }
 
 func newChaosState(cfg *ChaosConfig) *chaosState {
 	if cfg == nil {
 		return nil
 	}
-	c := &chaosState{cfg: *cfg, rng: rand.New(rand.NewSource(cfg.Seed + 11))}
-	c.stallFrames = cfg.RxStallFrames
-	if c.stallFrames <= 0 {
-		c.stallFrames = 4
-	}
-	return c
+	return &chaosState{cfg: *cfg, rng: rand.New(rand.NewSource(cfg.Seed + 11))}
 }
 
 // stallDrop reports whether this arriving frame falls into a ring stall,
@@ -72,7 +67,7 @@ func (n *NIC) stallDrop(q *Queue) bool {
 	if c.rng.Float64() < c.cfg.RxStallProb {
 		q.Stats.RxRingStalls++
 		q.Stats.RxRingStallDrops++
-		c.stallLeft = c.stallFrames - 1
+		c.stallLeft = rxStallFrames - 1
 		return true
 	}
 	return false

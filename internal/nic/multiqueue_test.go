@@ -118,9 +118,9 @@ func TestSharedCacheAcrossQueues(t *testing.T) {
 	// Each miss charges a reload, each eviction a write-back: with a full
 	// cache the DMA is strictly more than misses × context size.
 	ctxDMA := nb.cfg.Ledger.PCIeBytes(cycles.CtxDMA)
-	if ctxDMA <= st.CtxCacheMiss*uint64(nb.cfg.CtxBytes) {
+	if ctxDMA <= st.CtxCacheMiss*uint64(ctxBytes) {
 		t.Errorf("ctx DMA %d bytes ≤ reload-only %d: eviction write-backs not charged",
-			ctxDMA, st.CtxCacheMiss*uint64(nb.cfg.CtxBytes))
+			ctxDMA, st.CtxCacheMiss*uint64(ctxBytes))
 	}
 	for _, f := range flows {
 		nb.DetachRx(f)

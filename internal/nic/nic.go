@@ -44,18 +44,12 @@ type Config struct {
 	// holds at most ≈20 K flows in 4 MiB (§6.5). The cache is shared by
 	// all queues.
 	CtxCacheFlows int
-	// CtxBytes is the size of one flow context (208 B in the paper).
-	CtxBytes int
 	// Chaos, when set, injects NIC-internal faults (chaos.go).
 	Chaos *ChaosConfig
 	// Pool recycles frame buffers across the transmit and receive paths.
 	// All NICs and links of one world must share it (see wire.FramePool).
 	// Nil falls back to per-frame allocation.
 	Pool *wire.FramePool
-	// RxPollBudget caps how many frames one receive-poll event processes
-	// per queue (the NAPI budget); remaining frames are handled by a
-	// re-scheduled poll. 0 means DefaultRxPollBudget.
-	RxPollBudget int
 	// RxPollDelay is the interrupt-coalescing window: the receive poll
 	// fires this long after the frame that armed it, letting line-rate
 	// traffic accumulate a batch per poll instead of one frame per event.
@@ -64,9 +58,14 @@ type Config struct {
 	RxPollDelay time.Duration
 }
 
-// DefaultRxPollBudget is the per-queue frame budget of one receive poll
-// when Config.RxPollBudget is zero — the NAPI_POLL_WEIGHT of the model.
-const DefaultRxPollBudget = 64
+const (
+	// rxPollBudget caps how many frames one receive-poll event processes
+	// per queue (the NAPI budget, NAPI_POLL_WEIGHT); remaining frames are
+	// handled by a re-scheduled poll.
+	rxPollBudget = 64
+	// ctxBytes is the size of one flow context (208 B in the paper).
+	ctxBytes = 208
+)
 
 // Stats counts device events. Each queue carries its own block; NIC.Stats
 // merges them into the whole-device view.
@@ -248,14 +247,8 @@ type cacheKey struct {
 // send function transmits a serialized frame onto the link (the NIC is also
 // a netsim.Endpoint for arriving frames).
 func New(stack *tcpip.Stack, send func(frame wire.Frame), cfg Config) *NIC {
-	if cfg.CtxBytes == 0 {
-		cfg.CtxBytes = 208
-	}
 	if cfg.Queues <= 0 {
 		cfg.Queues = 1
-	}
-	if cfg.RxPollBudget <= 0 {
-		cfg.RxPollBudget = DefaultRxPollBudget
 	}
 	n := &NIC{
 		cfg:       cfg,
@@ -531,7 +524,7 @@ func (n *NIC) DeliverFrame(frame wire.Frame) {
 }
 
 // rxPoll is the NAPI-style completion handler: one event drains up to
-// RxPollBudget frames per queue from the arrival-order backlog, and every
+// rxPollBudget frames per queue from the arrival-order backlog, and every
 // effect (parse + checksum verification, stats, ledger, cache, engines,
 // tracer, stack delivery, frame recycling) runs in arrival order, which
 // keeps traces and metrics independent of the queue count (DESIGN.md
@@ -540,7 +533,6 @@ func (n *NIC) DeliverFrame(frame wire.Frame) {
 //
 //simlint:hotpath
 func (n *NIC) rxPoll() {
-	budget := n.cfg.RxPollBudget
 	// Swap the double buffers first, so the next poll's backlog collects,
 	// in order, this poll's over-budget leftovers and then whatever a
 	// DeliverFrame from inside stack delivery posts mid-drain.
@@ -556,7 +548,7 @@ func (n *NIC) rxPoll() {
 	w := 0
 	for i := range batch {
 		s := batch[i]
-		if counts[s.q.id] < budget {
+		if counts[s.q.id] < rxPollBudget {
 			counts[s.q.id]++
 			batch[w] = s
 			w++
@@ -686,15 +678,15 @@ func (n *NIC) cacheTouch(q *Queue, k cacheKey) {
 		return
 	}
 	q.Stats.CtxCacheMiss++
-	n.tracer.Instant1("dma", "ctx.miss", n.label, "bytes", int64(n.cfg.CtxBytes))
-	n.cfg.Ledger.Charge(cycles.PCIe, cycles.CtxDMA, 0, n.cfg.CtxBytes)
+	n.tracer.Instant1("dma", "ctx.miss", n.label, "bytes", int64(ctxBytes))
+	n.cfg.Ledger.Charge(cycles.PCIe, cycles.CtxDMA, 0, ctxBytes)
 	n.cacheMap[k] = n.cacheList.PushFront(k)
 	for n.cacheList.Len() > n.cfg.CtxCacheFlows {
 		back := n.cacheList.Back()
 		delete(n.cacheMap, back.Value.(cacheKey))
 		n.cacheList.Remove(back)
 		// Write-back of the evicted context.
-		n.cfg.Ledger.Charge(cycles.PCIe, cycles.CtxDMA, 0, n.cfg.CtxBytes)
+		n.cfg.Ledger.Charge(cycles.PCIe, cycles.CtxDMA, 0, ctxBytes)
 	}
 }
 

@@ -68,62 +68,6 @@ func TestRetransmitAfterMSSShrink(t *testing.T) {
 	}
 }
 
-// TestPMTUDiscovery shrinks the path mid-flow but, unlike the flap tests,
-// never tells the sender out of band: the link's ICMP-style "fragmentation
-// needed" callback is the only signal. The stack must lower its MSS from
-// the advertised MTU, re-cut the outstanding data, and finish the stream.
-func TestPMTUDiscovery(t *testing.T) {
-	p := newPair(t, netsim.LinkConfig{Gbps: 10, Latency: 20 * time.Microsecond})
-	const newLinkMTU = 1100 + wire.EthernetHeaderLen
-	p.link.NotifyTooBigA(func(mtu int) {
-		p.a.HandleTooBig(mtu - wire.EthernetHeaderLen)
-	})
-	shrinkAt := 400 * time.Microsecond
-	p.sim.At(shrinkAt, func() { p.link.SetMTU(newLinkMTU) })
-
-	data := randBytes(1<<20, 13)
-	got := transfer(t, p, data, 30*time.Second)
-	if !bytes.Equal(got, data) {
-		t.Fatalf("stream corrupted across the PMTU shrink: got %d of %d bytes",
-			len(got), len(data))
-	}
-	if p.link.StatsAtoB().MTUDrops == 0 {
-		t.Fatal("no frame exceeded the new path MTU; discovery was unexercised")
-	}
-	if p.a.Stats.TooBigSignals == 0 {
-		t.Error("sender consumed no too-big signal")
-	}
-	if p.a.Stats.MTUChanges == 0 {
-		t.Error("too-big signal did not lower the sender's MTU")
-	}
-	if got, want := p.a.MSS(), newLinkMTU-wire.EthernetHeaderLen-40; got != want {
-		t.Errorf("sender MSS = %d after discovery, want %d", got, want)
-	}
-	if p.a.Stats.Resegments == 0 {
-		t.Error("sender never re-cut a transmission at the discovered MSS")
-	}
-}
-
-// TestHandleTooBigIgnoresBogus pins the guard rails: signals that would
-// raise the MTU, or are nonsense, must be counted but not applied.
-func TestHandleTooBigIgnoresBogus(t *testing.T) {
-	p := newPair(t, netsim.LinkConfig{})
-	before := p.a.MTU()
-	p.a.HandleTooBig(before + 400) // larger than current: not a constriction
-	p.a.HandleTooBig(0)
-	p.a.HandleTooBig(-5)
-	if p.a.MTU() != before {
-		t.Errorf("bogus too-big signal changed MTU: %d -> %d", before, p.a.MTU())
-	}
-	if p.a.Stats.TooBigSignals != 3 {
-		t.Errorf("TooBigSignals = %d, want 3", p.a.Stats.TooBigSignals)
-	}
-	p.a.HandleTooBig(80) // below the clamp floor
-	if p.a.MTU() < 256 {
-		t.Errorf("MTU clamped below floor: %d", p.a.MTU())
-	}
-}
-
 // TestMSSGrowUsesNewCut checks the other direction: after the path widens,
 // new transmissions use the larger MSS (frames bigger than the old limit
 // appear) and the stream stays intact.

@@ -114,9 +114,6 @@ type StackStats struct {
 	// Mid-flow path-MTU changes.
 	MTUChanges uint64 // SetMTU calls while sockets were live
 	Resegments uint64 // transmissions re-cut after the MSS changed under them
-	// TooBigSignals counts ICMP-style "fragmentation needed" signals
-	// consumed by HandleTooBig (PMTUD).
-	TooBigSignals uint64
 
 	// SACK/DSACK loss recovery (RFC 2018, 2883, 6675-lite).
 	SACKBlocksSent     uint64 // SACK blocks attached to outgoing ACKs
@@ -222,24 +219,6 @@ func (st *Stack) CongestionControlName() string {
 // SetRecoveryHistogram routes loss-recovery episode durations (nanoseconds
 // from loss detection to full repair) into h. Pass nil to detach.
 func (st *Stack) SetRecoveryHistogram(h *telemetry.Histogram) { st.recoveryHist = h }
-
-// HandleTooBig consumes an ICMP-style "fragmentation needed" signal
-// carrying the constricting hop's path MTU, the way PMTUD lands on a live
-// stack: if it is below the current MTU the stack re-segments at the new
-// size. In-flight over-sized segments are lost at the link and heal through
-// normal retransmission, re-cut at the lowered MSS.
-func (st *Stack) HandleTooBig(mtu int) {
-	st.Stats.TooBigSignals++
-	if mtu <= 0 || mtu >= st.MTU() {
-		return
-	}
-	// Clamp so a bogus signal cannot wedge the stack below a usable size.
-	const floorMTU = 256
-	if mtu < floorMTU {
-		mtu = floorMTU
-	}
-	st.SetMTU(mtu)
-}
 
 // MSS returns the current maximum segment size: the per-stack path MTU set
 // by SetMTU when present, the model's interface MTU otherwise. Every

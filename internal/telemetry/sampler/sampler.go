@@ -22,17 +22,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultMaxSamples bounds each series when the caller does not choose.
-const DefaultMaxSamples = 4096
+// maxSamples bounds each series' ring; once full, the oldest points are
+// dropped (and counted).
+const maxSamples = 4096
 
 // Config sets the sampler parameters.
 type Config struct {
 	// Interval is the virtual-clock snapshot cadence. It is recorded in
 	// exports; the simulator owns the actual firing.
 	Interval time.Duration
-	// MaxSamples bounds each series' ring; once full, the oldest points
-	// are dropped (and counted). 0 selects DefaultMaxSamples.
-	MaxSamples int
 }
 
 // Point is one sample of one counter.
@@ -74,8 +72,8 @@ func (s *Series) At(i int) Point {
 	return s.ring[(s.head+i)%len(s.ring)]
 }
 
-func (s *Series) push(p Point, max int) {
-	if len(s.ring) < max {
+func (s *Series) push(p Point) {
+	if len(s.ring) < maxSamples {
 		s.ring = append(s.ring, p)
 		s.n++
 		return
@@ -98,9 +96,6 @@ type Sampler struct {
 
 // New creates a sampler reading from reg.
 func New(reg *telemetry.Registry, cfg Config) *Sampler {
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = DefaultMaxSamples
-	}
 	return &Sampler{reg: reg, cfg: cfg, byName: make(map[string]*Series)}
 }
 
@@ -157,7 +152,7 @@ func (s *Sampler) Sample(now time.Duration) {
 			// stay exact in float64 (2e6, not 1.9999…e6).
 			rate = float64(delta) * 1e9 / float64(now-ser.lastT)
 		}
-		ser.push(Point{T: now, Epoch: epoch, Value: c.Value, Delta: delta, Rate: rate}, s.cfg.MaxSamples)
+		ser.push(Point{T: now, Epoch: epoch, Value: c.Value, Delta: delta, Rate: rate})
 		ser.lastV, ser.lastT, ser.hasLast = c.Value, now, true
 	}
 }

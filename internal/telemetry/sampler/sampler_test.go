@@ -157,21 +157,21 @@ func TestBoundedRingDropsOldest(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	st := &stats{}
 	reg.RegisterCounters("s", st)
-	s := New(reg, Config{Interval: time.Microsecond, MaxSamples: 4})
-	for i := 1; i <= 10; i++ {
+	s := New(reg, Config{Interval: time.Microsecond})
+	for i := 1; i <= maxSamples+6; i++ {
 		st.Frames = uint64(i)
 		s.Sample(time.Duration(i) * time.Microsecond)
 	}
 	ser := s.Series()[1]
-	if ser.Len() != 4 {
-		t.Fatalf("len = %d, want 4", ser.Len())
+	if ser.Len() != maxSamples {
+		t.Fatalf("len = %d, want %d", ser.Len(), maxSamples)
 	}
 	if ser.Dropped() != 6 {
 		t.Errorf("dropped = %d, want 6", ser.Dropped())
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < maxSamples; i++ {
 		if got := ser.At(i).Value; got != uint64(7+i) {
-			t.Errorf("point %d value = %d, want %d (oldest evicted, order kept)", i, got, 7+i)
+			t.Fatalf("point %d value = %d, want %d (oldest evicted, order kept)", i, got, 7+i)
 		}
 	}
 }
@@ -180,9 +180,9 @@ func TestSampleNoAllocSteadyState(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	st := &stats{}
 	reg.RegisterCounters("s", st)
-	s := New(reg, Config{Interval: time.Microsecond, MaxSamples: 8})
+	s := New(reg, Config{Interval: time.Microsecond})
 	now := time.Microsecond
-	for i := 0; i < 16; i++ { // fill the rings so pushes stop growing
+	for i := 0; i < 2*maxSamples; i++ { // fill the rings so pushes stop growing
 		s.Sample(now)
 		now += time.Microsecond
 	}

@@ -2,10 +2,10 @@ package wire
 
 import "math/rand"
 
-// Frame is a serialized Ethernet/IPv4/L4 frame as produced by
-// (*Packet).Marshal or (*Datagram).Marshal. The named type exists so the
+// Frame is a serialized Ethernet/IPv4/TCP frame as produced by
+// (*Packet).Marshal. The named type exists so the
 // wiremut analyzer can enforce DESIGN.md's mutation invariant: header
-// bytes carry the IP and TCP/UDP checksums, so outside this package a
+// bytes carry the IP and TCP checksums, so outside this package a
 // frame is mutated only through checksum-aware helpers (SetCE,
 // CorruptPayload, FlipRandomBit). Code that genuinely needs raw byte
 // access converts with []byte(f) — an explicit, greppable escape hatch.
@@ -26,7 +26,7 @@ func (f Frame) Clone() Frame {
 // FlipRandomBit flips one random bit anywhere in the frame — headers
 // included — without repairing any checksum. It models on-the-wire damage
 // that the L3/L4 checksums exist to catch: the receiver is expected to
-// drop the frame in Parse/ParseUDP. Randomness comes only from rng,
+// drop the frame in Parse. Randomness comes only from rng,
 // keeping seeded runs deterministic. It reports whether a bit was flipped
 // (false only for empty frames).
 func FlipRandomBit(rng *rand.Rand, f Frame) bool {
