@@ -151,3 +151,61 @@ func TestPollDoorbellNoAlloc(t *testing.T) {
 		t.Errorf("frame pool leak: %d frames out", pool.InUse())
 	}
 }
+
+// TestTransmitKeepsNothing holds the NIC to the tcpip.NetDevice contract:
+// it keeps neither a posted packet nor anything the packet points to once
+// Transmit returns. Each packet is scrambled right after its post — its
+// fields, its payload bytes and its SACK blocks — and the doorbell runs
+// only after the last post, yet every frame on the wire must be Marshal of
+// the packet as it was posted.
+func TestTransmitKeepsNothing(t *testing.T) {
+	pool := wire.NewFramePool()
+	var sent []wire.Frame
+	sim, _, n := bareNIC(func(f wire.Frame) { sent = append(sent, f.Clone()); pool.Put(f) },
+		Config{Queues: 2, Pool: pool})
+	body := func(size int) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = byte(i*7 + 1)
+		}
+		return b
+	}
+	pkts := []wire.Packet{
+		{Flow: flowTo(1).Reverse(), Seq: 7, Ack: 9, Flags: wire.FlagACK | wire.FlagPSH, Window: 64,
+			ECN: wire.ECNECT0, Payload: body(1448)},
+		{Flow: flowTo(2).Reverse(), Seq: 1, Ack: 5000, Flags: wire.FlagACK, Window: 12,
+			SACKBlocks: []wire.SACKBlock{{Start: 6000, End: 7448}, {Start: 9000, End: 9100}}},
+		{Flow: flowTo(3).Reverse(), Seq: 100, Flags: wire.FlagSYN, Window: 64, SACKPermitted: true},
+		{Flow: flowTo(1).Reverse(), Seq: 1455, Ack: 9, Flags: wire.FlagACK | wire.FlagFIN, Window: 64,
+			Payload: body(333)},
+	}
+	var want []wire.Frame
+	for i := range pkts {
+		pkt := &pkts[i]
+		want = append(want, pkt.Marshal())
+		n.Transmit(pkt)
+		for j := range pkt.Payload {
+			pkt.Payload[j] = 0xDB
+		}
+		for j := range pkt.SACKBlocks {
+			pkt.SACKBlocks[j] = wire.SACKBlock{Start: 0xDBDBDBDB, End: 1}
+		}
+		*pkt = wire.Packet{Flow: flowTo(9), Seq: ^pkt.Seq, Ack: ^pkt.Ack, Flags: wire.FlagRST,
+			Window: 1, ECN: wire.ECNCE, Payload: pkt.Payload, SACKBlocks: pkt.SACKBlocks, TxCycles: -1}
+	}
+	if len(sent) != 0 {
+		t.Fatalf("%d frames sent before the doorbell", len(sent))
+	}
+	flush(sim)
+	if len(sent) != len(want) {
+		t.Fatalf("%d frames on the wire, want %d", len(sent), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(sent[i], want[i]) {
+			t.Errorf("frame %d differs from Marshal of the packet as posted", i)
+		}
+	}
+	if pool.InUse() != 0 {
+		t.Errorf("frame pool leak: %d frames out", pool.InUse())
+	}
+}

@@ -115,15 +115,19 @@ type rxSlot struct {
 	frame wire.Frame
 }
 
-// txSlot is one posted packet awaiting the coalesced doorbell. The frame
-// already carries a copy of the payload — pkt.Payload is valid only during
-// the Transmit call (tcpip.NetDevice), so the "DMA" out of the send buffer
-// happens at post time. Headers serialize at doorbell time, after the
-// engines have transformed the payload.
+// txSlot is one posted packet awaiting the coalesced doorbell: its frame,
+// already whole but for the TCP checksum, and the few packet fields the
+// doorbell reads. The device keeps nothing of the posted packet itself
+// (tcpip.NetDevice), so Transmit's payload copy and header write are the
+// "DMA" out of host memory; the doorbell runs the engines over the frame's
+// payload and then checksums it.
 type txSlot struct {
 	q         *Queue
-	pkt       *wire.Packet
 	frame     wire.Frame
+	flow      wire.FlowID
+	seq       uint32
+	payOff    int     // where the payload starts in frame
+	txCycles  float64 // the stack's cycles for the packet (lifecycle tx.enqueue)
 	driverCyc float64 // driver cycles charged for this packet (engine phase)
 	nicNs     int64   // lifecycle tx.engine nanoseconds (engine phase)
 }
@@ -387,18 +391,22 @@ func (n *NIC) DetachRx(flow wire.FlowID) {
 }
 
 // Transmit implements tcpip.NetDevice: the driver posts the packet on the
-// flow's queue ring and rings (or coalesces onto) the doorbell. The
-// payload is copied into pooled frame memory now — the packet's payload
-// slice aliases the stack's send buffer and is valid only during this
-// call — and the doorbell event does everything else in a batch.
+// flow's queue ring and rings (or coalesces onto) the doorbell. The whole
+// frame is written into pooled frame memory now — the payload copied, the
+// headers and the IPv4 checksum serialized — because the device keeps
+// nothing of pkt past this call; the doorbell event runs the engines, the
+// TCP checksum and everything else in a batch.
 //
 //simlint:hotpath
 func (n *NIC) Transmit(pkt *wire.Packet) {
 	q := n.QueueFor(pkt.Flow)
 	frame := n.pool.Get(pkt.WireLen())
-	copy(frame[pkt.PayloadOffset():], pkt.Payload)
+	off := pkt.PayloadOffset()
+	copy(frame[off:], pkt.Payload)
+	pkt.PutHeaders(frame)
 	//lint:ignore hotalloc txBacklog and txSpare are retained across doorbells, so each backing array regrows to the high-water batch size once and is reused thereafter
-	n.txBacklog = append(n.txBacklog, txSlot{q: q, pkt: pkt, frame: frame})
+	n.txBacklog = append(n.txBacklog, txSlot{q: q, frame: frame, flow: pkt.Flow,
+		seq: pkt.Seq, payOff: off, txCycles: pkt.TxCycles})
 	if !n.txDoorbellTimer.Pending() {
 		n.txDoorbellTimer.Reset(0)
 	}
@@ -407,10 +415,11 @@ func (n *NIC) Transmit(pkt *wire.Packet) {
 // txDoorbell flushes every posted packet in one coalesced doorbell at the
 // posting timestamp, in two passes over the batch, both in post order: the
 // engine pass (engines mutate the ledger, the shared context cache, and
-// telemetry), then the completion pass (header writeback + checksums,
-// charges, traces, wire) — so the frames a run emits are independent of
-// the queue count (DESIGN.md invariant 13). A Transmit from inside send
-// posts to the swapped-in spare and rings its own doorbell.
+// telemetry), then the completion pass (TCP checksum over the payload as
+// the engines left it, charges, traces, wire) — so the frames a run emits
+// are independent of the queue count (DESIGN.md invariant 13). A Transmit
+// from inside send posts to the swapped-in spare and rings its own
+// doorbell.
 //
 //simlint:hotpath
 func (n *NIC) txDoorbell() {
@@ -435,14 +444,14 @@ func (n *NIC) txDoorbell() {
 			nicCycBefore = lg.NICCycles()
 			ctxBytesBefore = float64(lg.PCIeBytes(cycles.CtxDMA))
 		}
-		engines := q.tx[s.pkt.Flow]
-		payload := s.frame[s.pkt.PayloadOffset():]
+		engines := q.tx[s.flow]
+		payload := s.frame[s.payOff:]
 		if len(engines) > 0 && len(payload) > 0 {
-			n.cacheTouch(q, cacheKey{flow: s.pkt.Flow})
+			n.cacheTouch(q, cacheKey{flow: s.flow})
 			for _, e := range engines {
 				before := e.Stats.RecoveryDMABytes
 				recovered := e.Stats.Recoveries
-				e.Process(s.pkt.Seq, payload)
+				e.Process(s.seq, payload)
 				if dma := e.Stats.RecoveryDMABytes - before; dma > 0 {
 					// Context recovery re-read host memory over PCIe
 					// (Fig. 6) and posted a special resync descriptor
@@ -475,15 +484,15 @@ func (n *NIC) txDoorbell() {
 	for i := range batch {
 		s := batch[i]
 		batch[i] = txSlot{}
-		s.pkt.MarshalHeaders(s.frame)
+		s.frame.PutTCPChecksum()
 		q := s.q
 		q.Stats.TxBytes += uint64(len(s.frame))
 		// Packet payload and descriptor cross PCIe by DMA.
 		lg.Charge(cycles.PCIe, cycles.DMA, 0, len(s.frame))
-		n.tracer.Instant2("dma", "dma.tx", n.label, "bytes", int64(len(s.frame)), "seq", int64(s.pkt.Seq))
+		n.tracer.Instant2("dma", "dma.tx", n.label, "bytes", int64(len(s.frame)), "seq", int64(s.seq))
 		if lcOn {
 			lq := &n.lc.queues[q.id]
-			lq.txEnqueue.Record(n.lc.cyclesNs(s.pkt.TxCycles))
+			lq.txEnqueue.Record(n.lc.cyclesNs(s.txCycles))
 			lq.txDoorbell.Record(n.lc.cyclesNs(s.driverCyc) + n.lc.pcieNs(len(s.frame)))
 			lq.txEngine.Record(s.nicNs)
 		}

@@ -17,7 +17,9 @@ import (
 // must deliver exactly the original byte stream — no gap, no duplicate
 // byte, no reordering — and must never panic on any arrival pattern. Each
 // segment's payload is overwritten after Input, so a chunk the socket
-// queued without copying shows up as poisoned bytes.
+// queued without copying shows up as poisoned bytes; each packet the
+// stack transmits is scrambled after Transmit, so a stack that still
+// reads it acts on garbage.
 func FuzzReassembly(f *testing.F) {
 	f.Add(int64(1), []byte{3, 200, 40, 0, 90, 5, 255, 17})
 	f.Add(int64(2), []byte{0, 0, 0, 0})
@@ -31,8 +33,17 @@ func FuzzReassembly(f *testing.F) {
 		model := cycles.DefaultModel()
 		sim := netsim.New()
 		st := NewStack(sim, [4]byte{10, 0, 0, 2}, &model, &cycles.Ledger{})
+		// The device keeps a copy of each packet and then scrambles the one
+		// it was handed: a stack that reads its packet after Transmit reads
+		// garbage (NetDevice).
 		var outPkts []*wire.Packet
-		st.SetDevice(devFunc(func(p *wire.Packet) { outPkts = append(outPkts, p) }))
+		st.SetDevice(devFunc(func(p *wire.Packet) {
+			outPkts = append(outPkts, keepPacket(p))
+			*p = wire.Packet{Flow: p.Flow.Reverse(), Seq: ^p.Seq, Ack: ^p.Ack,
+				Flags: ^p.Flags, Window: ^p.Window, ECN: wire.ECNCE,
+				Payload: []byte{0xDB, 0xDB, 0xDB}, SACKBlocks: []wire.SACKBlock{{Start: 1, End: 0}},
+				TxCycles: -1}
+		}))
 
 		var server *Socket
 		st.Listen(80, func(s *Socket) { server = s })

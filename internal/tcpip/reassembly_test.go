@@ -21,7 +21,7 @@ func TestReassemblyProperty(t *testing.T) {
 		sim := netsim.New()
 		st := NewStack(sim, [4]byte{10, 0, 0, 2}, &model, &cycles.Ledger{})
 		var outPkts []*wire.Packet
-		st.SetDevice(devFunc(func(p *wire.Packet) { outPkts = append(outPkts, p) }))
+		st.SetDevice(devFunc(func(p *wire.Packet) { outPkts = append(outPkts, keepPacket(p)) }))
 
 		var server *Socket
 		st.Listen(80, func(s *Socket) { server = s })

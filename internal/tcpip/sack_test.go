@@ -185,7 +185,7 @@ func TestSpuriousRTOUndo(t *testing.T) {
 	st := NewStack(sim, [4]byte{10, 0, 0, 1}, &model, &cycles.Ledger{})
 	st.EnableSACK()
 	var out []*wire.Packet
-	st.SetDevice(devFunc(func(p *wire.Packet) { out = append(out, p) }))
+	st.SetDevice(devFunc(func(p *wire.Packet) { out = append(out, keepPacket(p)) }))
 
 	client := st.Connect(wire.Addr{IP: [4]byte{10, 0, 0, 2}, Port: 80}, nil)
 	if len(out) != 1 || !out[0].SACKPermitted {

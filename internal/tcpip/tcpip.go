@@ -35,15 +35,19 @@ const WindowShift = 10
 // NetDevice is the stack's output: the simulated NIC (or a loopback in
 // tests). The device owns frame serialization and transmit-side offloads.
 type NetDevice interface {
-	// Transmit sends one TCP packet toward the peer. The payload aliases
-	// the socket's send ring, or the stack's gather scratch when the
-	// segment wraps the ring, and is valid only for the duration of the
-	// call: the device must serialize (copy) it into its own frame memory
-	// before returning — later writes reuse the ring slots that
-	// acknowledgments free, and the next wrapping segment reuses the
-	// scratch. The packet, the payload's length included, stays readable
-	// (the NIC marshals headers at doorbell time). Offload engines
-	// transform the device's copy, never the payload slice itself.
+	// Transmit sends one TCP packet toward the peer. The device keeps
+	// neither pkt nor anything it points to (Payload, SACKBlocks) once
+	// Transmit returns — the mirror of Stack.Input. Whatever it needs
+	// later, the payload bytes included, it copies into its own frame
+	// memory during the call: the stack builds its next packet in the
+	// same Packet, later writes reuse the send-ring slots the payload
+	// aliases, and the next wrapping segment reuses the gather scratch.
+	// The stack reads nothing of pkt after Transmit returns, so a device
+	// may re-enter the stack (deliver to a peer that answers at once)
+	// once it has copied what it needs; on a lossless exchange the socket
+	// has committed its send state by then too (DESIGN.md invariant 15).
+	// Offload engines transform the device's copy, never the payload
+	// slice itself.
 	Transmit(pkt *wire.Packet)
 }
 
@@ -69,6 +73,11 @@ type Stack struct {
 	// gather is the scratch a segment that wraps its socket's ring is
 	// copied into; like any payload it lives for one Transmit call.
 	gather []byte
+	// txPkt is the one packet every outgoing segment and control packet is
+	// built in. Like the gather scratch it lives for one Transmit call; the
+	// stack reads nothing of it afterwards, so a device that re-enters the
+	// stack from inside Transmit may rebuild it under the caller.
+	txPkt wire.Packet
 
 	tracer   *telemetry.Tracer
 	traceTid string
@@ -294,9 +303,9 @@ func (st *Stack) Connect(remote wire.Addr, onEstablished func(*Socket)) *Socket 
 	s := st.newSocket(flow)
 	s.OnEstablished = onEstablished
 	s.state = stateSynSent
-	s.sendControl(s.synFlags(), s.iss)
 	s.sndNxt = s.iss + 1
 	s.armRTO()
+	s.sendControl(s.synFlags(), s.iss)
 	return s
 }
 
@@ -399,9 +408,9 @@ func (st *Stack) Input(pkt *wire.Packet, flags meta.RxFlags) {
 				if st.sack && pkt.SACKPermitted {
 					s.sackOK = true
 				}
-				s.sendControl(s.synAckFlags(), s.iss)
 				s.sndNxt = s.iss + 1
 				s.armRTO()
+				s.sendControl(s.synAckFlags(), s.iss)
 			}
 		}
 		return
@@ -813,6 +822,10 @@ func (s *Socket) recvWindow() uint16 {
 	return uint16(w)
 }
 
+// sendControl sends a segment without payload (SYN, FIN, ACK), built in the
+// stack's one transmit packet.
+//
+//simlint:hotpath
 func (s *Socket) sendControl(flags wire.TCPFlags, seq uint32) {
 	// While echoing congestion, every non-handshake ACK carries ECE so the
 	// sender hears it even if individual ACKs are lost (RFC 3168 §6.1.3).
@@ -820,7 +833,8 @@ func (s *Socket) sendControl(flags wire.TCPFlags, seq uint32) {
 		flags |= wire.FlagECE
 		s.stack.Stats.ECESent++
 	}
-	pkt := &wire.Packet{
+	pkt := &s.stack.txPkt
+	*pkt = wire.Packet{
 		Flow:   s.flow,
 		Seq:    seq,
 		Ack:    s.rcvNxt,
@@ -892,6 +906,10 @@ func (s *Socket) oooRanges() []wire.SACKBlock {
 	return out
 }
 
+// output charges the stack's transmit cost for pkt and hands it to the
+// device; pkt is dead once the device returns (NetDevice).
+//
+//simlint:hotpath
 func (s *Socket) output(pkt *wire.Packet) {
 	st := s.stack
 	st.Stats.PacketsOut++
@@ -959,16 +977,17 @@ func (s *Socket) trySend() {
 		if n <= 0 {
 			break
 		}
-		s.transmitRange(s.sndNxt, n, false)
+		seq := s.sndNxt
 		s.sndNxt += uint32(n)
+		s.transmitRange(seq, n, false)
 	}
 	// FIN goes out once all data has been transmitted.
 	if s.finQueued && int(s.sndNxt-s.sndUna) == s.sndLen {
 		s.finSeq = s.sndNxt
-		s.sendControl(wire.FlagFIN|wire.FlagACK, s.sndNxt)
 		s.sndNxt++
 		s.finQueued = false
 		s.armRTO()
+		s.sendControl(wire.FlagFIN|wire.FlagACK, s.finSeq)
 	}
 	// Unsent data with nothing in flight means the peer's window is shut:
 	// the same timer then runs as the persist timer (onRTO probes).
@@ -981,20 +1000,23 @@ func (s *Socket) trySend() {
 	}
 }
 
-// transmitRange sends len bytes starting at seq out of the send buffer.
-// The payload slice aliases the send ring (or, for a range that wraps it,
-// the gather scratch); per the NetDevice contract the device copies it
-// into frame memory during Transmit, so the hot path performs one payload
-// copy (host memory → NIC frame, the DMA), two for a wrapping segment.
+// transmitRange sends len bytes starting at seq out of the send buffer, in
+// the stack's one transmit packet. The payload slice aliases the send ring
+// (or, for a range that wraps it, the gather scratch); per the NetDevice
+// contract the device copies it into frame memory during Transmit, so the
+// hot path performs one payload copy (host memory → NIC frame, the DMA),
+// two for a wrapping segment.
+//
+//simlint:hotpath
 func (s *Socket) transmitRange(seq uint32, n int, isRetransmit bool) {
-	payload := s.sndSlice(int(seq-s.sndUna), n)
-	pkt := &wire.Packet{
+	pkt := &s.stack.txPkt
+	*pkt = wire.Packet{
 		Flow:    s.flow,
 		Seq:     seq,
 		Ack:     s.rcvNxt,
 		Flags:   wire.FlagACK | wire.FlagPSH,
 		Window:  s.recvWindow(),
-		Payload: payload,
+		Payload: s.sndSlice(int(seq-s.sndUna), n),
 	}
 	if s.ecnOK {
 		pkt.ECN = wire.ECNECT0
@@ -1054,8 +1076,8 @@ func (s *Socket) onRTO() {
 			// flight nothing else would ever elicit another. One byte of new
 			// data past the window does: its ACK carries the window as it is
 			// now, and a lost probe is retransmitted like any segment.
-			s.transmitRange(s.sndNxt, 1, false)
 			s.sndNxt++
+			s.transmitRange(s.sndNxt-1, 1, false)
 			break
 		}
 		s.stack.Stats.Timeouts++

@@ -3,6 +3,7 @@ package tcpip
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -227,7 +228,7 @@ func TestChunkFlagsNotCoalesced(t *testing.T) {
 	model := cycles.DefaultModel()
 	st := NewStack(sim, [4]byte{10, 0, 0, 2}, &model, &cycles.Ledger{})
 	var out []*wire.Packet
-	st.SetDevice(devFunc(func(p *wire.Packet) { out = append(out, p) }))
+	st.SetDevice(devFunc(func(p *wire.Packet) { out = append(out, keepPacket(p)) }))
 
 	var server *Socket
 	st.Listen(80, func(s *Socket) { server = s })
@@ -277,6 +278,17 @@ func TestChunkFlagsNotCoalesced(t *testing.T) {
 type devFunc func(*wire.Packet)
 
 func (f devFunc) Transmit(p *wire.Packet) { f(p) }
+
+// keepPacket returns a copy of a transmitted packet that owns its payload
+// and SACK blocks. The stack builds every packet it sends in one reused
+// Packet whose payload aliases its send ring, so a test device that keeps
+// what Transmit hands it must copy it (NetDevice).
+func keepPacket(p *wire.Packet) *wire.Packet {
+	cp := *p
+	cp.Payload = bytes.Clone(p.Payload)
+	cp.SACKBlocks = slices.Clone(p.SACKBlocks)
+	return &cp
+}
 
 func TestStreamBytesRetainedUntilAcked(t *testing.T) {
 	p := newPair(t, netsim.LinkConfig{Gbps: 1, Latency: 100 * time.Microsecond})

@@ -44,12 +44,7 @@ func CorruptPayload(rng *rand.Rand, frame Frame) bool {
 	payload := tcp[dataOff:]
 	payload[rng.Intn(len(payload))] ^= 1 << rng.Intn(8)
 
-	var flow FlowID
-	copy(flow.Src.IP[:], ip[12:16])
-	copy(flow.Dst.IP[:], ip[16:20])
-	flow.Src.Port = binary.BigEndian.Uint16(tcp[0:2])
-	flow.Dst.Port = binary.BigEndian.Uint16(tcp[2:4])
 	binary.BigEndian.PutUint16(tcp[16:18], 0)
-	binary.BigEndian.PutUint16(tcp[16:18], tcpChecksum(flow, tcp[:dataOff], payload))
+	binary.BigEndian.PutUint16(tcp[16:18], tcpChecksum(ip[12:20], tcp))
 	return true
 }

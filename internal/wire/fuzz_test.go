@@ -94,7 +94,11 @@ func FuzzSackOption(f *testing.F) {
 func FuzzChecksum(f *testing.F) {
 	f.Add([]byte{}, uint32(0), []byte{})
 	f.Add([]byte{0xff}, uint32(0xffff), []byte{0})
-	f.Add(bytes.Repeat([]byte{0xff, 0xfe, 0x01}, 15), uint32(0xffffffff), []byte{20, 7}) // 45 bytes: one 32-byte turn and every step after it
+	f.Add(bytes.Repeat([]byte{0xff, 0xfe, 0x01}, 15), uint32(0xffffffff), []byte{20, 7}) // 45 bytes: one 32-byte turn, then 8/4/1
+	// 319 bytes: two 128-byte turns, a 32-byte turn and every step after
+	// it (16/8/4/2/1); the first piece (140 bytes) runs a 128-byte turn of
+	// its own.
+	f.Add(append(bytes.Repeat([]byte{0xff, 0xfe, 0x01}, 106), 0x80), uint32(0xfffe), []byte{70, 3})
 	f.Fuzz(func(t *testing.T, data []byte, sum uint32, cuts []byte) {
 		if got, want := internetChecksum(data, sum), checksumRef(data, sum); got != want {
 			t.Fatalf("%d bytes from sum %#x: got %#x, want %#x", len(data), sum, got, want)

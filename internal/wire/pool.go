@@ -10,9 +10,10 @@ package wire
 // The pool is deliberately unsynchronized: every Get/Put happens inside an
 // event callback on the simulator's one goroutine, so the virtual clock is
 // the lock.
-// The determinism contract is carried by MarshalHeaders writing every
-// header byte and the NIC copying the payload region in full, so a
-// recycled buffer produces bytes identical to a fresh one.
+// The determinism contract is carried by MarshalHeaders (or PutHeaders and
+// PutTCPChecksum) writing every header byte and the NIC copying the
+// payload region in full, so a recycled buffer produces bytes identical to
+// a fresh one.
 //
 // All methods are nil-receiver safe: a nil pool degrades to plain
 // allocation, which keeps call sites unconditional and lets worlds opt in.

@@ -127,12 +127,7 @@ func fixupTCPChecksum(frame Frame) {
 	ihl := int(ip[0]&0x0f) * 4
 	totalLen := int(uint16(ip[2])<<8 | uint16(ip[3]))
 	tcp := ip[ihl:totalLen]
-	var flow FlowID
-	copy(flow.Src.IP[:], ip[12:16])
-	copy(flow.Dst.IP[:], ip[16:20])
-	flow.Src.Port = uint16(tcp[0])<<8 | uint16(tcp[1])
-	flow.Dst.Port = uint16(tcp[2])<<8 | uint16(tcp[3])
 	tcp[16], tcp[17] = 0, 0
-	sum := tcpChecksum(flow, tcp, nil)
+	sum := tcpChecksum(ip[12:20], tcp)
 	tcp[16], tcp[17] = byte(sum>>8), byte(sum)
 }
