@@ -36,13 +36,16 @@ soak:
 	$(GO) test -race -count=1 -timeout 30m -run 'OffloadEquivalence' ./internal/experiments/
 
 # A few seconds of coverage-guided fuzzing per target: TCP reassembly, the
-# SACK option codec and scoreboard, the TCP send ring against a
-# bytes.Buffer, the RxEngine header parser/search path, the event queue
-# with a faulty link's frames in flight against its reference model,
-# gcm.Stream against crypto/cipher's GCM, the L5P message assembler under
-# the ktls, nvmetcp and dpi header parsers, the NVMe-TCP target against a
-# model of the commands it may serve, the two word-at-a-time byte loops —
-# the SSD model's block pattern and the internet checksum — against their
+# SACK option codec and scoreboard, the TCP send ring (retention floor and
+# read-back included) against a model of the written stream, the RxEngine
+# header parser/search path, the event queue with a faulty link's frames in
+# flight against its reference model, gcm.Stream against crypto/cipher's
+# GCM, the L5P message assembler under the ktls, nvmetcp and dpi header
+# parsers, the NVMe-TCP target against a model of the commands it may
+# serve, the NVMe-TCP host against response streams it must survive (no
+# panic, a failed association on bytes that do not frame, no read
+# completed with bytes whose digest failed), the two word-at-a-time byte
+# loops — the SSD model's block pattern and the internet checksum — against their
 # byte-wise references (the checksum also in chained pieces), the dpi
 # automaton against a naive search, and wire.Parse, whose accepted packets
 # must survive Marshal and Parse again and which ParseInto must match.
@@ -59,6 +62,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamVsAEAD$$' -fuzztime 5s ./internal/gcm/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssembler$$' -fuzztime 5s ./internal/l5p/
 	$(GO) test -run '^$$' -fuzz '^FuzzController$$' -fuzztime 5s ./internal/nvmetcp/
+	$(GO) test -run '^$$' -fuzz '^FuzzHost$$' -fuzztime 5s ./internal/nvmetcp/
 	$(GO) test -run '^$$' -fuzz '^FuzzPattern$$' -fuzztime 5s ./internal/blockdev/
 	$(GO) test -run '^$$' -fuzz '^FuzzAutomaton$$' -fuzztime 5s ./internal/dpi/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/wire/
@@ -76,11 +80,12 @@ golden-check:
 # doorbell (received frames parse into one reused packet), nor parsing a
 # frame into a packet, nor re-arming and running a timer, nor a frame
 # crossing a link, nor writing, reading and trimming a TCP send ring at its
-# working size, nor an offload engine's Process in sequence or
+# working size, nor a new TLS connection's first records (built in a
+# recycled send ring), nor an offload engine's Process in sequence or
 # searching, nor gcm.Stream.Update or Tag at any piece length (GHASH's
 # scratch run comes from a sync.Pool), nor an L5P cutting messages out of its
 # chunk queue or walking a message's byte ranges, or retaining a sent
-# message and dropping an acknowledged one, nor the NVMe-TCP target serving
+# message, dropping an acknowledged one and reading one back, nor the NVMe-TCP target serving
 # a read — command, device request, response capsule, digest offloaded or
 # not; starting a GCM record allocates only the stdlib's CTR — nor a socket
 # handing a received segment to a reader that consumes it in OnReadable,

@@ -85,19 +85,16 @@ type Conn struct {
 	txSeq    uint64     // next record index to transmit
 	rxSeq    uint64     // next record index expected from the wire
 
-	// Per-record buffers, reused across records. A transmitted record's
-	// buffer goes back on txFree when nothing reads it any more: at once for
-	// a software-encrypted record (WriteZC has copied it into the socket),
-	// and for an offload record — kept for recovery replay — when the
-	// retainer releases it as acknowledged. rxRec holds a received record
-	// flattened for software crypto, decrypted in place, and past its end
-	// the partial-record pass's plaintext: OnPlain gets the bytes until it
-	// returns, like every receive callback.
-	txFree l5p.FreeList
-	rxRec  []byte
+	// rxRec holds a received record flattened for software crypto,
+	// decrypted in place, and past its end the partial-record pass's
+	// plaintext: OnPlain gets the bytes until it returns, like every receive
+	// callback. A transmitted record needs no buffer of its own: Write
+	// builds it in the socket's send ring.
+	rxRec []byte
 
-	// Transmit offload state. Offloaded records are retained until TCP
-	// acknowledges all of them, for the driver's recovery replay (§4.2).
+	// Transmit offload state. Offloaded records stay in the socket's send
+	// ring until the retainer drops them, after TCP has acknowledged all of
+	// them, for the driver's recovery replay (§4.2).
 	dev      l5p.Device
 	txEngine *offload.TxEngine // nil: records are encrypted in software
 	retain   l5p.TxRetainer
@@ -155,7 +152,7 @@ func NewConn(sock *tcpip.Socket, cfg Config) (*Conn, error) {
 		rxCipher: rxC,
 		tr:       sock.StackTracer(),
 		traceTid: sock.StackTraceTid() + ".tls",
-		retain:   l5p.TxRetainer{Model: model, Ledger: ledger},
+		retain:   l5p.TxRetainer{Model: model, Ledger: ledger, Ring: sock},
 		resync:   l5p.ResyncMailbox{Model: model, Ledger: ledger},
 		asm:      l5p.Assembler{HeaderLen: HeaderLen, Parse: ParseHeader},
 	}
@@ -171,6 +168,12 @@ func NewConn(sock *tcpip.Socket, cfg Config) (*Conn, error) {
 // Socket returns the underlying TCP socket.
 func (c *Conn) Socket() *tcpip.Socket { return c.sock }
 
+// txRetainInitial is how many records a new offloaded connection's
+// retainer has room for: what a short connection sends before its first
+// acknowledgment (churn's 36 KiB in 4 KiB records), so Write does not grow
+// the store; a bulk sender grows it to its window once.
+const txRetainInitial = 16
+
 // EnableTxOffload installs a transmit crypto context on the NIC starting at
 // the current write position (l5o_create, §4.1). With zeroCopy, sendfile
 // buffers are handed to the NIC without the private-copy the non-offloaded
@@ -185,7 +188,7 @@ func (c *Conn) EnableTxOffload(dev l5p.Device, zeroCopy bool) error {
 	}
 	c.dev = dev
 	c.zeroCopy = zeroCopy
-	c.retain.Release = c.txFree.Put
+	c.retain.Grow(txRetainInitial)
 	c.txEngine = offload.NewTxEngine(NewTxOps(hw), &c.retain, c.sock.WriteSeq())
 	dev.AttachTx(c.sock.Flow(), c.txEngine)
 	return nil
@@ -224,13 +227,15 @@ func (c *Conn) InstallRxEngine(dev l5p.Device, ops *RxOps, resync func(uint32)) 
 // (l5o_destroy). Only safe once every offloaded byte has been ACKed: the
 // NIC encrypts at transmit time, so a retransmission after detach would
 // leak plaintext. Callers detach after the socket drains — connection
-// teardown under churn is the expected site.
+// teardown under churn is the expected site. The retained records go with
+// the engine, and a torn-down socket's send ring is recycled only now.
 func (c *Conn) DisableTxOffload() {
 	if c.txEngine == nil {
 		return
 	}
 	c.dev.DetachTx(c.sock.Flow())
 	c.txEngine = nil
+	c.retain.Close()
 }
 
 // DisableRxOffload detaches the receive engine (l5o_destroy). Records
@@ -279,9 +284,10 @@ func (c *Conn) WriteSpace() int {
 
 // Write frames p into TLS records and queues them on the socket, returning
 // how many plaintext bytes were consumed (whole records only; use OnDrain
-// to continue after backpressure). With transmit offload the record bodies
-// are written in plaintext with a dummy ICV for the NIC to fill; otherwise
-// they are encrypted in software.
+// to continue after backpressure). Each record is built in place in the
+// socket's send ring (Reserve, Commit), so the plaintext is copied once.
+// With transmit offload the record bodies are written in plaintext with a
+// dummy ICV for the NIC to fill; otherwise they are encrypted in software.
 func (c *Conn) Write(p []byte) int {
 	if c.dead {
 		return 0
@@ -297,39 +303,35 @@ func (c *Conn) Write(p []byte) int {
 		if c.sock.WriteSpace() < total {
 			break
 		}
-		rec := c.txFree.Get(total)
+		rec := c.sock.Reserve(total)
+		if len(rec) < total {
+			c.fail(fmt.Errorf("ktls: short socket write (%d of %d bytes) despite space check", len(rec), total))
+			return consumed
+		}
 		PutHeader(rec, n)
 		c.ledger.Charge(cycles.HostL5P, cycles.L5PFraming, c.model.L5PPerMessage, 0)
 		if c.txEngine != nil {
 			// Skip the crypto: plaintext body, dummy ICV (§3.1). The copy
-			// into the record buffer is the cost zero-copy sendfile avoids.
+			// into the record is the cost zero-copy sendfile avoids.
 			copy(rec[HeaderLen:], p[:n])
-			clear(rec[HeaderLen+n:]) // the buffer is recycled: zero the dummy ICV
+			clear(rec[HeaderLen+n:]) // the ring is reused: zero the dummy ICV
 			if !c.zeroCopy {
 				c.ledger.Charge(cycles.HostL5P, cycles.Copy,
 					c.model.CopyCycles(n, 0), n)
 			}
-			c.retain.Add(c.sock.WriteSeq(), c.txSeq, rec, c.sock.AckedSeq())
+			c.retain.Add(c.sock.WriteSeq(), c.txSeq, total, c.sock.AckedSeq())
 		} else {
 			c.nonce = RecordNonce(c.cfg.TxIV, c.txSeq)
 			c.aead.Seal(rec[HeaderLen:HeaderLen], c.nonce[:], p[:n], rec[:HeaderLen])
 			c.ledger.Charge(cycles.HostL5P, cycles.Encrypt, c.model.GCMCycles(n), n)
 			if !c.cfg.Sendfile {
 				// copy_from_user into the skb (the offload path pays the
-				// equivalent copy into the record buffer above).
+				// equivalent copy into the record above).
 				c.ledger.Charge(cycles.HostL5P, cycles.Copy, c.model.CopyCycles(n, 0), n)
 			}
 			c.Stats.SwEncryptBytes += uint64(n)
 		}
-		if w := c.sock.WriteZC(rec); w != total {
-			// Part of a record is on the wire and the rest is not: the
-			// peer can no longer frame the stream.
-			c.fail(fmt.Errorf("ktls: short socket write (%d of %d bytes) despite space check", w, total))
-			return consumed
-		}
-		if c.txEngine == nil {
-			c.txFree.Put(rec) // the socket has its copy
-		}
+		c.sock.Commit(total)
 		c.txSeq++
 		c.Stats.RecordsTx++
 		p = p[n:]

@@ -65,16 +65,18 @@ type world struct {
 	cliLedger          *cycles.Ledger
 	srvLedger          *cycles.Ledger
 	model              cycles.Model
+	pool               *wire.FramePool // shared by both NICs and the link
 }
 
 func newWorld(cfg netsim.LinkConfig) *world {
 	w := &world{sim: netsim.New(), model: cycles.DefaultModel(),
-		cliLedger: &cycles.Ledger{}, srvLedger: &cycles.Ledger{}}
+		cliLedger: &cycles.Ledger{}, srvLedger: &cycles.Ledger{}, pool: wire.NewFramePool()}
 	w.link = netsim.NewLink(w.sim, cfg)
 	w.cliStack = tcpip.NewStack(w.sim, [4]byte{10, 0, 0, 1}, &w.model, w.cliLedger)
 	w.srvStack = tcpip.NewStack(w.sim, [4]byte{10, 0, 0, 2}, &w.model, w.srvLedger)
-	w.cliNIC = nic.New(w.cliStack, w.link.SendAtoB, nic.Config{Model: &w.model, Ledger: w.cliLedger})
-	w.srvNIC = nic.New(w.srvStack, w.link.SendBtoA, nic.Config{Model: &w.model, Ledger: w.srvLedger})
+	w.link.SetPool(w.pool)
+	w.cliNIC = nic.New(w.cliStack, w.link.SendAtoB, nic.Config{Model: &w.model, Ledger: w.cliLedger, Pool: w.pool})
+	w.srvNIC = nic.New(w.srvStack, w.link.SendBtoA, nic.Config{Model: &w.model, Ledger: w.srvLedger, Pool: w.pool})
 	w.link.AttachA(w.cliNIC)
 	w.link.AttachB(w.srvNIC)
 	return w
@@ -96,7 +98,37 @@ type tlsRun struct {
 	cliConn  *Conn
 	received bytes.Buffer
 	done     bool
-	released map[*byte]bool // distinct record buffers the client's retainer handed back
+	ring     *poisonRing // the client's send ring as its retainer sees it
+}
+
+// poisonRing stands between a Conn's retainer and its socket. Whenever the
+// retainer raises its retention floor, the acknowledged bytes it lets go of
+// are overwritten in the ring on the spot, so a record dropped while a
+// recovery replay could still read it corrupts the stream the server
+// checks.
+type poisonRing struct {
+	*tcpip.Socket
+	floor    uint32
+	set      bool
+	poisoned int // bytes overwritten
+}
+
+func (p *poisonRing) RetainFrom(seq uint32) {
+	if end := seq; p.set && int32(end-p.floor) > 0 {
+		if acked := p.AckedSeq(); int32(acked-end) < 0 {
+			end = acked
+		}
+		if head, tail, ok := p.ReadSent(p.floor, end); ok {
+			for _, b := range [][]byte{head, tail} {
+				for i := range b {
+					b[i] = 0xDB
+				}
+				p.poisoned += len(b)
+			}
+		}
+	}
+	p.Socket.RetainFrom(seq)
+	p.floor, p.set = seq, true
 }
 
 // runTransfer sends data client→server with the given offload settings and
@@ -106,7 +138,7 @@ func runTransfer(t *testing.T, cfg netsim.LinkConfig, data []byte,
 	t.Helper()
 	w := newWorld(cfg)
 	cliCfg, srvCfg := testCfgPair()
-	r := &tlsRun{w: w, released: map[*byte]bool{}}
+	r := &tlsRun{w: w}
 
 	w.srvStack.Listen(443, func(s *tcpip.Socket) {
 		conn, err := NewConn(s, srvCfg)
@@ -134,18 +166,10 @@ func runTransfer(t *testing.T, cfg netsim.LinkConfig, data []byte,
 			if err := conn.EnableTxOffload(w.cliNIC, zc); err != nil {
 				t.Fatal(err)
 			}
-			// Record buffers are recycled. Every transfer holds the retainer
-			// to its release contract: a record handed back is overwritten on
-			// the spot, so one released while a recovery replay could still
-			// read it corrupts the stream the server checks.
-			release := conn.retain.Release
-			conn.retain.Release = func(rec []byte) {
-				r.released[&rec[0]] = true
-				for i := range rec {
-					rec[i] = 0xDB
-				}
-				release(rec)
-			}
+			// Every transfer holds the retainer to its contract: the
+			// bytes of a record it drops are poisoned at once.
+			r.ring = &poisonRing{Socket: s}
+			conn.retain.Ring = r.ring
 		}
 		remaining := data
 		var pump func(*Conn)
@@ -399,13 +423,17 @@ func TestDisableRxOffloadDropsPendingResync(t *testing.T) {
 	}
 }
 
-// TestRecordBuffersRecycled: a long offloaded transfer is framed in about a
-// send window's worth of record buffers (256 full records fit the socket's
-// 4 MiB), not one per record.
+// TestRecordBuffersRecycled: a long offloaded transfer builds its records
+// in the socket's send ring, and the retainer hands the ring back record by
+// record as they are acknowledged: all but the last send window's worth
+// (256 full records fit the socket's 4 MiB, and at most a quarter of that
+// more is acknowledged between writes) has been released, and poisoned,
+// by the end.
 func TestRecordBuffersRecycled(t *testing.T) {
-	r := runTransfer(t, cleanLink(), payload(16<<20, 14), true, true, false, 30*time.Second)
-	if bufs, recs := len(r.released), int(r.cliConn.Stats.RecordsTx); bufs == 0 || bufs > recs/3 {
-		t.Errorf("%d records were framed in %d distinct buffers", recs, bufs)
+	const size = 16 << 20
+	r := runTransfer(t, cleanLink(), payload(size, 14), true, true, false, 30*time.Second)
+	if r.ring.poisoned < size-5<<20 {
+		t.Errorf("the retainer released %d bytes of a %d-byte transfer", r.ring.poisoned, size)
 	}
 }
 

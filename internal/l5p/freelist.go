@@ -1,17 +1,19 @@
 package l5p
 
 // FreeList is a bounded stack of message buffers their owner has finished
-// with. An L5P's transmit side takes the next message's buffer from it and
-// puts back what the transport has copied or the TxRetainer has released,
-// so a connection at steady state allocates no message buffers. Buffers
-// come back holding the previous message, not zeros.
+// with. nvmetcp's send queue builds each capsule in a buffer from it, and
+// the capsule waits there for send space; once the transport has copied
+// it into its send ring the buffer goes back, so a queue at steady state
+// allocates no capsule buffers. Buffers come back holding the previous
+// message, not zeros. (A TLS record needs none: ktls builds it in the send
+// ring itself.)
 type FreeList struct {
 	bufs [][]byte
 }
 
 // freeListMax bounds a FreeList; more than that is left to the collector.
-// What is free at one moment is a burst's worth of messages — the rest of
-// the send window is in the socket or retained.
+// What is free at one moment is a burst's worth of capsules — the rest of
+// the send window is in the socket.
 const freeListMax = 32
 
 // Get returns an n-byte buffer: the one put back last if it is large enough

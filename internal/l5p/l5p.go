@@ -13,8 +13,9 @@
 //     message's byte ranges and flags.
 //   - ResyncMailbox: l5o_resync_rx_req in, l5o_resync_rx_resp out (§4.3).
 //   - TxRetainer: l5o_get_tx_msgstate and the host memory the driver
-//     DMA-reads during transmit context recovery (§4.2); FreeList recycles
-//     the message buffers it releases.
+//     DMA-reads during transmit context recovery (§4.2), which is the
+//     transport's send ring, read back by sequence number.
+//   - FreeList: nvmetcp's capsule buffers while they wait for send space.
 package l5p
 
 import (

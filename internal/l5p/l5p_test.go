@@ -487,20 +487,49 @@ func TestResyncMailbox(t *testing.T) {
 	})
 }
 
-// TestTxRetainerPruning verifies retained messages are released only after
-// full acknowledgment and that lookups honor message boundaries.
+// fakeRing is a send ring over one slice holding the whole stream from
+// base. It records the retention floor, serves nothing below it once one is
+// set, and hands a range that crosses stream offset wrapAt out in two
+// pieces, as a ring that wraps there would.
+type fakeRing struct {
+	base   uint32
+	data   []byte
+	floor  uint32
+	keep   bool
+	wrapAt int
+}
+
+func (f *fakeRing) RetainFrom(seq uint32) { f.floor, f.keep = seq, true }
+func (f *fakeRing) ReleaseRetained()      { f.keep = false }
+func (f *fakeRing) ReadSent(from, to uint32) (head, tail []byte, ok bool) {
+	off, end := int(int32(from-f.base)), int(int32(to-f.base))
+	if off < 0 || end < off || end > len(f.data) || f.keep && int32(from-f.floor) < 0 {
+		return nil, nil, false
+	}
+	if off < f.wrapAt && f.wrapAt < end {
+		return f.data[off:f.wrapAt], f.data[f.wrapAt:end], true
+	}
+	return f.data[off:end], nil, true
+}
+
+// TestTxRetainerPruning verifies retained messages are dropped only after
+// full acknowledgment, that lookups honor message boundaries, and that the
+// bytes come from the ring: in place when the range is contiguous there,
+// stitched when it wraps.
 func TestTxRetainerPruning(t *testing.T) {
 	for _, base := range []uint32{1000, 0xFFFFFFF0} { // the second run straddles 2^32
 		model := cycles.DefaultModel()
 		ledger := &cycles.Ledger{}
-		r := l5p.TxRetainer{Model: &model, Ledger: ledger}
-		rng := rand.New(rand.NewSource(5))
-		msgA, msgB := make([]byte, 28), make([]byte, 28)
-		rng.Read(msgA)
-		rng.Read(msgB)
+		ring := &fakeRing{base: base, data: make([]byte, 84), wrapAt: 40}
+		r := l5p.TxRetainer{Model: &model, Ledger: ledger, Ring: ring}
+		rand.New(rand.NewSource(5)).Read(ring.data)
+		msgA, msgB := ring.data[:28], ring.data[28:56]
 		startB := base + uint32(len(msgA))
-		r.Add(base, 0, msgA, base)
-		r.Add(startB, 1, msgB, base)
+		r.Add(base, 0, len(msgA), base)
+		r.Add(startB, 1, len(msgB), base)
+		if !ring.keep || ring.floor != base {
+			t.Errorf("ring floor %d (set %v), want %d", ring.floor, ring.keep, base)
+		}
 
 		if start, idx, ok := r.MsgStateAt(base + 5); !ok || start != base || idx != 0 {
 			t.Errorf("MsgStateAt mid-A = (%d,%d,%v)", start, idx, ok)
@@ -518,13 +547,18 @@ func TestTxRetainerPruning(t *testing.T) {
 			t.Errorf("4 upcalls charged %v cycles", got)
 		}
 		got, err := r.StreamBytes(base, base+8)
-		if err != nil || !bytes.Equal(got, msgA[:8]) {
-			t.Errorf("StreamBytes in A: % x, %v", got, err)
+		if err != nil || !bytes.Equal(got, msgA[:8]) || &got[0] != &msgA[0] {
+			t.Errorf("StreamBytes in A: % x, %v; want the ring's own bytes", got, err)
 		}
-		// A range spanning both messages is stitched.
+		// A range spanning both messages is contiguous in the ring, and
+		// one across the ring's end is stitched.
 		got, err = r.StreamBytes(base+20, startB+4)
-		if want := append(append([]byte(nil), msgA[20:]...), msgB[:4]...); err != nil || !bytes.Equal(got, want) {
+		if err != nil || !bytes.Equal(got, ring.data[20:32]) {
 			t.Errorf("StreamBytes across A|B: % x, %v", got, err)
+		}
+		got, err = r.StreamBytes(base+30, base+50)
+		if err != nil || !bytes.Equal(got, ring.data[30:50]) || &got[0] == &ring.data[30] {
+			t.Errorf("StreamBytes across the ring's end: % x, %v; want a stitched copy", got, err)
 		}
 		if _, err := r.StreamBytes(base+20, startB+uint32(len(msgB))+1); err == nil {
 			t.Error("range past the retained messages served")
@@ -532,75 +566,75 @@ func TestTxRetainerPruning(t *testing.T) {
 		if _, err := r.StreamBytes(base+8, base); err == nil {
 			t.Error("backwards range served")
 		}
-		// Ack through A, then add a third message: A must be pruned.
-		r.Add(startB+uint32(len(msgB)), 2, msgA, startB)
+		// Ack through A, then add a third message: A must be pruned, and
+		// the ring's floor move up to B.
+		r.Add(startB+uint32(len(msgB)), 2, 28, startB)
 		if _, _, ok := r.MsgStateAt(base + 2); ok {
 			t.Error("pruned message still resolvable")
 		}
 		if _, _, ok := r.MsgStateAt(startB + 2); !ok {
 			t.Error("unacked message not resolvable")
 		}
+		if ring.floor != startB {
+			t.Errorf("ring floor %d after A was dropped, want %d", ring.floor, startB)
+		}
+		r.Close()
+		if _, _, ok := r.MsgStateAt(startB + 2); ok || ring.keep {
+			t.Error("Close left a message retained or the ring's floor set")
+		}
 	}
 }
 
-// TestTxRetainerRelease drives two retainers with the same messages and
-// acknowledgments, one with a release hook: both drop the same messages,
-// and the hook sees each dropped message once, whole, and only when it ends
-// at or below the acknowledgment.
+// TestTxRetainerRelease drives a retainer with random messages and
+// acknowledgments: a message is dropped exactly when an Add is given an
+// acknowledgment at or past its end, and after every Add the ring's
+// retention floor is the start of the oldest message still retained.
 func TestTxRetainerRelease(t *testing.T) {
 	for _, base := range []uint32{1000, 0xFFFFF000} {
 		model := cycles.DefaultModel()
-		plain := l5p.TxRetainer{Model: &model, Ledger: &cycles.Ledger{}}
-		hooked := l5p.TxRetainer{Model: &model, Ledger: &cycles.Ledger{}}
+		ring := &fakeRing{base: base}
+		r := l5p.TxRetainer{Model: &model, Ledger: &cycles.Ledger{}, Ring: ring}
 		rng := rand.New(rand.NewSource(int64(base)))
 		next, acked := base, base
-		var starts []uint32
-		var lens []int
-		released := map[int]int{} // by message index, which also fills the message
-		hooked.Release = func(data []byte) {
-			idx := int(data[0])
-			released[idx]++
-			if end := starts[idx] + uint32(lens[idx]); int32(end-acked) > 0 || len(data) != lens[idx] {
-				t.Errorf("message %d [%d,%d) released at ack %d with %d bytes", idx, starts[idx], end, acked, len(data))
-			}
-		}
+		var starts, ends []uint32
+		oldest := 0 // the first message no acknowledgment has covered
 		for i := 0; i < 200; i++ {
 			n := 1 + rng.Intn(300)
-			starts, lens = append(starts, next), append(lens, n)
 			// The transport acknowledges anywhere up to what has been sent.
 			acked += uint32(rng.Intn(int(next-acked) + 1))
-			msg := bytes.Repeat([]byte{byte(i)}, n)
-			plain.Add(next, uint64(i), msg, acked)
-			hooked.Add(next, uint64(i), msg, acked)
+			for oldest < len(ends) && int32(ends[oldest]-acked) <= 0 {
+				oldest++
+			}
+			starts, ends = append(starts, next), append(ends, next+uint32(n))
+			r.Add(next, uint64(i), n, acked)
 			next += uint32(n)
+			if !ring.keep || ring.floor != starts[oldest] {
+				t.Fatalf("after Add %d: ring floor %d (set %v), want message %d's start %d",
+					i, ring.floor, ring.keep, oldest, starts[oldest])
+			}
 			for j := 0; j <= i; j++ {
-				_, _, a := plain.MsgStateAt(starts[j])
-				_, _, b := hooked.MsgStateAt(starts[j])
-				if a != b || b != (released[j] == 0) {
-					t.Fatalf("after Add %d: message %d retained plain=%v hooked=%v, released %d times", i, j, a, b, released[j])
+				if _, _, ok := r.MsgStateAt(starts[j]); ok != (j >= oldest) {
+					t.Fatalf("after Add %d: message %d retained=%v, oldest retained %d", i, j, ok, oldest)
 				}
 			}
 		}
-		for idx, n := range released {
-			if n != 1 {
-				t.Errorf("message %d released %d times", idx, n)
-			}
-		}
-		if len(released) == 0 {
-			t.Error("nothing was ever released")
+		if oldest == 0 {
+			t.Error("nothing was ever dropped")
 		}
 	}
 }
 
 // TestRetainerAddNoAlloc: retaining a message and dropping an acknowledged
-// one is free once the store has grown to the window's size.
+// one is free once the store has grown to the window's size, and so is
+// reading a replayed range back — one that wraps the ring included — once
+// the retainer's scratch has grown to it.
 func TestRetainerAddNoAlloc(t *testing.T) {
 	model := cycles.DefaultModel()
-	r := l5p.TxRetainer{Model: &model, Ledger: &cycles.Ledger{}, Release: func([]byte) {}}
-	msg := make([]byte, 100)
+	ring := &fakeRing{data: make([]byte, 1<<20), wrapAt: 50}
+	r := l5p.TxRetainer{Model: &model, Ledger: &cycles.Ledger{}, Ring: ring}
 	seq := uint32(0)
 	add := func() {
-		r.Add(seq, uint64(seq/100), msg, seq-800) // eight messages outstanding
+		r.Add(seq, uint64(seq/100), 100, seq-800) // eight messages outstanding
 		seq += 100
 	}
 	for i := 0; i < 32; i++ {
@@ -608,6 +642,18 @@ func TestRetainerAddNoAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, add); n != 0 {
 		t.Errorf("Add allocates %v times per message", n)
+	}
+	ring.base, ring.floor, ring.wrapAt = seq-800, seq-800, 450
+	replay := func() {
+		for _, from := range []uint32{seq - 800, seq - 400} { // contiguous, then wrapping
+			if b, err := r.StreamBytes(from, from+100); err != nil || len(b) != 100 {
+				t.Fatalf("StreamBytes: %d bytes, %v", len(b), err)
+			}
+		}
+	}
+	replay()
+	if n := testing.AllocsPerRun(200, replay); n != 0 {
+		t.Errorf("StreamBytes allocates %v times per replay", n)
 	}
 }
 

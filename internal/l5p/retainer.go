@@ -9,53 +9,81 @@ import (
 	"repro/internal/offload"
 )
 
-// TxRetainer keeps every transmitted message until TCP has acknowledged
-// all of it, and serves the driver's transmit-recovery upcalls from that
-// store (§4.2): the message bytes must stay reachable for the NIC to
-// DMA-read even after cumulative ACKs release a prefix of the message from
-// the TCP retransmission buffer.
+// SendRing is the transport's send buffer seen from a TxRetainer: the
+// bytes of every message it holds stay there, readable by sequence number,
+// for as long as it holds the message. *tcpip.Socket implements it.
+type SendRing interface {
+	// RetainFrom keeps acknowledged bytes at or above seq in the ring.
+	RetainFrom(seq uint32)
+	// ReleaseRetained drops that floor.
+	ReleaseRetained()
+	// ReadSent returns the ring's bytes [from, to): head, and tail when
+	// the range wraps the ring's end; ok false if the ring lacks them.
+	ReadSent(from, to uint32) (head, tail []byte, ok bool)
+}
+
+// TxRetainer keeps every transmitted message reachable until TCP has
+// acknowledged all of it, and serves the driver's transmit-recovery upcalls
+// from there (§4.2): the NIC must be able to DMA-read a message's bytes
+// even after cumulative ACKs release a prefix of it from the TCP
+// retransmission buffer. The bytes are not copied: the retainer keeps each
+// message's position and holds the send ring's retention floor at the
+// oldest one, so the message stays in the ring it was written to.
 type TxRetainer struct {
 	// Model and Ledger, set once by the owner, price and book the upcall.
 	Model  *cycles.Model
 	Ledger *cycles.Ledger
+	// Ring is the send ring the messages are written to, set once by the
+	// owner.
+	Ring SendRing
 
-	// Release, if set, is handed the buffer of every message Add drops: once
-	// per message, only from Add, and only when the whole message is below
-	// the acknowledgment Add was given, so nothing will ask for those bytes
-	// again and the owner may overwrite them at once.
-	Release func(data []byte)
-
-	msgs []txMsg // in stream order
+	msgs []txMsg // in stream order, tiling it
+	// scratch holds a replayed range that wraps the ring, stitched; behind
+	// a pointer, allocated at the first such range, because a TxRetainer
+	// lives inside every ktls.Conn, whose size class churn pays for.
+	scratch *[]byte
 }
 
 type txMsg struct {
-	start uint32 // wire sequence of data[0]
+	start uint32 // wire sequence of the message's first byte
+	len   uint32
 	index uint64
-	data  []byte // the whole wire message
 }
+
+func (m *txMsg) end() uint32 { return m.start + m.len }
 
 var _ offload.TxSource = (*TxRetainer)(nil)
 
-// Add retains message number index, whose bytes data (kept by reference)
-// enter the stream at wireStart, after dropping every message that ends at
-// or below acked, the transport's cumulative acknowledgment.
-func (r *TxRetainer) Add(wireStart uint32, index uint64, data []byte, acked uint32) {
+// Add retains message number index, n bytes the owner writes to the ring at
+// wireStart right after, having dropped every message that ends at or below
+// acked, the transport's cumulative acknowledgment; the ring keeps what the
+// oldest message left needs.
+func (r *TxRetainer) Add(wireStart uint32, index uint64, n int, acked uint32) {
 	i := 0
-	for i < len(r.msgs) && int32(r.msgs[i].start+uint32(len(r.msgs[i].data))-acked) <= 0 {
-		if r.Release != nil {
-			r.Release(r.msgs[i].data)
-		}
+	for i < len(r.msgs) && int32(r.msgs[i].end()-acked) <= 0 {
 		i++
 	}
 	// Slide down instead of re-slicing, so the store stays on its array (a
-	// few dozen entries) and keeps no reference to what it dropped.
-	r.msgs = append(slices.Delete(r.msgs, 0, i), txMsg{start: wireStart, index: index, data: data})
+	// few dozen entries).
+	r.msgs = append(slices.Delete(r.msgs, 0, i), txMsg{start: wireStart, len: uint32(n), index: index})
+	r.Ring.RetainFrom(r.msgs[0].start)
+}
+
+// Grow makes room for n more messages, so that the first ones a connection
+// sends do not grow the store.
+func (r *TxRetainer) Grow(n int) { r.msgs = slices.Grow(r.msgs, n) }
+
+// Close drops every message and releases the ring's retention floor: the
+// owner's transmit offload is gone, so nothing replays them any more.
+func (r *TxRetainer) Close() {
+	r.msgs = r.msgs[:0]
+	r.Ring.ReleaseRetained()
 }
 
 // find returns the retained message holding stream byte seq, or nil.
 func (r *TxRetainer) find(seq uint32) *txMsg {
 	i := sort.Search(len(r.msgs), func(i int) bool {
-		return int32(r.msgs[i].start+uint32(len(r.msgs[i].data))-seq) > 0
+		return int32(r.msgs[i].end()-seq) > 0
 	})
 	if i == len(r.msgs) || int32(seq-r.msgs[i].start) < 0 {
 		return nil
@@ -73,20 +101,27 @@ func (r *TxRetainer) MsgStateAt(seq uint32) (uint32, uint64, bool) {
 	return m.start, m.index, true
 }
 
-// StreamBytes implements offload.TxSource: the DMA source is the retained
-// messages, which outlive the TCP window's view of the bytes. Ranges may
-// span consecutive messages; the retained copies are stitched.
+// StreamBytes implements offload.TxSource: the DMA source is the send ring,
+// which keeps the retained messages after the TCP window has let go of
+// them. The range may span consecutive messages. The bytes are the ring's
+// own, or the retainer's scratch when the range wraps the ring, and are
+// valid until the next write, acknowledgment or StreamBytes: the engine
+// only reads them.
 func (r *TxRetainer) StreamBytes(from, to uint32) ([]byte, error) {
-	var out []byte
-	for from != to {
-		m := r.find(from)
-		if m == nil || int32(to-from) < 0 {
-			return nil, fmt.Errorf("l5p: stream range [%d,%d) not retained", from, to)
-		}
-		part := m.data[from-m.start:]
-		part = part[:min(len(part), int(to-from))]
-		out = append(out, part...)
-		from += uint32(len(part))
+	if from == to {
+		return nil, nil
 	}
-	return out, nil
+	if int32(to-from) > 0 && r.find(from) != nil && r.find(to-1) != nil {
+		if head, tail, ok := r.Ring.ReadSent(from, to); ok {
+			if len(tail) == 0 {
+				return head, nil
+			}
+			if r.scratch == nil {
+				r.scratch = new([]byte)
+			}
+			*r.scratch = append(append((*r.scratch)[:0], head...), tail...)
+			return *r.scratch, nil
+		}
+	}
+	return nil, fmt.Errorf("l5p: stream range [%d,%d) not retained", from, to)
 }

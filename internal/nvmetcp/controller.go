@@ -98,7 +98,8 @@ func (c *Controller) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 }
 
 // EnableTxOffload installs the transmit data-digest offload for response
-// capsules on the target's NIC.
+// capsules on the target's NIC. Over a transport other than a plain TCP
+// socket it does nothing.
 func (c *Controller) EnableTxOffload(dev l5p.Device) { c.out.enableTxOffload(dev) }
 
 func (c *Controller) onData(ch tcpip.Chunk) {

@@ -166,7 +166,8 @@ func (h *Host) adopt(e *offload.RxEngine) *offload.RxEngine {
 func (h *Host) RxEngine() *offload.RxEngine { return h.rxEngine }
 
 // EnableTxOffload installs the transmit data-digest offload (write-path
-// CRC, §5.1). Only meaningful over a plain TCP transport.
+// CRC, §5.1). Over a transport other than a plain TCP socket it does
+// nothing.
 func (h *Host) EnableTxOffload(dev l5p.Device) { h.out.enableTxOffload(dev) }
 
 // ReadBlocks issues a read of count blocks at lba into buf (which must be

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/netsim"
+	"repro/internal/stream"
 	"repro/internal/wire"
 )
 
@@ -46,11 +47,12 @@ func TestConcurrentTLSReadsUnderLoss(t *testing.T) {
 // target verifies every digest in software — any recovery bug shows up as
 // a digest error.
 //
-// Capsule buffers are recycled, so the test also holds the retainer to its
-// release contract: every buffer it hands back is overwritten with 0xDB on
-// the spot (one released while a replay could still need it poisons that
-// replay's digest), is counted, and must lie wholly below AckedSeq. The
-// second round of writes is built in the poisoned buffers of the first.
+// Capsule buffers are recycled as soon as the socket has copied them, and a
+// replay reads the capsule back from the socket's send ring, never from its
+// buffer: the test overwrites every capsule with 0xDB the moment WriteZC
+// returns (a replay that read the buffer would compute a poisoned digest),
+// and the second round of writes is built in the poisoned buffers of the
+// first.
 func TestWriteTxOffloadUnderLoss(t *testing.T) {
 	w := newStorageWorld(t, storageOpts{
 		link: netsim.LinkConfig{
@@ -61,19 +63,8 @@ func TestWriteTxOffloadUnderLoss(t *testing.T) {
 		txOffload: true,
 	})
 	out := &w.host.out
-	releasedEnd := out.tr.WriteSeq() // capsules tile the stream from here, and leave in order
-	released := 0
-	out.retain.Release = func(pdu []byte) {
-		releasedEnd += uint32(len(pdu))
-		if int32(releasedEnd-out.tr.AckedSeq()) > 0 {
-			t.Errorf("capsule ending at %d released with only %d acknowledged", releasedEnd, out.tr.AckedSeq())
-		}
-		released++
-		for i := range pdu {
-			pdu[i] = 0xDB
-		}
-		out.free.Put(pdu)
-	}
+	poisoned := 0
+	out.tr = poisonWrites{Stream: out.tr, n: &poisoned}
 	const writes = 12
 	content := func(round, i, j int) byte { return byte(round*97 + i*31 + j) }
 	for round := 0; round < 2; round++ {
@@ -111,11 +102,25 @@ func TestWriteTxOffloadUnderLoss(t *testing.T) {
 	if w.hostStk.Stats.Retransmits == 0 {
 		t.Error("no retransmission: the recovery replay was never exercised")
 	}
-	// Everything but the capsule sent last has been acknowledged and dropped
-	// by a later Add, each exactly once.
-	if released != int(out.retained)-1 || released < 2*writes {
-		t.Errorf("%d capsules sent, %d released", out.retained, released)
+	if poisoned != int(out.retained) || poisoned < 2*writes {
+		t.Errorf("%d capsules retained, %d written", out.retained, poisoned)
 	}
+}
+
+// poisonWrites overwrites what WriteZC was given as soon as the stream has
+// copied it, counting the writes.
+type poisonWrites struct {
+	stream.Stream
+	n *int
+}
+
+func (p poisonWrites) WriteZC(b []byte) int {
+	n := p.Stream.WriteZC(b)
+	for i := range b[:n] {
+		b[i] = 0xDB
+	}
+	*p.n++
+	return n
 }
 
 // TestReadsUnderDuplication adds packet duplication on the response path:

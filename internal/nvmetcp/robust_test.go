@@ -351,6 +351,127 @@ func FuzzController(f *testing.F) {
 	})
 }
 
+// FuzzHost feeds a Host that has three reads and a write in flight a
+// response stream decoded from the fuzz input — well-framed capsules with
+// arbitrary type, CID, status, offset and length, with good or bad data
+// digests (no fuzzer guesses a CRC), and bytes that do not frame — cut into
+// arbitrary segments. The host must never panic and must complete each
+// request at most once; the first unframeable byte must fail the
+// association, once, completing every request still in flight; and a read
+// must never complete without error holding a byte a bad-digest capsule
+// carried (those carry only 0xBD, the good ones never do). A tail of raw
+// bytes follows, held only to the same.
+func FuzzHost(f *testing.F) {
+	// op byte: bits 0-1 select a data response / a status response /
+	// garbage / a command-typed capsule, bit 2 a bad data digest, bit 3 a
+	// failing status; then CID, an offset selector, 2 bytes of length and
+	// a fill byte.
+	// Short seeds: the fuzzer minimizes every coverage find byte by byte.
+	f.Add([]byte{0, 1, 0, 16, 0, 7, 1, 4, 0, 0, 0, 0}, []byte{}, []byte{})                      // read 1 served, write acked
+	f.Add([]byte{0, 2, 0, 16, 0, 9, 4, 2, 1, 16, 0, 3, 0, 3, 0, 16, 0, 5}, []byte{9}, []byte{}) // bad digest, clean read
+	f.Add([]byte{0, 1, 251, 0, 64, 1, 2, 0, 0, 0, 0, 0}, []byte{2}, []byte{0x05})               // wild offset, garbage
+	f.Add([]byte{11, 4, 0, 0, 0, 0, 3, 2, 0, 16, 0, 1}, []byte{}, []byte{1, 2, 3})              // failed write, command capsule
+	f.Fuzz(func(t *testing.T, prog, cuts, tail []byte) {
+		fs := newFakeStream()
+		fs.discard = true
+		h := NewHost(fs)
+		errs := 0
+		h.OnError = func(error) { errs++ }
+		type req struct {
+			buf   []byte
+			calls int
+			err   error
+		}
+		reqs := map[uint16]*req{}
+		issue := func(read bool, blocks int) {
+			r := &req{buf: make([]byte, blocks*blockdev.BlockSize)}
+			done := func(err error) { r.calls, r.err = r.calls+1, err }
+			if read {
+				h.ReadBlocks(uint64(blocks), blocks, r.buf, done)
+			} else {
+				h.WriteBlocks(7, r.buf, done)
+			}
+			reqs[h.nextCID] = r
+		}
+		issue(true, 1)
+		issue(true, 2)
+		issue(true, 1)
+		issue(false, 1)
+
+		var stream []byte
+		alive := true
+		for n := 0; len(prog) >= 6 && n < 8; n, prog = n+1, prog[6:] {
+			op, cid := prog[0], uint16(prog[1]%6)
+			offset := uint64(prog[2]) * 512
+			if prog[2] >= 250 {
+				offset = wildOffsets[prog[2]%4]
+			}
+			size := (int(prog[3])<<8 | int(prog[4])) % (2*blockdev.BlockSize + 1)
+			status := byte(StatusOK)
+			if op&8 != 0 {
+				status = 0x01
+			}
+			hdr := Header{Type: TypeResp, CID: cid, Op: status, Offset: offset}
+			switch op & 3 {
+			case 0:
+				hdr.DataLen = size
+			case 2:
+				stream = append(stream, 0xEE) // no capsule type: the stream stops framing here
+				stream = append(stream, make([]byte, HeaderLen)...)
+				alive = false
+				continue
+			case 3:
+				hdr.Type, hdr.DataLen = TypeCmd, size
+			}
+			bad := op&4 != 0 && hdr.DataLen > 0
+			fill := prog[5] & 0x7F // never the bad-digest poison
+			if bad {
+				fill = 0xBD
+			}
+			stream = append(stream, Build(&hdr, bytes.Repeat([]byte{fill}, hdr.DataLen), false)...)
+			if bad {
+				stream[len(stream)-1] ^= 1
+			}
+		}
+		inject := func(p []byte, next *uint32) {
+			fs.onData(tcpip.Chunk{Seq: *next, Data: p})
+			*next += uint32(len(p))
+		}
+		next := uint32(1)
+		for i := 0; len(stream) > 0; i++ {
+			n := len(stream)
+			if len(cuts) > 0 {
+				n = min(n, 1+int(cuts[i%len(cuts)])*8)
+			}
+			inject(stream[:n], &next)
+			stream = stream[n:]
+		}
+		check := func(when string) {
+			t.Helper()
+			for cid, r := range reqs {
+				if r.calls > 1 || !h.dead && r.calls == 0 && h.pending[cid] == nil {
+					t.Fatalf("%s: request %d completed %d times (pending %v)", when, cid, r.calls, h.pending[cid] != nil)
+				}
+				if h.dead && r.calls != 1 {
+					t.Fatalf("%s: association failed, request %d completed %d times", when, cid, r.calls)
+				}
+				if r.calls == 1 && r.err == nil && bytes.IndexByte(r.buf, 0xBD) >= 0 {
+					t.Fatalf("%s: request %d completed holding bytes of a capsule whose digest failed", when, cid)
+				}
+			}
+			if errs > 1 || (errs == 1) != h.dead {
+				t.Fatalf("%s: OnError fired %d times, association dead=%v", when, errs, h.dead)
+			}
+		}
+		check("stream")
+		if h.dead == alive {
+			t.Fatalf("association dead=%v; the stream framed throughout: %v", h.dead, alive)
+		}
+		inject(tail, &next)
+		check("tail")
+	})
+}
+
 // TestLargeReadSplitsIntoCapsules: a read of more than MaxRespData comes
 // back as several capsules, each a well-formed PDU carrying its share of the
 // blocks — overlay or pattern — at its offset in the request buffer.

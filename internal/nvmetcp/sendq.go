@@ -12,11 +12,12 @@ import (
 
 // sendQueue is the capsule transmit path Host and Controller share.
 // Capsules are built and charged here, wait for transport space and enter
-// the stream whole; with the transmit data-digest offload installed they
-// also stay retained until TCP acknowledges them, for the driver's recovery
-// replay (§4.2). Either way a capsule's buffer comes back for a later
-// capsule once nothing reads it any more, so a queue at steady state
-// allocates nothing per capsule.
+// the stream whole. A capsule's buffer comes back for a later capsule as
+// soon as the transport has copied it, so a queue at steady state
+// allocates nothing per capsule. With the transmit data-digest offload
+// installed the retainer also keeps each capsule's place in the stream, and
+// the socket's send ring keeps its bytes, until TCP acknowledges all of it,
+// for the driver's recovery replay (§4.2).
 type sendQueue struct {
 	tr     stream.Stream
 	model  *cycles.Model
@@ -41,10 +42,15 @@ func (s *sendQueue) init(tr stream.Stream, fail func(error)) {
 }
 
 // enableTxOffload installs the transmit data-digest offload (§5.1) on the
-// owner's NIC. Only meaningful over a plain TCP transport.
+// owner's NIC. It works on TCP's stream, and the socket's send ring holds
+// the capsules it may replay, so over any other transport it does nothing.
 func (s *sendQueue) enableTxOffload(dev l5p.Device) {
+	st, ok := s.tr.(*stream.SocketTransport)
+	if !ok {
+		return
+	}
 	s.offloaded = true
-	s.retain.Release = s.free.Put
+	s.retain.Ring = st.Socket()
 	e := offload.NewTxEngine(NewTxOps(s.model, s.ledger), &s.retain, s.tr.WriteSeq())
 	dev.AttachTx(s.tr.Flow(), e)
 }
@@ -81,7 +87,7 @@ func (s *sendQueue) pump() {
 			return
 		}
 		if s.offloaded {
-			s.retain.Add(s.tr.WriteSeq(), s.retained, pdu, s.tr.AckedSeq())
+			s.retain.Add(s.tr.WriteSeq(), s.retained, len(pdu), s.tr.AckedSeq())
 			s.retained++
 		}
 		if n := s.tr.WriteZC(pdu); n != len(pdu) {
@@ -89,9 +95,7 @@ func (s *sendQueue) pump() {
 			s.fail(fmt.Errorf("nvmetcp: short write (%d of %d bytes) despite space check", n, len(pdu)))
 			return
 		}
-		if !s.offloaded {
-			s.free.Put(pdu) // the transport has its own copy
-		}
+		s.free.Put(pdu) // the transport has its own copy
 		// Slide down rather than re-slice: the queue is a few entries and
 		// stays on its array.
 		s.q = slices.Delete(s.q, 0, 1)

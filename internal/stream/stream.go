@@ -59,6 +59,9 @@ func NewSocketTransport(s *tcpip.Socket) *SocketTransport {
 
 var _ Stream = (*SocketTransport)(nil)
 
+// Socket returns the underlying TCP socket.
+func (t *SocketTransport) Socket() *tcpip.Socket { return t.sock }
+
 // Write implements Stream.
 func (t *SocketTransport) Write(p []byte) int { return t.sock.Write(p) }
 

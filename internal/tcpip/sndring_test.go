@@ -11,19 +11,21 @@ import (
 	"repro/internal/wire"
 )
 
-// sentBytes copies the buffered send bytes in [from, to) out of the ring:
-// what the peer has yet to acknowledge, for tests that check the ring
-// holds the written stream.
+// sentBytes copies the sent bytes in [from, to) out of the ring (ReadSent),
+// for tests that check the ring holds the written stream.
 func (s *Socket) sentBytes(from, to uint32) ([]byte, error) {
-	if s.state == stateClosed {
-		return nil, fmt.Errorf("tcpip: stream range [%d,%d) of a closed socket", from, to)
+	head, tail, ok := s.ReadSent(from, to)
+	if !ok {
+		return nil, fmt.Errorf("tcpip: stream range [%d,%d) not in the send ring", from, to)
 	}
-	start, end := int32(from-s.sndUna), int32(to-s.sndUna)
-	if start < 0 || end < start || int(end) > s.sndLen {
-		return nil, fmt.Errorf("tcpip: stream range [%d,%d) outside retained [%d,%d)",
-			from, to, s.sndUna, s.sndUna+uint32(s.sndLen))
-	}
-	return bytes.Clone(s.sndSlice(int(start), int(end-start))), nil
+	return append(bytes.Clone(head), tail...), nil
+}
+
+// sndAppend copies p into the send ring behind its bytes, as WriteZC does
+// without the socket's state, space and transmission.
+func (s *Socket) sndAppend(p []byte) {
+	copy(s.sndReserve(len(p)), p)
+	s.sndCommit(len(p))
 }
 
 // TestSendStoreRecycling opens, closes and reopens connections with
@@ -232,52 +234,100 @@ func TestSendRingWrap(t *testing.T) {
 	}
 }
 
-// FuzzSendRing drives the ring's three operations — append behind the
-// buffered bytes, trim at the head, read any buffered range — from fuzz
-// bytes, checking every read against a bytes.Buffer holding the same
-// stream, and the ring's shape after every step: a power of two, never
-// shorter than what it holds, never longer than the next power of two of
-// the most it ever held.
+// FuzzSendRing drives the ring's operations from fuzz bytes — reserve and
+// commit all or part of a reservation behind the buffered bytes (wrapping
+// ones go through the gather scratch), trim at the head, read any buffered
+// range, set, raise and release the retention floor, read back any range
+// the ring holds — and checks every read against a model holding the whole
+// written stream. After every step the ring must be a power of two, never
+// shorter than the retained and buffered bytes it holds, and never longer
+// than the next power of two of the most it ever held or was asked to
+// reserve room behind. The stream starts just below 2^32, so it crosses
+// the sequence wrap.
 func FuzzSendRing(f *testing.F) {
 	f.Add([]byte{0, 200, 2, 9, 1, 100, 0, 255, 2, 7, 1, 255, 0, 3, 2, 1})
 	f.Add([]byte{0, 110, 1, 99, 0, 110, 2, 0, 0, 250, 2, 3})
+	f.Add([]byte{0, 90, 3, 0, 1, 20, 4, 7, 0, 200, 1, 40, 4, 200, 5, 120, 1, 80, 3, 30, 4, 11, 6, 0, 1, 9, 4, 2})
+	f.Add([]byte{0, 100, 1, 74, 0, 30, 2, 0, 4, 1}) // the last write's reservation wraps the ring
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		s := &Socket{stack: &Stack{}}
-		var ref bytes.Buffer
-		var next byte
-		peak := 0
+		const start = 0xFFFFF000
+		s := &Socket{stack: &Stack{}, sndUna: start}
+		var (
+			hist       []byte // every byte written, hist[i] at sequence start+i
+			una, floor int    // model positions, relative to start
+			keep       bool
+			next       byte
+			peak       int
+		)
+		lo := func() int { // the first byte the ring must hold
+			if keep && floor < una {
+				return floor
+			}
+			return una
+		}
+		write := func(n, commit int) {
+			p := s.sndReserve(n)
+			peak = max(peak, len(hist)-lo()+n)
+			if len(p) != n {
+				t.Fatalf("reserved %d bytes, asked for %d", len(p), n)
+			}
+			for i := range p[:commit] {
+				p[i], next = next, (next+1)%251
+			}
+			s.sndCommit(commit)
+			hist = append(hist, p[:commit]...)
+		}
 		for ; len(ops) >= 2; ops = ops[2:] {
 			k := int(ops[1])
-			switch ops[0] % 3 {
+			switch ops[0] % 7 {
 			case 0: // write k·37 bytes of a counter stream (period 251)
-				p := make([]byte, k*37)
-				for i := range p {
-					p[i], next = next, (next+1)%251
-				}
-				s.sndAppend(p)
-				ref.Write(p)
+				write(k*37, k*37)
 			case 1: // acknowledge up to k·41 bytes
-				n := min(k*41, ref.Len())
+				n := min(k*41, len(hist)-una)
 				s.sndTrim(n)
-				ref.Next(n)
-			case 2: // read a range
-				if ref.Len() == 0 {
+				s.sndUna += uint32(n)
+				una += n
+			case 2: // read a buffered range
+				if len(hist) == una {
 					continue
 				}
-				off := k * 53 % ref.Len()
-				n := min(ref.Len()-off, 1+k*29)
-				if got := s.sndSlice(off, n); !bytes.Equal(got, ref.Bytes()[off:off+n]) {
+				off := k * 53 % (len(hist) - una)
+				n := min(len(hist)-una-off, 1+k*29)
+				if got := s.sndSlice(off, n); !bytes.Equal(got, hist[una+off:una+off+n]) {
 					t.Fatalf("sndSlice(%d, %d) differs from the written stream", off, n)
 				}
+			case 3: // retain from k·43 bytes past the ring's first byte (or below it)
+				seq := lo() + k*43 - 500
+				s.RetainFrom(uint32(start + seq))
+				keep, floor = true, max(seq, lo())
+			case 4: // read back a range the ring holds, and one starting below it
+				span := len(hist) - lo()
+				off := k * 47 % (span + 1)
+				n := min(span-off, k*31)
+				from := uint32(start + lo() + off)
+				head, tail, ok := s.ReadSent(from, from+uint32(n))
+				if got := append(bytes.Clone(head), tail...); !ok || !bytes.Equal(got, hist[lo()+off:lo()+off+n]) {
+					t.Fatalf("ReadSent [%d, +%d) = %v, differs from the written stream", lo()+off, n, ok)
+				}
+				if _, _, ok := s.ReadSent(uint32(start+lo()-1), from); ok {
+					t.Fatalf("ReadSent served the byte before the ring's first, %d", lo()-1)
+				}
+			case 5: // reserve k·37 bytes, commit the first third
+				write(k*37, k*37/3)
+			case 6:
+				s.ReleaseRetained()
+				keep = false
 			}
-			peak = max(peak, ref.Len())
-			if r := len(s.snd); s.sndLen != ref.Len() || r&(r-1) != 0 || r < s.sndLen ||
-				(peak > 0 && r > 1<<bits.Len(uint(peak-1))) {
-				t.Fatalf("ring of %d bytes holding %d (reference %d, peak %d)", r, s.sndLen, ref.Len(), peak)
+			peak = max(peak, len(hist)-lo())
+			if r := len(s.snd); s.sndLen != len(hist)-una || s.sndHeld != una-lo() || r&(r-1) != 0 ||
+				r < s.sndHeld+s.sndLen || (peak > 0 && r > 1<<bits.Len(uint(peak-1))) {
+				t.Fatalf("ring of %d bytes holding %d retained + %d buffered (model %d + %d, peak %d)",
+					r, s.sndHeld, s.sndLen, una-lo(), len(hist)-una, peak)
 			}
 		}
-		if got := s.sndSlice(0, ref.Len()); !bytes.Equal(got, ref.Bytes()) {
-			t.Fatal("buffered bytes differ from the written stream")
+		head, tail, ok := s.ReadSent(uint32(start+lo()), uint32(start+len(hist)))
+		if got := append(bytes.Clone(head), tail...); len(hist) > 0 && (!ok || !bytes.Equal(got, hist[lo():])) {
+			t.Fatal("the ring's bytes differ from the written stream")
 		}
 		held := 0
 		for _, r := range s.stack.sndFree {

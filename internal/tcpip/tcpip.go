@@ -11,8 +11,9 @@
 // offloads except that received chunks carry opaque per-packet metadata
 // flags (meta.RxFlags) which it must preserve without coalescing across
 // differing values (§4.3). The transmitted bytes the driver reads to
-// reconstruct NIC contexts (§4.2, Fig. 6) are retained above it, by the
-// L5P (l5p.TxRetainer).
+// reconstruct NIC contexts (§4.2, Fig. 6) stay in the socket's send ring
+// past their acknowledgment for as long as the L5P above asks
+// (RetainFrom; l5p.TxRetainer): the stack keeps them, unaware of why.
 package tcpip
 
 import (
@@ -507,6 +508,10 @@ type Socket struct {
 	sndOff     int    // ring index of the byte at sndUna
 	sndLen     int    // bytes written and not yet acknowledged
 	sndBufCap  int
+	sndKeep    bool   // a retention floor is set (RetainFrom, DESIGN.md invariant 16)
+	sndFloor   uint32 // the floor: acknowledged bytes from here on stay in the ring
+	sndHeld    int    // acknowledged bytes the floor keeps, just before sndOff
+	sndResv    int    // length of the last Reserve
 	finQueued  bool
 	finSeq     uint32
 	peerWindow int
@@ -648,64 +653,176 @@ func (s *Socket) Write(p []byte) int {
 
 // WriteZC is Write without the user-copy charge (the sendpage path).
 func (s *Socket) WriteZC(p []byte) int {
-	if s.state != stateEstablished && s.state != stateCloseWait {
-		return 0
-	}
-	space := s.sndBufCap - s.sndLen
-	n := len(p)
-	if n > space {
-		n = space
-	}
-	if n > 0 {
-		s.sndAppend(p[:n])
-		s.trySend()
-	}
-	// Arm the drain notification when the writer is likely waiting: either
-	// the write was truncated, or free space dropped below the low-water
-	// mark (so steady-state writers refill as acknowledgments drain).
-	if n < len(p) || s.sndBufCap-s.sndLen < s.drainLowWater() {
+	n := copy(s.Reserve(len(p)), p)
+	s.Commit(n)
+	// A truncated write leaves the writer waiting for space.
+	if n < len(p) && s.writable() {
 		s.drainNote = true
 	}
 	return n
 }
 
-// sndAppend copies p into the send ring behind the buffered bytes. Acks
-// trim the ring at its head in O(1) (sndTrim), so nothing is ever moved to
-// make room except by growSnd, once per doubling.
+// writable reports whether the socket accepts writes.
+func (s *Socket) writable() bool {
+	return s.state == stateEstablished || s.state == stateCloseWait
+}
+
+// Reserve returns room for the next n stream bytes — fewer if the send
+// buffer has less space, none if the socket takes no more writes — for the
+// caller to fill in place; Commit(m) then appends the first m of them to
+// the stream. Nothing else may use the socket or its stack in between. The
+// room is send-ring memory, or, when it would straddle the ring's end, the
+// stack's gather scratch, which Commit copies into the ring.
 //
 //simlint:hotpath
-func (s *Socket) sndAppend(p []byte) {
-	if len(s.snd)-s.sndLen < len(p) {
-		s.growSnd(s.sndLen + len(p))
+func (s *Socket) Reserve(n int) []byte {
+	if n = min(n, s.sndBufCap-s.sndLen); n <= 0 || !s.writable() {
+		s.sndResv = 0
+		return nil
+	}
+	return s.sndReserve(n)
+}
+
+// Commit appends the first n bytes of the last Reserve to the stream and
+// sends what the windows allow.
+//
+//simlint:hotpath
+func (s *Socket) Commit(n int) {
+	if !s.writable() {
+		return
+	}
+	if n = min(n, s.sndResv); n > 0 {
+		s.sndCommit(n)
+		s.trySend()
+	}
+	s.sndResv = 0
+	// Arm the drain notification when free space dropped below the
+	// low-water mark, so steady-state writers refill as acknowledgments
+	// drain.
+	if s.sndBufCap-s.sndLen < s.drainLowWater() {
+		s.drainNote = true
+	}
+}
+
+// sndReserve returns n bytes of room behind the ring's bytes, growing the
+// ring if it lacks them. Acks trim the ring at its head in O(1) (sndTrim),
+// so nothing is ever moved to make room except by growSnd, once per
+// doubling.
+//
+//simlint:hotpath
+func (s *Socket) sndReserve(n int) []byte {
+	s.sndResv = n
+	if len(s.snd)-s.sndHeld-s.sndLen < n {
+		s.growSnd(s.sndHeld + s.sndLen + n)
 	}
 	at := (s.sndOff + s.sndLen) & (len(s.snd) - 1)
-	n := copy(s.snd[at:], p)
-	copy(s.snd, p[n:])
-	s.sndLen += len(p)
+	if at+n <= len(s.snd) {
+		return s.snd[at : at+n : at+n]
+	}
+	if cap(s.stack.gather) < n {
+		s.stack.growGather(n)
+	}
+	return s.stack.gather[:n:n]
 }
 
-// growSnd moves the buffered bytes to the start of a ring of the next
-// power of two at least need bytes long — at most nextpow2(defaultSndBuf),
-// since Write never buffers more — and hands the old ring to the stack's
-// free list.
+// sndCommit appends the first n reserved bytes to the ring's buffered
+// bytes, copying them in from the gather scratch, in two pieces, if the
+// reservation straddled the ring's end.
+//
+//simlint:hotpath
+func (s *Socket) sndCommit(n int) {
+	at := (s.sndOff + s.sndLen) & (len(s.snd) - 1)
+	if at+s.sndResv > len(s.snd) {
+		g := s.stack.gather[:n]
+		c := copy(s.snd[at:], g)
+		copy(s.snd, g[c:])
+	}
+	s.sndLen += n
+}
+
+// growSnd moves the ring's bytes — retained and buffered — to the start of
+// a ring of the next power of two at least need bytes long, and hands the
+// old ring to the stack's free list.
 func (s *Socket) growSnd(need int) {
 	ring := s.stack.getSndRing(1 << bits.Len(uint(need-1)))
-	if s.sndLen > 0 {
-		n := copy(ring, s.snd[s.sndOff:min(s.sndOff+s.sndLen, len(s.snd))])
-		copy(ring[n:s.sndLen], s.snd)
+	if n := s.sndHeld + s.sndLen; n > 0 {
+		at := (s.sndOff - s.sndHeld) & (len(s.snd) - 1)
+		c := copy(ring, s.snd[at:min(at+n, len(s.snd))])
+		copy(ring[c:n], s.snd)
 	}
 	s.stack.putSndRing(s.snd)
-	s.snd, s.sndOff = ring, 0
+	s.snd, s.sndOff = ring, s.sndHeld
 }
 
-// sndTrim drops n acknowledged bytes from the head of the ring.
+// sndTrim drops n acknowledged bytes from the head of the buffered bytes;
+// those at or above a retention floor stay in the ring. It runs before
+// sndUna moves past them.
 func (s *Socket) sndTrim(n int) {
 	s.sndLen -= n
-	if s.sndLen == 0 {
+	if s.sndKeep {
+		s.sndHeld = max(0, int(int32(s.sndUna+uint32(n)-s.sndFloor)))
+	}
+	if s.sndLen == 0 && s.sndHeld == 0 {
 		s.sndOff = 0
 		return
 	}
 	s.sndOff = (s.sndOff + n) & (len(s.snd) - 1)
+}
+
+// RetainFrom sets the send ring's retention floor: acknowledged bytes at
+// or above seq stay in the ring, readable with ReadSent, until a later
+// RetainFrom raises the floor past them or ReleaseRetained drops it. A
+// transmit retainer keeps the floor at the start of the oldest message it
+// holds, so the NIC can re-read a message whose head TCP has already
+// released. The floor never reaches below the bytes the ring still holds,
+// and while it is set a torn-down socket's ring is not recycled.
+func (s *Socket) RetainFrom(seq uint32) {
+	if base := s.sndBase(); seqLT(seq, base) {
+		seq = base
+	}
+	s.sndKeep, s.sndFloor = true, seq
+	s.sndHeld = max(0, int(int32(s.sndUna-seq)))
+}
+
+// ReleaseRetained drops the retention floor and the acknowledged bytes it
+// kept. The ring of a socket already torn down goes to the stack's free
+// list now.
+func (s *Socket) ReleaseRetained() {
+	s.sndKeep, s.sndHeld = false, 0
+	if s.state == stateClosed {
+		s.dropSnd()
+	}
+}
+
+// sndBase returns the sequence number of the first byte the ring holds.
+func (s *Socket) sndBase() uint32 {
+	if s.sndHeld > 0 {
+		return s.sndFloor
+	}
+	return s.sndUna
+}
+
+// ReadSent returns the written bytes [from, to) while the send ring holds
+// them — unacknowledged, or retained (RetainFrom) — as a slice of the ring
+// and, for a range that wraps its end, the slice continuing it. ok is
+// false when the ring does not hold the whole range, or is gone with the
+// torn-down socket. The bytes are valid until the next write,
+// acknowledgment or transmission.
+func (s *Socket) ReadSent(from, to uint32) (head, tail []byte, ok bool) {
+	base := s.sndBase()
+	off, end := int(int32(from-base)), int(int32(to-base))
+	if off < 0 || end < off || end > s.sndHeld+s.sndLen || s.snd == nil && s.state == stateClosed {
+		return nil, nil, false
+	}
+	at := (s.sndOff - s.sndHeld + off) & (len(s.snd) - 1)
+	head = s.snd[at:min(at+end-off, len(s.snd))]
+	return head, s.snd[:end-off-len(head)], true
+}
+
+// dropSnd hands the send ring to the stack's free list.
+func (s *Socket) dropSnd() {
+	s.stack.putSndRing(s.snd)
+	s.snd, s.sndOff, s.sndLen, s.sndHeld = nil, 0, 0, 0
 }
 
 // sndSlice returns the n buffered bytes that start off bytes past sndUna:
@@ -1061,16 +1178,21 @@ func (s *Socket) onRTO() {
 	if s.state == stateClosed {
 		return
 	}
+	probe := s.state != stateSynSent && s.state != stateSynRcvd && s.Unacked() == 0
+	if probe && s.Unsent() <= 0 {
+		return
+	}
+	// Every piece of timer and recovery state is committed before the
+	// transmission: a device may deliver it and hand the answer back from
+	// inside Transmit (DESIGN.md invariant 15).
+	s.rto = min(2*s.rto, s.stack.maxRTO())
 	switch s.state {
 	case stateSynSent:
 		s.sendControl(s.synFlags(), s.iss)
 	case stateSynRcvd:
 		s.sendControl(s.synAckFlags(), s.iss)
 	default:
-		if s.Unacked() == 0 {
-			if s.Unsent() <= 0 {
-				return
-			}
+		if probe {
 			// Persist probe: the window update that would restart a sender
 			// stopped by a shut window can be lost, and with nothing in
 			// flight nothing else would ever elicit another. One byte of new
@@ -1102,30 +1224,18 @@ func (s *Socket) onRTO() {
 		s.highRxt = s.sndUna
 		s.beginEpisode()
 		n := min(s.stack.MSS(), s.sndLen)
+		// Arm spurious-RTO detection on the first timeout of a streak: if
+		// the peer later DSACKs exactly this retransmitted range, the
+		// originals were merely delayed and the collapse is undone.
+		s.undoPending = s.rtoStreak == 1
+		s.rtoRexStart = s.sndUna
+		s.rtoRexEnd = s.sndUna + uint32(max(n, 1)) // 1: the FIN's retransmission
+		s.rttPending = false                       // Karn's algorithm: no samples from rexmits
 		if n > 0 {
 			s.transmitRange(s.sndUna, n, true)
 		} else if s.finSeq == s.sndUna && s.sndNxt == s.sndUna+1 {
 			s.sendControl(wire.FlagFIN|wire.FlagACK, s.finSeq)
 		}
-		// Arm spurious-RTO detection on the first timeout of a streak: if
-		// the peer later DSACKs exactly this retransmitted range, the
-		// originals were merely delayed and the collapse is undone.
-		if s.rtoStreak == 1 {
-			s.undoPending = true
-			s.rtoRexStart = s.sndUna
-			if n > 0 {
-				s.rtoRexEnd = s.sndUna + uint32(n)
-			} else {
-				s.rtoRexEnd = s.sndUna + 1 // FIN retransmission
-			}
-		} else {
-			s.undoPending = false
-		}
-		s.rttPending = false // Karn's algorithm: no samples from rexmits
-	}
-	s.rto *= 2
-	if s.rto > s.stack.maxRTO() {
-		s.rto = s.stack.maxRTO()
 	}
 	s.armRTO()
 }
@@ -1385,11 +1495,10 @@ func (s *Socket) enterFastRecovery(mss int) {
 		return
 	}
 	s.stack.Stats.Retransmits++
-	n := min(mss, s.sndLen)
-	if n > 0 {
+	s.rttPending = false
+	if n := min(mss, s.sndLen); n > 0 {
 		s.transmitRange(s.sndUna, n, true)
 	}
-	s.rttPending = false
 }
 
 // exitRecovery ends fast recovery after the cumulative ACK covers
@@ -1531,7 +1640,6 @@ func (s *Socket) sackRetransmit(force bool) {
 		}
 		s.stack.Stats.Retransmits++
 		s.stack.Stats.HolesRetransmitted++
-		s.transmitRange(start, n, true)
 		s.highRxt = start + uint32(n)
 		s.rttPending = false // Karn: no RTT samples from retransmissions
 		force = false
@@ -1541,6 +1649,9 @@ func (s *Socket) sackRetransmit(force bool) {
 			s.rescueTop = top
 			s.rescueAt = s.stack.sim.Now()
 		}
+		// Last, so an answer delivered from inside Transmit finds the
+		// scoreboard state above committed.
+		s.transmitRange(start, n, true)
 	}
 }
 
@@ -1660,9 +1771,12 @@ func (s *Socket) teardown() {
 	s.clearDelack()
 	delete(s.stack.socks, s.flow)
 	// Nothing reads the send buffer of a closed socket, so its ring can
-	// serve the next connection — the one OnClose may be about to open.
-	s.stack.putSndRing(s.snd)
-	s.snd, s.sndOff, s.sndLen = nil, 0, 0
+	// serve the next connection — the one OnClose may be about to open —
+	// unless a transmit retainer still holds messages in it: then the NIC
+	// may yet replay from it, and ReleaseRetained recycles it.
+	if !s.sndKeep {
+		s.dropSnd()
+	}
 	if s.OnClose != nil {
 		s.OnClose(s)
 	}
