@@ -47,8 +47,13 @@ soak:
 # completed with bytes whose digest failed), the two word-at-a-time byte
 # loops — the SSD model's block pattern and the internet checksum — against their
 # byte-wise references (the checksum also in chained pieces), the dpi
-# automaton against a naive search, and wire.Parse, whose accepted packets
-# must survive Marshal and Parse again and which ParseInto must match.
+# automaton against a naive search, wire.Parse, whose accepted packets
+# must survive Marshal and Parse again and which ParseInto must match, and
+# the appsim server and client, in both formats, against a model of what
+# they must write and count for the whole byte stream however it is
+# chunked (no panic, a request or header longer than its bound closes the
+# connection, a response counted only when well framed and every body
+# byte is the object's).
 # `go test -fuzz` takes one target per invocation, hence the separate lines.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 5s ./internal/netsim/
@@ -66,10 +71,13 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzPattern$$' -fuzztime 5s ./internal/blockdev/
 	$(GO) test -run '^$$' -fuzz '^FuzzAutomaton$$' -fuzztime 5s ./internal/dpi/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzServer$$' -fuzztime 5s ./internal/appsim/
+	$(GO) test -run '^$$' -fuzz '^FuzzClient$$' -fuzztime 5s ./internal/appsim/
 
 # Deterministic-seed rerun of the goldens: the full event sequence of a
 # seeded run (the Chrome trace), what cmd/experiments prints for sec61,
-# sec62, fig11 and abl-recovery, and every counter the chaos, ecn, mtuflap
+# sec62, fig11, abl-recovery, fig12, fig14, fig15 and tab4, and every
+# counter the chaos, ecn, mtuflap
 # and recovery tables print (on short runs) must stay byte-identical.
 golden-check:
 	$(GO) test -count=1 -run 'GoldenChromeTrace|TablesGolden|ChaosGolden' ./internal/experiments/

@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/appsim"
 	"repro/internal/cycles"
-	"repro/internal/httpsim"
 	"repro/internal/netsim"
 	"repro/internal/nic"
 )
@@ -143,7 +144,8 @@ func TestFig12Shape(t *testing.T) {
 		var busy [2]float64
 		for i, off := range []bool{false, true} {
 			w := NewStorageWorld(StorageOpts{NVMePlace: off, NVMeCRC: off, TargetTxOffload: true})
-			res := RunHTTPC1(w, 0 /* http */, 16, size, 3*time.Millisecond)
+			res := RunHTTPC1(w, appsim.ModePlain, 16, size, 3*time.Millisecond)
+			requireClean(t, fmt.Sprintf("%s offload=%v", sizeLabel(size), off), res.verdict, 0)
 			one[i] = oneCoreGbps(&w.Model, res.Srv, res.Bytes, res.Elapsed, w.Model.DriveGbps())
 			busy[i] = w.Model.BusyCores(res.Srv, res.Bytes, w.Model.DriveGbps())
 		}
@@ -165,9 +167,10 @@ func TestFig12Shape(t *testing.T) {
 func TestFig13Ordering(t *testing.T) {
 	// https < offload < offload+zc < http in single-core throughput.
 	var one [4]float64
-	for i, mode := range []int{1, 2, 3, 0} { // https, offload, zc, http
+	for i, mode := range []appsim.Mode{appsim.ModeTLS, appsim.ModeTLSOffload, appsim.ModeTLSOffloadZC, appsim.ModePlain} {
 		w := cleanPair()
-		res := RunHTTPC2(w, httpsim.Mode(mode), 16, 64<<10, time.Millisecond)
+		res := RunHTTPC2(w, mode, 16, 64<<10, time.Millisecond)
+		requireClean(t, mode.String(), res.verdict, 0)
 		one[i] = w.Model.SingleCoreGbps(res.Srv, res.Bytes)
 	}
 	for i := 1; i < 4; i++ {
@@ -177,6 +180,26 @@ func TestFig13Ordering(t *testing.T) {
 	}
 	if r := one[2] / one[0]; r < 1.5 {
 		t.Errorf("offload+zc/https = %.2f, want ≥1.5 (paper ≈2.7x at 256K)", r)
+	}
+}
+
+func TestFig15Shape(t *testing.T) {
+	// Redis-on-Flash over NVMe-TLS: the stacked offload raises the
+	// single-core GET throughput, more for bigger values, and every value
+	// arrives intact.
+	gain := func(size int) float64 {
+		var one [2]float64
+		for i, off := range []bool{false, true} {
+			w := NewStorageWorld(StorageOpts{OverTLS: true, StorageTLSOffload: off, NVMePlace: off, NVMeCRC: off})
+			res := RunKV(w, 16, size, 2*time.Millisecond)
+			requireClean(t, fmt.Sprintf("%s offload=%v", sizeLabel(size), off), res.verdict, 0)
+			one[i] = oneCoreGbps(&w.Model, res.Srv, res.Bytes, res.Elapsed, w.Model.DriveGbps())
+		}
+		return one[1] / one[0]
+	}
+	small, big := gain(4<<10), gain(256<<10)
+	if big <= small || big < 1.2 {
+		t.Errorf("offload gain %.2f (4K) → %.2f (256K): want growing and ≥1.2 at 256K", small, big)
 	}
 }
 
@@ -235,7 +258,8 @@ func TestFig19NoCliff(t *testing.T) {
 	run := func(conns int) (float64, float64) {
 		w := NewPairWorld(netsim.LinkConfig{Gbps: 100, Latency: 2 * time.Microsecond},
 			nic.Config{CtxCacheFlows: 64})
-		res := RunHTTPC2(w, httpsim.Mode(3), conns, 64<<10, time.Millisecond)
+		res := RunHTTPC2(w, appsim.ModeTLSOffloadZC, conns, 64<<10, time.Millisecond)
+		requireClean(t, fmt.Sprintf("%d conns", conns), res.verdict, 0)
 		miss := 0.0
 		st := w.Srv.NIC.Stats()
 		if st.CtxCacheHits+st.CtxCacheMiss > 0 {

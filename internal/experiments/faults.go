@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/appsim"
 	"repro/internal/cycles"
-	"repro/internal/httpsim"
 	"repro/internal/netsim"
 	"repro/internal/nic"
 )
@@ -170,8 +170,8 @@ func Fig19() []*Table {
 			"ctx miss %"},
 	}
 	conns := []int{16, 64, 256, 1024}
-	modes := []httpsim.Mode{httpsim.ModeHTTPS, httpsim.ModeHTTPSOffload,
-		httpsim.ModeHTTPSOffloadZC, httpsim.ModeHTTP}
+	modes := []appsim.Mode{appsim.ModeTLS, appsim.ModeTLSOffload,
+		appsim.ModeTLSOffloadZC, appsim.ModePlain}
 	for _, n := range conns {
 		for _, mode := range modes {
 			w := NewPairWorld(netsim.LinkConfig{Gbps: 100, Latency: 2 * time.Microsecond},

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/httpsim"
+	"repro/internal/appsim"
 )
 
 var fileSizes = []int{4 << 10, 16 << 10, 64 << 10, 256 << 10}
@@ -28,7 +28,7 @@ func Fig12() []*Table {
 				NVMeCRC:         offload,
 				TargetTxOffload: true,
 			})
-			res := RunHTTPC1(w, httpsim.ModeHTTP, 32, size, 4*time.Millisecond)
+			res := RunHTTPC1(w, appsim.ModePlain, 32, size, 4*time.Millisecond)
 			oneCore[i] = oneCoreGbps(&w.Model, res.Srv, res.Bytes, res.Elapsed, w.Model.DriveGbps())
 			eightCore[i] = nCoreGbps(&w.Model, res.Srv, res.Bytes, 8, w.Model.DriveGbps())
 			busy[i] = w.Model.BusyCores(res.Srv, res.Bytes, eightCore[i])
@@ -52,8 +52,8 @@ func Fig13() []*Table {
 		Title:   "Nginx TLS variants (C2, page cache): Gbps and busy cores",
 		Columns: []string{"file", "variant", "1-core Gbps", "8-core Gbps", "busy cores"},
 	}
-	modes := []httpsim.Mode{httpsim.ModeHTTPS, httpsim.ModeHTTPSOffload,
-		httpsim.ModeHTTPSOffloadZC, httpsim.ModeHTTP}
+	modes := []appsim.Mode{appsim.ModeTLS, appsim.ModeTLSOffload,
+		appsim.ModeTLSOffloadZC, appsim.ModePlain}
 	for _, size := range fileSizes {
 		for _, mode := range modes {
 			w := cleanPair()
@@ -91,9 +91,9 @@ func Fig14() []*Table {
 				NVMePlace:         offload,
 				NVMeCRC:           offload,
 			})
-			mode := httpsim.ModeHTTPS
+			mode := appsim.ModeTLS
 			if offload {
-				mode = httpsim.ModeHTTPSOffloadZC
+				mode = appsim.ModeTLSOffloadZC
 			}
 			res := RunHTTPC1(w, mode, 32, size, 4*time.Millisecond)
 			oneCore[i] = oneCoreGbps(&w.Model, res.Srv, res.Bytes, res.Elapsed, w.Model.DriveGbps())
@@ -155,14 +155,14 @@ func Table4() []*Table {
 		Columns: []string{"size", "base", "+TLS", "+copy", "+CRC", "rel (paper)"},
 	}
 	type combo struct {
-		mode       httpsim.Mode
+		mode       appsim.Mode
 		place, crc bool
 	}
 	combos := []combo{
-		{httpsim.ModeHTTPS, false, false},
-		{httpsim.ModeHTTPSOffloadZC, false, false},
-		{httpsim.ModeHTTPSOffloadZC, true, false},
-		{httpsim.ModeHTTPSOffloadZC, true, true},
+		{appsim.ModeTLS, false, false},
+		{appsim.ModeTLSOffloadZC, false, false},
+		{appsim.ModeTLSOffloadZC, true, false},
+		{appsim.ModeTLSOffloadZC, true, true},
 	}
 	paperRel := map[int]string{
 		4 << 10: "0.98", 16 << 10: "0.90", 64 << 10: "0.78", 256 << 10: "0.71",

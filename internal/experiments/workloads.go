@@ -6,11 +6,10 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/appsim"
 	"repro/internal/blockdev"
 	"repro/internal/cycles"
-	"repro/internal/httpsim"
 	"repro/internal/ktls"
-	"repro/internal/kvsim"
 	"repro/internal/netsim"
 	"repro/internal/offload"
 	"repro/internal/tcpip"
@@ -312,105 +311,85 @@ func RunFio(w *StorageWorld, reqSize, depth int, dur time.Duration) *FioResult {
 	return res
 }
 
-// HTTPResult is the outcome of one nginx/wrk run.
+// HTTPResult is the outcome of one request/response run: nginx/wrk or
+// Redis/memtier.
 type HTTPResult struct {
 	Bytes    uint64
 	Requests uint64
 	Elapsed  time.Duration
 	Srv      *cycles.Ledger // server-machine delta
 	AvgRTT   time.Duration
+
+	verdict
 }
 
 // RunHTTPC2 drives the page-cache configuration on a pair world.
-func RunHTTPC2(w *PairWorld, mode httpsim.Mode, conns, fileSize int, dur time.Duration) *HTTPResult {
-	res := driveHTTP(w.Sim, w.Gen, w.Srv, httpsim.PageCacheStore{}, mode, conns, fileSize, dur)
-	w.FlushTelemetry()
-	return res
+func RunHTTPC2(w *PairWorld, mode appsim.Mode, conns, fileSize int, dur time.Duration) *HTTPResult {
+	return runApp(w.Sim, w.Gen, w.Srv, w.FlushTelemetry,
+		appsim.HTTP, mode, appsim.PageCacheStore{}, conns, 8, fileSize, dur)
 }
 
 // RunHTTPC1 drives the cold-cache configuration on a storage world (the
 // server fetches every file over NVMe-TCP).
-func RunHTTPC1(w *StorageWorld, mode httpsim.Mode, conns, fileSize int, dur time.Duration) *HTTPResult {
-	res := driveHTTP(w.Sim, w.Gen, w.Srv, &httpsim.NVMeStore{Host: w.Host}, mode, conns, fileSize, dur)
-	w.FlushTelemetry()
-	return res
-}
-
-// driveHTTP serves files from store on srv to wrk-style clients on gen.
-func driveHTTP(sim *netsim.Simulator, gen, srv *Machine, store httpsim.FileStore,
-	mode httpsim.Mode, conns, fileSize int, dur time.Duration) *HTTPResult {
-	cliTLS, srvTLS := TLSKeys(0)
-	hs := httpsim.NewServer(srv.Stack, httpsim.ServerConfig{
-		Mode:   mode,
-		TLSCfg: srvTLS,
-		Store:  store,
-		Dev:    srv.NIC,
-	})
-	if tel != nil {
-		hs.RegisterTelemetry(tel.Reg, "http.srv")
-	}
-	port := uint16(80)
-	if mode.TLS() {
-		port = 443
-	}
-	cl := httpsim.NewClient(gen.Stack, httpsim.ClientConfig{
-		TLS:         mode.TLS(),
-		TLSCfg:      cliTLS,
-		Server:      wire.Addr{IP: srv.Stack.IP(), Port: port},
-		Connections: conns,
-		FileSize:    fileSize,
-		Files:       8,
-		Latency:     latencyHistogram("http.request_latency_ns"),
-	})
-	if tel != nil {
-		cl.RegisterTelemetry(tel.Reg, "http.cli")
-	}
-	return measureRequests(sim, srv, dur, func() (uint64, uint64, time.Duration) {
-		return cl.Stats.Bytes, cl.Stats.Responses, cl.TotalRTT
-	})
-}
-
-// measureRequests warms a request/response workload for 3 ms, then
-// measures dur of it; client reports the bytes and responses delivered so
-// far and the sum of their round trips.
-func measureRequests(sim *netsim.Simulator, srv *Machine, dur time.Duration,
-	client func() (delivered, responses uint64, rtt time.Duration)) *HTTPResult {
-	sim.RunFor(3 * time.Millisecond)
-	bytes0, n0, rtt0 := client()
-	before := srv.Ledger.Clone()
-	start := sim.Now()
-	sim.RunFor(dur)
-	bytes1, n1, rtt1 := client()
-	res := &HTTPResult{
-		Bytes:    bytes1 - bytes0,
-		Requests: n1 - n0,
-		Elapsed:  sim.Now() - start,
-		Srv:      cycles.Diff(srv.Ledger, before),
-	}
-	if n1 > n0 {
-		res.AvgRTT = (rtt1 - rtt0) / time.Duration(n1-n0)
-	}
-	return res
+func RunHTTPC1(w *StorageWorld, mode appsim.Mode, conns, fileSize int, dur time.Duration) *HTTPResult {
+	return runApp(w.Sim, w.Gen, w.Srv, w.FlushTelemetry,
+		appsim.HTTP, mode, &appsim.NVMeStore{Host: w.Host}, conns, 8, fileSize, dur)
 }
 
 // RunKV drives the Redis-on-Flash GET workload on a storage world.
 func RunKV(w *StorageWorld, conns, valueSize int, dur time.Duration) *HTTPResult {
-	ks := kvsim.NewServer(w.Srv.Stack, 6379, &kvsim.OffloadDB{Host: w.Host, ValueSize: valueSize})
-	cl := kvsim.NewClient(w.Gen.Stack, kvsim.ClientConfig{
-		Server:      wire.Addr{IP: w.Srv.Stack.IP(), Port: 6379},
+	return runApp(w.Sim, w.Gen, w.Srv, w.FlushTelemetry,
+		appsim.RESP, appsim.ModePlain, &appsim.NVMeStore{Host: w.Host}, conns, 16, valueSize, dur)
+}
+
+// runApp serves objects of size bytes in format f from store on srv to a
+// load generator on gen, whose conns connections cycle through `objects`
+// ids. It warms the workload for 3 ms, measures dur of it, then flushes
+// the world's telemetry. Every body byte is checked, warm-up included; an
+// error either end counts is a failed connection in the verdict.
+func runApp(sim *netsim.Simulator, gen, srv *Machine, flush func(), f *appsim.Format, mode appsim.Mode,
+	store appsim.Store, conns, objects, size int, dur time.Duration) *HTTPResult {
+	cliTLS, srvTLS := TLSKeys(0)
+	as := appsim.NewServer(srv.Stack, appsim.ServerConfig{
+		Format:    f,
+		Mode:      mode,
+		TLSCfg:    srvTLS,
+		Store:     store,
+		ValueSize: size,
+		Dev:       srv.NIC,
+	})
+	cl := appsim.NewClient(gen.Stack, appsim.ClientConfig{
+		Format:      f,
+		TLS:         mode.TLS(),
+		TLSCfg:      cliTLS,
+		Server:      srv.Stack.IP(),
 		Connections: conns,
-		Keys:        16,
-		ValueSize:   valueSize,
-		Latency:     latencyHistogram("kv.request_latency_ns"),
+		FileSize:    size,
+		Objects:     objects,
 	})
 	if tel != nil {
-		ks.RegisterTelemetry(tel.Reg, "kv.srv")
-		cl.RegisterTelemetry(tel.Reg, "kv.cli")
+		as.RegisterTelemetry(tel.Reg)
+		cl.RegisterTelemetry(tel.Reg)
 	}
-	res := measureRequests(w.Sim, w.Srv, dur, func() (uint64, uint64, time.Duration) {
-		return cl.Stats.Bytes, cl.Stats.Responses, cl.TotalRTT
-	})
-	w.FlushTelemetry()
+	sim.RunFor(3 * time.Millisecond)
+	bytes0, n0, rtt0 := cl.Stats.Bytes, cl.Stats.Responses, cl.TotalRTT
+	before := srv.Ledger.Clone()
+	start := sim.Now()
+	sim.RunFor(dur)
+	res := &HTTPResult{
+		Bytes:    cl.Stats.Bytes - bytes0,
+		Requests: cl.Stats.Responses - n0,
+		Elapsed:  sim.Now() - start,
+		Srv:      cycles.Diff(srv.Ledger, before),
+		verdict:  verdict{checked: cl.Stats.Bytes, connsFailed: int(cl.Stats.Errors + as.Stats.Errors)},
+	}
+	if res.Requests > 0 {
+		res.AvgRTT = (cl.TotalRTT - rtt0) / time.Duration(res.Requests)
+	}
+	if n := cl.Stats.VerifyFails; n > 0 {
+		res.violations = append(res.violations, fmt.Sprintf("%d responses delivered a wrong byte", n))
+	}
+	flush()
 	return res
 }
 
