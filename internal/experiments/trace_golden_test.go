@@ -92,17 +92,22 @@ func compareGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestTablesGolden pins what cmd/experiments prints for eight quick
+// TestTablesGolden pins what cmd/experiments prints for fifteen quick
 // experiments, byte for byte. Between them they cover what
-// benchmark/expected.json does not: the software-TLS arm and the
-// offload-over-software speedup of §6.1 (sec61's rows), the per-record cycle
-// split behind it (fig11), the §6.2 emulation arms, the receive-recovery
-// ablation's counters, and the §6.3 request/response applications: HTTP
-// over the NVMe store, plain (fig12) and TLS (fig14), the key-value path
-// (fig15) and the single-connection latency path (tab4).
+// benchmark/expected.json does not: the motivation figures and tables (fig2,
+// tab1, fig3, fig4), the per-read and per-record cycle splits (fig10,
+// fig11), the software-TLS arm and the offload-over-software speedup of
+// §6.1 (sec61's rows), the §6.2 emulation arms, the receive-recovery and
+// magic-pattern ablations' counters, the §6.3 request/response
+// applications: HTTP over the NVMe store, plain (fig12) and TLS (fig14),
+// the key-value path (fig15) and the single-connection latency path
+// (tab4), and connection churn over the context cache (churn).
 func TestTablesGolden(t *testing.T) {
 	var got bytes.Buffer
-	for _, id := range []string{"sec61", "sec62", "fig11", "abl-recovery", "fig12", "fig14", "fig15", "tab4"} {
+	for _, id := range []string{
+		"fig2", "tab1", "fig3", "fig4", "fig10", "fig11", "sec61", "sec62",
+		"abl-recovery", "abl-magic", "fig12", "fig14", "fig15", "tab4", "churn",
+	} {
 		e, ok := ByID(id)
 		if !ok {
 			t.Fatalf("unknown experiment %q", id)
