@@ -75,8 +75,7 @@ func TestEveryPackageHasAnEntryPoint(t *testing.T) {
 		t.Skip("lists and compiles the whole module")
 	}
 	allow := map[string]string{
-		"repro":              "the module's package doc; holds no code",
-		"repro/internal/dpi": "the §7 DPI offload, kept for what its tests drive: the l5p kit and a stacked sparse engine under ktls (ROADMAP item 16)",
+		"repro": "the module's package doc; holds no code",
 	}
 	all, err := goList("repro/...")
 	if err != nil {

@@ -270,8 +270,7 @@ func (o *RxOps) PacketVerdict(processed, checksOK bool) meta.RxFlags {
 			f |= meta.TLSAuthOK
 		}
 		if o.innerSeen {
-			f |= o.innerAnd & (meta.NVMeOffloaded | meta.NVMeCRCOK |
-				meta.NVMePlaced | meta.DPIScanned)
+			f |= o.innerAnd & (meta.NVMeOffloaded | meta.NVMeCRCOK | meta.NVMePlaced)
 		}
 	}
 	o.innerSeen = false

@@ -1,7 +1,7 @@
 // Package l5p is the host-software half of the paper's Listing 1, written
 // once: what every layer-5 protocol's software does around an offload
 // engine, whatever its message format. The NIC half is internal/offload;
-// the protocols (ktls, nvmetcp, dpi) supply a header length, a ParseHeader
+// the protocols (ktls, nvmetcp) supply a header length, a ParseHeader
 // and their per-message work, and embed these by value:
 //
 //   - Device: l5o_create / l5o_destroy, the driver calls that install and

@@ -31,9 +31,6 @@ const (
 	// NVMePlaced marks capsule payload the NIC DMA-wrote directly into
 	// block-layer buffers (the zero-copy path of Fig. 9).
 	NVMePlaced
-	// DPIScanned marks payload the DPI engine pattern-matched in sequence
-	// (§7); the match results travel out of band through the match sink.
-	DPIScanned
 	// RxChecksumBad marks a packet whose IP or TCP checksum failed NIC
 	// validation but was delivered anyway (the NIC reports the verdict and
 	// never drops, like a device without checksum-drop): the stack must
@@ -52,7 +49,6 @@ var flagNames = []struct {
 	{NVMeOffloaded, "nvme-offloaded"},
 	{NVMeCRCOK, "nvme-crc-ok"},
 	{NVMePlaced, "nvme-placed"},
-	{DPIScanned, "dpi-scanned"},
 	{RxChecksumBad, "csum-bad"},
 }
 
