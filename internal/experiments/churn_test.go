@@ -28,6 +28,7 @@ func TestChurnDeterministic(t *testing.T) {
 	if a.Conns < 50 {
 		t.Errorf("only %d connections churned; workload too weak to mean anything", a.Conns)
 	}
+	requireClean(t, "churn", a.verdict, 0)
 }
 
 func TestChurnLeaksNothing(t *testing.T) {
@@ -35,13 +36,12 @@ func TestChurnLeaksNothing(t *testing.T) {
 	if r.Leaked != 0 {
 		t.Errorf("churn leaked %d NIC state entries (cache/engines/harvest)", r.Leaked)
 	}
-	if r.connsFailed != 0 {
-		t.Errorf("%d churned connections died of an error under plain loss", r.connsFailed)
-	}
+	requireClean(t, "churn under plain loss", r.verdict, 0)
 }
 
 func TestChurnSpreadsAcrossQueues(t *testing.T) {
 	r := RunChurn(churnCfg())
+	requireClean(t, "churn", r.verdict, 0)
 	if len(r.QueueRxPackets) != 4 {
 		t.Fatalf("queue stats for %d queues, want 4", len(r.QueueRxPackets))
 	}
@@ -72,6 +72,7 @@ func TestChurnCachePressureKnee(t *testing.T) {
 			rs.CtxDMABytes, rb.CtxDMABytes)
 	}
 	for _, r := range []*ChurnResult{rs, rb} {
+		requireClean(t, "churn", r.verdict, 0)
 		if r.Records == 0 || r.FallbackRate > 0.5 {
 			t.Errorf("records=%d fallback=%.2f: churn broke offloading outright",
 				r.Records, r.FallbackRate)
@@ -86,6 +87,8 @@ func TestChurnQueueCountInvariant(t *testing.T) {
 	one, four := churnCfg(), churnCfg()
 	one.Queues, four.Queues = 1, 4
 	ra, rb := RunChurn(one), RunChurn(four)
+	requireClean(t, "churn, one queue", ra.verdict, 0)
+	requireClean(t, "churn, four queues", rb.verdict, 0)
 	if ra.Conns != rb.Conns || ra.Bytes != rb.Bytes || ra.Records != rb.Records {
 		t.Errorf("queue count changed traffic: 1q conns=%d bytes=%d recs=%d, 4q conns=%d bytes=%d recs=%d",
 			ra.Conns, ra.Bytes, ra.Records, rb.Conns, rb.Bytes, rb.Records)

@@ -6,14 +6,16 @@ package experiments
 // path must yield byte-identical plaintext to the software-only ablation
 // under the identical fault schedule.
 //
-// The two runs diverge in timing (the offload changes per-record costs), so
-// the comparison is per-connection common-prefix equality: both sides'
-// drivers verify every byte against the deterministic send pattern at its
-// absolute stream offset, so two clean runs delivered identical plaintext
-// over their common prefix by construction. For NVMe the equivalence is
-// through the device: every completed read, offloaded or not, is compared
-// against the target device's deterministic content, so two clean runs
-// returned identical PDU payloads for identical LBAs by construction.
+// The offload changes what each host is charged, never what it sends: a tap
+// on the link logs identical frames at identical virtual times in both
+// arms under these schedules. So the two runs must deliver the same number
+// of bytes on every connection, and both sides' drivers verify every byte
+// against the deterministic send pattern at its absolute stream offset, so
+// two clean runs delivered identical plaintext. For NVMe the equivalence is
+// through the device: both arms must complete the same reads and check the
+// same bytes, every completed read compared against the target device's
+// deterministic content, so two clean runs returned identical PDU payloads
+// for identical LBAs.
 
 import (
 	"fmt"
@@ -74,10 +76,10 @@ func equivTLSRun(f ChaosFaults, mode IperfMode, streams int, dur time.Duration, 
 }
 
 // compareEquivRuns checks one seed's offloaded run against its software
-// ablation and returns the bytes their connections have in common. Both
-// drivers checked every delivered byte against the send pattern at its
-// absolute stream offset, so with no violation on either side each
-// connection's common prefix is byte-identical plaintext.
+// ablation and returns the bytes compared. Both drivers checked every
+// delivered byte against the send pattern at its absolute stream offset,
+// so with no violation on either side and as many bytes delivered on each
+// connection, the two runs delivered byte-identical plaintext.
 func compareEquivRuns(t *testing.T, label string, off, sw *IperfResult, offLeak, swLeak uint64) (compared uint64) {
 	t.Helper()
 	for _, r := range []*IperfResult{off, sw} {
@@ -92,10 +94,10 @@ func compareEquivRuns(t *testing.T, label string, off, sw *IperfResult, offLeak,
 		t.Fatalf("%s: %d offloaded conns vs %d software", label, len(off.rcv), len(sw.rcv))
 	}
 	for id := range off.rcv {
-		n := min(off.rcv[id].off, sw.rcv[id].off)
-		if n == 0 {
-			t.Errorf("%s conn %d: empty common prefix (off=%d sw=%d)",
-				label, id, off.rcv[id].off, sw.rcv[id].off)
+		n := off.rcv[id].off
+		if n == 0 || n != sw.rcv[id].off {
+			t.Errorf("%s conn %d: delivered %d bytes offloaded, %d in software",
+				label, id, n, sw.rcv[id].off)
 		}
 		compared += n
 	}
@@ -161,26 +163,23 @@ func TestOffloadEquivalenceSoakSharded(t *testing.T) {
 }
 
 // TestOffloadEquivalenceNVMe runs the NVMe-TCP arm of the soak: offloaded
-// and software runs under the same schedules, every completed read verified
-// against the device's deterministic content (see the file comment for why
-// that is PDU equivalence).
+// and software runs under the same schedules complete the same reads and
+// check the same bytes, every completed read verified against the device's
+// deterministic content (see the file comment for why that is PDU
+// equivalence).
 func TestOffloadEquivalenceNVMe(t *testing.T) {
 	var reads uint64
 	for seed := int64(1); seed <= 5; seed++ {
 		f := equivSchedule(seed)
-		for _, offloaded := range []bool{true, false} {
-			_, r := chaosFio(f, offloaded, 8, 4*time.Millisecond)
-			if len(r.violations) != 0 || r.connsFailed != 0 {
-				t.Errorf("seed %d offloaded=%v: violations %v, association failed: %v",
-					seed, offloaded, r.violations, r.connsFailed != 0)
-			}
-			if r.Requests == 0 {
-				t.Errorf("seed %d offloaded=%v: no read completed", seed, offloaded)
-			}
-			if offloaded {
-				reads += r.Requests
-			}
+		_, off := chaosFio(f, true, 8, 4*time.Millisecond)
+		_, sw := chaosFio(f, false, 8, 4*time.Millisecond)
+		requireClean(t, fmt.Sprintf("seed %d offloaded", seed), off.verdict, off.failed)
+		requireClean(t, fmt.Sprintf("seed %d software", seed), sw.verdict, sw.failed)
+		if off.Requests == 0 || off.Requests != sw.Requests || off.checked != sw.checked {
+			t.Errorf("seed %d: offloaded completed %d reads and checked %d bytes, software %d and %d",
+				seed, off.Requests, off.checked, sw.Requests, sw.checked)
 		}
+		reads += off.Requests
 	}
 	if reads == 0 {
 		t.Fatal("no offloaded reads completed across the soak")
