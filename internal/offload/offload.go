@@ -253,10 +253,6 @@ func (e *RxEngine) DisableRecovery() { e.noRecovery = true }
 // State returns the current FSM state name (for tests and debugging).
 func (e *RxEngine) State() string { return e.state.String() }
 
-// Expected returns the next sequence number the engine can offload: the
-// byte after the last packet it consumed.
-func (e *RxEngine) Expected() uint32 { return e.expected }
-
 func seqSub(a, b uint32) int { return int(int32(a - b)) }
 
 // Process runs the engine over one packet's payload, transforming it in

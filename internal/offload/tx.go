@@ -72,9 +72,6 @@ func NewTxEngine(ops TxOps, src TxSource, startSeq uint32) *TxEngine {
 	return &TxEngine{ops: ops, src: src, expected: startSeq, cur: newCursor(ops)}
 }
 
-// Expected returns the next sequence number the context can process.
-func (e *TxEngine) Expected() uint32 { return e.expected }
-
 // Process runs the engine over one outgoing packet's payload, transforming
 // it in place. It reports whether the offload was performed (false only if
 // context recovery failed and the packet must carry software-prepared

@@ -196,17 +196,11 @@ func (st *Stack) SetISS(base uint32) { st.issSeed = base }
 // answered with CWR. Both ends must enable it for negotiation to succeed.
 func (st *Stack) EnableECN() { st.ecn = true }
 
-// ECNEnabled reports whether EnableECN has been called.
-func (st *Stack) ECNEnabled() bool { return st.ecn }
-
 // EnableSACK turns on RFC 2018 selective acknowledgments (plus RFC 2883
 // DSACK and DSACK-based spurious-RTO undo) for connections opened or
 // accepted after the call. Both ends must enable it; negotiation rides the
 // SYN/SYN-ACK "SACK permitted" option.
 func (st *Stack) EnableSACK() { st.sack = true }
-
-// SACKEnabled reports whether EnableSACK has been called.
-func (st *Stack) SACKEnabled() bool { return st.sack }
 
 // SetCongestionControl selects the congestion-control algorithm ("newreno",
 // "cubic") for sockets created after the call.
@@ -280,10 +274,6 @@ func (st *Stack) SetTracer(tr *telemetry.Tracer, tid string) {
 	st.tracer = tr
 	st.traceTid = tid
 }
-
-// Tracer returns the stack's tracer (nil when tracing is disabled; all
-// tracer methods are nil-safe).
-func (st *Stack) Tracer() *telemetry.Tracer { return st.tracer }
 
 // TraceTid returns the track label set by SetTracer.
 func (st *Stack) TraceTid() string { return st.traceTid }
