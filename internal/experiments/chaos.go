@@ -66,13 +66,23 @@ func fillPattern(dst []byte, off uint64) {
 // patternMismatch returns the index of the first byte of data that differs
 // from the pattern at stream offsets off.., or -1 if none does.
 func patternMismatch(data []byte, off uint64) int {
-	for i := 0; i < len(data); i += patPeriod {
-		p, n := (off+uint64(i))%patPeriod, min(len(data)-i, patPeriod)
-		if bytes.Equal(data[i:i+n], patTable[p:p+uint64(n)]) {
+	return periodicMismatch(data, off, patTable, patPeriod)
+}
+
+// periodicMismatch returns the index of the first byte of data that differs
+// from a stream repeating every period bytes at stream offsets off.., or -1
+// if none does. table holds the stream from offset 0 and runs at least one
+// period further, so table[p:p+n] is the stream from phase p for any
+// n <= len(table)-period.
+func periodicMismatch(data []byte, off uint64, table []byte, period uint64) int {
+	step := len(table) - int(period)
+	for i := 0; i < len(data); i += step {
+		p, n := (off+uint64(i))%period, min(len(data)-i, step)
+		if bytes.Equal(data[i:i+n], table[p:p+uint64(n)]) {
 			continue
 		}
 		for j := i; ; j++ {
-			if data[j] != chaosByte(off+uint64(j)) {
+			if data[j] != table[(off+uint64(j))%period] {
 				return j
 			}
 		}

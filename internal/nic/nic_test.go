@@ -152,6 +152,25 @@ func TestDetachStopsEngine(t *testing.T) {
 	}
 }
 
+// TestReattachReplacesTxEngine: a flow has one transmit engine, so an
+// attach over an existing one replaces it and only the new engine sees the
+// flow's packets.
+func TestReattachReplacesTxEngine(t *testing.T) {
+	sim, a, b, na, _ := world(t, Config{})
+	b.Listen(80, func(*tcpip.Socket) {})
+	oldOps, newOps := &passOps{}, &passOps{}
+	a.Connect(wire.Addr{IP: b.IP(), Port: 80}, func(s *tcpip.Socket) {
+		na.AttachTx(s.Flow(), offload.NewTxEngine(oldOps, nil, s.WriteSeq()))
+		na.AttachTx(s.Flow(), offload.NewTxEngine(newOps, nil, s.WriteSeq()))
+		s.Write(msg(make([]byte, 100)))
+	})
+	sim.RunUntil(time.Second)
+	if oldOps.bodyBytes != 0 || newOps.bodyBytes != 100 {
+		t.Errorf("replaced engine saw %d body bytes, new one %d; want 0 and 100",
+			oldOps.bodyBytes, newOps.bodyBytes)
+	}
+}
+
 func TestContextCacheEviction(t *testing.T) {
 	// More offloaded flows than cache slots: every flow switch misses.
 	sim, a, b, _, nb := world(t, Config{CtxCacheFlows: 2})
