@@ -98,9 +98,13 @@ golden-check:
 # handing a received segment to a reader that consumes it in OnReadable,
 # nor the stack building a segment or ACK (one reused packet), nor software
 # TLS opening a record in place, nor a whole two-machine plain-TCP world
-# streaming verified bytes) are asserted in a separate non-race run.
+# streaming verified bytes, nor the NVMe-TCP host issuing and completing a
+# read) are asserted in a separate non-race run, together with the pinned
+# per-connection cost: the objects one offloaded TLS connection allocates
+# from SYN to detach (TestConnLifecycleAllocs, each remaining site listed
+# there) and a Socket within its 640-byte size class (TestSocketSizeClass).
 alloc-check:
-	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/tcpip/ ./internal/wire/ ./internal/offload/ ./internal/gcm/ ./internal/l5p/ ./internal/blockdev/ ./internal/nvmetcp/ ./internal/ktls/ ./internal/experiments/
+	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc|TestConnLifecycleAllocs|TestSocketSizeClass' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/tcpip/ ./internal/wire/ ./internal/offload/ ./internal/gcm/ ./internal/l5p/ ./internal/blockdev/ ./internal/nvmetcp/ ./internal/ktls/ ./internal/experiments/
 
 # The gate on everything modeled: each BENCHMARK.json workload on seeds 1
 # and 2, one repetition (--seconds 0), checked bit for bit against

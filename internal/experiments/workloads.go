@@ -263,41 +263,51 @@ func RunFio(w *StorageWorld, reqSize, depth int, dur time.Duration) *FioResult {
 
 	lat := latencyHistogram("fio.request_latency_ns")
 	want := make([]byte, blockdev.BlockSize)
-	var issue func()
-	issue = func() {
+	// One slot per outstanding read, each with its own buffer. A slot's
+	// buffer is reused only by the read its completion issues, and the host
+	// has dropped the finished read's RR-table entry before it completes,
+	// so the NIC can no longer place bytes into the buffer.
+	type slot struct {
+		buf    []byte
+		lba    uint64
+		issued time.Duration
+		done   func(error)
+	}
+	issue := func(sl *slot) {
 		if res.connsFailed > 0 {
 			return
 		}
-		lba := uint64(rng.Intn(region)) * uint64(blocks)
-		buf := make([]byte, blocks*blockdev.BlockSize)
+		sl.lba = uint64(rng.Intn(region)) * uint64(blocks)
 		w.Srv.Ledger.Charge(cycles.HostApp, cycles.AppWork, w.Model.AppPerRequest, 0)
 		w.Srv.Ledger.Charge(cycles.HostApp, cycles.Syscall, w.Model.SyscallCost, 0)
-		issued := w.Sim.Now()
-		w.Host.ReadBlocks(lba, blocks, buf, func(err error) {
+		sl.issued = w.Sim.Now()
+		w.Host.ReadBlocks(sl.lba, blocks, sl.buf, sl.done)
+	}
+	for i := 0; i < depth; i++ {
+		sl := &slot{buf: make([]byte, blocks*blockdev.BlockSize)}
+		sl.done = func(err error) {
 			// Interrupt + completion + context switch back into fio.
 			w.Srv.Ledger.Charge(cycles.HostApp, cycles.AppWork, w.Model.FioPerIO, 0)
-			lat.Record(int64(w.Sim.Now() - issued))
+			lat.Record(int64(w.Sim.Now() - sl.issued))
 			if err != nil {
 				res.failed++
-				issue()
+				issue(sl)
 				return
 			}
 			res.Requests++
-			res.Bytes += uint64(len(buf))
-			res.checked += uint64(len(buf))
+			res.Bytes += uint64(len(sl.buf))
+			res.checked += uint64(len(sl.buf))
 			for i := 0; i < blocks; i++ {
-				blockdev.Pattern(lba+uint64(i), 0, want)
-				if !bytes.Equal(buf[i*blockdev.BlockSize:(i+1)*blockdev.BlockSize], want) {
+				blockdev.Pattern(sl.lba+uint64(i), 0, want)
+				if !bytes.Equal(sl.buf[i*blockdev.BlockSize:(i+1)*blockdev.BlockSize], want) {
 					res.violations = append(res.violations,
-						fmt.Sprintf("read at lba %d delivered wrong block %d", lba, i))
+						fmt.Sprintf("read at lba %d delivered wrong block %d", sl.lba, i))
 					break
 				}
 			}
-			issue()
-		})
-	}
-	for i := 0; i < depth; i++ {
-		issue()
+			issue(sl)
+		}
+		issue(sl)
 	}
 	w.Sim.RunFor(2 * time.Millisecond) // warm the pipeline
 	w.faults.arm(w.Sim, w.Back, w.Back.SetFaultsBtoA, w.Srv.Stack, w.Tgt.Stack)

@@ -174,6 +174,22 @@ func (c *Conn) Socket() *tcpip.Socket { return c.sock }
 // the store; a bulk sender grows it to its window once.
 const txRetainInitial = 16
 
+// txContext and rxContext are one direction's whole NIC context for a flow,
+// §4.1's static state (the key schedule and IV, HW) and dynamic state (the
+// crypto stream in the ops, the message cursor in the engine) in one
+// allocation: l5o_create allocates it and l5o_destroy lets it go.
+type txContext struct {
+	hw     HW
+	ops    TxOps
+	engine offload.TxEngine
+}
+
+type rxContext struct {
+	hw     HW
+	ops    RxOps
+	engine offload.RxEngine
+}
+
 // EnableTxOffload installs a transmit crypto context on the NIC starting at
 // the current write position (l5o_create, §4.1). With zeroCopy, sendfile
 // buffers are handed to the NIC without the private-copy the non-offloaded
@@ -182,14 +198,16 @@ func (c *Conn) EnableTxOffload(dev l5p.Device, zeroCopy bool) error {
 	if c.txEngine != nil {
 		return fmt.Errorf("ktls: tx offload already enabled")
 	}
-	hw, err := NewHW(c.cfg.Key, c.cfg.TxIV, c.model, c.ledger)
-	if err != nil {
+	ctx := new(txContext)
+	if err := ctx.hw.init(c.cfg.Key, c.cfg.TxIV, c.model, c.ledger); err != nil {
 		return err
 	}
+	ctx.ops.init(&ctx.hw)
 	c.dev = dev
 	c.zeroCopy = zeroCopy
 	c.retain.Grow(txRetainInitial)
-	c.txEngine = offload.NewTxEngine(NewTxOps(hw), &c.retain, c.sock.WriteSeq())
+	ctx.engine.Init(&ctx.ops, &c.retain, c.sock.WriteSeq())
+	c.txEngine = &ctx.engine
 	dev.AttachTx(c.sock.Flow(), c.txEngine)
 	return nil
 }
@@ -200,11 +218,12 @@ func (c *Conn) EnableRxOffload(dev l5p.Device) error {
 	if c.rxEngine != nil {
 		return fmt.Errorf("ktls: rx offload already enabled")
 	}
-	hw, err := NewHW(c.cfg.Key, c.cfg.RxIV, c.model, c.ledger)
-	if err != nil {
+	ctx := new(rxContext)
+	if err := ctx.hw.init(c.cfg.Key, c.cfg.RxIV, c.model, c.ledger); err != nil {
 		return err
 	}
-	c.InstallRxEngine(dev, NewRxOps(hw, c.emitToInner), c.resync.Request)
+	ctx.ops.init(&ctx.hw, c.emitToInner)
+	c.installRx(dev, &ctx.engine, &ctx.ops, c.resync.Request)
 	return nil
 }
 
@@ -212,15 +231,22 @@ func (c *Conn) EnableRxOffload(dev l5p.Device) error {
 // optional resync-request path. Experiments use it to ablate pieces of the
 // recovery machinery; EnableRxOffload is the normal entry point.
 func (c *Conn) InstallRxEngine(dev l5p.Device, ops *RxOps, resync func(uint32)) *offload.RxEngine {
+	e := new(offload.RxEngine)
+	c.installRx(dev, e, ops, resync)
+	return e
+}
+
+// installRx initialises e in place over ops and attaches it.
+func (c *Conn) installRx(dev l5p.Device, e *offload.RxEngine, ops *RxOps, resync func(uint32)) {
 	c.dev = dev
-	c.rxEngine = offload.NewRxEngine(ops, c.sock.ReadSeq(), resync)
+	e.Init(ops, c.sock.ReadSeq(), resync)
+	c.rxEngine = e
 	if c.cfg.RxFallback != nil {
 		c.rxEngine.SetFallbackPolicy(*c.cfg.RxFallback)
 	} else {
 		c.rxEngine.SetFallbackPolicy(offload.DefaultFallbackPolicy())
 	}
 	dev.AttachRx(c.sock.Flow().Reverse(), c.rxEngine)
-	return c.rxEngine
 }
 
 // DisableTxOffload detaches the transmit engine from the NIC

@@ -21,11 +21,21 @@ type HW struct {
 
 // NewHW builds the static state from an AES key and session IV.
 func NewHW(key []byte, iv [gcm.NonceSize]byte, model *cycles.Model, ledger *cycles.Ledger) (*HW, error) {
+	h := new(HW)
+	if err := h.init(key, iv, model, ledger); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// init is NewHW in place, for the HW inside a flow context.
+func (h *HW) init(key []byte, iv [gcm.NonceSize]byte, model *cycles.Model, ledger *cycles.Ledger) error {
 	c, err := gcm.NewCached(key)
 	if err != nil {
-		return nil, fmt.Errorf("ktls: %w", err)
+		return fmt.Errorf("ktls: %w", err)
 	}
-	return &HW{cipher: c, iv: iv, model: model, ledger: ledger}, nil
+	*h = HW{cipher: c, iv: iv, model: model, ledger: ledger}
+	return nil
 }
 
 // mustBeLive is the programmer-error assert behind Body, Trailer and
@@ -52,7 +62,14 @@ type TxOps struct {
 }
 
 // NewTxOps creates the transmit ops for one flow.
-func NewTxOps(hw *HW) *TxOps { return &TxOps{hw: hw} }
+func NewTxOps(hw *HW) *TxOps {
+	o := new(TxOps)
+	o.init(hw)
+	return o
+}
+
+// init is NewTxOps in place, for the ops inside a flow context.
+func (o *TxOps) init(hw *HW) { *o = TxOps{hw: hw} }
 
 var _ offload.TxOps = (*TxOps)(nil)
 
@@ -142,7 +159,14 @@ type RxOps struct {
 // each decrypted body range for a stacked inner engine and returns that
 // engine's verdict flags for the range.
 func NewRxOps(hw *HW, emit func(seq uint32, plain []byte, contiguous bool) meta.RxFlags) *RxOps {
-	return &RxOps{hw: hw, emit: emit, emitDiscont: true}
+	o := new(RxOps)
+	o.init(hw, emit)
+	return o
+}
+
+// init is NewRxOps in place, for the ops inside a flow context.
+func (o *RxOps) init(hw *HW, emit func(seq uint32, plain []byte, contiguous bool) meta.RxFlags) {
+	*o = RxOps{hw: hw, emit: emit, emitDiscont: true}
 }
 
 // NewRxOpsNoPartial is the partial-offload ablation: records the engine

@@ -102,7 +102,16 @@ type Timer struct {
 // (and re-arm) it with Reset. It takes no place in the event order until
 // then.
 func (s *Simulator) NewTimer(fn func()) *Timer {
-	return &Timer{sim: s, fn: fn, index: -1}
+	t := new(Timer)
+	t.Init(s, fn)
+	return t
+}
+
+// Init makes t an unarmed timer of s that runs fn, in place: an owner that
+// holds its timers by value (a socket, a link) needs no allocation for
+// them. Init must not be called on a pending timer.
+func (t *Timer) Init(s *Simulator, fn func()) {
+	*t = Timer{sim: s, fn: fn, index: -1}
 }
 
 // Reset arms the timer to fire d after the current virtual time, whether
@@ -438,7 +447,7 @@ type direction struct {
 func NewLink(sim *Simulator, cfg LinkConfig) *Link {
 	l := &Link{sim: sim, cfg: cfg}
 	for dir := range l.dirs {
-		l.dirs[dir].timer = Timer{sim: sim, fn: func() { l.fireHead(dir) }, index: -1}
+		l.dirs[dir].timer.Init(sim, func() { l.fireHead(dir) })
 	}
 	l.dirs[0].rng = rand.New(rand.NewSource(cfg.AtoB.Seed + 1))
 	l.dirs[1].rng = rand.New(rand.NewSource(cfg.BtoA.Seed + 2))
@@ -685,7 +694,7 @@ func (l *Link) deliverAt(at, sent time.Duration, dir int, dst Endpoint, frame wi
 
 func (l *Link) newDelivery() *delivery {
 	v := &delivery{link: l}
-	v.timer = Timer{sim: l.sim, fn: v.fire, index: -1}
+	v.timer.Init(l.sim, v.fire)
 	return v
 }
 

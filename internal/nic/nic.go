@@ -17,7 +17,6 @@
 package nic
 
 import (
-	"container/list"
 	"strconv"
 	"time"
 
@@ -221,8 +220,7 @@ type NIC struct {
 	txDoorbellTimer *netsim.Timer
 
 	// Context cache (LRU by flow+direction key), shared by all queues.
-	cacheList *list.List
-	cacheMap  map[cacheKey]*list.Element
+	cache ctxCache
 
 	chaos *chaosState
 
@@ -242,11 +240,6 @@ type NIC struct {
 	rxPkt wire.Packet
 }
 
-type cacheKey struct {
-	flow wire.FlowID
-	rx   bool
-}
-
 // New creates a NIC, wires it as the stack's device, and returns it. The
 // send function transmits a serialized frame onto the link (the NIC is also
 // a netsim.Endpoint for arriving frames).
@@ -255,14 +248,15 @@ func New(stack *tcpip.Stack, send func(frame wire.Frame), cfg Config) *NIC {
 		cfg.Queues = 1
 	}
 	n := &NIC{
-		cfg:       cfg,
-		stack:     stack,
-		send:      send,
-		sim:       stack.Sim(),
-		pool:      cfg.Pool,
-		cacheList: list.New(),
-		cacheMap:  make(map[cacheKey]*list.Element),
-		chaos:     newChaosState(cfg.Chaos),
+		cfg:   cfg,
+		stack: stack,
+		send:  send,
+		sim:   stack.Sim(),
+		pool:  cfg.Pool,
+		chaos: newChaosState(cfg.Chaos),
+	}
+	if cfg.CtxCacheFlows > 0 {
+		n.cache.init(cfg.CtxCacheFlows)
 	}
 	n.pollCounts = make([]int, cfg.Queues)
 	n.rxPollTimer = n.sim.NewTimer(n.rxPoll)
@@ -313,7 +307,7 @@ func (n *NIC) Stats() Stats {
 
 // CacheLen returns the number of flow contexts currently held in the
 // shared context cache (for leak checks and experiments).
-func (n *NIC) CacheLen() int { return n.cacheList.Len() }
+func (n *NIC) CacheLen() int { return len(n.cache.index) }
 
 // SetTelemetry connects this NIC to the run's telemetry: per-queue counter
 // blocks are registered under label.q<i>, DMA-level events trace onto the
@@ -372,7 +366,7 @@ func (n *NIC) AttachRx(flow wire.FlowID, e *offload.RxEngine) {
 func (n *NIC) DetachTx(flow wire.FlowID) {
 	q := n.QueueFor(flow)
 	delete(q.tx, flow)
-	n.cacheDrop(cacheKey{flow: flow})
+	n.cache.drop(cacheKey{flow: flow})
 }
 
 // DetachRx removes the flow's receive engine, harvesting its final
@@ -386,7 +380,7 @@ func (n *NIC) DetachRx(flow wire.FlowID) {
 		q.forgetTouched(e)
 	}
 	delete(q.rx, flow)
-	n.cacheDrop(cacheKey{flow: flow, rx: true})
+	n.cache.drop(cacheKey{flow: flow, rx: true})
 }
 
 // Transmit implements tcpip.NetDevice: the driver posts the packet on the
@@ -662,6 +656,8 @@ func (n *NIC) rxComplete(q *Queue, frame wire.Frame) {
 // context was evicted to host memory and must be reloaded over PCIe. The
 // LRU is shared device-wide; hits, misses, and invalidations are charged
 // to the queue whose flow touched it.
+//
+//simlint:hotpath
 func (n *NIC) cacheTouch(q *Queue, k cacheKey) {
 	if n.cfg.CtxCacheFlows <= 0 {
 		return
@@ -671,30 +667,17 @@ func (n *NIC) cacheTouch(q *Queue, k cacheKey) {
 		// Firmware hiccup: every cached context is gone at once — every
 		// queue's, since the cache is device memory.
 		q.Stats.CtxInvalidations++
-		n.cacheList.Init()
-		n.cacheMap = make(map[cacheKey]*list.Element)
+		n.cache.reset()
 	}
-	if el, ok := n.cacheMap[k]; ok {
-		n.cacheList.MoveToFront(el)
+	if n.cache.hit(k) {
 		q.Stats.CtxCacheHits++
 		return
 	}
 	q.Stats.CtxCacheMiss++
 	n.tracer.Instant1("dma", "ctx.miss", n.label, "bytes", int64(ctxBytes))
 	n.cfg.Ledger.Charge(cycles.PCIe, cycles.CtxDMA, 0, ctxBytes)
-	n.cacheMap[k] = n.cacheList.PushFront(k)
-	for n.cacheList.Len() > n.cfg.CtxCacheFlows {
-		back := n.cacheList.Back()
-		delete(n.cacheMap, back.Value.(cacheKey))
-		n.cacheList.Remove(back)
+	if n.cache.insert(k) {
 		// Write-back of the evicted context.
 		n.cfg.Ledger.Charge(cycles.PCIe, cycles.CtxDMA, 0, ctxBytes)
-	}
-}
-
-func (n *NIC) cacheDrop(k cacheKey) {
-	if el, ok := n.cacheMap[k]; ok {
-		n.cacheList.Remove(el)
-		delete(n.cacheMap, k)
 	}
 }

@@ -41,6 +41,7 @@ type request struct {
 	isWrite   bool
 	issuedAt  time.Duration // virtual issue time (valid when telemetry on)
 	done      func(error)
+	next      *request // Host.free's link while the request is finished
 }
 
 // Host is the NVMe-TCP initiator: it maps block reads and writes onto
@@ -53,6 +54,7 @@ type Host struct {
 
 	nextCID uint16
 	pending map[uint16]*request
+	free    *request // finished requests, reused by the next ReadBlocks or WriteBlocks
 
 	// Receive offload.
 	rr       *RRTable
@@ -131,7 +133,9 @@ func (h *Host) CreateRxEngine(startSeq uint32) *offload.RxEngine {
 // and CRC sub-offloads selectable independently (Table 4's cumulative
 // offload study).
 func (h *Host) CreateRxEngineParts(startSeq uint32, place, crc bool) *offload.RxEngine {
-	return h.adopt(offload.NewRxEngine(h.newRxOps(place, crc), startSeq, h.resync.Request))
+	ctx := h.newRxContext(place, crc)
+	ctx.engine.Init(&ctx.ops, startSeq, h.resync.Request)
+	return h.adopt(&ctx.engine)
 }
 
 // CreateSparseRxEngine builds the receive engine for a stacked transport
@@ -143,17 +147,29 @@ func (h *Host) CreateSparseRxEngine() *offload.RxEngine {
 // CreateSparseRxEngineParts is CreateSparseRxEngine with the copy and CRC
 // sub-offloads selectable independently.
 func (h *Host) CreateSparseRxEngineParts(place, crc bool) *offload.RxEngine {
-	return h.adopt(offload.NewSparseRxEngine(h.newRxOps(place, crc), h.resync.Request))
+	ctx := h.newRxContext(place, crc)
+	ctx.engine.InitSparse(&ctx.ops, h.resync.Request)
+	return h.adopt(&ctx.engine)
 }
 
-// newRxOps builds the NIC-side ops; with placement on, their RR table
-// becomes the one ReadBlocks registers buffers in.
-func (h *Host) newRxOps(place, crc bool) *RxOps {
-	rr := NewRRTable()
+// rxContext is the host's whole receive offload context, one allocation
+// (§4.1): the RR table, the NIC-side ops and the engine, which the caller
+// initialises.
+type rxContext struct {
+	rr     RRTable
+	ops    RxOps
+	engine offload.RxEngine
+}
+
+// newRxContext builds the context's table and ops; with placement on, its
+// RR table becomes the one ReadBlocks registers buffers in.
+func (h *Host) newRxContext(place, crc bool) *rxContext {
+	ctx := &rxContext{rr: RRTable{m: make(map[uint16][]byte)}}
 	if place {
-		h.rr = rr
+		h.rr = &ctx.rr
 	}
-	return NewRxOpsParts(h.model, h.ledger, rr, place, crc)
+	ctx.ops.init(h.model, h.ledger, &ctx.rr, place, crc)
+	return ctx
 }
 
 func (h *Host) adopt(e *offload.RxEngine) *offload.RxEngine {
@@ -181,8 +197,8 @@ func (h *Host) ReadBlocks(lba uint64, count int, buf []byte, done func(error)) {
 	}
 	h.Stats.Reads++
 	cid := h.allocCID()
-	h.pending[cid] = &request{buf: buf, remaining: count * blockdev.BlockSize,
-		issuedAt: h.trace.Now(), done: done}
+	h.pending[cid] = h.newRequest(request{buf: buf, remaining: count * blockdev.BlockSize,
+		issuedAt: h.trace.Now(), done: done})
 	if h.rr != nil {
 		// l5o_add_rr_state: must reach the NIC before the request (§4.1).
 		h.rr.Add(cid, buf)
@@ -196,8 +212,21 @@ func (h *Host) ReadBlocks(lba uint64, count int, buf []byte, done func(error)) {
 func (h *Host) WriteBlocks(lba uint64, data []byte, done func(error)) {
 	h.Stats.Writes++
 	cid := h.allocCID()
-	h.pending[cid] = &request{isWrite: true, issuedAt: h.trace.Now(), done: done}
+	h.pending[cid] = h.newRequest(request{isWrite: true, issuedAt: h.trace.Now(), done: done})
 	h.out.send(&Header{Type: TypeCmd, CID: cid, Op: OpWrite, Offset: lba, DataLen: len(data)}, data)
+}
+
+// newRequest returns r in a finished request's memory, or in new memory
+// when none is free.
+func (h *Host) newRequest(r request) *request {
+	req := h.free
+	if req == nil {
+		req = new(request)
+	} else {
+		h.free = req.next
+	}
+	*req = r
+	return req
 }
 
 func (h *Host) allocCID() uint16 {
@@ -347,7 +376,12 @@ func (h *Host) complete(cid uint16, req *request, err error) {
 		}
 		h.trace.Span("l5p", name, h.traceTid, req.issuedAt, "cid", int64(cid))
 	}
-	if req.done != nil {
-		req.done(err)
+	// The request is free before done runs, which may issue the next one;
+	// nothing keeps it or its buffer past here.
+	done := req.done
+	*req = request{next: h.free}
+	h.free = req
+	if done != nil {
+		done(err)
 	}
 }

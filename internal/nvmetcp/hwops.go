@@ -63,16 +63,18 @@ type RxOps struct {
 // NewRxOps creates the receive ops with both sub-offloads enabled. rr may
 // be nil to disable placement (digest-only offload).
 func NewRxOps(model *cycles.Model, ledger *cycles.Ledger, rr *RRTable) *RxOps {
-	return &RxOps{model: model, ledger: ledger, rr: rr, place: true, crc: true}
+	o := new(RxOps)
+	o.init(model, ledger, rr, true, true)
+	return o
 }
 
-// NewRxOpsParts creates the receive ops with the copy (placement) and CRC
+// init makes o the receive ops in place, with the copy (placement) and CRC
 // sub-offloads enabled independently.
-func NewRxOpsParts(model *cycles.Model, ledger *cycles.Ledger, rr *RRTable, place, crc bool) *RxOps {
+func (o *RxOps) init(model *cycles.Model, ledger *cycles.Ledger, rr *RRTable, place, crc bool) {
 	if !place {
 		rr = nil
 	}
-	return &RxOps{model: model, ledger: ledger, rr: rr, place: place, crc: crc}
+	*o = RxOps{model: model, ledger: ledger, rr: rr, place: place, crc: crc}
 }
 
 var _ offload.RxOps = (*RxOps)(nil)
@@ -183,11 +185,6 @@ type TxOps struct {
 	crc     uint32
 	dg      [DigestLen]byte
 	dgReady bool
-}
-
-// NewTxOps creates the transmit ops.
-func NewTxOps(model *cycles.Model, ledger *cycles.Ledger) *TxOps {
-	return &TxOps{model: model, ledger: ledger}
 }
 
 var _ offload.TxOps = (*TxOps)(nil)

@@ -559,3 +559,49 @@ func BenchmarkControllerRead256K(b *testing.B) {
 		cycle()
 	}
 }
+
+// TestHostReadNoAlloc: at steady state the initiator issues a read and
+// completes it without allocating: a finished request's bookkeeping is
+// reused by the next, and its buffer's RR-table entry (with the receive
+// offload's table in place) comes and goes without growing the table.
+func TestHostReadNoAlloc(t *testing.T) {
+	for _, rr := range []bool{false, true} {
+		fs := newFakeStream()
+		fs.discard = true
+		h := NewHost(fs)
+		if rr {
+			h.CreateRxEngine(1)
+		}
+		buf := make([]byte, blockdev.BlockSize)
+		data := bytes.Repeat([]byte{0x5A}, blockdev.BlockSize)
+		// One response per CID the cycles below use: the host numbers its
+		// commands 1, 2, ... and each capsule's digest covers its CID.
+		var resps [][]byte
+		for cid := 1; cid <= 32; cid++ {
+			resps = append(resps, Build(&Header{Type: TypeResp, CID: uint16(cid), Op: StatusOK, DataLen: len(data)}, data, false))
+		}
+		var fails, done int
+		complete := func(err error) {
+			done++
+			if err != nil {
+				fails++
+			}
+		}
+		next := uint32(1)
+		cycle := func() {
+			h.ReadBlocks(0, 1, buf, complete)
+			pdu := resps[h.nextCID-1]
+			fs.onData(tcpip.Chunk{Seq: next, Data: pdu})
+			next += uint32(len(pdu))
+		}
+		for i := 0; i < 4; i++ {
+			cycle()
+		}
+		if n := testing.AllocsPerRun(20, cycle); n != 0 {
+			t.Errorf("rr=%v: a read cycle allocates %v times", rr, n)
+		}
+		if done != 25 || fails != 0 || !bytes.Equal(buf, data) {
+			t.Errorf("rr=%v: %d reads completed, %d failed, buffer intact %v", rr, done, fails, bytes.Equal(buf, data))
+		}
+	}
+}

@@ -51,8 +51,16 @@ func (s *sendQueue) enableTxOffload(dev l5p.Device) {
 	}
 	s.offloaded = true
 	s.retain.Ring = st.Socket()
-	e := offload.NewTxEngine(NewTxOps(s.model, s.ledger), &s.retain, s.tr.WriteSeq())
-	dev.AttachTx(s.tr.Flow(), e)
+	ctx := &txContext{ops: TxOps{model: s.model, ledger: s.ledger}}
+	ctx.engine.Init(&ctx.ops, &s.retain, s.tr.WriteSeq())
+	dev.AttachTx(s.tr.Flow(), &ctx.engine)
+}
+
+// txContext is the transmit offload context, one allocation: the NIC-side
+// ops and the engine (§4.1).
+type txContext struct {
+	ops    TxOps
+	engine offload.TxEngine
 }
 
 // send queues a capsule carrying a copy of data.

@@ -1,5 +1,7 @@
 package offload
 
+import "fmt"
+
 // headerParser is the part of RxOps and TxOps the cursor needs: how long a
 // message header is and whether a run of bytes is one.
 type headerParser interface {
@@ -19,16 +21,33 @@ type msgCursor struct {
 	p      headerParser
 	hdrLen int
 
-	// hdr collects header bytes between messages and keeps the current
-	// message's header while inMsg (a blind resume hands it to the Ops).
-	hdr      []byte
+	// hdr[:hdrN] collects header bytes between messages and keeps the
+	// current message's header while inMsg (a blind resume hands it to the
+	// Ops, which keep none of it past the call). It is part of the context,
+	// not a buffer of its own, so an engine is one allocation.
+	hdr      [maxHeaderLen]byte
+	hdrN     int
 	inMsg    bool
 	layout   MsgLayout
 	msgOff   int    // bytes of the current message consumed
 	msgIndex uint64 // messages that precede the current one
 }
 
-func newCursor(p headerParser) msgCursor { return msgCursor{p: p, hdrLen: p.HeaderLen()} }
+// maxHeaderLen is the longest message header an engine can frame: NVMe-TCP's
+// 24-byte PDU header plus its header digest is the longest there is, TLS's
+// record header is 5 bytes.
+const maxHeaderLen = 32
+
+func newCursor(p headerParser) msgCursor {
+	h := p.HeaderLen()
+	if h <= 0 || h > maxHeaderLen {
+		panic(fmt.Sprintf("offload: header length %d outside 1..%d", h, maxHeaderLen))
+	}
+	return msgCursor{p: p, hdrLen: h}
+}
+
+// header is the header bytes collected so far (the whole header once inMsg).
+func (c *msgCursor) header() []byte { return c.hdr[:c.hdrN] }
 
 // region classifies the bytes one step consumed.
 type region uint8
@@ -63,16 +82,18 @@ func (c *msgCursor) find(buf []byte) (int, MsgLayout) {
 // noticed when its last region is visited, so a message with nothing after
 // its header ends with an empty trailer region in front of the next byte
 // that arrives (settle ends it sooner for callers that cannot wait).
+//
+//simlint:hotpath
 func (c *msgCursor) step(data []byte) (r region, n, off int, end bool) {
 	if !c.inMsg {
-		n = min(c.hdrLen-len(c.hdr), len(data))
-		c.hdr = append(c.hdr, data[:n]...)
-		if len(c.hdr) < c.hdrLen {
+		n = copy(c.hdr[c.hdrN:c.hdrLen], data)
+		c.hdrN += n
+		if c.hdrN < c.hdrLen {
 			return regHeader, n, 0, false
 		}
-		i, layout := c.find(c.hdr)
+		i, layout := c.find(c.header())
 		if i < 0 {
-			c.hdr = c.hdr[:0]
+			c.hdrN = 0
 			return regBadHeader, n, 0, false
 		}
 		c.layout, c.inMsg, c.msgOff = layout, true, c.hdrLen
@@ -95,11 +116,11 @@ func (c *msgCursor) step(data []byte) (r region, n, off int, end bool) {
 func (c *msgCursor) left() int { return c.layout.Total - c.msgOff }
 
 // midHeader reports whether part of a header has been collected.
-func (c *msgCursor) midHeader() bool { return !c.inMsg && len(c.hdr) > 0 }
+func (c *msgCursor) midHeader() bool { return !c.inMsg && c.hdrN > 0 }
 
 // reset puts the cursor between messages, in front of message msgIndex.
 func (c *msgCursor) reset(msgIndex uint64) {
-	c.hdr, c.inMsg, c.msgOff, c.msgIndex = c.hdr[:0], false, 0, msgIndex
+	c.hdrN, c.inMsg, c.msgOff, c.msgIndex = 0, false, 0, msgIndex
 }
 
 // skim walks the cursor over bytes the Ops never see — an unoffloaded

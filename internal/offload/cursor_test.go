@@ -22,7 +22,7 @@ type cursorPos struct {
 	msgIndex uint64
 }
 
-func posOf(c *msgCursor) cursorPos { return cursorPos{c.inMsg, len(c.hdr), c.msgOff, c.msgIndex} }
+func posOf(c *msgCursor) cursorPos { return cursorPos{c.inMsg, c.hdrN, c.msgOff, c.msgIndex} }
 
 // visits reduces a tpOps log to the regions a walker visited. Replay
 // reports bodies as "replay" and message ends as "abort", and skips
@@ -382,5 +382,32 @@ func BenchmarkTxProcess(b *testing.B) {
 				step()
 			}
 		})
+	}
+}
+
+// headerLenOps is nopOps with another header length.
+type headerLenOps struct {
+	nopOps
+	n int
+}
+
+func (o headerLenOps) HeaderLen() int { return o.n }
+
+// TestCursorHeaderLenBounds: the cursor keeps a header in a fixed array
+// inside the engine, so an engine accepts any header up to that array's
+// length and refuses, at construction, one it could not hold.
+func TestCursorHeaderLenBounds(t *testing.T) {
+	for _, n := range []int{1, maxHeaderLen} {
+		NewRxEngine(headerLenOps{n: n}, 0, nil)
+	}
+	for _, n := range []int{0, maxHeaderLen + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("an engine for %d-byte headers was built", n)
+				}
+			}()
+			NewTxEngine(headerLenOps{n: n}, nil, 0)
+		}()
 	}
 }

@@ -205,7 +205,16 @@ type RxEngine struct {
 // speculative resync requests to L5P software; it may be nil, in which case
 // the engine can only recover deterministically.
 func NewRxEngine(ops RxOps, startSeq uint32, resyncReq func(seq uint32)) *RxEngine {
-	return &RxEngine{ops: ops, resyncReq: resyncReq, expected: startSeq, cur: newCursor(ops)}
+	e := new(RxEngine)
+	e.Init(ops, startSeq, resyncReq)
+	return e
+}
+
+// Init is NewRxEngine in place, for an engine held inside a larger flow
+// context (one allocation for the whole context, §4.1). It overwrites
+// everything e held, so e must not be attached to a device.
+func (e *RxEngine) Init(ops RxOps, startSeq uint32, resyncReq func(seq uint32)) {
+	*e = RxEngine{ops: ops, resyncReq: resyncReq, expected: startSeq, cur: newCursor(ops)}
 }
 
 // NewSparseRxEngine creates a receive engine for a stacked L5P (§5.3): its
@@ -215,7 +224,14 @@ func NewRxEngine(ops RxOps, startSeq uint32, resyncReq func(seq uint32)) *RxEngi
 // positions across input gaps, and always recovers through the speculative
 // search + software confirmation path.
 func NewSparseRxEngine(ops RxOps, resyncReq func(seq uint32)) *RxEngine {
-	return &RxEngine{ops: ops, resyncReq: resyncReq, cur: newCursor(ops), sparse: true, virgin: true}
+	e := new(RxEngine)
+	e.InitSparse(ops, resyncReq)
+	return e
+}
+
+// InitSparse is NewSparseRxEngine in place, as Init is NewRxEngine.
+func (e *RxEngine) InitSparse(ops RxOps, resyncReq func(seq uint32)) {
+	*e = RxEngine{ops: ops, resyncReq: resyncReq, cur: newCursor(ops), sparse: true, virgin: true}
 }
 
 // gapUnknown is the gap before an emission a stacked engine's feeder did
@@ -326,7 +342,7 @@ func (e *RxEngine) processInSeq(data []byte) meta.RxFlags {
 		switch r {
 		case regHeader:
 			if c.inMsg {
-				e.ops.BeginMessage(c.layout, c.hdr, c.msgIndex)
+				e.ops.BeginMessage(c.layout, c.header(), c.msgIndex)
 			}
 		case regBody:
 			e.ops.Body(seq, data[:n], off)
@@ -492,7 +508,7 @@ func (e *RxEngine) lock(cand uint32, hdr []byte, layout MsgLayout) {
 	e.setState(rxTracking)
 	e.candidateSeq, e.awaitingResp = cand, true
 	c.reset(0)
-	c.hdr = append(c.hdr, hdr...)
+	c.hdrN = copy(c.hdr[:], hdr)
 	c.layout, c.inMsg, c.msgOff = layout, true, c.hdrLen
 	e.sendResyncReq(cand)
 }
@@ -552,7 +568,7 @@ func (e *RxEngine) rejoin() {
 	e.Stats.MsgsBlind++
 	// A skip that reaches into the trailer skipped the whole body.
 	skip := min(c.msgOff, c.layout.Total-c.layout.Trailer) - c.layout.Header
-	e.ops.ResumeMessage(c.layout, c.hdr, c.msgIndex, skip)
+	e.ops.ResumeMessage(c.layout, c.header(), c.msgIndex, skip)
 }
 
 // tryResume is the one transition back to offloading (Fig. 7 d2), taken

@@ -69,7 +69,16 @@ type TxEngine struct {
 // NewTxEngine creates a transmit engine starting at startSeq, which must
 // be an L5P message boundary.
 func NewTxEngine(ops TxOps, src TxSource, startSeq uint32) *TxEngine {
-	return &TxEngine{ops: ops, src: src, expected: startSeq, cur: newCursor(ops)}
+	e := new(TxEngine)
+	e.Init(ops, src, startSeq)
+	return e
+}
+
+// Init is NewTxEngine in place, for an engine held inside a larger flow
+// context (one allocation for the whole context, §4.1). It overwrites
+// everything e held, so e must not be attached to a device.
+func (e *TxEngine) Init(ops TxOps, src TxSource, startSeq uint32) {
+	*e = TxEngine{ops: ops, src: src, expected: startSeq, cur: newCursor(ops)}
 }
 
 // Process runs the engine over one outgoing packet's payload, transforming
@@ -160,7 +169,7 @@ func (e *TxEngine) walk(data []byte, replay bool) {
 		r, n, off, end := c.step(data)
 		switch {
 		case r == regHeader && c.inMsg:
-			e.ops.BeginMessage(c.layout, c.hdr, c.msgIndex)
+			e.ops.BeginMessage(c.layout, c.header(), c.msgIndex)
 		case r == regBody && replay:
 			e.ops.ReplayBody(data[:n], off)
 		case r == regBody:

@@ -48,23 +48,38 @@ type CongestionControl interface {
 // NewCongestionControl builds a controller by name. The empty name selects
 // NewReno, the stack default.
 func NewCongestionControl(name string) (CongestionControl, error) {
+	return bindCongestionControl(name, new(ccState))
+}
+
+// bindCongestionControl returns the named controller working on st, which
+// the caller owns: a Socket holds its ccState by value, so a connection's
+// congestion control costs no allocation of its own.
+func bindCongestionControl(name string, st *ccState) (CongestionControl, error) {
 	switch name {
 	case "", "newreno":
-		return &newReno{}, nil
+		return (*newReno)(st), nil
 	case "cubic":
-		return &cubic{}, nil
+		return (*cubic)(st), nil
 	}
 	return nil, fmt.Errorf("tcpip: unknown congestion control %q", name)
+}
+
+// ccState is the congestion state of either controller. NewReno uses the
+// window, the threshold and the undo snapshot; CUBIC also its growth curve.
+type ccState struct {
+	cwnd, ssthresh int
+	undoCwnd       int // snapshot from OnRTO; 0 = none
+	undoSsthresh   int
+
+	wMaxSeg float64       // CUBIC: window at last reduction, in segments
+	epoch   time.Duration // CUBIC: start of the current growth epoch; 0 = unset
+	k       float64       // CUBIC: seconds until the cubic reaches wMaxSeg again
 }
 
 // newReno is RFC 5681/6582 NewReno, byte-counted the way the pre-extraction
 // inline code did it (the arithmetic is kept bit-identical so seeded runs
 // reproduce).
-type newReno struct {
-	cwnd, ssthresh int
-	undoCwnd       int // snapshot from OnRTO; 0 = none
-	undoSsthresh   int
-}
+type newReno ccState
 
 func (r *newReno) Name() string { return "newreno" }
 
@@ -128,15 +143,7 @@ const (
 // window size where the loss happened (wMax). Recovery inflation/deflation
 // mechanics are shared with NewReno; only the growth curve and the
 // reduction factor differ.
-type cubic struct {
-	cwnd, ssthresh int
-	undoCwnd       int
-	undoSsthresh   int
-
-	wMaxSeg float64       // window at last reduction, in segments
-	epoch   time.Duration // start of the current growth epoch; 0 = unset
-	k       float64       // seconds until the cubic reaches wMaxSeg again
-}
+type cubic ccState
 
 func (c *cubic) Name() string { return "cubic" }
 

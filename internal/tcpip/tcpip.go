@@ -328,24 +328,26 @@ func (st *Stack) maxRTO() time.Duration {
 	return time.Duration(st.model.MaxRTOMicros) * time.Microsecond
 }
 
+// newSocket allocates the socket and nothing else of its own: its timers and
+// its congestion state live inside it.
 func (st *Stack) newSocket(flow wire.FlowID) *Socket {
-	// The name was validated by SetCongestionControl; "" is NewReno.
-	cc, err := NewCongestionControl(st.ccName)
-	if err != nil {
-		panic(err)
-	}
 	s := &Socket{
 		stack:      st,
 		flow:       flow,
 		iss:        st.issSeed,
 		sndBufCap:  defaultSndBuf,
 		rcvBufCap:  defaultRcvBuf,
-		cc:         cc,
 		rto:        initialRTO,
 		peerWindow: st.MSS(), // until first segment arrives
 	}
-	s.rtoTimer = st.sim.NewTimer(s.onRTO)
-	s.delackTimer = st.sim.NewTimer(s.onDelack)
+	// The name was validated by SetCongestionControl; "" is NewReno.
+	cc, err := bindCongestionControl(st.ccName, &s.ccState)
+	if err != nil {
+		panic(err)
+	}
+	s.cc = cc
+	s.rtoTimer.Init(st.sim, s.onRTO)
+	s.delackTimer.Init(st.sim, s.onDelack)
 	s.cc.Init(st.MSS())
 	st.issSeed += 64013
 	s.sndUna = s.iss
@@ -505,14 +507,15 @@ type Socket struct {
 	finQueued  bool
 	finSeq     uint32
 	peerWindow int
-	cc         CongestionControl
+	cc         CongestionControl // works on ccState
+	ccState    ccState
 	dupAcks    int
 	inRecovery bool
 	recoverSeq uint32
 	rto        time.Duration
 	srtt       time.Duration
 	rttvar     time.Duration
-	rtoTimer   *netsim.Timer
+	rtoTimer   netsim.Timer
 	rttSeq     uint32
 	rttAt      time.Duration
 	rttPending bool
@@ -521,7 +524,7 @@ type Socket struct {
 	// Delayed-ACK state (RFC 1122: ack at least every second segment or
 	// within the delayed-ACK timeout).
 	delackPending bool
-	delackTimer   *netsim.Timer
+	delackTimer   netsim.Timer
 
 	// rtoStreak counts consecutive RTOs without forward progress. The
 	// first may be spurious (queueing-delay spikes); only a streak enters

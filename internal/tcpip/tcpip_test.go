@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/cycles"
 	"repro/internal/meta"
@@ -399,5 +400,15 @@ func TestCyclesCharged(t *testing.T) {
 	}
 	if p.lgB.Get(cycles.HostTCP, cycles.StackRx).Cycles == 0 {
 		t.Error("receiver charged no StackRx cycles")
+	}
+}
+
+// TestSocketSizeClass: a Socket holds its two timers and its congestion
+// state by value, so a connection's TCP state is one allocation; past the
+// 640-byte size class that allocation costs every connection more bytes
+// than the three separate objects it replaced.
+func TestSocketSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Socket{}); n > 640 {
+		t.Errorf("Socket is %d bytes: past the 640-byte size class", n)
 	}
 }
