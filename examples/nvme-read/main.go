@@ -46,7 +46,7 @@ func main() {
 	var host *nvmetcp.Host
 	hostStk.Connect(wire.Addr{IP: tgtStk.IP(), Port: 4420}, func(s *tcpip.Socket) {
 		host = nvmetcp.NewHost(stream.NewSocketTransport(s))
-		host.EnableRxOffload(hostNIC)
+		host.EnableRxOffload(hostNIC, true, true) // direct placement and CRC
 	})
 	sim.RunFor(5 * time.Millisecond)
 	if host == nil {

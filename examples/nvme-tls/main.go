@@ -78,7 +78,7 @@ func main() {
 		}
 		host = nvmetcp.NewHost(stream.NewTLSTransport(conn))
 		// Stack the NVMe receive engine below the TLS engine (§5.3).
-		conn.SetInnerRxEngine(host.CreateSparseRxEngine())
+		conn.SetInnerRxEngine(host.CreateSparseRxEngine(true, true))
 	})
 	sim.RunFor(5 * time.Millisecond)
 	if host == nil {

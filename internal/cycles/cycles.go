@@ -81,15 +81,12 @@ const (
 	// CtxDMA is PCIe traffic for NIC context reconstruction after
 	// out-of-sequence traffic (Fig. 16b).
 	CtxDMA
-	// Idle is time the core spends waiting (e.g. on the drive); it counts
-	// toward per-request totals but not toward busy-core utilization.
-	Idle
 	numOps
 )
 
 var opNames = [numOps]string{
 	"copy", "crc", "encrypt", "decrypt", "stack-rx", "stack-tx",
-	"l5p-framing", "driver", "syscall", "app", "dma", "ctx-dma", "idle",
+	"l5p-framing", "driver", "syscall", "app", "dma", "ctx-dma",
 }
 
 // String returns the short, stable name used in experiment output.
@@ -143,14 +140,11 @@ func (l *Ledger) Clone() *Ledger {
 	return out
 }
 
-// HostCycles returns all cycles charged to host components, excluding Idle.
+// HostCycles returns all cycles charged to host components.
 func (l *Ledger) HostCycles() float64 {
 	var sum float64
 	for _, c := range []Component{HostApp, HostL5P, HostTCP, HostDriver} {
 		for o := Op(0); o < numOps; o++ {
-			if o == Idle {
-				continue
-			}
 			sum += l.cells[c][o].Cycles
 		}
 	}
@@ -162,15 +156,6 @@ func (l *Ledger) HostOpCycles(o Op) float64 {
 	var sum float64
 	for _, c := range []Component{HostApp, HostL5P, HostTCP, HostDriver} {
 		sum += l.cells[c][o].Cycles
-	}
-	return sum
-}
-
-// IdleCycles returns cycles charged as Idle across host components.
-func (l *Ledger) IdleCycles() float64 {
-	var sum float64
-	for _, c := range []Component{HostApp, HostL5P, HostTCP, HostDriver} {
-		sum += l.cells[c][Idle].Cycles
 	}
 	return sum
 }

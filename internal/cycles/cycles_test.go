@@ -16,16 +16,12 @@ func TestLedgerChargeAndGet(t *testing.T) {
 	}
 }
 
-func TestHostCyclesExcludesIdleAndNIC(t *testing.T) {
+func TestHostCyclesExcludesNIC(t *testing.T) {
 	var l Ledger
 	l.Charge(HostTCP, StackRx, 10, 0)
-	l.Charge(HostApp, Idle, 1000, 0)
 	l.Charge(NIC, Encrypt, 500, 0)
 	if got := l.HostCycles(); got != 10 {
 		t.Errorf("HostCycles = %v, want 10", got)
-	}
-	if got := l.IdleCycles(); got != 1000 {
-		t.Errorf("IdleCycles = %v", got)
 	}
 	if got := l.NICCycles(); got != 500 {
 		t.Errorf("NICCycles = %v", got)

@@ -20,10 +20,6 @@ type Model struct {
 	PCIeGbps float64
 	// DriveGBps is the remote SSD's max read bandwidth (P4800X, 2.67 GB/s).
 	DriveGBps float64
-	// DriveLatency is the SSD's per-request service latency in seconds.
-	DriveLatency float64
-	// LinkLatency is the one-way wire latency in seconds (back-to-back).
-	LinkLatency float64
 	// LLCBytes is the last-level cache size; working sets beyond it pay
 	// CopyPerByteSpilled instead of CopyPerByte (Fig. 10, depth ≥ 128).
 	LLCBytes int
@@ -37,11 +33,6 @@ type Model struct {
 	// AESGCMPerByte covers AES-128-GCM with AES-NI, either direction,
 	// including GHASH authentication.
 	AESGCMPerByte float64
-	// SHA1PerByte is unaccelerated SHA-1 (Table 1's CBC-HMAC profile).
-	SHA1PerByte float64
-	// AESCBCPerByte is AES-128-CBC with AES-NI (not parallelizable on
-	// encrypt, hence slower than GCM).
-	AESCBCPerByte float64
 
 	// StackRxPerPacket is receive-side TCP/IP+netdevice processing.
 	StackRxPerPacket float64
@@ -73,11 +64,6 @@ type Model struct {
 	// implying tens of kilocycles of per-IO overhead beyond byte costs.
 	FioPerIO float64
 
-	// NICPerByte is the device-side cost of streaming one byte through an
-	// offload engine. It does not consume host cores; it exists so tests
-	// can assert conservation (work moved, not destroyed).
-	NICPerByte float64
-
 	// MTU is the link MTU; MSS is MTU minus IP+TCP headers.
 	MTU int
 
@@ -90,21 +76,17 @@ type Model struct {
 // DefaultModel returns the calibration used by all experiments.
 func DefaultModel() Model {
 	return Model{
-		CPUHz:        2.0e9,
-		MaxCores:     8,
-		NICGbps:      100,
-		PCIeGbps:     126,
-		DriveGBps:    2.67,
-		DriveLatency: 80e-6,
-		LinkLatency:  2e-6,
-		LLCBytes:     32 << 20,
+		CPUHz:     2.0e9,
+		MaxCores:  8,
+		NICGbps:   100,
+		PCIeGbps:  126,
+		DriveGBps: 2.67,
+		LLCBytes:  32 << 20,
 
 		CopyPerByte:        0.50,
 		CopyPerByteSpilled: 1.60,
 		CRCPerByte:         0.45,
 		AESGCMPerByte:      1.55,
-		SHA1PerByte:        4.20,
-		AESCBCPerByte:      2.60,
 
 		StackRxPerPacket:      950,
 		AckRxFactor:           0.25,
@@ -117,8 +99,6 @@ func DefaultModel() Model {
 		AppPerRequest:         2200,
 		ResyncUpcallCost:      1800,
 		FioPerIO:              30000,
-
-		NICPerByte: 0.05,
 
 		MTU: 1500,
 

@@ -74,8 +74,8 @@ type ChurnResult struct {
 	CyclesPerByte    float64 // server host cycles per delivered byte
 	// QueueRxPackets shows the RSS spread across server RX queues.
 	QueueRxPackets []uint64
-	// Leaked counts NIC state still held after full drain: cache entries,
-	// engine-map flows, and pending harvest snapshots across both hosts.
+	// Leaked counts NIC state still held after full drain: cache entries
+	// and engine-map flows across both hosts.
 	// Anything non-zero is a lifecycle leak.
 	Leaked int
 
@@ -272,8 +272,8 @@ func RunChurn(cfg ChurnConfig) *ChurnResult {
 	return res
 }
 
-// nicState counts the per-flow state the NICs hold: context-cache entries,
-// engine-map flows and pending harvest snapshots.
+// nicState counts the per-flow state the NICs hold: context-cache entries
+// and engine-map flows.
 func nicState(nics ...*nic.NIC) int {
 	held := 0
 	for _, n := range nics {
@@ -281,7 +281,7 @@ func nicState(nics ...*nic.NIC) int {
 		for i := 0; i < n.NumQueues(); i++ {
 			q := n.Queue(i)
 			tx, rx := q.EngineFlows()
-			held += tx + rx + q.HarvestPending()
+			held += tx + rx
 		}
 	}
 	return held

@@ -34,7 +34,7 @@ func TestChurnDeterministic(t *testing.T) {
 func TestChurnLeaksNothing(t *testing.T) {
 	r := RunChurn(churnCfg())
 	if r.Leaked != 0 {
-		t.Errorf("churn leaked %d NIC state entries (cache/engines/harvest)", r.Leaked)
+		t.Errorf("churn leaked %d NIC state entries (cache/engines)", r.Leaked)
 	}
 	requireClean(t, "churn under plain loss", r.verdict, 0)
 }

@@ -132,12 +132,7 @@ func NewStorageWorld(o StorageOpts) *StorageWorld {
 	}
 
 	w.Gen = NewMachine(w.Sim, &w.Model, 1, w.Front.SendAtoB, o.NICCfg)
-	w.Srv = &Machine{Ledger: &cycles.Ledger{}}
-	w.Srv.Stack = tcpip.NewStack(w.Sim, [4]byte{10, 0, 0, 2}, &w.Model, w.Srv.Ledger)
-	cfg := o.NICCfg
-	cfg.Model = &w.Model
-	cfg.Ledger = w.Srv.Ledger
-	w.Srv.NIC = nic.New(w.Srv.Stack, func(frame wire.Frame) {
+	route := func(frame wire.Frame) {
 		// Route by a header peek: own transmissions always carry parseable
 		// headers, and the port decision needs no checksum verification.
 		flow, ok := wire.PeekFlow(frame)
@@ -149,7 +144,8 @@ func NewStorageWorld(o StorageOpts) *StorageWorld {
 		} else {
 			w.Back.SendAtoB(frame)
 		}
-	}, cfg)
+	}
+	w.Srv = NewMachine(w.Sim, &w.Model, 2, route, o.NICCfg)
 	w.Tgt = NewMachine(w.Sim, &w.Model, 3, w.Back.SendBtoA, o.NICCfg)
 	w.Front.AttachA(w.Gen.NIC)
 	w.Front.AttachB(w.Srv.NIC)
@@ -162,7 +158,7 @@ func NewStorageWorld(o StorageOpts) *StorageWorld {
 	// when AttachRx/AttachTx run during connection setup below.
 	w.attachTelemetry("storage")
 
-	w.Dev = blockdev.New(w.Sim, blockdev.Config{Latency: 80 * time.Microsecond, GBps: 2.67})
+	w.Dev = blockdev.New(w.Sim, blockdev.Config{Latency: 80 * time.Microsecond, GBps: w.Model.DriveGBps})
 
 	cliTLS, srvTLS := TLSKeys(0)
 	cliTLS.Sendfile = true // storage payloads live in kernel block buffers
@@ -210,14 +206,13 @@ func NewStorageWorld(o StorageOpts) *StorageWorld {
 				if !o.StorageTLSOffload {
 					panic("experiments: stacked NVMe offload requires the TLS offload")
 				}
-				conn.SetInnerRxEngine(w.Host.CreateSparseRxEngineParts(o.NVMePlace, o.NVMeCRC))
+				conn.SetInnerRxEngine(w.Host.CreateSparseRxEngine(o.NVMePlace, o.NVMeCRC))
 			}
 		} else {
 			tr := stream.NewSocketTransport(s)
 			w.Host = nvmetcp.NewHost(tr)
 			if o.NVMePlace || o.NVMeCRC {
-				e := w.Host.CreateRxEngineParts(tr.ReadSeq(), o.NVMePlace, o.NVMeCRC)
-				w.Srv.NIC.AttachRx(tr.Flow().Reverse(), e)
+				w.Host.EnableRxOffload(w.Srv.NIC, o.NVMePlace, o.NVMeCRC)
 			}
 		}
 	})

@@ -451,3 +451,12 @@ func TestConnSizeClass(t *testing.T) {
 		t.Errorf("Conn is %d bytes: past the 704-byte size class, every connection costs 64 bytes more", n)
 	}
 }
+
+// TestRxContextSizeClass: the receive context (HW, ops and engine) is one
+// allocation per offloaded connection in the 768-byte size class; the next
+// class is 896 bytes, 128 more per connection on the churn workload.
+func TestRxContextSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(rxContext{}); n > 768 {
+		t.Errorf("rxContext is %d bytes: past the 768-byte size class, every offloaded connection costs 128 bytes more", n)
+	}
+}

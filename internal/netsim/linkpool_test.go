@@ -28,7 +28,6 @@ func TestLinkPoolAccounting(t *testing.T) {
 	l := NewLink(s, LinkConfig{
 		Gbps:    10,
 		Latency: time.Microsecond,
-		MTU:     600,
 		AtoB: FaultConfig{
 			LossProb:    0.2,
 			DupProb:     0.2,
@@ -41,6 +40,7 @@ func TestLinkPoolAccounting(t *testing.T) {
 		},
 	})
 	l.SetPool(pool)
+	l.SetMTU(600)
 	b := &poolEndpoint{pool: pool}
 	l.AttachA(EndpointFunc(func(wire.Frame) {}))
 	l.AttachB(b)

@@ -378,10 +378,6 @@ type LinkConfig struct {
 	Gbps float64
 	// Latency is the one-way propagation delay.
 	Latency time.Duration
-	// MTU is the maximum frame size in bytes (Ethernet header included);
-	// larger frames are dropped, as on a real path whose MTU shrank under
-	// a sender that has not re-segmented yet. 0 means unlimited.
-	MTU int
 	// AtoB and BtoA configure per-direction impairments.
 	AtoB, BtoA FaultConfig
 }
@@ -411,8 +407,12 @@ type WireLatencySink interface {
 
 // Link is a duplex point-to-point link between endpoints A and B.
 type Link struct {
-	sim    *Simulator
-	cfg    LinkConfig
+	sim *Simulator
+	cfg LinkConfig
+	// mtu is the maximum frame size in bytes (Ethernet header included);
+	// larger frames are dropped, as on a real path whose MTU shrank under
+	// a sender that has not re-segmented yet. 0 means unlimited.
+	mtu    int
 	a, b   Endpoint
 	dirs   [2]direction
 	tracer *telemetry.Tracer
@@ -490,10 +490,10 @@ func (l *Link) setFaults(dir int, fc FaultConfig) {
 // route change onto a narrower or wider path at a virtual-clock instant.
 // Frames already in flight are unaffected; frames sent after the change are
 // dropped if they exceed the new MTU. 0 removes the limit.
-func (l *Link) SetMTU(mtu int) { l.cfg.MTU = mtu }
+func (l *Link) SetMTU(mtu int) { l.mtu = mtu }
 
 // MTU returns the link's current maximum frame size (0 = unlimited).
-func (l *Link) MTU() int { return l.cfg.MTU }
+func (l *Link) MTU() int { return l.mtu }
 
 // StatsAtoB returns counters for the A→B direction.
 func (l *Link) StatsAtoB() DirStats { return l.dirs[0].stats }
@@ -536,7 +536,7 @@ func (l *Link) send(dir int, frame wire.Frame) {
 	// The stack learns via loss or is told out of band (SetMTU) by the
 	// harness playing PMTUD. No rng draw, so enabling an MTU does not
 	// perturb the fault sequences.
-	if l.cfg.MTU > 0 && len(frame) > l.cfg.MTU {
+	if l.mtu > 0 && len(frame) > l.mtu {
 		d.stats.MTUDrops++
 		d.stats.Dropped++
 		l.tracer.Instant1("net", "pkt.drop.mtu", l.tids[dir], "bytes", int64(len(frame)))

@@ -89,40 +89,3 @@ func (n *NIC) installEngineChaos(e *offload.RxEngine) {
 		},
 	})
 }
-
-// rxSeen snapshots the per-engine counters already folded into nic.Stats,
-// so repeated harvests only add deltas.
-type rxSeen struct {
-	fallbacks, corruptionDrops uint64
-	searches, tracks, resumes  uint64
-}
-
-// harvestRx folds an engine's degradation and FSM-transition counters into
-// the stats of the queue running it. Called after each Process and at
-// detach, it catches increments that happen between packets too (e.g. a
-// fallback tripped by a resync response).
-func (q *Queue) harvestRx(e *offload.RxEngine) {
-	seen := q.rxSeen[e]
-	if d := e.Stats.Fallbacks - seen.fallbacks; d > 0 {
-		q.Stats.RxFallbacks += d
-	}
-	if d := e.Stats.CorruptionDrops - seen.corruptionDrops; d > 0 {
-		q.Stats.RxCorruptionDrops += d
-	}
-	if d := e.Stats.EnterSearching - seen.searches; d > 0 {
-		q.Stats.RxSearches += d
-	}
-	if d := e.Stats.EnterTracking - seen.tracks; d > 0 {
-		q.Stats.RxTracks += d
-	}
-	if d := e.Stats.Resumes - seen.resumes; d > 0 {
-		q.Stats.RxResumes += d
-	}
-	q.rxSeen[e] = rxSeen{
-		fallbacks:       e.Stats.Fallbacks,
-		corruptionDrops: e.Stats.CorruptionDrops,
-		searches:        e.Stats.EnterSearching,
-		tracks:          e.Stats.EnterTracking,
-		resumes:         e.Stats.Resumes,
-	}
-}

@@ -153,8 +153,8 @@ func TestChurnAttachDetachLeavesNoState(t *testing.T) {
 	for i := 0; i < nb.NumQueues(); i++ {
 		q := nb.Queue(i)
 		tx, rx := q.EngineFlows()
-		if tx != 0 || rx != 0 || q.HarvestPending() != 0 {
-			t.Errorf("q%d leaked state: tx=%d rx=%d harvest=%d", i, tx, rx, q.HarvestPending())
+		if tx != 0 || rx != 0 {
+			t.Errorf("q%d leaked state: tx=%d rx=%d", i, tx, rx)
 		}
 	}
 	if st := nb.Stats(); st.RxPackets != 256 {
@@ -163,7 +163,7 @@ func TestChurnAttachDetachLeavesNoState(t *testing.T) {
 }
 
 // TestReattachReplacesRxEngine: a flow has one receive engine. Attaching a
-// second one detaches the first, whose counters are harvested, and only the
+// second one detaches the first, whose counters stay counted, and only the
 // new engine sees later frames.
 func TestReattachReplacesRxEngine(t *testing.T) {
 	sim, _, _, _, nb := world(t, Config{Queues: 4, CtxCacheFlows: 8})
@@ -186,13 +186,12 @@ func TestReattachReplacesRxEngine(t *testing.T) {
 		t.Errorf("RxFallbacks = %d, want the replaced engine's 1", st.RxFallbacks)
 	}
 	q := nb.QueueFor(f)
-	if _, rx := q.EngineFlows(); rx != 1 || q.HarvestPending() != 1 {
-		t.Errorf("%d rx flows, %d harvest snapshots; want 1 and 1", rx, q.HarvestPending())
+	if _, rx := q.EngineFlows(); rx != 1 {
+		t.Errorf("%d rx flows, want 1", rx)
 	}
 	nb.DetachRx(f)
-	if _, rx := q.EngineFlows(); rx != 0 || q.HarvestPending() != 0 || nb.CacheLen() != 0 {
-		t.Errorf("after detach: %d rx flows, %d harvest snapshots, %d cached contexts",
-			rx, q.HarvestPending(), nb.CacheLen())
+	if _, rx := q.EngineFlows(); rx != 0 || nb.CacheLen() != 0 {
+		t.Errorf("after detach: %d rx flows, %d cached contexts", rx, nb.CacheLen())
 	}
 }
 

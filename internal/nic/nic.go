@@ -79,19 +79,14 @@ type Stats struct {
 	TxRecoveryDMA uint64 // bytes DMA-read for transmit context recovery
 
 	// Chaos and degradation counters.
-	RxRingStalls      uint64 // injected receive-ring stall episodes
-	RxRingStallDrops  uint64 // frames those stalls swallowed
-	CtxInvalidations  uint64 // injected whole-cache context invalidations
-	RxFallbacks       uint64 // flows whose rx engine fell back to software
-	RxCorruptionDrops uint64 // messages rx engines rejected as corrupt
+	RxRingStalls     uint64 // injected receive-ring stall episodes
+	RxRingStallDrops uint64 // frames those stalls swallowed
+	CtxInvalidations uint64 // injected whole-cache context invalidations
 
-	// Receive-engine FSM transition counters, harvested from every engine
-	// this queue has run (Fig. 7): how often flows lost sync, how often
-	// they entered candidate tracking, and how often they resumed
-	// offloading.
-	RxSearches uint64
-	RxTracks   uint64
-	RxResumes  uint64
+	// The receive-engine degradation and FSM-transition counters
+	// (RxFallbacks, RxCorruptionDrops, RxSearches, RxTracks, RxResumes):
+	// every engine attached to the queue adds to them as it counts.
+	offload.RxQueueStats
 
 	// RxCEMarks counts received frames carrying the ECN CE codepoint — the
 	// congestion signal the NIC sees on the wire before TCP reacts to it.
@@ -138,42 +133,13 @@ type Queue struct {
 	id  int
 	nic *NIC
 
-	tx     map[wire.FlowID]*offload.TxEngine
-	rx     map[wire.FlowID]*offload.RxEngine
-	rxSeen map[*offload.RxEngine]rxSeen
-
-	// touched lists engines run since the last harvest, so completion
-	// counters fold once per poll batch instead of once per packet.
-	touched []*offload.RxEngine
+	tx map[wire.FlowID]*offload.TxEngine
+	rx map[wire.FlowID]*offload.RxEngine
 
 	// Stats is exported for experiments and registered per queue with the
 	// telemetry registry; treat as read-only. NIC.Stats() returns every
 	// queue merged.
 	Stats Stats
-}
-
-// noteTouched marks an engine as run in the current receive batch. The
-// slice stays tiny (engines per queue per batch), so a linear scan beats
-// any map.
-func (q *Queue) noteTouched(e *offload.RxEngine) {
-	for _, t := range q.touched {
-		if t == e {
-			return
-		}
-	}
-	q.touched = append(q.touched, e)
-}
-
-// forgetTouched drops an engine from the pending-harvest list; DetachRx
-// calls it after the final harvest so a batch-deferred harvest cannot
-// resurrect the engine's rxSeen snapshot.
-func (q *Queue) forgetTouched(e *offload.RxEngine) {
-	for i, t := range q.touched {
-		if t == e {
-			q.touched = append(q.touched[:i], q.touched[i+1:]...)
-			return
-		}
-	}
 }
 
 // ID returns the queue's index.
@@ -184,10 +150,11 @@ func (q *Queue) ID() int { return q.id }
 // assert these return to baseline.
 func (q *Queue) EngineFlows() (tx, rx int) { return len(q.tx), len(q.rx) }
 
-// HarvestPending returns the number of engines with harvest snapshots
-// still held (rxSeen entries); it must track attached rx engines, or
-// detach leaked.
-func (q *Queue) HarvestPending() int { return len(q.rxSeen) }
+// HarvestPending returns 0.
+//
+// Deprecated: engines count into their queue as they run, so the NIC
+// holds nothing per engine beyond the attachment EngineFlows counts.
+func (q *Queue) HarvestPending() int { return 0 }
 
 // NIC is one host's network device.
 type NIC struct {
@@ -263,11 +230,10 @@ func New(stack *tcpip.Stack, send func(frame wire.Frame), cfg Config) *NIC {
 	n.txDoorbellTimer = n.sim.NewTimer(n.txDoorbell)
 	for i := 0; i < cfg.Queues; i++ {
 		n.queues = append(n.queues, &Queue{
-			id:     i,
-			nic:    n,
-			tx:     make(map[wire.FlowID]*offload.TxEngine),
-			rx:     make(map[wire.FlowID]*offload.RxEngine),
-			rxSeen: make(map[*offload.RxEngine]rxSeen),
+			id:  i,
+			nic: n,
+			tx:  make(map[wire.FlowID]*offload.TxEngine),
+			rx:  make(map[wire.FlowID]*offload.RxEngine),
 		})
 	}
 	stack.SetDevice(n)
@@ -333,7 +299,6 @@ func (n *NIC) SetTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry, label 
 func (n *NIC) FlushTelemetry() {
 	for _, q := range n.queues {
 		for _, e := range q.rx {
-			q.harvestRx(e)
 			e.FlushTelemetry()
 		}
 	}
@@ -350,14 +315,17 @@ func (n *NIC) AttachTx(flow wire.FlowID, e *offload.TxEngine) {
 }
 
 // AttachRx installs the receive offload engine for a flow as seen in
-// arriving packets (remote→local). An engine already attached is detached
-// first, so its counters are harvested. Stacked L5Ps attach only the
-// outermost engine; inner engines are fed by the outer Ops' emission hook.
+// arriving packets (remote→local); from then on the engine counts into the
+// queue's Stats. An engine already attached is detached first. Stacked
+// L5Ps attach only the outermost engine; inner engines are fed by the
+// outer Ops' emission hook.
 func (n *NIC) AttachRx(flow wire.FlowID, e *offload.RxEngine) {
 	n.DetachRx(flow)
 	n.installEngineChaos(e)
 	e.EnableTelemetry(n.tracer, n.reg, n.rxTid)
-	n.QueueFor(flow).rx[flow] = e
+	q := n.QueueFor(flow)
+	e.CountInto(&q.Stats.RxQueueStats)
+	q.rx[flow] = e
 }
 
 // DetachTx removes the flow's transmit engine (l5o_destroy) and drops its
@@ -369,15 +337,13 @@ func (n *NIC) DetachTx(flow wire.FlowID) {
 	n.cache.drop(cacheKey{flow: flow})
 }
 
-// DetachRx removes the flow's receive engine, harvesting its final
-// counters, and drops the flow's receive context from the shared cache.
+// DetachRx removes the flow's receive engine, which stops counting into
+// the queue, and drops the flow's receive context from the shared cache.
 func (n *NIC) DetachRx(flow wire.FlowID) {
 	q := n.QueueFor(flow)
 	if e := q.rx[flow]; e != nil {
 		e.FlushTelemetry()
-		q.harvestRx(e)
-		delete(q.rxSeen, e)
-		q.forgetTouched(e)
+		e.CountInto(nil)
 	}
 	delete(q.rx, flow)
 	n.cache.drop(cacheKey{flow: flow, rx: true})
@@ -578,14 +544,6 @@ func (n *NIC) rxPoll() {
 		// memory), so the frame recycles immediately.
 		n.pool.Put(s.frame)
 	}
-	// Fold engine completion counters once per touched engine per batch,
-	// not once per packet.
-	for _, q := range n.queues {
-		for _, e := range q.touched {
-			q.harvestRx(e)
-		}
-		q.touched = q.touched[:0]
-	}
 	if len(n.rxBacklog) > 0 && !n.rxPollTimer.Pending() {
 		n.rxPollTimer.Reset(0)
 	}
@@ -637,7 +595,6 @@ func (n *NIC) rxComplete(q *Queue, frame wire.Frame) {
 	if e := q.rx[pkt.Flow]; e != nil && len(pkt.Payload) > 0 {
 		n.cacheTouch(q, cacheKey{flow: pkt.Flow, rx: true})
 		flags = e.Process(pkt.Seq, pkt.Payload, false)
-		q.noteTouched(e)
 	}
 	if lcOn {
 		lq := &n.lc.queues[q.id]

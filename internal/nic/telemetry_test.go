@@ -11,9 +11,11 @@ import (
 	"repro/internal/wire"
 )
 
-// TestFSMCountersHarvested checks that engine FSM-transition counters fold
-// into the device stats (at detach, like the degradation counters do).
-func TestFSMCountersHarvested(t *testing.T) {
+// TestFallbackBetweenPollsCountsAtOnce: a transition an attached engine
+// makes between packets (here software's integrity check tripping the
+// fallback) is in the device stats at once, not at the next poll, and
+// detaching the engine does not count it again.
+func TestFallbackBetweenPollsCountsAtOnce(t *testing.T) {
 	sim, a, b, _, nb := world(t, Config{})
 	ops := &passOps{}
 	var flow wire.FlowID
@@ -38,14 +40,46 @@ func TestFSMCountersHarvested(t *testing.T) {
 		t.Fatal("engine never attached")
 	}
 
-	// Trip a fallback between packets (e.g. software's integrity check),
-	// then detach: the harvest must pick the transition up.
 	eng.SetFallbackPolicy(offload.DefaultFallbackPolicy())
 	eng.NoteAuthFailure()
+	if got := nb.Stats().RxFallbacks; got != 1 {
+		t.Errorf("RxFallbacks = %d right after the fallback, want 1", got)
+	}
 	nb.DetachRx(flow)
+	if got := nb.Stats().RxFallbacks; got != 1 {
+		t.Errorf("RxFallbacks = %d after detach, want 1", got)
+	}
+}
 
-	if nb.Stats().RxFallbacks != 1 {
-		t.Errorf("RxFallbacks=%d, want 1", nb.Stats().RxFallbacks)
+// TestReattachedEngineCountsOnce: an engine detached and attached again
+// counts each of its transitions into the device once, so the device's
+// receive counters equal the engine's own.
+func TestReattachedEngineCountsOnce(t *testing.T) {
+	sim, _, _, _, nb := world(t, Config{})
+	f := flowTo(1)
+	e := offload.NewRxEngine(&passOps{}, 1000, nil)
+	nb.AttachRx(f, e)
+	nb.DeliverFrame(frameFor(f, 1000, 8))
+	nb.DeliverFrame(frameFor(f, 1100, 8)) // a gap: search, then track the header
+	flush(sim)
+	nb.DetachRx(f)
+	nb.AttachRx(f, e)
+	nb.DeliverFrame(frameFor(f, 1300, 8)) // another gap: search and track again
+	flush(sim)
+
+	if e.Stats.EnterSearching != 2 || e.Stats.EnterTracking != 2 {
+		t.Fatalf("engine searched %d and tracked %d times, want 2 and 2",
+			e.Stats.EnterSearching, e.Stats.EnterTracking)
+	}
+	want := offload.RxQueueStats{
+		RxFallbacks:       e.Stats.Fallbacks,
+		RxCorruptionDrops: e.Stats.CorruptionDrops,
+		RxSearches:        e.Stats.EnterSearching,
+		RxTracks:          e.Stats.EnterTracking,
+		RxResumes:         e.Stats.Resumes,
+	}
+	if got := nb.Stats().RxQueueStats; got != want {
+		t.Errorf("device counters %+v, engine's own %+v", got, want)
 	}
 }
 

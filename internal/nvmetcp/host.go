@@ -116,37 +116,19 @@ func (h *Host) EnableTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry, ti
 	}
 }
 
-// EnableRxOffload installs the receive copy+CRC offload directly on the
-// NIC (plain NVMe-TCP over TCP).
-func (h *Host) EnableRxOffload(dev l5p.Device) {
-	e := h.CreateRxEngine(h.tr.ReadSeq())
-	dev.AttachRx(h.tr.Flow().Reverse(), e)
-}
-
-// CreateRxEngine builds the receive engine for a plain TCP transport
-// without attaching it.
-func (h *Host) CreateRxEngine(startSeq uint32) *offload.RxEngine {
-	return h.CreateRxEngineParts(startSeq, true, true)
-}
-
-// CreateRxEngineParts builds the receive engine with the copy (placement)
-// and CRC sub-offloads selectable independently (Table 4's cumulative
-// offload study).
-func (h *Host) CreateRxEngineParts(startSeq uint32, place, crc bool) *offload.RxEngine {
+// EnableRxOffload installs the receive offload directly on the NIC (plain
+// NVMe-TCP over TCP), with the copy (placement) and CRC sub-offloads
+// selectable independently (Table 4's cumulative offload study).
+func (h *Host) EnableRxOffload(dev l5p.Device, place, crc bool) {
 	ctx := h.newRxContext(place, crc)
-	ctx.engine.Init(&ctx.ops, startSeq, h.resync.Request)
-	return h.adopt(&ctx.engine)
+	ctx.engine.Init(&ctx.ops, h.tr.ReadSeq(), h.resync.Request)
+	dev.AttachRx(h.tr.Flow().Reverse(), h.adopt(&ctx.engine))
 }
 
 // CreateSparseRxEngine builds the receive engine for a stacked transport
-// (NVMe over TLS, §5.3); hand it to ktls.Conn.SetInnerRxEngine.
-func (h *Host) CreateSparseRxEngine() *offload.RxEngine {
-	return h.CreateSparseRxEngineParts(true, true)
-}
-
-// CreateSparseRxEngineParts is CreateSparseRxEngine with the copy and CRC
-// sub-offloads selectable independently.
-func (h *Host) CreateSparseRxEngineParts(place, crc bool) *offload.RxEngine {
+// (NVMe over TLS, §5.3), sub-offloads as for EnableRxOffload; hand it to
+// ktls.Conn.SetInnerRxEngine.
+func (h *Host) CreateSparseRxEngine(place, crc bool) *offload.RxEngine {
 	ctx := h.newRxContext(place, crc)
 	ctx.engine.InitSparse(&ctx.ops, h.resync.Request)
 	return h.adopt(&ctx.engine)

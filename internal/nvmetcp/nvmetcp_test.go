@@ -149,13 +149,13 @@ func newStorageWorld(t *testing.T, o storageOpts) *storageWorld {
 			w.host = NewHost(tr)
 			if o.rxOffload {
 				// Stacked NVMe engine fed by the TLS engine (§5.3).
-				conn.SetInnerRxEngine(w.host.CreateSparseRxEngine())
+				conn.SetInnerRxEngine(w.host.CreateSparseRxEngine(true, true))
 			}
 		} else {
 			tr = stream.NewSocketTransport(s)
 			w.host = NewHost(tr)
 			if o.rxOffload {
-				w.host.EnableRxOffload(w.hostNIC)
+				w.host.EnableRxOffload(w.hostNIC, true, true)
 			}
 			if o.txOffload {
 				w.host.EnableTxOffload(w.hostNIC)

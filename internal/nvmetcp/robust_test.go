@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/blockdev"
 	"repro/internal/crc32c"
@@ -570,7 +571,7 @@ func TestHostReadNoAlloc(t *testing.T) {
 		fs.discard = true
 		h := NewHost(fs)
 		if rr {
-			h.CreateRxEngine(1)
+			h.CreateSparseRxEngine(true, true) // puts the offload's RR table in place
 		}
 		buf := make([]byte, blockdev.BlockSize)
 		data := bytes.Repeat([]byte{0x5A}, blockdev.BlockSize)
@@ -603,5 +604,13 @@ func TestHostReadNoAlloc(t *testing.T) {
 		if done != 25 || fails != 0 || !bytes.Equal(buf, data) {
 			t.Errorf("rr=%v: %d reads completed, %d failed, buffer intact %v", rr, done, fails, bytes.Equal(buf, data))
 		}
+	}
+}
+
+// TestRxContextSizeClass: the receive context (RR table, ops and engine)
+// is one allocation per offloaded association, in the 704-byte size class.
+func TestRxContextSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(rxContext{}); n > 704 {
+		t.Errorf("rxContext is %d bytes: past the 704-byte size class, every offloaded association costs 64 bytes more", n)
 	}
 }

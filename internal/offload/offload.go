@@ -115,6 +115,21 @@ type RxStats struct {
 	Resumes         uint64 // transitions back to offloading after recovery
 }
 
+// RxQueueStats is the block of receive-engine counters a device queue
+// keeps for the engines attached to it (nic.Stats embeds it). An attached
+// engine adds to it at the moment it bumps the matching RxStats counter.
+type RxQueueStats struct {
+	RxFallbacks       uint64 // flows whose rx engine fell back to software
+	RxCorruptionDrops uint64 // messages rx engines rejected as corrupt
+
+	// FSM transition counters (Fig. 7): how often flows lost sync, how
+	// often they entered candidate tracking, and how often they resumed
+	// offloading.
+	RxSearches uint64
+	RxTracks   uint64
+	RxResumes  uint64
+}
+
 type rxState int
 
 const (
@@ -146,17 +161,9 @@ type RxEngine struct {
 	// software (l5o_resync_rx_req through the driver, §4.1). May be nil
 	// if recovery is disabled.
 	resyncReq func(seq uint32)
-
-	// noRecovery disables all resynchronization (ablation: once the
-	// context desynchronizes, the flow is never offloaded again).
-	noRecovery bool
-
-	// sparse marks a stacked engine (§5.3) whose input coordinates have
-	// holes where the enclosing protocol's framing was skipped: length
-	// arithmetic over sequence numbers is invalid, so contiguity comes
-	// only from the feeder's flag. Only gapBefore reads it.
-	sparse bool
-	virgin bool // no input consumed yet (sparse engines self-anchor)
+	// queue is the counter block of the device queue the engine is
+	// attached to (CountInto); nil while it is attached to none.
+	queue *RxQueueStats
 
 	state rxState
 	// expected is the sequence cursor: the byte after the last packet the
@@ -172,27 +179,39 @@ type RxEngine struct {
 	tail    []byte
 	tailSeq uint32
 
-	// Tracking.
+	// Tracking. The engine's other flags follow these two booleans so
+	// that all of them share one word: the engine sits in a
+	// per-connection context whose size class connection churn pays for
+	// (TestRxContextSizeClass in ktls and nvmetcp).
 	candidateSeq uint32
 	awaitingResp bool
 	confirmed    bool
-	confirmedIdx uint64 // msgIndex at candidateSeq, from the confirmation
 
+	// noRecovery disables all resynchronization (ablation: once the
+	// context desynchronizes, the flow is never offloaded again).
+	noRecovery bool
+	// sparse marks a stacked engine (§5.3) whose input coordinates have
+	// holes where the enclosing protocol's framing was skipped: length
+	// arithmetic over sequence numbers is invalid, so contiguity comes
+	// only from the feeder's flag. Only gapBefore reads it.
+	sparse bool
+	virgin bool // no input consumed yet (sparse engines self-anchor)
 	// consuming is set while Process runs; an answer that arrives then —
 	// from inside the resyncReq upcall — waits in latched until it ends.
-	consuming bool
-	latched   struct {
-		pending  bool
-		seq      uint32
-		ok       bool
-		msgIndex uint64
+	consuming       bool
+	pendingFallback bool // integrity failure seen mid-packet (fallback.go)
+
+	confirmedIdx uint64 // msgIndex at candidateSeq, from the confirmation
+	latched      struct {
+		msgIndex    uint64
+		seq         uint32
+		pending, ok bool
 	}
 
 	// Degradation policy (fallback.go).
-	policy          FallbackPolicy
-	recoveryFails   int  // consecutive failed recovery attempts
-	pendingFallback bool // integrity failure seen mid-packet
-	chaos           RxChaos
+	policy        FallbackPolicy
+	recoveryFails int // consecutive failed recovery attempts
+	chaos         RxChaos
 
 	telemetryState
 
@@ -265,6 +284,11 @@ func (e *RxEngine) gapBefore(seq uint32, contiguous bool) int {
 // resynchronization: after the first out-of-sequence packet the engine
 // stays silent forever. Used by the recovery ablation (DESIGN.md).
 func (e *RxEngine) DisableRecovery() { e.noRecovery = true }
+
+// CountInto makes the engine add its FSM transitions and corruption drops
+// to q, the counters of the device queue it is attached to, from now on;
+// nil stops it. A device calls it at attach and detach.
+func (e *RxEngine) CountInto(q *RxQueueStats) { e.queue = q }
 
 // State returns the current FSM state name (for tests and debugging).
 func (e *RxEngine) State() string { return e.state.String() }
@@ -369,6 +393,9 @@ func (e *RxEngine) processInSeq(data []byte) meta.RxFlags {
 				// flow degrades to software permanently.
 				e.Stats.MsgsFailed++
 				e.Stats.CorruptionDrops++
+				if e.queue != nil {
+					e.queue.RxCorruptionDrops++
+				}
 				checksOK = false
 				if e.policy.FallbackOnAuthFailure {
 					e.pendingFallback = true

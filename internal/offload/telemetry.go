@@ -57,8 +57,9 @@ func (e *TxEngine) EnableTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry
 }
 
 // setState is the single place receive-FSM transitions happen. It bumps
-// the transition counter for the state entered, closes the time-in-state
-// histogram for the state left, and emits a trace event.
+// the transition counter for the state entered (in the attached queue's
+// counters too), closes the time-in-state histogram for the state left,
+// and emits a trace event.
 func (e *RxEngine) setState(s rxState) {
 	if s == e.state {
 		return
@@ -73,6 +74,7 @@ func (e *RxEngine) setState(s rxState) {
 	case rxFallback:
 		e.Stats.Fallbacks++
 	}
+	e.queue.noteState(s)
 	if e.tr.Enabled() {
 		now := e.tr.Now()
 		e.stateHist[e.state].Record(int64(now - e.stateSince))
@@ -95,6 +97,24 @@ func (e *RxEngine) setState(s rxState) {
 		e.oosPkts = 0
 	}
 	e.state = s
+}
+
+// noteState counts a transition into s in the queue's counters; a nil
+// block (an engine attached to no device) counts nothing.
+func (q *RxQueueStats) noteState(s rxState) {
+	if q == nil {
+		return
+	}
+	switch s {
+	case rxOffloading:
+		q.RxResumes++
+	case rxSearching:
+		q.RxSearches++
+	case rxTracking:
+		q.RxTracks++
+	case rxFallback:
+		q.RxFallbacks++
+	}
 }
 
 // FlushTelemetry closes out the time-in-state histogram for the state the

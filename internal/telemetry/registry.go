@@ -51,8 +51,10 @@ func NewRegistry() *Registry {
 
 // RegisterCounters registers a pointer to a struct whose exported uint64
 // fields (recursively, for nested structs) become counters named
-// "prefix.Field". The struct is read live at snapshot time, so register
-// once and keep mutating the counters as usual.
+// "prefix.Field": "prefix.Nested.Field" for a nested struct's, and
+// "prefix.Field" for an embedded one's, as Go promotes them. The struct is
+// read live at snapshot time, so register once and keep mutating the
+// counters as usual.
 func (r *Registry) RegisterCounters(prefix string, stats any) {
 	if r == nil {
 		return
@@ -67,8 +69,9 @@ func (r *Registry) RegisterCounters(prefix string, stats any) {
 	r.layoutDirty = true
 }
 
-// flattenLayout walks exported uint64 fields, recursing into structs, and
-// records each field's full metric name and reflect index path.
+// flattenLayout walks exported uint64 fields, recursing into structs
+// (embedded ones under the same prefix), and records each field's full
+// metric name and reflect index path.
 func flattenLayout(prefix string, t reflect.Type, path []int, out *[]counterField) {
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
@@ -83,6 +86,9 @@ func flattenLayout(prefix string, t reflect.Type, path []int, out *[]counterFiel
 			p[len(path)] = i
 			*out = append(*out, counterField{name: name, path: p})
 		case reflect.Struct:
+			if f.Anonymous {
+				name = prefix // an embedded struct's fields are promoted
+			}
 			flattenLayout(name, f.Type, append(path, i), out)
 		}
 	}

@@ -48,6 +48,34 @@ func TestRegistrySnapshotFlattensAndSums(t *testing.T) {
 	}
 }
 
+// EmbeddedCounters is exported because only an exported embedded type
+// is an exported field.
+type EmbeddedCounters struct {
+	Promoted uint64
+}
+
+type withEmbedded struct {
+	Own uint64
+	EmbeddedCounters
+}
+
+// TestRegistryPromotesEmbedded: an embedded struct's counters are named
+// as Go promotes them — prefix.Field, not prefix.Type.Field — and read
+// live like any other field.
+func TestRegistryPromotesEmbedded(t *testing.T) {
+	r := NewRegistry()
+	st := &withEmbedded{Own: 1}
+	r.RegisterCounters("q0", st)
+	st.Promoted = 5
+	s := r.Snapshot()
+	if got := s.Get("q0.Promoted"); got != 5 {
+		t.Errorf("q0.Promoted = %d, want 5", got)
+	}
+	if len(s.Counters) != 2 {
+		t.Errorf("counters = %v, want q0.Own and q0.Promoted", s.Counters)
+	}
+}
+
 func TestRegistryRejectsNonPointer(t *testing.T) {
 	defer func() {
 		if recover() == nil {
