@@ -76,10 +76,13 @@ fuzz-short:
 # Deterministic-seed rerun of the goldens: the full event sequence of a
 # seeded run (the Chrome trace), what cmd/experiments prints for fig2,
 # tab1, fig3, fig4, fig10, fig11, sec61, sec62, abl-recovery, abl-magic,
-# fig12, fig14, fig15, tab4 and churn, and every counter the chaos, ecn,
-# mtuflap and recovery tables print (on short runs) must stay byte-identical.
+# fig12, fig14, fig15, tab4 and churn, every counter the chaos, ecn,
+# mtuflap and recovery tables print (on short runs), and every counter,
+# histogram and sampled series a telemetry-on pair world (offloaded iperf)
+# and NVMe-over-TLS storage world (offloaded HTTP) register must stay
+# byte-identical.
 golden-check:
-	$(GO) test -count=1 -run 'GoldenChromeTrace|TablesGolden|ChaosGolden' ./internal/experiments/
+	$(GO) test -count=1 -run 'GoldenChromeTrace|TablesGolden|ChaosGolden|WorldMetricsGolden' ./internal/experiments/
 
 # The race detector instruments allocations, so the zero-alloc guarantees
 # (disabled telemetry and lifecycle spans must not allocate on the

@@ -32,8 +32,8 @@ func run(mode appsim.Mode) (gbps float64, lg *cycles.Ledger, bytes uint64) {
 	genLg, srvLg := &cycles.Ledger{}, &cycles.Ledger{}
 	gen := tcpip.NewStack(sim, [4]byte{10, 0, 0, 1}, &model, genLg)
 	srv := tcpip.NewStack(sim, [4]byte{10, 0, 0, 2}, &model, srvLg)
-	genNIC := nic.New(gen, link.SendAtoB, nic.Config{Model: &model, Ledger: genLg})
-	srvNIC := nic.New(srv, link.SendBtoA, nic.Config{Model: &model, Ledger: srvLg})
+	genNIC := nic.New(gen, link.SendAtoB, nic.Config{})
+	srvNIC := nic.New(srv, link.SendBtoA, nic.Config{})
 	link.AttachA(genNIC)
 	link.AttachB(srvNIC)
 

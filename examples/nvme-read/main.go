@@ -31,8 +31,8 @@ func main() {
 	hostLg, tgtLg := &cycles.Ledger{}, &cycles.Ledger{}
 	hostStk := tcpip.NewStack(sim, [4]byte{10, 0, 0, 1}, &model, hostLg)
 	tgtStk := tcpip.NewStack(sim, [4]byte{10, 0, 0, 2}, &model, tgtLg)
-	hostNIC := nic.New(hostStk, link.SendAtoB, nic.Config{Model: &model, Ledger: hostLg})
-	tgtNIC := nic.New(tgtStk, link.SendBtoA, nic.Config{Model: &model, Ledger: tgtLg})
+	hostNIC := nic.New(hostStk, link.SendAtoB, nic.Config{})
+	tgtNIC := nic.New(tgtStk, link.SendBtoA, nic.Config{})
 	link.AttachA(hostNIC)
 	link.AttachB(tgtNIC)
 

@@ -39,8 +39,8 @@ func main() {
 	aliceLg, bobLg := &cycles.Ledger{}, &cycles.Ledger{}
 	alice := tcpip.NewStack(sim, [4]byte{10, 0, 0, 1}, &model, aliceLg)
 	bob := tcpip.NewStack(sim, [4]byte{10, 0, 0, 2}, &model, bobLg)
-	aliceNIC := nic.New(alice, link.SendAtoB, nic.Config{Model: &model, Ledger: aliceLg})
-	bobNIC := nic.New(bob, link.SendBtoA, nic.Config{Model: &model, Ledger: bobLg})
+	aliceNIC := nic.New(alice, link.SendAtoB, nic.Config{})
+	bobNIC := nic.New(bob, link.SendBtoA, nic.Config{})
 	link.AttachA(aliceNIC)
 	link.AttachB(bobNIC)
 

@@ -51,15 +51,10 @@ func runRecoveryAblation(v ablationVariant, loss float64, seed int64) (st ktls.S
 
 	var conn *ktls.Conn
 	w.Srv.Stack.Listen(5001, func(s *tcpip.Socket) {
-		c, err := ktls.NewConn(s, srvTLS)
-		if err != nil {
-			panic(err)
-		}
+		c := newConn(s, srvTLS, nil, false, false)
 		conn = c
 		hw, err := ktls.NewHW(srvTLS.Key, srvTLS.RxIV, &w.Model, w.Srv.Ledger)
-		if err != nil {
-			panic(err)
-		}
+		must(err)
 		var ops *ktls.RxOps
 		if v == ablNoPartial {
 			ops = ktls.NewRxOpsNoPartial(hw)
@@ -79,13 +74,7 @@ func runRecoveryAblation(v ablationVariant, loss float64, seed int64) (st ktls.S
 	})
 	msg := make([]byte, 256<<10)
 	w.Gen.Stack.Connect(wire.Addr{IP: w.Srv.Stack.IP(), Port: 5001}, func(s *tcpip.Socket) {
-		c, err := ktls.NewConn(s, cliTLS)
-		if err != nil {
-			panic(err)
-		}
-		if err := c.EnableTxOffload(w.Gen.NIC, false); err != nil {
-			panic(err)
-		}
+		c := newConn(s, cliTLS, w.Gen.NIC, true, false)
 		c.OnError = func(error) { failed++ }
 		pump := func(c *ktls.Conn) {
 			for c.Write(msg) > 0 {

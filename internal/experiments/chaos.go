@@ -147,9 +147,7 @@ func (f ChaosFaults) tuneStacks(stacks ...*tcpip.Stack) {
 			st.EnableSACK()
 		}
 		if f.CC != "" {
-			if err := st.SetCongestionControl(f.CC); err != nil {
-				panic(err)
-			}
+			must(st.SetCongestionControl(f.CC))
 		}
 	}
 }
@@ -195,8 +193,7 @@ func (f *ChaosFaults) arm(sim *netsim.Simulator, link *netsim.Link,
 // the start; RunIperf arms f's link faults and MTU flaps on the data
 // direction once its warm-up ends. queues ≤ 1 keeps one queue pair.
 func chaosPair(f ChaosFaults, queues int) *PairWorld {
-	w := NewPairWorld(netsim.LinkConfig{Gbps: 100, Latency: 2 * time.Microsecond},
-		nic.Config{Chaos: f.NIC, CtxCacheFlows: 64, Queues: queues})
+	w := NewPairWorld(dcLink, nic.Config{Chaos: f.NIC, CtxCacheFlows: 64, Queues: queues})
 	datacenterRTO(&w.Model)
 	f.tuneStacks(w.Gen.Stack, w.Srv.Stack)
 	w.faults = &f

@@ -122,13 +122,7 @@ func RunChurn(cfg ChurnConfig) *ChurnResult {
 
 	accepted := 0
 	w.Srv.Stack.Listen(5001, func(s *tcpip.Socket) {
-		conn, err := ktls.NewConn(s, srvTLS)
-		if err != nil {
-			panic(err)
-		}
-		if err := conn.EnableRxOffload(w.Srv.NIC); err != nil {
-			panic(err)
-		}
+		conn := newConn(s, srvTLS, w.Srv.NIC, false, true)
 		id, off, bad := accepted, uint64(0), false
 		accepted++
 		conn.OnPlain = func(pc ktls.PlainChunk) {
@@ -174,13 +168,7 @@ func RunChurn(cfg ChurnConfig) *ChurnResult {
 				s.Close()
 				return
 			}
-			conn, err := ktls.NewConn(s, cliTLS)
-			if err != nil {
-				panic(err)
-			}
-			if err := conn.EnableTxOffload(w.Gen.NIC, false); err != nil {
-				panic(err)
-			}
+			conn := newConn(s, cliTLS, w.Gen.NIC, true, false)
 			conn.OnError = func(error) { res.connsFailed++ }
 			remaining := total
 			pump := func(c *ktls.Conn) {

@@ -190,7 +190,7 @@ func TestFig15Shape(t *testing.T) {
 	gain := func(size int) float64 {
 		var one [2]float64
 		for i, off := range []bool{false, true} {
-			w := NewStorageWorld(StorageOpts{OverTLS: true, StorageTLSOffload: off, NVMePlace: off, NVMeCRC: off})
+			w := NewStorageWorld(StorageOpts{OverTLS: true, NVMePlace: off, NVMeCRC: off})
 			res := RunKV(w, 16, size, 2*time.Millisecond)
 			requireClean(t, fmt.Sprintf("%s offload=%v", sizeLabel(size), off), res.verdict, 0)
 			one[i] = oneCoreGbps(&w.Model, res.Srv, res.Bytes, res.Elapsed, w.Model.DriveGbps())

@@ -174,8 +174,7 @@ func Fig19() []*Table {
 		appsim.ModeTLSOffloadZC, appsim.ModePlain}
 	for _, n := range conns {
 		for _, mode := range modes {
-			w := NewPairWorld(netsim.LinkConfig{Gbps: 100, Latency: 2 * time.Microsecond},
-				nic.Config{CtxCacheFlows: 160})
+			w := NewPairWorld(dcLink, nic.Config{CtxCacheFlows: 160})
 			// Fewer packets per batch as connections grow (paper: 48 → 8).
 			batch := 48.0 / (1 + float64(n)/64)
 			if batch < 8 {

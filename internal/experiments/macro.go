@@ -86,10 +86,9 @@ func Fig14() []*Table {
 		var oneCore, eightCore, busy [2]float64
 		for i, offload := range []bool{false, true} {
 			w := NewStorageWorld(StorageOpts{
-				OverTLS:           true,
-				StorageTLSOffload: offload,
-				NVMePlace:         offload,
-				NVMeCRC:           offload,
+				OverTLS:   true,
+				NVMePlace: offload,
+				NVMeCRC:   offload,
 			})
 			mode := appsim.ModeTLS
 			if offload {
@@ -124,10 +123,9 @@ func Fig15() []*Table {
 		var oneCore, busy [2]float64
 		for i, offload := range []bool{false, true} {
 			w := NewStorageWorld(StorageOpts{
-				OverTLS:           true,
-				StorageTLSOffload: offload,
-				NVMePlace:         offload,
-				NVMeCRC:           offload,
+				OverTLS:   true,
+				NVMePlace: offload,
+				NVMeCRC:   offload,
 			})
 			res := RunKV(w, 32, size, 4*time.Millisecond)
 			oneCore[i] = oneCoreGbps(&w.Model, res.Srv, res.Bytes, res.Elapsed, w.Model.DriveGbps())

@@ -7,13 +7,12 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/cycles"
-	"repro/internal/netsim"
 	"repro/internal/nic"
 	"repro/internal/paperdata"
 )
 
 func cleanPair() *PairWorld {
-	return NewPairWorld(netsim.LinkConfig{Gbps: 100, Latency: 2 * time.Microsecond}, nic.Config{})
+	return NewPairWorld(dcLink, nic.Config{})
 }
 
 func cleanStorage() *StorageWorld {

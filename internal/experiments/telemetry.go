@@ -49,79 +49,51 @@ func attachSampler(sim *netsim.Simulator, label string) {
 }
 
 // attachTelemetry wires one machine's stack and NIC under prefix.
-func (m *Machine) attachTelemetry(prefix string) {
-	if tel == nil {
-		return
-	}
+func (m *Machine) attachTelemetry(tel *telemetry.System, prefix string) {
 	m.Stack.SetTracer(tel.Trace, prefix+".tcp")
 	tel.Reg.RegisterCounters(prefix+".tcp", &m.Stack.Stats)
 	m.NIC.SetTelemetry(tel.Trace, tel.Reg, prefix+".nic")
 }
 
-// attachTelemetry opens a new trace world for the pair topology and wires
-// the link and both machines into it.
-func (w *PairWorld) attachTelemetry(world string) {
+// attachTelemetry captures the installed telemetry system, if any, opens a
+// new trace world of the given kind and wires the world's links, frame
+// pool and machines into it under the world's prefix.
+func (w *world) attachTelemetry(kind string) {
+	w.tel = tel
 	if tel == nil {
 		return
 	}
-	pid := tel.Trace.AttachClock(w.Sim.Now, world)
-	p := fmt.Sprintf("w%d", pid)
-	w.Link.EnableTrace(tel.Trace, p+".link")
-	tel.Reg.RegisterCounters(p+".link.ab", w.Link.StatsPtrAtoB())
-	tel.Reg.RegisterCounters(p+".link.ba", w.Link.StatsPtrBtoA())
-	tel.Reg.RegisterCounters(p+".pool", w.Pool.StatsPtr())
-	w.Gen.attachTelemetry(p + ".gen")
-	w.Srv.attachTelemetry(p + ".srv")
-	attachSampler(w.Sim, p)
-}
-
-// FlushTelemetry closes out per-engine accounting. Call after traffic,
-// before exporting.
-func (w *PairWorld) FlushTelemetry() {
-	if tel == nil {
-		return
-	}
-	w.Gen.NIC.FlushTelemetry()
-	w.Srv.NIC.FlushTelemetry()
-}
-
-// attachTelemetry opens a new trace world for the storage topology and
-// wires both links and all three machines into it.
-func (w *StorageWorld) attachTelemetry(world string) {
-	if tel == nil {
-		return
-	}
-	pid := tel.Trace.AttachClock(w.Sim.Now, world)
+	pid := tel.Trace.AttachClock(w.Sim.Now, kind)
 	p := fmt.Sprintf("w%d", pid)
 	w.telPrefix = p
-	w.Front.EnableTrace(tel.Trace, p+".front")
-	w.Back.EnableTrace(tel.Trace, p+".back")
-	tel.Reg.RegisterCounters(p+".front.ab", w.Front.StatsPtrAtoB())
-	tel.Reg.RegisterCounters(p+".front.ba", w.Front.StatsPtrBtoA())
-	tel.Reg.RegisterCounters(p+".back.ab", w.Back.StatsPtrAtoB())
-	tel.Reg.RegisterCounters(p+".back.ba", w.Back.StatsPtrBtoA())
+	for _, l := range w.links {
+		l.EnableTrace(tel.Trace, p+"."+l.name)
+		tel.Reg.RegisterCounters(p+"."+l.name+".ab", l.StatsPtrAtoB())
+		tel.Reg.RegisterCounters(p+"."+l.name+".ba", l.StatsPtrBtoA())
+	}
 	tel.Reg.RegisterCounters(p+".pool", w.Pool.StatsPtr())
-	w.Gen.attachTelemetry(p + ".gen")
-	w.Srv.attachTelemetry(p + ".srv")
-	w.Tgt.attachTelemetry(p + ".tgt")
+	for _, m := range w.machines {
+		m.attachTelemetry(tel, p+"."+m.name)
+	}
 	attachSampler(w.Sim, p)
 }
 
-// FlushTelemetry closes out per-engine accounting across all three hosts.
-func (w *StorageWorld) FlushTelemetry() {
-	if tel == nil {
+// FlushTelemetry closes out per-engine accounting on every machine. Call
+// after traffic, before exporting.
+func (w *world) FlushTelemetry() {
+	if w.tel == nil {
 		return
 	}
-	w.Gen.NIC.FlushTelemetry()
-	w.Srv.NIC.FlushTelemetry()
-	w.Tgt.NIC.FlushTelemetry()
+	for _, m := range w.machines {
+		m.NIC.FlushTelemetry()
+	}
 }
 
-// latencyHistogram returns the shared histogram by name, or nil when
-// telemetry is disabled (Record on a nil histogram is a no-op).
-func latencyHistogram(name string) *telemetry.Histogram {
-	if tel == nil {
+// histogram returns the run's histogram by name, or nil when the world was
+// built with telemetry off (Record on a nil histogram is a no-op).
+func (w *world) histogram(name string) *telemetry.Histogram {
+	if w.tel == nil {
 		return nil
 	}
-	return tel.Reg.Histogram(name)
+	return w.tel.Reg.Histogram(name)
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/nvmetcp"
 	"repro/internal/stream"
 	"repro/internal/tcpip"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -20,17 +21,83 @@ type Machine struct {
 	Stack  *tcpip.Stack
 	NIC    *nic.NIC
 	Ledger *cycles.Ledger
+
+	name string // its telemetry name in the world: "gen", "srv" or "tgt"
 }
 
-// NewMachine builds a host. send transmits serialized frames onto a link.
-func NewMachine(sim *netsim.Simulator, model *cycles.Model, ip byte,
-	send func(wire.Frame), nicCfg nic.Config) *Machine {
-	m := &Machine{Ledger: &cycles.Ledger{}}
-	m.Stack = tcpip.NewStack(sim, [4]byte{10, 0, 0, ip}, model, m.Ledger)
-	nicCfg.Model = model
-	nicCfg.Ledger = m.Ledger
-	m.NIC = nic.New(m.Stack, send, nicCfg)
+// dcLink is the datacenter fabric every clean world runs on.
+var dcLink = netsim.LinkConfig{Gbps: 100, Latency: 2 * time.Microsecond}
+
+// world is the core both topologies embed: one simulator, which owns the
+// frame pool every link and NIC of the world uses, one cost model every
+// stack and NIC prices with, the links and machines by telemetry name, the
+// telemetry system installed when the world was built, and the fault
+// schedule.
+type world struct {
+	Sim   *netsim.Simulator
+	Model cycles.Model
+	Pool  *wire.FramePool // the simulator's
+	Gen   *Machine        // workload generator / client
+	Srv   *Machine        // device under test / server
+
+	links     []namedLink
+	machines  []*Machine
+	tel       *telemetry.System // nil when telemetry is off
+	telPrefix string            // the world's trace/metrics prefix, with telemetry on
+	faults    *ChaosFaults      // armed by the workload driver after its warm-up, if set
+}
+
+// namedLink is a link and its telemetry name in the world.
+type namedLink struct {
+	*netsim.Link
+	name string
+}
+
+// newWorld returns an empty core on a new simulator.
+func newWorld() world {
+	sim := netsim.New()
+	return world{Sim: sim, Model: cycles.DefaultModel(), Pool: sim.Pool()}
+}
+
+// link adds a link to the world under a telemetry name.
+func (w *world) link(name string, cfg netsim.LinkConfig) *netsim.Link {
+	l := netsim.NewLink(w.Sim, cfg)
+	w.links = append(w.links, namedLink{l, name})
+	return l
+}
+
+// machine adds host 10.0.0.ip to the world under a telemetry name; send
+// puts its frames on the wire.
+func (w *world) machine(name string, ip byte, send func(wire.Frame), cfg nic.Config) *Machine {
+	m := &Machine{Ledger: &cycles.Ledger{}, name: name}
+	m.Stack = tcpip.NewStack(w.Sim, [4]byte{10, 0, 0, ip}, &w.Model, m.Ledger)
+	m.NIC = nic.New(m.Stack, send, cfg)
+	w.machines = append(w.machines, m)
 	return m
+}
+
+// must panics on a setup error only a harness bug can cause: the harness
+// gives every setup step its own fixed keys and congestion-control names,
+// and installs each offload once per connection and direction.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// newConn opens a kTLS connection over s, offloading its transmit and
+// receive crypto to dev as asked. A connection that sends from kernel
+// buffers (cfg.Sendfile) hands them to the NIC without a private copy.
+func newConn(s *tcpip.Socket, cfg ktls.Config, dev *nic.NIC, tx, rx bool) *ktls.Conn {
+	c, err := ktls.NewConn(s, cfg)
+	must(err)
+	if tx {
+		must(c.EnableTxOffload(dev, cfg.Sendfile))
+	}
+	if rx {
+		must(c.EnableRxOffload(dev))
+	}
+	return c
 }
 
 // TLSKeys returns the matched client/server kTLS configurations every
@@ -45,26 +112,19 @@ func TLSKeys(recordSize int) (cli, srv ktls.Config) {
 	return
 }
 
-// PairWorld is two machines on one link: the iperf topology.
+// PairWorld is two machines on one link: the iperf topology, Gen on side
+// A and Srv on side B.
 type PairWorld struct {
-	Sim   *netsim.Simulator
-	Model cycles.Model
-	Pool  *wire.FramePool // shared by both NICs and the link
-	Link  *netsim.Link
-	Gen   *Machine // workload generator / client (side A)
-	Srv   *Machine // device under test / server (side B)
-
-	faults *ChaosFaults // armed on the A→B direction by RunIperf, if set
+	world
+	Link *netsim.Link
 }
 
 // NewPairWorld builds the two-machine topology.
 func NewPairWorld(link netsim.LinkConfig, nicCfg nic.Config) *PairWorld {
-	w := &PairWorld{Sim: netsim.New(), Model: cycles.DefaultModel(), Pool: wire.NewFramePool()}
-	w.Link = netsim.NewLink(w.Sim, link)
-	w.Link.SetPool(w.Pool)
-	nicCfg.Pool = w.Pool
-	w.Gen = NewMachine(w.Sim, &w.Model, 1, w.Link.SendAtoB, nicCfg)
-	w.Srv = NewMachine(w.Sim, &w.Model, 2, w.Link.SendBtoA, nicCfg)
+	w := &PairWorld{world: newWorld()}
+	w.Link = w.link("link", link)
+	w.Gen = w.machine("gen", 1, w.Link.SendAtoB, nicCfg)
+	w.Srv = w.machine("srv", 2, w.Link.SendBtoA, nicCfg)
 	w.Link.AttachA(w.Gen.NIC)
 	w.Link.AttachB(w.Srv.NIC)
 	w.attachTelemetry("pair")
@@ -75,32 +135,23 @@ func NewPairWorld(link netsim.LinkConfig, nicCfg nic.Config) *PairWorld {
 // generator ↔ server ↔ storage target (which owns the simulated SSD).
 // The server machine routes between its two ports by destination IP.
 type StorageWorld struct {
-	Sim    *netsim.Simulator
-	Model  cycles.Model
-	Pool   *wire.FramePool // shared by all three NICs and both links
-	Front  *netsim.Link    // generator ↔ server
-	Back   *netsim.Link    // server ↔ target
-	Gen    *Machine
-	Srv    *Machine
+	world
+	Front  *netsim.Link // generator ↔ server
+	Back   *netsim.Link // server ↔ target
 	Tgt    *Machine
 	Dev    *blockdev.Device
 	Host   *nvmetcp.Host
 	Ctrl   *nvmetcp.Controller
 	SrvTLS *ktls.Conn // server-side TLS conn of the storage link, if any
-
-	telPrefix string       // trace/metrics prefix when telemetry is enabled
-	faults    *ChaosFaults // armed on the target→server direction by RunFio, if set
 }
 
 // StorageOpts configures the storage path.
 type StorageOpts struct {
-	FrontLink netsim.LinkConfig
-	BackLink  netsim.LinkConfig
-	NICCfg    nic.Config
+	NICCfg nic.Config
 	// OverTLS runs the storage connection through kTLS (NVMe-TLS, §5.3).
+	// The server NIC offloads its TLS when either NVMe receive offload is
+	// on: the NVMe engine runs inside the TLS one.
 	OverTLS bool
-	// StorageTLSOffload offloads the storage link's TLS on the server NIC.
-	StorageTLSOffload bool
 	// NVMePlace and NVMeCRC enable the receive sub-offloads.
 	NVMePlace, NVMeCRC bool
 	// TargetTxOffload offloads the target's response data digests.
@@ -115,23 +166,13 @@ type StorageOpts struct {
 // NewStorageWorld builds the topology and establishes the NVMe connection.
 // It panics if establishment fails (a programming error in experiments).
 func NewStorageWorld(o StorageOpts) *StorageWorld {
-	if o.FrontLink.Gbps == 0 {
-		o.FrontLink = netsim.LinkConfig{Gbps: 100, Latency: 2 * time.Microsecond}
-	}
-	if o.BackLink.Gbps == 0 {
-		o.BackLink = netsim.LinkConfig{Gbps: 100, Latency: 2 * time.Microsecond}
-	}
-	w := &StorageWorld{Sim: netsim.New(), Model: cycles.DefaultModel(), Pool: wire.NewFramePool()}
-	w.Front = netsim.NewLink(w.Sim, o.FrontLink)
-	w.Back = netsim.NewLink(w.Sim, o.BackLink)
-	w.Front.SetPool(w.Pool)
-	w.Back.SetPool(w.Pool)
-	o.NICCfg.Pool = w.Pool
+	w := &StorageWorld{world: newWorld()}
+	w.Front = w.link("front", dcLink)
+	w.Back = w.link("back", dcLink)
 	if o.Faults != nil {
 		o.NICCfg.Chaos = o.Faults.NIC
 	}
-
-	w.Gen = NewMachine(w.Sim, &w.Model, 1, w.Front.SendAtoB, o.NICCfg)
+	w.Gen = w.machine("gen", 1, w.Front.SendAtoB, o.NICCfg)
 	route := func(frame wire.Frame) {
 		// Route by a header peek: own transmissions always carry parseable
 		// headers, and the port decision needs no checksum verification.
@@ -145,8 +186,8 @@ func NewStorageWorld(o StorageOpts) *StorageWorld {
 			w.Back.SendAtoB(frame)
 		}
 	}
-	w.Srv = NewMachine(w.Sim, &w.Model, 2, route, o.NICCfg)
-	w.Tgt = NewMachine(w.Sim, &w.Model, 3, w.Back.SendBtoA, o.NICCfg)
+	w.Srv = w.machine("srv", 2, route, o.NICCfg)
+	w.Tgt = w.machine("tgt", 3, w.Back.SendBtoA, o.NICCfg)
 	w.Front.AttachA(w.Gen.NIC)
 	w.Front.AttachB(w.Srv.NIC)
 	w.Back.AttachA(w.Srv.NIC)
@@ -166,16 +207,9 @@ func NewStorageWorld(o StorageOpts) *StorageWorld {
 	w.Tgt.Stack.Listen(4420, func(s *tcpip.Socket) {
 		var tr stream.Stream
 		if o.OverTLS {
-			conn, err := ktls.NewConn(s, srvTLS)
-			if err != nil {
-				panic(err)
-			}
 			// The target encrypts big read responses; keep its CPU out of
 			// the measurement by offloading its TLS transmit.
-			if err := conn.EnableTxOffload(w.Tgt.NIC, true); err != nil {
-				panic(err)
-			}
-			tr = stream.NewTLSTransport(conn)
+			tr = stream.NewTLSTransport(newConn(s, srvTLS, w.Tgt.NIC, true, false))
 		} else {
 			tr = stream.NewSocketTransport(s)
 		}
@@ -185,33 +219,17 @@ func NewStorageWorld(o StorageOpts) *StorageWorld {
 		}
 	})
 
+	nvmeOff := o.NVMePlace || o.NVMeCRC
 	w.Srv.Stack.Connect(wire.Addr{IP: w.Tgt.Stack.IP(), Port: 4420}, func(s *tcpip.Socket) {
 		if o.OverTLS {
-			conn, err := ktls.NewConn(s, cliTLS)
-			if err != nil {
-				panic(err)
-			}
-			w.SrvTLS = conn
-			if o.StorageTLSOffload {
-				if err := conn.EnableTxOffload(w.Srv.NIC, true); err != nil {
-					panic(err)
-				}
-				if err := conn.EnableRxOffload(w.Srv.NIC); err != nil {
-					panic(err)
-				}
-			}
-			tr := stream.NewTLSTransport(conn)
-			w.Host = nvmetcp.NewHost(tr)
-			if o.NVMePlace || o.NVMeCRC {
-				if !o.StorageTLSOffload {
-					panic("experiments: stacked NVMe offload requires the TLS offload")
-				}
-				conn.SetInnerRxEngine(w.Host.CreateSparseRxEngine(o.NVMePlace, o.NVMeCRC))
+			w.SrvTLS = newConn(s, cliTLS, w.Srv.NIC, nvmeOff, nvmeOff)
+			w.Host = nvmetcp.NewHost(stream.NewTLSTransport(w.SrvTLS))
+			if nvmeOff {
+				w.SrvTLS.SetInnerRxEngine(w.Host.CreateSparseRxEngine(o.NVMePlace, o.NVMeCRC))
 			}
 		} else {
-			tr := stream.NewSocketTransport(s)
-			w.Host = nvmetcp.NewHost(tr)
-			if o.NVMePlace || o.NVMeCRC {
+			w.Host = nvmetcp.NewHost(stream.NewSocketTransport(s))
+			if nvmeOff {
 				w.Host.EnableRxOffload(w.Srv.NIC, o.NVMePlace, o.NVMeCRC)
 			}
 		}
@@ -227,10 +245,10 @@ func NewStorageWorld(o StorageOpts) *StorageWorld {
 		}
 		w.faults = f
 	}
-	if tel != nil {
-		w.Host.EnableTelemetry(tel.Trace, tel.Reg, w.telPrefix+".srv.nvme")
-		w.Ctrl.RegisterTelemetry(tel.Reg, w.telPrefix+".tgt.nvme")
-		w.Dev.RegisterTelemetry(tel.Reg, w.telPrefix+".tgt.dev")
+	if w.tel != nil {
+		w.Host.EnableTelemetry(w.tel.Trace, w.tel.Reg, w.telPrefix+".srv.nvme")
+		w.Ctrl.RegisterTelemetry(w.tel.Reg, w.telPrefix+".tgt.nvme")
+		w.Dev.RegisterTelemetry(w.tel.Reg, w.telPrefix+".tgt.dev")
 	}
 	return w
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/cycles"
 	"repro/internal/ktls"
-	"repro/internal/netsim"
 	"repro/internal/offload"
 	"repro/internal/tcpip"
 	"repro/internal/telemetry"
@@ -132,15 +131,7 @@ func runIperf(w *PairWorld, mode IperfMode, streams, msgSize, recordSize int, wa
 			}
 			return
 		}
-		conn, err := ktls.NewConn(s, srvTLS)
-		if err != nil {
-			panic(err)
-		}
-		if mode == IperfTLSOffload {
-			if err := conn.EnableRxOffload(w.Srv.NIC); err != nil {
-				panic(err)
-			}
-		}
+		conn := newConn(s, srvTLS, w.Srv.NIC, false, mode == IperfTLSOffload)
 		conn.OnPlain = func(pc ktls.PlainChunk) { res.check(id, pc.Data) }
 		conn.OnError = func(error) { res.connsFailed++ }
 		rcvConns = append(rcvConns, conn)
@@ -174,15 +165,7 @@ func runIperf(w *PairWorld, mode IperfMode, streams, msgSize, recordSize int, wa
 				pump(s)
 				return
 			}
-			conn, err := ktls.NewConn(s, cliTLS)
-			if err != nil {
-				panic(err)
-			}
-			if mode == IperfTLSOffload {
-				if err := conn.EnableTxOffload(w.Gen.NIC, false); err != nil {
-					panic(err)
-				}
-			}
+			conn := newConn(s, cliTLS, w.Gen.NIC, mode == IperfTLSOffload, false)
 			conn.OnError = func(error) { res.connsFailed++ }
 			sndConns = append(sndConns, conn)
 			send := conn.Write
@@ -261,7 +244,7 @@ func RunFio(w *StorageWorld, reqSize, depth int, dur time.Duration) *FioResult {
 	rng := rand.New(rand.NewSource(7))
 	const region = 1 << 22 // LBAs to spread random reads over
 
-	lat := latencyHistogram("fio.request_latency_ns")
+	lat := w.histogram("fio.request_latency_ns")
 	want := make([]byte, blockdev.BlockSize)
 	// One slot per outstanding read, each with its own buffer. A slot's
 	// buffer is reused only by the read its completion issues, and the host
@@ -335,62 +318,60 @@ type HTTPResult struct {
 
 // RunHTTPC2 drives the page-cache configuration on a pair world.
 func RunHTTPC2(w *PairWorld, mode appsim.Mode, conns, fileSize int, dur time.Duration) *HTTPResult {
-	return runApp(w.Sim, w.Gen, w.Srv, w.FlushTelemetry,
-		appsim.HTTP, mode, appsim.PageCacheStore{}, conns, 8, fileSize, dur)
+	return runApp(&w.world, appsim.HTTP, mode, appsim.PageCacheStore{}, conns, 8, fileSize, dur)
 }
 
 // RunHTTPC1 drives the cold-cache configuration on a storage world (the
 // server fetches every file over NVMe-TCP).
 func RunHTTPC1(w *StorageWorld, mode appsim.Mode, conns, fileSize int, dur time.Duration) *HTTPResult {
-	return runApp(w.Sim, w.Gen, w.Srv, w.FlushTelemetry,
-		appsim.HTTP, mode, &appsim.NVMeStore{Host: w.Host}, conns, 8, fileSize, dur)
+	return runApp(&w.world, appsim.HTTP, mode, &appsim.NVMeStore{Host: w.Host}, conns, 8, fileSize, dur)
 }
 
 // RunKV drives the Redis-on-Flash GET workload on a storage world.
 func RunKV(w *StorageWorld, conns, valueSize int, dur time.Duration) *HTTPResult {
-	return runApp(w.Sim, w.Gen, w.Srv, w.FlushTelemetry,
-		appsim.RESP, appsim.ModePlain, &appsim.NVMeStore{Host: w.Host}, conns, 16, valueSize, dur)
+	return runApp(&w.world, appsim.RESP, appsim.ModePlain, &appsim.NVMeStore{Host: w.Host}, conns, 16, valueSize, dur)
 }
 
-// runApp serves objects of size bytes in format f from store on srv to a
-// load generator on gen, whose conns connections cycle through `objects`
-// ids. It warms the workload for 3 ms, measures dur of it, then flushes
-// the world's telemetry. Every body byte is checked, warm-up included; an
-// error either end counts is a failed connection in the verdict.
-func runApp(sim *netsim.Simulator, gen, srv *Machine, flush func(), f *appsim.Format, mode appsim.Mode,
+// runApp serves objects of size bytes in format f from store on the
+// world's server to a load generator on its generator machine, whose conns
+// connections cycle through `objects` ids. It warms the workload for 3 ms,
+// measures dur of it, then flushes the world's telemetry. Every body byte
+// is checked, warm-up included; an error either end counts is a failed
+// connection in the verdict.
+func runApp(w *world, f *appsim.Format, mode appsim.Mode,
 	store appsim.Store, conns, objects, size int, dur time.Duration) *HTTPResult {
 	cliTLS, srvTLS := TLSKeys(0)
-	as := appsim.NewServer(srv.Stack, appsim.ServerConfig{
+	as := appsim.NewServer(w.Srv.Stack, appsim.ServerConfig{
 		Format:    f,
 		Mode:      mode,
 		TLSCfg:    srvTLS,
 		Store:     store,
 		ValueSize: size,
-		Dev:       srv.NIC,
+		Dev:       w.Srv.NIC,
 	})
-	cl := appsim.NewClient(gen.Stack, appsim.ClientConfig{
+	cl := appsim.NewClient(w.Gen.Stack, appsim.ClientConfig{
 		Format:      f,
 		TLS:         mode.TLS(),
 		TLSCfg:      cliTLS,
-		Server:      srv.Stack.IP(),
+		Server:      w.Srv.Stack.IP(),
 		Connections: conns,
 		FileSize:    size,
 		Objects:     objects,
 	})
-	if tel != nil {
-		as.RegisterTelemetry(tel.Reg)
-		cl.RegisterTelemetry(tel.Reg)
+	if w.tel != nil {
+		as.RegisterTelemetry(w.tel.Reg)
+		cl.RegisterTelemetry(w.tel.Reg)
 	}
-	sim.RunFor(3 * time.Millisecond)
+	w.Sim.RunFor(3 * time.Millisecond)
 	bytes0, n0, rtt0 := cl.Stats.Bytes, cl.Stats.Responses, cl.TotalRTT
-	before := srv.Ledger.Clone()
-	start := sim.Now()
-	sim.RunFor(dur)
+	before := w.Srv.Ledger.Clone()
+	start := w.Sim.Now()
+	w.Sim.RunFor(dur)
 	res := &HTTPResult{
 		Bytes:    cl.Stats.Bytes - bytes0,
 		Requests: cl.Stats.Responses - n0,
-		Elapsed:  sim.Now() - start,
-		Srv:      cycles.Diff(srv.Ledger, before),
+		Elapsed:  w.Sim.Now() - start,
+		Srv:      cycles.Diff(w.Srv.Ledger, before),
 		verdict:  verdict{checked: cl.Stats.Bytes, connsFailed: int(cl.Stats.Errors + as.Stats.Errors)},
 	}
 	if res.Requests > 0 {
@@ -399,7 +380,7 @@ func runApp(sim *netsim.Simulator, gen, srv *Machine, flush func(), f *appsim.Fo
 	if n := cl.Stats.VerifyFails; n > 0 {
 		res.violations = append(res.violations, fmt.Sprintf("%d responses delivered a wrong byte", n))
 	}
-	flush()
+	w.FlushTelemetry()
 	return res
 }
 

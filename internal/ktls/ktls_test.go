@@ -65,25 +65,19 @@ type world struct {
 	cliLedger          *cycles.Ledger
 	srvLedger          *cycles.Ledger
 	model              cycles.Model
-	pool               *wire.FramePool // shared by both NICs and the link
 }
 
 func newWorld(cfg netsim.LinkConfig) *world { return newWorldNIC(cfg, nic.Config{}) }
 
-// newWorldNIC is newWorld with both NICs configured from ncfg (its Model,
-// Ledger and Pool are filled in).
+// newWorldNIC is newWorld with both NICs configured from ncfg.
 func newWorldNIC(cfg netsim.LinkConfig, ncfg nic.Config) *world {
 	w := &world{sim: netsim.New(), model: cycles.DefaultModel(),
-		cliLedger: &cycles.Ledger{}, srvLedger: &cycles.Ledger{}, pool: wire.NewFramePool()}
+		cliLedger: &cycles.Ledger{}, srvLedger: &cycles.Ledger{}}
 	w.link = netsim.NewLink(w.sim, cfg)
 	w.cliStack = tcpip.NewStack(w.sim, [4]byte{10, 0, 0, 1}, &w.model, w.cliLedger)
 	w.srvStack = tcpip.NewStack(w.sim, [4]byte{10, 0, 0, 2}, &w.model, w.srvLedger)
-	w.link.SetPool(w.pool)
-	ncfg.Model, ncfg.Pool = &w.model, w.pool
-	cliCfg, srvCfg := ncfg, ncfg
-	cliCfg.Ledger, srvCfg.Ledger = w.cliLedger, w.srvLedger
-	w.cliNIC = nic.New(w.cliStack, w.link.SendAtoB, cliCfg)
-	w.srvNIC = nic.New(w.srvStack, w.link.SendBtoA, srvCfg)
+	w.cliNIC = nic.New(w.cliStack, w.link.SendAtoB, ncfg)
+	w.srvNIC = nic.New(w.srvStack, w.link.SendBtoA, ncfg)
 	w.link.AttachA(w.cliNIC)
 	w.link.AttachB(w.srvNIC)
 	return w

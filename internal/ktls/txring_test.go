@@ -19,7 +19,7 @@ func newFilterWorld(cfg netsim.LinkConfig, drop func(wire.Frame) bool) *world {
 		if !drop(f) {
 			w.link.SendAtoB(f)
 		}
-	}, nic.Config{Model: &w.model, Ledger: w.cliLedger, Pool: w.pool})
+	}, nic.Config{})
 	w.link.AttachA(w.cliNIC)
 	return w
 }

@@ -335,9 +335,8 @@ func TestLinkSendDeliverNoAlloc(t *testing.T) {
 		t.Skip("alloc counting unreliable under -race")
 	}
 	sim := New()
-	pool := wire.NewFramePool()
+	pool := sim.Pool()
 	l := NewLink(sim, LinkConfig{Gbps: 100, Latency: 2 * time.Microsecond})
-	l.SetPool(pool)
 	l.AttachB(EndpointFunc(pool.Put)) // recycles every frame, as a NIC does
 	burst := func() {
 		for i := 0; i < 32; i++ {
@@ -415,9 +414,8 @@ func BenchmarkEventCore(b *testing.B) {
 func BenchmarkLinkSend(b *testing.B) {
 	setup := func(b *testing.B) (*Simulator, *wire.FramePool, *Link) {
 		sim := New()
-		pool := wire.NewFramePool()
+		pool := sim.Pool()
 		l := NewLink(sim, LinkConfig{Gbps: 100, Latency: 2 * time.Microsecond})
-		l.SetPool(pool)
 		l.AttachB(EndpointFunc(pool.Put)) // recycles every frame, as a NIC does
 		b.ReportAllocs()
 		return sim, pool, l

@@ -19,12 +19,12 @@ func (e *poolEndpoint) DeliverFrame(f wire.Frame) {
 	e.pool.Put(f)
 }
 
-// TestLinkPoolAccounting: with a pool on the link, every frame a sender
-// gets is eventually put back — by the link on drops and replaced clones,
+// TestLinkPoolAccounting: every frame a sender gets from the simulator's
+// pool is eventually put back — by the link on drops and replaced clones,
 // by the endpoint on deliveries — so gets == puts once the sim quiesces.
 func TestLinkPoolAccounting(t *testing.T) {
-	pool := wire.NewFramePool()
 	s := New()
+	pool := s.Pool()
 	l := NewLink(s, LinkConfig{
 		Gbps:    10,
 		Latency: time.Microsecond,
@@ -39,7 +39,6 @@ func TestLinkPoolAccounting(t *testing.T) {
 			Seed:        7,
 		},
 	})
-	l.SetPool(pool)
 	l.SetMTU(600)
 	b := &poolEndpoint{pool: pool}
 	l.AttachA(EndpointFunc(func(wire.Frame) {}))

@@ -20,17 +20,24 @@ import (
 	"repro/internal/wire"
 )
 
-// Simulator owns the virtual clock and the pending event queue.
+// Simulator owns the virtual clock, the pending event queue and the frame
+// pool of its world.
 type Simulator struct {
 	now      time.Duration
 	seq      uint64
 	steps    uint64
 	queue    eventQueue
 	periodic []*periodicHook
+	pool     wire.FramePool
 }
 
 // New returns an empty simulator at virtual time zero.
 func New() *Simulator { return &Simulator{} }
+
+// Pool returns the frame pool every link and NIC on this simulator gets and
+// puts frames through. It is unsynchronized: the simulator's one goroutine
+// is what makes sharing it safe.
+func (s *Simulator) Pool() *wire.FramePool { return &s.pool }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
@@ -405,7 +412,12 @@ type WireLatencySink interface {
 	NoteWireLatency(d time.Duration)
 }
 
-// Link is a duplex point-to-point link between endpoints A and B.
+// Link is a duplex point-to-point link between endpoints A and B. Its
+// frames belong to the simulator's pool: senders get them there, the link
+// returns the ones it drops (loss, burst, blackout, MTU) and takes the
+// private copies it makes for duplication, corruption and CE marking from
+// it (a replaced original returns), and the receiving endpoint returns a
+// delivered one, so gets and puts balance when the world quiesces.
 type Link struct {
 	sim *Simulator
 	cfg LinkConfig
@@ -417,18 +429,8 @@ type Link struct {
 	dirs   [2]direction
 	tracer *telemetry.Tracer
 	tids   [2]string // per-direction track labels, precomputed at attach
-	pool   *wire.FramePool
 	free   *delivery // fired delivery nodes awaiting reuse
 }
-
-// SetPool makes the link a frame-pool citizen: frames it drops (loss,
-// burst, blackout, MTU) return to the pool, and the private copies it
-// makes for duplication, corruption, and CE marking are pool-backed
-// (replaced originals return too). Only set a pool when every sender on
-// this link allocates its frames from the same pool — the receiving
-// endpoints then own returning delivered frames — so gets and puts
-// balance when the world quiesces.
-func (l *Link) SetPool(p *wire.FramePool) { l.pool = p }
 
 type direction struct {
 	rng      *rand.Rand
@@ -492,9 +494,6 @@ func (l *Link) setFaults(dir int, fc FaultConfig) {
 // dropped if they exceed the new MTU. 0 removes the limit.
 func (l *Link) SetMTU(mtu int) { l.mtu = mtu }
 
-// MTU returns the link's current maximum frame size (0 = unlimited).
-func (l *Link) MTU() int { return l.mtu }
-
 // StatsAtoB returns counters for the A→B direction.
 func (l *Link) StatsAtoB() DirStats { return l.dirs[0].stats }
 
@@ -540,7 +539,7 @@ func (l *Link) send(dir int, frame wire.Frame) {
 		d.stats.MTUDrops++
 		d.stats.Dropped++
 		l.tracer.Instant1("net", "pkt.drop.mtu", l.tids[dir], "bytes", int64(len(frame)))
-		l.pool.Put(frame)
+		l.sim.pool.Put(frame)
 		return
 	}
 
@@ -564,7 +563,7 @@ func (l *Link) send(dir int, frame wire.Frame) {
 			d.stats.BlackoutDrops++
 			d.stats.Dropped++
 			l.tracer.Instant("net", "pkt.drop.blackout", l.tids[dir])
-			l.pool.Put(frame)
+			l.sim.pool.Put(frame)
 			return
 		}
 	}
@@ -586,14 +585,14 @@ func (l *Link) send(dir int, frame wire.Frame) {
 			d.stats.BurstDropped++
 			d.stats.Dropped++
 			l.tracer.Instant("net", "pkt.drop.burst", l.tids[dir])
-			l.pool.Put(frame)
+			l.sim.pool.Put(frame)
 			return
 		}
 	}
 	if fc.LossProb > 0 && d.rng.Float64() < fc.LossProb {
 		d.stats.Dropped++
 		l.tracer.Instant("net", "pkt.drop.loss", l.tids[dir])
-		l.pool.Put(frame)
+		l.sim.pool.Put(frame)
 		return
 	}
 	if fc.ReorderProb > 0 && d.rng.Float64() < fc.ReorderProb {
@@ -601,10 +600,10 @@ func (l *Link) send(dir int, frame wire.Frame) {
 		arrive += 4 * max(serialize, time.Microsecond)
 	}
 	// Corruption damages a private copy so the sender's retransmit buffers
-	// (and a later duplicate of the same frame) are unaffected. With a pool
-	// the copy is pool-backed and the replaced original is returned.
+	// (and a later duplicate of the same frame) are unaffected. The copy
+	// comes from the pool and the replaced original returns to it.
 	if fc.CorruptProb > 0 && d.rng.Float64() < fc.CorruptProb {
-		dam := l.pool.Clone(frame)
+		dam := l.sim.pool.Clone(frame)
 		changed := false
 		if fc.Corrupter != nil {
 			changed = fc.Corrupter(d.rng, dam)
@@ -614,10 +613,10 @@ func (l *Link) send(dir int, frame wire.Frame) {
 		if changed {
 			d.stats.Corrupted++
 			l.tracer.Instant("net", "pkt.corrupt", l.tids[dir])
-			l.pool.Put(frame)
+			l.sim.pool.Put(frame)
 			frame = dam
 		} else {
-			l.pool.Put(dam)
+			l.sim.pool.Put(dam)
 		}
 	}
 	// ECN: an AQM router under (simulated) congestion rewrites ECT frames
@@ -626,20 +625,20 @@ func (l *Link) send(dir int, frame wire.Frame) {
 	// through and still consume the draw, keeping the sequence a pure
 	// function of the config.
 	if fc.CEMarkProb > 0 && d.rng.Float64() < fc.CEMarkProb {
-		marked := l.pool.Clone(frame)
+		marked := l.sim.pool.Clone(frame)
 		if wire.SetCE(marked) {
 			d.stats.CEMarked++
 			l.tracer.Instant("net", "pkt.ce", l.tids[dir])
-			l.pool.Put(frame)
+			l.sim.pool.Put(frame)
 			frame = marked
 		} else {
-			l.pool.Put(marked)
+			l.sim.pool.Put(marked)
 		}
 	}
 	l.deliverAt(arrive, now, dir, dst, frame, false)
 	if fc.DupProb > 0 && d.rng.Float64() < fc.DupProb {
 		d.stats.Duplicated++
-		l.deliverAt(arrive+max(serialize, time.Microsecond), now, dir, dst, l.pool.Clone(frame), true)
+		l.deliverAt(arrive+max(serialize, time.Microsecond), now, dir, dst, l.sim.pool.Clone(frame), true)
 	}
 }
 

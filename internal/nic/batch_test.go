@@ -21,9 +21,7 @@ func (f devFunc) Transmit(pkt *wire.Packet) { f(pkt) }
 func bareNIC(send func(wire.Frame), cfg Config) (*netsim.Simulator, *tcpip.Stack, *NIC) {
 	sim := netsim.New()
 	model := cycles.DefaultModel()
-	lg := &cycles.Ledger{}
-	stack := tcpip.NewStack(sim, [4]byte{10, 0, 0, 2}, &model, lg)
-	cfg.Model, cfg.Ledger = &model, lg
+	stack := tcpip.NewStack(sim, [4]byte{10, 0, 0, 2}, &model, &cycles.Ledger{})
 	return sim, stack, New(stack, send, cfg)
 }
 
@@ -47,7 +45,7 @@ func TestMidDrainPostsLandInNextBatch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const midRx, midTx = 3, 3
 			burst := tc.burst
-			pool := wire.NewFramePool()
+			var pool *wire.FramePool // the simulator's, once bareNIC has built it
 			var n *NIC
 			// Flows are identified by the remote port, on both paths.
 			var arrived, delivered, posted, sent []uint16
@@ -75,8 +73,8 @@ func TestMidDrainPostsLandInNextBatch(t *testing.T) {
 					transmit(&wire.Packet{Flow: flowTo(100 + txLeft).Reverse(), Flags: wire.FlagACK})
 				}
 			}
-			sim, stack, nic := bareNIC(send, Config{Queues: tc.queues, Pool: pool})
-			n = nic
+			sim, stack, nic := bareNIC(send, Config{Queues: tc.queues})
+			n, pool = nic, sim.Pool()
 			stack.Listen(80, func(*tcpip.Socket) {})
 			nextRx := burst
 			stack.SetDevice(devFunc(func(pkt *wire.Packet) {
@@ -121,8 +119,9 @@ func TestPollDoorbellNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counting unreliable under -race")
 	}
-	pool := wire.NewFramePool()
-	sim, _, n := bareNIC(pool.Put, Config{Queues: 4, Pool: pool})
+	var pool *wire.FramePool
+	sim, _, n := bareNIC(func(f wire.Frame) { pool.Put(f) }, Config{Queues: 4})
+	pool = sim.Pool()
 	const flows = 16
 	var rx [flows]wire.Frame
 	var tx [flows]*wire.Packet
@@ -159,10 +158,11 @@ func TestPollDoorbellNoAlloc(t *testing.T) {
 // only after the last post, yet every frame on the wire must be Marshal of
 // the packet as it was posted.
 func TestTransmitKeepsNothing(t *testing.T) {
-	pool := wire.NewFramePool()
+	var pool *wire.FramePool
 	var sent []wire.Frame
-	sim, _, n := bareNIC(func(f wire.Frame) { sent = append(sent, f.Clone()); pool.Put(f) },
-		Config{Queues: 2, Pool: pool})
+	sim, _, n := bareNIC(func(f wire.Frame) { sent = append(sent, append(wire.Frame(nil), f...)); pool.Put(f) },
+		Config{Queues: 2})
+	pool = sim.Pool()
 	body := func(size int) []byte {
 		b := make([]byte, size)
 		for i := range b {
@@ -191,7 +191,7 @@ func TestTransmitKeepsNothing(t *testing.T) {
 			pkt.SACKBlocks[j] = wire.SACKBlock{Start: 0xDBDBDBDB, End: 1}
 		}
 		*pkt = wire.Packet{Flow: flowTo(9), Seq: ^pkt.Seq, Ack: ^pkt.Ack, Flags: wire.FlagRST,
-			Window: 1, ECN: wire.ECNCE, Payload: pkt.Payload, SACKBlocks: pkt.SACKBlocks, TxCycles: -1}
+			Window: 1, ECN: wire.ECNCE, Payload: pkt.Payload, SACKBlocks: pkt.SACKBlocks}
 	}
 	if len(sent) != 0 {
 		t.Fatalf("%d frames sent before the doorbell", len(sent))

@@ -85,7 +85,7 @@ func TestContextCacheMatchesModel(t *testing.T) {
 			model := cycles.DefaultModel()
 			lg := &cycles.Ledger{}
 			stack := tcpip.NewStack(netsim.New(), [4]byte{10, 0, 0, 1}, &model, lg)
-			n := New(stack, func(wire.Frame) {}, Config{Model: &model, Ledger: lg, CtxCacheFlows: capacity,
+			n := New(stack, func(wire.Frame) {}, Config{CtxCacheFlows: capacity,
 				Chaos: &ChaosConfig{Seed: seed, CtxInvalidateProb: 0.01}})
 			q := n.Queue(0)
 			ref := newLRUModel(capacity)

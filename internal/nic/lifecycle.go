@@ -30,7 +30,7 @@ import (
 // order. NIC label l, queue i records stage s as "<l>.<s>.q<i>"; all
 // values are nanoseconds.
 var LifecycleStages = []string{
-	"lc.tx.enqueue_ns",  // host stack cycles building + enqueueing the packet
+	"lc.tx.enqueue_ns",  // the stack's per-packet transmit charge
 	"lc.tx.doorbell_ns", // driver descriptor work + frame DMA to the device
 	"lc.tx.engine_ns",   // NIC-side TX offload engine work + recovery ctx DMA
 	"lc.wire_ns",        // real virtual time on the link (queueing + propagation)

@@ -29,12 +29,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Config sets the device parameters.
+// Config sets the device parameters. The cost model, the ledger and the
+// frame pool are not among them: the NIC prices and charges its work with
+// its stack's model and ledger (charged to the cycles.NIC and cycles.PCIe
+// components) and gets its frames from its simulator's pool.
 type Config struct {
-	// Model and Ledger are the host's cost model and ledger; NIC-side work
-	// is charged to the cycles.NIC and cycles.PCIe components.
-	Model  *cycles.Model
-	Ledger *cycles.Ledger
 	// Queues is the number of RX/TX queue pairs (RSS). Flows hash to a
 	// queue with wire.FlowID.Hash; 0 or 1 means a single queue.
 	Queues int
@@ -45,10 +44,6 @@ type Config struct {
 	CtxCacheFlows int
 	// Chaos, when set, injects NIC-internal faults (chaos.go).
 	Chaos *ChaosConfig
-	// Pool recycles frame buffers across the transmit and receive paths.
-	// All NICs and links of one world must share it (see wire.FramePool).
-	// Nil falls back to per-frame allocation.
-	Pool *wire.FramePool
 	// RxPollDelay is the interrupt-coalescing window: the receive poll
 	// fires this long after the frame that armed it, letting line-rate
 	// traffic accumulate a batch per poll instead of one frame per event.
@@ -121,7 +116,6 @@ type txSlot struct {
 	flow      wire.FlowID
 	seq       uint32
 	payOff    int     // where the payload starts in frame
-	txCycles  float64 // the stack's cycles for the packet (lifecycle tx.enqueue)
 	driverCyc float64 // driver cycles charged for this packet (engine phase)
 	nicNs     int64   // lifecycle tx.engine nanoseconds (engine phase)
 }
@@ -158,11 +152,13 @@ func (q *Queue) HarvestPending() int { return 0 }
 
 // NIC is one host's network device.
 type NIC struct {
-	cfg   Config
-	stack *tcpip.Stack
-	send  func(frame wire.Frame)
-	sim   *netsim.Simulator
-	pool  *wire.FramePool
+	cfg    Config
+	stack  *tcpip.Stack
+	send   func(frame wire.Frame)
+	sim    *netsim.Simulator
+	model  *cycles.Model   // the stack's
+	ledger *cycles.Ledger  // the stack's
+	pool   *wire.FramePool // the simulator's
 
 	queues []*Queue
 
@@ -209,18 +205,21 @@ type NIC struct {
 
 // New creates a NIC, wires it as the stack's device, and returns it. The
 // send function transmits a serialized frame onto the link (the NIC is also
-// a netsim.Endpoint for arriving frames).
+// a netsim.Endpoint for arriving frames). The NIC takes its model and
+// ledger from the stack and its frame pool from the stack's simulator.
 func New(stack *tcpip.Stack, send func(frame wire.Frame), cfg Config) *NIC {
 	if cfg.Queues <= 0 {
 		cfg.Queues = 1
 	}
 	n := &NIC{
-		cfg:   cfg,
-		stack: stack,
-		send:  send,
-		sim:   stack.Sim(),
-		pool:  cfg.Pool,
-		chaos: newChaosState(cfg.Chaos),
+		cfg:    cfg,
+		stack:  stack,
+		send:   send,
+		sim:    stack.Sim(),
+		model:  stack.Model(),
+		ledger: stack.Ledger(),
+		pool:   stack.Sim().Pool(),
+		chaos:  newChaosState(cfg.Chaos),
 	}
 	if cfg.CtxCacheFlows > 0 {
 		n.cache.init(cfg.CtxCacheFlows)
@@ -290,7 +289,7 @@ func (n *NIC) SetTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry, label 
 		for _, q := range n.queues {
 			reg.RegisterCounters(label+".q"+strconv.Itoa(q.id), &q.Stats)
 		}
-		n.lc.init(n.cfg.Model, reg, label, len(n.queues))
+		n.lc.init(n.model, reg, label, len(n.queues))
 	}
 }
 
@@ -365,7 +364,7 @@ func (n *NIC) Transmit(pkt *wire.Packet) {
 	pkt.PutHeaders(frame)
 	//lint:ignore hotalloc txBacklog and txSpare are retained across doorbells, so each backing array regrows to the high-water batch size once and is reused thereafter
 	n.txBacklog = append(n.txBacklog, txSlot{q: q, frame: frame, flow: pkt.Flow,
-		seq: pkt.Seq, payOff: off, txCycles: pkt.TxCycles})
+		seq: pkt.Seq, payOff: off})
 	if !n.txDoorbellTimer.Pending() {
 		n.txDoorbellTimer.Reset(0)
 	}
@@ -382,8 +381,8 @@ func (n *NIC) Transmit(pkt *wire.Packet) {
 //
 //simlint:hotpath
 func (n *NIC) txDoorbell() {
-	m := n.cfg.Model
-	lg := n.cfg.Ledger
+	m := n.model
+	lg := n.ledger
 	lcOn := n.lc.enabled
 	batch := n.txBacklog
 	n.txBacklog, n.txSpare = n.txSpare[:0], batch[:0]
@@ -447,7 +446,7 @@ func (n *NIC) txDoorbell() {
 		n.tracer.Instant2("dma", "dma.tx", n.label, "bytes", int64(len(s.frame)), "seq", int64(s.seq))
 		if lcOn {
 			lq := &n.lc.queues[q.id]
-			lq.txEnqueue.Record(n.lc.cyclesNs(s.txCycles))
+			lq.txEnqueue.Record(n.lc.cyclesNs(m.StackTxPerPacket / m.TxBatchFactor))
 			lq.txDoorbell.Record(n.lc.cyclesNs(s.driverCyc) + n.lc.pcieNs(len(s.frame)))
 			lq.txEngine.Record(s.nicNs)
 		}
@@ -554,8 +553,8 @@ func (n *NIC) rxPoll() {
 //
 //simlint:hotpath
 func (n *NIC) rxComplete(q *Queue, frame wire.Frame) {
-	m := n.cfg.Model
-	lg := n.cfg.Ledger
+	m := n.model
+	lg := n.ledger
 	lcOn := n.lc.enabled
 	pkt := &n.rxPkt
 	if err := wire.ParseInto(frame, pkt); err != nil {
@@ -632,9 +631,9 @@ func (n *NIC) cacheTouch(q *Queue, k cacheKey) {
 	}
 	q.Stats.CtxCacheMiss++
 	n.tracer.Instant1("dma", "ctx.miss", n.label, "bytes", int64(ctxBytes))
-	n.cfg.Ledger.Charge(cycles.PCIe, cycles.CtxDMA, 0, ctxBytes)
+	n.ledger.Charge(cycles.PCIe, cycles.CtxDMA, 0, ctxBytes)
 	if n.cache.insert(k) {
 		// Write-back of the evicted context.
-		n.cfg.Ledger.Charge(cycles.PCIe, cycles.CtxDMA, 0, ctxBytes)
+		n.ledger.Charge(cycles.PCIe, cycles.CtxDMA, 0, ctxBytes)
 	}
 }

@@ -50,14 +50,10 @@ func world(t *testing.T, cfg Config) (*netsim.Simulator, *tcpip.Stack, *tcpip.St
 	sim := netsim.New()
 	model := cycles.DefaultModel()
 	link := netsim.NewLink(sim, netsim.LinkConfig{Latency: time.Microsecond})
-	lgA, lgB := &cycles.Ledger{}, &cycles.Ledger{}
-	a := tcpip.NewStack(sim, [4]byte{10, 0, 0, 1}, &model, lgA)
-	bStk := tcpip.NewStack(sim, [4]byte{10, 0, 0, 2}, &model, lgB)
-	cfgA, cfgB := cfg, cfg
-	cfgA.Model, cfgA.Ledger = &model, lgA
-	cfgB.Model, cfgB.Ledger = &model, lgB
-	na := New(a, link.SendAtoB, cfgA)
-	nb := New(bStk, link.SendBtoA, cfgB)
+	a := tcpip.NewStack(sim, [4]byte{10, 0, 0, 1}, &model, &cycles.Ledger{})
+	bStk := tcpip.NewStack(sim, [4]byte{10, 0, 0, 2}, &model, &cycles.Ledger{})
+	na := New(a, link.SendAtoB, cfg)
+	nb := New(bStk, link.SendBtoA, cfg)
 	link.AttachA(na)
 	link.AttachB(nb)
 	return sim, a, bStk, na, nb
@@ -207,7 +203,7 @@ func TestContextCacheEviction(t *testing.T) {
 	if nb.Stats().CtxCacheMiss < uint64(conns) {
 		t.Errorf("expected eviction misses, got %d", nb.Stats().CtxCacheMiss)
 	}
-	if nb.cfg.Ledger.PCIeBytes(cycles.CtxDMA) == 0 {
+	if nb.ledger.PCIeBytes(cycles.CtxDMA) == 0 {
 		t.Error("misses charged no context DMA")
 	}
 }

@@ -91,8 +91,8 @@ func newStorageWorld(t *testing.T, o storageOpts) *storageWorld {
 	w.link = netsim.NewLink(w.sim, o.link)
 	w.hostStk = tcpip.NewStack(w.sim, [4]byte{10, 0, 0, 1}, &w.model, w.hostLg)
 	w.tgtStk = tcpip.NewStack(w.sim, [4]byte{10, 0, 0, 2}, &w.model, w.tgtLg)
-	w.hostNIC = nic.New(w.hostStk, w.link.SendAtoB, nic.Config{Model: &w.model, Ledger: w.hostLg})
-	w.tgtNIC = nic.New(w.tgtStk, w.link.SendBtoA, nic.Config{Model: &w.model, Ledger: w.tgtLg})
+	w.hostNIC = nic.New(w.hostStk, w.link.SendAtoB, nic.Config{})
+	w.tgtNIC = nic.New(w.tgtStk, w.link.SendBtoA, nic.Config{})
 	w.link.AttachA(w.hostNIC)
 	w.link.AttachB(w.tgtNIC)
 	w.dev = blockdev.New(w.sim, blockdev.Config{Latency: 80 * time.Microsecond, GBps: 2.67})

@@ -22,8 +22,8 @@ func pair(t *testing.T) (*netsim.Simulator, *tcpip.Stack, *tcpip.Stack) {
 	lgA, lgB := &cycles.Ledger{}, &cycles.Ledger{}
 	a := tcpip.NewStack(sim, [4]byte{10, 0, 0, 1}, &model, lgA)
 	b := tcpip.NewStack(sim, [4]byte{10, 0, 0, 2}, &model, lgB)
-	na := nic.New(a, link.SendAtoB, nic.Config{Model: &model, Ledger: lgA})
-	nb := nic.New(b, link.SendBtoA, nic.Config{Model: &model, Ledger: lgB})
+	na := nic.New(a, link.SendAtoB, nic.Config{})
+	nb := nic.New(b, link.SendBtoA, nic.Config{})
 	link.AttachA(na)
 	link.AttachB(nb)
 	return sim, a, b

@@ -41,8 +41,7 @@ func FuzzReassembly(f *testing.F) {
 			outPkts = append(outPkts, keepPacket(p))
 			*p = wire.Packet{Flow: p.Flow.Reverse(), Seq: ^p.Seq, Ack: ^p.Ack,
 				Flags: ^p.Flags, Window: ^p.Window, ECN: wire.ECNCE,
-				Payload: []byte{0xDB, 0xDB, 0xDB}, SACKBlocks: []wire.SACKBlock{{Start: 1, End: 0}},
-				TxCycles: -1}
+				Payload: []byte{0xDB, 0xDB, 0xDB}, SACKBlocks: []wire.SACKBlock{{Start: 1, End: 0}}}
 		}))
 
 		var server *Socket

@@ -16,12 +16,6 @@ type scoreboard struct {
 	ranges []wire.SACKBlock
 }
 
-// reset drops all SACK state (connection close or scoreboard rebuild).
-func (sb *scoreboard) reset() { sb.ranges = sb.ranges[:0] }
-
-// empty reports whether anything is SACKed.
-func (sb *scoreboard) empty() bool { return len(sb.ranges) == 0 }
-
 // add merges the SACKed range [start, end) into the scoreboard and reports
 // whether it contained bytes not already recorded.
 func (sb *scoreboard) add(start, end uint32) bool {

@@ -275,9 +275,6 @@ func (st *Stack) SetTracer(tr *telemetry.Tracer, tid string) {
 	st.traceTid = tid
 }
 
-// TraceTid returns the track label set by SetTracer.
-func (st *Stack) TraceTid() string { return st.traceTid }
-
 // Listen registers an accept callback for the given local port. The
 // callback fires when a connection reaches the established state.
 func (st *Stack) Listen(port uint16, onAccept func(*Socket)) {
@@ -1025,7 +1022,6 @@ func (s *Socket) output(pkt *wire.Packet) {
 	st.Stats.PacketsOut++
 	cost := st.model.StackTxPerPacket / st.model.TxBatchFactor
 	st.ledger.Charge(cycles.HostTCP, cycles.StackTx, cost, len(pkt.Payload))
-	pkt.TxCycles = cost
 	st.dev.Transmit(pkt)
 }
 

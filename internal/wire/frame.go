@@ -14,15 +14,6 @@ import "math/rand"
 // unnamed-compatible), so the type costs nothing at call sites.
 type Frame []byte
 
-// Clone returns an independent copy of the frame. Links use it when one
-// delivery must not alias another (duplication, corruption, CE re-marks).
-func (f Frame) Clone() Frame {
-	if f == nil {
-		return nil
-	}
-	return append(Frame(nil), f...)
-}
-
 // FlipRandomBit flips one random bit anywhere in the frame — headers
 // included — without repairing any checksum. It models on-the-wire damage
 // that the L3/L4 checksums exist to catch: the receiver is expected to

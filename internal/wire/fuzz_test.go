@@ -147,7 +147,7 @@ func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		p, err := Parse(Frame(frame))
 		dirty := &Packet{Flow: testFlow(), Seq: 5, Ack: 6, Flags: FlagSYN, Window: 7, ECN: ECNCE,
-			SACKPermitted: true, TxCycles: 8, Payload: []byte("stale"),
+			SACKPermitted: true, Payload: []byte("stale"),
 			SACKBlocks: []SACKBlock{{1, 2}, {3, 4}, {5, 6}, {7, 8}}}
 		if err2 := ParseInto(Frame(frame), dirty); fmt.Sprint(err2) != fmt.Sprint(err) {
 			t.Fatalf("ParseInto error %v, Parse error %v", err2, err)

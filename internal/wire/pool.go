@@ -7,16 +7,15 @@ package wire
 // it back. Frames are binned by capacity class so a put frame is reusable
 // for any request that rounds up to the same class.
 //
-// The pool is deliberately unsynchronized: every Get/Put happens inside an
-// event callback on the simulator's one goroutine, so the virtual clock is
-// the lock.
+// Each netsim.Simulator owns one pool, and every link and NIC of its world
+// uses it (Simulator.Pool), so gets and puts balance when the world
+// quiesces. The pool is deliberately unsynchronized: every Get/Put happens
+// inside an event callback on the simulator's one goroutine, so the
+// virtual clock is the lock.
 // The determinism contract is carried by MarshalHeaders (or PutHeaders and
 // PutTCPChecksum) writing every header byte and the NIC copying the
 // payload region in full, so a recycled buffer produces bytes identical to
 // a fresh one.
-//
-// All methods are nil-receiver safe: a nil pool degrades to plain
-// allocation, which keeps call sites unconditional and lets worlds opt in.
 type FramePool struct {
 	classes [poolClasses][]Frame
 	stats   FramePoolStats
@@ -58,9 +57,6 @@ func classFor(n int) int {
 // Get returns a frame of length n, recycled when a fitting one is free.
 // The contents are arbitrary; callers must write every byte they send.
 func (p *FramePool) Get(n int) Frame {
-	if p == nil {
-		return make(Frame, n)
-	}
 	p.stats.Gets++
 	c := classFor(n)
 	if c >= 0 {
@@ -81,7 +77,7 @@ func (p *FramePool) Get(n int) Frame {
 // class (hand-built by tests, oversize) are counted and dropped, so leak
 // accounting still balances.
 func (p *FramePool) Put(f Frame) {
-	if p == nil || f == nil {
+	if f == nil {
 		return
 	}
 	p.stats.Puts++
@@ -95,9 +91,6 @@ func (p *FramePool) Put(f Frame) {
 // Clone returns a pool-backed copy of f — what links use for deliveries
 // that must not alias the original (duplication, corruption, CE marks).
 func (p *FramePool) Clone(f Frame) Frame {
-	if p == nil {
-		return f.Clone()
-	}
 	c := p.Get(len(f))
 	copy(c, f)
 	return c
@@ -105,17 +98,11 @@ func (p *FramePool) Clone(f Frame) Frame {
 
 // InUse returns the number of frames handed out and not yet returned.
 func (p *FramePool) InUse() uint64 {
-	if p == nil {
-		return 0
-	}
 	return p.stats.Gets - p.stats.Puts
 }
 
 // Stats returns a snapshot of the pool counters.
 func (p *FramePool) Stats() FramePoolStats {
-	if p == nil {
-		return FramePoolStats{}
-	}
 	return p.stats
 }
 

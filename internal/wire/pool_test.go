@@ -151,17 +151,4 @@ func TestFramePool(t *testing.T) {
 	if src[0] != 1 {
 		t.Error("Clone aliases its source")
 	}
-
-	// A nil pool degrades to plain allocation everywhere.
-	var nilPool *FramePool
-	if got := nilPool.Get(8); len(got) != 8 {
-		t.Error("nil pool Get failed")
-	}
-	nilPool.Put(src)
-	if nilPool.InUse() != 0 || nilPool.Stats() != (FramePoolStats{}) {
-		t.Error("nil pool accounting not zero")
-	}
-	if got := nilPool.Clone(src); !bytes.Equal(got, src) || &got[0] == &src[0] {
-		t.Error("nil pool Clone wrong")
-	}
 }

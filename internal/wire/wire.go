@@ -171,13 +171,6 @@ type Packet struct {
 	// ranges (RFC 2018); the first may be a DSACK duplicate report
 	// (RFC 2883). Marshal truncates any excess blocks.
 	SACKBlocks []SACKBlock
-
-	// TxCycles is lifecycle metadata, not wire content: the host stack
-	// cycles spent building and enqueueing this packet, stamped by
-	// tcpip just before handing it to the device so the NIC's lifecycle
-	// layer can attribute the tx.enqueue stage. Marshal never encodes
-	// it and Parse never sets it.
-	TxCycles float64
 }
 
 // optLen returns the TCP option bytes this packet marshals to, padded to a
