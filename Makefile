@@ -88,7 +88,8 @@ golden-check:
 # (disabled telemetry and lifecycle spans must not allocate on the
 # per-packet path, nor Stats()/Sample() at steady state, nor a poll or
 # doorbell (received frames parse into one reused packet), nor parsing a
-# frame into a packet, nor re-arming and running a timer, nor a frame
+# frame into a packet, nor re-arming and running a timer (through a target
+# its owner already is, too: TestTimerTargetNoAlloc), nor a frame
 # crossing a link, nor writing, reading and trimming a TCP send ring at its
 # working size, nor a new TLS connection's first records (built in a
 # recycled send ring), nor an offload engine's Process in sequence or
@@ -105,9 +106,12 @@ golden-check:
 # read) are asserted in a separate non-race run, together with the pinned
 # per-connection cost: the objects one offloaded TLS connection allocates
 # from SYN to detach (TestConnLifecycleAllocs, each remaining site listed
-# there) and a Socket within its 640-byte size class (TestSocketSizeClass).
+# there), the one Socket per end a plain TCP connection allocates
+# (TestSocketLifecycleAllocs), and every per-connection object within its
+# size class (the SizeClass tests: Socket 640 bytes, ktls Conn 704, the
+# ktls and nvmetcp receive contexts 768 and 704).
 alloc-check:
-	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc|TestConnLifecycleAllocs|TestSocketSizeClass' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/tcpip/ ./internal/wire/ ./internal/offload/ ./internal/gcm/ ./internal/l5p/ ./internal/blockdev/ ./internal/nvmetcp/ ./internal/ktls/ ./internal/experiments/
+	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc|LifecycleAllocs|SizeClass' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/tcpip/ ./internal/wire/ ./internal/offload/ ./internal/gcm/ ./internal/l5p/ ./internal/blockdev/ ./internal/nvmetcp/ ./internal/ktls/ ./internal/experiments/
 
 # The gate on everything modeled: each BENCHMARK.json workload on seeds 1
 # and 2, one repetition (--seconds 0), checked bit for bit against

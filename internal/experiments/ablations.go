@@ -61,10 +61,7 @@ func runRecoveryAblation(v ablationVariant, loss float64, seed int64) (st ktls.S
 		} else {
 			ops = ktls.NewRxOps(hw, nil)
 		}
-		resync := c.ResyncRequestFunc()
-		if v == ablNoResync || v == ablNone {
-			resync = nil
-		}
+		resync := v != ablNoResync && v != ablNone
 		eng := c.InstallRxEngine(w.Srv.NIC, ops, resync)
 		if v == ablNone {
 			eng.DisableRecovery()

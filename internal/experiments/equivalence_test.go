@@ -130,14 +130,14 @@ func TestOffloadEquivalenceSoak(t *testing.T) {
 		equivSeeds, bytesCompared, searches, resumes)
 }
 
-// TestOffloadEquivalenceSoakSharded is the multi-queue arm of the soak: the
+// TestOffloadEquivalenceSoakQueues is the multi-queue arm of the soak: the
 // same equivalence contract, but alternating RSS queue counts (1/2/4). Two
 // extra guarantees ride along: traffic must be independent of the queue
 // count — the software ablation runs at the same queue count, so any
 // order-dependence in the batched path shows up as a plaintext divergence —
 // and the frame pool must be empty once each world drains (gets == puts at
 // teardown).
-func TestOffloadEquivalenceSoakSharded(t *testing.T) {
+func TestOffloadEquivalenceSoakQueues(t *testing.T) {
 	const streams = 2
 	const window = 1500 * time.Microsecond
 	queueArms := []int{1, 2, 4}

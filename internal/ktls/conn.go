@@ -133,7 +133,7 @@ type Conn struct {
 }
 
 // NewConn wraps an established socket with the TLS record layer. It takes
-// over the socket's OnReadable and OnDrain callbacks.
+// over the socket's OnReadable and OnDrain callbacks and its Owner.
 func NewConn(sock *tcpip.Socket, cfg Config) (*Conn, error) {
 	if cfg.RecordSize <= 0 || cfg.RecordSize > MaxPlaintext {
 		cfg.RecordSize = MaxPlaintext
@@ -154,15 +154,20 @@ func NewConn(sock *tcpip.Socket, cfg Config) (*Conn, error) {
 		traceTid: sock.StackTraceTid() + ".tls",
 		retain:   l5p.TxRetainer{Model: model, Ledger: ledger, Ring: sock},
 		resync:   l5p.ResyncMailbox{Model: model, Ledger: ledger},
-		asm:      l5p.Assembler{HeaderLen: HeaderLen, Parse: ParseHeader},
+		asm:      l5p.Assembler{HeaderLen: HeaderLen, Parse: ParseHeader, Spares: sock.Spares()},
 	}
-	sock.OnReadable = c.onReadable
-	sock.OnDrain = func(*tcpip.Socket) {
-		if c.OnDrain != nil {
-			c.OnDrain(c)
-		}
-	}
+	sock.Owner, sock.OnReadable, sock.OnDrain = c, connReadable, connDrain
 	return c, nil
+}
+
+// connReadable and connDrain are every Conn's socket callbacks: they find
+// the Conn as the socket's Owner, so a connection binds no closure.
+func connReadable(s *tcpip.Socket) { s.Owner.(*Conn).onReadable(s) }
+
+func connDrain(s *tcpip.Socket) {
+	if c := s.Owner.(*Conn); c.OnDrain != nil {
+		c.OnDrain(c)
+	}
 }
 
 // Socket returns the underlying TCP socket.
@@ -222,22 +227,28 @@ func (c *Conn) EnableRxOffload(dev l5p.Device) error {
 	if err := ctx.hw.init(c.cfg.Key, c.cfg.RxIV, c.model, c.ledger); err != nil {
 		return err
 	}
-	ctx.ops.init(&ctx.hw, c.emitToInner)
-	c.installRx(dev, &ctx.engine, &ctx.ops, c.resync.Request)
+	ctx.ops.init(&ctx.hw, c)
+	c.installRx(dev, &ctx.engine, &ctx.ops, &c.resync)
 	return nil
 }
 
-// InstallRxEngine attaches a receive engine built from custom ops and an
-// optional resync-request path. Experiments use it to ablate pieces of the
-// recovery machinery; EnableRxOffload is the normal entry point.
-func (c *Conn) InstallRxEngine(dev l5p.Device, ops *RxOps, resync func(uint32)) *offload.RxEngine {
+// InstallRxEngine attaches a receive engine built from custom ops, with
+// the connection's resync mailbox as its l5o_resync_rx_req upcall target
+// if resync is set and without one otherwise. Experiments use it to ablate
+// pieces of the recovery machinery; EnableRxOffload is the normal entry
+// point.
+func (c *Conn) InstallRxEngine(dev l5p.Device, ops *RxOps, resync bool) *offload.RxEngine {
 	e := new(offload.RxEngine)
-	c.installRx(dev, e, ops, resync)
+	var req offload.ResyncRequester
+	if resync {
+		req = &c.resync
+	}
+	c.installRx(dev, e, ops, req)
 	return e
 }
 
 // installRx initialises e in place over ops and attaches it.
-func (c *Conn) installRx(dev l5p.Device, e *offload.RxEngine, ops *RxOps, resync func(uint32)) {
+func (c *Conn) installRx(dev l5p.Device, e *offload.RxEngine, ops *RxOps, resync offload.ResyncRequester) {
 	c.dev = dev
 	e.Init(ops, c.sock.ReadSeq(), resync)
 	c.rxEngine = e
@@ -276,10 +287,6 @@ func (c *Conn) DisableRxOffload() {
 	c.rxEngine = nil
 	c.resync.Reset()
 }
-
-// ResyncRequestFunc exposes the connection's l5o_resync_rx_req upcall
-// target for custom engine installation.
-func (c *Conn) ResyncRequestFunc() func(uint32) { return c.resync.Request }
 
 // SetInnerRxEngine stacks an inner offload engine (e.g. NVMe-TCP) that
 // consumes the NIC-decrypted plaintext stream (§5.3).
@@ -389,9 +396,31 @@ func (c *Conn) onReadable(s *tcpip.Socket) {
 		}
 		c.handleRecord(rec, total)
 	}
-	if s.EOF() && c.OnClose != nil && c.asm.Buffered() == 0 {
-		c.OnClose(c)
+	if s.EOF() && c.asm.Buffered() == 0 {
+		c.release()
+		if c.OnClose != nil {
+			c.OnClose(c)
+		}
 	}
+}
+
+// release hands the receive side's arrays — the assembler's and the record
+// buffer — back to the stack's spares once the stream is over, so a closed
+// Conn holds none.
+func (c *Conn) release() {
+	c.asm.Release()
+	c.asm.Spares.PutBytes(c.rxRec)
+	c.rxRec = nil
+}
+
+// recBuf returns rxRec emptied, borrowing an array from the stack's spares
+// (the ones the assembler is lent) for the connection's first software
+// record.
+func (c *Conn) recBuf() []byte {
+	if c.rxRec == nil {
+		c.rxRec = c.asm.Spares.Bytes()
+	}
+	return c.rxRec[:0]
 }
 
 func (c *Conn) fail(err error) {
@@ -469,7 +498,7 @@ func (c *Conn) emitBody(chunks []tcpip.Chunk, bodyLen int, plain []byte) {
 }
 
 func (c *Conn) softwareDecrypt(chunks []tcpip.Chunk, total, bodyLen int) {
-	c.rxRec = l5p.AppendRange(c.rxRec[:0], chunks, 0, total)
+	c.rxRec = l5p.AppendRange(c.recBuf(), chunks, 0, total)
 	rec := c.rxRec
 	c.nonce = RecordNonce(c.cfg.RxIV, c.rxSeq)
 	c.ledger.Charge(cycles.HostL5P, cycles.Decrypt, c.model.GCMCycles(bodyLen), bodyLen)
@@ -497,7 +526,7 @@ func (c *Conn) authFailed(err error) {
 
 func (c *Conn) partialFallback(chunks []tcpip.Chunk, total, bodyLen int) {
 	// The record and, behind it, its plaintext share rxRec.
-	c.rxRec = l5p.AppendRange(slices.Grow(c.rxRec[:0], total+bodyLen), chunks, 0, total)
+	c.rxRec = l5p.AppendRange(slices.Grow(c.recBuf(), total+bodyLen), chunks, 0, total)
 	rec, plain := c.rxRec, c.rxRec[total:total+bodyLen]
 	nonce := RecordNonce(c.cfg.RxIV, c.rxSeq)
 	s := &c.rxStream

@@ -130,7 +130,7 @@ func (o *TxOps) ReplayBody(data []byte, _ int) {
 // the driver turns into SKB flags (§5.2). It implements offload.RxOps.
 //
 // When records carry a stacked L5P (NVMe-TCP over TLS, §5.3), decrypted
-// body ranges are emitted to the inner offload engine through emit, tagged
+// body ranges are emitted to the inner offload engine through inner, tagged
 // with their wire sequence numbers; discontinuities in the decrypted stream
 // are announced so the inner engine falls into its own recovery.
 type RxOps struct {
@@ -142,7 +142,7 @@ type RxOps struct {
 	wireTag  [TagLen]byte
 	wireTagN int
 
-	emit        func(seq uint32, plain []byte, contiguous bool) meta.RxFlags
+	inner       innerFeed
 	emitDiscont bool
 	// noPartial disables mid-record (blind) resumption: resumed records
 	// are left untouched for full software fallback — the ablation that
@@ -155,18 +155,24 @@ type RxOps struct {
 	innerAnd  meta.RxFlags
 }
 
-// NewRxOps creates the receive ops for one flow. emit, if non-nil, receives
-// each decrypted body range for a stacked inner engine and returns that
-// engine's verdict flags for the range.
-func NewRxOps(hw *HW, emit func(seq uint32, plain []byte, contiguous bool) meta.RxFlags) *RxOps {
+// innerFeed is where RxOps emits each decrypted body range for a stacked
+// inner engine: the Conn, which passes it to the engine SetInnerRxEngine
+// stacked on it and returns that engine's verdict flags for the range.
+type innerFeed interface {
+	emitToInner(seq uint32, plain []byte, contiguous bool) meta.RxFlags
+}
+
+// NewRxOps creates the receive ops for one flow. inner, if non-nil, is the
+// Conn whose stacked inner engine receives each decrypted body range.
+func NewRxOps(hw *HW, inner innerFeed) *RxOps {
 	o := new(RxOps)
-	o.init(hw, emit)
+	o.init(hw, inner)
 	return o
 }
 
 // init is NewRxOps in place, for the ops inside a flow context.
-func (o *RxOps) init(hw *HW, emit func(seq uint32, plain []byte, contiguous bool) meta.RxFlags) {
-	*o = RxOps{hw: hw, emit: emit, emitDiscont: true}
+func (o *RxOps) init(hw *HW, inner innerFeed) {
+	*o = RxOps{hw: hw, inner: inner, emitDiscont: true}
 }
 
 // NewRxOpsNoPartial is the partial-offload ablation: records the engine
@@ -233,8 +239,8 @@ func (o *RxOps) Body(seq uint32, data []byte, _ int) {
 	mustBeLive(o.live, "RxOps.Body")
 	o.hw.ledger.Charge(cycles.NIC, cycles.Decrypt, o.hw.model.GCMCycles(len(data)), len(data))
 	o.stream.Update(data, data)
-	if o.emit != nil {
-		flags := o.emit(seq, data, !o.emitDiscont)
+	if o.inner != nil {
+		flags := o.inner.emitToInner(seq, data, !o.emitDiscont)
 		o.emitDiscont = false
 		if !o.innerSeen {
 			o.innerSeen = true

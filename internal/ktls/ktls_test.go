@@ -408,7 +408,7 @@ func TestDisableRxOffloadDropsPendingResync(t *testing.T) {
 	}
 
 	// The old engine's last act: a guess at exactly the next record's start.
-	srv.ResyncRequestFunc()(srv.Socket().ReadSeq())
+	srv.resync.Request(srv.Socket().ReadSeq())
 	srv.DisableRxOffload()
 	before := w.srvLedger.Get(cycles.HostL5P, cycles.Driver)
 	cli.Write(data)

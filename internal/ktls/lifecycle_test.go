@@ -28,22 +28,24 @@ import (
 // belong to no connection (sync.Pools that a collection during the warm-up
 // emptied fill again). What each connection makes, by site:
 //
-//	tcpip Stack.newSocket       6: per end, the Socket (its timers and
-//	                            congestion state inside it) and the method
-//	                            values its timers run, s.onRTO, s.onDelack
-//	ktls  NewConn               6: per end, the Conn and the socket
-//	                            callbacks it binds, c.onReadable and the
-//	                            OnDrain wrapper
+//	tcpip Stack.newSocket       2: the Socket per end (its timers, which
+//	                            fire the socket itself, and its congestion
+//	                            state inside it)
+//	ktls  NewConn               2: the Conn per end (its socket callbacks
+//	                            are package functions that find it as the
+//	                            socket's Owner)
 //	ktls  EnableTxOffload       1: the transmit context (HW, ops, engine)
 //	l5p   TxRetainer.Grow       1: the retainer's record index
-//	ktls  EnableRxOffload       3: the receive context and the method values
-//	                            c.emitToInner and c.resync.Request
-//	l5p   Assembler             9: the server's chunk queue (Push, 4
-//	                            growths), message result (take, 3) and kept
-//	                            bytes (retain, 2), each grown from empty
+//	ktls  EnableRxOffload       1: the receive context, whose engine calls
+//	                            the Conn's resync mailbox and whose ops
+//	                            emit to the Conn, as interfaces
 //	gcm   Stream.seek          12: crypto/cipher.NewCTR for each of six
 //	                            records each way (the stdlib CTR cannot be
 //	                            re-seeked)
+//
+// The server socket's receive queue and its assembler's queue, message
+// result and kept bytes are arrays the stack's Spares lend and the closed
+// connections of the warm-up handed back.
 func TestConnLifecycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counting unreliable under -race")
@@ -129,9 +131,24 @@ func TestConnLifecycleAllocs(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	round()
 	runtime.ReadMemStats(&after)
-	const want = 38 // the sum of the sites listed above
+	const want = 19 // the sum of the sites listed above
 	if perConn := (after.Mallocs - before.Mallocs) / conns; perConn != want {
 		t.Errorf("a connection's lifecycle allocates %d objects (%d bytes), want %d", perConn,
 			(after.TotalAlloc-before.TotalAlloc)/conns, want)
+	}
+}
+
+// TestClosedConnHandsArraysBack: at the end of its stream a Conn hands its
+// assembler's arrays to the stack's spares, so a closed Conn holds no
+// receive buffer and the next connection starts on them.
+func TestClosedConnHandsArraysBack(t *testing.T) {
+	r := runTransfer(t, cleanLink(), payload(3*MaxPlaintext, 7), true, true, false, 20*time.Millisecond)
+	// Only an assembler puts byte buffers there: the server Conn's kept
+	// bytes, which gathered each record as its segments arrived.
+	if b := r.srvConn.Socket().Spares().Bytes(); cap(b) < MaxPlaintext {
+		t.Errorf("the stack's spares hold a %d-byte buffer after the Conn closed, want its record buffer", cap(b))
+	}
+	if r.srvConn.asm.Buffered() != 0 {
+		t.Errorf("%d bytes still buffered", r.srvConn.asm.Buffered())
 	}
 }

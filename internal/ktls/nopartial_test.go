@@ -64,7 +64,7 @@ func TestNoPartialAblationConsistency(t *testing.T) {
 		conn, _ := NewConn(s, srvCfg)
 		srvConn = conn
 		hw, _ := NewHW(srvCfg.Key, srvCfg.RxIV, &w.model, w.srvLedger)
-		conn.InstallRxEngine(w.srvNIC, NewRxOpsNoPartial(hw), conn.ResyncRequestFunc())
+		conn.InstallRxEngine(w.srvNIC, NewRxOpsNoPartial(hw), true)
 		conn.OnPlain = func(PlainChunk) {}
 		conn.OnError = func(err error) { t.Errorf("record error: %v", err) }
 	})

@@ -22,11 +22,13 @@ import (
 // bytes, it copies the chunks pushed since it last waited into one buffer
 // that the Assembler reuses, so the bytes that outlive the callback are
 // copied once and nothing else is. A message Next returns is valid until
-// the next call to Next.
+// the next call to Next or Release.
 //
 // Push and Next cost amortised O(1) per chunk and allocate nothing once the
 // queue and the buffer have grown to the connection's working size, whether
-// the owner pushes a batch and then drains or drains after every chunk.
+// the owner pushes a batch and then drains or drains after every chunk. An
+// owner that lends the assembler its stack's Spares gets arrays that
+// earlier connections grew, so a short connection grows nothing either.
 type Assembler struct {
 	// HeaderLen and Parse are the protocol's framing, set once by the
 	// owner: every message starts with a HeaderLen-byte header, and Parse
@@ -34,6 +36,10 @@ type Assembler struct {
 	// long the message is.
 	HeaderLen int
 	Parse     func(hdr []byte) (offload.MsgLayout, bool)
+	// Spares, if the owner sets it, lends the assembler its arrays: the
+	// first Push takes the queue, the message result and the kept-byte
+	// buffer from it, and Release or a header error hands them back.
+	Spares *tcpip.Spares
 
 	// q[head:] are the buffered chunks and size the bytes pushed and not
 	// yet returned. Messages leave from the front; Push slides the rest
@@ -77,6 +83,9 @@ func (a *Assembler) Push(ch tcpip.Chunk) {
 		a.head = 0
 	}
 	n := len(a.q)
+	if cap(a.q) == 0 && a.Spares != nil {
+		a.q, a.msg, a.buf = a.Spares.Chunks(), a.Spares.Chunks(), a.Spares.Bytes()
+	}
 	a.q = slices.Grow(a.q, 1)[:n+1] // grows to the working depth once
 	a.q[n] = ch
 }
@@ -103,7 +112,7 @@ func (a *Assembler) Next() (msg []tcpip.Chunk, total int, err error) {
 		layout, ok := a.Parse(hdr)
 		if !ok || layout.Total < a.HeaderLen {
 			a.err = fmt.Errorf("malformed message header % x at seq %d", hdr, a.q[a.head].Seq)
-			a.q, a.head, a.msg, a.buf, a.kept = nil, 0, nil, nil, 0
+			a.drop()
 			return nil, 0, a.err
 		}
 		a.total = layout.Total
@@ -114,6 +123,26 @@ func (a *Assembler) Next() (msg []tcpip.Chunk, total int, err error) {
 	}
 	total, a.total = a.total, 0
 	return a.take(total), total, nil
+}
+
+// Release hands the arrays back to Spares once the owner's stream has
+// ended with every byte returned: the assembler holds nothing and, pushed
+// to again, borrows anew. A stream that ended inside a message keeps them.
+func (a *Assembler) Release() {
+	if a.size == 0 {
+		a.drop()
+	}
+}
+
+// drop forgets the queue, the message result and the kept bytes, handing
+// their arrays back to Spares if the owner lent them.
+func (a *Assembler) drop() {
+	if a.Spares != nil {
+		a.Spares.PutChunks(a.q)
+		a.Spares.PutChunks(a.msg)
+		a.Spares.PutBytes(a.buf)
+	}
+	a.q, a.head, a.msg, a.buf, a.kept = nil, 0, nil, nil, 0
 }
 
 // header returns the front message's HeaderLen header bytes: in place when

@@ -2,6 +2,7 @@ package l5p
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/offload"
 	"repro/internal/tcpip"
@@ -34,5 +35,65 @@ func TestAssemblerDropsQueueOnError(t *testing.T) {
 	}
 	if a.Buffered() != 5 {
 		t.Errorf("Buffered = %d, want the 3 stranded bytes and the 2 pushed since", a.Buffered())
+	}
+}
+
+// TestAssemblerReleaseHandsArraysBack: an assembler lent its stack's
+// spares takes its arrays from them at the first push and hands them back
+// when its owner's stream ends with nothing buffered, or at a header
+// error; one stranded inside a message keeps them.
+func TestAssemblerReleaseHandsArraysBack(t *testing.T) {
+	var sp tcpip.Spares
+	parse := func(h []byte) (offload.MsgLayout, bool) {
+		return offload.MsgLayout{Total: int(h[1])}, h[0] == 1
+	}
+	// arrays identifies what a holds, and back whether the spares now
+	// hold exactly that: they give it out again.
+	arrays := func(a *Assembler) [3]unsafe.Pointer {
+		return [3]unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(a.q[:1])),
+			unsafe.Pointer(unsafe.SliceData(a.msg[:1])), unsafe.Pointer(unsafe.SliceData(a.buf[:1]))}
+	}
+	back := func(want [3]unsafe.Pointer) bool {
+		q, msg, buf := sp.Chunks(), sp.Chunks(), sp.Bytes()
+		got := map[unsafe.Pointer]bool{unsafe.Pointer(unsafe.SliceData(q[:1])): true,
+			unsafe.Pointer(unsafe.SliceData(msg[:1])): true}
+		defer func() { sp.PutChunks(q); sp.PutChunks(msg); sp.PutBytes(buf) }()
+		return got[want[0]] && got[want[1]] && unsafe.Pointer(unsafe.SliceData(buf[:1])) == want[2]
+	}
+
+	a := Assembler{HeaderLen: 2, Parse: parse, Spares: &sp}
+	a.Push(tcpip.Chunk{Seq: 10, Data: []byte{1, 4, 'a'}})
+	if msg, _, _ := a.Next(); msg != nil {
+		t.Fatal("3 of 4 bytes cut into a message")
+	}
+	a.Push(tcpip.Chunk{Seq: 13, Data: []byte{'b'}})
+	if msg, _, _ := a.Next(); len(msg) != 2 {
+		t.Fatalf("message of %d chunks, want 2", len(msg))
+	}
+	held := arrays(&a)
+	a.Release()
+	if a.q != nil || a.msg != nil || a.buf != nil {
+		t.Fatalf("after Release: queue %d, message %d, buffer %d held", cap(a.q), cap(a.msg), cap(a.buf))
+	}
+	if !back(held) {
+		t.Error("Release did not hand the arrays to the spares")
+	}
+
+	b := Assembler{HeaderLen: 2, Parse: parse, Spares: &sp}
+	b.Push(tcpip.Chunk{Seq: 20, Data: []byte{7}})
+	b.Next()
+	if arrays(&b) != held {
+		t.Error("the next assembler did not borrow the released arrays")
+	}
+	b.Release() // a header byte is stranded: the arrays stay
+	if b.q == nil || b.buf == nil {
+		t.Fatal("Release dropped the arrays of a stream that ended inside a message")
+	}
+	b.Push(tcpip.Chunk{Seq: 21, Data: []byte{9}})
+	if _, _, err := b.Next(); err == nil {
+		t.Fatal("header 07 09 of the wrong type accepted")
+	}
+	if b.q != nil || b.msg != nil || b.buf != nil || !back(held) {
+		t.Error("the header error did not hand the arrays to the spares")
 	}
 }

@@ -323,7 +323,10 @@ func TestClipNoAlloc(t *testing.T) {
 // its header says, with contiguous sequence numbers, and they are the
 // messages, and the error, that cutting the whole input at once gives.
 // Every piece is pushed from one scratch buffer that is poisoned after each
-// drain, so bytes the assembler keeps without copying them show up.
+// drain, so bytes the assembler keeps without copying them show up. The
+// assembler is lent a Spares, and after a drain that leaves nothing
+// buffered an odd cut releases its arrays, whose bytes are then poisoned
+// before the next push borrows them again.
 func FuzzAssembler(f *testing.F) {
 	for i, p := range protos {
 		rng := rand.New(rand.NewSource(int64(i)))
@@ -341,12 +344,13 @@ func FuzzAssembler(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, which uint8, base uint32, data, cuts []byte) {
 		p := protos[int(which)%len(protos)]
+		var spares tcpip.Spares
 		a := l5p.Assembler{HeaderLen: p.hdrLen, Parse: func(h []byte) (offload.MsgLayout, bool) {
 			if len(h) != p.hdrLen {
 				t.Fatalf("parser handed %d bytes, header is %d", len(h), p.hdrLen)
 			}
 			return p.parse(h)
-		}}
+		}, Spares: &spares}
 		next := base
 		var out []byte
 		var sticky error
@@ -371,6 +375,15 @@ func FuzzAssembler(f *testing.F) {
 			}
 			if len(out)+a.Buffered() != off {
 				t.Fatalf("%d delivered + %d buffered != %d pushed", len(out), a.Buffered(), off)
+			}
+			if a.Buffered() == 0 && len(cuts) > 0 && cuts[i%len(cuts)]&1 == 1 {
+				a.Release()
+				b := spares.Bytes()
+				b = b[:cap(b)]
+				for j := range b {
+					b[j] = 0xDB
+				}
+				spares.PutBytes(b)
 			}
 		}
 		if !bytes.Equal(out, data[:len(out)]) {
@@ -401,7 +414,7 @@ func FuzzAssembler(f *testing.F) {
 func rxIntoTracking(t *testing.T, mb *l5p.ResyncMailbox, model *cycles.Model, ledger *cycles.Ledger,
 	base uint32, stream []byte, pktLen, lostOff int) *offload.RxEngine {
 	t.Helper()
-	e := offload.NewRxEngine(nvmetcp.NewRxOps(model, ledger, nil), base, mb.Request)
+	e := offload.NewRxEngine(nvmetcp.NewRxOps(model, ledger, nil), base, mb)
 	for off := 0; off < len(stream); off += pktLen {
 		if off == lostOff {
 			continue

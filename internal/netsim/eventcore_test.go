@@ -330,6 +330,61 @@ func TestTimerResetStepNoAlloc(t *testing.T) {
 	}
 }
 
+// countingTarget is a timer owner that is its own target, as a socket is.
+type countingTarget struct {
+	timer Timer
+	fired int
+	log   *[]string
+}
+
+func (c *countingTarget) Fire() {
+	c.fired++
+	*c.log = append(*c.log, "target")
+}
+
+// TestTimerTargetNoAlloc: a timer held by value and fired through its
+// owner costs nothing to initialise, arm, run or stop, and a target timer
+// and a func() timer armed for the same instant keep their arming order.
+func TestTimerTargetNoAlloc(t *testing.T) {
+	sim := New()
+	log := make([]string, 0, 8)
+	c := &countingTarget{log: &log}
+	f := sim.NewTimer(func() { log = append(log, "func") })
+
+	c.timer.Init(sim, c)
+	f.Reset(time.Microsecond)
+	c.timer.Reset(time.Microsecond)
+	sim.Run(0)
+	f.Reset(time.Microsecond)
+	c.timer.Reset(0)
+	c.timer.Reset(time.Microsecond) // re-arming takes its place behind f
+	sim.Run(0)
+	c.timer.Reset(time.Microsecond)
+	f.Reset(time.Microsecond)
+	sim.Run(0)
+	if want := []string{"func", "target", "func", "target", "target", "func"}; !slices.Equal(log, want) {
+		t.Errorf("fired %v, want %v", log, want)
+	}
+
+	if raceEnabled {
+		t.Skip("alloc counting unreliable under -race")
+	}
+	log = log[:0]
+	if got := testing.AllocsPerRun(1000, func() {
+		c.timer.Init(sim, c)
+		c.timer.Reset(time.Microsecond)
+		sim.Step()
+		c.timer.Reset(time.Millisecond)
+		c.timer.Stop()
+		log = log[:0]
+	}); got != 0 {
+		t.Errorf("Init + Reset + fire + Stop through a target = %v allocs, want 0", got)
+	}
+	if c.fired != 3+1001 || sim.QueueLen() != 0 {
+		t.Errorf("target fired %d times, queue holds %d timers", c.fired, sim.QueueLen())
+	}
+}
+
 func TestLinkSendDeliverNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counting unreliable under -race")

@@ -93,16 +93,31 @@ func (s *Simulator) firePeriodic(upto time.Duration) {
 	}
 }
 
+// TimerTarget is what a timer runs when it expires. An owner that is
+// already a pointer — a socket, a link's delivery node — implements it and
+// arms its timers without binding a closure: a pointer held in an interface
+// allocates nothing.
+type TimerTarget interface {
+	Fire()
+}
+
+// TimerFunc adapts a plain function to TimerTarget; NewTimer, At and After
+// take one through it, so every timer fires the same way.
+type TimerFunc func()
+
+// Fire calls f.
+func (f TimerFunc) Fire() { f() }
+
 // Timer is a callback on the virtual clock and, while pending, its own node
 // in the simulator's event heap: stopping it removes the node at once and
 // re-arming it moves the node in place, so the heap only ever holds live
 // timers (DESIGN.md "Event core").
 type Timer struct {
-	sim   *Simulator
-	at    time.Duration
-	seq   uint64 // tie-break: FIFO among same-time events
-	fn    func()
-	index int // position in sim.queue; -1 while not pending
+	sim    *Simulator
+	at     time.Duration
+	seq    uint64 // tie-break: FIFO among same-time events
+	target TimerTarget
+	index  int // position in sim.queue; -1 while not pending
 }
 
 // NewTimer returns an unarmed timer that runs fn each time it expires; arm
@@ -110,15 +125,15 @@ type Timer struct {
 // then.
 func (s *Simulator) NewTimer(fn func()) *Timer {
 	t := new(Timer)
-	t.Init(s, fn)
+	t.Init(s, TimerFunc(fn))
 	return t
 }
 
-// Init makes t an unarmed timer of s that runs fn, in place: an owner that
-// holds its timers by value (a socket, a link) needs no allocation for
-// them. Init must not be called on a pending timer.
-func (t *Timer) Init(s *Simulator, fn func()) {
-	*t = Timer{sim: s, fn: fn, index: -1}
+// Init makes t an unarmed timer of s that fires target, in place: an owner
+// that holds its timers by value (a socket, a link) and is their target
+// needs no allocation for them. Init must not be called on a pending timer.
+func (t *Timer) Init(s *Simulator, target TimerTarget) {
+	*t = Timer{sim: s, target: target, index: -1}
 }
 
 // Reset arms the timer to fire d after the current virtual time, whether
@@ -193,7 +208,7 @@ func (s *Simulator) Step() bool {
 	s.firePeriodic(t.at)
 	s.now = t.at
 	s.steps++
-	t.fn()
+	t.target.Fire()
 	return true
 }
 
@@ -449,7 +464,7 @@ type direction struct {
 func NewLink(sim *Simulator, cfg LinkConfig) *Link {
 	l := &Link{sim: sim, cfg: cfg}
 	for dir := range l.dirs {
-		l.dirs[dir].timer.Init(sim, func() { l.fireHead(dir) })
+		l.dirs[dir].timer.Init(sim, TimerFunc(func() { l.fireHead(dir) }))
 	}
 	l.dirs[0].rng = rand.New(rand.NewSource(cfg.AtoB.Seed + 1))
 	l.dirs[1].rng = rand.New(rand.NewSource(cfg.BtoA.Seed + 2))
@@ -693,7 +708,7 @@ func (l *Link) deliverAt(at, sent time.Duration, dir int, dst Endpoint, frame wi
 
 func (l *Link) newDelivery() *delivery {
 	v := &delivery{link: l}
-	v.timer.Init(l.sim, v.fire)
+	v.timer.Init(l.sim, v)
 	return v
 }
 
@@ -710,16 +725,16 @@ func (l *Link) fireHead(dir int) {
 	} else {
 		l.sim.scheduleSeq(&d.timer, d.head.timer.at, d.head.timer.seq)
 	}
-	v.fire()
+	v.Fire()
 }
 
-// fire delivers the frame: it is the event of a node on its own timer and
+// Fire delivers the frame: it is the event of a node on its own timer and
 // the tail end of fireHead. The node goes back on the free list, holding
 // neither frame nor endpoint, before the endpoint runs, so a send from
 // inside DeliverFrame can already reuse it.
 //
 //simlint:hotpath
-func (v *delivery) fire() {
+func (v *delivery) Fire() {
 	l, dst, frame := v.link, v.dst, v.frame
 	d := &l.dirs[v.dir]
 	d.stats.Delivered++

@@ -121,7 +121,7 @@ func (h *Host) EnableTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry, ti
 // selectable independently (Table 4's cumulative offload study).
 func (h *Host) EnableRxOffload(dev l5p.Device, place, crc bool) {
 	ctx := h.newRxContext(place, crc)
-	ctx.engine.Init(&ctx.ops, h.tr.ReadSeq(), h.resync.Request)
+	ctx.engine.Init(&ctx.ops, h.tr.ReadSeq(), &h.resync)
 	dev.AttachRx(h.tr.Flow().Reverse(), h.adopt(&ctx.engine))
 }
 
@@ -130,7 +130,7 @@ func (h *Host) EnableRxOffload(dev l5p.Device, place, crc bool) {
 // ktls.Conn.SetInnerRxEngine.
 func (h *Host) CreateSparseRxEngine(place, crc bool) *offload.RxEngine {
 	ctx := h.newRxContext(place, crc)
-	ctx.engine.InitSparse(&ctx.ops, h.resync.Request)
+	ctx.engine.InitSparse(&ctx.ops, &h.resync)
 	return h.adopt(&ctx.engine)
 }
 

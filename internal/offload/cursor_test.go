@@ -175,9 +175,9 @@ func TestResyncAnsweredInsideRequest(t *testing.T) {
 		}
 		seq := uint32(5_000_000)
 		if stacked {
-			e = NewSparseRxEngine(ops, req)
+			e = NewSparseRxEngine(ops, resyncFunc(req))
 		} else {
-			e = NewRxEngine(ops, seq, req)
+			e = NewRxEngine(ops, seq, resyncFunc(req))
 		}
 		feed := func(data []byte) {
 			e.Process(seq, append([]byte(nil), data...), true)

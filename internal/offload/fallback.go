@@ -101,7 +101,7 @@ func (e *RxEngine) sendResyncReq(cand uint32) {
 		return
 	}
 	e.noteResyncSent(cand)
-	if e.resyncReq != nil {
-		e.resyncReq(cand)
+	if e.resync != nil {
+		e.resync.Request(cand)
 	}
 }

@@ -21,6 +21,11 @@ type fsmResponder struct {
 	queue []uint32
 }
 
+// resyncFunc adapts a function to ResyncRequester.
+type resyncFunc func(seq uint32)
+
+func (f resyncFunc) Request(seq uint32) { f(seq) }
+
 func (h *fsmResponder) request(seq uint32) {
 	if h.mode == "none" {
 		return
@@ -356,9 +361,9 @@ func TestRxEngineFSM(t *testing.T) {
 				st.data[len(st.data)-1] ^= 0xFF
 			}
 			h := &fsmResponder{st: st, mode: tc.respond}
-			e := NewRxEngine(ops, 1000, h.request)
+			e := NewRxEngine(ops, 1000, resyncFunc(h.request))
 			if tc.stacked {
-				e = NewSparseRxEngine(ops, h.request)
+				e = NewSparseRxEngine(ops, resyncFunc(h.request))
 			}
 			h.e = e
 			e.SetFallbackPolicy(tc.policy)

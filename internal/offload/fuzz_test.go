@@ -29,7 +29,7 @@ func FuzzRxEngine(f *testing.F) {
 		st := buildStream(uint32(rng.Intn(1<<30)), sizes, seed)
 		ops := &tpOps{t: t}
 		h := &confirmHarness{st: st, delay: int(ctl[0]) % 5}
-		e := NewRxEngine(ops, st.base, h.request)
+		e := NewRxEngine(ops, st.base, resyncFunc(h.request))
 		h.e = e
 
 		ctlAt := func(i int) int { return int(ctl[i%len(ctl)]) }
@@ -89,11 +89,11 @@ func FuzzRxSearchGarbage(f *testing.F) {
 		}
 		ops := &tpOps{t: t}
 		var e *RxEngine
-		e = NewRxEngine(ops, 1000, func(seq uint32) {
+		e = NewRxEngine(ops, 1000, resyncFunc(func(seq uint32) {
 			// Confirm everything: a false lock on garbage then proceeds to
 			// track whatever the bytes describe, which must stay in-bounds.
 			e.ResyncResponse(seq, true, 7)
-		})
+		}))
 		// Desync first so the engine is searching when the garbage arrives.
 		e.Process(5_000_000, []byte{1, 2, 3, 4, 5, 6, 7, 8}, false)
 		if e.State() != "searching" {

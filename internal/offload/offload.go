@@ -157,10 +157,10 @@ func (s rxState) String() string {
 // single-threaded, as is a NIC pipeline per flow).
 type RxEngine struct {
 	ops RxOps
-	// resyncReq delivers a speculative header sequence number to L5P
-	// software (l5o_resync_rx_req through the driver, §4.1). May be nil
-	// if recovery is disabled.
-	resyncReq func(seq uint32)
+	// resync takes speculative header sequence numbers to L5P software
+	// (l5o_resync_rx_req through the driver, §4.1). May be nil if recovery
+	// is disabled.
+	resync ResyncRequester
 	// queue is the counter block of the device queue the engine is
 	// attached to (CountInto); nil while it is attached to none.
 	queue *RxQueueStats
@@ -197,7 +197,7 @@ type RxEngine struct {
 	sparse bool
 	virgin bool // no input consumed yet (sparse engines self-anchor)
 	// consuming is set while Process runs; an answer that arrives then —
-	// from inside the resyncReq upcall — waits in latched until it ends.
+	// from inside the resync upcall — waits in latched until it ends.
 	consuming       bool
 	pendingFallback bool // integrity failure seen mid-packet (fallback.go)
 
@@ -219,21 +219,30 @@ type RxEngine struct {
 	Stats RxStats
 }
 
+// ResyncRequester is the L5P software end of receive resynchronization
+// (§4.3): Request takes the engine's guess that a message header starts at
+// seq (the l5o_resync_rx_req upcall). An owner that already is one — an
+// l5p.ResyncMailbox inside the connection — is handed over as it is, so
+// attaching an engine binds no closure.
+type ResyncRequester interface {
+	Request(seq uint32)
+}
+
 // NewRxEngine creates a receive engine starting at startSeq, which must be
-// an L5P message boundary (l5o_create's tcpsn, §4.1). resyncReq carries
+// an L5P message boundary (l5o_create's tcpsn, §4.1). resync takes
 // speculative resync requests to L5P software; it may be nil, in which case
 // the engine can only recover deterministically.
-func NewRxEngine(ops RxOps, startSeq uint32, resyncReq func(seq uint32)) *RxEngine {
+func NewRxEngine(ops RxOps, startSeq uint32, resync ResyncRequester) *RxEngine {
 	e := new(RxEngine)
-	e.Init(ops, startSeq, resyncReq)
+	e.Init(ops, startSeq, resync)
 	return e
 }
 
 // Init is NewRxEngine in place, for an engine held inside a larger flow
 // context (one allocation for the whole context, §4.1). It overwrites
 // everything e held, so e must not be attached to a device.
-func (e *RxEngine) Init(ops RxOps, startSeq uint32, resyncReq func(seq uint32)) {
-	*e = RxEngine{ops: ops, resyncReq: resyncReq, expected: startSeq, cur: newCursor(ops)}
+func (e *RxEngine) Init(ops RxOps, startSeq uint32, resync ResyncRequester) {
+	*e = RxEngine{ops: ops, resync: resync, expected: startSeq, cur: newCursor(ops)}
 }
 
 // NewSparseRxEngine creates a receive engine for a stacked L5P (§5.3): its
@@ -242,15 +251,15 @@ func (e *RxEngine) Init(ops RxOps, startSeq uint32, resyncReq func(seq uint32)) 
 // The engine trusts the feeder's contiguity flag, never predicts message
 // positions across input gaps, and always recovers through the speculative
 // search + software confirmation path.
-func NewSparseRxEngine(ops RxOps, resyncReq func(seq uint32)) *RxEngine {
+func NewSparseRxEngine(ops RxOps, resync ResyncRequester) *RxEngine {
 	e := new(RxEngine)
-	e.InitSparse(ops, resyncReq)
+	e.InitSparse(ops, resync)
 	return e
 }
 
 // InitSparse is NewSparseRxEngine in place, as Init is NewRxEngine.
-func (e *RxEngine) InitSparse(ops RxOps, resyncReq func(seq uint32)) {
-	*e = RxEngine{ops: ops, resyncReq: resyncReq, cur: newCursor(ops), sparse: true, virgin: true}
+func (e *RxEngine) InitSparse(ops RxOps, resync ResyncRequester) {
+	*e = RxEngine{ops: ops, resync: resync, cur: newCursor(ops), sparse: true, virgin: true}
 }
 
 // gapUnknown is the gap before an emission a stacked engine's feeder did

@@ -382,7 +382,7 @@ func TestRxHeaderLossRecovery(t *testing.T) {
 			st := buildStream(1000, repeatSizes(150, 12), 5)
 			var e *RxEngine
 			h := &confirmHarness{st: st, delay: delay}
-			e = NewRxEngine(ops, 1000, h.request)
+			e = NewRxEngine(ops, 1000, resyncFunc(h.request))
 			h.e = e
 
 			ps := st.packets(repeatSizes(100, 100))
@@ -500,7 +500,7 @@ func TestRxRandomImpairments(t *testing.T) {
 		st := buildStream(uint32(rng.Intn(1<<30)), sizes, seed)
 		ops := &tpOps{t: t}
 		h := &confirmHarness{st: st, delay: rng.Intn(4)}
-		e := NewRxEngine(ops, st.base, h.request)
+		e := NewRxEngine(ops, st.base, resyncFunc(h.request))
 		h.e = e
 
 		pktSizes := make([]int, 0, len(st.data)/50+1)

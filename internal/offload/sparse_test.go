@@ -114,7 +114,7 @@ func TestSparseRecoveryAfterDiscontinuity(t *testing.T) {
 		return uint32(base + off + (off/recSize)*gap)
 	}
 	conf := &sparseConfirm{st: st, wireOf: wireOf}
-	e := NewSparseRxEngine(ops, conf.request)
+	e := NewSparseRxEngine(ops, resyncFunc(conf.request))
 	conf.e = e
 
 	// Drop records 3 and 4 (a discontinuity in the emitted stream).
@@ -149,7 +149,7 @@ func TestSparseRejectedCandidateResumesSearch(t *testing.T) {
 	st := buildStream(0, repeatSizes(150, 10), 52)
 	f := &sparseFeeder{data: st.data, recSize: 180, gap: 21, base: 100}
 	var reqs []uint32
-	e := NewSparseRxEngine(ops, func(seq uint32) { reqs = append(reqs, seq) })
+	e := NewSparseRxEngine(ops, resyncFunc(func(seq uint32) { reqs = append(reqs, seq) }))
 	ems := f.emissions(60, func(i int) bool { return i == 1 })
 	for i, em := range ems {
 		e.Process(em.seq, em.data, em.contiguous)
@@ -184,7 +184,7 @@ func TestSparseRandomDrops(t *testing.T) {
 			return f.base + uint32(off+(off/recSize)*gap)
 		}
 		conf := &sparseConfirm{st: st, wireOf: wireOf}
-		e := NewSparseRxEngine(ops, conf.request)
+		e := NewSparseRxEngine(ops, resyncFunc(conf.request))
 		conf.e = e
 		dropped := map[int]bool{}
 		drop := func(i int) bool {

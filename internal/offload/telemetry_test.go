@@ -24,7 +24,7 @@ func TestRxTransitionCounters(t *testing.T) {
 	ops := &tpOps{t: t}
 	st := buildStream(1000, repeatSizes(150, 12), 5)
 	h := &confirmHarness{st: st}
-	e := NewRxEngine(ops, 1000, h.request)
+	e := NewRxEngine(ops, 1000, resyncFunc(h.request))
 	h.e = e
 
 	driveHeaderLoss(t, e, st, h)
@@ -84,7 +84,7 @@ func TestRxTelemetryTimeline(t *testing.T) {
 	ops := &tpOps{t: t}
 	st := buildStream(1000, repeatSizes(150, 12), 5)
 	h := &confirmHarness{st: st}
-	e := NewRxEngine(ops, 1000, h.request)
+	e := NewRxEngine(ops, 1000, resyncFunc(h.request))
 	h.e = e
 	e.EnableTelemetry(tr, reg, "flow0")
 
@@ -137,7 +137,7 @@ func TestRxDisabledTelemetryNoEvents(t *testing.T) {
 	ops := &tpOps{t: t}
 	st := buildStream(1000, repeatSizes(150, 12), 5)
 	h := &confirmHarness{st: st}
-	e := NewRxEngine(ops, 1000, h.request)
+	e := NewRxEngine(ops, 1000, resyncFunc(h.request))
 	h.e = e
 
 	driveHeaderLoss(t, e, st, h) // never EnableTelemetry: must be a no-op

@@ -48,21 +48,29 @@ type CongestionControl interface {
 // NewCongestionControl builds a controller by name. The empty name selects
 // NewReno, the stack default.
 func NewCongestionControl(name string) (CongestionControl, error) {
-	return bindCongestionControl(name, new(ccState))
+	bind, err := ccBinder(name)
+	if err != nil {
+		return nil, err
+	}
+	return bind(new(ccState)), nil
 }
 
-// bindCongestionControl returns the named controller working on st, which
-// the caller owns: a Socket holds its ccState by value, so a connection's
-// congestion control costs no allocation of its own.
-func bindCongestionControl(name string, st *ccState) (CongestionControl, error) {
+// ccBinder resolves a controller name to the function that binds that
+// controller to a ccState its caller owns: a Socket holds its ccState by
+// value, so a connection's congestion control costs no allocation of its
+// own.
+func ccBinder(name string) (func(*ccState) CongestionControl, error) {
 	switch name {
 	case "", "newreno":
-		return (*newReno)(st), nil
+		return bindNewReno, nil
 	case "cubic":
-		return (*cubic)(st), nil
+		return bindCubic, nil
 	}
 	return nil, fmt.Errorf("tcpip: unknown congestion control %q", name)
 }
+
+func bindNewReno(st *ccState) CongestionControl { return (*newReno)(st) }
+func bindCubic(st *ccState) CongestionControl   { return (*cubic)(st) }
 
 // ccState is the congestion state of either controller. NewReno uses the
 // window, the threshold and the undo snapshot; CUBIC also its growth curve.

@@ -343,4 +343,16 @@ func TestSetCongestionControlValidates(t *testing.T) {
 	if err := p.a.SetCongestionControl("vegas"); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
+	// The rejected name leaves the selection as it was, and a socket
+	// opened afterwards runs it.
+	if got := p.a.CongestionControlName(); got != "cubic" {
+		t.Errorf("after a rejected name, CongestionControlName = %q, want cubic", got)
+	}
+	s := p.a.Connect(wire.Addr{IP: p.b.IP(), Port: 80}, nil)
+	if got := s.cc.Name(); got != "cubic" {
+		t.Errorf("a new socket runs %q, want cubic", got)
+	}
+	if got := p.b.CongestionControlName(); got != "newreno" {
+		t.Errorf("default CongestionControlName = %q, want newreno", got)
+	}
 }

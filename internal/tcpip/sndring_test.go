@@ -81,11 +81,11 @@ func TestSendStoreRecycling(t *testing.T) {
 		t.Error("a torn-down socket still reads from its send ring")
 	}
 	// One write of 20 000 bytes: one ring, the next power of two.
-	if len(p.a.sndFree) != 1 || len(p.a.sndFree[0]) != 32<<10 || p.a.sndFreeBytes != 32<<10 {
+	if len(p.a.sndFree.arrs) != 1 || len(p.a.sndFree.arrs[0]) != 32<<10 || p.a.sndFree.held != 32<<10 {
 		t.Fatalf("free list holds %d rings, %d bytes after one teardown, want one ring of 32 KiB",
-			len(p.a.sndFree), p.a.sndFreeBytes)
+			len(p.a.sndFree.arrs), p.a.sndFree.held)
 	}
-	recycled := base(p.a.sndFree[0])
+	recycled := base(p.a.sndFree.arrs[0])
 
 	// Two live connections at once: one starts on the recycled ring, the
 	// other must not share it.
@@ -144,16 +144,16 @@ func TestSendStoreRecycling(t *testing.T) {
 	for _, n := range []int{2 << 20, 1 << 20, 1 << 20, 4 << 10} {
 		st.putSndRing(make([]byte, n))
 	}
-	if len(st.sndFree) != 3 || st.sndFreeBytes != defaultSndBuf {
+	if len(st.sndFree.arrs) != 3 || st.sndFree.held != defaultSndBuf {
 		t.Fatalf("free list holds %d rings, %d bytes; want the first three, %d bytes",
-			len(st.sndFree), st.sndFreeBytes, defaultSndBuf)
+			len(st.sndFree.arrs), st.sndFree.held, defaultSndBuf)
 	}
-	if r := st.getSndRing(1 << 20); len(r) != 1<<20 || st.sndFreeBytes != 3<<20 {
-		t.Fatalf("got a %d-byte ring, %d bytes left held", len(r), st.sndFreeBytes)
+	if r := st.getSndRing(1 << 20); len(r) != 1<<20 || st.sndFree.held != 3<<20 {
+		t.Fatalf("got a %d-byte ring, %d bytes left held", len(r), st.sndFree.held)
 	}
-	if r := st.getSndRing(4 << 20); len(r) != 4<<20 || len(st.sndFree) != 2 {
+	if r := st.getSndRing(4 << 20); len(r) != 4<<20 || len(st.sndFree.arrs) != 2 {
 		t.Fatalf("a need no ring on the list meets must allocate: got %d bytes, %d rings held",
-			len(r), len(st.sndFree))
+			len(r), len(st.sndFree.arrs))
 	}
 }
 
@@ -330,11 +330,11 @@ func FuzzSendRing(f *testing.F) {
 			t.Fatal("the ring's bytes differ from the written stream")
 		}
 		held := 0
-		for _, r := range s.stack.sndFree {
+		for _, r := range s.stack.sndFree.arrs {
 			held += len(r)
 		}
-		if held != s.stack.sndFreeBytes || held > defaultSndBuf {
-			t.Fatalf("free list holds %d bytes, counts %d", held, s.stack.sndFreeBytes)
+		if held != s.stack.sndFree.held || held > defaultSndBuf {
+			t.Fatalf("free list holds %d bytes, counts %d", held, s.stack.sndFree.held)
 		}
 	})
 }

@@ -68,9 +68,10 @@ type Stack struct {
 	// sndFree holds outgrown send rings and those of torn-down sockets for
 	// the next connections to start on: a short connection otherwise
 	// doubles its ring a few times and leaves every size to the collector.
-	// The rings held total at most defaultSndBuf bytes (sndFreeBytes).
-	sndFree      [][]byte
-	sndFreeBytes int
+	// The rings held total at most defaultSndBuf bytes.
+	sndFree freeList[byte]
+	// spares does the same for the receive side's arrays.
+	spares Spares
 	// gather is the scratch a segment that wraps its socket's ring is
 	// copied into; like any payload it lives for one Transmit call.
 	gather []byte
@@ -89,9 +90,9 @@ type Stack struct {
 	// sack enables RFC 2018/2883 selective acknowledgments on connections
 	// opened or accepted afterwards (off by default, like ECN).
 	sack bool
-	// ccName selects the congestion controller for sockets created
-	// afterwards ("" = NewReno).
-	ccName string
+	// bindCC binds the congestion controller of sockets created afterwards
+	// (SetCongestionControl; NewReno by default).
+	bindCC func(*ccState) CongestionControl
 	// mtu, when nonzero, overrides the model's path MTU for segmentation
 	// (SetMTU; the model value is the boot-time interface MTU).
 	mtu int
@@ -154,34 +155,22 @@ func NewStack(sim *netsim.Simulator, ip [4]byte, model *cycles.Model, ledger *cy
 		socks:     make(map[wire.FlowID]*Socket),
 		nextPort:  33000,
 		issSeed:   uint32(ip[3])*1000 + 1,
+		bindCC:    bindNewReno,
 	}
 }
 
 // getSndRing returns a send ring of n bytes, a power of two, recycled if
 // the free list has one at least that large. Its contents are stale.
 func (st *Stack) getSndRing(n int) []byte {
-	last := len(st.sndFree) - 1
-	for i := last; i >= 0; i-- {
-		if b := st.sndFree[i]; len(b) >= n {
-			st.sndFree[i] = st.sndFree[last]
-			st.sndFree[last] = nil
-			st.sndFree = st.sndFree[:last]
-			st.sndFreeBytes -= len(b)
-			return b
-		}
+	if b := st.sndFree.get(n); b != nil {
+		return b
 	}
 	return make([]byte, n)
 }
 
 // putSndRing offers a ring no socket references any more to the free list;
 // it is dropped when keeping it would hold more than defaultSndBuf bytes.
-func (st *Stack) putSndRing(b []byte) {
-	if len(b) == 0 || st.sndFreeBytes+len(b) > defaultSndBuf {
-		return
-	}
-	st.sndFree = append(st.sndFree, b)
-	st.sndFreeBytes += len(b)
-}
+func (st *Stack) putSndRing(b []byte) { st.sndFree.put(b, defaultSndBuf) }
 
 // SetDevice attaches the output device.
 func (st *Stack) SetDevice(dev NetDevice) { st.dev = dev }
@@ -203,22 +192,19 @@ func (st *Stack) EnableECN() { st.ecn = true }
 func (st *Stack) EnableSACK() { st.sack = true }
 
 // SetCongestionControl selects the congestion-control algorithm ("newreno",
-// "cubic") for sockets created after the call.
+// "cubic") for sockets created after the call. An unknown name is an error
+// and leaves the selection as it was.
 func (st *Stack) SetCongestionControl(name string) error {
-	if _, err := NewCongestionControl(name); err != nil {
+	bind, err := ccBinder(name)
+	if err != nil {
 		return err
 	}
-	st.ccName = name
+	st.bindCC = bind
 	return nil
 }
 
 // CongestionControlName returns the configured algorithm name.
-func (st *Stack) CongestionControlName() string {
-	if st.ccName == "" {
-		return "newreno"
-	}
-	return st.ccName
-}
+func (st *Stack) CongestionControlName() string { return st.bindCC(new(ccState)).Name() }
 
 // SetRecoveryHistogram routes loss-recovery episode durations (nanoseconds
 // from loss detection to full repair) into h. Pass nil to detach.
@@ -325,8 +311,20 @@ func (st *Stack) maxRTO() time.Duration {
 	return time.Duration(st.model.MaxRTOMicros) * time.Microsecond
 }
 
+// rtoTarget and delackTarget are a Socket seen as the target of one of its
+// two timers: a *Socket converts to either for free, so arming a timer binds
+// no closure.
+type (
+	rtoTarget    Socket
+	delackTarget Socket
+)
+
+func (t *rtoTarget) Fire()    { (*Socket)(t).onRTO() }
+func (t *delackTarget) Fire() { (*Socket)(t).onDelack() }
+
 // newSocket allocates the socket and nothing else of its own: its timers and
-// its congestion state live inside it.
+// its congestion state live inside it, and the timers fire the socket
+// itself.
 func (st *Stack) newSocket(flow wire.FlowID) *Socket {
 	s := &Socket{
 		stack:      st,
@@ -337,14 +335,9 @@ func (st *Stack) newSocket(flow wire.FlowID) *Socket {
 		rto:        initialRTO,
 		peerWindow: st.MSS(), // until first segment arrives
 	}
-	// The name was validated by SetCongestionControl; "" is NewReno.
-	cc, err := bindCongestionControl(st.ccName, &s.ccState)
-	if err != nil {
-		panic(err)
-	}
-	s.cc = cc
-	s.rtoTimer.Init(st.sim, s.onRTO)
-	s.delackTimer.Init(st.sim, s.onDelack)
+	s.cc = st.bindCC(&s.ccState)
+	s.rtoTimer.Init(st.sim, (*rtoTarget)(s))
+	s.delackTimer.Init(st.sim, (*delackTarget)(s))
 	s.cc.Init(st.MSS())
 	st.issSeed += 64013
 	s.sndUna = s.iss
@@ -488,6 +481,10 @@ type Socket struct {
 	OnDrain func(*Socket)
 	// OnClose fires when the connection is fully closed.
 	OnClose func(*Socket)
+	// Owner is free for the layer that takes the socket over, so that its
+	// callbacks can be plain functions that find it here rather than
+	// closures bound per connection (ktls.Conn sets itself).
+	Owner any
 
 	// Send state.
 	iss        uint32
@@ -563,9 +560,9 @@ type Socket struct {
 
 	// Loss-recovery episode measurement: detection time and the sequence
 	// that must be cumulatively ACKed for the episode to end.
-	episodeActive bool
 	episodeStart  time.Duration
 	episodeEnd    uint32
+	episodeActive bool
 	// Lost-retransmission detection (RFC 6675 rescue, RACK-lite): the
 	// lowest outstanding hole retransmission and the scoreboard top when it
 	// went out. If SACK evidence advances well past that top while the
@@ -585,9 +582,9 @@ type Socket struct {
 	rcvBufUsed int
 	rcvBufCap  int
 	peerFin    bool
-	finRcvdSeq uint32
 	sawEOF     bool
 	wndShut    bool // the window last advertised was below one MSS
+	finRcvdSeq uint32
 }
 
 // Flow returns the socket's flow (local→remote).
@@ -601,6 +598,10 @@ func (s *Socket) StackLedger() *cycles.Ledger { return s.stack.ledger }
 
 // StackTracer returns the owning stack's tracer (nil when disabled).
 func (s *Socket) StackTracer() *telemetry.Tracer { return s.stack.tracer }
+
+// Spares returns the owning stack's free lists of receive-side arrays, for
+// an L5P assembler above the socket (l5p.Assembler.Spares).
+func (s *Socket) Spares() *Spares { return &s.stack.spares }
 
 // StackTraceTid returns the owning stack's trace track label.
 func (s *Socket) StackTraceTid() string { return s.stack.traceTid }
@@ -897,6 +898,7 @@ func (s *Socket) ReadChunk() (c Chunk, ok bool) {
 		// Empty: rewind, so deliver appends into the same array for
 		// the life of the connection instead of walking off its end.
 		s.rcvChunks, s.rcvHead = s.rcvChunks[:0], 0
+		s.freeRcvQueue()
 	}
 	s.rcvBufUsed -= len(c.Data)
 	if s.wndShut && s.rcvBufCap-s.rcvBufUsed >= min(s.rcvBufCap/2, s.stack.MSS()) && s.state != stateClosed {
@@ -1743,6 +1745,7 @@ func (s *Socket) handleFin(seq uint32) {
 	}
 	s.peerFin = true
 	s.rcvNxt = seq + 1
+	s.freeRcvQueue()
 	switch s.state {
 	case stateEstablished:
 		s.state = stateCloseWait
@@ -1788,12 +1791,26 @@ func (s *Socket) deliver(seq uint32, data []byte, flags meta.RxFlags) {
 		s.rcvChunks, s.rcvHead = slices.Delete(s.rcvChunks, 0, s.rcvHead), 0
 	}
 	// Do not coalesce chunks with different offload verdicts (§4.3). The
-	// array grows to the connection's working depth once and is kept.
+	// array comes from the stack's spares, grows to the connection's working
+	// depth once and is kept until the stream ends (freeRcvQueue).
 	n := len(s.rcvChunks)
+	if cap(s.rcvChunks) == 0 {
+		s.rcvChunks = s.stack.spares.Chunks()
+	}
 	s.rcvChunks = slices.Grow(s.rcvChunks, 1)[:n+1]
 	s.rcvChunks[n] = Chunk{Seq: seq, Data: data, Flags: flags}
 	s.rcvBufUsed += len(data)
 	s.rcvNxt = seq + uint32(len(data))
+}
+
+// freeRcvQueue hands the receive queue's array to the stack's spares once
+// the peer's FIN is in and the reader has taken every chunk: nothing can be
+// queued any more.
+func (s *Socket) freeRcvQueue() {
+	if s.peerFin && s.rcvHead == len(s.rcvChunks) {
+		s.stack.spares.PutChunks(s.rcvChunks)
+		s.rcvChunks, s.rcvHead = nil, 0
+	}
 }
 
 // keepUnread gives the chunk processData queued at seq — bytes of the
