@@ -27,12 +27,17 @@ func pieceLen(b byte) int {
 	}
 }
 
+// sentinel fills the spare capacity FuzzStreamVsAEAD hands a Stream.
+const sentinel = 0xA5
+
 // FuzzStreamVsAEAD is the differential test against crypto/cipher's GCM.
 // sched is a list of (op, size) byte pairs cutting one message into pieces;
 // each piece goes through Update or Transform, in place or not, in either
-// direction, and every output byte and the tag must equal the one-shot
-// AEAD's. Then the same pieces are decrypted again after a Skip to a
-// fuzzer-chosen offset, where only the plaintext can be compared.
+// direction, into a dst with or without spare capacity, and every output
+// byte and the tag must equal the one-shot AEAD's, the spare capacity come
+// back as it was handed over. Then the same pieces are decrypted again
+// after a Skip to a fuzzer-chosen offset, where only the plaintext can be
+// compared.
 func FuzzStreamVsAEAD(f *testing.F) {
 	f.Add(int64(1), []byte{0, 3, 1, 3, 2, 3, 3, 3})
 	f.Add(int64(2), []byte{0, 0, 1, 6, 2, 2, 3, 11, 0, 4, 1, 9})
@@ -40,6 +45,13 @@ func FuzzStreamVsAEAD(f *testing.F) {
 	f.Add(int64(4), []byte{1, 2, 1, 2, 1, 2})
 	f.Add(int64(5), []byte{})
 	f.Add(int64(6), []byte{0, 5, 1, 3, 6, 11, 2, 4})
+	// A Seal stream sealing frames: an MSS, one byte, an MSS in place
+	// across the partial block, a record, a multi-block piece in place
+	// through Transform.
+	f.Add(int64(10), []byte{8, 3, 8, 1, 12, 3, 8, 5, 14, 4})
+	// A Seal stream handed ciphertext mid-block, which switches it to a
+	// CTR, then plaintext again.
+	f.Add(int64(8), []byte{8, 1, 11, 3, 8, 4, 12, 3})
 	f.Fuzz(func(t *testing.T, seed int64, sched []byte) {
 		if len(sched) > 48 {
 			sched = sched[:48]
@@ -72,7 +84,8 @@ func FuzzStreamVsAEAD(f *testing.F) {
 			op := sched[i-1]
 			// Bit 0: which side of the XOR the input is on (for Update,
 			// the stream's own direction decides). Bit 1: Update or
-			// Transform. Bit 2: in place.
+			// Transform. Bit 2: in place. Bit 3: dst has TagSize bytes of
+			// spare capacity holding sentinels, or none.
 			ctIn := op&1 == 1
 			if op&2 == 0 {
 				ctIn = s.dir == Open
@@ -81,7 +94,15 @@ func FuzzStreamVsAEAD(f *testing.F) {
 			if ctIn {
 				in, want = want, in
 			}
-			dst := make([]byte, n)
+			spare := 0
+			if op&8 != 0 {
+				spare = TagSize
+			}
+			dst := make([]byte, n, n+spare)
+			tail := dst[n : n+spare]
+			for i := range tail {
+				tail[i] = sentinel
+			}
 			src := in
 			if op&4 != 0 {
 				copy(dst, in)
@@ -94,6 +115,11 @@ func FuzzStreamVsAEAD(f *testing.F) {
 			}
 			if !bytes.Equal(dst, want) {
 				t.Fatalf("piece at %d+%d (op %#x): output differs from AEAD", off, n, op)
+			}
+			for i, b := range tail {
+				if b != sentinel {
+					t.Fatalf("piece at %d+%d (op %#x): spare capacity byte %d is %#x after the call", off, n, op, i, b)
+				}
 			}
 			off += n
 		}

@@ -13,9 +13,12 @@
 // the modeled engine state is what a Stream carries between packets — the
 // counter position (nonce + byte offset) and the GHASH accumulator with
 // its partial block. Producing the bytes is host overhead, so it runs on
-// the standard library's hardware paths: its AES-CTR seeked to an explicit
-// counter, and its AEAD's carry-less multiply for GHASH, read back out of
-// an AAD-only Seal (see Cipher). The package tests and FuzzStreamVsAEAD
+// the standard library's hardware paths. Sealing runs each call's whole
+// blocks through one fused stdlib Seal started at an arbitrary counter
+// block, by a nonce derived so that the AEAD's own J0 is that block (see
+// Stream); opening runs the stdlib's AES-CTR seeked to an explicit counter
+// and its AEAD's carry-less multiply for GHASH, read back out of an
+// AAD-only Seal (see Cipher). The package tests and FuzzStreamVsAEAD
 // verify byte-for-byte equality with crypto/cipher's GCM.
 package gcm
 
@@ -91,6 +94,11 @@ type fieldElement struct {
 
 func load(b []byte) fieldElement {
 	return fieldElement{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:16])}
+}
+
+func store(b []byte, x fieldElement) {
+	binary.BigEndian.PutUint64(b[:8], x.low)
+	binary.BigEndian.PutUint64(b[8:16], x.high)
 }
 
 func gcmAdd(x, y fieldElement) fieldElement {
@@ -213,12 +221,20 @@ func (c *Cipher) mulInv(y fieldElement) fieldElement {
 // Bᵢ)·H steps y over the run, L = [128n]₆₄‖0 is the length block and mask =
 // E(K, J0) the empty message's tag. So y' = yₙ = (tag ⊕ mask)·H⁻¹ ⊕ L: one
 // Seal on the CPU's carry-less multiply and one table multiply per run.
+//
+// The same identity reads y back out of a Seal with data, which a Seal
+// Stream runs through sealer, the AEAD for 16-byte nonces: for nonce N its
+// J0 is GHASH(N ‖ [0]₆₄‖[128]₆₄) = (N·H ⊕ [0]₆₄‖[128]₆₄)·H, so the nonce
+// N = (J0′·H⁻¹ ⊕ [0]₆₄‖[128]₆₄)·H⁻¹ starts its counter at any block J0′ we
+// choose, and mask becomes E(K, J0′). A Cipher with H = 0 has no H⁻¹: its
+// Streams keep a CTR in both directions, and its GHASH is identically 0.
 type Cipher struct {
-	block cipher.Block
-	aead  cipher.AEAD
-	mask  fieldElement
-	zeroH bool     // H = 0 (probability 2⁻¹²⁸): GHASH ≡ 0, and H has no inverse
-	hInv  mulTable // multiplies by H⁻¹
+	block  cipher.Block
+	aead   cipher.AEAD
+	sealer cipher.AEAD // 16-byte nonces: the fused Seal of a Seal Stream
+	mask   fieldElement
+	zeroH  bool     // H = 0 (probability 2⁻¹²⁸): GHASH ≡ 0, and H has no inverse
+	hInv   mulTable // multiplies by H⁻¹
 }
 
 // zeroNonce is the nonce of every GHASH Seal, so J0 = 0⁹⁶‖1.
@@ -234,9 +250,13 @@ func New(key []byte) (*Cipher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gcm: %w", err)
 	}
+	sealer, err := cipher.NewGCMWithNonceSize(block, blockSize)
+	if err != nil {
+		return nil, fmt.Errorf("gcm: %w", err)
+	}
 	var h, tag [blockSize]byte
 	block.Encrypt(h[:], h[:]) // H = E(K, 0¹²⁸)
-	c := &Cipher{block: block, aead: aead, zeroH: load(h[:]) == fieldElement{},
+	c := &Cipher{block: block, aead: aead, sealer: sealer, zeroH: load(h[:]) == fieldElement{},
 		mask: load(aead.Seal(tag[:0], zeroNonce[:], nil, nil))}
 	if !c.zeroH {
 		c.hInv.init(inverse(load(h[:])))
@@ -247,10 +267,22 @@ func New(key []byte) (*Cipher, error) {
 // AEAD returns the standard library's AES-GCM AEAD for the Cipher's key.
 func (c *Cipher) AEAD() cipher.AEAD { return c.aead }
 
-// scratch is one GHASH run plus room for the tag. It is pooled rather than
-// held by each Stream (growing every flow context) or each Cipher (a lock
-// every world sharing the key would contend on), so Cipher stays immutable.
+// scratch is one GHASH run plus room for the tag, or a fused Seal's
+// keystream block, nonce, AAD and the bytes its tag overwrites. It is
+// pooled rather than held by each Stream (growing every flow context) or
+// each Cipher (a lock every world sharing the key would contend on), so
+// Cipher stays immutable; and what an interface method is handed must not
+// live on the stack, or it would escape to the heap at every call.
 type scratch [runLen + TagSize]byte
+
+// Regions of a scratch during a fused Seal (Stream.seal).
+const (
+	scKey   = 0            // keystream block E(K, counter)
+	scNonce = scKey + 16   // the derived nonce N
+	scAAD   = scNonce + 16 // A = y·H⁻¹, then the block the head completed
+	scSaved = scAAD + 32   // the TagSize bytes of dst the tag lands on
+	scEnd   = scSaved + 16
+)
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
@@ -293,14 +325,30 @@ const (
 // value as its dynamic state, initialises it in place with InitStream at
 // each record, and advances it packet by packet. A Stream must not be
 // copied once initialised — the copy would share the keystream position.
+//
+// A Seal stream keeps no keystream object: its counter position is
+// dataLen. Each Update sends its whole blocks through one in-place Seal of
+// the Cipher's 16-byte-nonce AEAD, whose nonce makes the AEAD's J0 the
+// counter block J0′ = nonce‖(1+m) of the block before the run's first
+// block m (see Cipher), so its keystream starts at block m. Its AAD is A =
+// y·H⁻¹, which the AEAD's GHASH steps to y, followed by the block the
+// call's head completed, X, which steps y to (y ⊕ X)·H; its tag then gives
+// y′ = (tag ⊕ E(K, J0′))·H⁻¹ ⊕ L, L the length block of that AAD and run.
+// The ≤ 15-byte head and tail take single block.Encrypt keystream blocks.
+// An Open stream keeps one stdlib CTR per record, because the one-pass
+// stdlib Open checks the tag before it releases plaintext and a packet
+// does not carry the tag. So does a Seal stream from the first call that
+// hands it ciphertext, and from a Skip on.
 type Stream struct {
 	c   *Cipher
 	dir Direction
 
-	// CTR state: the stdlib AES-CTR, positioned at byte dataLen of the
-	// message. ctr is the counter block it was last seeked to (J0 with
-	// the block offset added); it lives here so that the slice handed to
-	// cipher.NewCTR does not escape as an allocation of its own.
+	// CTR state: the stdlib AES-CTR of an Open stream, positioned at byte
+	// dataLen of the message (nil in a Seal stream). ctr is the nonce and
+	// the counter block last seeked to or encrypted (J0 with the block
+	// offset added); it lives here so that the slice handed to
+	// cipher.NewCTR or Block.Encrypt does not escape as an allocation of
+	// its own.
 	ks  cipher.Stream
 	ctr [blockSize]byte
 
@@ -324,8 +372,8 @@ func (c *Cipher) NewStream(dir Direction, nonce, aad []byte) *Stream {
 }
 
 // InitStream is NewStream into caller-owned memory: it overwrites *s with
-// the start-of-message state. The one allocation left is the stdlib's CTR
-// object.
+// the start-of-message state. A Seal stream allocates nothing; an Open
+// stream allocates the stdlib's CTR object.
 func (c *Cipher) InitStream(s *Stream, dir Direction, nonce, aad []byte) {
 	if len(nonce) != NonceSize {
 		panic(fmt.Sprintf("gcm: nonce length %d, want %d", len(nonce), NonceSize))
@@ -334,7 +382,9 @@ func (c *Cipher) InitStream(s *Stream, dir Direction, nonce, aad []byte) {
 	copy(s.ctr[:], nonce)
 	s.ctr[blockSize-1] = 1 // J0
 	c.block.Encrypt(s.tagMask[:], s.ctr[:])
-	s.seek()
+	if dir == Open || c.zeroH {
+		s.seek()
+	}
 	s.ghashUpdate(aad)
 	s.ghashFlushPad(nil)
 }
@@ -345,10 +395,20 @@ func (s *Stream) seek() {
 	binary.BigEndian.PutUint32(s.ctr[12:], uint32(2+s.dataLen/blockSize))
 	s.ks = cipher.NewCTR(s.c.block, s.ctr[:])
 	if rem := s.dataLen % blockSize; rem > 0 {
-		// Only Skip lands mid-block, and Skip abandons authentication, so
-		// the GHASH partial-block buffer is free to take the discard.
-		s.ks.XORKeyStream(s.buf[:rem], s.buf[:rem])
+		// NewCTR has copied the counter block, so it takes the discard;
+		// the nonce in it is put back. (The GHASH partial block cannot: a
+		// Seal stream switching to the CTR mid-block is still
+		// authenticating.)
+		ctr := s.ctr
+		s.ks.XORKeyStream(s.ctr[:rem], s.ctr[:rem])
+		s.ctr = ctr
 	}
+}
+
+// keyBlock writes the keystream block E(K, nonce‖ctr) to ks.
+func (s *Stream) keyBlock(ks []byte, ctr uint32) {
+	binary.BigEndian.PutUint32(s.ctr[12:], ctr)
+	s.c.block.Encrypt(ks, s.ctr[:])
 }
 
 // ghashUpdate absorbs data: the pending partial block and the whole blocks
@@ -383,6 +443,13 @@ func (s *Stream) ghashFlushPad(next []byte) {
 // is plaintext and dst ciphertext; for Open, the reverse. Update may be
 // called any number of times with arbitrary lengths — this is the per-packet
 // entry point.
+//
+// A Seal stream's fused pass lets the stdlib append its tag to the run, so
+// the tag lands in up to TagSize bytes of dst's spare capacity
+// (dst[len(src):cap(dst)]), which the call saves and restores before it
+// returns: nothing may read them meanwhile. Without that capacity the last
+// whole block takes the per-block path. A transmit body always has those
+// bytes: the record trailer or the frame's slack follows it.
 func (s *Stream) Update(dst, src []byte) {
 	s.transform(dst, src, s.dir == Open)
 }
@@ -393,7 +460,9 @@ func (s *Stream) Update(dst, src []byte) {
 // it). kTLS software uses this for the partial-record fallback of §5.2: a
 // record whose packets are a mix of NIC-decrypted plaintext and raw
 // ciphertext is authenticated in one pass, re-encrypting the NIC-decrypted
-// ranges to recover the ciphertext the GHASH needs.
+// ranges to recover the ciphertext the GHASH needs. dst's spare capacity is
+// used as in Update; a Seal stream handed ciphertext takes a CTR from then
+// on.
 func (s *Stream) Transform(dst, src []byte, srcIsCiphertext bool) {
 	s.transform(dst, src, srcIsCiphertext)
 }
@@ -418,19 +487,102 @@ func (s *Stream) advance(n int) {
 	s.dataLen += uint64(n)
 }
 
+//simlint:hotpath
 func (s *Stream) transform(dst, src []byte, srcIsCiphertext bool) {
 	if len(dst) < len(src) {
 		panic("gcm: dst shorter than src")
 	}
+	if srcIsCiphertext && s.ks == nil {
+		s.seek() // a Seal stream handed ciphertext keeps a CTR from here on
+	}
+	off := s.dataLen
 	s.advance(len(src))
-	if srcIsCiphertext {
+	switch {
+	case len(src) == 0:
+	case s.ks == nil:
+		s.seal(dst, src, off)
+	case srcIsCiphertext:
 		// Authenticate ciphertext before transforming (src may alias dst).
 		s.ghashUpdate(src)
 		s.ks.XORKeyStream(dst, src)
-	} else {
+	default:
 		s.ks.XORKeyStream(dst, src)
 		s.ghashUpdate(dst[:len(src)])
 	}
+}
+
+// seal is transform for a Seal stream without a CTR: src starts at byte
+// off of the message. The head finishes the keystream block the last call
+// began, the whole blocks after it go through sealRun, and what is left —
+// the tail, and the last whole block when dst has no spare capacity for
+// the tag — takes a keystream block at a time.
+//
+//simlint:hotpath
+func (s *Stream) seal(dst, src []byte, off uint64) {
+	sc := scratchPool.Get().(*scratch)
+	ks := sc[scKey : scKey+blockSize]
+	head := 0
+	if r := int(off % blockSize); r > 0 {
+		head = min(blockSize-r, len(src))
+		s.keyBlock(ks, uint32(2+off/blockSize))
+		subtle.XORBytes(dst[:head], src[:head], ks[r:])
+	}
+	whole := (len(src) - head) &^ (blockSize - 1)
+	if cap(dst)-head-whole < TagSize {
+		whole = max(whole-blockSize, 0)
+	}
+	absorbed := 0
+	if whole > 0 {
+		s.bufLen += copy(s.buf[s.bufLen:], dst[:head])
+		s.sealRun(sc, dst[head:], src[head:head+whole], off+uint64(head))
+		absorbed = head + whole
+	}
+	for n := head + whole; n < len(src); {
+		o := off + uint64(n)
+		r := int(o % blockSize)
+		k := min(blockSize-r, len(src)-n)
+		s.keyBlock(ks, uint32(2+o/blockSize))
+		subtle.XORBytes(dst[n:n+k], src[n:n+k], ks[r:])
+		n += k
+	}
+	scratchPool.Put(sc)
+	s.ghashUpdate(dst[absorbed:len(src)])
+}
+
+// sealRun encrypts src, whole blocks from the block-aligned message offset
+// off, into dst and absorbs them in one Seal (see Stream); cap(dst) ≥
+// len(src)+TagSize. A full partial block is the block the call's head
+// completed, X, and then sc's keystream block is E(K, J0′), J0′ being
+// that block's counter.
+//
+//simlint:hotpath
+func (s *Stream) sealRun(sc *scratch, dst, src []byte, off uint64) {
+	c := s.c
+	ek := sc[scKey : scKey+blockSize]
+	j0 := 1 + uint32(off/blockSize)
+	aad := sc[scAAD : scAAD+blockSize]
+	if s.bufLen == blockSize {
+		aad = sc[scAAD : scAAD+2*blockSize]
+		copy(aad[blockSize:], s.buf[:])
+		s.bufLen = 0
+	} else {
+		s.keyBlock(ek, j0)
+	}
+	binary.BigEndian.PutUint32(s.ctr[12:], j0)
+	store(sc[scNonce:], c.mulInv(gcmAdd(c.mulInv(load(s.ctr[:])), fieldElement{0, 8 * blockSize})))
+	store(aad, c.mulInv(s.y))
+	n := len(src)
+	saved := sc[scSaved:scEnd]
+	copy(saved, dst[n:n+TagSize])
+	if &dst[0] != &src[0] {
+		copy(dst[:n], src)
+	}
+	c.sealer.Seal(dst[:0], sc[scNonce:scAAD], dst[:n], aad)
+	tag := load(dst[n:])
+	copy(dst[n:n+TagSize], saved)
+	s.y = c.mulInv(gcmAdd(tag, load(ek)))
+	s.y.low ^= uint64(len(aad)) * 8
+	s.y.high ^= uint64(n) * 8
 }
 
 // Tag finalizes the message and returns the 16-byte authentication tag.
@@ -441,8 +593,7 @@ func (s *Stream) Tag() [TagSize]byte {
 	binary.BigEndian.PutUint64(lenBlock[8:], s.dataLen*8)
 	s.ghashFlushPad(lenBlock[:])
 	var tag [TagSize]byte
-	binary.BigEndian.PutUint64(tag[:8], s.y.low)
-	binary.BigEndian.PutUint64(tag[8:], s.y.high)
+	store(tag[:], s.y)
 	for i := range tag {
 		tag[i] ^= s.tagMask[i]
 	}

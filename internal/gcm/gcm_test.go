@@ -31,7 +31,7 @@ func key16(seed int64) []byte {
 }
 
 func TestSealMatchesStdlib(t *testing.T) {
-	f := func(plaintext, aad []byte, nonceSeed int64) bool {
+	f := func(plaintext, aad []byte, nonceSeed int64, at uint16) bool {
 		key := key16(1)
 		nonce := make([]byte, NonceSize)
 		rand.New(rand.NewSource(nonceSeed)).Read(nonce)
@@ -40,14 +40,24 @@ func TestSealMatchesStdlib(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := stdSeal(key, nonce, plaintext, aad)
+
+		// One call into a dst with no spare capacity.
 		s := c.NewStream(Seal, nonce, aad)
 		ct := make([]byte, len(plaintext))
 		s.Update(ct, plaintext)
 		tag := s.Tag()
+		ok := bytes.Equal(ct, want[:len(plaintext)]) && bytes.Equal(tag[:], want[len(plaintext):])
 
-		want := stdSeal(key, nonce, plaintext, aad)
-		return bytes.Equal(ct, want[:len(plaintext)]) &&
-			bytes.Equal(tag[:], want[len(plaintext):])
+		// In place, in two calls split anywhere, each with room for the
+		// fused pass's tag after it as a frame has.
+		split := int(at) % (len(plaintext) + 1)
+		buf := append(make([]byte, 0, len(plaintext)+TagSize), plaintext...)
+		s = c.NewStream(Seal, nonce, aad)
+		s.Update(buf[:split], buf[:split])
+		s.Update(buf[split:], buf[split:])
+		tag = s.Tag()
+		return ok && bytes.Equal(buf, want[:len(plaintext)]) && bytes.Equal(tag[:], want[len(plaintext):])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -233,27 +243,35 @@ func TestProcessed(t *testing.T) {
 }
 
 func TestStreamNoAlloc(t *testing.T) {
-	// The per-packet entry point and the tag allocate nothing; starting a
-	// record allocates only the stdlib's CTR object. The flow contexts rely
-	// on this: they hold the Stream by value and re-initialise it in place.
+	// The per-packet entry point and the tag allocate nothing, in either
+	// direction, with or without spare capacity after dst; starting a
+	// record allocates nothing when sealing and only the stdlib's CTR
+	// object when opening. The flow contexts rely on this: they hold the
+	// Stream by value and re-initialise it in place.
 	c, _ := New(key16(14))
 	nonce := make([]byte, NonceSize)
 	aad := []byte("hdr..")
 	buf := make([]byte, 16<<10)
 	var s Stream
-	c.InitStream(&s, Seal, nonce, aad)
-	// An MSS, an odd length that moves the pending partial block on every
-	// call, and a 16 KiB record chained over several scratch runs.
-	for _, n := range []int{1448, 1447, 16 << 10} {
-		if a := testing.AllocsPerRun(100, func() { s.Update(buf[:n], buf[:n]) }); a != 0 {
-			t.Errorf("Update(%d bytes) allocates %v per call, want 0", n, a)
+	for _, dir := range []Direction{Seal, Open} {
+		c.InitStream(&s, dir, nonce, aad)
+		// An MSS, an odd length that moves the pending partial block on
+		// every call, and a 16 KiB record with no spare capacity, chained
+		// over several scratch runs.
+		for _, n := range []int{1448, 1447, 16 << 10} {
+			if a := testing.AllocsPerRun(100, func() { s.Update(buf[:n], buf[:n]) }); a != 0 {
+				t.Errorf("direction %d: Update(%d bytes) allocates %v per call, want 0", dir, n, a)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = s.Tag() }); n != 0 {
+			t.Errorf("direction %d: Tag allocates %v per call, want 0", dir, n)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = s.Tag() }); n != 0 {
-		t.Errorf("Tag allocates %v per call, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { c.InitStream(&s, Seal, nonce, aad) }); n != 0 {
+		t.Errorf("InitStream(Seal) allocates %v per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { c.InitStream(&s, Seal, nonce, aad) }); n > 1 {
-		t.Errorf("InitStream allocates %v per call, want at most 1", n)
+	if n := testing.AllocsPerRun(100, func() { c.InitStream(&s, Open, nonce, aad) }); n > 1 {
+		t.Errorf("InitStream(Open) allocates %v per call, want at most 1", n)
 	}
 }
 
@@ -458,25 +476,34 @@ func BenchmarkSeal16K(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamUpdate is one packet's in-place Open on a live stream, at
-// the sizes of the benchmark's gcm.stream_ns_per_byte rows.
+// BenchmarkStreamUpdate is one packet's in-place Update on a live stream,
+// at the sizes of the benchmark's gcm.stream_ns_per_byte rows: an Open, and
+// a Seal of a payload at a frame's header offset with the TagSize bytes
+// after it that a frame's trailer or slack gives, or with none.
 func BenchmarkStreamUpdate(b *testing.B) {
-	for _, n := range []int{64, 1448, 16384} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			c, _ := New(key16(13))
-			nonce := make([]byte, NonceSize)
-			buf := make([]byte, n)
-			var s Stream
-			c.InitStream(&s, Open, nonce, nil)
-			b.SetBytes(int64(n))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if s.Processed() > 1<<30 {
-					c.InitStream(&s, Open, nonce, nil)
+	for _, row := range []struct {
+		name  string
+		dir   Direction
+		spare int
+	}{{"open", Open, 0}, {"seal", Seal, TagSize}, {"seal-nospare", Seal, 0}} {
+		for _, n := range []int{64, 1448, 16384} {
+			b.Run(fmt.Sprintf("%s/%d", row.name, n), func(b *testing.B) {
+				const hdr = 54 // Ethernet, IPv4 and TCP headers
+				c, _ := New(key16(13))
+				nonce := make([]byte, NonceSize)
+				buf := make([]byte, hdr+n+row.spare)[hdr : hdr+n]
+				var s Stream
+				c.InitStream(&s, row.dir, nonce, nil)
+				b.SetBytes(int64(n))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if s.Processed() > 1<<30 {
+						c.InitStream(&s, row.dir, nonce, nil)
+					}
+					s.Update(buf, buf)
 				}
-				s.Update(buf, buf)
-			}
-		})
+			})
+		}
 	}
 }
 

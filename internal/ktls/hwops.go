@@ -115,11 +115,13 @@ func (o *TxOps) AbortMessage() { o.live = false }
 
 // ReplayBody implements offload.TxOps: during context recovery the engine
 // re-encrypts the record prefix (read back from host memory) into a scratch
-// buffer purely to rebuild the CTR/GHASH state.
+// buffer purely to rebuild the stream's counter and GHASH state. The
+// scratch has TagLen bytes to spare, so the replay takes the stream's fused
+// pass as Body does.
 func (o *TxOps) ReplayBody(data []byte, _ int) {
 	mustBeLive(o.live, "TxOps.ReplayBody")
-	if cap(o.scratch) < len(data) {
-		o.scratch = make([]byte, len(data))
+	if cap(o.scratch) < len(data)+TagLen {
+		o.scratch = make([]byte, len(data)+TagLen)
 	}
 	o.hw.ledger.Charge(cycles.NIC, cycles.Encrypt, o.hw.model.GCMCycles(len(data)), len(data))
 	o.stream.Update(o.scratch[:len(data)], data)

@@ -39,9 +39,10 @@ import (
 //	ktls  EnableRxOffload       1: the receive context, whose engine calls
 //	                            the Conn's resync mailbox and whose ops
 //	                            emit to the Conn, as interfaces
-//	gcm   Stream.seek          12: crypto/cipher.NewCTR for each of six
-//	                            records each way (the stdlib CTR cannot be
-//	                            re-seeked)
+//	gcm   Stream.seek           6: one CTR per received record
+//	                            (crypto/cipher.NewCTR; a sealing Stream
+//	                            runs the stdlib's fused Seal from any
+//	                            counter and keeps none)
 //
 // The server socket's receive queue and its assembler's queue, message
 // result and kept bytes are arrays the stack's Spares lend and the closed
@@ -131,7 +132,7 @@ func TestConnLifecycleAllocs(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	round()
 	runtime.ReadMemStats(&after)
-	const want = 19 // the sum of the sites listed above
+	const want = 13 // the sum of the sites listed above
 	if perConn := (after.Mallocs - before.Mallocs) / conns; perConn != want {
 		t.Errorf("a connection's lifecycle allocates %d objects (%d bytes), want %d", perConn,
 			(after.TotalAlloc-before.TotalAlloc)/conns, want)

@@ -356,3 +356,46 @@ func TestSetCongestionControlValidates(t *testing.T) {
 		t.Errorf("default CongestionControlName = %q, want newreno", got)
 	}
 }
+
+// TestSACKAckNoAlloc: a duplicate ACK carrying SACK blocks costs no
+// allocation. The option is built in the stack's arrays, like the packet
+// that carries it, and the ranges it is picked from are merged into a
+// scratch the stack reuses; the most recent range still leads and the
+// option still stops at wire.MaxSACKBlocks.
+func TestSACKAckNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counting unreliable under -race")
+	}
+	model := cycles.DefaultModel()
+	st := NewStack(netsim.New(), [4]byte{10, 0, 0, 1}, &model, &cycles.Ledger{})
+	st.EnableSACK()
+	var blocks int
+	var lead wire.SACKBlock
+	st.SetDevice(devFunc(func(p *wire.Packet) {
+		if blocks = len(p.SACKBlocks); blocks > 0 {
+			lead = p.SACKBlocks[0]
+		}
+	}))
+	client := st.Connect(wire.Addr{IP: [4]byte{10, 0, 0, 2}, Port: 80}, nil)
+	peerFlow := client.flow.Reverse()
+	st.Input(&wire.Packet{Flow: peerFlow, Seq: 9000, Ack: client.iss + 1,
+		Flags: wire.FlagSYN | wire.FlagACK, Window: 64, SACKPermitted: true}, 0)
+	if !client.sackOK {
+		t.Fatal("SACK not negotiated")
+	}
+	// Six disjoint out-of-order ranges, more than one option holds; the
+	// third arrives last.
+	data := make([]byte, 100)
+	for _, k := range []uint32{0, 1, 3, 4, 5, 2} {
+		st.Input(&wire.Packet{Flow: peerFlow, Seq: 9001 + 100 + 200*k, Ack: client.iss + 1,
+			Flags: wire.FlagACK, Window: 64, Payload: data}, 0)
+	}
+	if allocs := testing.AllocsPerRun(100, client.sendAck); allocs != 0 {
+		t.Errorf("%v allocations per SACK-bearing ACK, want 0", allocs)
+	}
+	want := wire.SACKBlock{Start: 9001 + 100 + 400, End: 9001 + 200 + 400}
+	if blocks != wire.MaxSACKBlocks || lead != want {
+		t.Errorf("ACK carries %d blocks led by %+v, want %d led by %+v",
+			blocks, lead, wire.MaxSACKBlocks, want)
+	}
+}

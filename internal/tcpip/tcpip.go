@@ -80,6 +80,11 @@ type Stack struct {
 	// stack reads nothing of it afterwards, so a device that re-enters the
 	// stack from inside Transmit may rebuild it under the caller.
 	txPkt wire.Packet
+	// sackBlocks is txPkt's SACK option and sackRanges the out-of-order
+	// ranges it is chosen from, both filled afresh for each ACK
+	// (buildSACKBlocks) and living as long as txPkt.
+	sackBlocks [wire.MaxSACKBlocks]wire.SACKBlock
+	sackRanges []wire.SACKBlock
 
 	tracer   *telemetry.Tracer
 	traceTid string
@@ -967,20 +972,22 @@ func (s *Socket) sendControl(flags wire.TCPFlags, seq uint32) {
 	s.output(pkt)
 }
 
-// buildSACKBlocks assembles the outgoing SACK option: a pending DSACK
-// duplicate report first (RFC 2883), then the out-of-order ranges with the
-// most recently changed one leading (RFC 2018 §4).
+// buildSACKBlocks assembles the outgoing SACK option in the stack's arrays:
+// a pending DSACK duplicate report first (RFC 2883), then the out-of-order
+// ranges with the most recently changed one leading (RFC 2018 §4).
 func (s *Socket) buildSACKBlocks() []wire.SACKBlock {
 	if !s.dsackPending && len(s.ooo) == 0 {
 		return nil
 	}
-	var blocks []wire.SACKBlock
+	st := s.stack
+	blocks := st.sackBlocks[:0]
 	if s.dsackPending {
 		blocks = append(blocks, s.dsackBlock)
 		s.dsackPending = false
-		s.stack.Stats.DSACKsSent++
+		st.Stats.DSACKsSent++
 	}
-	ranges := s.oooRanges()
+	st.sackRanges = s.oooRanges(st.sackRanges[:0])
+	ranges := st.sackRanges
 	// Most recently received range first.
 	for i, r := range ranges {
 		if i > 0 && seqLE(r.Start, s.lastOOOStart) && seqLT(s.lastOOOStart, r.End) {
@@ -994,14 +1001,13 @@ func (s *Socket) buildSACKBlocks() []wire.SACKBlock {
 		}
 		blocks = append(blocks, r)
 	}
-	s.stack.Stats.SACKBlocksSent += uint64(len(blocks))
+	st.Stats.SACKBlocksSent += uint64(len(blocks))
 	return blocks
 }
 
-// oooRanges merges the sorted out-of-order segments into disjoint
-// sequence ranges.
-func (s *Socket) oooRanges() []wire.SACKBlock {
-	var out []wire.SACKBlock
+// oooRanges appends to out the sorted out-of-order segments merged into
+// disjoint sequence ranges.
+func (s *Socket) oooRanges(out []wire.SACKBlock) []wire.SACKBlock {
 	for _, seg := range s.ooo {
 		start, end := seg.seq, seg.seq+uint32(len(seg.data))
 		if n := len(out); n > 0 && seqLE(start, out[n-1].End) {
