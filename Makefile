@@ -22,8 +22,9 @@ race:
 check: vet lint fmt-check race soak alloc-check fuzz-short golden-check perf-check examples
 
 # The invariant linter: the analyzers in internal/analysis (virtclock,
-# nilhook, statsreg, wiremut, seriesname, hotalloc) enforce the DESIGN.md
-# contracts mechanically. It passes with zero findings; the only way to
+# statsreg, wiremut, hotalloc) enforce the DESIGN.md contracts
+# mechanically; telemetry checks its own (nil-safe hooks, names, counter
+# struct shape) in its tests and at registration. It passes with zero findings; the only way to
 # silence one is a reasoned //lint:ignore. See DESIGN.md "Invariants as
 # analyzers".
 lint:

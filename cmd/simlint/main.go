@@ -2,10 +2,9 @@
 // driver for the analyzers in internal/analysis. It mechanically enforces
 // the contracts DESIGN.md's "Invariants as analyzers" section maps out —
 // virtual-clock purity, seeded randomness and no go statements
-// (virtclock), nil-safe telemetry hooks (nilhook), registry-mergeable and
-// actually-registered Stats structs (statsreg), checksum-safe frame
-// mutation (wiremut), canonical series names (seriesname), and
-// allocation-free, pool-only hot paths (hotalloc).
+// (virtclock), Stats structs that are registered or merged (statsreg),
+// checksum-safe frame mutation (wiremut), and allocation-free, pool-only
+// hot paths (hotalloc).
 //
 // Usage:
 //

@@ -8,16 +8,16 @@
 // The contracts these analyzers encode are the ones everything downstream
 // leans on: the byte-identical golden Chrome trace and the seeded
 // offload-vs-software equivalence soak assume virtual-clock purity and
-// seeded randomness (virtclock); the zero-alloc disabled telemetry path
-// assumes nil-safe hooks (nilhook); the metrics registry's reflective
-// flattener assumes counter-shaped Stats structs that are actually
-// registered (statsreg); the ECN path assumes serialized frames are
-// only mutated through checksum-repairing helpers (wiremut); the
-// sampler's exports and the golden metrics fixtures assume canonical
-// dotted-lowercase series names (seriesname); and the hand-tuned batch
-// loop assumes its per-packet paths stay allocation-free and take their
-// frames from the pool (hotalloc). A violation fails `make lint` (inside
-// `make check`) at source level instead of flaking a soak after the fact.
+// seeded randomness (virtclock); every Stats struct is read by someone,
+// through the registry or a telemetry merge (statsreg); the ECN path
+// assumes serialized frames are only mutated through checksum-repairing
+// helpers (wiremut); and the hand-tuned batch loop assumes its per-packet
+// paths stay allocation-free and take their frames from the pool
+// (hotalloc). A violation fails `make lint` (inside `make check`) at
+// source level instead of flaking a soak after the fact. Contracts a
+// package can check on itself are not here: telemetry's nil-safe hooks,
+// dotted-lowercase names and counter-struct shape are checked by its own
+// tests and at registration.
 //
 // The driver that cmd/simlint fronts (driver.go) knows one way to silence
 // a finding: a reasoned `//lint:ignore`. Malformed directives are
@@ -161,4 +161,4 @@ func isNamed(t types.Type, pkg, name string) bool {
 }
 
 // All lists every simlint analyzer, in reporting order.
-var All = []*Analyzer{VirtClock, NilHook, StatsReg, WireMut, SeriesName, HotAlloc}
+var All = []*Analyzer{VirtClock, StatsReg, WireMut, HotAlloc}

@@ -10,20 +10,12 @@ func TestVirtClock(t *testing.T) {
 	runFixture(t, VirtClock, "virtclock/a", "virtclock/cmdmain")
 }
 
-func TestNilHook(t *testing.T) {
-	runFixture(t, NilHook, "nilhook/telemetry")
-}
-
 func TestStatsReg(t *testing.T) {
 	runFixture(t, StatsReg, "statsreg/a")
 }
 
 func TestWireMut(t *testing.T) {
 	runFixture(t, WireMut, "wiremut/a", "wiremut/wire")
-}
-
-func TestSeriesName(t *testing.T) {
-	runFixture(t, SeriesName, "seriesname/a")
 }
 
 func TestHotAlloc(t *testing.T) {

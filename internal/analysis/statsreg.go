@@ -5,29 +5,28 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
-// StatsReg keeps the per-subsystem counter structs honest against the
-// telemetry registry's reflective flattener. For every exported struct
-// type whose name ends in "Stats" (outside package main and the telemetry
-// package itself) it enforces two contracts:
+// StatsReg requires every exported struct type whose name ends in "Stats"
+// (outside package main and the telemetry package itself) to reach the
+// telemetry machinery somewhere in the program: as a (possibly nested)
+// Registry.RegisterCounters source, or through a telemetry.Sum/Sub/SumInto
+// merge. Neither snapshots nor merges read a struct that does neither.
 //
-//  1. Shape: every field must be exported and either uint64 or a nested
-//     struct of the same shape — the exact set flattenCounters walks and
-//     telemetry.Sum/Sub merge. Anything else (an int, a time.Duration, an
-//     unexported field) is a counter that silently vanishes from
-//     snapshots.
-//  2. Registration: the type must actually reach the registry somewhere
-//     in the program — as a (possibly nested) RegisterCounters source or
-//     through a telemetry.Sum/Sub/SumInto merge — otherwise its counters
-//     are collected but never exported.
+// A merge is not a registration: only RegisterCounters puts counters in
+// snapshots, and ktls.Stats, offload.RxStats and offload.TxStats pass
+// this check through merges alone and reach no snapshot (the experiment
+// and benchmark harnesses sum them). The struct's shape — exported
+// uint64 fields and nested counter structs only — is checked by
+// telemetry itself, at registration and in every merge.
 //
 // The check is whole-program: a Stats struct defined in one package is
 // typically registered from another (experiments wires nic, tcpip, and
 // netsim counters at world construction).
 var StatsReg = &Analyzer{
 	Name:       "statsreg",
-	Doc:        "Stats structs must be flattener-mergeable and registered with the telemetry registry",
+	Doc:        "Stats structs must be registered with or merged by telemetry",
 	RunProgram: runStatsReg,
 }
 
@@ -51,13 +50,12 @@ func runStatsReg(prog *Program) error {
 
 	// A registered struct registers its nested struct fields too: the
 	// flattener and Sum/Sub recurse into them.
-	closeOverFields(registered, defs, prog)
+	closeOverFields(registered, defs)
 
 	for _, d := range defs {
-		checkStatsShape(prog, d)
 		if !registered[d.key] {
 			prog.Reportf(d.pos,
-				"%s is never registered with the telemetry registry: pass it to Registry.RegisterCounters or merge it with telemetry.Sum/Sub, or its counters are invisible to snapshots",
+				"%s is never registered with the telemetry registry: pass it to Registry.RegisterCounters or merge it with telemetry.Sum/Sub, or neither snapshots nor merges read its counters",
 				d.named.Obj().Name())
 		}
 	}
@@ -72,7 +70,7 @@ func collectStatsDefs(pkg *Package) []statsDef {
 		if !ok || !tn.Exported() || tn.Pkg() == nil || tn.Parent() != tn.Pkg().Scope() {
 			continue
 		}
-		if !hasStatsSuffix(tn.Name()) {
+		if !strings.HasSuffix(tn.Name(), "Stats") {
 			continue
 		}
 		named, ok := tn.Type().(*types.Named)
@@ -85,10 +83,6 @@ func collectStatsDefs(pkg *Package) []statsDef {
 		defs = append(defs, statsDef{key: typeKey(named), named: named, pos: id.Pos()})
 	}
 	return defs
-}
-
-func hasStatsSuffix(name string) bool {
-	return len(name) >= len("Stats") && name[len(name)-len("Stats"):] == "Stats"
 }
 
 func typeKey(n *types.Named) string {
@@ -138,7 +132,7 @@ func collectWitnesses(pkg *Package, registered map[string]bool) {
 
 // closeOverFields marks nested struct field types of registered structs
 // as registered, to a fixed point.
-func closeOverFields(registered map[string]bool, defs []statsDef, prog *Program) {
+func closeOverFields(registered map[string]bool, defs []statsDef) {
 	byKey := make(map[string]*types.Named, len(defs))
 	for _, d := range defs {
 		byKey[d.key] = d.named
@@ -167,52 +161,4 @@ func closeOverFields(registered map[string]bool, defs []statsDef, prog *Program)
 			}
 		}
 	}
-}
-
-// checkStatsShape validates that every field is something the flattener
-// exports: exported, and uint64 or a nested struct (recursively).
-func checkStatsShape(prog *Program, d statsDef) {
-	st := d.named.Underlying().(*types.Struct)
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if !f.Exported() {
-			prog.Reportf(f.Pos(),
-				"field %s of %s is unexported: the registry's reflective flattener skips it, so this counter never appears in snapshots",
-				f.Name(), d.named.Obj().Name())
-			continue
-		}
-		if !flattenable(f.Type(), make(map[types.Type]bool)) {
-			prog.Reportf(f.Pos(),
-				"field %s of %s has type %s, which the registry flattener and telemetry.Sum/Sub cannot merge: use uint64 or a nested struct of uint64s",
-				f.Name(), d.named.Obj().Name(), f.Type())
-		}
-	}
-}
-
-// flattenable mirrors telemetry.flattenCounters: uint64 leaves, structs
-// recursed into (unexported struct fields are skipped there, so they do
-// not make a type unflattenable — the unexported-field check above flags
-// them separately on Stats types themselves).
-func flattenable(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return true
-	}
-	seen[t] = true
-	if basic, ok := t.Underlying().(*types.Basic); ok {
-		return basic.Kind() == types.Uint64
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if !f.Exported() {
-			continue
-		}
-		if !flattenable(f.Type(), seen) {
-			return false
-		}
-	}
-	return true
 }

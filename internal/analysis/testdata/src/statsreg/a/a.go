@@ -1,5 +1,5 @@
 // Package a models a subsystem exporting counter structs; statsreg
-// checks their shape and that each one reaches the registry.
+// checks that each one reaches the registry.
 package a
 
 import (
@@ -8,7 +8,7 @@ import (
 	"statsreg/telemetry"
 )
 
-// GoodStats is registered below; all fields flatten.
+// GoodStats is registered below.
 type GoodStats struct {
 	Hits     uint64
 	Nested   InnerStats
@@ -33,11 +33,12 @@ type OrphanStats struct { // want `OrphanStats is never registered with the tele
 	Hits uint64
 }
 
-// BadStats is registered, but two of its fields cannot flatten.
+// BadStats is registered. Its fields' shape is telemetry's to reject at
+// registration, not this analyzer's.
 type BadStats struct {
 	Hits    uint64
-	Elapsed time.Duration // want `field Elapsed of BadStats has type time.Duration, which the registry flattener and telemetry.Sum/Sub cannot merge`
-	hidden  uint64        // want `field hidden of BadStats is unexported`
+	Elapsed time.Duration
+	hidden  uint64
 }
 
 // MergedStats reaches the registry through a telemetry.Sum merge.

@@ -432,9 +432,8 @@ type ClientConfig struct {
 }
 
 // ClientStats aggregates load-generator results. Every field is a
-// uint64 counter so the telemetry registry's reflective flattener can
-// export it (statsreg invariant); the round-trip accumulator lives on
-// Client directly.
+// uint64 counter, the only field kind the telemetry registry accepts in
+// a counter struct; the round-trip accumulator lives on Client directly.
 type ClientStats struct {
 	// Responses and Bytes count well-framed responses whose every body
 	// byte matched the object's content.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/appsim"
+	"repro/internal/blockdev"
 	"repro/internal/netsim"
 	"repro/internal/nic"
 	"repro/internal/telemetry"
@@ -52,4 +53,21 @@ func TestWorldMetricsGolden(t *testing.T) {
 		fmt.Fprintf(&got, "%s %d\n", s.Name, s.Len())
 	}
 	compareGolden(t, "world_metrics_golden.txt", got.Bytes())
+}
+
+// TestFioLatencyHistogram runs the one name-coining site the golden world
+// does not: RunFio registers fio.request_latency_ns through
+// world.histogram only on a telemetry-on storage world. The histogram
+// also holds the warm-up's reads, so it counts at least the window's.
+func TestFioLatencyHistogram(t *testing.T) {
+	sys := telemetry.NewSystem(0)
+	UseTelemetry(sys)
+	defer UseTelemetry(nil)
+
+	sw := NewStorageWorld(StorageOpts{NVMePlace: true, NVMeCRC: true})
+	fr := RunFio(sw, 8*blockdev.BlockSize, 4, time.Millisecond)
+	requireClean(t, "fio", fr.verdict, fr.failed)
+	if n := sys.Reg.Histogram("fio.request_latency_ns").Count(); n == 0 || n < fr.Requests {
+		t.Errorf("fio.request_latency_ns counts %d reads, want at least the window's %d (> 0)", n, fr.Requests)
+	}
 }

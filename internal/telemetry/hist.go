@@ -25,9 +25,11 @@ type Histogram struct {
 	max    int64
 }
 
-// NewHistogram creates an empty histogram. Most callers obtain one from
-// Registry.Histogram instead, which also exports it in snapshots.
+// NewHistogram creates an empty histogram; its name must be dotted
+// lowercase, [a-z0-9._]. Most callers obtain one from Registry.Histogram
+// instead, which also exports it in snapshots.
 func NewHistogram(name string) *Histogram {
+	checkName(name)
 	return &Histogram{name: name}
 }
 

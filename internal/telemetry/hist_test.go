@@ -64,13 +64,7 @@ func TestHistogramNegativeClamps(t *testing.T) {
 	}
 }
 
-func TestHistogramNilSafe(t *testing.T) {
-	var h *Histogram
-	h.Record(42) // must not panic
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("nil histogram should read as empty")
-	}
-}
+func TestHistogramNilSafe(t *testing.T) { requireNilSafe(t, (*Histogram)(nil)) }
 
 func TestHistogramRecordNoAllocSteadyState(t *testing.T) {
 	if raceEnabled {

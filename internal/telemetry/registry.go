@@ -10,8 +10,17 @@ import (
 // Registry collects metric sources: the per-package Stats structs the
 // codebase already exposes (registered by pointer, flattened by reflection
 // into "prefix.Field" names) and named histograms. Multiple sources may
-// register under the same metric name; snapshots sum them, which is how
-// per-connection engine stats aggregate for free.
+// register under the same metric name; snapshots sum them. Histograms
+// are shared by name, so every offload engine records into the same
+// offload.rx.* ones. A counter struct reaches snapshots only through
+// RegisterCounters: one merged with Sum/Sub/SumInto alone — ktls.Stats,
+// offload.RxStats and offload.TxStats — reaches none.
+//
+// Registration checks what it is given, so every world a test builds
+// checks it: a name (histogram name or counter prefix, dynamic parts
+// included) is dotted lowercase, [a-z0-9._] (DESIGN.md invariant 12), and
+// a counter struct holds only exported uint64 fields and nested counter
+// structs. Sum, Sub and SumInto apply the same shape rule.
 //
 // The flattened-key layout (field names, reflect field paths, and the
 // merged sorted slot table) is computed once per registration set and
@@ -49,7 +58,7 @@ func NewRegistry() *Registry {
 	return &Registry{histIdx: make(map[string]*Histogram)}
 }
 
-// RegisterCounters registers a pointer to a struct whose exported uint64
+// RegisterCounters registers a pointer to a counter struct, whose uint64
 // fields (recursively, for nested structs) become counters named
 // "prefix.Field": "prefix.Nested.Field" for a nested struct's, and
 // "prefix.Field" for an embedded one's, as Go promotes them. The struct is
@@ -59,9 +68,10 @@ func (r *Registry) RegisterCounters(prefix string, stats any) {
 	if r == nil {
 		return
 	}
+	checkName(prefix)
 	v := reflect.ValueOf(stats)
 	if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
-		panic(fmt.Sprintf("telemetry: RegisterCounters(%q) needs a pointer to struct, got %T", prefix, stats))
+		reject("RegisterCounters(%q) needs a pointer to struct, got %T", prefix, stats)
 	}
 	src := counterSource{prefix: prefix, v: v.Elem()}
 	flattenLayout(prefix, v.Elem().Type(), nil, &src.fields)
@@ -69,29 +79,54 @@ func (r *Registry) RegisterCounters(prefix string, stats any) {
 	r.layoutDirty = true
 }
 
-// flattenLayout walks exported uint64 fields, recursing into structs
-// (embedded ones under the same prefix), and records each field's full
-// metric name and reflect index path.
+// flattenLayout walks a counter struct's uint64 fields, recursing into
+// nested structs (embedded ones under the same prefix), and records each
+// field's full metric name and reflect index path.
 func flattenLayout(prefix string, t reflect.Type, path []int, out *[]counterField) {
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
-		if !f.IsExported() {
-			continue
-		}
 		name := prefix + "." + f.Name
-		switch f.Type.Kind() {
-		case reflect.Uint64:
+		if fieldKind(t, f) == reflect.Uint64 {
 			p := make([]int, len(path)+1)
 			copy(p, path)
 			p[len(path)] = i
 			*out = append(*out, counterField{name: name, path: p})
-		case reflect.Struct:
-			if f.Anonymous {
-				name = prefix // an embedded struct's fields are promoted
-			}
-			flattenLayout(name, f.Type, append(path, i), out)
+			continue
+		}
+		if f.Anonymous {
+			name = prefix // an embedded struct's fields are promoted
+		}
+		flattenLayout(name, f.Type, append(path, i), out)
+	}
+}
+
+// fieldKind returns reflect.Uint64 or reflect.Struct, the kinds a field f
+// of counter struct t may have; a field that is unexported or of any
+// other kind is rejected.
+func fieldKind(t reflect.Type, f reflect.StructField) reflect.Kind {
+	k := f.Type.Kind()
+	if !f.IsExported() || k != reflect.Uint64 && k != reflect.Struct {
+		reject("field %s of %s has type %s: a counter struct holds only exported uint64 fields and nested counter structs", f.Name, t, f.Type)
+	}
+	return k
+}
+
+// checkName rejects a metric name outside the dotted-lowercase alphabet
+// [a-z0-9._].
+func checkName(name string) {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '.' || c == '_') {
+			reject("metric name %q is not dotted lowercase: names must match [a-z0-9._]", name)
 		}
 	}
+}
+
+// reject holds the package's only panic. Only a bug in the code that
+// registers or merges counters reaches it — a bad name, a struct of the
+// wrong shape — never a run's input, so it stops the world at setup.
+func reject(format string, args ...any) {
+	panic("telemetry: " + fmt.Sprintf(format, args...))
 }
 
 // buildLayout merges every source's field names into one sorted slot
@@ -225,9 +260,9 @@ func (s *Snapshot) Fprint(w io.Writer) {
 	}
 }
 
-// Sum adds src's exported uint64 and int64-kind counter fields into dst,
-// recursing into nested structs. It replaces the hand-rolled per-type
-// stats-merging helpers experiments used to carry (e.g. addRxStats).
+// Sum adds counter struct src's uint64 fields into dst, recursing into
+// nested structs. It replaces the hand-rolled per-type stats-merging
+// helpers experiments used to carry (e.g. addRxStats).
 func Sum[T any](dst *T, src T) {
 	mergeStruct(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src), 1)
 }
@@ -250,17 +285,11 @@ func SumInto[T any](dst, src *T) {
 func mergeStruct(dst, src reflect.Value, sign int64) {
 	t := dst.Type()
 	for i := 0; i < t.NumField(); i++ {
-		if !t.Field(i).IsExported() {
+		d, s := dst.Field(i), src.Field(i)
+		if fieldKind(t, t.Field(i)) == reflect.Struct {
+			mergeStruct(d, s, sign)
 			continue
 		}
-		d, s := dst.Field(i), src.Field(i)
-		switch d.Kind() {
-		case reflect.Uint64, reflect.Uint32, reflect.Uint:
-			d.SetUint(uint64(int64(d.Uint()) + sign*int64(s.Uint())))
-		case reflect.Int64, reflect.Int32, reflect.Int:
-			d.SetInt(d.Int() + sign*s.Int())
-		case reflect.Struct:
-			mergeStruct(d, s, sign)
-		}
+		d.SetUint(uint64(int64(d.Uint()) + sign*int64(s.Uint())))
 	}
 }

@@ -14,7 +14,6 @@ type fakeStats struct {
 	Frames uint64
 	Drops  uint64
 	Nested innerStats
-	skip   uint64 // unexported: must be ignored
 }
 
 func TestRegistrySnapshotFlattensAndSums(t *testing.T) {
@@ -36,9 +35,6 @@ func TestRegistrySnapshotFlattensAndSums(t *testing.T) {
 	}
 	if got := s.Get("other.Drops"); got != 2 {
 		t.Errorf("other.Drops = %d, want 2", got)
-	}
-	if got := s.Get("lnk.skip"); got != 0 {
-		t.Errorf("unexported field leaked into snapshot: %d", got)
 	}
 	// Sorted by name.
 	for i := 1; i < len(s.Counters); i++ {
@@ -116,21 +112,82 @@ func TestSnapshotFprint(t *testing.T) {
 
 type mergeStats struct {
 	U      uint64
-	D      time.Duration
 	Nested innerStats
 }
 
 func TestSumSub(t *testing.T) {
-	total := mergeStats{U: 10, D: time.Second, Nested: innerStats{Deep: 5}}
-	base := mergeStats{U: 4, D: time.Millisecond, Nested: innerStats{Deep: 2}}
+	total := mergeStats{U: 10, Nested: innerStats{Deep: 5}}
+	base := mergeStats{U: 4, Nested: innerStats{Deep: 2}}
 
 	Sub(&total, base)
-	if total.U != 6 || total.D != time.Second-time.Millisecond || total.Nested.Deep != 3 {
+	if total.U != 6 || total.Nested.Deep != 3 {
 		t.Errorf("Sub: %+v", total)
 	}
 	Sum(&total, base)
-	if total.U != 10 || total.D != time.Second || total.Nested.Deep != 5 {
+	if total.U != 10 || total.Nested.Deep != 5 {
 		t.Errorf("Sum roundtrip: %+v", total)
+	}
+}
+
+// durationStats and hiddenStats are the two shapes a counter struct may
+// not have: a field of another kind (a time.Duration is an int64) and an
+// unexported field. Neither could be flattened or merged as a counter.
+type durationStats struct {
+	Hits    uint64
+	Elapsed time.Duration
+}
+
+type hiddenStats struct {
+	Hits   uint64
+	hidden uint64
+}
+
+type nestedBadStats struct {
+	Hits  uint64
+	Inner durationStats
+}
+
+// TestRegistryRejects: a name off the dotted-lowercase alphabet, dynamic
+// parts included, and a counter struct of the wrong shape stop
+// registration and merging with telemetry's one panic.
+func TestRegistryRejects(t *testing.T) {
+	label := "w1.srv" // a dynamic part that conforms
+	cases := []struct {
+		name string
+		want string
+		do   func()
+	}{
+		{"histogram-camel", `"fio.RequestLatency" is not dotted lowercase`,
+			func() { NewRegistry().Histogram("fio.RequestLatency") }},
+		{"prefix-dash-caps", `"NIC-q0" is not dotted lowercase`,
+			func() { NewRegistry().RegisterCounters("NIC-q0", &fakeStats{}) }},
+		{"new-histogram-spaces", `"lc tx enqueue" is not dotted lowercase`,
+			func() { NewHistogram("lc tx enqueue") }},
+		{"dynamic-concat", `"w1.srv.Wire_ns" is not dotted lowercase`,
+			func() { NewRegistry().Histogram(label + ".Wire_ns") }},
+		{"register-duration", "field Elapsed of telemetry.durationStats has type time.Duration",
+			func() { NewRegistry().RegisterCounters("d", &durationStats{}) }},
+		{"register-unexported", "field hidden of telemetry.hiddenStats",
+			func() { NewRegistry().RegisterCounters("h", &hiddenStats{}) }},
+		{"register-nested", "field Elapsed of telemetry.durationStats",
+			func() { NewRegistry().RegisterCounters("n", &nestedBadStats{}) }},
+		{"sum-duration", "field Elapsed of telemetry.durationStats",
+			func() { Sum(&durationStats{}, durationStats{}) }},
+		{"sub-unexported", "field hidden of telemetry.hiddenStats",
+			func() { Sub(&hiddenStats{}, hiddenStats{}) }},
+		{"suminto-nested", "field Elapsed of telemetry.durationStats",
+			func() { SumInto(&nestedBadStats{}, &nestedBadStats{}) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "telemetry: ") || !strings.Contains(msg, c.want) {
+					t.Errorf("panic %q, want one containing %q", msg, c.want)
+				}
+			}()
+			c.do()
+		})
 	}
 }
 
@@ -182,7 +239,7 @@ func TestSnapshotIntoNoAllocSteadyState(t *testing.T) {
 }
 
 func TestSumIntoMatchesSum(t *testing.T) {
-	src := mergeStats{U: 4, D: time.Millisecond, Nested: innerStats{Deep: 2}}
+	src := mergeStats{U: 4, Nested: innerStats{Deep: 2}}
 	a := mergeStats{U: 1}
 	b := mergeStats{U: 1}
 	Sum(&a, src)
@@ -206,13 +263,4 @@ func TestSumIntoNoAlloc(t *testing.T) {
 	}
 }
 
-func TestNilRegistrySafe(t *testing.T) {
-	var r *Registry
-	r.RegisterCounters("x", &fakeStats{})
-	if r.Histogram("h") != nil {
-		t.Error("nil registry should hand out nil histograms")
-	}
-	if s := r.Snapshot(); len(s.Counters) != 0 {
-		t.Error("nil registry snapshot should be empty")
-	}
-}
+func TestNilRegistrySafe(t *testing.T) { requireNilSafe(t, (*Registry)(nil)) }

@@ -79,19 +79,7 @@ func TestTracerMultiWorld(t *testing.T) {
 	}
 }
 
-func TestNilTracerSafe(t *testing.T) {
-	var tr *Tracer
-	tr.Instant("c", "n", "t")
-	tr.Instant1("c", "n", "t", "a", 1)
-	tr.Instant2("c", "n", "t", "a", 1, "b", 2)
-	tr.Span("c", "n", "t", 0, "a", 1)
-	if tr.Enabled() || tr.Len() != 0 || tr.Now() != 0 || tr.DroppedEvents() != 0 {
-		t.Error("nil tracer should read as disabled and empty")
-	}
-	if tr.AttachClock(nil, "w") != 0 {
-		t.Error("nil tracer AttachClock should return 0")
-	}
-}
+func TestNilTracerSafe(t *testing.T) { requireNilSafe(t, (*Tracer)(nil)) }
 
 func TestDetachedTracerIsDisabled(t *testing.T) {
 	tr := NewTracer(4)
