@@ -1,7 +1,6 @@
 package ktls
 
 import (
-	"crypto/cipher"
 	"fmt"
 	"slices"
 
@@ -75,12 +74,11 @@ type Conn struct {
 	traceTid string
 
 	// Whole-record software crypto uses the standard library AEAD that
-	// rxCipher holds for the key; the incremental rxCipher Stream serves
-	// only the partial-record mixed pass of §5.2, which must advance over
+	// cipher holds for the key; the incremental cipher Stream serves only
+	// the partial-record mixed pass of §5.2, which must advance over
 	// arbitrary byte ranges. Both run on AES-NI and carry-less multiply and
 	// produce identical bytes.
-	aead     cipher.AEAD
-	rxCipher *gcm.Cipher
+	cipher   *gcm.Cipher
 	rxStream gcm.Stream // the mixed pass's stream, initialised in place per record
 	txSeq    uint64     // next record index to transmit
 	rxSeq    uint64     // next record index expected from the wire
@@ -95,14 +93,14 @@ type Conn struct {
 	// Transmit offload state. Offloaded records stay in the socket's send
 	// ring until the retainer drops them, after TCP has acknowledged all of
 	// them, for the driver's recovery replay (§4.2).
-	dev      l5p.Device
-	txEngine *offload.TxEngine // nil: records are encrypted in software
-	retain   l5p.TxRetainer
+	dev    l5p.Device
+	tx     *txContext // nil: records are encrypted in software
+	retain l5p.TxRetainer
 
 	// Receive offload state.
-	rxEngine *offload.RxEngine
-	innerRx  *offload.RxEngine // stacked engine (NVMe over TLS)
-	resync   l5p.ResyncMailbox
+	rx      *rxContext
+	innerRx *offload.RxEngine // stacked engine (NVMe over TLS)
+	resync  l5p.ResyncMailbox
 
 	asm l5p.Assembler // record assembly; handleRecord does not retain its result
 
@@ -138,23 +136,22 @@ func NewConn(sock *tcpip.Socket, cfg Config) (*Conn, error) {
 	if cfg.RecordSize <= 0 || cfg.RecordSize > MaxPlaintext {
 		cfg.RecordSize = MaxPlaintext
 	}
-	rxC, err := gcm.NewCached(cfg.Key)
+	ciph, err := gcm.NewCached(cfg.Key)
 	if err != nil {
 		return nil, fmt.Errorf("ktls: %w", err)
 	}
-	model, ledger := sock.StackModel(), sock.StackLedger()
+	model, ledger, spares := sock.StackModel(), sock.StackLedger(), sock.Spares()
 	c := &Conn{
 		sock:     sock,
 		cfg:      cfg,
 		model:    model,
 		ledger:   ledger,
-		aead:     rxC.AEAD(),
-		rxCipher: rxC,
+		cipher:   ciph,
 		tr:       sock.StackTracer(),
 		traceTid: sock.StackTraceTid() + ".tls",
-		retain:   l5p.TxRetainer{Model: model, Ledger: ledger, Ring: sock},
+		retain:   l5p.TxRetainer{Model: model, Ledger: ledger, Ring: sock, Spares: spares},
 		resync:   l5p.ResyncMailbox{Model: model, Ledger: ledger},
-		asm:      l5p.Assembler{HeaderLen: HeaderLen, Parse: ParseHeader, Spares: sock.Spares()},
+		asm:      l5p.Assembler{HeaderLen: HeaderLen, Parse: ParseHeader, Spares: spares},
 	}
 	sock.Owner, sock.OnReadable, sock.OnDrain = c, connReadable, connDrain
 	return c, nil
@@ -182,7 +179,10 @@ const txRetainInitial = 16
 // txContext and rxContext are one direction's whole NIC context for a flow,
 // §4.1's static state (the key schedule and IV, HW) and dynamic state (the
 // crypto stream in the ops, the message cursor in the engine) in one
-// allocation: l5o_create allocates it and l5o_destroy lets it go.
+// object: l5o_create takes one that an earlier connection on the stack
+// handed back, or allocates it, and initialises every part; l5o_destroy
+// hands it back, with nothing in it leading to its connection, once the
+// NIC holds no pointer to it.
 type txContext struct {
 	hw     HW
 	ops    TxOps
@@ -195,15 +195,29 @@ type rxContext struct {
 	engine offload.RxEngine
 }
 
+// contextSparesMax bounds the contexts of each direction a stack keeps for
+// its next connections; past that many offloads destroyed and not yet
+// replaced, the contexts are left to the collector.
+const contextSparesMax = 64
+
+// spareContext takes a context a destroyed offload on the stack handed
+// back, or allocates one. The caller initialises every part of it.
+func spareContext[T txContext | rxContext](sp *tcpip.Spares) *T {
+	if ctx, ok := tcpip.LotOf[*T](sp).Take(); ok {
+		return ctx
+	}
+	return new(T)
+}
+
 // EnableTxOffload installs a transmit crypto context on the NIC starting at
 // the current write position (l5o_create, §4.1). With zeroCopy, sendfile
 // buffers are handed to the NIC without the private-copy the non-offloaded
 // path needs (§5.2).
 func (c *Conn) EnableTxOffload(dev l5p.Device, zeroCopy bool) error {
-	if c.txEngine != nil {
+	if c.tx != nil {
 		return fmt.Errorf("ktls: tx offload already enabled")
 	}
-	ctx := new(txContext)
+	ctx := spareContext[txContext](c.asm.Spares)
 	if err := ctx.hw.init(c.cfg.Key, c.cfg.TxIV, c.model, c.ledger); err != nil {
 		return err
 	}
@@ -212,23 +226,23 @@ func (c *Conn) EnableTxOffload(dev l5p.Device, zeroCopy bool) error {
 	c.zeroCopy = zeroCopy
 	c.retain.Grow(txRetainInitial)
 	ctx.engine.Init(&ctx.ops, &c.retain, c.sock.WriteSeq())
-	c.txEngine = &ctx.engine
-	dev.AttachTx(c.sock.Flow(), c.txEngine)
+	c.tx = ctx
+	dev.AttachTx(c.sock.Flow(), &ctx.engine)
 	return nil
 }
 
 // EnableRxOffload installs a receive crypto context on the NIC starting at
 // the current read position.
 func (c *Conn) EnableRxOffload(dev l5p.Device) error {
-	if c.rxEngine != nil {
+	if c.rx != nil {
 		return fmt.Errorf("ktls: rx offload already enabled")
 	}
-	ctx := new(rxContext)
+	ctx := spareContext[rxContext](c.asm.Spares)
 	if err := ctx.hw.init(c.cfg.Key, c.cfg.RxIV, c.model, c.ledger); err != nil {
 		return err
 	}
 	ctx.ops.init(&ctx.hw, c)
-	c.installRx(dev, &ctx.engine, &ctx.ops, &c.resync)
+	c.installRx(dev, ctx, &ctx.ops, &c.resync)
 	return nil
 }
 
@@ -236,28 +250,29 @@ func (c *Conn) EnableRxOffload(dev l5p.Device) error {
 // the connection's resync mailbox as its l5o_resync_rx_req upcall target
 // if resync is set and without one otherwise. Experiments use it to ablate
 // pieces of the recovery machinery; EnableRxOffload is the normal entry
-// point.
+// point. The engine is valid until DisableRxOffload.
 func (c *Conn) InstallRxEngine(dev l5p.Device, ops *RxOps, resync bool) *offload.RxEngine {
-	e := new(offload.RxEngine)
 	var req offload.ResyncRequester
 	if resync {
 		req = &c.resync
 	}
-	c.installRx(dev, e, ops, req)
-	return e
+	ctx := spareContext[rxContext](c.asm.Spares) // only its engine is used
+	c.installRx(dev, ctx, ops, req)
+	return &ctx.engine
 }
 
-// installRx initialises e in place over ops and attaches it.
-func (c *Conn) installRx(dev l5p.Device, e *offload.RxEngine, ops *RxOps, resync offload.ResyncRequester) {
+// installRx initialises ctx's engine in place over ops and attaches it.
+func (c *Conn) installRx(dev l5p.Device, ctx *rxContext, ops *RxOps, resync offload.ResyncRequester) {
 	c.dev = dev
+	e := &ctx.engine
 	e.Init(ops, c.sock.ReadSeq(), resync)
-	c.rxEngine = e
+	c.rx = ctx
 	if c.cfg.RxFallback != nil {
-		c.rxEngine.SetFallbackPolicy(*c.cfg.RxFallback)
+		e.SetFallbackPolicy(*c.cfg.RxFallback)
 	} else {
-		c.rxEngine.SetFallbackPolicy(offload.DefaultFallbackPolicy())
+		e.SetFallbackPolicy(offload.DefaultFallbackPolicy())
 	}
-	dev.AttachRx(c.sock.Flow().Reverse(), c.rxEngine)
+	dev.AttachRx(c.sock.Flow().Reverse(), e)
 }
 
 // DisableTxOffload detaches the transmit engine from the NIC
@@ -265,38 +280,62 @@ func (c *Conn) installRx(dev l5p.Device, e *offload.RxEngine, ops *RxOps, resync
 // NIC encrypts at transmit time, so a retransmission after detach would
 // leak plaintext. Callers detach after the socket drains — connection
 // teardown under churn is the expected site. The retained records go with
-// the engine, and a torn-down socket's send ring is recycled only now.
+// the engine, and a torn-down socket's send ring is recycled only now; the
+// context and the retainer's record index go back to the stack, whether
+// or not an error killed the connection.
 func (c *Conn) DisableTxOffload() {
-	if c.txEngine == nil {
+	ctx := c.tx
+	if ctx == nil {
 		return
 	}
 	c.dev.DetachTx(c.sock.Flow())
-	c.txEngine = nil
+	c.tx = nil
 	c.retain.Close()
+	ctx.engine = offload.TxEngine{} // its source is this Conn's retainer
+	tcpip.LotOf[*txContext](c.asm.Spares).Put(ctx, contextSparesMax)
 }
 
 // DisableRxOffload detaches the receive engine (l5o_destroy). Records
 // already decrypted stay decrypted; anything arriving afterwards takes the
 // software path, so it is safe at any point — teardown under churn is the
-// expected site.
+// expected site. The context goes back to the stack, whether or not an
+// error killed the connection.
 func (c *Conn) DisableRxOffload() {
-	if c.rxEngine == nil {
+	ctx := c.rx
+	if ctx == nil {
 		return
 	}
 	c.dev.DetachRx(c.sock.Flow().Reverse())
-	c.rxEngine = nil
+	c.rx = nil
 	c.resync.Reset()
+	// Both lead back to this Conn, which the stack must not keep reachable.
+	ctx.engine, ctx.ops.inner = offload.RxEngine{}, nil
+	tcpip.LotOf[*rxContext](c.asm.Spares).Put(ctx, contextSparesMax)
 }
 
 // SetInnerRxEngine stacks an inner offload engine (e.g. NVMe-TCP) that
 // consumes the NIC-decrypted plaintext stream (§5.3).
 func (c *Conn) SetInnerRxEngine(e *offload.RxEngine) { c.innerRx = e }
 
-// RxEngine exposes the receive engine for tests and experiments.
-func (c *Conn) RxEngine() *offload.RxEngine { return c.rxEngine }
+// RxEngine exposes the receive engine for tests and experiments, or nil
+// without receive offload. It is valid until DisableRxOffload, which hands
+// its context to the next connection: read its Stats before.
+func (c *Conn) RxEngine() *offload.RxEngine {
+	if c.rx == nil {
+		return nil
+	}
+	return &c.rx.engine
+}
 
-// TxEngine exposes the transmit engine for tests and experiments.
-func (c *Conn) TxEngine() *offload.TxEngine { return c.txEngine }
+// TxEngine exposes the transmit engine for tests and experiments, or nil
+// without transmit offload. It is valid until DisableTxOffload, which
+// hands its context to the next connection: read its Stats before.
+func (c *Conn) TxEngine() *offload.TxEngine {
+	if c.tx == nil {
+		return nil
+	}
+	return &c.tx.engine
+}
 
 func (c *Conn) emitToInner(seq uint32, plain []byte, contiguous bool) meta.RxFlags {
 	if c.innerRx == nil {
@@ -343,7 +382,7 @@ func (c *Conn) Write(p []byte) int {
 		}
 		PutHeader(rec, n)
 		c.ledger.Charge(cycles.HostL5P, cycles.L5PFraming, c.model.L5PPerMessage, 0)
-		if c.txEngine != nil {
+		if c.tx != nil {
 			// Skip the crypto: plaintext body, dummy ICV (§3.1). The copy
 			// into the record is the cost zero-copy sendfile avoids.
 			copy(rec[HeaderLen:], p[:n])
@@ -355,7 +394,7 @@ func (c *Conn) Write(p []byte) int {
 			c.retain.Add(c.sock.WriteSeq(), c.txSeq, total, c.sock.AckedSeq())
 		} else {
 			c.nonce = RecordNonce(c.cfg.TxIV, c.txSeq)
-			c.aead.Seal(rec[HeaderLen:HeaderLen], c.nonce[:], p[:n], rec[:HeaderLen])
+			c.cipher.AEAD().Seal(rec[HeaderLen:HeaderLen], c.nonce[:], p[:n], rec[:HeaderLen])
 			c.ledger.Charge(cycles.HostL5P, cycles.Encrypt, c.model.GCMCycles(n), n)
 			if !c.cfg.Sendfile {
 				// copy_from_user into the skb (the offload path pays the
@@ -375,38 +414,45 @@ func (c *Conn) Write(p []byte) int {
 
 // onReadable drains the socket and processes complete records.
 func (c *Conn) onReadable(s *tcpip.Socket) {
-	if c.dead {
-		return
-	}
-	for {
-		ch, ok := s.ReadChunk()
-		if !ok {
-			break
+	if !c.dead {
+		for {
+			ch, ok := s.ReadChunk()
+			if !ok {
+				break
+			}
+			c.asm.Push(ch)
 		}
-		c.asm.Push(ch)
 	}
 	for !c.dead {
 		rec, total, err := c.asm.Next()
 		if err != nil {
 			c.fail(fmt.Errorf("ktls: %w", err))
-			return
+			break
 		}
 		if rec == nil {
 			break
 		}
 		c.handleRecord(rec, total)
 	}
-	if s.EOF() && c.asm.Buffered() == 0 {
+	switch {
+	case c.dead:
+		// Nothing after the fatal error is delivered, and no record is
+		// being handled any more.
 		c.release()
-		if c.OnClose != nil {
+	case s.EOF():
+		// A record the stream ended inside can never complete: the Conn
+		// lets it go but does not report a clean close.
+		whole := c.asm.Buffered() == 0
+		c.release()
+		if whole && c.OnClose != nil {
 			c.OnClose(c)
 		}
 	}
 }
 
 // release hands the receive side's arrays — the assembler's and the record
-// buffer — back to the stack's spares once the stream is over, so a closed
-// Conn holds none.
+// buffer — back to the stack's spares once the stream is over, or the
+// connection dead, so a closed Conn holds none.
 func (c *Conn) release() {
 	c.asm.Release()
 	c.asm.Spares.PutBytes(c.rxRec)
@@ -423,6 +469,9 @@ func (c *Conn) recBuf() []byte {
 	return c.rxRec[:0]
 }
 
+// fail kills the connection. Its receive side's arrays go back to the
+// stack's spares at the end of onReadable — the one it dies in, whose
+// record may still be on them, or the next.
 func (c *Conn) fail(err error) {
 	c.dead = true
 	if c.OnError != nil {
@@ -453,7 +502,7 @@ func (c *Conn) handleRecord(chunks []tcpip.Chunk, total int) {
 
 	// Answer an outstanding NIC resync request once the stream position
 	// reaches it (l5o_resync_rx_resp, §4.3).
-	if c.resync.Answer(c.rxEngine, recStart, total, c.rxSeq) {
+	if c.resync.Answer(c.RxEngine(), recStart, total, c.rxSeq) {
 		c.Stats.ResyncResponses++
 	}
 
@@ -504,7 +553,7 @@ func (c *Conn) softwareDecrypt(chunks []tcpip.Chunk, total, bodyLen int) {
 	c.ledger.Charge(cycles.HostL5P, cycles.Decrypt, c.model.GCMCycles(bodyLen), bodyLen)
 	c.Stats.SwDecryptBytes += uint64(bodyLen)
 	// In place: the plaintext overwrites the ciphertext it came from.
-	plain, err := c.aead.Open(rec[HeaderLen:HeaderLen], c.nonce[:], rec[HeaderLen:], rec[:HeaderLen])
+	plain, err := c.cipher.AEAD().Open(rec[HeaderLen:HeaderLen], c.nonce[:], rec[HeaderLen:], rec[:HeaderLen])
 	if err != nil {
 		c.authFailed(fmt.Errorf("ktls: record %d authentication failed", c.rxSeq))
 		return
@@ -518,8 +567,8 @@ func (c *Conn) softwareDecrypt(chunks []tcpip.Chunk, total, bodyLen int) {
 func (c *Conn) authFailed(err error) {
 	c.Stats.AuthFailures++
 	c.tr.Instant1("l5p", "tls.authfail", c.traceTid, "rec", int64(c.rxSeq))
-	if c.rxEngine != nil {
-		c.rxEngine.NoteAuthFailure()
+	if c.rx != nil {
+		c.rx.engine.NoteAuthFailure()
 	}
 	c.fail(err)
 }
@@ -530,7 +579,7 @@ func (c *Conn) partialFallback(chunks []tcpip.Chunk, total, bodyLen int) {
 	rec, plain := c.rxRec, c.rxRec[total:total+bodyLen]
 	nonce := RecordNonce(c.cfg.RxIV, c.rxSeq)
 	s := &c.rxStream
-	c.rxCipher.InitStream(s, gcm.Open, nonce[:], rec[:HeaderLen])
+	c.cipher.InitStream(s, gcm.Open, nonce[:], rec[:HeaderLen])
 
 	reenc := 0
 	for off, part := range l5p.Clip(chunks, HeaderLen, HeaderLen+bodyLen) {

@@ -68,8 +68,9 @@ func NewTxOps(hw *HW) *TxOps {
 	return o
 }
 
-// init is NewTxOps in place, for the ops inside a flow context.
-func (o *TxOps) init(hw *HW) { *o = TxOps{hw: hw} }
+// init is NewTxOps in place, for the ops inside a flow context. A recycled
+// context keeps its replay scratch, which is written before it is read.
+func (o *TxOps) init(hw *HW) { *o = TxOps{hw: hw, scratch: o.scratch} }
 
 var _ offload.TxOps = (*TxOps)(nil)
 

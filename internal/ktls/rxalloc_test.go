@@ -29,7 +29,7 @@ func TestSoftwareDecryptNoAlloc(t *testing.T) {
 	}
 	model := cycles.DefaultModel()
 	c := &Conn{cfg: Config{Key: key, RxIV: iv}, model: &model, ledger: &cycles.Ledger{},
-		aead: rxC.AEAD(), rxCipher: rxC, asm: l5p.Assembler{Spares: new(tcpip.Spares)}}
+		cipher: rxC, asm: l5p.Assembler{Spares: new(tcpip.Spares)}}
 	body := make([]byte, 16<<10)
 	rng.Read(body)
 	sealed := sealReference(t, key, iv, 0, body)

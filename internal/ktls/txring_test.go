@@ -11,15 +11,18 @@ import (
 	"repro/internal/wire"
 )
 
-// newFilterWorld is newWorld with every frame the client's NIC sends
-// passed through drop first: true loses it.
-func newFilterWorld(cfg netsim.LinkConfig, drop func(wire.Frame) bool) *world {
-	w := newWorld(cfg)
+// newFilterWorld is newWorldNIC with every frame the client's NIC sends
+// passed through drop first: true loses it, and returns it to the frame
+// pool as the link does with a frame it loses.
+func newFilterWorld(cfg netsim.LinkConfig, ncfg nic.Config, drop func(wire.Frame) bool) *world {
+	w := newWorldNIC(cfg, ncfg)
 	w.cliNIC = nic.New(w.cliStack, func(f wire.Frame) {
-		if !drop(f) {
+		if drop(f) {
+			w.sim.Pool().Put(f)
+		} else {
 			w.link.SendAtoB(f)
 		}
-	}, nic.Config{})
+	}, ncfg)
 	w.link.AttachA(w.cliNIC)
 	return w
 }
@@ -67,7 +70,7 @@ func TestPartialAckReplayFromRing(t *testing.T) {
 		dataSegs int
 		resent   []byte // the retransmission's payload as it left the NIC
 	)
-	w := newFilterWorld(cleanLink(), func(f wire.Frame) bool {
+	w := newFilterWorld(cleanLink(), nic.Config{}, func(f wire.Frame) bool {
 		pkt, err := wire.Parse(f)
 		if err != nil || len(pkt.Payload) == 0 {
 			return false

@@ -125,13 +125,13 @@ func (a *Assembler) Next() (msg []tcpip.Chunk, total int, err error) {
 	return a.take(total), total, nil
 }
 
-// Release hands the arrays back to Spares once the owner's stream has
-// ended with every byte returned: the assembler holds nothing and, pushed
-// to again, borrows anew. A stream that ended inside a message keeps them.
+// Release hands the arrays back to Spares once the owner's stream is over:
+// bytes of a message it ended inside are dropped with them, so the
+// assembler holds nothing, buffers nothing and, pushed to again, borrows
+// anew. A header error stays sticky.
 func (a *Assembler) Release() {
-	if a.size == 0 {
-		a.drop()
-	}
+	a.drop()
+	a.size, a.total = 0, 0
 }
 
 // drop forgets the queue, the message result and the kept bytes, handing

@@ -40,8 +40,8 @@ func TestAssemblerDropsQueueOnError(t *testing.T) {
 
 // TestAssemblerReleaseHandsArraysBack: an assembler lent its stack's
 // spares takes its arrays from them at the first push and hands them back
-// when its owner's stream ends with nothing buffered, or at a header
-// error; one stranded inside a message keeps them.
+// when its owner's stream ends, with nothing buffered or inside a message,
+// or at a header error.
 func TestAssemblerReleaseHandsArraysBack(t *testing.T) {
 	var sp tcpip.Spares
 	parse := func(h []byte) (offload.MsgLayout, bool) {
@@ -85,15 +85,18 @@ func TestAssemblerReleaseHandsArraysBack(t *testing.T) {
 	if arrays(&b) != held {
 		t.Error("the next assembler did not borrow the released arrays")
 	}
-	b.Release() // a header byte is stranded: the arrays stay
-	if b.q == nil || b.buf == nil {
-		t.Fatal("Release dropped the arrays of a stream that ended inside a message")
+	b.Release() // a header byte is stranded: it goes with the arrays
+	if b.q != nil || b.msg != nil || b.buf != nil || b.Buffered() != 0 || !back(held) {
+		t.Fatalf("a stream that ended inside a message: %d bytes buffered, arrays handed back %v",
+			b.Buffered(), back(held))
 	}
-	b.Push(tcpip.Chunk{Seq: 21, Data: []byte{9}})
-	if _, _, err := b.Next(); err == nil {
+
+	c := Assembler{HeaderLen: 2, Parse: parse, Spares: &sp}
+	c.Push(tcpip.Chunk{Seq: 30, Data: []byte{7, 9}})
+	if _, _, err := c.Next(); err == nil {
 		t.Fatal("header 07 09 of the wrong type accepted")
 	}
-	if b.q != nil || b.msg != nil || b.buf != nil || !back(held) {
+	if c.q != nil || c.msg != nil || c.buf != nil || !back(held) {
 		t.Error("the header error did not hand the arrays to the spares")
 	}
 }

@@ -25,7 +25,8 @@ import (
 
 // Device is the slice of the NIC driver interface an L5P needs to install
 // and remove offload contexts (Listing 1's l5o_create/l5o_destroy).
-// *nic.NIC implements it.
+// Once DetachTx or DetachRx returns, the device holds no pointer to the
+// engine, so its owner may reuse it. *nic.NIC implements it.
 type Device interface {
 	AttachTx(flow wire.FlowID, e *offload.TxEngine)
 	AttachRx(flow wire.FlowID, e *offload.RxEngine)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cycles"
 	"repro/internal/offload"
+	"repro/internal/tcpip"
 )
 
 // SendRing is the transport's send buffer seen from a TxRetainer: the
@@ -36,6 +37,10 @@ type TxRetainer struct {
 	// Ring is the send ring the messages are written to, set once by the
 	// owner.
 	Ring SendRing
+	// Spares, if the owner sets it, lends the retainer its record index:
+	// Grow takes one an earlier retainer handed back, and Close hands it
+	// back.
+	Spares *tcpip.Spares
 
 	msgs []txMsg // in stream order, tiling it
 	// scratch holds a replayed range that wraps the ring, stitched; behind
@@ -71,12 +76,27 @@ func (r *TxRetainer) Add(wireStart uint32, index uint64, n int, acked uint32) {
 
 // Grow makes room for n more messages, so that the first ones a connection
 // sends do not grow the store.
-func (r *TxRetainer) Grow(n int) { r.msgs = slices.Grow(r.msgs, n) }
+func (r *TxRetainer) Grow(n int) {
+	if cap(r.msgs) == 0 && r.Spares != nil {
+		r.msgs, _ = tcpip.LotOf[[]txMsg](r.Spares).Take()
+	}
+	r.msgs = slices.Grow(r.msgs, n)
+}
+
+// indexSparesMax bounds the record indexes a stack keeps for its next
+// retainers; past that many transmit offloads closed and not yet replaced,
+// the indexes are left to the collector.
+const indexSparesMax = 64
 
 // Close drops every message and releases the ring's retention floor: the
-// owner's transmit offload is gone, so nothing replays them any more.
+// owner's transmit offload is gone, so nothing replays them any more. The
+// record index goes back to Spares, if the owner lent them.
 func (r *TxRetainer) Close() {
 	r.msgs = r.msgs[:0]
+	if r.Spares != nil && cap(r.msgs) > 0 {
+		tcpip.LotOf[[]txMsg](r.Spares).Put(r.msgs, indexSparesMax)
+		r.msgs = nil
+	}
 	r.Ring.ReleaseRetained()
 }
 

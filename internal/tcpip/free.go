@@ -37,15 +37,17 @@ func (f *freeList[T]) put(b []T, max int) {
 }
 
 // Spares is a stack's free lists of the arrays receiving grows: chunk
-// queues — a socket's receive queue, and an L5P assembler's queue and
-// message result above it — and byte buffers, such as an assembler's kept
-// bytes. A socket takes its queue from here at its first in-order byte and
-// hands it back once the peer's FIN is read; an assembler whose owner
-// lends it the stack's Spares does the same with its arrays
-// (l5p.Assembler).
+// queues — a socket's receive queue and out-of-order list, and an L5P
+// assembler's queue and message result above it — and byte buffers, such
+// as an assembler's kept bytes. A socket takes its arrays from here when it
+// first needs them and hands them back once the peer's FIN is read; an
+// assembler whose owner lends it the stack's Spares does the same with its
+// arrays (l5p.Assembler). The layers above keep what their own connections
+// hand back here too, one Lot per type (LotOf).
 type Spares struct {
 	chunks freeList[Chunk]
 	bytes  freeList[byte]
+	lots   []any // a *Lot[T] for each T a layer above asked for
 }
 
 const (
@@ -77,3 +79,47 @@ func (sp *Spares) Bytes() []byte { return sp.bytes.get(0)[:0] }
 
 // PutBytes takes back a byte buffer nothing reads any more.
 func (sp *Spares) PutBytes(b []byte) { sp.bytes.put(b, sparesByteMax) }
+
+// Lot is a bounded stack of one type of object — an offload context, a
+// record index — that connections of a layer above hand back to their
+// stack for its next connections to take.
+type Lot[T any] struct {
+	held []T
+}
+
+// LotOf returns the stack's Lot of T, made at the first call. The type
+// names the lot: ktls's contexts and l5p's record indexes are different
+// types, so no layer sees another's, and the stack, which every connection
+// reaches, keeps them instead of package state.
+func LotOf[T any](sp *Spares) *Lot[T] {
+	for _, l := range sp.lots {
+		if lot, ok := l.(*Lot[T]); ok {
+			return lot
+		}
+	}
+	lot := new(Lot[T])
+	sp.lots = append(sp.lots, lot)
+	return lot
+}
+
+// Take returns the object handed back last, or false when none is held.
+// Its contents are the previous owner's.
+func (l *Lot[T]) Take() (x T, ok bool) {
+	last := len(l.held) - 1
+	if last < 0 {
+		return x, false
+	}
+	x = l.held[last]
+	var zero T
+	l.held[last] = zero
+	l.held = l.held[:last]
+	return x, true
+}
+
+// Put takes back an object nothing references any more; it is dropped when
+// the lot already holds max.
+func (l *Lot[T]) Put(x T, max int) {
+	if len(l.held) < max {
+		l.held = append(l.held, x)
+	}
+}

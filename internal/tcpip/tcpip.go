@@ -462,12 +462,6 @@ type Chunk struct {
 	Flags meta.RxFlags
 }
 
-type rxSeg struct {
-	seq   uint32
-	data  []byte
-	flags meta.RxFlags
-}
-
 // Socket is one TCP connection endpoint.
 type Socket struct {
 	stack *Stack
@@ -581,7 +575,7 @@ type Socket struct {
 	// Receive state.
 	irs        uint32
 	rcvNxt     uint32
-	ooo        []rxSeg
+	ooo        []Chunk // out-of-order segments by Seq, in copies the socket owns
 	rcvChunks  []Chunk // rcvChunks[rcvHead:] is the receive queue
 	rcvHead    int
 	rcvBufUsed int
@@ -1009,7 +1003,7 @@ func (s *Socket) buildSACKBlocks() []wire.SACKBlock {
 // disjoint sequence ranges.
 func (s *Socket) oooRanges(out []wire.SACKBlock) []wire.SACKBlock {
 	for _, seg := range s.ooo {
-		start, end := seg.seq, seg.seq+uint32(len(seg.data))
+		start, end := seg.Seq, seg.Seq+uint32(len(seg.Data))
 		if n := len(out); n > 0 && seqLE(start, out[n-1].End) {
 			if seqLT(out[n-1].End, end) {
 				out[n-1].End = end
@@ -1725,7 +1719,7 @@ func (s *Socket) processData(pkt *wire.Packet, flags meta.RxFlags) {
 	// negotiated; buildSACKBlocks puts this segment's range first).
 	s.stack.Stats.OutOfOrderIn++
 	if len(data) > 0 {
-		dup := s.insertOOO(rxSeg{seq: seq, data: append([]byte(nil), data...), flags: flags})
+		dup := s.insertOOO(Chunk{Seq: seq, Data: append([]byte(nil), data...), Flags: flags})
 		s.lastOOOStart = seq
 		if dup && s.sackOK {
 			// An exact repeat of a buffered out-of-order segment is also
@@ -1809,13 +1803,15 @@ func (s *Socket) deliver(seq uint32, data []byte, flags meta.RxFlags) {
 	s.rcvNxt = seq + uint32(len(data))
 }
 
-// freeRcvQueue hands the receive queue's array to the stack's spares once
-// the peer's FIN is in and the reader has taken every chunk: nothing can be
-// queued any more.
+// freeRcvQueue hands the receive queue's array, and the out-of-order
+// list's, to the stack's spares once the peer's FIN is in and the reader
+// has taken every chunk: nothing can be queued any more, and a segment
+// still on the out-of-order list lies past the FIN.
 func (s *Socket) freeRcvQueue() {
 	if s.peerFin && s.rcvHead == len(s.rcvChunks) {
 		s.stack.spares.PutChunks(s.rcvChunks)
-		s.rcvChunks, s.rcvHead = nil, 0
+		s.stack.spares.PutChunks(s.ooo)
+		s.rcvChunks, s.rcvHead, s.ooo = nil, 0, nil
 	}
 }
 
@@ -1835,36 +1831,44 @@ func (s *Socket) keepUnread(seq uint32) {
 
 // insertOOO buffers an out-of-order segment, keeping the list sorted by
 // seq. Exact duplicates are dropped and reported (for DSACK); overlaps are
-// allowed and trimmed at drain time.
-func (s *Socket) insertOOO(seg rxSeg) (dup bool) {
+// allowed and trimmed at drain time. The list's array comes from the
+// stack's spares at the connection's first hole and is kept, drained in
+// place, until the stream ends (freeRcvQueue).
+func (s *Socket) insertOOO(seg Chunk) (dup bool) {
 	pos := len(s.ooo)
 	for i, o := range s.ooo {
-		if seg.seq == o.seq && len(seg.data) <= len(o.data) {
+		if seg.Seq == o.Seq && len(seg.Data) <= len(o.Data) {
 			return true
 		}
-		if seqLT(seg.seq, o.seq) {
+		if seqLT(seg.Seq, o.Seq) {
 			pos = i
 			break
 		}
 	}
-	s.ooo = append(s.ooo, rxSeg{})
+	if cap(s.ooo) == 0 {
+		s.ooo = s.stack.spares.Chunks()
+	}
+	s.ooo = append(s.ooo, Chunk{})
 	copy(s.ooo[pos+1:], s.ooo[pos:])
 	s.ooo[pos] = seg
 	return false
 }
 
+// drainOOO delivers the out-of-order segments the stream has reached and
+// slides the rest to the front of the list's array, so the array keeps its
+// capacity for the next hole.
 func (s *Socket) drainOOO() {
-	for len(s.ooo) > 0 {
-		seg := s.ooo[0]
-		if seqLT(s.rcvNxt, seg.seq) {
-			break
+	n := 0
+	for ; n < len(s.ooo) && !seqLT(s.rcvNxt, s.ooo[n].Seq); n++ {
+		seg := s.ooo[n]
+		if skip := s.rcvNxt - seg.Seq; int(skip) < len(seg.Data) {
+			s.deliver(s.rcvNxt, seg.Data[skip:], seg.Flags)
 		}
-		s.ooo = s.ooo[1:]
-		skip := s.rcvNxt - seg.seq
-		if int(skip) >= len(seg.data) {
-			continue
-		}
-		s.deliver(s.rcvNxt, seg.data[skip:], seg.flags)
+	}
+	if n > 0 {
+		left := copy(s.ooo, s.ooo[n:])
+		clear(s.ooo[left:])
+		s.ooo = s.ooo[:left]
 	}
 	if s.finRcvdSeq != 0 && s.rcvNxt == s.finRcvdSeq {
 		s.handleFin(s.finRcvdSeq)
