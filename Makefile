@@ -24,9 +24,10 @@ check: vet lint fmt-check race soak alloc-check fuzz-short golden-check perf-che
 # The invariant linter: the analyzers in internal/analysis (virtclock,
 # statsreg, wiremut, hotalloc) enforce the DESIGN.md contracts
 # mechanically; telemetry checks its own (nil-safe hooks, names, counter
-# struct shape) in its tests and at registration. It passes with zero findings; the only way to
-# silence one is a reasoned //lint:ignore. See DESIGN.md "Invariants as
-# analyzers".
+# struct shape) in its tests and at registration. It passes with zero
+# findings, and a finding cannot be silenced, only fixed. Exit status: 0
+# clean, 1 findings, 2 load or type-check failure. See DESIGN.md
+# "Invariants as analyzers".
 lint:
 	$(GO) run ./cmd/simlint ./...
 
@@ -99,8 +100,8 @@ golden-check:
 # chunk queue or walking a message's byte ranges, or retaining a sent
 # message, dropping an acknowledged one and reading one back, nor the NVMe-TCP target serving
 # a read — command, device request, response capsule, digest offloaded or
-# not; starting a GCM record to seal allocates nothing, one to open only the
-# stdlib's CTR — nor a SACK-bearing ACK (built in the stack's arrays), nor a socket
+# not; starting a GCM record allocates nothing, and opening one makes only
+# the stdlib's CTR, at its first Update — nor a SACK-bearing ACK (built in the stack's arrays), nor a socket
 # handing a received segment to a reader that consumes it in OnReadable,
 # nor the stack building a segment or ACK (one reused packet), nor software
 # TLS opening a record in place, nor a whole two-machine plain-TCP world

@@ -11,17 +11,13 @@
 //	go run ./cmd/simlint ./...
 //	go run ./cmd/simlint -list
 //
-// The one way to silence a finding is a reasoned source annotation,
+// Each finding prints as `file:line:col: message [analyzer]`, followed by
+// a summary line, `simlint: N violation(s)`. A finding cannot be
+// silenced, only fixed: there is no suppression directive.
 //
-//	//lint:ignore <analyzer> <why this violation is sanctioned>
-//
-// on the offending line or the line above. Suppressed findings stay
-// counted in the summary; a directive without a reason, or naming an
-// unknown analyzer, is itself a finding.
-//
-// Exit status is 0 when clean, 1 when unsuppressed diagnostics were
-// reported, and 2 when loading or type-checking failed. `make lint`
-// (part of `make check`) runs it over the whole module.
+// Exit status is 0 when clean, 1 when diagnostics were reported, and 2
+// when loading or type-checking failed. `make lint` (part of `make
+// check`) runs it over the whole module.
 //
 // Run it over ./... rather than package subsets: statsreg is a
 // whole-program check, so a subset that defines a Stats struct but omits
@@ -64,14 +60,12 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		return 2
 	}
-	kept, suppressed := analysis.Lint(prog, analysis.All)
-	for _, d := range kept {
+	diags := analysis.Run(prog, analysis.All)
+	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", prog.Fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
-	if len(kept) > 0 || len(suppressed) > 0 {
-		fmt.Fprintf(os.Stderr, "simlint: %d violation(s), %d suppressed\n", len(kept), len(suppressed))
-	}
-	if len(kept) > 0 {
+	fmt.Fprintf(os.Stderr, "simlint: %d violation(s)\n", len(diags))
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0

@@ -19,9 +19,8 @@
 // dotted-lowercase names and counter-struct shape are checked by its own
 // tests and at registration.
 //
-// The driver that cmd/simlint fronts (driver.go) knows one way to silence
-// a finding: a reasoned `//lint:ignore`. Malformed directives are
-// findings. The run is serial and its diagnostics are position-sorted.
+// A finding cannot be silenced, only fixed: there is no suppression
+// directive. The run is serial and its diagnostics are position-sorted.
 package analysis
 
 import (
@@ -113,19 +112,15 @@ func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 			prog.report = nil
 		}
 	}
-	sortDiagnostics(prog, diags)
-	return diags
-}
-
-// sortDiagnostics orders diags by the full key — position, analyzer,
-// message — so the output is deterministic.
-func sortDiagnostics(prog *Program, diags []Diagnostic) {
+	// The full key — position, analyzer, message — makes the output
+	// deterministic.
 	slices.SortFunc(diags, func(a, b Diagnostic) int {
 		pa, pb := prog.Fset.Position(a.Pos), prog.Fset.Position(b.Pos)
 		return cmp.Or(strings.Compare(pa.Filename, pb.Filename),
 			cmp.Compare(pa.Line, pb.Line), cmp.Compare(pa.Column, pb.Column),
 			strings.Compare(a.Analyzer, b.Analyzer), strings.Compare(a.Message, b.Message))
 	})
+	return diags
 }
 
 // calledFunc resolves a call's function expression, or an identifier use,

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestVirtClock(t *testing.T) {
 	runFixture(t, VirtClock, "virtclock/a", "virtclock/cmdmain")
@@ -29,12 +25,9 @@ func TestFramePool(t *testing.T) {
 }
 
 // TestRepoClean is the self-application gate: the analyzers over the
-// whole module, run through the same suppression pipeline as `make lint`,
-// must report nothing unsuppressed — so a regression against any
-// DESIGN.md invariant fails the test suite, not just `make lint`. The
-// suppressed set is pinned too: exactly the three amortized-append
-// hotalloc annotations in internal/nic/nic.go, so a new //lint:ignore
-// anywhere is a deliberate edit of this test.
+// whole module must report nothing, as `make lint` must — so a regression
+// against any DESIGN.md invariant fails the test suite, not just `make
+// lint`.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -43,17 +36,36 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	kept, suppressed := Lint(prog, All)
-	for _, d := range kept {
+	for _, d := range Run(prog, All) {
 		t.Errorf("%s: %s [%s]", prog.Fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
-	for _, s := range suppressed {
-		if pos := prog.Fset.Position(s.Pos); s.Analyzer != "hotalloc" || !strings.HasSuffix(filepath.ToSlash(pos.Filename), "internal/nic/nic.go") {
-			t.Errorf("%s: unexpected suppression [%s]: %s", pos, s.Analyzer, s.Reason)
-		}
+}
+
+// TestExcludedByBuildTags pins the loader's tolerance rule: only the
+// constraints-excluded shape is skipped, real listing errors still fail.
+func TestExcludedByBuildTags(t *testing.T) {
+	excluded := &listedPkg{
+		ImportPath: "repro/internal/gated",
+		Error:      &struct{ Err string }{Err: "build constraints exclude all Go files in /x/gated"},
 	}
-	if len(suppressed) != 3 {
-		t.Errorf("got %d suppressed findings, want 3 (the hotalloc appends in internal/nic/nic.go)", len(suppressed))
+	if !excludedByBuildTags(excluded) {
+		t.Error("constraints-excluded package not skipped")
+	}
+	broken := &listedPkg{
+		ImportPath: "repro/internal/broken",
+		GoFiles:    []string{"broken.go"},
+		Error:      &struct{ Err string }{Err: "found packages a and b"},
+	}
+	if excludedByBuildTags(broken) {
+		t.Error("genuinely broken package wrongly skipped")
+	}
+	partial := &listedPkg{
+		ImportPath: "repro/internal/partial",
+		GoFiles:    []string{"ok.go"},
+		Error:      &struct{ Err string }{Err: "build constraints exclude all Go files in /x/partial"},
+	}
+	if excludedByBuildTags(partial) {
+		t.Error("package with buildable files wrongly skipped")
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // function it flags everything that can allocate per call:
 //
 //   - `append`, which regrows the backing array whenever capacity runs
-//     out — on a steady-state path the growth should be amortized into a
-//     retained buffer, and the annotation should say so;
+//     out — a steady-state path writes into a buffer sized up front, the
+//     way the NIC's rings are;
 //   - `make` and `new`;
 //   - composite literals that escape to the heap in practice: `&T{...}`
 //     and slice/map literals (plain struct-value literals like
@@ -28,12 +28,10 @@ import (
 //     or the pool's gets == puts leak accounting goes out of balance
 //     (`make(wire.Frame, n)` is already a make finding).
 //
-// The check is deliberately syntactic — it has no escape analysis — so
-// every finding is either hoisted out of the hot path or annotated with
-// a reasoned `//lint:ignore hotalloc <why this allocation is amortized>`,
-// which keeps the amortization argument attached to the code it defends.
-// The real gate stays `make alloc-check` and that bound; hotalloc
-// fails the build at the source line instead of a benchmark later.
+// The check is deliberately syntactic — it has no escape analysis — and
+// admits no exception: every finding is hoisted out of the hot path. The
+// real gate stays `make alloc-check` and that bound; hotalloc fails the
+// build at the source line instead of a benchmark later.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "functions marked //simlint:hotpath must not allocate per call (append regrowth, make/new, escaping literals, closures, frames outside the pool)",
@@ -88,17 +86,17 @@ func checkHotBody(pass *Pass, body *ast.BlockStmt) {
 			switch b.Name() {
 			case "append":
 				pass.Reportf(e.Pos(),
-					"append in a //simlint:hotpath function may regrow its backing array: pre-size or reuse a retained buffer, or annotate the amortized growth with //lint:ignore hotalloc <reason>")
+					"append in a //simlint:hotpath function may regrow its backing array: write into a buffer sized up front")
 			case "make", "new":
 				pass.Reportf(e.Pos(),
-					"%s allocates in a //simlint:hotpath function: hoist the allocation out of the hot path or annotate with //lint:ignore hotalloc <reason>", b.Name())
+					"%s allocates in a //simlint:hotpath function: hoist the allocation out of the hot path", b.Name())
 			}
 		case *ast.UnaryExpr:
 			// &T{...} of a struct/array escapes; slice and map literals are
 			// reported on the literal itself below, so skip them here.
 			if lit, ok := e.X.(*ast.CompositeLit); ok && e.Op == token.AND && !isSliceOrMapLit(pass, lit) {
 				pass.Reportf(e.Pos(),
-					"&composite literal allocates in a //simlint:hotpath function: hoist the value out of the hot path or annotate with //lint:ignore hotalloc <reason>")
+					"&composite literal allocates in a //simlint:hotpath function: hoist the value out of the hot path")
 			}
 		case *ast.CompositeLit:
 			if isNamed(pass.TypesInfo.Types[e].Type, "wire", "Frame") {
@@ -106,11 +104,11 @@ func checkHotBody(pass *Pass, body *ast.BlockStmt) {
 					"wire.Frame literal allocates a frame outside the pool in a //simlint:hotpath function: take it from the frame pool (pool.Get) so gets == puts holds")
 			} else if isSliceOrMapLit(pass, e) {
 				pass.Reportf(e.Pos(),
-					"%s literal allocates in a //simlint:hotpath function: hoist the allocation out of the hot path or annotate with //lint:ignore hotalloc <reason>", litKind(pass, e))
+					"%s literal allocates in a //simlint:hotpath function: hoist the allocation out of the hot path", litKind(pass, e))
 			}
 		case *ast.FuncLit:
 			pass.Reportf(e.Pos(),
-				"func literal in a //simlint:hotpath function allocates a closure when it captures: hoist it or annotate with //lint:ignore hotalloc <reason>")
+				"func literal in a //simlint:hotpath function allocates a closure when it captures: hoist it out of the hot path")
 		}
 		return true
 	})

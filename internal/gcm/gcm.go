@@ -343,12 +343,12 @@ type Stream struct {
 	c   *Cipher
 	dir Direction
 
-	// CTR state: the stdlib AES-CTR of an Open stream, positioned at byte
-	// dataLen of the message (nil in a Seal stream). ctr is the nonce and
-	// the counter block last seeked to or encrypted (J0 with the block
-	// offset added); it lives here so that the slice handed to
-	// cipher.NewCTR or Block.Encrypt does not escape as an allocation of
-	// its own.
+	// CTR state: the stdlib AES-CTR of an Open stream, made by its first
+	// call and positioned at byte dataLen of the message (nil before then
+	// and in a Seal stream). ctr is the nonce and the counter block last
+	// seeked to or encrypted (J0 with the block offset added); it lives
+	// here so that the slice handed to cipher.NewCTR or Block.Encrypt does
+	// not escape as an allocation of its own.
 	ks  cipher.Stream
 	ctr [blockSize]byte
 
@@ -372,8 +372,9 @@ func (c *Cipher) NewStream(dir Direction, nonce, aad []byte) *Stream {
 }
 
 // InitStream is NewStream into caller-owned memory: it overwrites *s with
-// the start-of-message state. A Seal stream allocates nothing; an Open
-// stream allocates the stdlib's CTR object.
+// the start-of-message state. It allocates nothing: an Open stream makes
+// its stdlib CTR object at its first Update, so one that Skips first makes
+// it once, at the skipped offset.
 func (c *Cipher) InitStream(s *Stream, dir Direction, nonce, aad []byte) {
 	if len(nonce) != NonceSize {
 		panic(fmt.Sprintf("gcm: nonce length %d, want %d", len(nonce), NonceSize))
@@ -382,7 +383,7 @@ func (c *Cipher) InitStream(s *Stream, dir Direction, nonce, aad []byte) {
 	copy(s.ctr[:], nonce)
 	s.ctr[blockSize-1] = 1 // J0
 	c.block.Encrypt(s.tagMask[:], s.ctr[:])
-	if dir == Open || c.zeroH {
+	if dir == Seal && c.zeroH {
 		s.seek()
 	}
 	s.ghashUpdate(aad)
@@ -476,7 +477,9 @@ func (s *Stream) Skip(n int) {
 		return
 	}
 	s.advance(n)
-	s.seek()
+	if s.ks != nil || s.dir == Seal {
+		s.seek()
+	}
 }
 
 // advance moves dataLen forward by n bytes, refusing to pass GCM's limit.
@@ -492,8 +495,10 @@ func (s *Stream) transform(dst, src []byte, srcIsCiphertext bool) {
 	if len(dst) < len(src) {
 		panic("gcm: dst shorter than src")
 	}
-	if srcIsCiphertext && s.ks == nil {
-		s.seek() // a Seal stream handed ciphertext keeps a CTR from here on
+	if s.ks == nil && (srcIsCiphertext || s.dir == Open) {
+		// An Open stream's first call makes its CTR; a Seal stream handed
+		// ciphertext keeps one from here on.
+		s.seek()
 	}
 	off := s.dataLen
 	s.advance(len(src))

@@ -459,12 +459,12 @@ func (c *Conn) release() {
 	c.rxRec = nil
 }
 
-// recBuf returns rxRec emptied, borrowing an array from the stack's spares
-// (the ones the assembler is lent) for the connection's first software
-// record.
-func (c *Conn) recBuf() []byte {
+// recBuf returns rxRec emptied, borrowing an array of at least n bytes
+// from the stack's spares (the ones the assembler is lent) for the
+// connection's first software record.
+func (c *Conn) recBuf(n int) []byte {
 	if c.rxRec == nil {
-		c.rxRec = c.asm.Spares.Bytes()
+		c.rxRec = c.asm.Spares.Bytes(n)
 	}
 	return c.rxRec[:0]
 }
@@ -547,7 +547,7 @@ func (c *Conn) emitBody(chunks []tcpip.Chunk, bodyLen int, plain []byte) {
 }
 
 func (c *Conn) softwareDecrypt(chunks []tcpip.Chunk, total, bodyLen int) {
-	c.rxRec = l5p.AppendRange(c.recBuf(), chunks, 0, total)
+	c.rxRec = l5p.AppendRange(c.recBuf(total), chunks, 0, total)
 	rec := c.rxRec
 	c.nonce = RecordNonce(c.cfg.RxIV, c.rxSeq)
 	c.ledger.Charge(cycles.HostL5P, cycles.Decrypt, c.model.GCMCycles(bodyLen), bodyLen)
@@ -575,7 +575,7 @@ func (c *Conn) authFailed(err error) {
 
 func (c *Conn) partialFallback(chunks []tcpip.Chunk, total, bodyLen int) {
 	// The record and, behind it, its plaintext share rxRec.
-	c.rxRec = l5p.AppendRange(slices.Grow(c.recBuf(), total+bodyLen), chunks, 0, total)
+	c.rxRec = l5p.AppendRange(slices.Grow(c.recBuf(total+bodyLen), total+bodyLen), chunks, 0, total)
 	rec, plain := c.rxRec, c.rxRec[total:total+bodyLen]
 	nonce := RecordNonce(c.cfg.RxIV, c.rxSeq)
 	s := &c.rxStream

@@ -241,13 +241,13 @@ func TestConnLifecycleAllocs(t *testing.T) {
 //	tcpip processData          12: a copy of each segment that arrives
 //	                            behind the hole (the list it waits on is a
 //	                            spare array, drained in place)
-//	gcm   Stream.seek           9: a CTR for each of the 5 records the
+//	gcm   Stream.seek           8: a CTR for each of the 5 records the
 //	                            receive engine decrypts whole
-//	                            (RxOps.BeginMessage), 2 for the one it
-//	                            resumes inside (RxOps.ResumeMessage: one
-//	                            at InitStream, one more at Skip), and one
-//	                            for each of the 2 records software
-//	                            finishes (Conn.partialFallback)
+//	                            (RxOps.BeginMessage), one for the one it
+//	                            resumes inside (RxOps.ResumeMessage, made
+//	                            at the skipped offset by the first Body),
+//	                            and one for each of the 2 records
+//	                            software finishes (Conn.partialFallback)
 //
 // The transmit context's replay scratch, which the retransmission's
 // recovery fills, stays with the context when it is handed back.
@@ -257,7 +257,7 @@ func TestConnLossyLifecycleAllocs(t *testing.T) {
 	}
 	w := lossyLifecycleWorld()
 	l := newLifecycle(t, w, false)
-	const want = 25 // the sum of the sites listed above
+	const want = 24 // the sum of the sites listed above
 	perConn, bytes := l.allocsPerConn(2)
 	if w.srvStack.Stats.OutOfOrderIn == 0 {
 		t.Fatal("no segment arrived out of order: the loss does not reach the receive side")
@@ -274,8 +274,8 @@ func TestClosedConnHandsArraysBack(t *testing.T) {
 	r := runTransfer(t, cleanLink(), payload(3*MaxPlaintext, 7), true, true, false, 20*time.Millisecond)
 	// Only an assembler puts byte buffers there: the server Conn's kept
 	// bytes, which gathered each record as its segments arrived.
-	if b := r.srvConn.Socket().Spares().Bytes(); cap(b) < MaxPlaintext {
-		t.Errorf("the stack's spares hold a %d-byte buffer after the Conn closed, want its record buffer", cap(b))
+	if r.srvConn.Socket().Spares().Bytes(MaxPlaintext) == nil {
+		t.Error("the stack's spares hold no record-sized buffer after the Conn closed, want its record buffer")
 	}
 	if r.srvConn.asm.Buffered() != 0 {
 		t.Errorf("%d bytes still buffered", r.srvConn.asm.Buffered())
@@ -332,8 +332,8 @@ func TestFailedConnHandsArraysBack(t *testing.T) {
 				t.Errorf("the Conn still holds a %d-byte record buffer and %d buffered bytes", cap(srv.rxRec), srv.asm.Buffered())
 			}
 			sp := srv.Socket().Spares()
-			if b := sp.Bytes(); cap(b) < tc.minBuffer {
-				t.Errorf("the stack's spares hold a %d-byte buffer, want the Conn's of at least %d", cap(b), tc.minBuffer)
+			if sp.Bytes(tc.minBuffer) == nil {
+				t.Errorf("the stack's spares hold no buffer of at least %d bytes, want the Conn's", tc.minBuffer)
 			}
 		})
 	}
@@ -433,26 +433,35 @@ func TestRecycledContextsReinitialised(t *testing.T) {
 // heap is within churnHeapSlack of what it was after two: everything a
 // closed connection held is gone or back in a bounded spare list. A single
 // object kept per connection — a context, a Socket, a Conn, a retainer's
-// record index — would grow the heap by 4 × 32 of it, 32 KiB or more.
-//
-// The world is the clean one: on the lossy one the stack's spare byte
-// buffers are still filling toward their bound at round 6 (a partial
-// record's buffer regrows a smaller spare the assembler handed back).
+// record index — would grow the heap by 4 × 32 of it, 32 KiB or more. The
+// lossy world holds the same bound: its partial records borrow spare
+// buffers long enough for them (Spares.Bytes), so they neither regrow a
+// short one nor leave the assemblers' to be made anew.
 func TestChurnHeapBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes differ under -race")
 	}
 	const churnHeapSlack = 24 << 10
-	l := newLifecycle(t, newWorldNIC(cleanLink(), nic.Config{CtxCacheFlows: lifecycleCacheFlows}), false)
-	var heap [7]uint64
-	for r := 1; r <= 6; r++ {
-		l.round()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		heap[r] = ms.HeapAlloc
-	}
-	if grown := int64(heap[6]) - int64(heap[2]); grown > churnHeapSlack {
-		t.Errorf("the live heap grew %d bytes from round 2 to round 6 (%v), want at most %d", grown, heap[1:], churnHeapSlack)
+	for _, tc := range []struct {
+		name  string
+		world func() *world
+	}{
+		{"clean", func() *world { return newWorldNIC(cleanLink(), nic.Config{CtxCacheFlows: lifecycleCacheFlows}) }},
+		{"lossy", lossyLifecycleWorld},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := newLifecycle(t, tc.world(), false)
+			var heap [7]uint64
+			for r := 1; r <= 6; r++ {
+				l.round()
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				heap[r] = ms.HeapAlloc
+			}
+			if grown := int64(heap[6]) - int64(heap[2]); grown > churnHeapSlack {
+				t.Errorf("the live heap grew %d bytes from round 2 to round 6 (%v), want at most %d", grown, heap[1:], churnHeapSlack)
+			}
+		})
 	}
 }

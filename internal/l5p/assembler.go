@@ -84,7 +84,7 @@ func (a *Assembler) Push(ch tcpip.Chunk) {
 	}
 	n := len(a.q)
 	if cap(a.q) == 0 && a.Spares != nil {
-		a.q, a.msg, a.buf = a.Spares.Chunks(), a.Spares.Chunks(), a.Spares.Bytes()
+		a.q, a.msg, a.buf = a.Spares.Chunks(), a.Spares.Chunks(), a.Spares.Bytes(0)
 	}
 	a.q = slices.Grow(a.q, 1)[:n+1] // grows to the working depth once
 	a.q[n] = ch

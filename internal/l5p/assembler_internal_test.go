@@ -54,7 +54,7 @@ func TestAssemblerReleaseHandsArraysBack(t *testing.T) {
 			unsafe.Pointer(unsafe.SliceData(a.msg[:1])), unsafe.Pointer(unsafe.SliceData(a.buf[:1]))}
 	}
 	back := func(want [3]unsafe.Pointer) bool {
-		q, msg, buf := sp.Chunks(), sp.Chunks(), sp.Bytes()
+		q, msg, buf := sp.Chunks(), sp.Chunks(), sp.Bytes(0)
 		got := map[unsafe.Pointer]bool{unsafe.Pointer(unsafe.SliceData(q[:1])): true,
 			unsafe.Pointer(unsafe.SliceData(msg[:1])): true}
 		defer func() { sp.PutChunks(q); sp.PutChunks(msg); sp.PutBytes(buf) }()

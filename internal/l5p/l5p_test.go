@@ -378,7 +378,7 @@ func FuzzAssembler(f *testing.F) {
 			}
 			if a.Buffered() == 0 && len(cuts) > 0 && cuts[i%len(cuts)]&1 == 1 {
 				a.Release()
-				b := spares.Bytes()
+				b := spares.Bytes(0)
 				b = b[:cap(b)]
 				for j := range b {
 					b[j] = 0xDB

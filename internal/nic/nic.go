@@ -57,6 +57,10 @@ const (
 	// per queue (the NAPI budget, NAPI_POLL_WEIGHT); remaining frames are
 	// handled by a re-scheduled poll.
 	rxPollBudget = 64
+	// ringDepth is the descriptor count of the device's receive ring and of
+	// its transmit ring. A frame that arrives to a full receive ring is
+	// dropped; a post to a full transmit ring rings the doorbell first.
+	ringDepth = 4096
 	// ctxBytes is the size of one flow context (208 B in the paper).
 	ctxBytes = 208
 )
@@ -75,7 +79,7 @@ type Stats struct {
 
 	// Chaos and degradation counters.
 	RxRingStalls     uint64 // injected receive-ring stall episodes
-	RxRingStallDrops uint64 // frames those stalls swallowed
+	RxRingStallDrops uint64 // frames the receive ring swallowed: injected stalls or a full ring
 	CtxInvalidations uint64 // injected whole-cache context invalidations
 
 	// The receive-engine degradation and FSM-transition counters
@@ -97,7 +101,7 @@ type Stats struct {
 	TxDoorbellPackets uint64 // packets those doorbells flushed
 }
 
-// rxSlot parks one arrived frame on the receive backlog, tagged with its
+// rxSlot parks one arrived frame on the receive ring, tagged with its
 // steered queue, until the next poll event completes it.
 type rxSlot struct {
 	q     *Queue
@@ -162,19 +166,21 @@ type NIC struct {
 
 	queues []*Queue
 
-	// The batched hot path's descriptor backlogs, in arrival/post order.
-	// DeliverFrame/Transmit only enqueue; the poll and doorbell events
-	// drain. Completion runs in this global order — not queue order — so
-	// the traffic a run produces is independent of the queue count (the
-	// churn invariant). rxDefer and txSpare are the drained sides of the
-	// double buffers: each event swaps them in before its drain loop, so
-	// over-budget leftovers and anything posted mid-drain land in the next
-	// batch. pollCounts is reusable per-queue scratch.
-	rxBacklog  []rxSlot
-	rxDefer    []rxSlot
-	txBacklog  []txSlot
-	txSpare    []txSlot
-	pollCounts []int
+	// The batched hot path's descriptor rings, in arrival/post order, each
+	// ringDepth slots allocated in New. DeliverFrame/Transmit only post;
+	// the poll and doorbell events drain. Completion runs in this global
+	// order — not queue order — so the traffic a run produces is
+	// independent of the queue count (the churn invariant). A drain takes
+	// the slots the ring holds when it starts; anything posted meanwhile
+	// lands after them and stays for the next batch (settle).
+	// txDraining marks a doorbell in progress. rxCounts and txCounts are
+	// per-queue scratch, one each, because a full transmit ring rings its
+	// doorbell from inside a receive poll.
+	rxRing     []rxSlot
+	txRing     []txSlot
+	txDraining bool
+	rxCounts   []int
+	txCounts   []int
 
 	// One poll and one doorbell event device-wide: enqueues coalesce onto
 	// a pending one, the way interrupt mitigation coalesces completions in
@@ -224,7 +230,10 @@ func New(stack *tcpip.Stack, send func(frame wire.Frame), cfg Config) *NIC {
 	if cfg.CtxCacheFlows > 0 {
 		n.cache.init(cfg.CtxCacheFlows)
 	}
-	n.pollCounts = make([]int, cfg.Queues)
+	n.rxRing = make([]rxSlot, 0, ringDepth)
+	n.txRing = make([]txSlot, 0, ringDepth)
+	n.rxCounts = make([]int, cfg.Queues)
+	n.txCounts = make([]int, cfg.Queues)
 	n.rxPollTimer = n.sim.NewTimer(n.rxPoll)
 	n.txDoorbellTimer = n.sim.NewTimer(n.txDoorbell)
 	for i := 0; i < cfg.Queues; i++ {
@@ -348,23 +357,57 @@ func (n *NIC) DetachRx(flow wire.FlowID) {
 	n.cache.drop(cacheKey{flow: flow, rx: true})
 }
 
+// post writes s into the free slot after ring's last one and reports
+// whether there was one: a ring never grows past the capacity New gave it.
+//
+//simlint:hotpath
+func post[T rxSlot | txSlot](ring *[]T, s T) bool {
+	i := len(*ring)
+	if i == cap(*ring) {
+		return false
+	}
+	*ring = (*ring)[:i+1]
+	(*ring)[i] = s
+	return true
+}
+
+// settle ends a drain of ring's first drained slots, of which the drain
+// moved the ones it keeps to the first kept: the slots posted during the
+// drain follow those, and every other slot is cleared, so the ring holds
+// no frame it has let go of.
+//
+//simlint:hotpath
+func settle[T rxSlot | txSlot](ring *[]T, drained, kept int) {
+	r := *ring
+	n := kept + copy(r[kept:], r[drained:])
+	clear(r[n:])
+	*ring = r[:n]
+}
+
 // Transmit implements tcpip.NetDevice: the driver posts the packet on the
 // flow's queue ring and rings (or coalesces onto) the doorbell. The whole
 // frame is written into pooled frame memory now — the payload copied, the
 // headers and the IPv4 checksum serialized — because the device keeps
 // nothing of pkt past this call; the doorbell event runs the engines, the
-// TCP checksum and everything else in a batch.
+// TCP checksum and everything else in a batch. A full ring rings the
+// doorbell at once, as a driver does, so no packet is lost.
 //
 //simlint:hotpath
 func (n *NIC) Transmit(pkt *wire.Packet) {
+	if len(n.txRing) == cap(n.txRing) {
+		if n.txDraining {
+			// Only a send that posts synchronously can get here, and the
+			// ring it would flush is the one being drained.
+			panic("nic: transmit ring full inside its own doorbell")
+		}
+		n.txDoorbell()
+	}
 	q := n.QueueFor(pkt.Flow)
 	frame := n.pool.Get(pkt.WireLen())
 	off := pkt.PayloadOffset()
 	copy(frame[off:], pkt.Payload)
 	pkt.PutHeaders(frame)
-	//lint:ignore hotalloc txBacklog and txSpare are retained across doorbells, so each backing array regrows to the high-water batch size once and is reused thereafter
-	n.txBacklog = append(n.txBacklog, txSlot{q: q, frame: frame, flow: pkt.Flow,
-		seq: pkt.Seq, payOff: off})
+	post(&n.txRing, txSlot{q: q, frame: frame, flow: pkt.Flow, seq: pkt.Seq, payOff: off})
 	if !n.txDoorbellTimer.Pending() {
 		n.txDoorbellTimer.Reset(0)
 	}
@@ -376,20 +419,17 @@ func (n *NIC) Transmit(pkt *wire.Packet) {
 // telemetry), then the completion pass (TCP checksum over the payload as
 // the engines left it, charges, traces, wire) — so the frames a run emits
 // are independent of the queue count (DESIGN.md invariant 13). A Transmit
-// from inside send posts to the swapped-in spare and rings its own
-// doorbell.
+// from inside send posts after the batch and rings its own doorbell.
 //
 //simlint:hotpath
 func (n *NIC) txDoorbell() {
 	m := n.model
 	lg := n.ledger
 	lcOn := n.lc.enabled
-	batch := n.txBacklog
-	n.txBacklog, n.txSpare = n.txSpare[:0], batch[:0]
-	counts := n.pollCounts
-	for i := range counts {
-		counts[i] = 0
-	}
+	batch := n.txRing
+	n.txDraining = true
+	counts := n.txCounts
+	clear(counts)
 	for i := range batch {
 		s := &batch[i]
 		q := s.q
@@ -436,8 +476,7 @@ func (n *NIC) txDoorbell() {
 		}
 	}
 	for i := range batch {
-		s := batch[i]
-		batch[i] = txSlot{}
+		s := &batch[i]
 		s.frame.PutTCPChecksum()
 		q := s.q
 		q.Stats.TxBytes += uint64(len(s.frame))
@@ -452,6 +491,8 @@ func (n *NIC) txDoorbell() {
 		}
 		n.send(s.frame)
 	}
+	settle(&n.txRing, len(batch), 0)
+	n.txDraining = false
 }
 
 // DeliverFrame implements netsim.Endpoint: hardware steers the frame to a
@@ -479,55 +520,42 @@ func (n *NIC) DeliverFrame(frame wire.Frame) {
 		n.pool.Put(frame) // receive ring stalled: frame lost, TCP retransmits
 		return
 	}
-	//lint:ignore hotalloc rxBacklog is retained across polls (double-buffered with rxDefer), so regrowth amortizes to the high-water arrival burst
-	n.rxBacklog = append(n.rxBacklog, rxSlot{q: q, frame: frame})
+	if !post(&n.rxRing, rxSlot{q: q, frame: frame}) {
+		q.Stats.RxRingStallDrops++
+		n.pool.Put(frame) // receive ring full: frame lost, TCP retransmits
+		return
+	}
 	if !n.rxPollTimer.Pending() {
 		n.rxPollTimer.Reset(n.cfg.RxPollDelay)
 	}
 }
 
 // rxPoll is the NAPI-style completion handler: one event drains up to
-// rxPollBudget frames per queue from the arrival-order backlog, and every
-// effect (parse + checksum verification, stats, ledger, cache, engines,
-// tracer, stack delivery, frame recycling) runs in arrival order, which
-// keeps traces and metrics independent of the queue count (DESIGN.md
+// rxPollBudget frames per queue from the arrival-order receive ring, and
+// every effect (parse + checksum verification, stats, ledger, cache,
+// engines, tracer, stack delivery, frame recycling) runs in arrival order,
+// which keeps traces and metrics independent of the queue count (DESIGN.md
 // invariant 13). Over-budget leftovers re-schedule the poll at the same
 // timestamp.
 //
 //simlint:hotpath
 func (n *NIC) rxPoll() {
-	// Swap the double buffers first, so the next poll's backlog collects,
-	// in order, this poll's over-budget leftovers and then whatever a
-	// DeliverFrame from inside stack delivery posts mid-drain.
-	batch := n.rxBacklog
-	n.rxBacklog, n.rxDefer = n.rxDefer[:0], batch[:0]
-	// Compact the batch in arrival order, capped per queue by the budget:
-	// a queue that exhausts its budget parks its later frames for the next
-	// poll without holding up other queues' arrivals.
-	counts := n.pollCounts
-	for i := range counts {
-		counts[i] = 0
-	}
-	w := 0
+	// The batch is the ring as the poll finds it. Each queue completes up
+	// to the budget of its frames: a queue that exhausts it keeps its later
+	// frames for the next poll without holding up other queues' arrivals.
+	// Those leftovers move to the ring's front, and whatever a DeliverFrame
+	// from inside stack delivery posts after the batch follows them.
+	batch := n.rxRing
+	counts := n.rxCounts
+	clear(counts)
 	for i := range batch {
-		s := batch[i]
-		if counts[s.q.id] < rxPollBudget {
-			counts[s.q.id]++
-			batch[w] = s
-			w++
-		} else {
-			//lint:ignore hotalloc the leftovers reuse rxDefer's retained backing array; regrowth amortizes to the worst over-budget burst
-			n.rxBacklog = append(n.rxBacklog, s)
-		}
+		counts[batch[i].q.id]++
 	}
-	for i := w; i < len(batch); i++ {
-		batch[i] = rxSlot{}
-	}
-	batch = batch[:w]
 	for qi, c := range counts {
 		if c == 0 {
 			continue
 		}
+		c = min(c, rxPollBudget)
 		q := n.queues[qi]
 		q.Stats.RxPolls++
 		q.Stats.RxPolledFrames += uint64(c)
@@ -535,15 +563,23 @@ func (n *NIC) rxPoll() {
 			n.lc.queues[qi].rxBatch.Record(int64(c))
 		}
 	}
+	clear(counts)
+	kept := 0
 	for i := range batch {
 		s := batch[i]
-		batch[i] = rxSlot{}
+		if counts[s.q.id] == rxPollBudget {
+			batch[kept] = s
+			kept++
+			continue
+		}
+		counts[s.q.id]++
 		n.rxComplete(s.q, s.frame)
 		// The stack copied what it keeps (its "DMA" into socket buffer
 		// memory), so the frame recycles immediately.
 		n.pool.Put(s.frame)
 	}
-	if len(n.rxBacklog) > 0 && !n.rxPollTimer.Pending() {
+	settle(&n.rxRing, len(batch), kept)
+	if len(n.rxRing) > 0 && !n.rxPollTimer.Pending() {
 		n.rxPollTimer.Reset(0)
 	}
 }

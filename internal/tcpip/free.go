@@ -9,20 +9,41 @@ type freeList[T any] struct {
 	held int // elements, at full capacity, in arrs
 }
 
-// get returns a held array at least n long, at its full capacity, or nil.
-// Its contents are stale.
+// get returns the last array put that is at least n long, at its full
+// capacity, or nil. Its contents are stale.
 func (f *freeList[T]) get(n int) []T {
-	last := len(f.arrs) - 1
-	for i := last; i >= 0; i-- {
-		if b := f.arrs[i]; len(b) >= n {
-			f.arrs[i] = f.arrs[last]
-			f.arrs[last] = nil
-			f.arrs = f.arrs[:last]
-			f.held -= len(b)
-			return b
+	for i := len(f.arrs) - 1; i >= 0; i-- {
+		if len(f.arrs[i]) >= n {
+			return f.take(i)
 		}
 	}
 	return nil
+}
+
+// fit is get for the smallest array at least n long, so that a request
+// that any array serves leaves the long ones to those that need them.
+func (f *freeList[T]) fit(n int) []T {
+	best := -1
+	for i, b := range f.arrs {
+		if len(b) >= n && (best < 0 || len(b) < len(f.arrs[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	return f.take(best)
+}
+
+// take removes and returns arrs[i].
+func (f *freeList[T]) take(i int) []T {
+	last := len(f.arrs) - 1
+	b := f.arrs[i]
+	f.arrs[i] = f.arrs[last]
+	f.arrs[last] = nil
+	f.arrs = f.arrs[:last]
+	f.held -= len(b)
+	return b
 }
 
 // put offers an array nothing references any more; it is dropped when
@@ -74,8 +95,9 @@ func (sp *Spares) PutChunks(q []Chunk) {
 	sp.chunks.put(q, sparesChunkMax)
 }
 
-// Bytes returns an empty byte buffer over a recycled array, or nil.
-func (sp *Spares) Bytes() []byte { return sp.bytes.get(0)[:0] }
+// Bytes returns an empty byte buffer over the shortest recycled array at
+// least n long, or nil when none is held.
+func (sp *Spares) Bytes(n int) []byte { return sp.bytes.fit(n)[:0] }
 
 // PutBytes takes back a byte buffer nothing reads any more.
 func (sp *Spares) PutBytes(b []byte) { sp.bytes.put(b, sparesByteMax) }

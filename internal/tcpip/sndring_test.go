@@ -361,3 +361,21 @@ func TestSndAppendNoAlloc(t *testing.T) {
 		t.Errorf("the ring grew to %d bytes holding at most 4000", len(s.snd))
 	}
 }
+
+// TestSparesBytesFit: a byte buffer comes from the shortest spare array
+// long enough for the caller, so a request any array serves (an
+// assembler's, n = 0) leaves the long ones to the requests that need them
+// (a partial record's buffer), and a need no spare meets gets nil.
+func TestSparesBytesFit(t *testing.T) {
+	var sp Spares
+	for _, n := range []int{9 << 10, 4 << 10, 16 << 10, 4 << 10} {
+		sp.PutBytes(make([]byte, n))
+	}
+	for _, tc := range []struct{ need, wantCap int }{
+		{0, 4 << 10}, {5 << 10, 9 << 10}, {0, 4 << 10}, {20 << 10, 0}, {1, 16 << 10}, {0, 0},
+	} {
+		if b := sp.Bytes(tc.need); cap(b) != tc.wantCap || len(b) != 0 {
+			t.Errorf("Bytes(%d) = len %d cap %d, want an empty buffer of cap %d", tc.need, len(b), cap(b), tc.wantCap)
+		}
+	}
+}
