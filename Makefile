@@ -100,8 +100,8 @@ golden-check:
 # chunk queue or walking a message's byte ranges, or retaining a sent
 # message, dropping an acknowledged one and reading one back, nor the NVMe-TCP target serving
 # a read — command, device request, response capsule, digest offloaded or
-# not; starting a GCM record allocates nothing, and opening one makes only
-# the stdlib's CTR, at its first Update — nor a SACK-bearing ACK (built in the stack's arrays), nor a socket
+# not; starting a GCM record, resuming one after a Skip and checking its
+# tag allocate nothing in either direction — nor a SACK-bearing ACK (built in the stack's arrays), nor a socket
 # handing a received segment to a reader that consumes it in OnReadable,
 # nor the stack building a segment or ACK (one reused packet), nor software
 # TLS opening a record in place, nor a whole two-machine plain-TCP world

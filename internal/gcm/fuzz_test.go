@@ -2,6 +2,7 @@ package gcm
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -30,14 +31,48 @@ func pieceLen(b byte) int {
 // sentinel fills the spare capacity FuzzStreamVsAEAD hands a Stream.
 const sentinel = 0xA5
 
+// pieceDst returns the dst a schedule op hands a Stream for the input in:
+// with TagSize bytes of spare capacity holding sentinels (op bit 3) or
+// none, and for an in-place call (bit 2) holding a copy of in, in which
+// case src is dst.
+func pieceDst(op byte, in []byte) (dst, src, spare []byte) {
+	n := len(in)
+	if op&8 != 0 {
+		dst = make([]byte, n, n+TagSize)
+	} else {
+		dst = make([]byte, n)
+	}
+	spare = dst[n:cap(dst)]
+	for i := range spare {
+		spare[i] = sentinel
+	}
+	src = in
+	if op&4 != 0 {
+		copy(dst, in)
+		src = dst
+	}
+	return dst, src, spare
+}
+
+// checkSpare fails unless the call left dst's spare capacity as handed over.
+func checkSpare(t *testing.T, spare []byte, what string) {
+	t.Helper()
+	for i, b := range spare {
+		if b != sentinel {
+			t.Fatalf("%s: spare capacity byte %d is %#x after the call", what, i, b)
+		}
+	}
+}
+
 // FuzzStreamVsAEAD is the differential test against crypto/cipher's GCM.
 // sched is a list of (op, size) byte pairs cutting one message into pieces;
 // each piece goes through Update or Transform, in place or not, in either
 // direction, into a dst with or without spare capacity, and every output
 // byte and the tag must equal the one-shot AEAD's, the spare capacity come
-// back as it was handed over. Then the same pieces are decrypted again
-// after a Skip to a fuzzer-chosen offset, where only the plaintext can be
-// compared.
+// back as it was handed over. Then the same pieces go through again, by
+// the same ops, after a Skip to a fuzzer-chosen offset, where only the
+// output can be compared. An odd seed opens, and seed bit 1 picks the
+// direction of the resumed pass.
 func FuzzStreamVsAEAD(f *testing.F) {
 	f.Add(int64(1), []byte{0, 3, 1, 3, 2, 3, 3, 3})
 	f.Add(int64(2), []byte{0, 0, 1, 6, 2, 2, 3, 11, 0, 4, 1, 9})
@@ -49,9 +84,15 @@ func FuzzStreamVsAEAD(f *testing.F) {
 	// across the partial block, a record, a multi-block piece in place
 	// through Transform.
 	f.Add(int64(10), []byte{8, 3, 8, 1, 12, 3, 8, 5, 14, 4})
-	// A Seal stream handed ciphertext mid-block, which switches it to a
-	// CTR, then plaintext again.
+	// A Seal stream handed ciphertext mid-block, then plaintext again.
 	f.Add(int64(8), []byte{8, 1, 11, 3, 8, 4, 12, 3})
+	// An Open stream opening frames with and without spare capacity, in
+	// place and not: an MSS, one byte, a record, an odd multi-block run;
+	// then an opening resume from mid-record.
+	f.Add(int64(11), []byte{8, 3, 12, 1, 12, 5, 0, 3, 4, 4, 8, 2})
+	// An Open stream handed plaintext to re-encrypt (the partial
+	// fallback's mixed pass) with spare capacity, then a sealing resume.
+	f.Add(int64(9), []byte{12, 3, 10, 4, 11, 3, 14, 5, 8, 1})
 	f.Fuzz(func(t *testing.T, seed int64, sched []byte) {
 		if len(sched) > 48 {
 			sched = sched[:48]
@@ -94,20 +135,7 @@ func FuzzStreamVsAEAD(f *testing.F) {
 			if ctIn {
 				in, want = want, in
 			}
-			spare := 0
-			if op&8 != 0 {
-				spare = TagSize
-			}
-			dst := make([]byte, n, n+spare)
-			tail := dst[n : n+spare]
-			for i := range tail {
-				tail[i] = sentinel
-			}
-			src := in
-			if op&4 != 0 {
-				copy(dst, in)
-				src = dst
-			}
+			dst, src, spare := pieceDst(op, in)
 			if op&2 == 0 {
 				s.Update(dst, src)
 			} else {
@@ -116,11 +144,7 @@ func FuzzStreamVsAEAD(f *testing.F) {
 			if !bytes.Equal(dst, want) {
 				t.Fatalf("piece at %d+%d (op %#x): output differs from AEAD", off, n, op)
 			}
-			for i, b := range tail {
-				if b != sentinel {
-					t.Fatalf("piece at %d+%d (op %#x): spare capacity byte %d is %#x after the call", off, n, op, i, b)
-				}
-			}
+			checkSpare(t, spare, fmt.Sprintf("piece at %d+%d (op %#x)", off, n, op))
 			off += n
 		}
 		if got := s.Tag(); !bytes.Equal(got[:], tag) {
@@ -128,12 +152,12 @@ func FuzzStreamVsAEAD(f *testing.F) {
 		}
 
 		// Mid-record resume: skip to an arbitrary offset, in two steps,
-		// then decrypt the rest along the same piece boundaries.
+		// then run the rest along the same piece boundaries.
 		skip := 0
 		if total > 0 {
 			skip = rng.Intn(total + 1)
 		}
-		c.InitStream(&s, Open, nonce, aad)
+		c.InitStream(&s, Direction(seed>>1&1), nonce, aad)
 		first := rng.Intn(skip + 1)
 		s.Skip(first)
 		s.Skip(skip - first)
@@ -145,11 +169,17 @@ func FuzzStreamVsAEAD(f *testing.F) {
 			if lo >= off {
 				continue
 			}
-			got := make([]byte, off-lo)
-			s.Update(got, ct[lo:off])
-			if !bytes.Equal(got, pt[lo:off]) {
-				t.Fatalf("after Skip(%d): bytes [%d,%d) differ", skip, lo, off)
+			op := sched[i-1]
+			in, want := pt[lo:off], ct[lo:off]
+			if s.dir == Open {
+				in, want = want, in
 			}
+			dst, src, spare := pieceDst(op, in)
+			s.Update(dst, src)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("after Skip(%d): bytes [%d,%d) (op %#x) differ", skip, lo, off, op)
+			}
+			checkSpare(t, spare, fmt.Sprintf("after Skip(%d): bytes [%d,%d) (op %#x)", skip, lo, off, op))
 		}
 		if s.Processed() != uint64(total) {
 			t.Fatalf("Processed() = %d, want %d", s.Processed(), total)

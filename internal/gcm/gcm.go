@@ -13,13 +13,14 @@
 // the modeled engine state is what a Stream carries between packets — the
 // counter position (nonce + byte offset) and the GHASH accumulator with
 // its partial block. Producing the bytes is host overhead, so it runs on
-// the standard library's hardware paths. Sealing runs each call's whole
-// blocks through one fused stdlib Seal started at an arbitrary counter
+// the standard library's hardware paths. Both directions XOR each call's
+// whole blocks with one fused stdlib Seal started at an arbitrary counter
 // block, by a nonce derived so that the AEAD's own J0 is that block (see
-// Stream); opening runs the stdlib's AES-CTR seeked to an explicit counter
-// and its AEAD's carry-less multiply for GHASH, read back out of an
-// AAD-only Seal (see Cipher). The package tests and FuzzStreamVsAEAD
-// verify byte-for-byte equality with crypto/cipher's GCM.
+// Stream); opening first absorbs its ciphertext with the AEAD's carry-less
+// multiply, read back out of an AAD-only Seal (see Cipher), and discards
+// the fused Seal's tag. No stdlib CTR is kept anywhere. The package tests
+// and FuzzStreamVsAEAD verify byte-for-byte equality with crypto/cipher's
+// GCM.
 package gcm
 
 import (
@@ -77,8 +78,7 @@ const (
 
 	// maxDataLen is GCM's own limit of 2³²−2 blocks per message (NIST SP
 	// 800-38D §5.2.1.1): past it the 32-bit block counter would wrap onto
-	// J0. The stdlib CTR would instead carry into the nonce, so transform
-	// refuses to go there.
+	// J0, so transform refuses to go there.
 	maxDataLen = (1<<32 - 2) * blockSize
 
 	// runLen is the most one GHASH Seal absorbs; longer runs are chained
@@ -227,11 +227,12 @@ func (c *Cipher) mulInv(y fieldElement) fieldElement {
 // J0 is GHASH(N ‖ [0]₆₄‖[128]₆₄) = (N·H ⊕ [0]₆₄‖[128]₆₄)·H, so the nonce
 // N = (J0′·H⁻¹ ⊕ [0]₆₄‖[128]₆₄)·H⁻¹ starts its counter at any block J0′ we
 // choose, and mask becomes E(K, J0′). A Cipher with H = 0 has no H⁻¹: its
-// Streams keep a CTR in both directions, and its GHASH is identically 0.
+// Streams take every block a keystream block at a time, and its GHASH is
+// identically 0.
 type Cipher struct {
 	block  cipher.Block
 	aead   cipher.AEAD
-	sealer cipher.AEAD // 16-byte nonces: the fused Seal of a Seal Stream
+	sealer cipher.AEAD // 16-byte nonces: the fused Seal of every Stream
 	mask   fieldElement
 	zeroH  bool     // H = 0 (probability 2⁻¹²⁸): GHASH ≡ 0, and H has no inverse
 	hInv   mulTable // multiplies by H⁻¹
@@ -268,14 +269,15 @@ func New(key []byte) (*Cipher, error) {
 func (c *Cipher) AEAD() cipher.AEAD { return c.aead }
 
 // scratch is one GHASH run plus room for the tag, or a fused Seal's
-// keystream block, nonce, AAD and the bytes its tag overwrites. It is
-// pooled rather than held by each Stream (growing every flow context) or
-// each Cipher (a lock every world sharing the key would contend on), so
-// Cipher stays immutable; and what an interface method is handed must not
-// live on the stack, or it would escape to the heap at every call.
+// keystream block, nonce, AAD and the bytes its tag overwrites; one call
+// uses it for both in turn. It is pooled rather than held by each Stream
+// (growing every flow context) or each Cipher (a lock every world sharing
+// the key would contend on), so Cipher stays immutable; and what an
+// interface method is handed must not live on the stack, or it would
+// escape to the heap at every call.
 type scratch [runLen + TagSize]byte
 
-// Regions of a scratch during a fused Seal (Stream.seal).
+// Regions of a scratch during a fused Seal (Stream.run).
 const (
 	scKey   = 0            // keystream block E(K, counter)
 	scNonce = scKey + 16   // the derived nonce N
@@ -288,14 +290,14 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // ghash folds the whole blocks of head‖data into the accumulator, y =
 // (y ⊕ block)·H for each, by the identity in Cipher's comment, runLen bytes
-// per Seal. len(head) ≤ 16 and len(head)+len(data) is a multiple of 16.
+// per Seal in sc. len(head) ≤ 16 and len(head)+len(data) is a multiple of
+// 16.
 //
 //simlint:hotpath
-func (c *Cipher) ghash(y fieldElement, head, data []byte) fieldElement {
+func (c *Cipher) ghash(sc *scratch, y fieldElement, head, data []byte) fieldElement {
 	if c.zeroH {
 		return fieldElement{}
 	}
-	sc := scratchPool.Get().(*scratch)
 	for len(head)+len(data) > 0 {
 		n := copy(sc[:], head)
 		m := copy(sc[n:runLen], data)
@@ -306,7 +308,6 @@ func (c *Cipher) ghash(y fieldElement, head, data []byte) fieldElement {
 		y = c.mulInv(gcmAdd(load(tag), c.mask))
 		y.low ^= uint64(n) * 8
 	}
-	scratchPool.Put(sc)
 	return y
 }
 
@@ -326,30 +327,29 @@ const (
 // each record, and advances it packet by packet. A Stream must not be
 // copied once initialised — the copy would share the keystream position.
 //
-// A Seal stream keeps no keystream object: its counter position is
-// dataLen. Each Update sends its whole blocks through one in-place Seal of
-// the Cipher's 16-byte-nonce AEAD, whose nonce makes the AEAD's J0 the
-// counter block J0′ = nonce‖(1+m) of the block before the run's first
-// block m (see Cipher), so its keystream starts at block m. Its AAD is A =
-// y·H⁻¹, which the AEAD's GHASH steps to y, followed by the block the
-// call's head completed, X, which steps y to (y ⊕ X)·H; its tag then gives
-// y′ = (tag ⊕ E(K, J0′))·H⁻¹ ⊕ L, L the length block of that AAD and run.
-// The ≤ 15-byte head and tail take single block.Encrypt keystream blocks.
-// An Open stream keeps one stdlib CTR per record, because the one-pass
-// stdlib Open checks the tag before it releases plaintext and a packet
-// does not carry the tag. So does a Seal stream from the first call that
-// hands it ciphertext, and from a Skip on.
+// A Stream keeps no keystream object: its counter position is dataLen.
+// Each call XORs its whole blocks in one in-place Seal of the Cipher's
+// 16-byte-nonce AEAD, whose nonce makes the AEAD's J0 the counter block J0′
+// = nonce‖(1+m) of the block before the run's first block m (see Cipher),
+// so its keystream starts at block m. The ≤ 15-byte head and tail take
+// single block.Encrypt keystream blocks. When the call outputs ciphertext
+// (Seal), the same Seal absorbs it: its AAD is A = y·H⁻¹, which the AEAD's
+// GHASH steps to y, followed by the block the call's head completed, X,
+// which steps y to (y ⊕ X)·H; its tag then gives y′ = (tag ⊕ E(K, J0′))·H⁻¹
+// ⊕ L, L the length block of that AAD and run. When it is handed ciphertext
+// (Open), ghash absorbs the input first and the Seal's tag is discarded:
+// the one-pass stdlib Open checks the tag before it releases plaintext,
+// and a packet does not carry the tag. Under a Cipher with H = 0, which
+// has no H⁻¹ to derive a nonce with, every block takes a keystream block
+// of its own.
 type Stream struct {
 	c   *Cipher
 	dir Direction
 
-	// CTR state: the stdlib AES-CTR of an Open stream, made by its first
-	// call and positioned at byte dataLen of the message (nil before then
-	// and in a Seal stream). ctr is the nonce and the counter block last
-	// seeked to or encrypted (J0 with the block offset added); it lives
-	// here so that the slice handed to cipher.NewCTR or Block.Encrypt does
-	// not escape as an allocation of its own.
-	ks  cipher.Stream
+	// ctr is the nonce and the counter block last encrypted or started
+	// from (J0 with the block offset added); it lives here so that the
+	// slice handed to Block.Encrypt does not escape as an allocation of
+	// its own.
 	ctr [blockSize]byte
 
 	// GHASH state.
@@ -372,9 +372,7 @@ func (c *Cipher) NewStream(dir Direction, nonce, aad []byte) *Stream {
 }
 
 // InitStream is NewStream into caller-owned memory: it overwrites *s with
-// the start-of-message state. It allocates nothing: an Open stream makes
-// its stdlib CTR object at its first Update, so one that Skips first makes
-// it once, at the skipped offset.
+// the start-of-message state. It allocates nothing.
 func (c *Cipher) InitStream(s *Stream, dir Direction, nonce, aad []byte) {
 	if len(nonce) != NonceSize {
 		panic(fmt.Sprintf("gcm: nonce length %d, want %d", len(nonce), NonceSize))
@@ -383,27 +381,10 @@ func (c *Cipher) InitStream(s *Stream, dir Direction, nonce, aad []byte) {
 	copy(s.ctr[:], nonce)
 	s.ctr[blockSize-1] = 1 // J0
 	c.block.Encrypt(s.tagMask[:], s.ctr[:])
-	if dir == Seal && c.zeroH {
-		s.seek()
-	}
-	s.ghashUpdate(aad)
-	s.ghashFlushPad(nil)
-}
-
-// seek positions the keystream at byte dataLen of the message: a CTR over
-// counter block J0+1+⌊dataLen/16⌋ with dataLen%16 bytes discarded.
-func (s *Stream) seek() {
-	binary.BigEndian.PutUint32(s.ctr[12:], uint32(2+s.dataLen/blockSize))
-	s.ks = cipher.NewCTR(s.c.block, s.ctr[:])
-	if rem := s.dataLen % blockSize; rem > 0 {
-		// NewCTR has copied the counter block, so it takes the discard;
-		// the nonce in it is put back. (The GHASH partial block cannot: a
-		// Seal stream switching to the CTR mid-block is still
-		// authenticating.)
-		ctr := s.ctr
-		s.ks.XORKeyStream(s.ctr[:rem], s.ctr[:rem])
-		s.ctr = ctr
-	}
+	sc := scratchPool.Get().(*scratch)
+	s.ghashUpdate(sc, aad)
+	s.ghashFlushPad(sc, nil)
+	scratchPool.Put(sc)
 }
 
 // keyBlock writes the keystream block E(K, nonce‖ctr) to ks.
@@ -416,26 +397,26 @@ func (s *Stream) keyBlock(ks []byte, ctr uint32) {
 // of data after it go through one ghash call, and the tail stays pending.
 //
 //simlint:hotpath
-func (s *Stream) ghashUpdate(data []byte) {
+func (s *Stream) ghashUpdate(sc *scratch, data []byte) {
 	if s.bufLen+len(data) < blockSize {
 		s.bufLen += copy(s.buf[s.bufLen:], data)
 		return
 	}
 	whole := (s.bufLen+len(data))&^(blockSize-1) - s.bufLen
-	s.y = s.c.ghash(s.y, s.buf[:s.bufLen], data[:whole])
+	s.y = s.c.ghash(sc, s.y, s.buf[:s.bufLen], data[:whole])
 	s.bufLen = copy(s.buf[:], data[whole:])
 }
 
 // ghashFlushPad zero-pads and absorbs any partial GHASH block, then the
 // whole blocks of next, in one run: InitStream calls it at the AAD/data
 // boundary, Tag with the length block.
-func (s *Stream) ghashFlushPad(next []byte) {
+func (s *Stream) ghashFlushPad(sc *scratch, next []byte) {
 	if s.bufLen > 0 {
 		clear(s.buf[s.bufLen:])
 		s.bufLen = 0
-		s.y = s.c.ghash(s.y, s.buf[:], next)
+		s.y = s.c.ghash(sc, s.y, s.buf[:], next)
 	} else if len(next) > 0 {
-		s.y = s.c.ghash(s.y, nil, next)
+		s.y = s.c.ghash(sc, s.y, nil, next)
 	}
 }
 
@@ -445,12 +426,12 @@ func (s *Stream) ghashFlushPad(next []byte) {
 // called any number of times with arbitrary lengths — this is the per-packet
 // entry point.
 //
-// A Seal stream's fused pass lets the stdlib append its tag to the run, so
-// the tag lands in up to TagSize bytes of dst's spare capacity
-// (dst[len(src):cap(dst)]), which the call saves and restores before it
-// returns: nothing may read them meanwhile. Without that capacity the last
-// whole block takes the per-block path. A transmit body always has those
-// bytes: the record trailer or the frame's slack follows it.
+// The fused pass lets the stdlib append its tag to the run, in either
+// direction, so the tag lands in up to TagSize bytes of dst's spare
+// capacity (dst[len(src):cap(dst)]), which the call saves and restores
+// before it returns: nothing may read them meanwhile. Without that capacity
+// the last whole block takes the per-block path. A packet's body always has
+// those bytes: the record trailer or the frame's slack follows it.
 func (s *Stream) Update(dst, src []byte) {
 	s.transform(dst, src, s.dir == Open)
 }
@@ -461,26 +442,19 @@ func (s *Stream) Update(dst, src []byte) {
 // it). kTLS software uses this for the partial-record fallback of §5.2: a
 // record whose packets are a mix of NIC-decrypted plaintext and raw
 // ciphertext is authenticated in one pass, re-encrypting the NIC-decrypted
-// ranges to recover the ciphertext the GHASH needs. dst's spare capacity is
-// used as in Update; a Seal stream handed ciphertext takes a CTR from then
-// on.
+// ranges to recover the ciphertext the GHASH needs. Each call takes the
+// fused pass of its own side, and dst's spare capacity is used as in
+// Update.
 func (s *Stream) Transform(dst, src []byte, srcIsCiphertext bool) {
 	s.transform(dst, src, srcIsCiphertext)
 }
 
 // Skip advances the keystream over n bytes that this stream will never see,
-// without authenticating them. The NIC uses it to resume mid-message after
+// without authenticating them: the next call's keystream starts from the
+// counter position alone. The NIC uses it to resume mid-message after
 // unoffloaded packets (Fig. 8b); the stream's tag is meaningless afterwards
 // and must not be checked.
-func (s *Stream) Skip(n int) {
-	if n == 0 {
-		return
-	}
-	s.advance(n)
-	if s.ks != nil || s.dir == Seal {
-		s.seek()
-	}
-}
+func (s *Stream) Skip(n int) { s.advance(n) }
 
 // advance moves dataLen forward by n bytes, refusing to pass GCM's limit.
 func (s *Stream) advance(n int) {
@@ -495,36 +469,29 @@ func (s *Stream) transform(dst, src []byte, srcIsCiphertext bool) {
 	if len(dst) < len(src) {
 		panic("gcm: dst shorter than src")
 	}
-	if s.ks == nil && (srcIsCiphertext || s.dir == Open) {
-		// An Open stream's first call makes its CTR; a Seal stream handed
-		// ciphertext keeps one from here on.
-		s.seek()
-	}
 	off := s.dataLen
 	s.advance(len(src))
-	switch {
-	case len(src) == 0:
-	case s.ks == nil:
-		s.seal(dst, src, off)
-	case srcIsCiphertext:
-		// Authenticate ciphertext before transforming (src may alias dst).
-		s.ghashUpdate(src)
-		s.ks.XORKeyStream(dst, src)
-	default:
-		s.ks.XORKeyStream(dst, src)
-		s.ghashUpdate(dst[:len(src)])
+	if len(src) == 0 {
+		return
 	}
+	sc := scratchPool.Get().(*scratch)
+	if srcIsCiphertext {
+		// Authenticate ciphertext before transforming (src may alias dst).
+		s.ghashUpdate(sc, src)
+	}
+	s.xor(sc, dst, src, off, !srcIsCiphertext)
+	scratchPool.Put(sc)
 }
 
-// seal is transform for a Seal stream without a CTR: src starts at byte
-// off of the message. The head finishes the keystream block the last call
-// began, the whole blocks after it go through sealRun, and what is left —
-// the tail, and the last whole block when dst has no spare capacity for
-// the tag — takes a keystream block at a time.
+// xor XORs the keystream from byte off of the message over src into dst,
+// and when seal, absorbs the ciphertext it writes. The head finishes the
+// keystream block the last call began, the whole blocks after it go
+// through run, and what is left — the tail, the last whole block when dst
+// has no spare capacity for the tag, and every block under H = 0 — takes a
+// keystream block at a time.
 //
 //simlint:hotpath
-func (s *Stream) seal(dst, src []byte, off uint64) {
-	sc := scratchPool.Get().(*scratch)
+func (s *Stream) xor(sc *scratch, dst, src []byte, off uint64, seal bool) {
 	ks := sc[scKey : scKey+blockSize]
 	head := 0
 	if r := int(off % blockSize); r > 0 {
@@ -533,14 +500,18 @@ func (s *Stream) seal(dst, src []byte, off uint64) {
 		subtle.XORBytes(dst[:head], src[:head], ks[r:])
 	}
 	whole := (len(src) - head) &^ (blockSize - 1)
-	if cap(dst)-head-whole < TagSize {
+	if s.c.zeroH {
+		whole = 0
+	} else if cap(dst)-head-whole < TagSize {
 		whole = max(whole-blockSize, 0)
 	}
 	absorbed := 0
 	if whole > 0 {
-		s.bufLen += copy(s.buf[s.bufLen:], dst[:head])
-		s.sealRun(sc, dst[head:], src[head:head+whole], off+uint64(head))
-		absorbed = head + whole
+		if seal {
+			s.bufLen += copy(s.buf[s.bufLen:], dst[:head])
+			absorbed = head + whole
+		}
+		s.run(sc, dst[head:], src[head:head+whole], off+uint64(head), seal)
 	}
 	for n := head + whole; n < len(src); {
 		o := off + uint64(n)
@@ -550,32 +521,37 @@ func (s *Stream) seal(dst, src []byte, off uint64) {
 		subtle.XORBytes(dst[n:n+k], src[n:n+k], ks[r:])
 		n += k
 	}
-	scratchPool.Put(sc)
-	s.ghashUpdate(dst[absorbed:len(src)])
+	if seal {
+		s.ghashUpdate(sc, dst[absorbed:len(src)])
+	}
 }
 
-// sealRun encrypts src, whole blocks from the block-aligned message offset
-// off, into dst and absorbs them in one Seal (see Stream); cap(dst) ≥
-// len(src)+TagSize. A full partial block is the block the call's head
-// completed, X, and then sc's keystream block is E(K, J0′), J0′ being
-// that block's counter.
+// run XORs the keystream over src, whole blocks from the block-aligned
+// message offset off, into dst in one Seal (see Stream); cap(dst) ≥
+// len(src)+TagSize. When seal, the Seal also absorbs what it writes: a full
+// partial block is the block the call's head completed, X, and then sc's
+// keystream block is E(K, J0′), J0′ being that block's counter. Otherwise
+// its tag is discarded.
 //
 //simlint:hotpath
-func (s *Stream) sealRun(sc *scratch, dst, src []byte, off uint64) {
+func (s *Stream) run(sc *scratch, dst, src []byte, off uint64, seal bool) {
 	c := s.c
 	ek := sc[scKey : scKey+blockSize]
 	j0 := 1 + uint32(off/blockSize)
-	aad := sc[scAAD : scAAD+blockSize]
-	if s.bufLen == blockSize {
-		aad = sc[scAAD : scAAD+2*blockSize]
-		copy(aad[blockSize:], s.buf[:])
-		s.bufLen = 0
-	} else {
-		s.keyBlock(ek, j0)
+	var aad []byte
+	if seal {
+		aad = sc[scAAD : scAAD+blockSize]
+		if s.bufLen == blockSize {
+			aad = sc[scAAD : scAAD+2*blockSize]
+			copy(aad[blockSize:], s.buf[:])
+			s.bufLen = 0
+		} else {
+			s.keyBlock(ek, j0)
+		}
+		store(aad, c.mulInv(s.y))
 	}
 	binary.BigEndian.PutUint32(s.ctr[12:], j0)
 	store(sc[scNonce:], c.mulInv(gcmAdd(c.mulInv(load(s.ctr[:])), fieldElement{0, 8 * blockSize})))
-	store(aad, c.mulInv(s.y))
 	n := len(src)
 	saved := sc[scSaved:scEnd]
 	copy(saved, dst[n:n+TagSize])
@@ -585,9 +561,11 @@ func (s *Stream) sealRun(sc *scratch, dst, src []byte, off uint64) {
 	c.sealer.Seal(dst[:0], sc[scNonce:scAAD], dst[:n], aad)
 	tag := load(dst[n:])
 	copy(dst[n:n+TagSize], saved)
-	s.y = c.mulInv(gcmAdd(tag, load(ek)))
-	s.y.low ^= uint64(len(aad)) * 8
-	s.y.high ^= uint64(n) * 8
+	if seal {
+		s.y = c.mulInv(gcmAdd(tag, load(ek)))
+		s.y.low ^= uint64(len(aad)) * 8
+		s.y.high ^= uint64(n) * 8
+	}
 }
 
 // Tag finalizes the message and returns the 16-byte authentication tag.
@@ -596,7 +574,9 @@ func (s *Stream) Tag() [TagSize]byte {
 	var lenBlock [blockSize]byte
 	binary.BigEndian.PutUint64(lenBlock[:8], s.aadLen*8)
 	binary.BigEndian.PutUint64(lenBlock[8:], s.dataLen*8)
-	s.ghashFlushPad(lenBlock[:])
+	sc := scratchPool.Get().(*scratch)
+	s.ghashFlushPad(sc, lenBlock[:])
+	scratchPool.Put(sc)
 	var tag [TagSize]byte
 	store(tag[:], s.y)
 	for i := range tag {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -243,46 +244,100 @@ func TestProcessed(t *testing.T) {
 }
 
 func TestStreamNoAlloc(t *testing.T) {
-	// The per-packet entry point and the tag allocate nothing, in either
-	// direction, with or without spare capacity after dst; starting a
-	// record allocates nothing, and opening one makes only the stdlib's CTR
-	// object, at its first Update. The flow contexts rely on this: they
-	// hold the Stream by value and re-initialise it in place.
+	// Starting a record, the per-packet entry point, resuming after a Skip,
+	// the tag and its check allocate nothing, in either direction, with or
+	// without spare capacity after dst. The flow contexts rely on this:
+	// they hold the Stream by value and re-initialise it in place.
 	c, _ := New(key16(14))
 	nonce := make([]byte, NonceSize)
 	aad := []byte("hdr..")
-	buf := make([]byte, 16<<10)
+	buf := make([]byte, 16<<10+TagSize)
 	var s Stream
 	for _, dir := range []Direction{Seal, Open} {
-		c.InitStream(&s, dir, nonce, aad)
+		if n := testing.AllocsPerRun(100, func() { c.InitStream(&s, dir, nonce, aad) }); n != 0 {
+			t.Errorf("direction %d: InitStream allocates %v per call, want 0", dir, n)
+		}
 		// An MSS, an odd length that moves the pending partial block on
-		// every call, and a 16 KiB record with no spare capacity, chained
-		// over several scratch runs.
+		// every call, and a 16 KiB record chained over several scratch
+		// runs, each with and without spare capacity.
 		for _, n := range []int{1448, 1447, 16 << 10} {
-			if a := testing.AllocsPerRun(100, func() { s.Update(buf[:n], buf[:n]) }); a != 0 {
-				t.Errorf("direction %d: Update(%d bytes) allocates %v per call, want 0", dir, n, a)
+			for _, d := range [][]byte{buf[:n:n], buf[:n]} {
+				if a := testing.AllocsPerRun(100, func() { s.Update(d, d) }); a != 0 {
+					t.Errorf("direction %d: Update(%d bytes, cap %d) allocates %v per call, want 0", dir, n, cap(d), a)
+				}
 			}
+		}
+		// A record the receive engine resumes inside
+		// (ktls.RxOps.ResumeMessage) skips what it never saw and then
+		// decrypts from the skipped offset.
+		resume := func() {
+			c.InitStream(&s, dir, nonce, aad)
+			s.Skip(1000)
+			s.Update(buf[:1448], buf[:1448])
+		}
+		if n := testing.AllocsPerRun(100, resume); n != 0 {
+			t.Errorf("direction %d: a resumed record allocates %v objects, want 0", dir, n)
 		}
 		if n := testing.AllocsPerRun(100, func() { _ = s.Tag() }); n != 0 {
 			t.Errorf("direction %d: Tag allocates %v per call, want 0", dir, n)
 		}
+		if n := testing.AllocsPerRun(100, func() { _ = s.Verify(buf[:TagSize]) }); n != 0 {
+			t.Errorf("direction %d: Verify allocates %v per call, want 0", dir, n)
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() { c.InitStream(&s, Seal, nonce, aad) }); n != 0 {
-		t.Errorf("InitStream(Seal) allocates %v per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { c.InitStream(&s, Open, nonce, aad) }); n != 0 {
-		t.Errorf("InitStream(Open) allocates %v per call, want 0", n)
-	}
-	// A record the receive engine resumes inside (ktls.RxOps.ResumeMessage)
-	// skips what it never saw and then decrypts: one CTR, made at the
-	// skipped offset.
-	resume := func() {
-		c.InitStream(&s, Open, nonce, aad)
-		s.Skip(1000)
-		s.Update(buf[:1448], buf[:1448])
-	}
-	if n := testing.AllocsPerRun(100, resume); n != 1 {
-		t.Errorf("a resumed Open record allocates %v objects, want 1 (its CTR)", n)
+}
+
+func TestZeroHashKey(t *testing.T) {
+	// A key whose H = E(K, 0¹²⁸) is 0 has no H⁻¹, so no fused pass: its
+	// Streams take every block a keystream block at a time, and GHASH
+	// reads 0 throughout. No such key is known, so the test forces the
+	// flag on a real one and clears its H⁻¹ table, as New leaves it for H
+	// = 0; what it checks is the keystream against a stdlib CTR over the
+	// same counters.
+	key := key16(40)
+	c, _ := New(key)
+	c.zeroH, c.hInv = true, mulTable{}
+	nonce := make([]byte, NonceSize)
+	rand.New(rand.NewSource(41)).Read(nonce)
+	block, _ := aes.NewCipher(key)
+	iv := append(append([]byte(nil), nonce...), 0, 0, 0, 2) // J0+1
+	pt := make([]byte, 3000)
+	rand.New(rand.NewSource(42)).Read(pt)
+	ks := make([]byte, len(pt))
+	cipher.NewCTR(block, iv).XORKeyStream(ks, ks)
+	const skipAt, skipLen = 1500, 37 // a Skip from mid-block to mid-block
+	for _, dir := range []Direction{Seal, Open} {
+		s := c.NewStream(dir, nonce, []byte("hdr"))
+		if s.y != (fieldElement{}) {
+			t.Fatalf("direction %d: GHASH %x after the AAD, want 0", dir, s.y)
+		}
+		for off, i := 0, 0; off < len(pt); i++ {
+			if off == skipAt {
+				s.Skip(skipLen)
+				off += skipLen
+				continue
+			}
+			n := min(1+(i*389)%1021, len(pt)-off)
+			if off < skipAt {
+				n = min(n, skipAt-off)
+			}
+			// Room for a tag after dst, which the per-block path must
+			// leave alone.
+			dst := make([]byte, n, n+TagSize)
+			s.Update(dst, pt[off:off+n])
+			want := make([]byte, n)
+			subtle.XORBytes(want, pt[off:off+n], ks[off:off+n])
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("direction %d: bytes [%d,%d) are not the CTR keystream's", dir, off, off+n)
+			}
+			if s.y != (fieldElement{}) {
+				t.Fatalf("direction %d: GHASH %x at byte %d, want 0", dir, s.y, off+n)
+			}
+			off += n
+		}
+		if tag := s.Tag(); !bytes.Equal(tag[:], s.tagMask[:]) {
+			t.Errorf("direction %d: tag %x, want E(K, J0) = %x", dir, tag, s.tagMask)
+		}
 	}
 }
 
@@ -361,7 +416,7 @@ func TestGHASHMatchesReference(t *testing.T) {
 			y := randElement(rng)
 			s := Stream{c: c, y: y, bufLen: pending}
 			copy(s.buf[:], msg[:pending])
-			s.ghashUpdate(msg[pending:])
+			s.ghashUpdate(new(scratch), msg[pending:])
 			if want := ghashRef(&ref, y, msg[:run]); s.y != want {
 				t.Fatalf("run %d, pending %d: y = %x, reference %x", run, pending, s.y, want)
 			}
@@ -488,7 +543,7 @@ func BenchmarkSeal16K(b *testing.B) {
 }
 
 // BenchmarkStreamUpdate is one packet's in-place Update on a live stream,
-// at the sizes of the benchmark's gcm.stream_ns_per_byte rows: an Open, and
+// at the sizes of the benchmark's gcm.stream_ns_per_byte rows: an Open or
 // a Seal of a payload at a frame's header offset with the TagSize bytes
 // after it that a frame's trailer or slack gives, or with none.
 func BenchmarkStreamUpdate(b *testing.B) {
@@ -496,7 +551,7 @@ func BenchmarkStreamUpdate(b *testing.B) {
 		name  string
 		dir   Direction
 		spare int
-	}{{"open", Open, 0}, {"seal", Seal, TagSize}, {"seal-nospare", Seal, 0}} {
+	}{{"open", Open, TagSize}, {"open-nospare", Open, 0}, {"seal", Seal, TagSize}, {"seal-nospare", Seal, 0}} {
 		for _, n := range []int{64, 1448, 16384} {
 			b.Run(fmt.Sprintf("%s/%d", row.name, n), func(b *testing.B) {
 				const hdr = 54 // Ethernet, IPv4 and TCP headers
@@ -515,6 +570,35 @@ func BenchmarkStreamUpdate(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkOpenRecord is what a receive engine does for one TLS record: it
+// starts the stream, opens the record in place as 1448-byte packets, each
+// in a frame with TagSize bytes of slack after it, and finishes the tag.
+func BenchmarkOpenRecord(b *testing.B) {
+	for _, size := range []int{4 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("%dK", size>>10), func(b *testing.B) {
+			c, _ := New(key16(13))
+			nonce := make([]byte, NonceSize)
+			aad := []byte("hdr..")
+			const mss = 1448
+			var frames [][]byte
+			for off := 0; off < size; off += mss {
+				n := min(mss, size-off)
+				frames = append(frames, make([]byte, n, n+TagSize))
+			}
+			var s Stream
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.InitStream(&s, Open, nonce, aad)
+				for _, f := range frames {
+					s.Update(f, f)
+				}
+				_ = s.Tag()
+			}
+		})
 	}
 }
 

@@ -208,10 +208,9 @@ func lossyLifecycleWorld() *world {
 //	ktls  NewConn               2: the Conn per end (its socket callbacks
 //	                            are package functions that find it as the
 //	                            socket's Owner)
-//	gcm   Stream.seek           6: one CTR per received record
-//	                            (crypto/cipher.NewCTR; a sealing Stream
-//	                            runs the stdlib's fused Seal from any
-//	                            counter and keeps none)
+//
+// No cipher stream is among them: a gcm.Stream runs the stdlib's fused
+// Seal from any counter in both directions and keeps no stdlib object.
 //
 // The server socket's receive queue and its assembler's queue, message
 // result and kept bytes are arrays the stack's Spares lend and the closed
@@ -224,7 +223,7 @@ func TestConnLifecycleAllocs(t *testing.T) {
 		t.Skip("alloc counting unreliable under -race")
 	}
 	l := newLifecycle(t, newWorldNIC(cleanLink(), nic.Config{CtxCacheFlows: lifecycleCacheFlows}), false)
-	const want = 10 // the sum of the sites listed above
+	const want = 4 // the sum of the sites listed above
 	if perConn, bytes := l.allocsPerConn(1); perConn != want {
 		t.Errorf("a connection's lifecycle allocates %d objects (%d bytes), want %d", perConn, bytes, want)
 	}
@@ -241,15 +240,10 @@ func TestConnLifecycleAllocs(t *testing.T) {
 //	tcpip processData          12: a copy of each segment that arrives
 //	                            behind the hole (the list it waits on is a
 //	                            spare array, drained in place)
-//	gcm   Stream.seek           8: a CTR for each of the 5 records the
-//	                            receive engine decrypts whole
-//	                            (RxOps.BeginMessage), one for the one it
-//	                            resumes inside (RxOps.ResumeMessage, made
-//	                            at the skipped offset by the first Body),
-//	                            and one for each of the 2 records
-//	                            software finishes (Conn.partialFallback)
 //
-// The transmit context's replay scratch, which the retransmission's
+// The records the receive engine resumes inside (RxOps.ResumeMessage) and
+// those software finishes (Conn.partialFallback) allocate no cipher
+// stream either. The transmit context's replay scratch, which the retransmission's
 // recovery fills, stays with the context when it is handed back.
 func TestConnLossyLifecycleAllocs(t *testing.T) {
 	if raceEnabled {
@@ -257,7 +251,7 @@ func TestConnLossyLifecycleAllocs(t *testing.T) {
 	}
 	w := lossyLifecycleWorld()
 	l := newLifecycle(t, w, false)
-	const want = 24 // the sum of the sites listed above
+	const want = 16 // the sum of the sites listed above
 	perConn, bytes := l.allocsPerConn(2)
 	if w.srvStack.Stats.OutOfOrderIn == 0 {
 		t.Fatal("no segment arrived out of order: the loss does not reach the receive side")
