@@ -103,16 +103,19 @@ golden-check:
 # not; starting a GCM record, resuming one after a Skip and checking its
 # tag allocate nothing in either direction — nor a SACK-bearing ACK (built in the stack's arrays), nor a socket
 # handing a received segment to a reader that consumes it in OnReadable,
+# nor one filling a hole behind which it kept segments in its arena,
 # nor the stack building a segment or ACK (one reused packet), nor software
 # TLS opening a record in place, nor a whole two-machine plain-TCP world
 # streaming verified bytes, nor the NVMe-TCP host issuing and completing a
 # read) are asserted in a separate non-race run, together with the pinned
 # per-connection cost: the objects one offloaded TLS connection allocates
 # from SYN to detach (TestConnLifecycleAllocs, each remaining site listed
-# there), the one Socket per end a plain TCP connection allocates
-# (TestSocketLifecycleAllocs), and every per-connection object within its
-# size class (the SizeClass tests: Socket 640 bytes, ktls Conn 704, the
-# ktls and nvmetcp receive contexts 768 and 704).
+# there, and the same 4 with a segment of each connection lost:
+# TestConnLossyLifecycleAllocs), the one Socket per end a plain TCP
+# connection allocates (TestSocketLifecycleAllocs), and every
+# per-connection object within its size class, the runtime's 8-byte malloc
+# header included (the SizeClass tests: Socket 640 bytes, ktls Conn 704,
+# the ktls and nvmetcp receive contexts 768 and 704).
 alloc-check:
 	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc|LifecycleAllocs|SizeClass' ./internal/telemetry/... ./internal/nic/ ./internal/netsim/ ./internal/tcpip/ ./internal/wire/ ./internal/offload/ ./internal/gcm/ ./internal/l5p/ ./internal/blockdev/ ./internal/nvmetcp/ ./internal/ktls/ ./internal/experiments/
 

@@ -221,7 +221,7 @@ func (c *Conn) EnableTxOffload(dev l5p.Device, zeroCopy bool) error {
 	if err := ctx.hw.init(c.cfg.Key, c.cfg.TxIV, c.model, c.ledger); err != nil {
 		return err
 	}
-	ctx.ops.init(&ctx.hw)
+	ctx.ops.init(&ctx.hw, c.asm.Spares)
 	c.dev = dev
 	c.zeroCopy = zeroCopy
 	c.retain.Grow(txRetainInitial)

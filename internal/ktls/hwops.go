@@ -7,6 +7,7 @@ import (
 	"repro/internal/gcm"
 	"repro/internal/meta"
 	"repro/internal/offload"
+	"repro/internal/tcpip"
 )
 
 // HW is the static NIC-side TLS state for one direction of a flow: the key
@@ -58,19 +59,21 @@ type TxOps struct {
 	live     bool
 	tag      [TagLen]byte
 	tagReady bool
-	scratch  []byte
+	// spares lends ReplayBody its scratch for the length of the call.
+	spares *tcpip.Spares
 }
 
-// NewTxOps creates the transmit ops for one flow.
+// NewTxOps creates the transmit ops for one flow. Its replays borrow their
+// scratch from spares of their own.
 func NewTxOps(hw *HW) *TxOps {
 	o := new(TxOps)
-	o.init(hw)
+	o.init(hw, new(tcpip.Spares))
 	return o
 }
 
-// init is NewTxOps in place, for the ops inside a flow context. A recycled
-// context keeps its replay scratch, which is written before it is read.
-func (o *TxOps) init(hw *HW) { *o = TxOps{hw: hw, scratch: o.scratch} }
+// init is NewTxOps in place, for the ops inside a flow context, whose
+// replays borrow their scratch from the stack's spares.
+func (o *TxOps) init(hw *HW, spares *tcpip.Spares) { *o = TxOps{hw: hw, spares: spares} }
 
 var _ offload.TxOps = (*TxOps)(nil)
 
@@ -117,15 +120,18 @@ func (o *TxOps) AbortMessage() { o.live = false }
 // ReplayBody implements offload.TxOps: during context recovery the engine
 // re-encrypts the record prefix (read back from host memory) into a scratch
 // buffer purely to rebuild the stream's counter and GHASH state. The
-// scratch has TagLen bytes to spare, so the replay takes the stream's fused
-// pass as Body does.
+// scratch, borrowed from the spares for the call, has TagLen bytes to
+// spare, so the replay takes the stream's fused pass as Body does.
 func (o *TxOps) ReplayBody(data []byte, _ int) {
 	mustBeLive(o.live, "TxOps.ReplayBody")
-	if cap(o.scratch) < len(data)+TagLen {
-		o.scratch = make([]byte, len(data)+TagLen)
+	n := len(data) + TagLen
+	scratch := o.spares.Bytes(n)
+	if scratch == nil {
+		scratch = make([]byte, 0, n)
 	}
 	o.hw.ledger.Charge(cycles.NIC, cycles.Encrypt, o.hw.model.GCMCycles(len(data)), len(data))
-	o.stream.Update(o.scratch[:len(data)], data)
+	o.stream.Update(scratch[:len(data)], data)
+	o.spares.PutBytes(scratch)
 }
 
 // RxOps is the NIC-side receive crypto: it decrypts record bodies in place,

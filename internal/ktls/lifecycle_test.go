@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+	_ "unsafe" // for go:linkname
 
 	"repro/internal/nic"
 	"repro/internal/offload"
@@ -178,13 +179,13 @@ func (l *lifecycle) allocsPerConn(warm int) (objects, bytes uint64) {
 	return (after.Mallocs - before.Mallocs) / lifecycleConns, (after.TotalAlloc - before.TotalAlloc) / lifecycleConns
 }
 
-// lossyLifecycleWorld is the lifecycle world with the client's third data
-// segment of every connection lost once: the server buffers the segments
-// behind the hole out of order, its receive engine loses the record
-// stream and hands the records around the hole to software, and the
+// lossyLifecycleWorld is the lifecycle world with one data segment of
+// every connection's client lost once, the lost-th: the server buffers the
+// segments behind the hole out of order, its receive engine loses the
+// record stream and hands the records around the hole to software, and the
 // retransmission makes the client's transmit engine replay the record's
 // prefix.
-func lossyLifecycleWorld() *world {
+func lossyLifecycleWorld(lost uint8) *world {
 	var (
 		pkt      wire.Packet
 		dataSegs [1 << 16]uint8 // by client port, which a stack never reuses
@@ -195,7 +196,7 @@ func lossyLifecycleWorld() *world {
 		}
 		n := &dataSegs[pkt.Flow.Src.Port]
 		*n = min(*n+1, 255)
-		return *n == 3
+		return *n == lost
 	})
 }
 
@@ -231,33 +232,65 @@ func TestConnLifecycleAllocs(t *testing.T) {
 
 // TestConnLossyLifecycleAllocs pins the same lifecycle when one segment of
 // every connection is lost (lossyLifecycleWorld). Two warm-up rounds let
-// the stack's spare arrays grow to the loss path's depth: the out-of-order
-// list holds 12 segments, and a partial record's buffer holds it and its
-// plaintext. Each connection then makes, by site:
+// the stack's spare arrays grow to the loss path's depth: the server
+// socket keeps the 12 segments behind the hole, and a partial record's
+// buffer holds it and its plaintext. Each connection then makes, by site,
+// only what the clean lifecycle makes:
 //
 //	tcpip Stack.newSocket       2: the Socket per end
 //	ktls  NewConn               2: the Conn per end
-//	tcpip processData          12: a copy of each segment that arrives
-//	                            behind the hole (the list it waits on is a
-//	                            spare array, drained in place)
 //
-// The records the receive engine resumes inside (RxOps.ResumeMessage) and
+// The segments behind the hole are copied into the server socket's arena,
+// and the out-of-order list they wait on comes with it: both are the
+// stack's spares, which the socket hands back with its receive queue. The
+// records the receive engine resumes inside (RxOps.ResumeMessage) and
 // those software finishes (Conn.partialFallback) allocate no cipher
-// stream either. The transmit context's replay scratch, which the retransmission's
-// recovery fills, stays with the context when it is handed back.
+// stream either. The transmit context's replay of the lost record's
+// prefix, which the retransmission's recovery runs, borrows its scratch
+// from the client stack's spares for the call.
 func TestConnLossyLifecycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counting unreliable under -race")
 	}
-	w := lossyLifecycleWorld()
+	w := lossyLifecycleWorld(3)
 	l := newLifecycle(t, w, false)
-	const want = 16 // the sum of the sites listed above
+	const want = 4 // the sum of the sites listed above
 	perConn, bytes := l.allocsPerConn(2)
 	if w.srvStack.Stats.OutOfOrderIn == 0 {
 		t.Fatal("no segment arrived out of order: the loss does not reach the receive side")
 	}
 	if perConn != want {
 		t.Errorf("a lossy connection's lifecycle allocates %d objects (%d bytes), want %d", perConn, bytes, want)
+	}
+}
+
+// poisonSpares is tcpip's test hook of the same name: set, every byte
+// buffer handed back to a stack's spares is filled with 0xA5 at once. No
+// exported name reaches it, so the test links to it by name.
+//
+//go:linkname poisonSpares repro/internal/tcpip.poisonSpares
+var poisonSpares bool
+
+// TestLossyLifecyclePoisonedSpares: the lossy lifecycle delivers every byte
+// exactly while every byte buffer handed back to the stacks' spares is
+// poisoned. A server socket keeps the segments behind its hole in an arena
+// from those spares, and its Conn reads them in its receive callback and
+// borrows its record buffer from the same spares there: the socket hands
+// the arena back only after the callback returns. With the third segment
+// lost the hole fills before the FIN arrives; with the twelfth the FIN
+// waits behind the hole, so the callback that reads the kept segments also
+// reads the end of the stream.
+func TestLossyLifecyclePoisonedSpares(t *testing.T) {
+	poisonSpares = true
+	defer func() { poisonSpares = false }()
+	for _, lost := range []uint8{3, 12} {
+		w := lossyLifecycleWorld(lost)
+		l := newLifecycle(t, w, true)
+		l.round()
+		l.round()
+		if w.srvStack.Stats.OutOfOrderIn == 0 {
+			t.Fatalf("segment %d lost: no segment arrived out of order, so no socket kept a byte", lost)
+		}
 	}
 }
 
@@ -365,7 +398,7 @@ func scribble(p any) {
 // must start at zero counts, every record and engine counter must sum to
 // the unpoisoned round's, and the NICs must hold nothing at the end.
 func TestRecycledContextsReinitialised(t *testing.T) {
-	w := lossyLifecycleWorld()
+	w := lossyLifecycleWorld(3)
 	l := newLifecycle(t, w, true)
 	fresh := 0
 	l.enabled = func(c *Conn) {
@@ -441,7 +474,7 @@ func TestChurnHeapBounded(t *testing.T) {
 		world func() *world
 	}{
 		{"clean", func() *world { return newWorldNIC(cleanLink(), nic.Config{CtxCacheFlows: lifecycleCacheFlows}) }},
-		{"lossy", lossyLifecycleWorld},
+		{"lossy", func() *world { return lossyLifecycleWorld(3) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := newLifecycle(t, tc.world(), false)

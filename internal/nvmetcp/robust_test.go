@@ -608,9 +608,11 @@ func TestHostReadNoAlloc(t *testing.T) {
 }
 
 // TestRxContextSizeClass: the receive context (RR table, ops and engine)
-// is one allocation per offloaded association, in the 704-byte size class.
+// is one allocation per offloaded association, in the 704-byte size class
+// together with the 8-byte header the Go runtime (1.22 on) adds to every
+// object of more than 512 bytes that holds pointers.
 func TestRxContextSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(rxContext{}); n > 704 {
-		t.Errorf("rxContext is %d bytes: past the 704-byte size class, every offloaded association costs 64 bytes more", n)
+	if n := unsafe.Sizeof(rxContext{}) + 8; n > 704 {
+		t.Errorf("rxContext is %d bytes with its malloc header: past the 704-byte size class, every offloaded association costs 64 bytes more", n)
 	}
 }

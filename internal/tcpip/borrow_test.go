@@ -24,7 +24,7 @@ type borrowHarness struct {
 	frame  []byte
 }
 
-func newBorrowHarness(t *testing.T, onAccept func(*Socket)) *borrowHarness {
+func newBorrowHarness(t testing.TB, onAccept func(*Socket)) *borrowHarness {
 	t.Helper()
 	model := cycles.DefaultModel()
 	h := &borrowHarness{
@@ -46,13 +46,29 @@ func newBorrowHarness(t *testing.T, onAccept func(*Socket)) *borrowHarness {
 	return h
 }
 
-// send delivers p as the next in-order segment through the reused frame,
-// then poisons the frame as its next occupant would.
+// send delivers p as the next in-order segment.
 func (h *borrowHarness) send(p []byte) {
+	h.segment(h.seq, p)
+	h.seq += uint32(len(p))
+}
+
+// fillHole sends k segments of p behind a hole one segment long, then the
+// retransmission that fills it.
+func (h *borrowHarness) fillHole(k int, p []byte) {
+	n := uint32(len(p))
+	for i := 1; i <= k; i++ {
+		h.segment(h.seq+uint32(i)*n, p)
+	}
+	h.segment(h.seq, p)
+	h.seq += uint32(k+1) * n
+}
+
+// segment delivers p, at most a frame long, at seq through the reused
+// frame, then poisons the frame as its next occupant would.
+func (h *borrowHarness) segment(seq uint32, p []byte) {
 	n := copy(h.frame, p)
-	h.st.Input(&wire.Packet{Flow: h.flow, Seq: h.seq, Ack: h.ack, Flags: wire.FlagACK,
+	h.st.Input(&wire.Packet{Flow: h.flow, Seq: seq, Ack: h.ack, Flags: wire.FlagACK,
 		Window: 64, Payload: h.frame[:n]}, meta.TLSDecrypted)
-	h.seq += uint32(n)
 	for i := range h.frame {
 		h.frame[i] = 0xDB
 	}
@@ -95,6 +111,229 @@ func TestReceiveBorrowNoAlloc(t *testing.T) {
 	}
 	if aliased != chunks || chunks == 0 {
 		t.Errorf("%d of %d chunks alias the received frame, want all", aliased, chunks)
+	}
+}
+
+// holeSegments is how many segments arrive behind the hole in
+// TestOutOfOrderFillNoAlloc and BenchmarkOutOfOrderFill: the lossy TLS
+// lifecycle's depth.
+const holeSegments = 12
+
+// newHoleHarness is a borrowHarness whose reader consumes every chunk
+// inside OnReadable and counts the bytes into *read.
+func newHoleHarness(t testing.TB, read *int) *borrowHarness {
+	return newBorrowHarness(t, func(s *Socket) {
+		s.OnReadable = func(s *Socket) {
+			for c, ok := s.ReadChunk(); ok; c, ok = s.ReadChunk() {
+				*read += len(c.Data)
+			}
+		}
+	})
+}
+
+// TestOutOfOrderFillNoAlloc: once a socket has filled one hole, the next
+// costs no allocation — neither the copies of the segments behind it, which
+// go to the socket's arena, nor the list they wait on, nor the duplicate
+// ACKs they elicit — and the reader gets every byte.
+func TestOutOfOrderFillNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counting unreliable under -race")
+	}
+	read := 0
+	h := newHoleHarness(t, &read)
+	seg := bytes.Repeat([]byte{0x5A}, 1448)
+	h.fillHole(holeSegments, seg) // the kept state and the queue reach their working size
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() { h.fillHole(holeSegments, seg) })
+	if allocs != 0 {
+		t.Errorf("%v allocations per hole of %d segments, want 0", allocs, holeSegments)
+	}
+	// AllocsPerRun calls the function once more to warm up.
+	if want := (runs + 2) * (holeSegments + 1) * len(seg); read != want ||
+		h.st.Stats.OutOfOrderIn != (runs+2)*holeSegments {
+		t.Errorf("read %d bytes, want %d; %d segments out of order, want %d",
+			read, want, h.st.Stats.OutOfOrderIn, (runs+2)*holeSegments)
+	}
+}
+
+// TestArenaBoundedUnderReordering: a socket whose out-of-order list never
+// empties — every odd segment arrives two places early, so the next hole
+// opens before the last one fills — never finds its arena free to start
+// over and replaces it whenever it is full. The replacement is sized by
+// what the socket still keeps, a few segments here, so over a stream three
+// times the receive buffer the arena stays at its first size instead of
+// doubling at each replacement, and the reader gets every byte.
+func TestArenaBoundedUnderReordering(t *testing.T) {
+	read := 0
+	h := newHoleHarness(t, &read)
+	seg := bytes.Repeat([]byte{0x5A}, 1448)
+	at := func(i int) uint32 { return h.seq + uint32(i*len(seg)) }
+	const pairs = 2000
+	h.segment(at(1), seg)
+	for m := range pairs {
+		h.segment(at(2*m+3), seg)
+		h.segment(at(2*m), seg)
+		if k := h.server.kept; k == nil || len(k.ooo) == 0 {
+			t.Fatalf("pair %d: the out-of-order list emptied", m)
+		} else if cap(k.arena) > rcvArenaMin {
+			t.Fatalf("pair %d: arena of %d bytes for %d kept segments", m, cap(k.arena), len(k.ooo))
+		}
+	}
+	if want := 2 * pairs * len(seg); read != want {
+		t.Errorf("read %d bytes, want %d", read, want)
+	}
+}
+
+// TestNestedInputSparesHeldChunks: the reader's write, answered by a device
+// that delivers synchronously, makes Input run again from inside
+// OnReadable while the reader holds chunks from the socket's arena. There
+// the segment behind a new hole must not start the arena over under them,
+// nor the FIN that ends the stream hand the arena back to the stack (whose
+// buffers are poisoned when handed back); the socket hands it back once
+// the outer Input's reader has returned.
+func TestNestedInputSparesHeldChunks(t *testing.T) {
+	setPoisonSpares(t)
+	const n = 1000
+	data := make([]byte, 5*n)
+	rand.New(rand.NewSource(1)).Read(data)
+	var (
+		h      *borrowHarness
+		isn    uint32
+		nested func()
+		read   int
+	)
+	h = newBorrowHarness(t, func(s *Socket) {
+		s.OnReadable = func(s *Socket) {
+			var held []Chunk
+			for c, ok := s.ReadChunk(); ok; c, ok = s.ReadChunk() {
+				held = append(held, c)
+			}
+			if f := nested; f != nil {
+				nested = nil
+				f()
+			}
+			for _, c := range held {
+				if off := int(c.Seq - isn); !bytes.Equal(c.Data, data[off:off+len(c.Data)]) {
+					t.Errorf("the chunk at stream offset %d changed before OnReadable returned", off)
+				}
+				read += len(c.Data)
+			}
+		}
+	})
+	isn = h.seq
+	seg := func(i int) (uint32, []byte) { return isn + uint32(i*n), data[i*n : (i+1)*n] }
+	input := func(i int, flags wire.TCPFlags) {
+		seq, p := seg(i)
+		h.st.Input(&wire.Packet{Flow: h.flow, Seq: seq, Ack: h.ack, Flags: wire.FlagACK | flags,
+			Window: 64, Payload: append([]byte(nil), p...)}, 0)
+	}
+	h.segment(seg(1)) // 1 and 2 wait in the arena behind a hole at 0
+	h.segment(seg(2))
+	nested = func() {
+		input(4, wire.FlagFIN) // the last segment, behind a new hole at 3
+		input(3, 0)            // fills it: the stream ends inside this Input
+	}
+	h.segment(seg(0))
+	if nested != nil {
+		t.Fatal("the hole filled, but OnReadable did not run")
+	}
+	if read != len(data) || !h.server.EOF() {
+		t.Errorf("read %d of %d bytes, EOF %v", read, len(data), h.server.EOF())
+	}
+	if h.server.kept != nil {
+		t.Error("the socket still holds its arena after the stream ended and every reader returned")
+	}
+}
+
+// TestReadOutsideOnReadableSparesHeldChunks: a reader may read outside
+// OnReadable — a lazy one whose OnReadable only notes that data came, then
+// reads from elsewhere — and holds what it read until the socket's next
+// OnReadable returns. Until then the socket's arena must neither start over
+// under those chunks nor go back to the stack (whose buffers are poisoned
+// when handed back): not in the Input that the read's own window update
+// draws from a device that delivers synchronously, not in a later Input
+// that finds nothing else kept, and not when a bare FIN ends the stream.
+func TestReadOutsideOnReadableSparesHeldChunks(t *testing.T) {
+	setPoisonSpares(t)
+	const n = 1000
+	data := make([]byte, 4*n)
+	rand.New(rand.NewSource(2)).Read(data)
+	var (
+		h      *borrowHarness
+		isn    uint32
+		held   []Chunk // read outside OnReadable and not yet let go
+		calls  int
+		answer func() // what the device delivers at the stack's next transmit
+	)
+	check := func(when string) {
+		for _, c := range held {
+			if off := int(c.Seq - isn); !bytes.Equal(c.Data, data[off:off+len(c.Data)]) {
+				t.Fatalf("%s: the chunk at stream offset %d changed while its reader held it", when, off)
+			}
+		}
+	}
+	h = newBorrowHarness(t, func(s *Socket) {
+		s.rcvBufCap = 3 * n / 2 // one unread segment shuts the window
+		s.OnReadable = func(*Socket) { calls++; check("in OnReadable") }
+	})
+	isn = h.seq
+	h.st.SetDevice(devFunc(func(*wire.Packet) {
+		if f := answer; f != nil {
+			answer = nil
+			f()
+		}
+	}))
+	// input delivers segment i of data, or at i == 4 the bare FIN after
+	// it, from a buffer poisoned once Input returns.
+	input := func(i int) {
+		p := append([]byte(nil), data[min(i*n, len(data)):min((i+1)*n, len(data))]...)
+		flags := wire.FlagACK
+		if len(p) == 0 {
+			flags |= wire.FlagFIN
+		}
+		h.st.Input(&wire.Packet{Flow: h.flow, Seq: isn + uint32(i*n), Ack: h.ack, Flags: flags,
+			Window: 64, Payload: p}, 0)
+		for j := range p {
+			p[j] = 0xDB
+		}
+	}
+	read := func() {
+		for c, ok := h.server.ReadChunk(); ok; c, ok = h.server.ReadChunk() {
+			held = append(held, c)
+		}
+	}
+
+	input(0)        // left unread, so it moves to the arena
+	h.st.sim.Run(0) // the delayed ACK shuts the window
+	answer = func() { input(1) }
+	read() // its window update draws segment 1, in order, inside ReadChunk
+	if answer != nil || calls != 2 {
+		t.Fatalf("the window update drew no segment (%v), or OnReadable ran %d times, want 2", answer == nil, calls)
+	}
+	check("after the read whose window update drew segment 1")
+	read()
+	input(3) // behind a hole, and nothing else is kept
+	check("after an out-of-order segment")
+	input(2) // fills the hole; OnReadable returns, so the reader lets go
+	held = held[:0]
+	read()
+	input(4) // checks the chunks in OnReadable, before it returns
+	if calls != 4 || !h.server.EOF() || h.server.kept != nil {
+		t.Errorf("OnReadable ran %d times, want 4; EOF %v; arena kept after the reader returned: %v",
+			calls, h.server.EOF(), h.server.kept != nil)
+	}
+}
+
+// BenchmarkOutOfOrderFill times one hole of holeSegments segments filled by
+// one retransmission, read inside OnReadable.
+func BenchmarkOutOfOrderFill(b *testing.B) {
+	read := 0
+	h := newHoleHarness(b, &read)
+	seg := bytes.Repeat([]byte{0x5A}, 1448)
+	h.fillHole(holeSegments, seg)
+	b.ReportAllocs()
+	for b.Loop() {
+		h.fillHole(holeSegments, seg)
 	}
 }
 

@@ -60,11 +60,12 @@ func (f *freeList[T]) put(b []T, max int) {
 // Spares is a stack's free lists of the arrays receiving grows: chunk
 // queues — a socket's receive queue and out-of-order list, and an L5P
 // assembler's queue and message result above it — and byte buffers, such
-// as an assembler's kept bytes. A socket takes its arrays from here when it
-// first needs them and hands them back once the peer's FIN is read; an
-// assembler whose owner lends it the stack's Spares does the same with its
-// arrays (l5p.Assembler). The layers above keep what their own connections
-// hand back here too, one Lot per type (LotOf).
+// as a socket's receive arena and an assembler's kept bytes. A socket takes
+// its arrays from here when it first needs them and hands them back once
+// the peer's FIN is read and its reader has returned; an assembler whose
+// owner lends it the stack's Spares does the same with its arrays
+// (l5p.Assembler). The layers above keep what their own connections hand
+// back here too, one Lot per type (LotOf), as the socket does its rcvKept.
 type Spares struct {
 	chunks freeList[Chunk]
 	bytes  freeList[byte]
@@ -100,7 +101,20 @@ func (sp *Spares) PutChunks(q []Chunk) {
 func (sp *Spares) Bytes(n int) []byte { return sp.bytes.fit(n)[:0] }
 
 // PutBytes takes back a byte buffer nothing reads any more.
-func (sp *Spares) PutBytes(b []byte) { sp.bytes.put(b, sparesByteMax) }
+func (sp *Spares) PutBytes(b []byte) {
+	if poisonSpares {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+	sp.bytes.put(b, sparesByteMax)
+}
+
+// poisonSpares is a test hook that no exported name reaches: set, it makes
+// PutBytes fill every buffer handed back with 0xA5, so that bytes handed
+// back while something still reads them show up as the pattern.
+var poisonSpares bool
 
 // Lot is a bounded stack of one type of object — an offload context, a
 // record index — that connections of a layer above hand back to their

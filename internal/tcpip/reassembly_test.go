@@ -13,8 +13,16 @@ import (
 
 // TestReassemblyProperty drives a socket's receive path directly with
 // randomized segment arrival orders (duplicates, overlaps, gaps filled out
-// of order) and checks the delivered byte stream against the original.
+// of order, the FIN among them) and checks the delivered byte stream
+// against the original. Every segment arrives in one frame buffer that is
+// overwritten once Input returns, and every byte buffer handed back to the
+// stack's spares is poisoned (poisonSpares). On odd seeds the reader reads
+// inside OnReadable and holds every chunk it took until OnReadable is about
+// to return, when it checks them: the socket may hand its arena back only
+// after that. On even seeds nothing reads until the end, so the socket
+// keeps every byte.
 func TestReassemblyProperty(t *testing.T) {
+	setPoisonSpares(t)
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		model := cycles.DefaultModel()
@@ -23,11 +31,35 @@ func TestReassemblyProperty(t *testing.T) {
 		var outPkts []*wire.Packet
 		st.SetDevice(devFunc(func(p *wire.Packet) { outPkts = append(outPkts, keepPacket(p)) }))
 
-		var server *Socket
-		st.Listen(80, func(s *Socket) { server = s })
+		var (
+			server *Socket
+			got    bytes.Buffer
+			held   []Chunk
+			data   []byte // the stream
+			iss    uint32
+		)
+		st.Listen(80, func(s *Socket) {
+			server = s
+			if seed%2 == 0 {
+				return
+			}
+			s.OnReadable = func(s *Socket) {
+				held = held[:0]
+				for c, ok := s.ReadChunk(); ok; c, ok = s.ReadChunk() {
+					held = append(held, c)
+				}
+				for _, c := range held {
+					off := int(c.Seq - (iss + 1))
+					if !bytes.Equal(c.Data, data[off:off+len(c.Data)]) {
+						t.Fatalf("seed %d: a chunk at stream offset %d changed before OnReadable returned", seed, off)
+					}
+					got.Write(c.Data)
+				}
+			}
+		})
 		flow := wire.FlowID{Src: wire.IPv4(10, 0, 0, 1, 7000), Dst: wire.IPv4(10, 0, 0, 2, 80)}
 
-		iss := uint32(rng.Intn(1 << 30))
+		iss = uint32(rng.Intn(1 << 30))
 		if rng.Intn(3) == 0 {
 			iss = 0xFFFFFFFF - uint32(rng.Intn(4000)) // wrap region
 		}
@@ -41,7 +73,7 @@ func TestReassemblyProperty(t *testing.T) {
 
 		// Build the stream and a set of segments covering it, possibly
 		// overlapping.
-		data := make([]byte, 2000+rng.Intn(6000))
+		data = make([]byte, 2000+rng.Intn(60000)) // up to twice rcvArenaMin
 		rng.Read(data)
 		type seg struct {
 			off, n int
@@ -64,12 +96,21 @@ func TestReassemblyProperty(t *testing.T) {
 		// Shuffle arrival order but redeliver everything at least once, so
 		// the stream is completable.
 		order := rng.Perm(len(segs))
+		frame := make([]byte, len(data)) // as long as the longest segment
 		deliver := func(sg seg) {
+			payload := frame[:copy(frame, data[sg.off:sg.off+sg.n])]
+			flags := wire.FlagACK
+			if sg.off+len(payload) == len(data) {
+				flags |= wire.FlagFIN
+			}
 			st.Input(&wire.Packet{
 				Flow: flow, Seq: iss + 1 + uint32(sg.off), Ack: srvISS + 1,
-				Flags: wire.FlagACK, Window: 64,
-				Payload: append([]byte(nil), data[sg.off:sg.off+sg.n]...),
+				Flags: flags, Window: 64,
+				Payload: payload,
 			}, meta.RxFlags(rng.Intn(4)))
+			for i := range payload {
+				payload[i] = 0xDB
+			}
 		}
 		for _, i := range order {
 			deliver(segs[i])
@@ -83,7 +124,6 @@ func TestReassemblyProperty(t *testing.T) {
 		}
 		sim.Run(0)
 
-		var got bytes.Buffer
 		for {
 			c, ok := server.ReadChunk()
 			if !ok {
@@ -91,7 +131,7 @@ func TestReassemblyProperty(t *testing.T) {
 			}
 			got.Write(c.Data)
 		}
-		if !bytes.Equal(got.Bytes(), data) {
+		if !bytes.Equal(got.Bytes(), data) || !server.EOF() {
 			t.Fatalf("seed %d: reassembled %d bytes != original %d",
 				seed, got.Len(), len(data))
 		}

@@ -362,6 +362,35 @@ func TestSndAppendNoAlloc(t *testing.T) {
 	}
 }
 
+// TestSndRingBestFit: a socket whose ring grows takes the shortest ring on
+// the stack's free list that is long enough, so sockets that grow to
+// different ring sizes reuse each other's rings without allocating: a short
+// connection does not take the long ring the next long one then makes
+// anew. Each round, a socket grows a 32 KiB ring and another a 64 KiB one,
+// and both hand them back, the long one last.
+func TestSndRingBestFit(t *testing.T) {
+	st := &Stack{}
+	short, long := &Socket{stack: st}, &Socket{stack: st}
+	round := func() {
+		short.sndAppend(make([]byte, 20<<10))
+		long.sndAppend(make([]byte, 50<<10))
+		short.dropSnd()
+		long.dropSnd()
+	}
+	round()
+	base := func(b []byte) *byte { return &b[:1][0] }
+	made := map[*byte]bool{}
+	for _, r := range st.sndFree.arrs {
+		made[base(r)] = true
+	}
+	for range 3 {
+		round()
+	}
+	if len(st.sndFree.arrs) != 2 || !made[base(st.sndFree.arrs[0])] || !made[base(st.sndFree.arrs[1])] {
+		t.Errorf("the free list holds %d rings, not the two the first round made: a socket took a ring longer than it needed", len(st.sndFree.arrs))
+	}
+}
+
 // TestSparesBytesFit: a byte buffer comes from the shortest spare array
 // long enough for the caller, so a request any array serves (an
 // assembler's, n = 0) leaves the long ones to the requests that need them

@@ -72,6 +72,13 @@ type Stack struct {
 	sndFree freeList[byte]
 	// spares does the same for the receive side's arrays.
 	spares Spares
+	// inputDepth counts the Input calls in progress that reached a socket,
+	// and the window update a ReadChunk sends. Past 1, an Input runs inside
+	// a callback of an outer one or inside a read — a device that delivers
+	// synchronously hands it the answer to a write or an ACK made there —
+	// whose reader may still hold chunks in a socket's arena, so no socket
+	// starts its arena over or hands it back (hold, freeRcvQueue).
+	inputDepth int
 	// gather is the scratch a segment that wraps its socket's ring is
 	// copied into; like any payload it lives for one Transmit call.
 	gather []byte
@@ -164,10 +171,11 @@ func NewStack(sim *netsim.Simulator, ip [4]byte, model *cycles.Model, ledger *cy
 	}
 }
 
-// getSndRing returns a send ring of n bytes, a power of two, recycled if
-// the free list has one at least that large. Its contents are stale.
+// getSndRing returns a send ring of at least n bytes, a power of two: the
+// shortest on the free list that large, or a new one of n. Its contents
+// are stale.
 func (st *Stack) getSndRing(n int) []byte {
-	if b := st.sndFree.get(n); b != nil {
+	if b := st.sndFree.fit(n); b != nil {
 		return b
 	}
 	return make([]byte, n)
@@ -354,8 +362,8 @@ func (st *Stack) newSocket(flow wire.FlowID) *Socket {
 // Input delivers a received, already-parsed packet from the NIC, together
 // with the NIC's per-packet offload verdict flags. Input keeps neither pkt
 // nor anything it points to (Payload, SACKBlocks) after it returns: bytes
-// it buffers are copied, so the device may reuse the packet and recycle
-// the frame at once.
+// it buffers are copied into the socket's arena, so the device may reuse
+// the packet and recycle the frame at once.
 func (st *Stack) Input(pkt *wire.Packet, flags meta.RxFlags) {
 	if flags&meta.RxChecksumBad != 0 {
 		// The device delivered a frame its checksum offload flagged bad.
@@ -403,7 +411,9 @@ func (st *Stack) Input(pkt *wire.Packet, flags meta.RxFlags) {
 		}
 		return
 	}
+	st.inputDepth++
 	s.input(pkt, flags)
+	st.inputDepth--
 }
 
 const (
@@ -449,9 +459,12 @@ func (s sockState) String() string {
 // verdict. The stack never merges chunks with different flags.
 //
 // Data is borrowed: a chunk read inside OnReadable may alias the received
-// frame, which the NIC recycles when the callback returns. Whoever keeps the
-// bytes past that copies them; a chunk still queued when OnReadable returns
-// is copied by the socket, so a later read finds it intact.
+// frame, which the NIC recycles when the callback returns, or the socket's
+// arena, which the socket may start over or hand back to its stack after
+// that. Whoever keeps the bytes past that copies them; a chunk still queued
+// when OnReadable returns is moved to the arena, so a later read finds it
+// intact, and a read outside OnReadable borrows it until the socket's next
+// OnReadable returns (ReadChunk).
 type Chunk struct {
 	// Seq is the TCP sequence number of the first byte.
 	Seq uint32
@@ -547,9 +560,6 @@ type Socket struct {
 	// arrival, sent as the first SACK block of the next outgoing ACK.
 	dsackPending bool
 	dsackBlock   wire.SACKBlock
-	// lastOOOStart is the start of the most recently arrived out-of-order
-	// segment; its containing range leads the SACK block list (RFC 2018).
-	lastOOOStart uint32
 
 	// Spurious-RTO detection: after the first timeout of a streak the
 	// retransmitted range is remembered; a DSACK covering it proves the
@@ -575,8 +585,8 @@ type Socket struct {
 	// Receive state.
 	irs        uint32
 	rcvNxt     uint32
-	ooo        []Chunk // out-of-order segments by Seq, in copies the socket owns
-	rcvChunks  []Chunk // rcvChunks[rcvHead:] is the receive queue
+	kept       *rcvKept // what the socket keeps past Input; nil while nothing
+	rcvChunks  []Chunk  // rcvChunks[rcvHead:] is the receive queue
 	rcvHead    int
 	rcvBufUsed int
 	rcvBufCap  int
@@ -879,9 +889,17 @@ func (s *Socket) EOF() bool { return s.peerFin && s.rcvBufUsed == 0 }
 
 // ReadChunk returns the next in-order chunk of received data with its
 // offload verdict flags, or ok=false when nothing is buffered. A chunk
-// never mixes bytes with different verdicts. Inside OnReadable its bytes
-// may be the received frame's and are valid until OnReadable returns; a
-// caller that keeps them copies them.
+// never mixes bytes with different verdicts. The socket owns every byte it
+// keeps, and a reader borrows a chunk until its OnReadable returns: the
+// bytes may be the received frame's or the socket's arena (rcvKept), and a
+// caller that keeps them past that copies them. A chunk read outside
+// OnReadable — from a timer, say — is borrowed until the socket's next
+// OnReadable returns. Every reader in this repository reads inside
+// OnReadable. So the arena starts over or goes back to the stack only after
+// OnReadable returns (freeRcvQueue), and not in an Input that runs inside it
+// or inside ReadChunk (Stack.inputDepth): a reader may write, and a device
+// that delivers synchronously hands the answer back before the write
+// returns.
 //
 // Reading re-opens the receive window. A sender that was told the window is
 // shut stops with nothing in flight, so no ACK is due that would tell it
@@ -897,11 +915,17 @@ func (s *Socket) ReadChunk() (c Chunk, ok bool) {
 		// Empty: rewind, so deliver appends into the same array for
 		// the life of the connection instead of walking off its end.
 		s.rcvChunks, s.rcvHead = s.rcvChunks[:0], 0
-		s.freeRcvQueue()
 	}
 	s.rcvBufUsed -= len(c.Data)
-	if s.wndShut && s.rcvBufCap-s.rcvBufUsed >= min(s.rcvBufCap/2, s.stack.MSS()) && s.state != stateClosed {
+	st := s.stack
+	if st.inputDepth == 0 && s.kept != nil {
+		s.kept.lent = true
+	}
+	if s.wndShut && s.rcvBufCap-s.rcvBufUsed >= min(s.rcvBufCap/2, st.MSS()) && s.state != stateClosed {
+		// c is in hand: an answer to the update nests in this read.
+		st.inputDepth++
 		s.sendAck()
+		st.inputDepth--
 	}
 	return c, true
 }
@@ -970,7 +994,7 @@ func (s *Socket) sendControl(flags wire.TCPFlags, seq uint32) {
 // a pending DSACK duplicate report first (RFC 2883), then the out-of-order
 // ranges with the most recently changed one leading (RFC 2018 §4).
 func (s *Socket) buildSACKBlocks() []wire.SACKBlock {
-	if !s.dsackPending && len(s.ooo) == 0 {
+	if !s.dsackPending && len(s.ooo()) == 0 {
 		return nil
 	}
 	st := s.stack
@@ -984,7 +1008,7 @@ func (s *Socket) buildSACKBlocks() []wire.SACKBlock {
 	ranges := st.sackRanges
 	// Most recently received range first.
 	for i, r := range ranges {
-		if i > 0 && seqLE(r.Start, s.lastOOOStart) && seqLT(s.lastOOOStart, r.End) {
+		if i > 0 && seqLE(r.Start, s.kept.lastOOOStart) && seqLT(s.kept.lastOOOStart, r.End) {
 			ranges[0], ranges[i] = ranges[i], ranges[0]
 			break
 		}
@@ -1002,7 +1026,7 @@ func (s *Socket) buildSACKBlocks() []wire.SACKBlock {
 // oooRanges appends to out the sorted out-of-order segments merged into
 // disjoint sequence ranges.
 func (s *Socket) oooRanges(out []wire.SACKBlock) []wire.SACKBlock {
-	for _, seg := range s.ooo {
+	for _, seg := range s.ooo() {
 		start, end := seg.Seq, seg.Seq+uint32(len(seg.Data))
 		if n := len(out); n > 0 && seqLE(start, out[n-1].End) {
 			if seqLT(out[n-1].End, end) {
@@ -1701,17 +1725,21 @@ func (s *Socket) processData(pkt *wire.Packet, flags meta.RxFlags) {
 			s.handleFin(pkt.EndSeq() - 1)
 		}
 		s.drainOOO()
-		if fin || len(s.ooo) > 0 {
+		if fin || len(s.ooo()) > 0 {
 			s.sendAck() // ack immediately when filling holes or closing
 		} else {
 			s.scheduleAck()
 		}
 		if s.OnReadable != nil && (s.rcvBufUsed > 0 || s.EOF()) {
 			s.OnReadable(s)
+			if s.kept != nil && s.stack.inputDepth == 1 {
+				s.kept.lent = false
+			}
 		}
 		if len(data) > 0 {
 			s.keepUnread(seq)
 		}
+		s.freeRcvQueue()
 		return
 	}
 
@@ -1719,9 +1747,7 @@ func (s *Socket) processData(pkt *wire.Packet, flags meta.RxFlags) {
 	// negotiated; buildSACKBlocks puts this segment's range first).
 	s.stack.Stats.OutOfOrderIn++
 	if len(data) > 0 {
-		dup := s.insertOOO(Chunk{Seq: seq, Data: append([]byte(nil), data...), Flags: flags})
-		s.lastOOOStart = seq
-		if dup && s.sackOK {
+		if dup := s.insertOOO(seq, data, flags); dup && s.sackOK {
 			// An exact repeat of a buffered out-of-order segment is also
 			// a duplicate worth reporting (RFC 2883 §4.2).
 			s.dsackPending = true
@@ -1777,8 +1803,10 @@ func (s *Socket) teardown() {
 // deliver appends in-order payload to the receive queue. data is borrowed:
 // from processData it aliases the arriving frame, which the NIC recycles as
 // soon as Input returns, so the chunk is handed to OnReadable by reference
-// and keepUnread copies it only if the reader leaves it queued; drainOOO's
-// segments are the socket's own (insertOOO copied them on arrival).
+// and keepUnread moves it to the socket's arena only if the reader leaves it
+// queued; drainOOO's segments are in the arena already (insertOOO). Either
+// way the socket owns the bytes it keeps, and a reader borrows a chunk until
+// its OnReadable returns.
 //
 //simlint:hotpath
 func (s *Socket) deliver(seq uint32, data []byte, flags meta.RxFlags) {
@@ -1803,54 +1831,166 @@ func (s *Socket) deliver(seq uint32, data []byte, flags meta.RxFlags) {
 	s.rcvNxt = seq + uint32(len(data))
 }
 
-// freeRcvQueue hands the receive queue's array, and the out-of-order
-// list's, to the stack's spares once the peer's FIN is in and the reader
+// freeRcvQueue hands the receive queue's array, and what the socket kept
+// (rcvKept), to the stack's spares once the peer's FIN is in and the reader
 // has taken every chunk: nothing can be queued any more, and a segment
-// still on the out-of-order list lies past the FIN.
+// still on the out-of-order list lies past the FIN. It never runs inside
+// OnReadable, nor in an Input nested in it (inputDepth), nor while a reader
+// outside OnReadable holds a chunk (lent): the chunks the reader took may
+// still point into the arena, and the reader's layer may borrow a buffer
+// from the same spares before it returns (ktls's record buffer), which
+// could then be the arena. A socket whose stream ends in an Input nested in
+// another socket's, or whose reader takes the last chunk outside
+// OnReadable, hands nothing back: nothing calls it again, and its arrays go
+// with the socket.
 func (s *Socket) freeRcvQueue() {
-	if s.peerFin && s.rcvHead == len(s.rcvChunks) {
-		s.stack.spares.PutChunks(s.rcvChunks)
-		s.stack.spares.PutChunks(s.ooo)
-		s.rcvChunks, s.rcvHead, s.ooo = nil, 0, nil
+	if !s.peerFin || s.rcvHead != len(s.rcvChunks) || s.stack.inputDepth > 1 || s.kept != nil && s.kept.lent {
+		return
+	}
+	sp := &s.stack.spares
+	sp.PutChunks(s.rcvChunks)
+	s.rcvChunks, s.rcvHead = nil, 0
+	if k := s.kept; k != nil {
+		clear(k.ooo)
+		sp.PutBytes(k.arena)
+		k.ooo, k.arena = k.ooo[:0], nil
+		LotOf[*rcvKept](sp).Put(k, keptSparesMax)
+		s.kept = nil
 	}
 }
 
-// keepUnread gives the chunk processData queued at seq — bytes of the
-// arriving frame — a copy of its own if OnReadable left it in the queue: no
-// reader yet, a reader that stopped reading, or one that reads later. Only
-// segments drained from the out-of-order list can sit behind it, so the
-// walk back from the tail is short.
+// rcvKept is what a socket keeps of received bytes past Input: the
+// out-of-order list, and the arena that the list's segments and any chunk
+// a reader leaves queued are copied into, back to back. A socket takes one
+// from its stack at the first byte it must keep (keep) and hands it back
+// with its receive queue (freeRcvQueue), so a socket that never reorders
+// and whose reader keeps up holds none.
+type rcvKept struct {
+	ooo []Chunk // out-of-order segments by Seq, their bytes in the arena
+	// lastOOOStart is the start of the most recently arrived out-of-order
+	// segment; its containing range leads the SACK block list (RFC 2018).
+	lastOOOStart uint32
+	// arena starts over at offset 0 only when no chunk on the out-of-order
+	// list or in the receive queue points into it. One without room is
+	// left to the chunks that still point into it, and never written
+	// again, and another takes its place (hold).
+	arena []byte
+	// lent says that a reader outside any Input took a chunk of the
+	// arena, which it may hold until the socket's next OnReadable returns:
+	// until then the arena neither starts over nor goes back.
+	lent bool
+}
+
+const (
+	// rcvArenaMin is the shortest arena a socket starts on, room for 22
+	// full-size segments. churn_tls_lossy keeps at most one segment per
+	// arena, but its arenas share Spares.Bytes with ktls's record buffers,
+	// and a 4 or 8 KiB minimum allocated more bytes there than 32 KiB
+	// (EXPERIMENTS.md).
+	rcvArenaMin = 32 << 10
+	// keptSparesMax bounds the rcvKept a stack holds for its next sockets.
+	keptSparesMax = 64
+)
+
+// keep returns the socket's rcvKept, taking one from the stack's spares at
+// the first byte the socket keeps.
+func (s *Socket) keep() *rcvKept {
+	if s.kept == nil {
+		sp := &s.stack.spares
+		k, ok := LotOf[*rcvKept](sp).Take()
+		if !ok {
+			k = &rcvKept{ooo: sp.Chunks()}
+		}
+		s.kept = k
+	}
+	return s.kept
+}
+
+// ooo returns the out-of-order list, empty while the socket keeps nothing.
+func (s *Socket) ooo() []Chunk {
+	if s.kept == nil {
+		return nil
+	}
+	return s.kept.ooo
+}
+
+// hold copies data to the end of the arena and returns the copy, which the
+// socket owns until a reader takes it. queued says that data is a chunk in
+// the receive queue (keepUnread) rather than a new out-of-order segment
+// (insertOOO). When no other chunk the socket keeps points into the arena,
+// it starts over, unless a reader may still hold some: inside an outer
+// Input (inputDepth) or outside any (lent). An arena without room is
+// replaced by one twice as long as what the socket keeps, not as the arena:
+// one whose out-of-order list never empties would otherwise double at every
+// replacement.
+func (s *Socket) hold(data []byte, queued bool) []byte {
+	k := s.keep()
+	others := len(s.rcvChunks) - s.rcvHead
+	kept := s.rcvBufUsed // counts data when it is queued
+	if queued {
+		others--
+	} else {
+		kept += len(data)
+	}
+	fresh := others == 0 && len(k.ooo) == 0 && s.stack.inputDepth == 1 && !k.lent
+	if fresh {
+		k.arena = k.arena[:0]
+	}
+	if cap(k.arena)-len(k.arena) < len(data) {
+		sp := &s.stack.spares
+		if fresh {
+			sp.PutBytes(k.arena)
+		}
+		for _, c := range k.ooo {
+			kept += len(c.Data)
+		}
+		n := max(2*kept, rcvArenaMin)
+		if k.arena = sp.Bytes(n); k.arena == nil {
+			k.arena = make([]byte, 0, n)
+		}
+	}
+	off := len(k.arena)
+	k.arena = append(k.arena, data...)
+	return k.arena[off:len(k.arena):len(k.arena)]
+}
+
+// keepUnread moves the chunk processData queued at seq — bytes of the
+// arriving frame — to the socket's arena if OnReadable left it in the
+// queue: no reader yet, a reader that stopped reading, or one that reads
+// later. From then on the socket owns the bytes, as it does every byte it
+// keeps. Only segments drained from the out-of-order list can sit behind
+// it, so the walk back from the tail is short.
 func (s *Socket) keepUnread(seq uint32) {
 	for i := len(s.rcvChunks) - 1; i >= s.rcvHead && !seqLT(s.rcvChunks[i].Seq, seq); i-- {
 		if c := &s.rcvChunks[i]; c.Seq == seq {
-			c.Data = append([]byte(nil), c.Data...)
+			c.Data = s.hold(c.Data, true)
 			return
 		}
 	}
 }
 
-// insertOOO buffers an out-of-order segment, keeping the list sorted by
-// seq. Exact duplicates are dropped and reported (for DSACK); overlaps are
-// allowed and trimmed at drain time. The list's array comes from the
-// stack's spares at the connection's first hole and is kept, drained in
-// place, until the stream ends (freeRcvQueue).
-func (s *Socket) insertOOO(seg Chunk) (dup bool) {
-	pos := len(s.ooo)
-	for i, o := range s.ooo {
-		if seg.Seq == o.Seq && len(seg.Data) <= len(o.Data) {
+// insertOOO keeps a copy of an out-of-order segment in the socket's arena,
+// on the list sorted by seq: the socket owns the copy until drainOOO
+// delivers it and a reader takes it. Exact duplicates are dropped and
+// reported (for DSACK); overlaps are allowed and trimmed at drain time. The
+// list's array comes with the socket's rcvKept and is drained in place.
+func (s *Socket) insertOOO(seq uint32, data []byte, flags meta.RxFlags) (dup bool) {
+	k := s.keep()
+	k.lastOOOStart = seq
+	pos := len(k.ooo)
+	for i, o := range k.ooo {
+		if seq == o.Seq && len(data) <= len(o.Data) {
 			return true
 		}
-		if seqLT(seg.Seq, o.Seq) {
+		if seqLT(seq, o.Seq) {
 			pos = i
 			break
 		}
 	}
-	if cap(s.ooo) == 0 {
-		s.ooo = s.stack.spares.Chunks()
-	}
-	s.ooo = append(s.ooo, Chunk{})
-	copy(s.ooo[pos+1:], s.ooo[pos:])
-	s.ooo[pos] = seg
+	seg := Chunk{Seq: seq, Data: s.hold(data, false), Flags: flags}
+	k.ooo = append(k.ooo, Chunk{})
+	copy(k.ooo[pos+1:], k.ooo[pos:])
+	k.ooo[pos] = seg
 	return false
 }
 
@@ -1858,17 +1998,19 @@ func (s *Socket) insertOOO(seg Chunk) (dup bool) {
 // slides the rest to the front of the list's array, so the array keeps its
 // capacity for the next hole.
 func (s *Socket) drainOOO() {
-	n := 0
-	for ; n < len(s.ooo) && !seqLT(s.rcvNxt, s.ooo[n].Seq); n++ {
-		seg := s.ooo[n]
-		if skip := s.rcvNxt - seg.Seq; int(skip) < len(seg.Data) {
-			s.deliver(s.rcvNxt, seg.Data[skip:], seg.Flags)
+	if k := s.kept; k != nil {
+		n := 0
+		for ; n < len(k.ooo) && !seqLT(s.rcvNxt, k.ooo[n].Seq); n++ {
+			seg := k.ooo[n]
+			if skip := s.rcvNxt - seg.Seq; int(skip) < len(seg.Data) {
+				s.deliver(s.rcvNxt, seg.Data[skip:], seg.Flags)
+			}
 		}
-	}
-	if n > 0 {
-		left := copy(s.ooo, s.ooo[n:])
-		clear(s.ooo[left:])
-		s.ooo = s.ooo[:left]
+		if n > 0 {
+			left := copy(k.ooo, k.ooo[n:])
+			clear(k.ooo[left:])
+			k.ooo = k.ooo[:left]
+		}
 	}
 	if s.finRcvdSeq != 0 && s.rcvNxt == s.finRcvdSeq {
 		s.handleFin(s.finRcvdSeq)
@@ -1881,5 +2023,5 @@ func (s *Socket) DebugString() string {
 	return fmt.Sprintf("state=%s sndUna=%d sndNxt=%d buf=%d cwnd=%d ssthresh=%d peerWnd=%d rto=%v rtoArmed=%v inRec=%v dupAcks=%d sacked=%d rcvNxt=%d ooo=%d rcvUsed=%d",
 		s.state, s.sndUna, s.sndNxt, s.sndLen, s.cc.Cwnd(), s.cc.Ssthresh(),
 		s.peerWindow, s.rto, s.rtoTimer.Pending(), s.inRecovery, s.dupAcks,
-		s.sb.sackedBytes(), s.rcvNxt, len(s.ooo), s.rcvBufUsed)
+		s.sb.sackedBytes(), s.rcvNxt, len(s.ooo()), s.rcvBufUsed)
 }
